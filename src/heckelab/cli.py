@@ -141,6 +141,17 @@ def _parse_tau(text: str) -> complex:
     return complex(float(re_s), float(im_s))
 
 
+def _replay_key(command: str, config: RunConfig) -> str:
+    tau = complex(config.tau)
+    parts = ["hecke-lab", command, *config.extra,
+             "--tau", f"{tau.real!r},{tau.imag!r}", "--seed", str(config.seed)]
+    if config.samples is not None:
+        parts += ["--samples", str(config.samples)]
+    if config.tol is not None:
+        parts += ["--tol", repr(config.tol)]
+    return " ".join(parts)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="hecke-lab",
@@ -161,9 +172,19 @@ def main(argv: list[str] | None = None) -> int:
             out=ns.out, extra=tuple(ns.args),
         )
         report = run(ns.command, config)
-    except (ValueError, KeyError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # A numerical failure inside a suite is a failed run, not a config
+        # problem: report it with the command line that replays it.  The
+        # import is deferred to keep start-up, paid by every run, lean.
+        import traceback
+
+        traceback.print_exc()
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(f"replay: {_replay_key(ns.command, config)}", file=sys.stderr)
+        return 1
     text = report.to_text()
     if ns.out:
         with open(ns.out, "w") as fh:

@@ -33,10 +33,6 @@ class NotSemistable(ValueError):
     """Operation requires a semistable bundle (Hecke length 0)."""
 
 
-class RowNotFound(ValueError):
-    """Direction/bundle combination outside the morphism table."""
-
-
 class Unsupported(ValueError):
     """Requested an exact computation outside the n <= 2 range."""
 
@@ -634,18 +630,6 @@ def single_hecke(e: EllipticBundle, p: CurvePoint, a: ProjPoint) -> EllipticBund
 # Two-step classification, moduli coordinates, and the total direction map.
 
 
-def l_of_direction(a: ProjPoint, lattice: Lattice) -> LineBundleClass:
-    """L(a): a degree-0 class with cover coordinate ``a``.
-
-    The two fiber points give inverse classes; the lexicographically
-    smaller canonical lift is chosen (class-level consumers must not
-    depend on the choice) and recorded with its centered lift, which
-    keeps downstream theta arguments balanced.
-    """
-    root, _ = th.invert_cover(a, lattice)
-    return LineBundleClass(0, lattice.reduce_centered(root.lift), lattice)
-
-
 def mss_coordinate(e: EllipticBundle) -> ProjPoint:
     """Coordinate of the S-equivalence class in the semistable moduli line.
 
@@ -889,6 +873,27 @@ def f_embedding(
     )
 
 
+def _curve_residuals(params, shifts, targets, lattice: Lattice) -> np.ndarray:
+    """Cross products of f(u + v tau) with the target triple, batched.
+
+    ``params`` is a (k, 2) array of real curve parameters (u, v).  All 3k
+    cover arguments go through one theta evaluation; entry [i, j] is the
+    signed chordal cross product of component j at parameter i with
+    ``targets[j]``, so ``abs`` of a row gives the three chordal distances.
+    """
+    z = params[:, 0] + params[:, 1] * lattice.tau
+    ta = np.array([t.a for t in targets])
+    tc = np.array([t.c for t in targets])
+    return th._cover_cross(z[:, None] - shifts, ta, tc, lattice)
+
+
+#: Central-difference directions of the Gauss-Newton Jacobian.
+_STENCIL = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+
+#: Backtracking scales 1, 1/2, ..., 1/128 of the line search.
+_SCALES = 0.5 ** np.arange(8)
+
+
 def distance_to_curve(
     triple, q: CurvePoint, p1: CurvePoint, p2: CurvePoint, grid: int = 16
 ) -> float:
@@ -896,31 +901,23 @@ def distance_to_curve(
 
     Seeded by the best few separated samples of a vectorized grid of
     curve points, then Gauss-Newton on the real curve parameters from
-    each seed.
+    each seed.  Each iteration makes two batched residual evaluations:
+    the four-point central-difference stencil of the Jacobian, and all
+    eight backtracking scales of the line search, of which the first
+    that does not increase the residual norm is taken.
     """
     lat = q.lattice
-
-    def fval(u: float, v: float):
-        return f_embedding(CurvePoint(u + v * lat.tau, lat), q, p1, p2)
-
-    def dist(u, v):
-        return max(chordal(x, y) for x, y in zip(fval(u, v), triple))
-
-    # Vectorized grid scan: evaluate all three cover components on the
-    # whole parameter grid at once.
-    uu, vv = np.meshgrid((np.arange(grid) + 0.5) / grid, (np.arange(grid) + 0.5) / grid)
-    zs = (uu + vv * lat.tau).ravel()
     e1 = halve_sum(q, p1)
     e2 = halve_sum(q, p2)
-    shifts = (e1.lift, p1.lift, p2.lift - e2.lift + e1.lift)
-    worst = np.zeros(zs.shape)
-    for shift, target in zip(shifts, triple):
-        den, num = th._cover_homogeneous(zs - shift, lat)
-        cross = np.abs(den * target.c - num * target.a)
-        cross /= np.hypot(np.abs(den), np.abs(num)) * np.hypot(
-            abs(target.a), abs(target.c)
-        )
-        worst = np.maximum(worst, cross)
+    shifts = np.array([e1.lift, p1.lift, p2.lift - e2.lift + e1.lift])
+
+    def residuals(params):
+        return _curve_residuals(params, shifts, triple, lat)
+
+    axis = (np.arange(grid) + 0.5) / grid
+    uu, vv = np.meshgrid(axis, axis)
+    worst = np.abs(residuals(np.stack([uu.ravel(), vv.ravel()], axis=1))).max(axis=1)
+    zs = (uu + vv * lat.tau).ravel()
     order = np.argsort(worst)
     seeds = []
     for idx in order:
@@ -930,41 +927,29 @@ def distance_to_curve(
         if len(seeds) == 3:
             break
 
-    def residual(u, v):
-        out = []
-        for x, y in zip(fval(u, v), triple):
-            c = (x.a * y.c - x.c * y.a) / (
-                np.hypot(abs(x.a), abs(x.c)) * np.hypot(abs(y.a), abs(y.c))
-            )
-            out.extend([c.real, c.imag])
-        return np.array(out)
-
     best = float(worst[order[0]])
+    eps = 1e-6
     for z0 in seeds:
         x = np.array(lat.coords(z0))
-        r = residual(*x)
+        c = residuals(x[None])[0]
         for _ in range(40):
-            eps = 1e-6
-            j0 = (residual(x[0] + eps, x[1]) - residual(x[0] - eps, x[1])) / (2 * eps)
-            j1 = (residual(x[0], x[1] + eps) - residual(x[0], x[1] - eps)) / (2 * eps)
-            jac = np.stack([j0, j1], axis=1)
+            cs = residuals(x + eps * _STENCIL)
+            r, rs = c.view(float), cs.view(float)
+            jac = np.stack([rs[0] - rs[1], rs[2] - rs[3]], axis=1) / (2 * eps)
             step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
             if not np.all(np.isfinite(step)):
                 break
             # Backtracking keeps the iteration inside the right basin.
-            scale = 1.0
-            for _ in range(8):
-                xn = x + scale * step
-                rn = residual(*xn)
-                if np.linalg.norm(rn) <= np.linalg.norm(r):
-                    break
-                scale *= 0.5
-            else:
+            trials = x + _SCALES[:, None] * step
+            cs = residuals(trials)
+            ok = np.linalg.norm(cs, axis=-1) <= np.linalg.norm(c, axis=-1)
+            if not ok.any():
                 break
-            x, r = xn, rn
-            if np.linalg.norm(scale * step) < 1e-12:
+            k = int(np.argmax(ok))
+            x, c = trials[k], cs[k]
+            if np.linalg.norm(_SCALES[k] * step) < 1e-12:
                 break
-        best = min(best, dist(*x))
+        best = min(best, float(np.abs(c).max()))
     return best
 
 

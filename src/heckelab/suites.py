@@ -35,6 +35,13 @@ def _tol(config, default: float) -> float:
     return config.tol if config.tol is not None else default
 
 
+def _int_arg(text: str, usage: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"{usage}: {text!r} is not an integer") from None
+
+
 def _box(rng: np.random.Generator, lat: Lattice, count: int) -> np.ndarray:
     """Random points in a doubled fundamental box around the domain."""
     return (2 * rng.random(count) - 0.5) + (2 * rng.random(count) - 0.5) * lat.tau
@@ -518,10 +525,11 @@ def _two_route_agree(bundle, p1, p2, d1, d2, lat) -> bool:
 
 
 def compute_space(report, config, rng):
+    usage = "usage: compute-space {S2|T2} n"
     if len(config.extra) != 2:
-        raise ConfigError("usage: compute-space {S2|T2} n")
+        raise ConfigError(usage)
     curve, n_str = config.extra
-    n = int(n_str)
+    n = _int_arg(n_str, usage)
     if curve == "S2":
         _compute_space_s2(report, config, rng, n)
     elif curve == "T2":
@@ -628,9 +636,10 @@ def _compute_space_t2(report, config, rng, n):
 
 
 def check_conjecture(report, config, rng):
+    usage = "usage: check-conjecture m"
     if len(config.extra) != 1:
-        raise ConfigError("usage: check-conjecture m")
-    m = int(config.extra[0])
+        raise ConfigError(usage)
+    m = _int_arg(config.extra[0], usage)
     if m == 1:
         worst_mat = worst_chi = 0.0
         for _ in range(100):

@@ -38,9 +38,9 @@ def _terms_needed(tau_eff: complex, max_abs_im: float) -> int:
 def _reduce(z: np.ndarray, tau: complex):
     """Split z = z0 + k + m*tau with z0 in a centered fundamental strip."""
     y = z.imag / tau.imag
-    m = np.round(y)
+    m = np.rint(y)
     z1 = z - m * tau
-    k = np.round(z1.real)
+    k = np.rint(z1.real)
     z0 = z1 - k
     return z0, m
 
@@ -58,7 +58,7 @@ def theta_raw(z, tau: complex):
     """Jacobi theta  sum_n exp(pi i (n^2 tau + 2 n z))  for Im tau > 0."""
     z = np.asarray(z, dtype=complex)
     z0, m = _reduce(z, tau)
-    n_terms = _terms_needed(tau, float(np.max(np.abs(z0.imag), initial=0.0)))
+    n_terms = _terms_needed(tau, float(np.abs(z0.imag).max(initial=0.0)))
     factor = np.exp(-1j * np.pi * m * m * tau - TWO_PI_I * m * z0)
     return factor * _theta_reduced(z0, tau, n_terms, 0)
 
@@ -67,7 +67,7 @@ def theta_raw_deriv(z, tau: complex):
     """d/dz of theta_raw, via termwise differentiation and range reduction."""
     z = np.asarray(z, dtype=complex)
     z0, m = _reduce(z, tau)
-    n_terms = _terms_needed(tau, float(np.max(np.abs(z0.imag), initial=0.0)))
+    n_terms = _terms_needed(tau, float(np.abs(z0.imag).max(initial=0.0)))
     factor = np.exp(-1j * np.pi * m * m * tau - TWO_PI_I * m * z0)
     val = _theta_reduced(z0, tau, n_terms, 0)
     dval = _theta_reduced(z0, tau, n_terms, 1)
@@ -144,12 +144,18 @@ def automorphy_factor(w: complex):
 # The branched double cover X -> CP^1.
 
 
+def _cover_args(z, tau: complex):
+    """Kernel arguments, stacked on a new first axis, of the two theta~
+    factors of the cover: theta~_{1/2}(2z) and theta~_{1/2 - tau}(2z)."""
+    shifts = np.array([0.5, 0.5 - tau]).reshape((2,) + (1,) * np.ndim(z))
+    return 2 * z - 0.5 * (1 + 2 * tau) - shifts
+
+
 def _cover_homogeneous(z, lattice: Lattice):
     """Homogeneous pair (den, num) with pi([z]) = [den : num] = [1 : h(z)]."""
     z = np.asarray(z, dtype=complex)
-    den = theta_tilde_w(2 * z, 0.5, lattice)
-    num = np.exp(TWO_PI_I * z) * theta_tilde_w(2 * z, 0.5 - lattice.tau, lattice)
-    return den, num
+    den, t = theta_raw(_cover_args(z, lattice.tau), 2 * lattice.tau)
+    return den, np.exp(TWO_PI_I * z) * t
 
 
 def h_map(z, lattice: Lattice):
@@ -167,6 +173,24 @@ def pi_cover(p: CurvePoint) -> ProjPoint:
     """The 2:1 cover X -> CP^1, [z] -> [1 : h(z)], evaluated homogeneously."""
     den, num = _cover_homogeneous(p.lift, p.lattice)
     return ProjPoint(complex(den), complex(num))
+
+
+def _cover_cross(z, a, c, lattice: Lattice):
+    """Signed chordal cross product of pi([z]) with [a : c], elementwise.
+
+    The pair (den, num) is first divided by its larger-modulus coordinate,
+    as ``ProjPoint`` does, so the value matches the scalar
+    ``(p.a * c - p.c * a) / (|p| |[a : c]|)`` with ``p = pi_cover(z)`` in
+    phase as well as in modulus; the modulus is the chordal distance.
+    ``z``, ``a`` and ``c`` broadcast against each other.
+    """
+    den, num = _cover_homogeneous(z, lattice)
+    first = np.abs(den) >= np.abs(num)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pa = np.where(first, 1.0, den / num)
+        pc = np.where(first, num / den, 1.0)
+    norms = np.hypot(np.abs(pa), np.abs(pc)) * np.hypot(np.abs(a), np.abs(c))
+    return (pa * c - pc * a) / norms
 
 
 def branch_points(lattice: Lattice) -> tuple[ProjPoint, ...]:
@@ -192,7 +216,14 @@ def invert_cover(a: ProjPoint, lattice: Lattice) -> tuple[CurvePoint, CurvePoint
     """The unordered fiber {p, -p} of the double cover over ``a``.
 
     Newton iteration on the homogeneous equation
-    y * den(z) - x * num(z) = 0 from 16 deterministic starting lifts.
+    y * den(z) - x * num(z) = 0 from 16 deterministic starting lifts,
+    advanced together: each iteration evaluates theta~ and its derivative
+    at both shifts for every active start in one kernel call each.  A
+    start has converged once its Newton step is below 1e-12.  The
+    iteration stops as soon as a converged iterate maps within 1e-8
+    (chordal) of ``a``, and the root is chosen among the converged
+    iterates that do.  Only if none does (Newton converges linearly next
+    to a branch point) are all final iterates put to the same image check.
     The first returned point has the lexicographically smaller canonical
     lift of the pair; at a branch point the two points coincide.
     """
@@ -204,50 +235,43 @@ def invert_cover(a: ProjPoint, lattice: Lattice) -> tuple[CurvePoint, CurvePoint
     tau = lattice.tau
     x, y = a.a, a.c
 
-    def func(z):
-        den, num = _cover_homogeneous(z, lattice)
-        return y * den - x * num
-
-    def dfunc(z):
-        ddet = 2 * theta_tilde_w_deriv(2 * z, 0.5, lattice)
-        e = np.exp(TWO_PI_I * z)
-        dnum = e * (
-            TWO_PI_I * theta_tilde_w(2 * z, 0.5 - tau, lattice)
-            + 2 * theta_tilde_w_deriv(2 * z, 0.5 - tau, lattice)
-        )
-        return y * ddet - x * dnum
+    def image_ok(zs):
+        return np.abs(_cover_cross(zs, x, y, lattice)) < 1e-8
 
     grid = np.array(
         [(i + 0.37) / 4 + (j + 0.41) / 4 * tau for i in range(4) for j in range(4)]
     )
     z = grid.copy()
     active = np.ones(z.shape, dtype=bool)
+    passed = np.zeros(z.shape, dtype=bool)
     for _ in range(60):
-        f = func(z[active])
-        df = dfunc(z[active])
+        za = z[active]
+        args = _cover_args(za, tau)
+        val = theta_raw(args, 2 * tau)
+        dval = theta_raw_deriv(args, 2 * tau)
+        e = np.exp(TWO_PI_I * za)
+        f = y * val[0] - x * (e * val[1])
+        df = y * (2 * dval[0]) - x * (e * (TWO_PI_I * val[1] + 2 * dval[1]))
         step = np.where(np.abs(df) > 1e-300, f / df, 0.0)
         step = np.where(np.isfinite(step), step, 0.0)
-        zn = z[active] - step
         # The zero set is lattice-translation stable; keeping iterates
         # reduced avoids overflow of the reduction factor.
-        z[active] = np.array([lattice.reduce(v) for v in np.atleast_1d(zn)])
-        done = np.abs(step) < 1e-12
-        idx = np.flatnonzero(active)
-        active[idx[done]] = False
-        if not active.any():
-            break
-    # Iterates that never produced a tiny step sit at ramification points
-    # (linear convergence); the image-space check decides acceptance.
-    roots = []
-    for v in z:
-        if not np.isfinite(v):
-            continue
-        p = CurvePoint(v, lattice)
-        if chordal(pi_cover(p), a) < 1e-8:
-            roots.append(p)
-    if not roots:
+        z[active] = lattice.reduce(za - step)
+        done = np.flatnonzero(active)[np.abs(step) < 1e-12]
+        if done.size:
+            active[done] = False
+            passed[done] = image_ok(z[done])
+            if passed.any() or not active.any():
+                break
+    if passed.any():
+        roots_z = z[passed]
+    else:
+        roots_z = z[np.isfinite(z)]
+        roots_z = roots_z[image_ok(roots_z)]
+    if not roots_z.size:
         raise NoConvergence(f"no preimage found for {a}")
     # Collapse to a single representative modulo z -> -z.
+    roots = [CurvePoint(v, lattice) for v in roots_z]
     rep = roots[0]
     for r in roots[1:]:
         if not (r == rep or r == -rep):

@@ -44,9 +44,13 @@ class Lattice:
         x = z.real - y * self.tau.real
         return x, y
 
-    def reduce(self, z: complex) -> complex:
-        """Canonical lift: x, y reduced into [0, 1)."""
-        x, y = self.coords(complex(z))
+    def reduce(self, z):
+        """Canonical lift: x, y reduced into [0, 1).
+
+        Elementwise on arrays; a scalar comes back as a Python complex.
+        """
+        z = np.asarray(z, dtype=complex) if np.ndim(z) else complex(z)
+        x, y = self.coords(z)
         return (x % 1.0) + (y % 1.0) * self.tau
 
     def reduce_centered(self, z: complex) -> complex:
@@ -54,11 +58,6 @@ class Lattice:
         numerical work with doubled arguments."""
         x, y = self.coords(complex(z))
         return ((x + 0.5) % 1.0 - 0.5) + ((y + 0.5) % 1.0 - 0.5) * self.tau
-
-    def lattice_part(self, z: complex) -> tuple[int, int]:
-        """Integers (m, n) with z - (m + n*tau) in the fundamental domain."""
-        x, y = self.coords(complex(z))
-        return int(np.floor(x)), int(np.floor(y))
 
     def distance(self, z1: complex, z2: complex) -> float:
         """Distance |z1 - z2| minimized over lattice translates."""
@@ -118,14 +117,6 @@ class CurvePoint:
             if self.lattice.distance(self.lift, t) < POINT_TOL:
                 return i
         return None
-
-
-def add(p: CurvePoint, q: CurvePoint) -> CurvePoint:
-    return p + q
-
-
-def neg(p: CurvePoint) -> CurvePoint:
-    return -p
 
 
 def halve_sum(p: CurvePoint, q: CurvePoint) -> CurvePoint:

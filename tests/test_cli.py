@@ -1,4 +1,5 @@
 from heckelab import cli
+from heckelab.projective import DegeneratePoint
 
 
 def run_text(command, extra=(), **kw):
@@ -54,6 +55,32 @@ def test_main_rejects_bad_config(capsys):
     assert cli.main(["verify-theta", "--tau", "0.2,-1.0"]) == 2
     assert cli.main(["compute-space", "S2"]) == 2
     assert cli.main(["compute-space", "Q9", "2"]) == 2
+    assert cli.main(["compute-space", "T2", "two"]) == 2
+    assert cli.main(["check-conjecture", "m"]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_numerical_failure_is_not_a_config_error(capsys):
+    # Im tau = 4 lies outside the range where the elliptic suites pass;
+    # eta_at raises NotInCell (a ValueError) inside the suite.
+    code = cli.main(["verify-double-table", "--tau", "0.2,4", "--samples", "12"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "config error" not in err
+    assert "error: NotInCell: " in err
+    assert "replay: hecke-lab verify-double-table --tau 0.2,4.0 --seed 7 --samples 12" in err
+
+
+def test_suite_exception_names_class_and_replay_key(capsys, monkeypatch):
+    def crash(report, config, rng):
+        raise DegeneratePoint("[0j:0j] is not a projective point")
+
+    monkeypatch.setitem(cli.COMMANDS, "compute-space", crash)
+    code = cli.main(["compute-space", "T2", "2", "--tau", "0.3,0.45", "--seed", "3"])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert err[-2] == "error: DegeneratePoint: [0j:0j] is not a projective point"
+    assert err[-1] == "replay: hecke-lab compute-space T2 2 --tau 0.3,0.45 --seed 3"
 
 
 def test_custom_tau_flows_through():

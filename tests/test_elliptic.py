@@ -445,3 +445,116 @@ class TestOrderIndependence:
                 assert ell.s_equivalent(ta, tb)
             else:
                 assert ta.hecke_length == tb.hecke_length
+
+
+# ---------------------------------------------------------------------------
+# The batched Gauss-Newton of distance_to_curve against the scalar solver.
+
+REF_TAUS = (0.21 + 1.3j, 0.3 + 0.45j)
+
+
+def residual_reference(u, v, triple, q, p1, p2):
+    """Cross products of f(u + v tau) with the triple, one scalar
+    ``f_embedding`` evaluation per parameter pair."""
+    lat = q.lattice
+    out = []
+    for x, y in zip(ell.f_embedding(CurvePoint(u + v * lat.tau, lat), q, p1, p2), triple):
+        out.append((x.a * y.c - x.c * y.a)
+                   / (np.hypot(abs(x.a), abs(x.c)) * np.hypot(abs(y.a), abs(y.c))))
+    return np.array(out)
+
+
+def distance_reference(triple, q, p1, p2, grid=16):
+    """Grid seeding, then Gauss-Newton with one scalar residual per
+    stencil point and per backtracking step."""
+    lat = q.lattice
+
+    def residual(u, v):
+        return residual_reference(u, v, triple, q, p1, p2).view(float)
+
+    def dist(u, v):
+        return float(np.abs(residual_reference(u, v, triple, q, p1, p2)).max())
+
+    uu, vv = np.meshgrid((np.arange(grid) + 0.5) / grid, (np.arange(grid) + 0.5) / grid)
+    zs = (uu + vv * lat.tau).ravel()
+    e1 = halve_sum(q, p1)
+    e2 = halve_sum(q, p2)
+    shifts = (e1.lift, p1.lift, p2.lift - e2.lift + e1.lift)
+    worst = np.zeros(zs.shape)
+    for shift, target in zip(shifts, triple):
+        den, num = th._cover_homogeneous(zs - shift, lat)
+        cross = np.abs(den * target.c - num * target.a)
+        cross /= np.hypot(np.abs(den), np.abs(num)) * np.hypot(abs(target.a), abs(target.c))
+        worst = np.maximum(worst, cross)
+    order = np.argsort(worst)
+    seeds = []
+    for idx in order:
+        z0 = zs[int(idx)]
+        if all(lat.distance(z0, s) > 0.2 for s in seeds):
+            seeds.append(z0)
+        if len(seeds) == 3:
+            break
+    best = float(worst[order[0]])
+    for z0 in seeds:
+        x = np.array(lat.coords(z0))
+        r = residual(*x)
+        for _ in range(40):
+            eps = 1e-6
+            j0 = (residual(x[0] + eps, x[1]) - residual(x[0] - eps, x[1])) / (2 * eps)
+            j1 = (residual(x[0], x[1] + eps) - residual(x[0], x[1] - eps)) / (2 * eps)
+            step, *_ = np.linalg.lstsq(np.stack([j0, j1], axis=1), -r, rcond=None)
+            if not np.all(np.isfinite(step)):
+                break
+            scale = 1.0
+            for _ in range(8):
+                xn = x + scale * step
+                rn = residual(*xn)
+                if np.linalg.norm(rn) <= np.linalg.norm(r):
+                    break
+                scale *= 0.5
+            else:
+                break
+            x, r = xn, rn
+            if np.linalg.norm(scale * step) < 1e-12:
+                break
+        best = min(best, dist(*x))
+    return best
+
+
+def curve_setup(tau, seed):
+    lat = Lattice(tau)
+    rng = np.random.default_rng(seed)
+    q, p1, p2 = (CurvePoint(rng.random() + rng.random() * tau, lat) for _ in range(3))
+    e1, e2 = halve_sum(q, p1), halve_sum(q, p2)
+    shifts = np.array([e1.lift, p1.lift, p2.lift - e2.lift + e1.lift])
+    return lat, rng, q, p1, p2, shifts
+
+
+@pytest.mark.parametrize("tau", REF_TAUS)
+def test_batched_residual_matches_scalar(tau):
+    lat, rng, q, p1, p2, shifts = curve_setup(tau, seed=51)
+    triple = [random_point(rng) for _ in range(3)]
+    params = rng.random((40, 2)) * 3 - 1
+    batched = ell._curve_residuals(params, shifts, triple, lat)
+    ref = np.array([residual_reference(u, v, triple, q, p1, p2) for u, v in params])
+    assert np.abs(batched - ref).max() <= 1e-13
+
+
+def perturbed(a, rng, size):
+    d = size * (rng.normal() + 1j * rng.normal())
+    return ProjPoint(a.a + d * a.c.conjugate(), a.c - d * a.a.conjugate())
+
+
+@pytest.mark.parametrize("tau", REF_TAUS)
+def test_distance_to_curve_matches_scalar_solver(tau):
+    lat, rng, q, p1, p2, _ = curve_setup(tau, seed=52)
+    on_curve = [ell.f_embedding(CurvePoint(rng.random() + rng.random() * tau, lat), q, p1, p2)
+                for _ in range(10)]
+    near = [[perturbed(a, rng, 1e-6) for a in tri] for tri in on_curve]
+    loose = [[random_point(rng) for _ in range(3)] for _ in range(10)]
+    for kind, triples in (("on", on_curve), ("near", near), ("random", loose)):
+        for tri in triples:
+            d = ell.distance_to_curve(tri, q, p1, p2)
+            assert abs(d - distance_reference(tri, q, p1, p2)) <= 1e-8, kind
+            if kind == "on":
+                assert d < ell.CURVE_TOL

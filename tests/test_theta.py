@@ -149,3 +149,127 @@ def test_g2_determinant_factor():
     f_shift = th.automorphy_factor(p + 0.5)
     f_plain = th.automorphy_factor(p)
     assert abs(-f_shift(z) - f_plain(z)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# The batched Newton of invert_cover against the loop it replaced.
+
+REF_TAUS = (0.21 + 1.3j, 0.3 + 0.45j)
+
+
+def invert_cover_reference(a, lattice):
+    """Scalar-reduce Newton with separate value and derivative closures:
+    every start runs to convergence or 60 iterations, and the root is
+    chosen among all iterates that pass the image check."""
+    idx = th.branch_index(a, lattice)
+    if idx is not None:
+        t = CurvePoint(lattice.torsion_lifts()[idx - 1], lattice)
+        return t, t
+    tau = lattice.tau
+    x, y = a.a, a.c
+
+    def func(z):
+        den = th.theta_tilde_w(2 * z, 0.5, lattice)
+        num = np.exp(2j * np.pi * z) * th.theta_tilde_w(2 * z, 0.5 - tau, lattice)
+        return y * den - x * num
+
+    def dfunc(z):
+        ddet = 2 * th.theta_tilde_w_deriv(2 * z, 0.5, lattice)
+        e = np.exp(2j * np.pi * z)
+        dnum = e * (
+            2j * np.pi * th.theta_tilde_w(2 * z, 0.5 - tau, lattice)
+            + 2 * th.theta_tilde_w_deriv(2 * z, 0.5 - tau, lattice)
+        )
+        return y * ddet - x * dnum
+
+    grid = np.array(
+        [(i + 0.37) / 4 + (j + 0.41) / 4 * tau for i in range(4) for j in range(4)]
+    )
+    z = grid.copy()
+    active = np.ones(z.shape, dtype=bool)
+    for _ in range(60):
+        f = func(z[active])
+        df = dfunc(z[active])
+        step = np.where(np.abs(df) > 1e-300, f / df, 0.0)
+        step = np.where(np.isfinite(step), step, 0.0)
+        zn = z[active] - step
+        z[active] = np.array([lattice.reduce(complex(v)) for v in np.atleast_1d(zn)])
+        done = np.abs(step) < 1e-12
+        idx = np.flatnonzero(active)
+        active[idx[done]] = False
+        if not active.any():
+            break
+    roots = []
+    for v in z:
+        if not np.isfinite(v):
+            continue
+        p = CurvePoint(v, lattice)
+        if chordal(th.pi_cover(p), a) < 1e-8:
+            roots.append(p)
+    if not roots:
+        raise th.NoConvergence(f"no preimage found for {a}")
+    rep = roots[0]
+    for r in roots[1:]:
+        if not (r == rep or r == -rep):
+            rep = th._lex_smaller(rep, r)
+    p = th._lex_smaller(rep, -rep)
+    return p, -p
+
+
+def at_chordal_offset(b, d, phase):
+    """A point of CP^1 at chordal distance ``d`` from ``b``."""
+    u = b.vec / np.linalg.norm(b.vec)
+    v = np.array([-np.conj(u[1]), np.conj(u[0])]) * np.exp(1j * phase)
+    w = u * np.sqrt(1 - d * d) + v * d
+    return ProjPoint(w[0], w[1])
+
+
+def reference_fibers(lattice, count, seed):
+    rng = np.random.default_rng(seed)
+    pts = [th.pi_cover(CurvePoint(rng.random() + rng.random() * lattice.tau, lattice))
+           for _ in range(count)]
+    for b in th.branch_points(lattice):
+        for d in (1e-9, 1e-8, 3e-8, 1e-7, 1e-6, 1e-5):
+            pts += [at_chordal_offset(b, d, phase) for phase in (0.3, 2.1)]
+    return pts + [ProjPoint(0, 1), ProjPoint(1, 0), ProjPoint(1, 1)]
+
+
+@pytest.mark.parametrize("tau", REF_TAUS)
+def test_invert_cover_matches_reference(tau):
+    # Compared as torus points modulo +-: the two loops may return
+    # different lifts of one point, e.g. over [0:1] a lift with lattice
+    # coordinate y just below 1 against one at y = 0.
+    lat = Lattice(tau)
+    worst = 0.0
+    for a in reference_fibers(lat, 150, seed=31):
+        p, _ = th.invert_cover(a, lat)
+        r, _ = invert_cover_reference(a, lat)
+        worst = max(worst, min(lat.distance(p.lift, r.lift), lat.distance(p.lift, -r.lift)))
+    assert worst <= 1e-12
+
+
+def test_at_chordal_offset():
+    b = th.branch_points(LAT)[1]
+    for d in (1e-9, 1e-7, 1e-5):
+        assert abs(chordal(at_chordal_offset(b, d, 0.7), b) - d) < 1e-3 * d
+
+
+# ---------------------------------------------------------------------------
+# Array-capable canonical lift.
+
+
+@pytest.mark.parametrize("tau", REF_TAUS)
+def test_reduce_array_is_bitwise_scalar(tau):
+    lat = Lattice(tau)
+    rng = np.random.default_rng(41)
+    seeded = rng.random(50) + rng.random(50) * tau
+    far = seeded + rng.integers(-5, 6, 50) + rng.integers(-5, 6, 50) * tau
+    negative = -(rng.random(20) + rng.random(20) * tau)
+    exact = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 0j,
+             -1.0, 1.0 + tau, -tau, 3 - 2 * tau, 0.5 - tau / 2]
+    zs = np.concatenate([seeded, far, negative, np.array(exact)])
+    out = lat.reduce(zs)
+    ref = np.array([lat.reduce(complex(v)) for v in zs])
+    assert out.shape == zs.shape
+    assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
+    assert isinstance(lat.reduce(zs[0]), complex)
