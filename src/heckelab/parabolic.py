@@ -17,6 +17,7 @@ from .rational import (
     RationalBundle,
     RationalSequence,
     membership_H,
+    terminal_hecke_length,
 )
 from .elliptic import (
     EllipticBundle,
@@ -75,20 +76,12 @@ def pdeg_line(degree: int, signs, weight: float = DEFAULT_WEIGHT) -> float:
     return degree + weight * sum(signs)
 
 
-def pslope_line(degree: int, signs, weight: float = DEFAULT_WEIGHT) -> float:
-    return pdeg_line(degree, signs, weight)
-
-
 def pdeg(pb: ParabolicBundle) -> float:
     """Rank-2 parabolic degree: the symmetric weights cancel."""
     u = pb.underlying
     if isinstance(u, RationalBundle):
         return float(u.degree)
     return float(u.det_class().degree)
-
-
-def pslope(pb: ParabolicBundle) -> float:
-    return pdeg(pb) / 2.0
 
 
 def _underlying_semistable(u) -> bool:
@@ -188,14 +181,8 @@ def tuple_from_lines(marks: list[Mark]):
 def rational_terminal_class(marks: list[Mark]) -> RationalBundle:
     """Terminal bundle class of the sequence reinterpreting the marks."""
     points, dirs = tuple_from_lines(marks)
-    from .rational import composite_from_tuple, min_column_degree
-
-    n = len(marks)
-    if n == 0:
-        return RationalBundle(0, 0)
-    p = composite_from_tuple(points, dirs)
-    d1 = min_column_degree(p)
-    return RationalBundle(-d1, -(n - d1))
+    d1 = (len(marks) - terminal_hecke_length(points, dirs)) // 2
+    return RationalBundle(-d1, -(len(marks) - d1))
 
 
 # ---------------------------------------------------------------------------

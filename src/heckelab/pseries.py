@@ -106,16 +106,6 @@ class TruncSeries:
         return f"TruncSeries(order={self.order}, coeffs={np.array2string(self.coeffs, precision=4)})"
 
 
-def mul(a, b):
-    """Product of two series or two series matrices (minimum-order result)."""
-    return a * b
-
-
-def invert_unit(a):
-    """Inverse of a unit series or unit series matrix."""
-    return a.invert_unit()
-
-
 class SeriesMat2:
     """A 2x2 matrix of TruncSeries sharing one truncation order."""
 

@@ -89,6 +89,11 @@ class PolyMat2:
     def max_degree(self) -> int:
         return max(e.size - 1 for row in self.entries for e in row)
 
+    def coeffs(self) -> np.ndarray:
+        """Ascending coefficients, zero-padded to a (2, 2, max_degree + 1) array."""
+        size = self.max_degree() + 1
+        return np.array([[np.pad(e, (0, size - e.size)) for e in row] for row in self.entries])
+
     def coeff_scale(self) -> float:
         return max(np.abs(e).max() for row in self.entries for e in row)
 
@@ -279,9 +284,7 @@ def chart_convert(
             c = alpha.entries[i][j]
             shift = de[i] - df[j]
             # Exponent of c[k] is shift - k, for k = 0 .. deg.
-            lo = shift - (c.size - 1)
-            hi = shift
-            out = np.zeros(max(hi, 0) + 1, dtype=complex)
+            out = np.zeros(max(shift, 0) + 1, dtype=complex)
             for k, v in enumerate(c):
                 e = shift - k
                 if e < 0:
@@ -300,77 +303,107 @@ def chart_convert(
 # Terminal type of an abstract direction tuple, and space membership.
 
 
-def matrices_from_tuple(
-    points: list[complex], dirs: list[ProjPoint]
-) -> list[PolyMat2]:
-    """Morphism matrices realizing a prescribed direction tuple.
+def direction_vecs(tuples) -> np.ndarray:
+    """Homogeneous vectors of a nonempty list of direction tuples, shape (B, n, 2)."""
+    flat = np.array([(d.a, d.c) for dirs in tuples for d in dirs], dtype=complex)
+    return flat.reshape(len(tuples), len(tuples[0]), 2)
 
-    Step i uses any unit completion C of the transported direction
-    P_{i-1}(mu_i)^{-1} a_i, so that eta of the composite at mu_i is a_i.
-    The equivalence class of the sequence (hence every isomorphism
-    invariant) depends only on the tuple.
+
+def tuple_composites(points, vecs) -> tuple[np.ndarray, np.ndarray]:
+    """Unit completions and composites realizing a batch of direction tuples.
+
+    ``vecs`` (B, n, 2) holds the directions at the shared ``points``.
+    Step i uses the unit completion C of the transported direction
+    v = P_{i-1}(mu_i)^{-1} a_i, so that eta of the composite at mu_i is a_i,
+    and appends the factor C diag(1, z - mu_i).  The equivalence class of
+    the sequence (hence every isomorphism invariant) depends only on the
+    tuple.  Returns the completions (B, n, 2, 2) and the composite
+    coefficients (B, 2, 2, n + 1), ascending in z.
     """
-    mats = []
-    for mu, a in zip(points, dirs):
-        val = np.eye(2, dtype=complex)
-        for mat in mats:
-            val = val @ mat(mu)
-        v = np.linalg.solve(val, a.vec)
-        v = v / np.linalg.norm(v)
-        c = np.array([[v[0], -np.conj(v[1])], [v[1], np.conj(v[0])]])
-        mats.append(PolyMat2.constant(c) * PolyMat2.z_shift(mu))
-    return mats
+    batch, n = vecs.shape[:2]
+    completions = np.empty((batch, n, 2, 2), dtype=complex)
+    p = np.zeros((batch, n + 1, 2, 2), dtype=complex)
+    p[:, 0] = np.eye(2)
+    for i, mu in enumerate(points[:n]):
+        val = np.tensordot(mu ** np.arange(i + 1), p[:, : i + 1], axes=(0, 1))
+        v = np.linalg.solve(val, vecs[:, i, :, None])[..., 0]
+        v /= np.linalg.norm(v, axis=-1, keepdims=True)
+        c = completions[:, i]
+        c[..., 0] = v
+        c[..., 1] = np.stack([-v[:, 1].conj(), v[:, 0].conj()], axis=-1)
+        q = p[:, : i + 1] @ c[:, None]
+        p[:, : i + 1, :, 0] = q[..., 0]
+        p[:, 0, :, 1] = 0.0
+        p[:, 1 : i + 2, :, 1] = q[..., 1]
+        p[:, : i + 1, :, 1] -= mu * q[..., 1]
+    return completions, np.moveaxis(p, 1, -1)
+
+
+def above_degree_matrix(coeffs: np.ndarray, d: int) -> np.ndarray:
+    """Linear map from g (degree <= d) to the coefficients of P g above degree d.
+
+    ``coeffs`` (..., 2, 2, D + 1) are ascending coefficients of P.  Row
+    (i, t) for t = d + 1 .. D + d reads the z^t coefficient of (P g)_i;
+    column (j, k) is the z^k coefficient of g_j.  Shape (..., 2D, 2(d + 1)).
+    """
+    deg = coeffs.shape[-1] - 1
+    idx = np.arange(d + 1, deg + d + 1)[:, None] - np.arange(d + 1)
+    padded = np.concatenate([coeffs, np.zeros(coeffs.shape[:-1] + (d,), complex)], axis=-1)
+    a = np.swapaxes(padded[..., idx], -3, -2)
+    return a.reshape(coeffs.shape[:-3] + (2 * deg, 2 * (d + 1)))
+
+
+def min_column_degrees(coeffs: np.ndarray, n: int, tol: float = 1e-9) -> np.ndarray:
+    """Smallest d per composite with a nonzero polynomial g, deg(P g) <= d.
+
+    ``coeffs`` (B, 2, 2, D + 1) are composites of n modification matrices;
+    each has splitting type (-d1, -(n - d1)) with d1 this minimum.  g of
+    degree <= d suffices (adjugate bound).  One stacked SVD per candidate d
+    decides every composite still open; zero padding only adds zero rows.
+    """
+    coeffs = coeffs / np.abs(coeffs).max(axis=(-3, -2, -1), keepdims=True)
+    out = np.full(len(coeffs), (n + 1) // 2)
+    open_ = np.arange(len(coeffs))
+    for d in range((n + 1) // 2 + 1):
+        a = above_degree_matrix(coeffs[open_], d)
+        unknowns = a.shape[-1]
+        if a.shape[-2] < unknowns:
+            out[open_] = d
+            break
+        s = np.linalg.svd(a, compute_uv=False)
+        done = s[:, unknowns - 1] < tol * np.maximum(s[:, 0], 1.0)
+        out[open_[done]] = d
+        open_ = open_[~done]
+        if not open_.size:
+            break
+    return out
+
+
+def terminal_hecke_lengths(points, vecs) -> np.ndarray:
+    """Terminal Hecke length per tuple of ``vecs`` (B, n, 2); memory grows with B."""
+    n = vecs.shape[1]
+    return n - 2 * min_column_degrees(tuple_composites(points, vecs)[1], n)
+
+
+def matrices_from_tuple(points: list[complex], dirs: list[ProjPoint]) -> list[PolyMat2]:
+    """Morphism matrices realizing a prescribed direction tuple."""
+    completions, _ = tuple_composites(points, direction_vecs([dirs]))
+    return [PolyMat2.constant(c) * PolyMat2.z_shift(mu) for c, mu in zip(completions[0], points)]
 
 
 def composite_from_tuple(points: list[complex], dirs: list[ProjPoint]) -> PolyMat2:
-    p = PolyMat2.identity()
-    for m in matrices_from_tuple(points, dirs):
-        p = p * m
-    return p
+    return PolyMat2(tuple_composites(points, direction_vecs([dirs]))[1][0])
 
 
 def min_column_degree(p: PolyMat2, tol: float = 1e-9) -> int:
-    """Smallest d with a nonzero polynomial vector g, deg(P g) <= d.
-
-    The composite of n modification matrices has splitting type
-    (-d1, -(n - d1)) with d1 this minimum; the search is a nullspace test
-    per candidate degree.
-    """
+    """Smallest d with a nonzero polynomial vector g, deg(P g) <= d."""
     n = p.det().size - 1
-    scale = p.coeff_scale()
-    entries = [[c / scale for c in row] for row in p.entries]
-    for d in range((n + 1) // 2 + 1):
-        # Unknown g has degree <= d (adjugate bound); constraints kill the
-        # coefficients of P g above degree d.
-        unknowns = 2 * (d + 1)
-        maxdeg = p.max_degree() + d
-        rows = []
-        for i in range(2):
-            for t in range(d + 1, maxdeg + 1):
-                row = np.zeros(unknowns, dtype=complex)
-                for j in range(2):
-                    c = entries[i][j]
-                    for k in range(d + 1):
-                        if 0 <= t - k < c.size:
-                            row[j * (d + 1) + k] = c[t - k]
-                rows.append(row)
-        if not rows:
-            return d
-        a = np.array(rows)
-        s = np.linalg.svd(a, compute_uv=False)
-        if s.size < unknowns or s[unknowns - 1] < tol * max(s[0], 1.0):
-            return d
-    return (n + 1) // 2
+    return int(min_column_degrees(p.coeffs()[None], n, tol)[0])
 
 
 def terminal_hecke_length(points: list[complex], dirs: list[ProjPoint]) -> int:
     """Hecke length of the terminal bundle of the tuple's sequence class."""
-    n = len(dirs)
-    if n == 0:
-        return 0
-    p = composite_from_tuple(points, dirs)
-    d1 = min_column_degree(p)
-    return n - 2 * d1
+    return int(terminal_hecke_lengths(points, direction_vecs([dirs]))[0])
 
 
 def membership_H(n: int, dirs: list[ProjPoint], points: list[complex] | None = None) -> bool:

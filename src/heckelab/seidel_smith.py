@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .projective import ProjPoint, chordal
-from .rational import PolyMat2, RationalSequence, random_minimal_sequence
+from .rational import PolyMat2, RationalSequence, above_degree_matrix, random_minimal_sequence
 
 #: Eigenvalues closer than this are treated as a degenerate spectrum.
 SPECTRUM_GAP = 1e-8
@@ -123,22 +123,8 @@ def _submodule_basis(p: PolyMat2, m: int) -> np.ndarray:
     the degree-bounded part of the image submodule, dimension 2m + 2 for
     sequences with semistable terminal.
     """
-    maxdeg = 2 * m
-    gdeg = 2 * m
-    scale = p.coeff_scale()
-    unknowns = 2 * (gdeg + 1)
-    outdeg = p.max_degree() + gdeg
-    rows = []
-    for i in range(2):
-        for t in range(maxdeg + 1, outdeg + 1):
-            row = np.zeros(unknowns, dtype=complex)
-            for j in range(2):
-                c = p.entries[i][j] / scale
-                for k in range(gdeg + 1):
-                    if 0 <= t - k < c.size:
-                        row[j * (gdeg + 1) + k] = c[t - k]
-            rows.append(row)
-    a = np.array(rows) if rows else np.zeros((1, unknowns), dtype=complex)
+    deg = 2 * m
+    a = above_degree_matrix(p.coeffs() / p.coeff_scale(), deg)
     _, s, vh = np.linalg.svd(a)
     tol = 1e-9 * max(s[0] if s.size else 1.0, 1.0)
     null = vh.conj().T[:, np.sum(s > tol) :]
@@ -147,15 +133,15 @@ def _submodule_basis(p: PolyMat2, m: int) -> np.ndarray:
     # Map each nullspace g to the coefficients of P g (degree <= 2m).
     cols = []
     for v in null.T:
-        g = [v[: gdeg + 1], v[gdeg + 1 :]]
-        out = np.zeros(2 * (maxdeg + 1), dtype=complex)
+        g = [v[: deg + 1], v[deg + 1 :]]
+        out = np.zeros(2 * (deg + 1), dtype=complex)
         for i in range(2):
             acc = np.convolve(p.entries[i][0], g[0])
             acc2 = np.convolve(p.entries[i][1], g[1])
             full = np.zeros(max(acc.size, acc2.size), dtype=complex)
             full[: acc.size] += acc
             full[: acc2.size] += acc2
-            out[i * (maxdeg + 1) : i * (maxdeg + 1) + maxdeg + 1] = full[: maxdeg + 1]
+            out[i * (deg + 1) : i * (deg + 1) + deg + 1] = full[: deg + 1]
         cols.append(out)
     return np.array(cols).T
 

@@ -7,6 +7,8 @@ one seed are byte-identical.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .cli_errors import ConfigError
@@ -538,38 +540,38 @@ def compute_space(report, config, rng):
         raise ConfigError(f"unknown curve {curve!r}")
 
 
+#: Tuples per batched membership call; bounds the tuples and arrays alive at once.
+S2_CHUNK = 400
+
+
+def _s2_members(n, tuples):
+    """(tuple, membership_H) pairs over an iterable, decided S2_CHUNK at a time."""
+    pts = rat.default_points(n)
+    while chunk := list(itertools.islice(tuples, S2_CHUNK)):
+        yield from zip(chunk, rat.terminal_hecke_lengths(pts, rat.direction_vecs(chunk)) == n % 2)
+
+
 def _compute_space_s2(report, config, rng, n):
     if n == 0:
         report.add_flag("empty-sequence", "zero modifications stay minimal",
                         rat.membership_H(0, []))
         return
-    grid = sphere_grid(20)
-    pts = rat.default_points(n)
-    disagree = 0
-    total = 0
     if n <= 3:
-        import itertools
-
-        for combo in itertools.product(range(20), repeat=n):
-            dirs = [grid[i] for i in combo]
-            total += 1
-            if rat.membership_H(n, dirs, pts) != rat.membership_H_closed_form(n, dirs):
-                disagree += 1
-        for _ in range(200):
-            dirs = [random_point(rng) for _ in range(n)]
-            total += 1
-            if rat.membership_H(n, dirs, pts) != rat.membership_H_closed_form(n, dirs):
-                disagree += 1
+        grid = sphere_grid(20)
+        tuples = itertools.chain(
+            ([grid[i] for i in combo] for combo in itertools.product(range(20), repeat=n)),
+            ([random_point(rng) for _ in range(n)] for _ in range(200)))
+        disagree = sum(bool(member) != rat.membership_H_closed_form(n, dirs)
+                       for dirs, member in _s2_members(n, tuples))
         report.add_flag("closed-form-agreement",
-                        f"grid of 20 per axis plus 200 random tuples ({total} total)",
+                        f"grid of 20 per axis plus 200 random tuples ({20 ** n + 200} total)",
                         disagree == 0, inputs=f"disagreements={disagree}")
     else:
-        members = 0
-        for _ in range(_n(config, 200)):
-            dirs = [random_point(rng) for _ in range(n)]
-            members += rat.membership_H(n, dirs, pts)
+        draws = _n(config, 200)
+        tuples = ([random_point(rng) for _ in range(n)] for _ in range(draws))
+        members = sum(bool(member) for _, member in _s2_members(n, tuples))
         report.add(f"member-fraction-n{n}", "no closed form; random sampling only",
-                   members / _n(config, 200), None)
+                   members / draws, None)
 
 
 def _compute_space_t2(report, config, rng, n):
@@ -599,8 +601,6 @@ def _compute_space_t2(report, config, rng, n):
         return
     if n == 2:
         q, p1, p2 = _torus_points(rng, lat, 3)
-        import itertools
-
         curve_pts = [CurvePoint((i + 0.5) / 46 + ((i * 13) % 46 + 0.5) / 46 * lat.tau, lat)
                      for i in range(46)]
         vals = [ell.f_embedding(p, q, p1, p2) for p in curve_pts]

@@ -112,11 +112,12 @@ def g_tilde_theta_w(z, w: complex, lattice: Lattice):
 
 
 def _guard_pole(z, w: complex, lattice: Lattice, doubled: bool):
-    zs = np.atleast_1d(np.asarray(z, dtype=complex))
+    zs = np.asarray(z, dtype=complex).ravel()
     lat = Lattice(2 * lattice.tau) if doubled else lattice
-    for val in zs.ravel():
-        if lat.distance(val, w) < POLE_GUARD:
-            raise NearPole(f"{val} is within {POLE_GUARD} of a pole at {w} + lattice")
+    d = lat.reduce(zs - w)[:, None] + np.array([0, -1, -lat.tau, -1 - lat.tau])
+    near = np.abs(d).min(axis=1) < POLE_GUARD
+    if near.any():
+        raise NearPole(f"{zs[near.argmax()]} is within {POLE_GUARD} of a pole at {w} + lattice")
 
 
 def g_w(z, w: complex, lattice: Lattice):

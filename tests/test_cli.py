@@ -1,3 +1,5 @@
+import hashlib
+
 from heckelab import cli
 from heckelab.projective import DegeneratePoint
 
@@ -13,6 +15,23 @@ def test_reports_are_deterministic():
         r1 = run_text(command, extra, seed=7, samples=20)
         r2 = run_text(command, extra, seed=7, samples=20)
         assert r1.to_text() == r2.to_text()
+
+
+#: sha256 of the seed-7 compute-space S2 n reports: flags, counts and exact
+#: fractions only, so the same on any platform.
+S2_REPORTS = {
+    1: "314ed8532ad7bd7b090e634209628c93828f203b868e94d64474df5212ead91e",
+    2: "195066fe4871f4eacdbea5f3d3adf4c764552cd9ce919eea9a86c567df68519c",
+    3: "d705f7461d7141e1078e20d396f40f01b560d7fe00730ba689d7a16e9459662a",
+    4: "7181c8ee14f79037066600b7c7b39e8460d1883661678c92deaea42e3bb9fa8c",
+    5: "b5db028c4127c79d8d0c7218f0725284705567307a7ea9866a7f484d10e85afa",
+}
+
+
+def test_s2_reports_are_pinned():
+    for n, digest in S2_REPORTS.items():
+        text = run_text("compute-space", ("S2", str(n)), seed=7).to_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, n
 
 
 def test_seed_changes_draws_not_structure():

@@ -184,3 +184,150 @@ def test_random_minimal_sequences_are_minimal():
             seq = rat.random_minimal_sequence(n, rng)
             assert seq.terminal().hecke_length == n % 2
             assert rat.membership_H(n, seq.h_map(), seq.points)
+
+
+# ---------------------------------------------------------------------------
+# The batched membership core against the per-tuple loops it replaced.
+
+
+def reference_step(mats, mu, a):
+    """One step of the loop-based matrices_from_tuple."""
+    val = np.eye(2, dtype=complex)
+    for mat in mats:
+        val = val @ mat(mu)
+    v = np.linalg.solve(val, a.vec)
+    v = v / np.linalg.norm(v)
+    c = np.array([[v[0], -np.conj(v[1])], [v[1], np.conj(v[0])]])
+    return PolyMat2.constant(c) * PolyMat2.z_shift(mu)
+
+
+def reference_composite(points, dirs):
+    mats = []
+    for mu, a in zip(points, dirs):
+        mats.append(reference_step(mats, mu, a))
+    p = PolyMat2.identity()
+    for m in mats:
+        p = p * m
+    return p
+
+
+def reference_min_column_degree(p, tol=1e-9):
+    """The loop-based min_column_degree: one row at a time, one SVD per d."""
+    n = p.det().size - 1
+    scale = p.coeff_scale()
+    entries = [[c / scale for c in row] for row in p.entries]
+    for d in range((n + 1) // 2 + 1):
+        unknowns = 2 * (d + 1)
+        maxdeg = p.max_degree() + d
+        rows = []
+        for i in range(2):
+            for t in range(d + 1, maxdeg + 1):
+                row = np.zeros(unknowns, dtype=complex)
+                for j in range(2):
+                    c = entries[i][j]
+                    for k in range(d + 1):
+                        if 0 <= t - k < c.size:
+                            row[j * (d + 1) + k] = c[t - k]
+                rows.append(row)
+        if not rows:
+            return d
+        s = np.linalg.svd(np.array(rows), compute_uv=False)
+        if s.size < unknowns or s[unknowns - 1] < tol * max(s[0], 1.0):
+            return d
+    return (n + 1) // 2
+
+
+def reference_length(points, dirs):
+    n = len(dirs)
+    return n - 2 * reference_min_column_degree(reference_composite(points, dirs)) if n else 0
+
+
+def reference_product_lengths(points, grid, n):
+    """reference_length over itertools.product(grid, repeat=n), in order.
+
+    Step i of the loop depends only on the first i directions, and the
+    composite is a left fold, so shared prefixes are computed once; the
+    results are those of reference_length bit for bit.
+    """
+    out = []
+
+    def walk(mats, comp):
+        if len(mats) == n:
+            out.append(n - 2 * reference_min_column_degree(comp))
+            return
+        for a in grid:
+            m = reference_step(mats, points[len(mats)], a)
+            walk(mats + [m], comp * m)
+
+    walk([], PolyMat2.identity())
+    return out
+
+
+def chordal_offset(b, d, phase=0.7):
+    """A point of CP^1 at chordal distance ``d`` from ``b``."""
+    u = b.vec / np.linalg.norm(b.vec)
+    v = np.array([-np.conj(u[1]), np.conj(u[0])]) * np.exp(1j * phase)
+    w = u * np.sqrt(1 - d * d) + v * d
+    return ProjPoint(w[0], w[1])
+
+
+def batched_lengths(points, tuples):
+    return rat.terminal_hecke_lengths(points, rat.direction_vecs(tuples)).tolist()
+
+
+class TestBatchedCore:
+    def test_full_sphere_grid_product(self):
+        import itertools
+
+        grid = sphere_grid(20)
+        pts = rat.default_points(3)
+        tuples = [list(c) for c in itertools.product(grid, repeat=3)]
+        got = batched_lengths(pts, tuples)
+        assert got == reference_product_lengths(pts, grid, 3)
+        # Members are exactly the tuples without three equal directions.
+        assert got.count(3) == 20 and got.count(1) == 7980
+
+    def test_random_tuples_with_coincident_blocks(self):
+        rng = np.random.default_rng(21)
+        for n in range(1, 7):
+            pts = rat.default_points(n)
+            tuples = []
+            for k in range(40):
+                dirs = [random_point(rng) for _ in range(n)]
+                if k % 2:
+                    r = int(rng.integers(1, n + 1))
+                    dirs[:r] = [dirs[0]] * r
+                tuples.append(dirs)
+            assert batched_lengths(pts, tuples) == [reference_length(pts, d) for d in tuples]
+
+    def test_offsets_on_either_side_of_the_svd_threshold(self):
+        a = ProjPoint(0.3 - 0.8j, 1)
+        for n in (2, 3, 4):
+            pts = rat.default_points(n)
+            for offset, coincident in ((1e-13, True), (1e-6, False)):
+                tuples = []
+                for last in range(n):
+                    dirs = [a] * n
+                    dirs[last] = chordal_offset(a, offset)
+                    tuples.append(dirs)
+                got = batched_lengths(pts, tuples)
+                assert got == [reference_length(pts, d) for d in tuples]
+                if n <= 3:
+                    assert [g == n % 2 for g in got] == [
+                        rat.membership_H_closed_form(n, d) for d in tuples]
+                assert all((g == n) is coincident for g in got)
+
+    def test_batch_of_one_matches_the_batch(self):
+        rng = np.random.default_rng(22)
+        a = random_point(rng)
+        pts = rat.default_points(4)
+        tuples = [[random_point(rng) for _ in range(4)] for _ in range(6)]
+        tuples += [[a, a, a, random_point(rng)], [a] * 4]
+        batch = batched_lengths(pts, tuples)
+        for dirs, length in zip(tuples, batch):
+            assert rat.terminal_hecke_length(pts, dirs) == length
+            p = rat.composite_from_tuple(pts, dirs)
+            ref = reference_composite(pts, dirs)
+            assert np.abs(p.coeffs() - ref.coeffs()).max() < 1e-13
+            assert rat.min_column_degree(ref) == reference_min_column_degree(ref)
+            assert rat.membership_H(4, dirs, pts) == (length == 0)

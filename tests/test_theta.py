@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,20 @@ def test_g_transformation():
 def test_g_pole_guard():
     with pytest.raises(th.NearPole):
         th.g_w(W + 1e-8, W, LAT)
+
+
+def test_pole_guard_names_the_one_near_point_of_an_array():
+    far = Z[np.array([LAT.distance(v, W) > 1e-2 for v in Z])].reshape(2, -1)
+    # A translate of W by tau is a pole of g_w but not of the doubled-lattice g_tilde_w.
+    mid = far.copy()
+    mid[1, 3] = W + TAU
+    th.g_tilde_w(mid, W, LAT)
+    for fn, pole in ((th.g_w, W + TAU - 1), (th.g_tilde_w, W + 2 * TAU + 1)):
+        bad = far.copy()
+        bad[1, 3] = pole + 0.9 * th.POLE_GUARD * np.exp(0.7j)
+        fn(far, W, LAT)
+        with pytest.raises(th.NearPole, match=re.escape(str(bad[1, 3]))):
+            fn(bad, W, LAT)
 
 
 def test_derivative_matches_finite_difference():
