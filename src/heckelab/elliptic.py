@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .projective import PROJ_TOL, ProjPoint, chordal, transport_direction
-from .grassmannian import eta_at
+from .grassmannian import chain_directions, eta_at, prefix_product
 from .torus import CurvePoint, Lattice, halve_sum
 from . import theta as th
 
@@ -807,22 +807,8 @@ def sequence_evaluators(base: EllipticBundle, steps) -> tuple[list, list[Ellipti
 
 def raw_directions(evs, points: list[CurvePoint]) -> list[ProjPoint]:
     """Directions of each step in the base trivialization: eta of the
-    composite evaluator at each point.
-
-    The composite is evaluated in factored form: the rank-1 extraction
-    happens on the final factor (exactly singular there) and the invertible
-    prefix transports the direction vector, which avoids amplifying the
-    extraction through ill-conditioned products.
-    """
-    out = []
-    for i, pnt in enumerate(points):
-        prefix = np.eye(2, dtype=complex)
-        for ev in evs[:i]:
-            prefix = prefix @ ev(np.asarray(pnt.lift))
-        local = eta_at(evs[i](np.asarray(pnt.lift)), pnt.lift)
-        v = prefix @ local.vec
-        out.append(ProjPoint(v[0], v[1]))
-    return out
+    composite evaluator at each point (see ``chain_directions``)."""
+    return chain_directions(evs, [np.asarray(p.lift) for p in points])
 
 
 def h_total(base: MarkedBundle, steps) -> list[ProjPoint]:
@@ -1035,14 +1021,20 @@ def sequence_from_coordinates(
         local = eta_at(rep2.evaluator(np.asarray(pnt.lift)), pnt.lift)
         v = rep_q.evaluator(np.asarray(pnt.lift)) @ local.vec
         base_dirs.append(ProjPoint(v[0], v[1]))
-    # Convert base-frame lines to stepwise directions along the chain.
+    return steps_from_base_directions(base.bundle, points, base_dirs)
+
+
+def steps_from_base_directions(
+    bundle: EllipticBundle, points: list[CurvePoint], dirs: list[ProjPoint]
+) -> list[EllipticStep]:
+    """Steps at ``points`` whose directions, in the trivialization of
+    ``bundle``, are ``dirs``: each is transported back through the
+    composite of the steps before it."""
     steps: list[EllipticStep] = []
     evs: list[MatFn] = []
-    current = base.bundle
-    for pnt, d in zip(points, base_dirs):
-        val = np.eye(2, dtype=complex)
-        for ev in evs:
-            val = val @ ev(np.asarray(pnt.lift))
+    current = bundle
+    for pnt, d in zip(points, dirs):
+        val = prefix_product(evs, np.asarray(pnt.lift))
         step = EllipticStep(pnt, transport_direction(val, d))
         rep = morphism_rep(current, step.point, step.direction)
         evs.append(rep.evaluator)

@@ -2,7 +2,8 @@
 
 A composite of Hecke morphism matrices, evaluated at the modification
 point, is a rank-1 matrix whose column space is the direction of the
-modification.  ``eta_at`` extracts that direction; ``in_bruhat_cell``
+modification.  ``eta_at`` extracts that direction, ``chain_directions``
+reads it off every step of a chain of morphisms, and ``in_bruhat_cell``
 decides membership for local series data.
 """
 
@@ -13,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .projective import ProjPoint, chordal, rank_one_column_space
-from .pseries import UNIT_TOL, SeriesMat2, bruhat_companion
+from .pseries import UNIT_TOL, NonUnit, SeriesMat2, bruhat_companion
 
 #: Relative second-singular-value threshold for rank-1 detection.
 RANK_TOL = 1e-8
@@ -48,6 +49,32 @@ def eta_at(m: MatrixFunction, mu: complex) -> ProjPoint:
     return point
 
 
+def prefix_product(evaluators, z) -> np.ndarray:
+    """Product of the evaluators at ``z``, left to right from the identity."""
+    out = np.eye(2, dtype=complex)
+    for ev in evaluators:
+        out = out @ ev(z)
+    return out
+
+
+def chain_directions(evaluators, zs) -> list[ProjPoint]:
+    """Direction of each step of a chain of evaluators z -> 2x2, in the
+    frame of the chain's start: eta of the composite of the first i + 1
+    evaluators at ``zs[i]``.
+
+    The composite is evaluated in factored form: the rank-1 column space is
+    extracted from the final factor, where the degeneracy is structural and
+    well conditioned, and the invertible prefix transports the direction
+    vector, which avoids amplifying the extraction through ill-conditioned
+    products.
+    """
+    out = []
+    for i, z in enumerate(zs):
+        v = prefix_product(evaluators[:i], z) @ eta_at(evaluators[i], z).vec
+        out.append(ProjPoint(v[0], v[1]))
+    return out
+
+
 def in_bruhat_cell(m: SeriesMat2, det_tol: float = UNIT_TOL) -> bool:
     """True iff det m vanishes to exactly first order at the series center
     and the center value has rank 1.
@@ -57,7 +84,7 @@ def in_bruhat_cell(m: SeriesMat2, det_tol: float = UNIT_TOL) -> bool:
     """
     if m.order < 2:
         return False
-    d = m.det().coeffs
+    d = m.det()
     scale = max(np.abs(d).max(), 1.0)
     if abs(d[0]) > det_tol * scale or abs(d[1]) <= det_tol * scale:
         return False
@@ -73,17 +100,11 @@ def eta_invariance_check(a: SeriesMat2, b: SeriesMat2) -> float:
     """
     for unit in (a, b):
         if abs(np.linalg.det(unit.constant_term())) <= UNIT_TOL:
-            raise _nonunit()
+            raise NonUnit("operand constant term is singular")
     z = SeriesMat2.z_shift(0.0, a.order)
     left = a * z
     right = a * z * b
     return chordal(eta_at(left, 0.0), eta_at(right, 0.0))
-
-
-def _nonunit():
-    from .pseries import NonUnit
-
-    return NonUnit("operand constant term is singular")
 
 
 def constant_representative(point: ProjPoint) -> SeriesMat2:
@@ -107,7 +128,7 @@ def random_unit(rng: np.random.Generator, order: int) -> SeriesMat2:
     while True:
         coeffs = rng.normal(size=(2, 2, order + 1)) + 1j * rng.normal(size=(2, 2, order + 1))
         coeffs = coeffs * decay
-        m = SeriesMat2([[coeffs[i, j] for j in range(2)] for i in range(2)])
+        m = SeriesMat2(coeffs)
         if abs(np.linalg.det(m.constant_term())) > 0.3:
             return m
 
@@ -119,11 +140,6 @@ def companion_residual(a: SeriesMat2) -> float:
     lhs = SeriesMat2.constant(a.constant_term(), a.order) * z * b
     rhs = a * z
     n = min(lhs.order, rhs.order)
-    worst = 0.0
-    for i in range(2):
-        for j in range(2):
-            x = lhs.entries[i][j].coeffs[: n + 1]
-            y = rhs.entries[i][j].coeffs[: n + 1]
-            scale = max(np.abs(y).max(), 1.0)
-            worst = max(worst, float(np.abs(x - y).max() / scale))
-    return worst
+    x, y = lhs.c[..., : n + 1], rhs.c[..., : n + 1]
+    scale = np.maximum(np.abs(y).max(axis=-1), 1.0)
+    return float((np.abs(x - y).max(axis=-1) / scale).max())

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .projective import PROJ_TOL, ProjPoint, chordal
-from .grassmannian import eta_at
+from .grassmannian import chain_directions
+from .pseries import PolyMat2
 
 #: Minimum separation of modification points within one sequence.
 MIN_POINT_SEP = 1e-8
@@ -22,90 +23,6 @@ MIN_POINT_SEP = 1e-8
 
 class NotGlobal(ValueError):
     """Chart conversion produced a negative power: not a bundle morphism."""
-
-
-# ---------------------------------------------------------------------------
-# Exact polynomial 2x2 matrices (ascending complex coefficients).
-
-
-def _trim(c: np.ndarray) -> np.ndarray:
-    c = np.asarray(c, dtype=complex)
-    n = c.size
-    while n > 1 and c[n - 1] == 0:
-        n -= 1
-    return c[:n]
-
-
-class PolyMat2:
-    """A 2x2 matrix of polynomials, exact over complex doubles."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        self.entries = tuple(
-            tuple(_trim(np.atleast_1d(np.asarray(e, dtype=complex))) for e in row)
-            for row in entries
-        )
-
-    @classmethod
-    def identity(cls) -> "PolyMat2":
-        return cls([[[1.0], [0.0]], [[0.0], [1.0]]])
-
-    @classmethod
-    def constant(cls, m) -> "PolyMat2":
-        m = np.asarray(m, dtype=complex)
-        return cls([[[m[0, 0]], [m[0, 1]]], [[m[1, 0]], [m[1, 1]]]])
-
-    @classmethod
-    def z_shift(cls, mu: complex) -> "PolyMat2":
-        return cls([[[1.0], [0.0]], [[0.0], [-mu, 1.0]]])
-
-    def __mul__(self, other: "PolyMat2") -> "PolyMat2":
-        a, b = self.entries, other.entries
-        return PolyMat2(
-            [
-                [
-                    np.polyadd(
-                        np.convolve(a[i][0], b[0][j])[::-1], np.convolve(a[i][1], b[1][j])[::-1]
-                    )[::-1]
-                    for j in range(2)
-                ]
-                for i in range(2)
-            ]
-        )
-
-    def det(self) -> np.ndarray:
-        e = self.entries
-        d = np.polyadd(
-            np.convolve(e[0][0], e[1][1])[::-1], -np.convolve(e[0][1], e[1][0])[::-1]
-        )[::-1]
-        return _trim(d)
-
-    def __call__(self, z: complex) -> np.ndarray:
-        return np.array(
-            [[_polyval(self.entries[i][j], z) for j in range(2)] for i in range(2)]
-        )
-
-    def max_degree(self) -> int:
-        return max(e.size - 1 for row in self.entries for e in row)
-
-    def coeffs(self) -> np.ndarray:
-        """Ascending coefficients, zero-padded to a (2, 2, max_degree + 1) array."""
-        size = self.max_degree() + 1
-        return np.array([[np.pad(e, (0, size - e.size)) for e in row] for row in self.entries])
-
-    def coeff_scale(self) -> float:
-        return max(np.abs(e).max() for row in self.entries for e in row)
-
-    def __repr__(self) -> str:
-        return f"PolyMat2(deg<={self.max_degree()})"
-
-
-def _polyval(c: np.ndarray, z: complex) -> complex:
-    acc = 0.0 + 0.0j
-    for v in c[::-1]:
-        acc = acc * z + v
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -247,21 +164,8 @@ def morphism_matrix(b: RationalBundle, step: RationalHeckeStep) -> PolyMat2:
 
 
 def h_values(matrices: list[PolyMat2], points: list[complex]) -> list[ProjPoint]:
-    """h_i = eta of the composite of the first i matrices at the i-th point.
-
-    Evaluated in factored form: the rank-1 column space is extracted from
-    the final factor, where the degeneracy is structural and perfectly
-    conditioned, and the invertible prefix transports the direction.
-    """
-    out = []
-    for i, mu in enumerate(points):
-        prefix = np.eye(2, dtype=complex)
-        for mat in matrices[:i]:
-            prefix = prefix @ mat(mu)
-        local = eta_at(matrices[i](mu), mu)
-        v = prefix @ local.vec
-        out.append(ProjPoint(v[0], v[1]))
-    return out
+    """h_i = eta of the composite of the first i matrices at the i-th point."""
+    return chain_directions(matrices, points)
 
 
 def chart_convert(
@@ -277,26 +181,20 @@ def chart_convert(
     de = (target.n, target.m)
     df = (source.n, source.m)
     scale = max(alpha.coeff_scale(), 1.0)
-    rows = []
+    c = alpha.c
+    out = np.zeros((2, 2, max(max(de) - min(df), 0) + 1), dtype=complex)
     for i in range(2):
-        row = []
         for j in range(2):
-            c = alpha.entries[i][j]
+            # Exponent of c[i, j, k] is shift - k; k > shift are negative powers.
             shift = de[i] - df[j]
-            # Exponent of c[k] is shift - k, for k = 0 .. deg.
-            out = np.zeros(max(shift, 0) + 1, dtype=complex)
-            for k, v in enumerate(c):
-                e = shift - k
-                if e < 0:
-                    if abs(v) > tol * scale:
-                        raise NotGlobal(
-                            f"entry ({i},{j}) has w^{e} coefficient {v:.3e}"
-                        )
-                else:
-                    out[e] += v
-            row.append(out)
-        rows.append(row)
-    return PolyMat2(rows)
+            low = max(shift + 1, 0)
+            bad = np.flatnonzero(np.abs(c[i, j, low:]) > tol * scale)
+            if bad.size:
+                k = low + bad[0]
+                raise NotGlobal(f"entry ({i},{j}) has w^{shift - k} coefficient {c[i, j, k]:.3e}")
+            ks = np.arange(min(c.shape[-1], low))
+            out[i, j, shift - ks] = c[i, j, ks]
+    return PolyMat2(out)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .projective import ProjPoint, chordal
-from .rational import PolyMat2, RationalSequence, above_degree_matrix, random_minimal_sequence
+from .pseries import PolyMat2
+from .rational import RationalSequence, above_degree_matrix, random_minimal_sequence
 
 #: Eigenvalues closer than this are treated as a degenerate spectrum.
 SPECTRUM_GAP = 1e-8
@@ -59,16 +60,11 @@ class SlodowyMatrix:
         Independent of the dense eigensolve; used as a cross-check oracle.
         """
         m = self.m
-        # Entries of the 2x2 polynomial matrix, ascending in z.
-        p = [[np.zeros(m + 1, dtype=complex) for _ in range(2)] for _ in range(2)]
-        for i in range(2):
-            p[i][i][m] = 1.0
+        c = np.zeros((2, 2, m + 1), dtype=complex)
+        c[..., m] = np.eye(2)
         for k, y in enumerate(self.blocks, start=1):
-            for i in range(2):
-                for j in range(2):
-                    p[i][j][m - k] -= y[i, j]
-        det = np.convolve(p[0][0], p[1][1]) - np.convolve(p[0][1], p[1][0])
-        return det
+            c[..., m - k] -= y
+        return PolyMat2(c).det()
 
 
 def chi(a: SlodowyMatrix | np.ndarray) -> np.ndarray:
@@ -134,15 +130,10 @@ def _submodule_basis(p: PolyMat2, m: int) -> np.ndarray:
     cols = []
     for v in null.T:
         g = [v[: deg + 1], v[deg + 1 :]]
-        out = np.zeros(2 * (deg + 1), dtype=complex)
-        for i in range(2):
-            acc = np.convolve(p.entries[i][0], g[0])
-            acc2 = np.convolve(p.entries[i][1], g[1])
-            full = np.zeros(max(acc.size, acc2.size), dtype=complex)
-            full[: acc.size] += acc
-            full[: acc2.size] += acc2
-            out[i * (deg + 1) : i * (deg + 1) + deg + 1] = full[: deg + 1]
-        cols.append(out)
+        cols.append(np.concatenate([
+            np.convolve(p.c[i, 0], g[0])[: deg + 1] + np.convolve(p.c[i, 1], g[1])[: deg + 1]
+            for i in range(2)
+        ]))
     return np.array(cols).T
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .cli_errors import ConfigError
 from . import theta as th
-from .projective import ProjPoint, chordal, random_point, sphere_grid, transport_direction
+from .projective import ProjPoint, chordal, random_point, sphere_grid
 from .pseries import SeriesMat2, DEFAULT_ORDER
 from .grassmannian import (
     companion_residual,
@@ -153,10 +153,8 @@ def verify_eta(report, config, rng):
 
     ok = in_bruhat_cell(SeriesMat2.z_shift(0.0, DEFAULT_ORDER))
     ok &= not in_bruhat_cell(SeriesMat2.identity(DEFAULT_ORDER))
-    zz = SeriesMat2.z_shift(0.0, DEFAULT_ORDER)
-    diag_zz = SeriesMat2([[zz.entries[1][1], zz.entries[0][1]],
-                          [zz.entries[1][0], zz.entries[1][1]]])
-    ok &= not in_bruhat_cell(diag_zz)
+    zz = SeriesMat2.z_shift(0.0, DEFAULT_ORDER).c[1, 1]
+    ok &= not in_bruhat_cell(SeriesMat2(np.eye(2)[..., None] * zz))
     report.add_flag("cell-membership", "pivot in, identity and diag(z, z) out", ok)
 
     # Closed forms for the two-modification sequences: directions of the two
@@ -726,18 +724,7 @@ def embed_check(report, config, rng):
         if k % 2:
             # Force both marks bad in the same direction.
             bad = ProjPoint(1, 0)
-            evs = []
-            steps = []
-            current = base.bundle
-            for pnt in (p1, p2):
-                val = np.eye(2, dtype=complex)
-                for ev in evs:
-                    val = val @ ev(np.asarray(pnt.lift))
-                step = ell.EllipticStep(pnt, transport_direction(val, bad))
-                rep = ell.morphism_rep(current, step.point, step.direction)
-                evs.append(rep.evaluator)
-                current = rep.result
-                steps.append(step)
+            steps = ell.steps_from_base_directions(base.bundle, [p1, p2], [bad, bad])
         else:
             taus = [th.pi_cover(CurvePoint(rng.random() + rng.random() * lat.tau, lat))
                     for _ in range(2)]

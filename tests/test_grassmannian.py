@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
 
+from heckelab import rational as rat
 from heckelab.grassmannian import (
     NotInCell,
+    chain_directions,
     constant_representative,
     eta_at,
     eta_invariance_check,
     in_bruhat_cell,
+    prefix_product,
     random_unit,
 )
 from heckelab.projective import ProjPoint, chordal, sphere_grid
-from heckelab.pseries import SeriesMat2, TruncSeries
+from heckelab.pseries import PolyMat2, SeriesMat2
 
 
 def test_eta_of_pivot_matrix():
@@ -45,9 +48,9 @@ def test_eta_rejects_full_rank_and_zero():
 def test_in_bruhat_cell():
     assert in_bruhat_cell(SeriesMat2.z_shift(0.0, 8))
     assert not in_bruhat_cell(SeriesMat2.identity(8))
-    z = TruncSeries.variable(8)
-    zero = TruncSeries.constant(0.0, 8)
-    assert not in_bruhat_cell(SeriesMat2([[z, zero], [zero, z]]))
+    z = np.zeros(9)
+    z[1] = 1.0
+    assert not in_bruhat_cell(SeriesMat2(np.eye(2)[..., None] * z))
 
 
 def test_invariance_trivial_and_random():
@@ -79,3 +82,17 @@ def test_left_equivariance():
         m = a * SeriesMat2.z_shift(0.0, 8)
         cm = SeriesMat2.constant(c, 8) * m
         assert chordal(eta_at(cm, 0.0), eta_at(m, 0.0).apply(c)) < 1e-9
+
+
+def test_chain_directions_match_the_composite():
+    rng = np.random.default_rng(8)
+    for n in (1, 3, 5):
+        seq = rat.random_minimal_sequence(n, rng)
+        mats = seq.matrices()
+        dirs = chain_directions(mats, seq.points)
+        full = seq.composite()
+        comp = PolyMat2.identity()
+        for mat, mu, d in zip(mats, seq.points, dirs):
+            assert np.allclose(prefix_product(mats, mu), full(mu))
+            comp = comp * mat
+            assert chordal(eta_at(comp, mu), d) < 1e-9

@@ -67,6 +67,22 @@ class TestMorphismMatrix:
             m = rat.morphism_matrix(b, RationalHeckeStep(self.MU, d))
             assert chordal(eta_at(m, self.MU), d) < 1e-10
 
+    def test_composite_det_has_degree_n(self):
+        # Table factors with mu = 0 and lambda = 0 among them: det P is
+        # c prod (z - mu_i) with no spurious higher coefficient.
+        rng = np.random.default_rng(12)
+        choices = [ProjPoint(1, 0), ProjPoint(0, 1)]
+        for n in range(1, 7):
+            pts = [0.0] + [k + 0.3j * k for k in range(1, n)]
+            for _ in range(10):
+                dirs = [choices[int(rng.integers(2))] if rng.random() < 0.6
+                        else random_point(rng) for _ in range(n)]
+                seq = RationalSequence(tuple(map(RationalHeckeStep, pts, dirs)))
+                det = seq.composite().det()
+                assert det.size - 1 == n
+                want = det[-1] * np.poly(pts)[::-1]
+                assert np.abs(det - want).max() < 1e-12 * np.abs(want).max()
+
 
 class TestChartConvert:
     def test_pivot_row_is_identity_at_origin(self):
@@ -215,7 +231,7 @@ def reference_min_column_degree(p, tol=1e-9):
     """The loop-based min_column_degree: one row at a time, one SVD per d."""
     n = p.det().size - 1
     scale = p.coeff_scale()
-    entries = [[c / scale for c in row] for row in p.entries]
+    entries = p.coeffs() / scale
     for d in range((n + 1) // 2 + 1):
         unknowns = 2 * (d + 1)
         maxdeg = p.max_degree() + d
