@@ -91,19 +91,13 @@ def kamnitzer(seq: RationalSequence) -> np.ndarray:
     p = seq.composite()
     basis = _submodule_basis(p, m)
     # Reduce z * (z^{m-1} e_j): coordinates of z^m e_j in the quotient basis.
-    y_top = np.zeros((2, 2), dtype=complex)
-    reductions = []
-    for j in range(2):
-        target = np.zeros(2 * (2 * m + 1), dtype=complex)
-        target[_coeff_index(m, j, 2 * m)] = 1.0
-        coeffs = _reduce_against(basis, m, target)
-        reductions.append(coeffs)
+    targets = np.zeros((2 * (2 * m + 1), 2), dtype=complex)
+    targets[[_coeff_index(m, j, 2 * m) for j in range(2)], [0, 1]] = 1.0
     # Assemble the full 2m x 2m matrix in the decreasing-power block basis.
     a = np.zeros((2 * m, 2 * m), dtype=complex)
     for blk in range(1, m):
         a[2 * (blk - 1) : 2 * blk, 2 * blk : 2 * blk + 2] = np.eye(2)
-    for j in range(2):
-        a[:, j] = reductions[j]
+    a[:, :2] = _reduce_against(basis, m, targets)
     return a
 
 
@@ -137,26 +131,26 @@ def _submodule_basis(p: PolyMat2, m: int) -> np.ndarray:
     return np.array(cols).T
 
 
-def _reduce_against(basis: np.ndarray, m: int, target: np.ndarray) -> np.ndarray:
-    """Coordinates of ``target`` in the quotient basis {z^k e_j : k < m}.
+def _reduce_against(basis: np.ndarray, m: int, targets: np.ndarray) -> np.ndarray:
+    """Coordinates of each column of ``targets`` in the quotient basis
+    {z^k e_j : k < m}.
 
-    Solves target = sum c_{k,j} z^k e_j + (submodule element); the
-    returned vector is ordered to match the decreasing-power block basis
-    {z^{m-1} e1, z^{m-1} e2, ..., e1, e2}.
+    Solves target = sum c_{k,j} z^k e_j + (submodule element) for all
+    columns in one least-squares call; the returned rows are ordered to
+    match the decreasing-power block basis {z^{m-1} e1, z^{m-1} e2, ...,
+    e1, e2}.
     """
     maxdeg = 2 * m
     cols = []
-    order = []
     for blk in range(m):
         k = m - 1 - blk
         for j in range(2):
             e = np.zeros(2 * (maxdeg + 1), dtype=complex)
             e[_coeff_index(k, j, maxdeg)] = 1.0
             cols.append(e)
-            order.append((k, j))
     a = np.concatenate([np.array(cols).T, basis], axis=1)
-    sol, residual, rank, sv = np.linalg.lstsq(a, target, rcond=None)
-    if rank < a.shape[1] or np.linalg.norm(a @ sol - target) > 1e-8:
+    sol, residual, rank, sv = np.linalg.lstsq(a, targets, rcond=None)
+    if rank < a.shape[1] or np.linalg.norm(a @ sol - targets, axis=0).max() > 1e-8:
         raise ReductionFailure("module reduction system is singular")
     return sol[: 2 * m]
 

@@ -60,17 +60,17 @@ class TestLineBundles:
 
 class TestAutomorphy:
     def test_trivial_bundle_identity_factor(self):
-        f = ell.automorphy(Decomposable(O, O))
+        f = Decomposable(O, O).factor()
         assert np.allclose(f(np.asarray(0.3 + 0.1j)), np.eye(2))
 
     def test_f2_det_trivial(self):
-        f = ell.automorphy(F2Twist(O))
+        f = F2Twist(O).factor()
         val = f(np.asarray(0.2 - 0.4j))
         assert abs(np.linalg.det(val) - 1) < 1e-12
 
     def test_g2_det_is_point_factor(self):
         p = rpt()
-        f = ell.automorphy(G2Twist(p.lift, O))
+        f = G2Twist(p.lift, O).factor()
         z = 0.7 + 0.2j
         want = th.automorphy_factor(p.lift)(z)
         assert abs(np.linalg.det(f(np.asarray(z))) - want) < 1e-12
@@ -79,7 +79,7 @@ class TestAutomorphy:
         # f(z + 1) must be the identity-factor branch: full 1-periodicity.
         p = rpt()
         for bundle in (Decomposable(point_line(p), O), F2Twist(O), G2Twist(p.lift, O)):
-            f = ell.automorphy(bundle)
+            f = bundle.factor()
             z = np.asarray(0.1 + 0.5j)
             assert np.allclose(f(z + 1), f(z))
 
@@ -448,7 +448,7 @@ class TestOrderIndependence:
 
 
 # ---------------------------------------------------------------------------
-# The batched Gauss-Newton of distance_to_curve against the scalar solver.
+# The exact distance_to_curve against scalar references.
 
 REF_TAUS = (0.21 + 1.3j, 0.3 + 0.45j)
 
@@ -464,10 +464,13 @@ def residual_reference(u, v, triple, q, p1, p2):
     return np.array(out)
 
 
-def distance_reference(triple, q, p1, p2, grid=16):
-    """Grid seeding, then Gauss-Newton with one scalar residual per
-    stencil point and per backtracking step."""
+def distance_reference(triple, q, p1, p2):
+    """The Gauss-Newton distance the exact one replaced: seeds from a
+    16 x 16 grid, then one scalar residual per stencil point and per
+    backtracking step.  A local minimum, so an upper bound on the true
+    distance."""
     lat = q.lattice
+    grid = 16
 
     def residual(u, v):
         return residual_reference(u, v, triple, q, p1, p2).view(float)
@@ -521,6 +524,19 @@ def distance_reference(triple, q, p1, p2, grid=16):
     return best
 
 
+def six_fiber_reference(triple, q, p1, p2):
+    """Least max-chordal residual over the six curve points where one
+    component meets its target: invert the cover, map each fiber point
+    back with ``f_embedding``, compare with ``chordal``."""
+    e1, e2 = halve_sum(q, p1), halve_sum(q, p2)
+    best = np.inf
+    for shift, target in zip((e1, p1, p2 - e2 + e1), triple):
+        for r in th.invert_cover(target, q.lattice):
+            f = ell.f_embedding(shift + r, q, p1, p2)
+            best = min(best, max(chordal(x, y) for x, y in zip(f, triple)))
+    return best
+
+
 def curve_setup(tau, seed):
     lat = Lattice(tau)
     rng = np.random.default_rng(seed)
@@ -530,31 +546,68 @@ def curve_setup(tau, seed):
     return lat, rng, q, p1, p2, shifts
 
 
-@pytest.mark.parametrize("tau", REF_TAUS)
-def test_batched_residual_matches_scalar(tau):
-    lat, rng, q, p1, p2, shifts = curve_setup(tau, seed=51)
-    triple = [random_point(rng) for _ in range(3)]
-    params = rng.random((40, 2)) * 3 - 1
-    batched = ell._curve_residuals(params, shifts, triple, lat)
-    ref = np.array([residual_reference(u, v, triple, q, p1, p2) for u, v in params])
-    assert np.abs(batched - ref).max() <= 1e-13
+def at_chordal_offset(a, d, phase):
+    """A point of CP^1 at chordal distance ``d`` from ``a``."""
+    u = a.vec / np.linalg.norm(a.vec)
+    v = np.array([-np.conj(u[1]), np.conj(u[0])]) * np.exp(1j * phase)
+    w = u * np.sqrt(1 - d * d) + v * d
+    return ProjPoint(w[0], w[1])
 
 
-def perturbed(a, rng, size):
-    d = size * (rng.normal() + 1j * rng.normal())
-    return ProjPoint(a.a + d * a.c.conjugate(), a.c - d * a.a.conjugate())
+def offset_triple(tri, d, rng):
+    return [at_chordal_offset(a, d, rng.uniform(0, 2 * np.pi)) for a in tri]
 
 
 @pytest.mark.parametrize("tau", REF_TAUS)
-def test_distance_to_curve_matches_scalar_solver(tau):
+def test_distance_matches_six_fiber_reference(tau):
     lat, rng, q, p1, p2, _ = curve_setup(tau, seed=52)
     on_curve = [ell.f_embedding(CurvePoint(rng.random() + rng.random() * tau, lat), q, p1, p2)
                 for _ in range(10)]
-    near = [[perturbed(a, rng, 1e-6) for a in tri] for tri in on_curve]
+    near = [offset_triple(tri, 1e-6, rng) for tri in on_curve]
     loose = [[random_point(rng) for _ in range(3)] for _ in range(10)]
     for kind, triples in (("on", on_curve), ("near", near), ("random", loose)):
         for tri in triples:
             d = ell.distance_to_curve(tri, q, p1, p2)
-            assert abs(d - distance_reference(tri, q, p1, p2)) <= 1e-8, kind
+            assert abs(d - six_fiber_reference(tri, q, p1, p2)) <= 1e-13, kind
             if kind == "on":
-                assert d < ell.CURVE_TOL
+                assert d < 1e-12
+
+
+def near_branch_curve_points(tau, seed):
+    """Curve points at 0, 1e-9 and 1e-5 from a 2-torsion translate of each
+    component's shift: that component's target sits at or next to a
+    branch point, where its cover fiber collapses to one point."""
+    lat, rng, q, p1, p2, shifts = curve_setup(tau, seed)
+    pts = []
+    for j, s in enumerate(shifts):
+        t = lat.torsion_lifts()[j + 1]
+        for delta in (0.0, 1e-9, 1e-5):
+            pts.append(CurvePoint(s + t + delta * np.exp(2j * np.pi * rng.random()), lat))
+    return lat, rng, q, p1, p2, pts
+
+
+@pytest.mark.parametrize("tau", REF_TAUS)
+def test_curve_offsets_near_branch_fibers(tau):
+    lat, rng, q, p1, p2, pts = near_branch_curve_points(tau, seed=53)
+    for p in pts:
+        tri = ell.f_embedding(p, q, p1, p2)
+        assert ell.distance_to_curve(tri, q, p1, p2) < 1e-12
+        for d, excluded in ((1e-8, True), (1e-7, True), (1e-5, False), (1e-4, False)):
+            off = offset_triple(tri, d, rng)
+            dist = ell.distance_to_curve(off, q, p1, p2)
+            assert (dist < ell.CURVE_TOL) == excluded, (p, d)
+            assert dist <= 2.5 * distance_reference(off, q, p1, p2), (p, d)
+
+
+@pytest.mark.parametrize("tau", REF_TAUS)
+def test_membership_decides_curve_offsets(tau):
+    # The full path: coordinates -> sequence -> h_total -> distance, at
+    # one curve point per component, with torsion offsets 0, 1e-9, 1e-5.
+    lat, rng, q, p1, p2, pts = near_branch_curve_points(tau, seed=54)
+    for p in pts[::4]:
+        tri = ell.f_embedding(p, q, p1, p2)
+        for d, member in ((1e-8, False), (1e-7, False), (1e-5, True), (1e-4, True)):
+            off = offset_triple(tri, d, rng)
+            base = ell.base_from_coordinate(off[0], q)
+            steps = ell.sequence_from_coordinates(base, [p1, p2], off[1:])
+            assert ell.membership_Hp(base, steps) == member, (p, d)

@@ -289,3 +289,29 @@ def test_reduce_array_is_bitwise_scalar(tau):
     assert out.shape == zs.shape
     assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
     assert isinstance(lat.reduce(zs[0]), complex)
+
+
+# ---------------------------------------------------------------------------
+# The kernel against an independent high-precision oracle.
+
+
+@pytest.mark.parametrize("im", (0.25, 0.5, 1.3, 2.5))
+def test_kernel_matches_mpmath_jtheta(im):
+    # theta_raw(z, t) = jtheta(3, pi z, e^{i pi t}); d/dz brings a factor pi.
+    # Checked at t = tau and t = 2 tau, with z up to three periods out.
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    rng = np.random.default_rng(int(im * 100))
+    tau = complex(3.21, im)
+    worst = 0.0
+    for t in (tau, 2 * tau):
+        xy = rng.uniform(-3, 3, (8, 2))
+        zs = xy[:, 0] + xy[:, 1] * t
+        val, dval = th.theta_raw(zs, t), th.theta_raw_deriv(zs, t)
+        nome = mpmath.exp(1j * mpmath.pi * mpmath.mpc(t.real, t.imag))
+        for z, v, dv in zip(zs, val, dval):
+            w = mpmath.pi * mpmath.mpc(z.real, z.imag)
+            ref = complex(mpmath.jtheta(3, w, nome))
+            dref = complex(mpmath.pi * mpmath.jtheta(3, w, nome, 1))
+            worst = max(worst, abs(v - ref) / abs(ref), abs(dv - dref) / abs(dref))
+    assert worst <= 1e-12
