@@ -859,21 +859,22 @@ def distance_to_curve(triple, q: CurvePoint, p1: CurvePoint, p2: CurvePoint) -> 
 
     Component j of f is pi(p - s_j), so the curve points where it meets
     its target t_j are the cover fiber s_j +- r_j, {r_j, -r_j} =
-    pi^{-1}(t_j).  The value is the least max-chordal residual over those
-    six curve points, evaluated in one batched cover call.  Like any
-    residual it is attained at real curve points; it is about 1e-15 on
-    the curve, and near the curve within about 2x of the true minimum:
-    for distinct q, p1, p2 at most one component can sit at a branch
-    point, so a well-conditioned fiber is always among the candidates.
+    pi^{-1}(t_j), all three from one batched inversion.  The value is the
+    least max-chordal residual over those six curve points, evaluated in
+    one batched cover call.  Like any residual it is attained at real
+    curve points; it is about 1e-15 on the curve, and near the curve
+    within about 2x of the true minimum: for distinct q, p1, p2 at most
+    one component can sit at a branch point, so a well-conditioned fiber
+    is always among the candidates.
     """
     lat = q.lattice
     e1 = halve_sum(q, p1)
     e2 = halve_sum(q, p2)
     shifts = np.array([e1.lift, p1.lift, p2.lift - e2.lift + e1.lift])
-    roots = np.array([th.invert_cover(t, lat)[0].lift for t in triple])
-    z = np.concatenate([shifts + roots, shifts - roots])
     ta = np.array([t.a for t in triple])
     tc = np.array([t.c for t in triple])
+    roots = th._invert_lifts(ta, tc, lat)
+    z = np.concatenate([shifts + roots, shifts - roots])
     cross = th._cover_cross(z[:, None] - shifts, ta, tc, lat)
     return float(np.abs(cross).max(axis=1).min())
 

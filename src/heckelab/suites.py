@@ -117,13 +117,9 @@ def verify_theta(report, config, rng):
     bp = th.branch_points(lat)
     mind = min(chordal(bp[i], bp[j]) for i in range(4) for j in range(i + 1, 4))
     report.add_flag("branch-points-distinct", "four distinct branch images", mind > 1e-3)
-    worst = 0.0
-    for _ in range(20):
-        p = CurvePoint(rng.random() + rng.random() * tau, lat)
-        r1, r2 = th.invert_cover(th.pi_cover(p), lat)
-        worst = max(worst, min(lat.distance(r1.lift, p.lift), lat.distance(r2.lift, p.lift)))
-        if not (r1 + r2).is_zero():
-            worst = 1.0
+    lifts = lat.reduce([rng.random() + rng.random() * tau for _ in range(20)])
+    roots = th._invert_lifts(*th._cover_homogeneous(lifts, lat), lat)
+    worst = max(min(lat.distance(r, p), lat.distance(-r, p)) for r, p in zip(roots, lifts))
     report.add("cover-roundtrip", "preimage pairs {p, -p} of the double cover", worst, 1e-7)
 
 

@@ -25,7 +25,7 @@ class NearPole(ArithmeticError):
 
 
 class NoConvergence(RuntimeError):
-    """Root finding failed to locate a preimage on the curve."""
+    """An inverted cover point maps 1e-8 (chordal) or farther from its target."""
 
 
 def _terms_needed(tau_eff: complex, max_abs_im: float) -> int:
@@ -72,11 +72,6 @@ def theta_raw_deriv(z, tau: complex):
     val = _theta_reduced(z0, tau, n_terms, 0)
     dval = _theta_reduced(z0, tau, n_terms, 1)
     return factor * (dval - TWO_PI_I * m * val)
-
-
-def theta(z, lattice: Lattice):
-    """theta(z, tau) for the lattice Z + Z tau."""
-    return theta_raw(z, lattice.tau)
 
 
 def theta_w(z, w: complex, lattice: Lattice):
@@ -145,17 +140,13 @@ def automorphy_factor(w: complex):
 # The branched double cover X -> CP^1.
 
 
-def _cover_args(z, tau: complex):
-    """Kernel arguments, stacked on a new first axis, of the two theta~
-    factors of the cover: theta~_{1/2}(2z) and theta~_{1/2 - tau}(2z)."""
-    shifts = np.array([0.5, 0.5 - tau]).reshape((2,) + (1,) * np.ndim(z))
-    return 2 * z - 0.5 * (1 + 2 * tau) - shifts
-
-
 def _cover_homogeneous(z, lattice: Lattice):
-    """Homogeneous pair (den, num) with pi([z]) = [den : num] = [1 : h(z)]."""
+    """Homogeneous pair (den, num) with pi([z]) = [den : num] = [1 : h(z)];
+    both theta~ factors, at 2z, come from one kernel call."""
     z = np.asarray(z, dtype=complex)
-    den, t = theta_raw(_cover_args(z, lattice.tau), 2 * lattice.tau)
+    tau = lattice.tau
+    shifts = np.array([0.5, 0.5 - tau]).reshape((2,) + (1,) * z.ndim)
+    den, t = theta_raw(2 * z - 0.5 * (1 + 2 * tau) - shifts, 2 * tau)
     return den, np.exp(TWO_PI_I * z) * t
 
 
@@ -213,76 +204,89 @@ def branch_index(a: ProjPoint, lattice: Lattice, tol: float = 1e-8) -> int | Non
     return None
 
 
+def _cover_moebius(lattice: Lattice):
+    """Constants (k, e) of w = M^-1(t) = e1 + k [t, b2] / [t, b1]; cached.
+
+    h is even of order 2 and branched at the 2-torsion points, so h = M(wp)
+    for a Moebius map M.  ``e`` holds e1, e3, e2 = wp(1/2), wp(tau/2),
+    wp((1+tau)/2), in the order of branch points b2..b4, from theta
+    constants (DLMF 23.6.2-4, omega1 = 1/2).  [s, t] is the determinant of
+    two homogeneous pairs; M^-1 sends b1, b2, b4 to infinity, e1, e2, and
+    b3 is left as a check."""
+    cached = lattice._cache.get("cover_moebius")
+    if cached is None:
+        tau = lattice.tau
+        th4, th2 = theta_raw(np.array([0.5, tau / 2]), tau)
+        t2, t4 = (np.exp(0.25j * np.pi * tau) * th2) ** 4, th4**4
+        e = (np.pi**2 / 3) * np.array([t2 + 2 * t4, -(2 * t2 + t4), t2 - t4])
+        b1, b2, _, b4 = branch_points(lattice)
+        k = (e[2] - e[0]) * (b4.a * b1.c - b4.c * b1.a) / (b4.a * b2.c - b4.c * b2.a)
+        cached = lattice._cache["cover_moebius"] = (k, e)
+    return cached
+
+
+def _carlson_rf(x, y, z):
+    """Carlson's R_F(x, y, z) by duplication, elementwise (B. C. Carlson,
+    Numer. Algorithms 10, 1995), for complex arguments with at most one
+    zero; on the cut (-inf, 0) the sign of the imaginary zero picks the
+    side.  Each element stops on its own once 4^-n Q < |A_n|, so its value
+    does not depend on the rest of the array.
+    """
+    v = np.array([x, y, z, (x + y + z) / 3], dtype=complex)
+    a0, d = v[3].copy(), v[3] - v[:3]
+    q = (3 * 2.0**-53) ** (-1 / 6) * np.abs(d).max(axis=0)  # Carlson's Q for r = 2^-53
+    scale = np.ones(a0.shape)
+    for _ in range(40):  # two zero arguments (R_F infinite) never stop
+        active = scale * q > np.abs(v[3])
+        if not active.any():
+            break
+        s = np.sqrt(v[:3])
+        lam = s[0] * (s[1] + s[2]) + s[1] * s[2]
+        np.multiply(v + lam, 0.25, out=v, where=active)
+        np.multiply(scale, 0.25, out=scale, where=active)
+    dx, dy = d[:2] * (scale / v[3])
+    dz = -(dx + dy)
+    e2, e3 = dx * dy - dz * dz, dx * dy * dz
+    return (1 - e2 / 10 + e3 / 14 + e2 * e2 / 24 - 3 * e2 * e3 / 44) / np.sqrt(v[3])
+
+
+def _invert_lifts(a, c, lattice: Lattice) -> np.ndarray:
+    """Canonical lifts z with pi([z]) = [a : c], one per fiber {z, -z},
+    elementwise over 1-D arrays: the 2-torsion lift within 1e-8 of a branch
+    point (``branch_index``), else z = R_F(w - e1, w - e2, w - e3) for
+    w = M^-1([a : c]) (DLMF 19.25.35), finite off b1.  One batched image
+    check raises ``NoConvergence`` on a miss."""
+    a, c = np.asarray(a, dtype=complex), np.asarray(c, dtype=complex)
+    out = np.empty(a.shape, dtype=complex)
+    idx = [branch_index(ProjPoint(x, y), lattice) for x, y in zip(a, c)]
+    free = np.array([i is None for i in idx], dtype=bool)
+    out[~free] = [lattice.torsion_lifts()[i - 1] for i in idx if i is not None]
+    if free.any():
+        k, e = _cover_moebius(lattice)
+        b1, b2 = branch_points(lattice)[:2]
+        a, c = a[free], c[free]
+        w = e[0] + k * (a * b2.c - c * b2.a) / (a * b1.c - c * b1.a)
+        z = _carlson_rf(w - e[0], w - e[1], w - e[2])
+        miss = ~(np.abs(_cover_cross(z, a, c, lattice)) < 1e-8)
+        if miss.any():
+            raise NoConvergence(f"no preimage found for [{a[miss][0]} : {c[miss][0]}]")
+        out[free] = lattice.reduce(z)
+    return out
+
+
 def invert_cover(a: ProjPoint, lattice: Lattice) -> tuple[CurvePoint, CurvePoint]:
     """The unordered fiber {p, -p} of the double cover over ``a``.
 
-    Newton iteration on the homogeneous equation
-    y * den(z) - x * num(z) = 0 from 16 deterministic starting lifts,
-    advanced together: each iteration evaluates theta~ and its derivative
-    at both shifts for every active start in one kernel call each.  A
-    start has converged once its Newton step is below 1e-12.  The
-    iteration stops as soon as a converged iterate maps within 1e-8
-    (chordal) of ``a``, and the root is chosen among the converged
-    iterates that do.  Only if none does (Newton converges linearly next
-    to a branch point) are all final iterates put to the same image check.
-    The first returned point has the lexicographically smaller canonical
-    lift of the pair; at a branch point the two points coincide.
-    """
-    idx = branch_index(a, lattice)
-    if idx is not None:
-        t = CurvePoint(lattice.torsion_lifts()[idx - 1], lattice)
-        return t, t
-
-    tau = lattice.tau
-    x, y = a.a, a.c
-
-    def image_ok(zs):
-        return np.abs(_cover_cross(zs, x, y, lattice)) < 1e-8
-
-    grid = np.array(
-        [(i + 0.37) / 4 + (j + 0.41) / 4 * tau for i in range(4) for j in range(4)]
-    )
-    z = grid.copy()
-    active = np.ones(z.shape, dtype=bool)
-    passed = np.zeros(z.shape, dtype=bool)
-    for _ in range(60):
-        za = z[active]
-        args = _cover_args(za, tau)
-        val = theta_raw(args, 2 * tau)
-        dval = theta_raw_deriv(args, 2 * tau)
-        e = np.exp(TWO_PI_I * za)
-        f = y * val[0] - x * (e * val[1])
-        df = y * (2 * dval[0]) - x * (e * (TWO_PI_I * val[1] + 2 * dval[1]))
-        step = np.where(np.abs(df) > 1e-300, f / df, 0.0)
-        step = np.where(np.isfinite(step), step, 0.0)
-        # The zero set is lattice-translation stable; keeping iterates
-        # reduced avoids overflow of the reduction factor.
-        z[active] = lattice.reduce(za - step)
-        done = np.flatnonzero(active)[np.abs(step) < 1e-12]
-        if done.size:
-            active[done] = False
-            passed[done] = image_ok(z[done])
-            if passed.any() or not active.any():
-                break
-    if passed.any():
-        roots_z = z[passed]
-    else:
-        roots_z = z[np.isfinite(z)]
-        roots_z = roots_z[image_ok(roots_z)]
-    if not roots_z.size:
-        raise NoConvergence(f"no preimage found for {a}")
-    # Collapse to a single representative modulo z -> -z.
-    roots = [CurvePoint(v, lattice) for v in roots_z]
-    rep = roots[0]
-    for r in roots[1:]:
-        if not (r == rep or r == -rep):
-            rep = _lex_smaller(rep, r)
-    p = _lex_smaller(rep, -rep)
+    A batch of one over ``_invert_lifts``: h = M(wp) for a Moebius map M
+    fixed by the branch values, and wp is inverted in closed form by
+    Carlson's R_F, with no starts and no iteration that can fail.  The
+    first point has the lexicographically smaller canonical lift; at a
+    branch point (within 1e-8) both are the 2-torsion point."""
+    p = CurvePoint(complex(_invert_lifts([a.a], [a.c], lattice)[0]), lattice)
+    p = _lex_smaller(p, -p)
     return p, -p
 
 
 def _lex_smaller(p: CurvePoint, q: CurvePoint) -> CurvePoint:
     a, b = p.lift, q.lift
-    if (a.real, a.imag) <= (b.real, b.imag):
-        return p
-    return q
+    return p if (a.real, a.imag) <= (b.real, b.imag) else q

@@ -108,9 +108,6 @@ class CurvePoint:
     def is_zero(self) -> bool:
         return self.lattice.distance(self.lift, 0.0) < POINT_TOL
 
-    def is_two_torsion(self) -> bool:
-        return self.double().is_zero()
-
     def torsion_index(self) -> int | None:
         """Index 1..4 among the 2-torsion points, or None."""
         for i, t in enumerate(self.lattice.torsion_lifts(), start=1):

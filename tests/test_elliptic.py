@@ -361,7 +361,7 @@ def test_g2_twist_identification():
         assert ell.g2_isomorphic(g, g.tensor(torsion_line(LAT, i)))
     d = rpt()
     generic = LineBundleClass(0, d.lift, LAT)
-    if not d.is_two_torsion():
+    if d.torsion_index() is None:
         assert not ell.g2_isomorphic(g, g.tensor(generic))
 
 
@@ -388,7 +388,7 @@ class TestUnstableBranchImage:
                 continue
             e = halve_sum(p1, q)
             delta = rpt(rng)
-            if delta.is_two_torsion() or (delta + e - p1).is_two_torsion():
+            if any(t.torsion_index() is not None for t in (delta, delta + e - p1)):
                 continue
             p = e + delta
             bundle = Decomposable(

@@ -147,7 +147,7 @@ def test_group_law():
 def test_torsion_indices():
     for i in range(1, 5):
         t = torsion_point(LAT, i)
-        assert t.is_two_torsion()
+        assert t.double().is_zero()
         assert t.torsion_index() == i
 
 
@@ -168,7 +168,7 @@ def test_g2_determinant_factor():
 
 
 # ---------------------------------------------------------------------------
-# The batched Newton of invert_cover against the loop it replaced.
+# The closed-form invert_cover against a reference copy of an earlier Newton loop.
 
 REF_TAUS = (0.21 + 1.3j, 0.3 + 0.45j)
 
@@ -315,3 +315,79 @@ def test_kernel_matches_mpmath_jtheta(im):
             dref = complex(mpmath.pi * mpmath.jtheta(3, w, nome, 1))
             worst = max(worst, abs(v - ref) / abs(ref), abs(dv - dref) / abs(dref))
     assert worst <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# The closed-form inversion: Carlson's R_F, the Moebius chart, batching.
+
+
+def test_carlson_rf_matches_mpmath_elliprf():
+    # Magnitudes 1e-8..1e8 in every direction; then arguments on the negative
+    # real axis (+0 imaginary part, so on the upper side of the cut), just off
+    # it on either side, where R_F jumps, and one zero argument.
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    rng = np.random.default_rng(5)
+    spread = 10.0 ** rng.uniform(-8, 8, (3, 60)) * np.exp(1j * rng.uniform(-np.pi, np.pi, (3, 60)))
+    cut = [(-2, 1 + 1j, 3 - 0.5j), (-2 + 1e-12j, 1 + 1j, 3 - 0.5j),
+           (-2 - 1e-12j, 1 + 1j, 3 - 0.5j), (-1e-6, 2j, -2j), (-5 + 1e-9j, -1j, 0.5),
+           (-0.5 - 1e-15j, 1e4, 1e-4j), (-3, 1e-8j, 7), (1, 2, 0)]
+    args = np.concatenate([spread, np.array(cut, dtype=complex).T], axis=1)
+    worst = 0.0
+    for val, xyz in zip(th._carlson_rf(*args), args.T):
+        ref = complex(mpmath.elliprf(*(mpmath.mpc(v.real, v.imag) for v in xyz)))
+        worst = max(worst, abs(val - ref) / abs(ref))
+    assert worst <= 1e-14
+
+
+SQUARE, HEXAGONAL = 1j, complex(np.exp(1j * np.pi / 3))
+
+
+@pytest.mark.parametrize("tau", (3.21 + 0.25j, 3.21 + 0.5j, 3.21 + 1.3j, 3.21 + 2.5j,
+                                 *REF_TAUS, SQUARE, HEXAGONAL))
+def test_moebius_chart_self_check(tau):
+    # The chart is fixed by branch points 1, 2 and 4, so branch point 3 must land on
+    # e3 = wp(tau/2).  Relative to the largest root: e2 = 0 on the square
+    # lattice.  The self-check does not see a common scale of the roots, so
+    # random fibers also go through the cover and back.
+    lat = Lattice(tau)
+    k, e = th._cover_moebius(lat)
+    b1, b2, b3, _ = th.branch_points(lat)
+    w3 = e[0] + k * (b3.a * b2.c - b3.c * b2.a) / (b3.a * b1.c - b3.c * b1.a)
+    assert abs(w3 - e[1]) <= 1e-13 * np.abs(e).max()
+    rng = np.random.default_rng(9)
+    den, num = th._cover_homogeneous(rng.random(64) + rng.random(64) * tau, lat)
+    lifts = th._invert_lifts(den, num, lat)
+    assert np.abs(th._cover_cross(lifts, den, num, lat)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("tau", REF_TAUS)
+def test_inverting_an_array_matches_each_element(tau):
+    lat = Lattice(tau)
+    targets = reference_fibers(lat, 40, seed=17)
+    a = np.array([t.a for t in targets])
+    c = np.array([t.c for t in targets])
+    together = th._invert_lifts(a, c, lat)
+    alone = np.array([th._invert_lifts(a[i:i + 1], c[i:i + 1], lat)[0] for i in range(a.size)])
+    assert np.array_equal(together.view(np.uint64), alone.view(np.uint64))
+
+
+@pytest.mark.parametrize("tau", REF_TAUS)
+def test_inversion_at_the_branch_tolerance(tau):
+    # branch_index matches within 1e-8 chordal.  Just inside, the fiber is the
+    # 2-torsion point itself; just outside, R_F must still return a fiber
+    # that maps within 1e-8 of the target.  [0:1] and [1:0] are not branch
+    # points and take the R_F path at both offsets.
+    lat = Lattice(tau)
+    for i, b in enumerate(th.branch_points(lat), start=1):
+        for phase in (0.3, 2.1, 4.4):
+            r1, r2 = th.invert_cover(at_chordal_offset(b, 0.5e-8, phase), lat)
+            assert r1 == r2 and r1.torsion_index() == i
+            a = at_chordal_offset(b, 2e-8, phase)
+            assert th.branch_index(a, lat) is None
+            assert chordal(th.pi_cover(th.invert_cover(a, lat)[0]), a) < 1e-8
+    for b in (ProjPoint(0, 1), ProjPoint(1, 0)):
+        for d in (0.5e-8, 2e-8):
+            for phase in (0.3, 2.1, 4.4):
+                a = at_chordal_offset(b, d, phase)
+                assert chordal(th.pi_cover(th.invert_cover(a, lat)[0]), a) < 1e-8
