@@ -13,8 +13,8 @@ from typing import Callable
 
 import numpy as np
 
-from .projective import ProjPoint, chordal, rank_one_column_space
-from .pseries import UNIT_TOL, NonUnit, SeriesMat2, bruhat_companion
+from .projective import ProjPoint, chordal_vecs, rank_one_column_space, rank_one_column_spaces
+from .pseries import UNIT_TOL, NonUnit, SeriesMat2, bruhat_companion, series_product
 
 #: Relative second-singular-value threshold for rank-1 detection.
 RANK_TOL = 1e-8
@@ -49,6 +49,18 @@ def eta_at(m: MatrixFunction, mu: complex) -> ProjPoint:
     return point
 
 
+def eta_vecs(vals: np.ndarray) -> np.ndarray:
+    """``eta_at`` over stacked matrix values (..., 2, 2): homogeneous
+    direction vectors (..., 2).  Raises NotInCell if any value is not rank 1."""
+    vecs, s1, s2, ok = rank_one_column_spaces(vals, rank_tol=RANK_TOL)
+    if not ok.all():
+        i = tuple(np.argwhere(~ok)[0].tolist())
+        raise NotInCell(
+            f"matrix {i} has singular values ({s1[i]:.3e}, {s2[i]:.3e}); not rank 1"
+        )
+    return vecs
+
+
 def prefix_product(evaluators, z) -> np.ndarray:
     """Product of the evaluators at ``z``, left to right from the identity."""
     out = np.eye(2, dtype=complex)
@@ -75,6 +87,24 @@ def chain_directions(evaluators, zs) -> list[ProjPoint]:
     return out
 
 
+def chain_direction_vecs(factors: np.ndarray) -> np.ndarray:
+    """``chain_directions`` over stacked chains of evaluated factors.
+
+    ``factors[..., k, i, :, :]`` is factor k at point i (..., n, n, 2, 2);
+    only k <= i is read.  Returns the direction vectors (..., n, 2), in the
+    same factored form: eta of the final factor, transported by the prefix.
+    """
+    n = factors.shape[-3]
+    diag = np.arange(n)
+    eta = eta_vecs(factors[..., diag, diag, :, :])
+    out = np.empty_like(eta)
+    prefix = np.broadcast_to(np.eye(2, dtype=complex), factors.shape[:-4] + (n, 2, 2))
+    for k in range(n):
+        out[..., k, :] = np.einsum("...ij,...j->...i", prefix[..., k, :, :], eta[..., k, :])
+        prefix = prefix @ factors[..., k, :, :, :]
+    return out
+
+
 def in_bruhat_cell(m: SeriesMat2, det_tol: float = UNIT_TOL) -> bool:
     """True iff det m vanishes to exactly first order at the series center
     and the center value has rank 1.
@@ -92,19 +122,24 @@ def in_bruhat_cell(m: SeriesMat2, det_tol: float = UNIT_TOL) -> bool:
     return point is not None
 
 
-def eta_invariance_check(a: SeriesMat2, b: SeriesMat2) -> float:
-    """Projective distance between eta(A Z) and eta(A Z B) at the center.
+def eta_invariance_checks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Projective distances between eta(A Z) and eta(A Z B) at the center,
+    for stacked series coefficients A, B (..., 2, 2, K).
 
-    Both A and B must be units; the contract is a residual below 1e-9,
+    Every A and B must be a unit; the contract is a residual below 1e-9,
     witnessing that eta only depends on the right-coset of A Z.
     """
     for unit in (a, b):
-        if abs(np.linalg.det(unit.constant_term())) <= UNIT_TOL:
+        if (np.abs(np.linalg.det(unit[..., 0])) <= UNIT_TOL).any():
             raise NonUnit("operand constant term is singular")
-    z = SeriesMat2.z_shift(0.0, a.order)
-    left = a * z
-    right = a * z * b
-    return chordal(eta_at(left, 0.0), eta_at(right, 0.0))
+    left = series_product(a, SeriesMat2.z_shift(0.0, a.shape[-1] - 1).c)
+    right = series_product(left, b)
+    return chordal_vecs(eta_vecs(left[..., 0]), eta_vecs(right[..., 0]))
+
+
+def eta_invariance_check(a: SeriesMat2, b: SeriesMat2) -> float:
+    """One pair of ``eta_invariance_checks``."""
+    return float(eta_invariance_checks(a.c, b.c))
 
 
 def constant_representative(point: ProjPoint) -> SeriesMat2:

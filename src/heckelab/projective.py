@@ -74,8 +74,17 @@ class ProjPoint:
 
 def chordal(p: ProjPoint, q: ProjPoint) -> float:
     """Chordal distance |a_p c_q - c_p a_q| / (|p| |q|), bounded by 1."""
-    num = abs(p.a * q.c - p.c * q.a)
-    return num / (np.hypot(abs(p.a), abs(p.c)) * np.hypot(abs(q.a), abs(q.c)))
+    return _chordal(p.a, p.c, q.a, q.c)
+
+
+def chordal_vecs(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``chordal`` between stacked homogeneous vectors (..., 2)."""
+    return _chordal(u[..., 0], u[..., 1], v[..., 0], v[..., 1])
+
+
+def _chordal(pa, pc, qa, qc):
+    num = abs(pa * qc - pc * qa)
+    return num / (np.hypot(abs(pa), abs(pc)) * np.hypot(abs(qa), abs(qc)))
 
 
 def sphere_grid(count: int) -> list[ProjPoint]:
@@ -105,56 +114,82 @@ def random_point(rng: np.random.Generator) -> ProjPoint:
     return ProjPoint(v[0], v[1])
 
 
-def rank_one_column_space(m: np.ndarray, rank_tol: float = PROJ_TOL,
-                          norm_tol: float = NORM_TOL):
-    """Column space of a numerically rank-1 2x2 matrix.
+def _where(cond, x, y):
+    """``np.where`` that keeps Python scalars scalar (and fast)."""
+    if isinstance(cond, (bool, np.bool_)):
+        return x if cond else y
+    return np.where(cond, x, y)
 
-    Returns ``(point, sigma1, sigma2)`` with ``point`` the ProjPoint
-    spanning the column space, or ``(None, sigma1, sigma2)`` when the
-    matrix is not rank 1.  Two closed-form tests run: one on the
+
+def _max(x, y):
+    return _where(x >= y, x, y)
+
+
+def _rank_one(a, b, c, d, rank_tol, norm_tol):
+    """Closed-form rank-1 test of [[a, b], [c, d]], entrywise over scalars
+    or arrays of one shape; see ``rank_one_column_spaces``."""
+    def closed_form(a, b, c, d):
+        p = (a * a.conjugate() + b * b.conjugate()).real
+        q = (c * c.conjugate() + d * d.conjugate()).real
+        r = a * c.conjugate() + b * d.conjugate()
+        # Dominant eigenvalue of the Gram matrix (cancellation-free branch);
+        # the small singular value via s1 s2 = |det| avoids squaring
+        # conditioning.
+        lam1 = 0.5 * (p + q) + (0.25 * (p - q) ** 2 + abs(r) ** 2) ** 0.5
+        s1 = lam1 ** 0.5
+        s2 = abs(a * d - b * c) / _where(s1 > 0, s1, 1.0)
+        first = abs(lam1 - p) >= abs(lam1 - q)
+        x = _where(first, r, lam1 - q)
+        y = _where(first, lam1 - p, r.conjugate())
+        small = (abs(x) ** 2 + abs(y) ** 2) ** 0.5 < norm_tol * _max(s1, 1.0)
+        x = _where(small, _where(p >= q, 1.0, 0.0), x)
+        y = _where(small, _where(p >= q, 0.0, 1.0), y)
+        return x, y, s1, s2, (s1 >= norm_tol) & (s2 <= rank_tol * s1)
+
+    r0, r1 = _max(abs(a), abs(b)), _max(abs(c), abs(d))
+    top = _max(r0, r1)
+    nonzero = top >= norm_tol
+    t = _where(nonzero, top, 1.0)
+    x, y, s1, s2, ok = closed_form(a / t, b / t, c / t, d / t)
+    # Row then column equilibration; a row at noise level keeps the top scale.
+    r0, r1 = _where(r0 > norm_tol * top, r0, t), _where(r1 > norm_tol * top, r1, t)
+    a, b, c, d = a / r0, b / r0, c / r1, d / r1
+    c0, c1 = _max(abs(a), abs(c)), _max(abs(b), abs(d))
+    c0, c1 = _where(c0 > norm_tol, c0, 1.0), _where(c1 > norm_tol, c1, 1.0)
+    xb, yb, s1b, s2b, okb = closed_form(a / c0, b / c1, c / c0, d / c1)
+    use_b = _where(ok, False, okb)
+    s1, s2 = _where(use_b, s1b, s1), _where(use_b, s2b, s2)
+    return (_where(use_b, r0 * xb, x), _where(use_b, r1 * yb, y),
+            _where(nonzero, s1, 0.0), _where(nonzero, s2, 0.0), nonzero & (ok | okb))
+
+
+def rank_one_column_spaces(m: np.ndarray, rank_tol: float = PROJ_TOL,
+                           norm_tol: float = NORM_TOL):
+    """Column spaces of numerically rank-1 2x2 matrices ``m`` (..., 2, 2).
+
+    Returns ``(vecs, sigma1, sigma2, ok)``: homogeneous vectors (..., 2)
+    spanning the column spaces, the two singular values, and the mask of
+    matrices that are rank 1.  Two closed-form tests run: one on the
     top-normalized matrix (a pass means the returned direction is
     projectively accurate within the tolerance), and one on the
     row/column-equilibrated matrix (a pass sees structural rank-1 behind
     exponential frame anisotropy; a noise-level row fails it harmlessly
-    because the other test already accepted).
+    because the other test already accepted).  The zero matrix fails
+    with singular values 0.
     """
     m = np.asarray(m, dtype=complex)
-    top = np.abs(m).max()
-    if top < norm_tol:
-        return None, 0.0, 0.0
+    x, y, s1, s2, ok = _rank_one(m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1],
+                                 rank_tol, norm_tol)
+    return np.stack([x, y], axis=-1), s1, s2, ok
 
-    def closed_form(mm):
-        g = mm @ mm.conj().T
-        p, q = g[0, 0].real, g[1, 1].real
-        r = g[0, 1]
-        mean = 0.5 * (p + q)
-        # Dominant eigenvalue (cancellation-free branch); the small
-        # singular value via s1 s2 = |det| avoids squaring conditioning.
-        disc = np.sqrt(max(0.25 * (p - q) ** 2 + abs(r) ** 2, 0.0))
-        lam1 = mean + disc
-        s1 = np.sqrt(max(lam1, 0.0))
-        s2 = abs(np.linalg.det(mm)) / s1 if s1 > 0 else 0.0
-        v1 = np.array([r, lam1 - p])
-        v2 = np.array([lam1 - q, np.conj(r)])
-        v = v1 if np.linalg.norm(v1) >= np.linalg.norm(v2) else v2
-        if np.linalg.norm(v) < norm_tol * max(s1, 1.0):
-            v = np.array([1.0, 0.0]) if p >= q else np.array([0.0, 1.0])
-        return s1, s2, v
 
-    s1, s2, v = closed_form(m / top)
-    if s1 >= norm_tol and s2 <= rank_tol * s1:
-        return ProjPoint(v[0], v[1]), s1, s2
-
-    rs = np.abs(m).max(axis=1)
-    rs = np.where(rs > norm_tol * top, rs, top)
-    mb = m / rs[:, None]
-    cs = np.abs(mb).max(axis=0)
-    cs = np.where(cs > norm_tol, cs, 1.0)
-    s1b, s2b, vb = closed_form(mb / cs[None, :])
-    if s1b >= norm_tol and s2b <= rank_tol * s1b:
-        # Undo the row scaling: col space of m is D_r times that of mb.
-        return ProjPoint(rs[0] * vb[0], rs[1] * vb[1]), s1b, s2b
-    return None, s1, s2
+def rank_one_column_space(m: np.ndarray, rank_tol: float = PROJ_TOL,
+                          norm_tol: float = NORM_TOL):
+    """One matrix of ``rank_one_column_spaces``: ``(point, sigma1, sigma2)``
+    with ``point`` a ProjPoint, or None when the matrix is not rank 1."""
+    (a, b), (c, d) = np.asarray(m, dtype=complex).tolist()
+    x, y, s1, s2, ok = _rank_one(a, b, c, d, rank_tol, norm_tol)
+    return (ProjPoint(x, y) if ok else None), s1, s2
 
 
 def transport_direction(mat: np.ndarray, point: ProjPoint) -> ProjPoint:

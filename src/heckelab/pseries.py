@@ -10,8 +10,6 @@ and every arithmetic result carries the minimum order of its operands.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 #: Default truncation order for all Grassmannian work.
@@ -82,16 +80,6 @@ class _Mat2:
     def __sub__(self, other):
         return self._combine(other, np.subtract)
 
-    def _product(self, other, size: int) -> np.ndarray:
-        # One np.convolve per entry pair: the reports' last digits depend on
-        # its (BLAS dot) rounding, which a vectorized sum does not reproduce.
-        a, b = self.c[..., :size], other.c[..., :size]
-        out = np.empty((2, 2, size), dtype=complex)
-        for i, j in itertools.product(range(2), repeat=2):
-            out[i, j] = (np.convolve(a[i, 0], b[0, j])[:size]
-                         + np.convolve(a[i, 1], b[1, j])[:size])
-        return out
-
     def det(self) -> np.ndarray:
         """Ascending coefficients of the determinant."""
         size = self._fit(self.c.shape[-1], 2 * self.c.shape[-1] - 1)
@@ -142,7 +130,7 @@ class PolyMat2(_Mat2):
         return c[..., :size]
 
     def __mul__(self, other: "PolyMat2") -> "PolyMat2":
-        return PolyMat2(self._product(other, self.c.shape[-1] + other.c.shape[-1] - 1))
+        return PolyMat2(series_product(self.c, other.c, self.c.shape[-1] + other.c.shape[-1] - 1))
 
 
 class SeriesMat2(_Mat2):
@@ -156,7 +144,27 @@ class SeriesMat2(_Mat2):
         return self.max_degree()
 
     def __mul__(self, other: "SeriesMat2") -> "SeriesMat2":
-        return SeriesMat2(self._product(other, min(self.c.shape[-1], other.c.shape[-1])))
+        return SeriesMat2(series_product(self.c, other.c))
+
+
+def series_product(x: np.ndarray, y: np.ndarray, size: int | None = None) -> np.ndarray:
+    """Coefficients 0 .. size - 1 (default: the shorter operand's count) of
+    the products of stacked matrices of polynomials or series (..., 2, 2, K).
+
+    Coefficient k is sum_t x_t y_{k-t}, one einsum against a strided
+    Toeplitz view of y; nothing of size K^2 per matrix is allocated.
+    """
+    size = min(x.shape[-1], y.shape[-1]) if size is None else size
+    x, y = x[..., :size], y[..., :size]
+    # toeplitz[..., t, k] = y_{k - t}, a strided view of y behind size - 1
+    # zeros.  Built with np.ndarray: through sliding_window_view (as_strided)
+    # a 0.9 MB block stayed allocated after some thousands of calls.
+    padded = np.zeros(y.shape[:-1] + (2 * size - 1,), dtype=complex)
+    padded[..., size - 1 : size - 1 + y.shape[-1]] = y
+    step = padded.strides[-1]
+    toeplitz = np.ndarray(y.shape[:-1] + (x.shape[-1], size), complex, padded,
+                          (size - 1) * step, padded.strides[:-1] + (-step, step))
+    return np.einsum("...ijt,...jltk->...ilk", x, toeplitz)
 
 
 def bruhat_companion(a: SeriesMat2) -> SeriesMat2:

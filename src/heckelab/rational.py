@@ -125,18 +125,10 @@ class RationalSequence:
 
     def matrices(self) -> list[PolyMat2]:
         """Table morphism matrices, one per step."""
-        out = []
-        current = self.base
-        for s in self.steps:
-            out.append(morphism_matrix(current, s))
-            current = single_hecke(current, s.direction)
-        return out
+        return [PolyMat2(c) for c in sequence_coeffs([self])[1][0]]
 
     def composite(self) -> PolyMat2:
-        p = PolyMat2.identity()
-        for m in self.matrices():
-            p = p * m
-        return p
+        return PolyMat2(composites(sequence_coeffs([self])[1])[0])
 
     def h_map(self) -> list[ProjPoint]:
         """Direction tuple in the trivialization of the base bundle."""
@@ -150,17 +142,55 @@ def morphism_matrix(b: RationalBundle, step: RationalHeckeStep) -> PolyMat2:
     (k, 0) matters.  The determinant is a nonzero multiple of z - mu and
     the direction map returns ``step.direction`` at mu.
     """
-    mu = step.point
     d = step.direction
-    if b.is_semistable():
-        if d.is_zero_dir():
-            return PolyMat2([[[1.0], [0.0]], [[0.0], [-mu, 1.0]]])
-        lam = d.a / d.c
-        return PolyMat2([[[lam], [-mu, 1.0]], [[1.0], [0.0]]])
-    if d.is_zero_dir():
-        return PolyMat2([[[1.0], [0.0]], [[0.0], [-mu, 1.0]]])
-    lam = d.a / d.c
-    return PolyMat2([[[-mu, 1.0], [lam]], [[0.0], [1.0]]])
+    zero = d.is_zero_dir()
+    return PolyMat2(table_coeffs(step.point, 0j if zero else d.a / d.c, zero, b.is_semistable()))
+
+
+def table_coeffs(mu, lam, zero, semistable) -> np.ndarray:
+    """Coefficients (..., 2, 2, 2), ascending in z, of the table matrices at
+    the points ``mu``, for the directions [lam:1] or, where ``zero``, [1:0]:
+    diag(1, z - mu) for [1:0], else [[lam, z - mu], [1, 0]] from a
+    ``semistable`` class and [[z - mu, lam], [0, 1]] from an unstable one.
+    """
+    mu, lam = np.asarray(mu, dtype=complex), np.asarray(lam, dtype=complex)
+    zero, semistable = np.asarray(zero, dtype=bool), np.asarray(semistable, dtype=bool)
+    lower, upper = ~zero & semistable, ~zero & ~semistable
+    lin = np.stack([-mu, np.ones_like(mu)], axis=-1)
+    c = np.zeros(mu.shape + (2, 2, 2), dtype=complex)
+    c[zero, 0, 0, 0] = c[lower, 1, 0, 0] = c[upper, 1, 1, 0] = 1.0
+    c[zero, 1, 1], c[lower, 0, 1], c[upper, 0, 0] = lin[zero], lin[lower], lin[upper]
+    c[lower, 0, 0, 0], c[upper, 0, 1, 0] = lam[lower], lam[upper]
+    return c
+
+
+def sequence_coeffs(seqs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Points (B, n), table-matrix coefficients (B, n, 2, 2, 2) and terminal
+    Hecke lengths (B,) of a nonempty list of sequences of one length n."""
+    rows, terminal = [], []
+    for seq in seqs:
+        bundles = seq.bundles()
+        terminal.append(bundles[-1].hecke_length)
+        for s, b in zip(seq.steps, bundles):
+            d = s.direction
+            zero = d.is_zero_dir()
+            rows.append((s.point, 0j if zero else d.a / d.c, zero, b.is_semistable()))
+    cols = [np.array([r[i] for r in rows]).reshape(len(seqs), -1) for i in range(4)]
+    return cols[0].astype(complex), table_coeffs(*cols), np.array(terminal)
+
+
+def composites(coeffs: np.ndarray) -> np.ndarray:
+    """Composite coefficients (B, 2, 2, n + 1), ascending in z, of the step
+    coefficients (B, n, 2, 2, 2), multiplied left to right."""
+    batch, n = coeffs.shape[:2]
+    p = np.zeros((batch, n + 1, 2, 2), dtype=complex)
+    p[:, 0] = np.eye(2)
+    for i in range(n):
+        q = p[:, : i + 1]
+        hi = q @ coeffs[:, i, None, ..., 1]
+        p[:, : i + 1] = q @ coeffs[:, i, None, ..., 0]
+        p[:, 1 : i + 2] += hi
+    return np.moveaxis(p, 1, -1)
 
 
 def h_values(matrices: list[PolyMat2], points: list[complex]) -> list[ProjPoint]:
@@ -237,18 +267,25 @@ def tuple_composites(points, vecs) -> tuple[np.ndarray, np.ndarray]:
     return completions, np.moveaxis(p, 1, -1)
 
 
-def above_degree_matrix(coeffs: np.ndarray, d: int) -> np.ndarray:
-    """Linear map from g (degree <= d) to the coefficients of P g above degree d.
+def product_matrix(coeffs: np.ndarray, d: int, rows: np.ndarray) -> np.ndarray:
+    """Linear map from g (degree <= d) to the coefficients z^t, t in ``rows``,
+    of P g.
 
     ``coeffs`` (..., 2, 2, D + 1) are ascending coefficients of P.  Row
-    (i, t) for t = d + 1 .. D + d reads the z^t coefficient of (P g)_i;
-    column (j, k) is the z^k coefficient of g_j.  Shape (..., 2D, 2(d + 1)).
+    (i, t) reads the z^t coefficient of (P g)_i; column (j, k) is the z^k
+    coefficient of g_j.  Shape (..., 2 len(rows), 2(d + 1)).
     """
-    deg = coeffs.shape[-1] - 1
-    idx = np.arange(d + 1, deg + d + 1)[:, None] - np.arange(d + 1)
+    # Indices t - k outside 0 .. D wrap into the zero padding.
+    idx = rows[:, None] - np.arange(d + 1)
     padded = np.concatenate([coeffs, np.zeros(coeffs.shape[:-1] + (d,), complex)], axis=-1)
     a = np.swapaxes(padded[..., idx], -3, -2)
-    return a.reshape(coeffs.shape[:-3] + (2 * deg, 2 * (d + 1)))
+    return a.reshape(coeffs.shape[:-3] + (2 * len(rows), 2 * (d + 1)))
+
+
+def above_degree_matrix(coeffs: np.ndarray, d: int) -> np.ndarray:
+    """``product_matrix`` for the rows t = d + 1 .. D + d: the coefficients of
+    P g above degree d, shape (..., 2D, 2(d + 1))."""
+    return product_matrix(coeffs, d, np.arange(d + 1, coeffs.shape[-1] + d))
 
 
 def min_column_degrees(coeffs: np.ndarray, n: int, tol: float = 1e-9) -> np.ndarray:

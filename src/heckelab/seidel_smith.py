@@ -15,12 +15,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .projective import ProjPoint, chordal
-from .pseries import PolyMat2
-from .rational import RationalSequence, above_degree_matrix, random_minimal_sequence
+from .grassmannian import chain_direction_vecs
+from .projective import ProjPoint, chordal_vecs
+from .rational import (
+    RationalSequence,
+    above_degree_matrix,
+    composites,
+    product_matrix,
+    random_minimal_sequence,
+    sequence_coeffs,
+)
 
 #: Eigenvalues closer than this are treated as a degenerate spectrum.
 SPECTRUM_GAP = 1e-8
+
+#: Sequences per stacked pass of ``conjecture_check``.
+CONJECTURE_CHUNK = 50
 
 
 class DegenerateSpectrum(ValueError):
@@ -54,18 +64,6 @@ class SlodowyMatrix:
             a[2 * i : 2 * i + 2, 2 * i + 2 : 2 * i + 4] = np.eye(2)
         return a
 
-    def char_poly(self) -> np.ndarray:
-        """det(z^m - z^{m-1} Y_1 - ... - Y_m), ascending coefficients.
-
-        Independent of the dense eigensolve; used as a cross-check oracle.
-        """
-        m = self.m
-        c = np.zeros((2, 2, m + 1), dtype=complex)
-        c[..., m] = np.eye(2)
-        for k, y in enumerate(self.blocks, start=1):
-            c[..., m - k] -= y
-        return PolyMat2(c).det()
-
 
 def chi(a: SlodowyMatrix | np.ndarray) -> np.ndarray:
     """Multiset of eigenvalues of the dense form."""
@@ -74,127 +72,100 @@ def chi(a: SlodowyMatrix | np.ndarray) -> np.ndarray:
 
 
 def kamnitzer(seq: RationalSequence) -> np.ndarray:
-    """Matrix of multiplication by z on C[z]^2 / P C[z]^2.
+    """One sequence of ``slice_matrices``."""
+    _, coeffs, terminal = sequence_coeffs([seq])
+    return slice_matrices(coeffs, terminal)[0]
 
-    P is the composite morphism matrix of a sequence of n = 2m
-    modifications with semistable terminal; the basis is
-    {z^{m-1} e1, z^{m-1} e2, ..., e1, e2} and the result lies in the
-    slice with eigenvalues at the modification points.
+
+def slice_matrices(coeffs: np.ndarray, terminal: np.ndarray) -> np.ndarray:
+    """Matrices (B, n, n) of multiplication by z on C[z]^2 / P C[z]^2.
+
+    P is the composite of a sequence of n = 2m modifications with
+    semistable terminal, given by the step coefficients and terminal Hecke
+    lengths of ``sequence_coeffs``; the basis is {z^{m-1} e1, z^{m-1} e2,
+    ..., e1, e2} and the result lies in the slice with eigenvalues at the
+    modification points.  Any sequence with an unstable terminal or a
+    singular reduction raises ReductionFailure.
     """
-    n = len(seq)
+    batch, n = coeffs.shape[:2]
     if n == 0 or n % 2:
         raise ValueError("need an even, positive number of modifications")
+    if terminal.any():
+        raise ReductionFailure(
+            f"sequence {int(np.argmax(terminal != 0))} has an unstable terminal bundle")
     m = n // 2
-    t = seq.terminal()
-    if not t.is_semistable():
-        raise ReductionFailure(f"terminal bundle {t} is unstable")
-    p = seq.composite()
-    basis = _submodule_basis(p, m)
-    # Reduce z * (z^{m-1} e_j): coordinates of z^m e_j in the quotient basis.
-    targets = np.zeros((2 * (2 * m + 1), 2), dtype=complex)
-    targets[[_coeff_index(m, j, 2 * m) for j in range(2)], [0, 1]] = 1.0
-    # Assemble the full 2m x 2m matrix in the decreasing-power block basis.
-    a = np.zeros((2 * m, 2 * m), dtype=complex)
-    for blk in range(1, m):
-        a[2 * (blk - 1) : 2 * blk, 2 * blk : 2 * blk + 2] = np.eye(2)
-    a[:, :2] = _reduce_against(basis, m, targets)
+    p = composites(coeffs)
+    p /= np.abs(p).max(axis=(-3, -2, -1), keepdims=True)
+    # P g for g of degree <= 2m suffices (adjugate bound); the coefficients
+    # above degree 2m must vanish.
+    _, s, vh = np.linalg.svd(above_degree_matrix(p, n))
+    rank = np.sum(s > 1e-9 * np.maximum(s[:, :1], 1.0), axis=1)
+    if (rank != n).any():
+        dim = 2 * n + 2 - rank[np.argmax(rank != n)]
+        raise ReductionFailure(f"degree-bounded submodule has dimension {dim}, not {n + 2}")
+    # Basis of the degree-bounded part of the image submodule, dimension 2m + 2.
+    basis = product_matrix(p, n, np.arange(n + 1)) @ np.swapaxes(vh[:, n:].conj(), 1, 2)
+    # Reduce z * (z^{m-1} e_j), i.e. z^m e_j, against the quotient basis
+    # {z^k e_j : k < m} in the decreasing-power block order plus the basis.
+    quotient = np.array([j * (n + 1) + m - 1 - blk for blk in range(m) for j in range(2)])
+    system = np.concatenate([np.broadcast_to(np.eye(2 * n + 2)[:, quotient], (batch, 2 * n + 2, n)),
+                             basis], axis=2)
+    targets = np.eye(2 * n + 2)[:, [m, n + 1 + m]]
+    u, s, vh = np.linalg.svd(system)
+    # lstsq's rank rule (rcond = eps * max(M, N)) and residual bound.
+    if (s[:, -1] <= np.finfo(float).eps * (2 * n + 2) * s[:, 0]).any():
+        raise ReductionFailure("module reduction system is singular")
+    sol = np.swapaxes(vh.conj(), 1, 2) @ ((np.swapaxes(u.conj(), 1, 2) @ targets) / s[..., None])
+    if np.linalg.norm(system @ sol - targets, axis=1).max() > 1e-8:
+        raise ReductionFailure("module reduction system is singular")
+    a = np.zeros((batch, n, n), dtype=complex)
+    a[:, : n - 2, 2:] = np.eye(n - 2)
+    a[:, :, :2] = sol[:, :n]
     return a
 
 
-def _coeff_index(k: int, j: int, maxdeg: int) -> int:
-    """Index of the z^k e_j coefficient in the stacked coefficient vector."""
-    return j * (maxdeg + 1) + k
+def woodward_vecs(a: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
+    """Last 2-block of the left eigenvectors of stacked matrices (..., N, N),
+    one homogeneous vector (..., k, 2) per eigenvalue (..., k).
 
-
-def _submodule_basis(p: PolyMat2, m: int) -> np.ndarray:
-    """Basis of {P g : deg(P g) <= 2m} as stacked coefficient vectors.
-
-    Unknown g of degree <= 2m suffices (adjugate bound); the result spans
-    the degree-bounded part of the image submodule, dimension 2m + 2 for
-    sequences with semistable terminal.
+    Each is the least-norm kernel vector v of v A = mu v, from the SVD of
+    A^T - mu.  The eigenvalue order is the caller's; it is never sorted
+    here because the diagram comparison is order-sensitive.
     """
-    deg = 2 * m
-    a = above_degree_matrix(p.coeffs() / p.coeff_scale(), deg)
-    _, s, vh = np.linalg.svd(a)
-    tol = 1e-9 * max(s[0] if s.size else 1.0, 1.0)
-    null = vh.conj().T[:, np.sum(s > tol) :]
-    if null.shape[1] < 2 * m + 2:
-        raise ReductionFailure("degree-bounded submodule has deficient rank")
-    # Map each nullspace g to the coefficients of P g (degree <= 2m).
-    cols = []
-    for v in null.T:
-        g = [v[: deg + 1], v[deg + 1 :]]
-        cols.append(np.concatenate([
-            np.convolve(p.c[i, 0], g[0])[: deg + 1] + np.convolve(p.c[i, 1], g[1])[: deg + 1]
-            for i in range(2)
-        ]))
-    return np.array(cols).T
-
-
-def _reduce_against(basis: np.ndarray, m: int, targets: np.ndarray) -> np.ndarray:
-    """Coordinates of each column of ``targets`` in the quotient basis
-    {z^k e_j : k < m}.
-
-    Solves target = sum c_{k,j} z^k e_j + (submodule element) for all
-    columns in one least-squares call; the returned rows are ordered to
-    match the decreasing-power block basis {z^{m-1} e1, z^{m-1} e2, ...,
-    e1, e2}.
-    """
-    maxdeg = 2 * m
-    cols = []
-    for blk in range(m):
-        k = m - 1 - blk
-        for j in range(2):
-            e = np.zeros(2 * (maxdeg + 1), dtype=complex)
-            e[_coeff_index(k, j, maxdeg)] = 1.0
-            cols.append(e)
-    a = np.concatenate([np.array(cols).T, basis], axis=1)
-    sol, residual, rank, sv = np.linalg.lstsq(a, targets, rcond=None)
-    if rank < a.shape[1] or np.linalg.norm(a @ sol - targets, axis=0).max() > 1e-8:
-        raise ReductionFailure("module reduction system is singular")
-    return sol[: 2 * m]
-
-
-def left_eigenvector(a: np.ndarray, mu: complex) -> np.ndarray:
-    """Least-norm kernel vector v with v A = mu v, via SVD of (A^T - mu)."""
-    a = np.asarray(a, dtype=complex)
-    m = a.T - mu * np.eye(a.shape[0])
-    _, s, vh = np.linalg.svd(m)
-    return vh[-1].conj()
+    i, j = np.triu_indices(eigenvalues.shape[-1], 1)
+    gaps = np.abs(eigenvalues[..., i] - eigenvalues[..., j])
+    if (gaps < SPECTRUM_GAP).any():
+        raise DegenerateSpectrum(f"two eigenvalues collide (gap {gaps.min():.3e})")
+    mat = np.swapaxes(a, -1, -2)[..., None, :, :] - eigenvalues[..., None, None] * np.eye(a.shape[-1])
+    return np.linalg.svd(mat)[2][..., -1, -2:].conj()
 
 
 def woodward(a: np.ndarray, eigenvalues) -> list[ProjPoint]:
-    """Last 2-block of left eigenvectors, one CP^1 point per eigenvalue.
-
-    The eigenvalue order is the caller's; it is never sorted here because
-    the diagram comparison is order-sensitive.
-    """
-    eigenvalues = list(eigenvalues)
-    for i in range(len(eigenvalues)):
-        for j in range(i + 1, len(eigenvalues)):
-            if abs(eigenvalues[i] - eigenvalues[j]) < SPECTRUM_GAP:
-                raise DegenerateSpectrum(
-                    f"eigenvalues {eigenvalues[i]} and {eigenvalues[j]} collide"
-                )
-    out = []
-    for mu in eigenvalues:
-        v = left_eigenvector(a, mu)
-        out.append(ProjPoint(v[-2], v[-1]))
-    return out
+    """One matrix of ``woodward_vecs``, as CP^1 points."""
+    vecs = woodward_vecs(np.asarray(a, dtype=complex), np.asarray(eigenvalues, dtype=complex))
+    return [ProjPoint(x, y) for x, y in vecs]
 
 
-def conjecture_residual(seq: RationalSequence) -> float:
-    """Max chordal mismatch of the two routes around the diagram.
+def conjecture_residuals(seqs) -> np.ndarray:
+    """Max chordal mismatch of the two routes around the diagram, per sequence
+    of a nonempty list of one length.
 
     Route one: the direction tuple of the sequence followed by
     [x:y] -> [-y:x].  Route two: the slice matrix of the sequence followed
     by the left-eigenvector embedding, eigenvalues ordered as the
     modification points.
     """
-    h = seq.h_map()
-    a = kamnitzer(seq)
-    w = woodward(a, seq.points)
-    return max(chordal(p.involution(), q) for p, q in zip(h, w))
+    points, coeffs, terminal = sequence_coeffs(seqs)
+    w = woodward_vecs(slice_matrices(coeffs, terminal), points)
+    # Step k at point i, for the direction chain of the sequence.
+    factors = coeffs[:, :, None, ..., 0] + coeffs[:, :, None, ..., 1] * points[:, None, :, None, None]
+    h = chain_direction_vecs(factors)
+    return chordal_vecs(np.stack([-h[..., 1], h[..., 0]], axis=-1), w).max(axis=-1)
+
+
+def conjecture_residual(seq: RationalSequence) -> float:
+    """One sequence of ``conjecture_residuals``."""
+    return float(conjecture_residuals([seq])[0])
 
 
 def separated_points(count: int, rng: np.random.Generator, gap: float = 0.3) -> list[complex]:
@@ -208,10 +179,15 @@ def separated_points(count: int, rng: np.random.Generator, gap: float = 0.3) -> 
 
 
 def conjecture_check(m: int, samples: int, rng: np.random.Generator) -> float:
-    """Max residual over ``samples`` random sequences of length 2m."""
+    """Max residual over ``samples`` random sequences of length 2m.
+
+    Sequences are drawn CONJECTURE_CHUNK at a time, in the order of one
+    draw after another, and each chunk is decided in one stacked pass;
+    the chunk bounds the arrays alive at once.
+    """
     worst = 0.0
-    for _ in range(samples):
-        pts = separated_points(2 * m, rng)
-        seq = random_minimal_sequence(2 * m, rng, points=pts)
-        worst = max(worst, conjecture_residual(seq))
+    for start in range(0, samples, CONJECTURE_CHUNK):
+        seqs = [random_minimal_sequence(2 * m, rng, points=separated_points(2 * m, rng))
+                for _ in range(min(CONJECTURE_CHUNK, samples - start))]
+        worst = max(worst, float(conjecture_residuals(seqs).max()))
     return worst

@@ -19,7 +19,7 @@ from .grassmannian import (
     companion_residual,
     constant_representative,
     eta_at,
-    eta_invariance_check,
+    eta_invariance_checks,
     in_bruhat_cell,
     random_unit,
 )
@@ -123,14 +123,18 @@ def verify_theta(report, config, rng):
     report.add("cover-roundtrip", "preimage pairs {p, -p} of the double cover", worst, 1e-7)
 
 
+#: Unit pairs drawn and checked per stacked pass; bounds the arrays alive at once.
+UNIT_CHUNK = 100
+
+
 def verify_eta(report, config, rng):
     n_pairs = _n(config, 500)
     tol = _tol(config, 1e-9)
     worst = 0.0
-    for _ in range(n_pairs):
-        a = random_unit(rng, DEFAULT_ORDER)
-        b = random_unit(rng, DEFAULT_ORDER)
-        worst = max(worst, eta_invariance_check(a, b))
+    for start in range(0, n_pairs, UNIT_CHUNK):
+        units = np.array([[random_unit(rng, DEFAULT_ORDER).c for _ in range(2)]
+                          for _ in range(min(UNIT_CHUNK, n_pairs - start))])
+        worst = max(worst, float(eta_invariance_checks(units[:, 0], units[:, 1]).max()))
     report.add("right-multiplication-invariance",
                f"{n_pairs} random unit pairs at order {DEFAULT_ORDER}", worst, tol)
 
@@ -526,6 +530,8 @@ def compute_space(report, config, rng):
         raise ConfigError(usage)
     curve, n_str = config.extra
     n = _int_arg(n_str, usage)
+    if n < 0:
+        raise ConfigError(f"{usage}: n must be >= 0, got {n}")
     if curve == "S2":
         _compute_space_s2(report, config, rng, n)
     elif curve == "T2":
@@ -634,6 +640,8 @@ def check_conjecture(report, config, rng):
     if len(config.extra) != 1:
         raise ConfigError(usage)
     m = _int_arg(config.extra[0], usage)
+    if m < 1:
+        raise ConfigError(f"{usage}: m must be >= 1, got {m}")
     if m == 1:
         worst_mat = worst_chi = 0.0
         for _ in range(100):

@@ -79,6 +79,17 @@ def test_main_rejects_bad_config(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_out_of_range_counts_are_config_errors(capsys):
+    for args, bound in [(["check-conjecture", "0"], "m must be >= 1"),
+                        (["check-conjecture", "-1"], "m must be >= 1"),
+                        (["compute-space", "S2", "-1"], "n must be >= 0"),
+                        (["compute-space", "T2", "-1"], "n must be >= 0")]:
+        assert cli.main(args) == 2, args
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and bound in err, (args, err)
+        assert "Traceback" not in err
+
+
 def test_numerical_failure_is_not_a_config_error(capsys):
     # Im tau = 4 lies outside the range where the elliptic suites pass;
     # eta_at raises NotInCell (a ValueError) inside the suite.

@@ -1,0 +1,122 @@
+import numpy as np
+import pytest
+
+from heckelab.grassmannian import RANK_TOL, NotInCell, eta_vecs
+from heckelab.projective import (
+    NORM_TOL,
+    ProjPoint,
+    chordal,
+    chordal_vecs,
+    rank_one_column_space,
+    rank_one_column_spaces,
+)
+
+
+def _ref_rank_one(m, rank_tol=RANK_TOL, norm_tol=NORM_TOL):
+    """Reference copy of the one-matrix closed form the array form replaced."""
+    m = np.asarray(m, dtype=complex)
+    top = np.abs(m).max()
+    if top < norm_tol:
+        return None, 0.0, 0.0
+
+    def closed_form(mm):
+        g = mm @ mm.conj().T
+        p, q = g[0, 0].real, g[1, 1].real
+        r = g[0, 1]
+        disc = np.sqrt(max(0.25 * (p - q) ** 2 + abs(r) ** 2, 0.0))
+        lam1 = 0.5 * (p + q) + disc
+        s1 = np.sqrt(max(lam1, 0.0))
+        s2 = abs(np.linalg.det(mm)) / s1 if s1 > 0 else 0.0
+        v1 = np.array([r, lam1 - p])
+        v2 = np.array([lam1 - q, np.conj(r)])
+        v = v1 if np.linalg.norm(v1) >= np.linalg.norm(v2) else v2
+        if np.linalg.norm(v) < norm_tol * max(s1, 1.0):
+            v = np.array([1.0, 0.0]) if p >= q else np.array([0.0, 1.0])
+        return s1, s2, v
+
+    s1, s2, v = closed_form(m / top)
+    if s1 >= norm_tol and s2 <= rank_tol * s1:
+        return ProjPoint(v[0], v[1]), s1, s2
+    rs = np.abs(m).max(axis=1)
+    rs = np.where(rs > norm_tol * top, rs, top)
+    mb = m / rs[:, None]
+    cs = np.abs(mb).max(axis=0)
+    cs = np.where(cs > norm_tol, cs, 1.0)
+    s1b, s2b, vb = closed_form(mb / cs[None, :])
+    if s1b >= norm_tol and s2b <= rank_tol * s1b:
+        return ProjPoint(rs[0] * vb[0], rs[1] * vb[1]), s1b, s2b
+    return None, s1, s2
+
+
+def _unitary(rng):
+    q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return q
+
+
+def _with_singular_values(rng, count, s2):
+    return np.array([_unitary(rng) @ np.diag([1.0, s2]) @ _unitary(rng) for _ in range(count)])
+
+
+def _cases():
+    rng = np.random.default_rng(21)
+    u = rng.normal(size=(50, 2)) + 1j * rng.normal(size=(50, 2))
+    v = rng.normal(size=(50, 2)) + 1j * rng.normal(size=(50, 2))
+    rank1 = u[:, :, None] * v[:, None, :] * 10.0 ** rng.uniform(-6, 6, size=(50, 1, 1))
+    # Rows 1e+-12 apart: exactly rank 1 (both tests pass), and with the small
+    # row off the line at noise level (only the top-normalized test passes).
+    rows = np.where(rng.random((50, 1, 1)) < 0.5, [[1e12], [1e-12]], [[1e-12], [1e12]])
+    aniso = rows * rank1
+    noisy = aniso.copy()
+    small = np.argmin(np.abs(noisy).max(axis=2), axis=1)
+    noisy[np.arange(50), small] *= 1 + 1e-3 * (rng.normal(size=(50, 2)) + 1j * rng.normal(size=(50, 2)))
+    return {
+        "rank1": rank1,
+        "below-tol": _with_singular_values(rng, 20, 0.5 * RANK_TOL),
+        "above-tol": _with_singular_values(rng, 20, 2.0 * RANK_TOL),
+        "rows-1e12-apart": aniso,
+        "noise-level-row": noisy,
+        "zero-and-identity": np.array([np.zeros((2, 2)), np.eye(2)]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_cases()))
+def test_array_form_matches_reference(name):
+    mats = _cases()[name]
+    vecs, s1, s2, ok = rank_one_column_spaces(mats, rank_tol=RANK_TOL)
+    for i, m in enumerate(mats):
+        point, r1, r2 = _ref_rank_one(m)
+        assert bool(ok[i]) == (point is not None)
+        assert abs(s1[i] - r1) <= 1e-14 * max(r1, 1e-300)
+        assert abs(s2[i] - r2) <= 1e-14 * max(r1, 1e-300)
+        one, o1, o2 = rank_one_column_space(m, rank_tol=RANK_TOL)
+        assert (one is None) == (point is None)
+        assert (o1, o2) == pytest.approx((s1[i], s2[i]), rel=1e-14, abs=1e-14 * o1)
+        if point is not None:
+            assert chordal(ProjPoint(*vecs[i]), point) < 1e-14
+            assert chordal(one, point) < 1e-14
+
+
+def test_expected_decisions():
+    cases = _cases()
+    assert rank_one_column_spaces(cases["rank1"], RANK_TOL)[3].all()
+    assert rank_one_column_spaces(cases["below-tol"], RANK_TOL)[3].all()
+    assert not rank_one_column_spaces(cases["above-tol"], RANK_TOL)[3].any()
+    assert rank_one_column_spaces(cases["rows-1e12-apart"], RANK_TOL)[3].all()
+    assert rank_one_column_spaces(cases["noise-level-row"], RANK_TOL)[3].all()
+    assert not rank_one_column_spaces(cases["zero-and-identity"], RANK_TOL)[3].any()
+
+
+def test_one_full_rank_element_fails_the_batch():
+    mats = _cases()["rank1"].copy()
+    assert eta_vecs(mats).shape == (50, 2)
+    mats[17] = np.eye(2)
+    with pytest.raises(NotInCell, match=r"\(17,\)"):
+        eta_vecs(mats)
+
+
+def test_chordal_vecs_matches_points():
+    rng = np.random.default_rng(4)
+    u = rng.normal(size=(30, 2)) + 1j * rng.normal(size=(30, 2))
+    v = rng.normal(size=(30, 2)) + 1j * rng.normal(size=(30, 2))
+    want = [chordal(ProjPoint(*a), ProjPoint(*b)) for a, b in zip(u, v)]
+    assert np.allclose(chordal_vecs(u, v), want, rtol=1e-14, atol=0)

@@ -2,23 +2,104 @@ import numpy as np
 import pytest
 
 from heckelab.projective import ProjPoint, chordal
-from heckelab.rational import RationalHeckeStep, RationalSequence, random_minimal_sequence
+from heckelab.pseries import PolyMat2
+from heckelab.rational import (
+    RationalHeckeStep,
+    RationalSequence,
+    above_degree_matrix,
+    random_minimal_sequence,
+    sequence_coeffs,
+)
 from heckelab.seidel_smith import (
+    SPECTRUM_GAP,
     DegenerateSpectrum,
     ReductionFailure,
     SlodowyMatrix,
     chi,
     conjecture_check,
     conjecture_residual,
+    conjecture_residuals,
     kamnitzer,
-    left_eigenvector,
     separated_points,
+    slice_matrices,
     woodward,
+    woodward_vecs,
 )
 
 L1, L2 = 0.7 - 0.3j, 1.1 + 0.2j
 MU1, MU2 = 0.2 + 0.1j, 0.9 - 0.4j
 LB2 = L2 / (MU2 - MU1)
+
+
+def char_poly(s: SlodowyMatrix) -> np.ndarray:
+    """det(z^m - z^{m-1} Y_1 - ... - Y_m), ascending coefficients.
+
+    Independent of the dense eigensolve; the cross-check oracle for chi.
+    """
+    c = np.zeros((2, 2, s.m + 1), dtype=complex)
+    c[..., s.m] = np.eye(2)
+    for k, y in enumerate(s.blocks, start=1):
+        c[..., s.m - k] -= y
+    return PolyMat2(c).det()
+
+
+# Reference copy of the per-draw diagram check that the stacked pass
+# replaced: PolyMat2 products, one SVD, one lstsq and one SVD per
+# eigenvalue per sequence, and the scalar direction chain.
+
+
+def _ref_kamnitzer(seq):
+    n = len(seq)
+    m = n // 2
+    if not seq.terminal().is_semistable():
+        raise ReductionFailure("unstable terminal")
+    p = PolyMat2.identity()
+    for mat in seq.matrices():
+        p = p * mat
+    deg = 2 * m
+    _, s, vh = np.linalg.svd(above_degree_matrix(p.coeffs() / p.coeff_scale(), deg))
+    null = vh.conj().T[:, np.sum(s > 1e-9 * max(s[0], 1.0)):]
+    if null.shape[1] < 2 * m + 2:
+        raise ReductionFailure("deficient rank")
+    basis = np.array([np.concatenate([
+        np.convolve(p.c[i, 0], v[: deg + 1])[: deg + 1]
+        + np.convolve(p.c[i, 1], v[deg + 1:])[: deg + 1] for i in range(2)])
+        for v in null.T]).T
+    index = lambda k, j: j * (deg + 1) + k  # noqa: E731
+    cols = np.eye(2 * (deg + 1))[:, [index(m - 1 - blk, j) for blk in range(m) for j in range(2)]]
+    system = np.concatenate([cols, basis], axis=1)
+    targets = np.eye(2 * (deg + 1))[:, [index(m, 0), index(m, 1)]]
+    sol, _, rank, _ = np.linalg.lstsq(system, targets, rcond=None)
+    if rank < system.shape[1] or np.linalg.norm(system @ sol - targets, axis=0).max() > 1e-8:
+        raise ReductionFailure("singular")
+    a = np.zeros((n, n), dtype=complex)
+    a[: n - 2, 2:] = np.eye(n - 2)
+    a[:, :2] = sol[:n]
+    return a
+
+
+def _ref_woodward(a, eigenvalues):
+    for i in range(len(eigenvalues)):
+        for j in range(i + 1, len(eigenvalues)):
+            if abs(eigenvalues[i] - eigenvalues[j]) < SPECTRUM_GAP:
+                raise DegenerateSpectrum("collide")
+    out = []
+    for mu in eigenvalues:
+        v = np.linalg.svd(a.T - mu * np.eye(a.shape[0]))[2][-1].conj()
+        out.append(ProjPoint(v[-2], v[-1]))
+    return out
+
+
+def _ref_residual(seq):
+    w = _ref_woodward(_ref_kamnitzer(seq), seq.points)
+    return max(chordal(p.involution(), q) for p, q in zip(seq.h_map(), w))
+
+
+def _draws(m, samples, seed):
+    """The sequences ``conjecture_check`` draws, in its rng order."""
+    rng = np.random.default_rng(seed)
+    return [random_minimal_sequence(2 * m, rng, points=separated_points(2 * m, rng))
+            for _ in range(samples)]
 
 
 def alpha_form(l1=L1, l2=L2, mu1=MU1, mu2=MU2):
@@ -52,7 +133,7 @@ class TestChi:
             blocks = tuple(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
                            for _ in range(2))
             s = SlodowyMatrix(blocks)
-            roots = sorted(np.roots(s.char_poly()[::-1]), key=lambda v: (v.real, v.imag))
+            roots = sorted(np.roots(char_poly(s)[::-1]), key=lambda v: (v.real, v.imag))
             ev = sorted(chi(s), key=lambda v: (v.real, v.imag))
             assert max(abs(x - y) for x, y in zip(roots, ev)) < 1e-8
 
@@ -61,7 +142,7 @@ class TestChi:
         blocks = tuple(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
                        for _ in range(3))
         s = SlodowyMatrix(blocks)
-        roots = sorted(np.roots(s.char_poly()[::-1]), key=lambda v: (v.real, v.imag))
+        roots = sorted(np.roots(char_poly(s)[::-1]), key=lambda v: (v.real, v.imag))
         ev = sorted(chi(s), key=lambda v: (v.real, v.imag))
         assert max(abs(x - y) for x, y in zip(roots, ev)) < 1e-8
 
@@ -134,11 +215,11 @@ class TestWoodward:
                        for _ in range(2))
         s = SlodowyMatrix(blocks)
         dense = s.dense()
-        for mu in chi(s):
-            v = left_eigenvector(dense, mu)
-            assert np.abs(v @ dense - mu * v).max() < 1e-9
-            # v_{j-1} = mu v_j blockwise.
-            assert np.abs(v[0:2] - mu * v[2:4]).max() < 1e-9
+        ev = chi(s)
+        for mu, w in zip(ev, woodward_vecs(dense, ev)):
+            # v_{j-1} = mu v_j blockwise, so the last block determines v.
+            v = np.concatenate([mu * w, w])
+            assert np.abs(v @ dense - mu * v).max() < 1e-9 * np.abs(v).max()
 
     def test_at_most_m_coincidences(self):
         rng = np.random.default_rng(5)
@@ -166,6 +247,65 @@ class TestConjecture:
         assert conjecture_check(2, 60, rng) < 1e-8
 
     def test_m3_sweep_reports(self):
-        rng = np.random.default_rng(7)
-        residual = conjecture_check(3, 10, rng)
-        assert np.isfinite(residual)
+        residual = conjecture_check(3, 10, np.random.default_rng(7))
+        reference = max(_ref_residual(seq) for seq in _draws(3, 10, 7))
+        assert abs(residual - reference) < REFERENCE_BOUND[3]
+        assert residual < 1e-10
+
+
+#: Agreement of the stacked and per-draw residuals, both roundoff.  At m = 3
+#: the per-draw loop alone reads up to 1.6e-12 (seed 12345), so its bound
+#: leaves room for the reference's own error.
+REFERENCE_BOUND = {1: 1e-12, 2: 1e-12, 3: 5e-12}
+
+
+class TestStackedPass:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [7, 11, 12345])
+    def test_matches_per_draw_reference(self, m, seed):
+        samples = 200 if m <= 2 else 50
+        seqs = _draws(m, samples, seed)
+        batched = conjecture_residuals(seqs)
+        reference = np.array([_ref_residual(seq) for seq in seqs])
+        assert np.abs(batched - reference).max() < REFERENCE_BOUND[m]
+        assert conjecture_check(m, samples, np.random.default_rng(seed)) == batched.max()
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_element_matches_batch_of_one(self, m):
+        seqs = _draws(m, 12, 5)
+        _, coeffs, terminal = sequence_coeffs(seqs)
+        stacked = slice_matrices(coeffs, terminal)
+        residuals = conjecture_residuals(seqs)
+        for i, seq in enumerate(seqs):
+            alone = kamnitzer(seq)
+            assert np.abs(stacked[i] - alone).max() <= 1e-14 * np.abs(alone).max()
+            ref = _ref_kamnitzer(seq)
+            assert np.abs(stacked[i] - ref).max() <= 1e-10 * np.abs(ref).max()
+            assert abs(residuals[i] - conjecture_residual(seq)) < 1e-14
+
+    def test_unstable_terminal_in_batch_raises_like_scalar(self):
+        bad = RationalSequence((
+            RationalHeckeStep(MU1, ProjPoint(0.4, 1)),
+            RationalHeckeStep(MU2, ProjPoint(1, 0)),
+        ))
+        with pytest.raises(ReductionFailure):
+            _ref_residual(bad)
+        seqs = _draws(1, 5, 3)
+        with pytest.raises(ReductionFailure):
+            conjecture_residuals(seqs[:2] + [bad] + seqs[2:])
+
+    def test_submodule_of_wrong_dimension_raises(self):
+        _, coeffs, terminal = sequence_coeffs(_draws(1, 3, 2))
+        coeffs[1] = 0.0
+        coeffs[1, :, 0, 0, 0] = 1.0  # every step diag(1, 0): P is singular, every g qualifies
+        with pytest.raises(ReductionFailure, match="dimension"):
+            slice_matrices(coeffs, terminal)
+
+    def test_close_eigenvalues_in_batch_raise_like_scalar(self):
+        a = np.diag([MU1, MU2]).astype(complex)
+        close = [MU1, MU1 + 0.5 * SPECTRUM_GAP]
+        with pytest.raises(DegenerateSpectrum):
+            _ref_woodward(a, close)
+        eigenvalues = np.array([[MU1, MU2], close, [MU2, MU1]])
+        with pytest.raises(DegenerateSpectrum):
+            woodward_vecs(np.stack([a] * 3), eigenvalues)
