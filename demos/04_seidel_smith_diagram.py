@@ -32,7 +32,7 @@ print("direction tuple of the sequence:")
 for pt in seq.h_map():
     print(" ", pt, "->", pt.involution(), "after [x:y] -> [-y:x]")
 
-print(f"\ndiagram residual (closed-form case): {ss.conjecture_residual(seq):.3e}")
+print(f"\ndiagram residual (closed-form case): {ss.conjecture_residuals([seq])[0]:.3e}")
 
 rng = np.random.default_rng(3)
 for m in (1, 2, 3):

@@ -137,20 +137,20 @@ def eta_invariance_checks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return chordal_vecs(eta_vecs(left[..., 0]), eta_vecs(right[..., 0]))
 
 
-def eta_invariance_check(a: SeriesMat2, b: SeriesMat2) -> float:
-    """One pair of ``eta_invariance_checks``."""
-    return float(eta_invariance_checks(a.c, b.c))
-
-
-def constant_representative(point: ProjPoint) -> SeriesMat2:
-    """A unit constant matrix A with eta([A Z]) equal to ``point``.
+def constant_representatives(vecs: np.ndarray) -> np.ndarray:
+    """Unit constant matrices A (..., 2, 2) with eta([A Z]) the directions
+    ``vecs`` (..., 2).
 
     Completes (a, c) with the orthogonal column (-conj(c), conj(a)), so the
     determinant is |a|^2 + |c|^2 > 0.
     """
-    a, c = point.a, point.c
-    mat = np.array([[a, -np.conj(c)], [c, np.conj(a)]])
-    return SeriesMat2.constant(mat)
+    a, c = vecs[..., 0], vecs[..., 1]
+    return np.stack([np.stack([a, -c.conj()], axis=-1), np.stack([c, a.conj()], axis=-1)], axis=-2)
+
+
+def constant_representative(point: ProjPoint) -> SeriesMat2:
+    """One point of ``constant_representatives``, as a constant series."""
+    return SeriesMat2.constant(constant_representatives(point.vec))
 
 
 def random_unit(rng: np.random.Generator, order: int) -> SeriesMat2:
@@ -161,15 +161,16 @@ def random_unit(rng: np.random.Generator, order: int) -> SeriesMat2:
     """
     decay = 0.4 ** np.arange(order + 1)
     while True:
-        coeffs = rng.normal(size=(2, 2, order + 1)) + 1j * rng.normal(size=(2, 2, order + 1))
-        coeffs = coeffs * decay
-        m = SeriesMat2(coeffs)
-        if abs(np.linalg.det(m.constant_term())) > 0.3:
-            return m
+        re, im = rng.normal(size=(2, 2, 2, order + 1))
+        coeffs = (re + 1j * im) * decay
+        (a, b), (c, d) = coeffs[..., 0].tolist()
+        if abs(a * d - b * c) > 0.3:
+            return SeriesMat2(coeffs)
 
 
 def companion_residual(a: SeriesMat2) -> float:
-    """Coefficientwise residual of A(0) Z B = A Z for B = bruhat_companion(A)."""
+    """Coefficientwise residual of A(0) Z B = A Z for B = bruhat_companion(A),
+    the largest over a stack of A."""
     b = bruhat_companion(a)
     z = SeriesMat2.z_shift(0.0, a.order)
     lhs = SeriesMat2.constant(a.constant_term(), a.order) * z * b

@@ -100,9 +100,7 @@ def sphere_grid(count: int) -> list[ProjPoint]:
         cos_t = -1.0 + 2.0 * (i + 0.5) / k
         sin_t = np.sqrt(max(0.0, 1.0 - cos_t * cos_t))
         phi = i * 2.399963229728653
-        if 1.0 - cos_t < 1e-12:
-            pts.append(ProjPoint(0.0, 1.0))
-            continue
+        # 1 - cos_t >= 1/k, so the projection is finite.
         z = (sin_t / (1.0 - cos_t)) * np.exp(1j * phi)
         pts.append(ProjPoint(1.0, z))
     return pts[:count]

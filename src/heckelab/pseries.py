@@ -6,6 +6,8 @@ every coefficient and trailing zero coefficients are trimmed.
 ``SeriesMat2`` carries the local computations around a Bruhat-cell point:
 a series of order N = K - 1 stores the exact coefficients of z^0 .. z^N,
 and every arithmetic result carries the minimum order of its operands.
+Products, ``constant`` and ``constant_term`` also act on stacks: a ``c`` of
+shape (..., 2, 2, K) holds one matrix per leading index.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ class _Mat2:
 
     @classmethod
     def constant(cls, m, order: int = DEFAULT_ORDER):
-        c = np.zeros((2, 2, order + 1), dtype=complex)
+        c = np.zeros(np.shape(m) + (order + 1,), dtype=complex)
         c[..., 0] = m
         return cls(c)
 
@@ -168,7 +170,7 @@ def series_product(x: np.ndarray, y: np.ndarray, size: int | None = None) -> np.
 
 
 def bruhat_companion(a: SeriesMat2) -> SeriesMat2:
-    """The unit B with A(0) Z B = A Z, where Z = diag(1, z).
+    """The unit B with A(0) Z B = A Z, where Z = diag(1, z), for each A of a stack.
 
     B = 1 + z Z^{-1} A(0)^{-1} A_1 Z with A(z) = A(0) + z A_1(z).  The
     conjugation by Z keeps everything inside the power-series ring:
@@ -176,14 +178,14 @@ def bruhat_companion(a: SeriesMat2) -> SeriesMat2:
     """
     n = a.order
     a0 = a.constant_term()
-    if abs(np.linalg.det(a0)) <= UNIT_TOL:
+    if (abs(np.linalg.det(a0)) <= UNIT_TOL).any():
         raise NonUnit("A(0) is not invertible")
     # M = A(0)^{-1} A_1 with A_1 = (A - A(0)) / z, honest order n - 1.
-    m = np.einsum("il,ljk->ijk", np.linalg.inv(a0), a.c[..., 1:])
-    b = np.zeros((2, 2, n), dtype=complex)
-    b[0, 0, 1:] = m[0, 0, : n - 1]
-    b[0, 1, 2:] = m[0, 1, : n - 2]
-    b[1, 0] = m[1, 0]
-    b[1, 1, 1:] = m[1, 1, : n - 1]
+    m = np.einsum("...il,...ljk->...ijk", np.linalg.inv(a0), a.c[..., 1:])
+    b = np.zeros(a.c.shape[:-1] + (n,), dtype=complex)
+    b[..., 0, 0, 1:] = m[..., 0, 0, : n - 1]
+    b[..., 0, 1, 2:] = m[..., 0, 1, : n - 2]
+    b[..., 1, 0, :] = m[..., 1, 0, :]
+    b[..., 1, 1, 1:] = m[..., 1, 1, : n - 1]
     b[..., 0] += np.eye(2)
     return SeriesMat2(b)

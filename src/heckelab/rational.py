@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .projective import PROJ_TOL, ProjPoint, chordal
-from .grassmannian import chain_directions
+from .projective import PROJ_TOL, ProjPoint, chordal_vecs
+from .grassmannian import chain_direction_vecs, constant_representatives
 from .pseries import PolyMat2
 
 #: Minimum separation of modification points within one sequence.
@@ -132,7 +132,8 @@ class RationalSequence:
 
     def h_map(self) -> list[ProjPoint]:
         """Direction tuple in the trivialization of the base bundle."""
-        return h_values(self.matrices(), self.points)
+        points, coeffs, _ = sequence_coeffs([self])
+        return [ProjPoint(a, c) for a, c in h_vecs(points, coeffs)[0]]
 
 
 def morphism_matrix(b: RationalBundle, step: RationalHeckeStep) -> PolyMat2:
@@ -193,9 +194,13 @@ def composites(coeffs: np.ndarray) -> np.ndarray:
     return np.moveaxis(p, 1, -1)
 
 
-def h_values(matrices: list[PolyMat2], points: list[complex]) -> list[ProjPoint]:
-    """h_i = eta of the composite of the first i matrices at the i-th point."""
-    return chain_directions(matrices, points)
+def h_vecs(points: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Direction tuples (B, n, 2) of stacked sequences, from the points (B, n)
+    and step coefficients (B, n, 2, 2, 2) of ``sequence_coeffs``: h_i is eta
+    of the composite of the first i table matrices at the i-th point."""
+    # Step k evaluated at point i, for the direction chain of the sequence.
+    factors = coeffs[:, :, None, ..., 0] + coeffs[:, :, None, ..., 1] * points[:, None, :, None, None]
+    return chain_direction_vecs(factors)
 
 
 def chart_convert(
@@ -253,17 +258,23 @@ def tuple_composites(points, vecs) -> tuple[np.ndarray, np.ndarray]:
     p = np.zeros((batch, n + 1, 2, 2), dtype=complex)
     p[:, 0] = np.eye(2)
     for i, mu in enumerate(points[:n]):
-        val = np.tensordot(mu ** np.arange(i + 1), p[:, : i + 1], axes=(0, 1))
-        v = np.linalg.solve(val, vecs[:, i, :, None])[..., 0]
+        # P_{i-1}(mu) by Horner's rule, then v = adj(val) a / det(val); the
+        # points are MIN_POINT_SEP apart, so val is invertible.
+        val = p[:, i]
+        for k in range(i - 1, -1, -1):
+            val = val * mu + p[:, k]
+        (a, b), (c, d) = np.moveaxis(val, 0, -1)
+        x, y = vecs[:, i, 0], vecs[:, i, 1]
+        v = np.stack([d * x - b * y, a * y - c * x], axis=-1) / (a * d - b * c)[:, None]
         v /= np.linalg.norm(v, axis=-1, keepdims=True)
-        c = completions[:, i]
-        c[..., 0] = v
-        c[..., 1] = np.stack([-v[:, 1].conj(), v[:, 0].conj()], axis=-1)
-        q = p[:, : i + 1] @ c[:, None]
-        p[:, : i + 1, :, 0] = q[..., 0]
+        c = completions[:, i] = constant_representatives(v)
+        # Times C diag(1, z - mu), one column of C at a time.
+        q = p[:, : i + 1]
+        q0, q1 = (q[..., 0] * c[:, None, None, 0, j] + q[..., 1] * c[:, None, None, 1, j] for j in (0, 1))
+        p[:, : i + 1, :, 0] = q0
         p[:, 0, :, 1] = 0.0
-        p[:, 1 : i + 2, :, 1] = q[..., 1]
-        p[:, : i + 1, :, 1] -= mu * q[..., 1]
+        p[:, 1 : i + 2, :, 1] = q1
+        p[:, : i + 1, :, 1] -= mu * q1
     return completions, np.moveaxis(p, 1, -1)
 
 
@@ -320,18 +331,8 @@ def terminal_hecke_lengths(points, vecs) -> np.ndarray:
     return n - 2 * min_column_degrees(tuple_composites(points, vecs)[1], n)
 
 
-def matrices_from_tuple(points: list[complex], dirs: list[ProjPoint]) -> list[PolyMat2]:
-    """Morphism matrices realizing a prescribed direction tuple."""
-    completions, _ = tuple_composites(points, direction_vecs([dirs]))
-    return [PolyMat2.constant(c) * PolyMat2.z_shift(mu) for c, mu in zip(completions[0], points)]
-
-
-def composite_from_tuple(points: list[complex], dirs: list[ProjPoint]) -> PolyMat2:
-    return PolyMat2(tuple_composites(points, direction_vecs([dirs]))[1][0])
-
-
 def min_column_degree(p: PolyMat2, tol: float = 1e-9) -> int:
-    """Smallest d with a nonzero polynomial vector g, deg(P g) <= d."""
+    """One composite of ``min_column_degrees``."""
     n = p.det().size - 1
     return int(min_column_degrees(p.coeffs()[None], n, tol)[0])
 
@@ -351,18 +352,22 @@ def membership_H(n: int, dirs: list[ProjPoint], points: list[complex] | None = N
     return terminal_hecke_length(points, dirs) == n % 2
 
 
+def membership_H_closed_forms(vecs: np.ndarray) -> np.ndarray:
+    """``membership_H`` of stacked direction tuples (B, n, 2), n <= 3, by the
+    closed-form complements: for n = 2 and 3 a tuple is outside H exactly
+    when all its directions coincide."""
+    n = vecs.shape[1]
+    if n > 3:
+        raise ValueError("closed forms cover n <= 3 only")
+    near = chordal_vecs(vecs[:, :-1], vecs[:, 1:]) < PROJ_TOL
+    return ~near.all(axis=1) | (n < 2)
+
+
 def membership_H_closed_form(n: int, dirs: list[ProjPoint]) -> bool:
-    """Closed-form complement descriptions, available for n <= 3."""
-    if n == 0 or n == 1:
-        return True
-    if n == 2:
-        return chordal(dirs[0], dirs[1]) >= PROJ_TOL
-    if n == 3:
-        return not (
-            chordal(dirs[0], dirs[1]) < PROJ_TOL
-            and chordal(dirs[1], dirs[2]) < PROJ_TOL
-        )
-    raise ValueError("closed forms cover n <= 3 only")
+    """One tuple of ``membership_H_closed_forms``."""
+    if len(dirs) != n:
+        raise ValueError("need exactly n directions")
+    return bool(membership_H_closed_forms(direction_vecs([dirs]))[0])
 
 
 def random_minimal_sequence(

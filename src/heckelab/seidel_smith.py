@@ -15,12 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grassmannian import chain_direction_vecs
 from .projective import ProjPoint, chordal_vecs
 from .rational import (
     RationalSequence,
     above_degree_matrix,
     composites,
+    h_vecs,
     product_matrix,
     random_minimal_sequence,
     sequence_coeffs,
@@ -157,15 +157,8 @@ def conjecture_residuals(seqs) -> np.ndarray:
     """
     points, coeffs, terminal = sequence_coeffs(seqs)
     w = woodward_vecs(slice_matrices(coeffs, terminal), points)
-    # Step k at point i, for the direction chain of the sequence.
-    factors = coeffs[:, :, None, ..., 0] + coeffs[:, :, None, ..., 1] * points[:, None, :, None, None]
-    h = chain_direction_vecs(factors)
+    h = h_vecs(points, coeffs)
     return chordal_vecs(np.stack([-h[..., 1], h[..., 0]], axis=-1), w).max(axis=-1)
-
-
-def conjecture_residual(seq: RationalSequence) -> float:
-    """One sequence of ``conjecture_residuals``."""
-    return float(conjecture_residuals([seq])[0])
 
 
 def separated_points(count: int, rng: np.random.Generator, gap: float = 0.3) -> list[complex]:

@@ -13,13 +13,14 @@ import numpy as np
 
 from .cli_errors import ConfigError
 from . import theta as th
-from .projective import ProjPoint, chordal, random_point, sphere_grid
+from .projective import ProjPoint, chordal, chordal_vecs, random_point, sphere_grid
 from .pseries import SeriesMat2, DEFAULT_ORDER
 from .grassmannian import (
     companion_residual,
-    constant_representative,
+    constant_representatives,
     eta_at,
     eta_invariance_checks,
+    eta_vecs,
     in_bruhat_cell,
     random_unit,
 )
@@ -138,18 +139,15 @@ def verify_eta(report, config, rng):
     report.add("right-multiplication-invariance",
                f"{n_pairs} random unit pairs at order {DEFAULT_ORDER}", worst, tol)
 
-    worst = 0.0
-    for _ in range(100):
-        a = random_unit(rng, DEFAULT_ORDER)
-        worst = max(worst, companion_residual(a))
-    report.add("companion-factorization", "A(0) Z B = A Z coefficientwise", worst, 1e-12)
+    units = SeriesMat2(np.array([random_unit(rng, DEFAULT_ORDER).c for _ in range(100)]))
+    report.add("companion-factorization", "A(0) Z B = A Z coefficientwise",
+               companion_residual(units), 1e-12)
 
-    worst = 0.0
-    for point in sphere_grid(32):
-        rep = constant_representative(point)
-        z = SeriesMat2.z_shift(0.0, DEFAULT_ORDER)
-        worst = max(worst, chordal(eta_at(rep * z, 0.0), point))
-    report.add("surjectivity-grid", "constructive preimages on a 32-point grid", worst, 1e-12)
+    grid = rat.direction_vecs([sphere_grid(32)])[0]
+    reps = SeriesMat2.constant(constant_representatives(grid))
+    eta = eta_vecs((reps * SeriesMat2.z_shift(0.0, DEFAULT_ORDER)).constant_term())
+    report.add("surjectivity-grid", "constructive preimages on a 32-point grid",
+               float(chordal_vecs(eta, grid).max()), 1e-12)
 
     ok = in_bruhat_cell(SeriesMat2.z_shift(0.0, DEFAULT_ORDER))
     ok &= not in_bruhat_cell(SeriesMat2.identity(DEFAULT_ORDER))
@@ -158,42 +156,42 @@ def verify_eta(report, config, rng):
     report.add_flag("cell-membership", "pivot in, identity and diag(z, z) out", ok)
 
     # Closed forms for the two-modification sequences: directions of the two
-    # standard shapes as functions of the step parameters.
-    worst_a = worst_b = 0.0
-    for _ in range(100):
-        l1, l2 = rng.normal() + 1j * rng.normal(), rng.normal() + 1j * rng.normal()
-        mu1 = rng.normal() + 1j * rng.normal()
-        mu2 = mu1 + (rng.normal() + 1j * rng.normal()) * 0.5 + 1.0
-        lb2 = l2 / (mu2 - mu1)
-        seq = rat.RationalSequence((
-            rat.RationalHeckeStep(mu1, ProjPoint(l1, 1)),
-            rat.RationalHeckeStep(mu2, ProjPoint(l2, 1)),
-        ))
-        h = seq.h_map()
-        worst_a = max(worst_a, chordal(h[0], ProjPoint(l1, 1)),
-                      chordal(h[1], ProjPoint(l1 * lb2 + 1, lb2)))
-        seqb = rat.RationalSequence((
-            rat.RationalHeckeStep(mu1, ProjPoint(1, 0)),
-            rat.RationalHeckeStep(mu2, ProjPoint(l2, 1)),
-        ))
-        hb = seqb.h_map()
-        worst_b = max(worst_b, chordal(hb[0], ProjPoint(1, 0)),
-                      chordal(hb[1], ProjPoint(lb2, 1)))
+    # standard shapes as functions of the step parameters.  Each row draws
+    # l1, l2, mu1 and the step to mu2, real part first, as scalar draws did.
+    g = rng.normal(size=(100, 4, 2))
+    l1, l2, mu1, step = np.moveaxis(g[..., 0] + 1j * g[..., 1], 1, 0)
+    mu2 = mu1 + step * 0.5 + 1.0
+    lb2, one = l2 / (mu2 - mu1), np.ones_like(l1)
+    generic, special = _two_step_directions(l1, l2, mu1, mu2)
+    want = np.stack([l1, one, l1 * lb2 + 1, lb2], -1).reshape(-1, 2, 2)
     report.add("two-step-directions-generic", "closed form with the unit lower row",
-               worst_a, 1e-10)
+               float(chordal_vecs(generic, want).max()), 1e-10)
+    want = np.stack([one, 0 * one, lb2, one], -1).reshape(-1, 2, 2)
     report.add("two-step-directions-special", "closed form with the pivot first step",
-               worst_b, 1e-10)
+               float(chordal_vecs(special, want).max()), 1e-10)
 
-    worst = 0.0
-    for _ in range(100):
-        c = rng.normal(size=4) + 1j * rng.normal(size=4)
-        m = constant_representative(ProjPoint(c[0], c[1]))
-        left = eta_at((m * SeriesMat2.z_shift(0.0, DEFAULT_ORDER)), 0.0)
-        cm = np.array([[c[2], 1], [1, 0]])
-        conj = SeriesMat2.constant(cm, DEFAULT_ORDER) * m * SeriesMat2.z_shift(0.0, DEFAULT_ORDER)
-        worst = max(worst, chordal(eta_at(conj, 0.0), left.apply(cm)))
+    g = rng.normal(size=(100, 2, 4))
+    moved, conj = _left_equivariance(g[:, 0] + 1j * g[:, 1])
     report.add("left-equivariance", "constant frame changes act projectively",
-               worst, 1e-9)
+               float(chordal_vecs(conj, moved).max()), 1e-9)
+
+
+def _two_step_directions(l1, l2, mu1, mu2):
+    """Direction tuples (B, 2, 2) of the sequences of O + O with directions
+    [l1:1], [l2:1] (generic) and [1:0], [l2:1] (special) at mu1, mu2."""
+    points, lam = np.stack([mu1, mu2], -1), np.stack([l1, l2], -1)
+    first = np.broadcast_to([True, False], points.shape)  # the step from semistable O + O
+    return [rat.h_vecs(points, rat.table_coeffs(points, lam, first & pivot, first))
+            for pivot in (False, True)]
+
+
+def _left_equivariance(c):
+    """C eta(A Z) and eta(C A Z), each (B, 2), for A the constant representative
+    of [c0:c1] and C = [[c2, 1], [1, 0]], per row of c (B, 4)."""
+    az = SeriesMat2.constant(constant_representatives(c[:, :2])) * SeriesMat2.z_shift(0.0, DEFAULT_ORDER)
+    cm = np.stack([c[:, 2], np.ones(len(c)), np.ones(len(c)), np.zeros(len(c))], -1).reshape(-1, 2, 2)
+    return (np.einsum("bij,bj->bi", cm, eta_vecs(az.constant_term())),
+            eta_vecs((SeriesMat2.constant(cm) * az).constant_term()))
 
 
 def verify_rational_tables(report, config, rng):
@@ -544,11 +542,12 @@ def compute_space(report, config, rng):
 S2_CHUNK = 400
 
 
-def _s2_members(n, tuples):
-    """(tuple, membership_H) pairs over an iterable, decided S2_CHUNK at a time."""
-    pts = rat.default_points(n)
-    while chunk := list(itertools.islice(tuples, S2_CHUNK)):
-        yield from zip(chunk, rat.terminal_hecke_lengths(pts, rat.direction_vecs(chunk)) == n % 2)
+def _random_tuples(rng, n, count):
+    """``count`` tuples of n ``random_point`` draws, in draw order, as
+    (k, n, 2) arrays of at most S2_CHUNK tuples."""
+    for start in range(0, count, S2_CHUNK):
+        yield rat.direction_vecs([[random_point(rng) for _ in range(n)]
+                                  for _ in range(min(S2_CHUNK, count - start))])
 
 
 def _compute_space_s2(report, config, rng, n):
@@ -556,20 +555,21 @@ def _compute_space_s2(report, config, rng, n):
         report.add_flag("empty-sequence", "zero modifications stay minimal",
                         rat.membership_H(0, []))
         return
+    pts = rat.default_points(n)
     if n <= 3:
-        grid = sphere_grid(20)
-        tuples = itertools.chain(
-            ([grid[i] for i in combo] for combo in itertools.product(range(20), repeat=n)),
-            ([random_point(rng) for _ in range(n)] for _ in range(200)))
-        disagree = sum(bool(member) != rat.membership_H_closed_form(n, dirs)
-                       for dirs, member in _s2_members(n, tuples))
+        grid = rat.direction_vecs([sphere_grid(20)])[0]
+        idx = np.indices((20,) * n).reshape(n, -1).T  # itertools.product order
+        chunks = itertools.chain((grid[idx[s : s + S2_CHUNK]] for s in range(0, len(idx), S2_CHUNK)),
+                                 _random_tuples(rng, n, 200))
+        disagree = sum(int(((rat.terminal_hecke_lengths(pts, vecs) == n % 2)
+                            != rat.membership_H_closed_forms(vecs)).sum()) for vecs in chunks)
         report.add_flag("closed-form-agreement",
                         f"grid of 20 per axis plus 200 random tuples ({20 ** n + 200} total)",
                         disagree == 0, inputs=f"disagreements={disagree}")
     else:
         draws = _n(config, 200)
-        tuples = ([random_point(rng) for _ in range(n)] for _ in range(draws))
-        members = sum(bool(member) for _, member in _s2_members(n, tuples))
+        members = sum(int((rat.terminal_hecke_lengths(pts, vecs) == n % 2).sum())
+                      for vecs in _random_tuples(rng, n, draws))
         report.add(f"member-fraction-n{n}", "no closed form; random sampling only",
                    members / draws, None)
 

@@ -2,18 +2,20 @@ import numpy as np
 import pytest
 
 from heckelab import rational as rat
+from heckelab import suites
 from heckelab.grassmannian import (
     NotInCell,
     chain_directions,
+    companion_residual,
     constant_representative,
     eta_at,
-    eta_invariance_check,
+    eta_invariance_checks,
     in_bruhat_cell,
     prefix_product,
     random_unit,
 )
 from heckelab.projective import ProjPoint, chordal, sphere_grid
-from heckelab.pseries import PolyMat2, SeriesMat2
+from heckelab.pseries import PolyMat2, SeriesMat2, bruhat_companion
 
 
 def test_eta_of_pivot_matrix():
@@ -55,13 +57,13 @@ def test_in_bruhat_cell():
 
 def test_invariance_trivial_and_random():
     ident = SeriesMat2.identity(8)
-    assert eta_invariance_check(ident, ident) == 0.0
+    assert eta_invariance_checks(ident.c, ident.c) == 0.0
     rng = np.random.default_rng(5)
     a = random_unit(rng, 8)
-    assert eta_invariance_check(a, ident) < 1e-12
+    assert eta_invariance_checks(a.c, ident.c) < 1e-12
     worst = 0.0
     for _ in range(100):
-        worst = max(worst, eta_invariance_check(random_unit(rng, 8), random_unit(rng, 8)))
+        worst = max(worst, eta_invariance_checks(random_unit(rng, 8).c, random_unit(rng, 8).c))
     assert worst < 1e-9
 
 
@@ -96,3 +98,44 @@ def test_chain_directions_match_the_composite():
             assert np.allclose(prefix_product(mats, mu), full(mu))
             comp = comp * mat
             assert chordal(eta_at(comp, mu), d) < 1e-9
+
+
+def test_h_map_matches_the_scalar_chain():
+    rng = np.random.default_rng(40)
+    for n in (1, 2, 4, 6):
+        for _ in range(10):
+            seq = rat.random_minimal_sequence(n, rng)
+            scalar = chain_directions(seq.matrices(), seq.points)
+            assert max(chordal(x, y) for x, y in zip(seq.h_map(), scalar)) < 1e-13
+
+
+def test_stacked_verify_eta_paths_match_the_scalar_ones():
+    rng = np.random.default_rng(41)
+    g = rng.normal(size=(50, 4, 2))
+    l1, l2, mu1, step = np.moveaxis(g[..., 0] + 1j * g[..., 1], 1, 0)
+    mu2 = mu1 + step * 0.5 + 1.0
+    generic, special = suites._two_step_directions(l1, l2, mu1, mu2)
+    for k in range(50):
+        for first, stacked in ((ProjPoint(l1[k], 1), generic[k]), (ProjPoint(1, 0), special[k])):
+            seq = rat.RationalSequence((rat.RationalHeckeStep(mu1[k], first),
+                                        rat.RationalHeckeStep(mu2[k], ProjPoint(l2[k], 1))))
+            scalar = chain_directions(seq.matrices(), seq.points)
+            assert max(chordal(ProjPoint(*v), d) for v, d in zip(stacked, scalar)) < 1e-13
+
+    c = rng.normal(size=(50, 4)) + 1j * rng.normal(size=(50, 4))
+    moved, conj = suites._left_equivariance(c)
+    z = SeriesMat2.z_shift(0.0, 8)
+    for k in range(50):
+        m = constant_representative(ProjPoint(c[k, 0], c[k, 1]))
+        cm = np.array([[c[k, 2], 1], [1, 0]])
+        assert chordal(ProjPoint(*moved[k]), eta_at(m * z, 0.0).apply(cm)) < 1e-13
+        assert chordal(ProjPoint(*conj[k]), eta_at(SeriesMat2.constant(cm, 8) * m * z, 0.0)) < 1e-13
+
+
+def test_stacked_companion_residual_is_the_worst_of_the_stack():
+    rng = np.random.default_rng(42)
+    units = [random_unit(rng, 8) for _ in range(20)]
+    stacked = companion_residual(SeriesMat2(np.array([u.c for u in units])))
+    assert stacked == max(companion_residual(u) for u in units)
+    b = bruhat_companion(SeriesMat2(np.array([u.c for u in units])))
+    assert all(np.array_equal(b.c[k], bruhat_companion(u).c) for k, u in enumerate(units))

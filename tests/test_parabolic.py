@@ -28,7 +28,9 @@ from heckelab.parabolic import (
     rational_terminal_class,
     stability,
 )
+from heckelab.grassmannian import chain_directions
 from heckelab.projective import ProjPoint, chordal, random_point
+from heckelab.pseries import PolyMat2
 from heckelab.rational import RationalBundle
 from heckelab.torus import CurvePoint, Lattice
 
@@ -36,6 +38,12 @@ LAT = Lattice()
 RNG = np.random.default_rng(20)
 A, B, C = ProjPoint(1, 0), ProjPoint(0, 1), ProjPoint(1, 1)
 O00 = RationalBundle(0, 0)
+
+
+def tuple_matrices(points, dirs):
+    """The factors C_i diag(1, z - mu_i) that tuple_composites realizes."""
+    completions = rat.tuple_composites(points, rat.direction_vecs([dirs]))[0][0]
+    return [PolyMat2.constant(c) * PolyMat2.z_shift(mu) for c, mu in zip(completions, points)]
 
 
 def rpt(rng=RNG):
@@ -123,7 +131,7 @@ class TestCorrespondence:
         marks = par.lines_from_sequence(seq)
         points, dirs = par.tuple_from_lines(marks)
         assert points == seq.points
-        back = rat.h_values(rat.matrices_from_tuple(points, dirs), points)
+        back = chain_directions(tuple_matrices(points, dirs), points)
         assert max(chordal(x, y) for x, y in zip(back, dirs)) < 1e-9
 
     def test_permutation_invariance_of_terminal(self):
@@ -208,8 +216,7 @@ class TestEmbedding:
         a = ProjPoint(0.5, 1)
         # Directions are read from the composite; realize an equal pair.
         pts = rat.default_points(2)
-        mats = rat.matrices_from_tuple(pts, [a, a])
-        dirs = rat.h_values(mats, pts)
+        dirs = chain_directions(tuple_matrices(pts, [a, a]), pts)
         seq_steps = []
         prefix = np.eye(2, dtype=complex)
         current = RationalBundle(0, 0)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heckelab.grassmannian import companion_residual, eta_invariance_check, random_unit
+from heckelab.grassmannian import companion_residual, eta_invariance_checks, random_unit
 from heckelab.pseries import (
     DEFAULT_ORDER,
     NonUnit,
@@ -122,7 +122,7 @@ def test_nonunit_raises():
     with pytest.raises(NonUnit):
         bruhat_companion(z)
     with pytest.raises(NonUnit):
-        eta_invariance_check(z, SeriesMat2.identity(4))
+        eta_invariance_checks(z.c, SeriesMat2.identity(4).c)
 
 
 @settings(max_examples=60, deadline=None)

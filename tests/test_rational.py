@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from heckelab import rational as rat
-from heckelab.grassmannian import eta_at
+from heckelab.grassmannian import chain_directions, eta_at
 from heckelab.projective import ProjPoint, chordal, random_point, sphere_grid
 from heckelab.rational import (
     NotGlobal,
@@ -137,8 +137,7 @@ class TestHMap:
         for n in (1, 2, 3, 4, 5):
             pts = rat.default_points(n)
             dirs = [random_point(rng) for _ in range(n)]
-            mats = rat.matrices_from_tuple(pts, dirs)
-            back = rat.h_values(mats, pts)
+            back = chain_directions(tuple_matrices(pts, dirs), pts)
             assert max(chordal(x, y) for x, y in zip(back, dirs)) < 1e-10
 
     def test_coincident_points_rejected(self):
@@ -181,8 +180,8 @@ class TestMembership:
         # Equal first r directions leave the terminal at split type (0, -r).
         a = self.A
         pts = rat.default_points(3)
-        p = rat.composite_from_tuple(pts, [a, a, a])
-        assert rat.min_column_degree(p) == 0
+        _, p = rat.tuple_composites(pts, rat.direction_vecs([[a, a, a]]))
+        assert rat.min_column_degrees(p, 3).tolist() == [0]
 
     def test_n4_lengths(self):
         pts = rat.default_points(4)
@@ -206,8 +205,14 @@ def test_random_minimal_sequences_are_minimal():
 # The batched membership core against the per-tuple loops it replaced.
 
 
+def tuple_matrices(points, dirs):
+    """The factors C_i diag(1, z - mu_i) that tuple_composites realizes."""
+    completions = rat.tuple_composites(points, rat.direction_vecs([dirs]))[0][0]
+    return [PolyMat2.constant(c) * PolyMat2.z_shift(mu) for c, mu in zip(completions, points)]
+
+
 def reference_step(mats, mu, a):
-    """One step of the loop-based matrices_from_tuple."""
+    """One step of the loop-based tuple realization."""
     val = np.eye(2, dtype=complex)
     for mat in mats:
         val = val @ mat(mu)
@@ -342,8 +347,141 @@ class TestBatchedCore:
         batch = batched_lengths(pts, tuples)
         for dirs, length in zip(tuples, batch):
             assert rat.terminal_hecke_length(pts, dirs) == length
-            p = rat.composite_from_tuple(pts, dirs)
+            p = rat.tuple_composites(pts, rat.direction_vecs([dirs]))[1][0]
             ref = reference_composite(pts, dirs)
-            assert np.abs(p.coeffs() - ref.coeffs()).max() < 1e-13
+            assert np.abs(p - ref.coeffs()).max() < 1e-13
             assert rat.min_column_degree(ref) == reference_min_column_degree(ref)
             assert rat.membership_H(4, dirs, pts) == (length == 0)
+
+
+# ---------------------------------------------------------------------------
+# The closed forms on arrays, and the adjugate solve of tuple_composites.
+
+
+class TestClosedForms:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_agree_with_the_numerical_membership(self, n):
+        import itertools
+
+        grid = sphere_grid(20)
+        tuples = [list(c) for c in itertools.product(grid, repeat=n)]
+        # Repeated directions with one moved off at a chordal offset on
+        # either side of both tolerances; offsets from about 1e-10 to 1e-8
+        # lie between the SVD tolerance and PROJ_TOL, where the two tests
+        # disagree.
+        for offset in (1e-12, 1e-6):
+            for b in grid:
+                for last in range(n):
+                    dirs = [b] * n
+                    dirs[last] = chordal_offset(b, offset)
+                    tuples.append(dirs)
+        vecs = rat.direction_vecs(tuples)
+        closed = rat.membership_H_closed_forms(vecs)
+        numerical = rat.terminal_hecke_lengths(rat.default_points(n), vecs) == n % 2
+        assert closed.tolist() == numerical.tolist()
+        assert closed.tolist() == [rat.membership_H_closed_form(n, d) for d in tuples]
+        assert closed.sum() == len(tuples) - 20 - 20 * n  # coincident grid and 1e-12 tuples
+
+    def test_small_n(self):
+        vecs = rat.direction_vecs([[d] for d in sphere_grid(5)])
+        assert rat.membership_H_closed_forms(vecs).all()
+        assert rat.membership_H_closed_forms(np.zeros((3, 0, 2), complex)).all()
+        with pytest.raises(ValueError):
+            rat.membership_H_closed_forms(np.ones((1, 4, 2), complex))
+
+
+def reference_tuple_composites(points, vecs):
+    """tuple_composites with the prefix summed over powers of mu and one
+    LAPACK solve per matrix."""
+    batch, n = vecs.shape[:2]
+    completions = np.empty((batch, n, 2, 2), dtype=complex)
+    p = np.zeros((batch, n + 1, 2, 2), dtype=complex)
+    p[:, 0] = np.eye(2)
+    for i, mu in enumerate(points[:n]):
+        val = np.tensordot(mu ** np.arange(i + 1), p[:, : i + 1], axes=(0, 1))
+        v = np.linalg.solve(val, vecs[:, i, :, None])[..., 0]
+        v /= np.linalg.norm(v, axis=-1, keepdims=True)
+        c = completions[:, i]
+        c[..., 0] = v
+        c[..., 1] = np.stack([-v[:, 1].conj(), v[:, 0].conj()], axis=-1)
+        q = p[:, : i + 1] @ c[:, None]
+        p[:, : i + 1, :, 0] = q[..., 0]
+        p[:, 0, :, 1] = 0.0
+        p[:, 1 : i + 2, :, 1] = q[..., 1]
+        p[:, : i + 1, :, 1] -= mu * q[..., 1]
+    return completions, np.moveaxis(p, 1, -1)
+
+
+def mp_tuple_composites(points, vecs, dps=50):
+    """reference_tuple_composites in mpmath at ``dps`` digits, rounded."""
+    import mpmath as mp
+
+    out = []
+    with mp.workdps(dps):
+        for tup in vecs:
+            p = [mp.eye(2)]
+            for mu, a in zip(map(mp.mpc, points), tup):
+                val = mp.zeros(2, 2)
+                for k, pk in enumerate(p):
+                    val += pk * mu ** k
+                v = mp.lu_solve(val, mp.matrix([[mp.mpc(a[0])], [mp.mpc(a[1])]]))
+                v /= mp.sqrt(abs(v[0]) ** 2 + abs(v[1]) ** 2)
+                c = mp.matrix([[v[0], -mp.conj(v[1])], [v[1], mp.conj(v[0])]])
+                q = [pk * c for pk in p]
+                p = [mp.zeros(2, 2) for _ in range(len(p) + 1)]
+                for k, qk in enumerate(q):
+                    for r in range(2):
+                        p[k][r, 0] += qk[r, 0]
+                        p[k + 1][r, 1] += qk[r, 1]
+                        p[k][r, 1] -= mu * qk[r, 1]
+            out.append([[[complex(pk[r, j]) for pk in p] for j in range(2)] for r in range(2)])
+    return np.array(out)
+
+
+def random_tuples_with_blocks(rng, n, count):
+    tuples = []
+    for k in range(count):
+        dirs = [random_point(rng) for _ in range(n)]
+        if k % 2:
+            r = int(rng.integers(1, n + 1))
+            dirs[:r] = [dirs[0]] * r
+        tuples.append(dirs)
+    return rat.direction_vecs(tuples)
+
+
+def max_rel(x, ref):
+    return float((np.abs(x - ref).max(axis=(1, 2, 3)) / np.abs(ref).max(axis=(1, 2, 3))).max())
+
+
+class TestAdjugateSolve:
+    def test_matches_the_lapack_reference(self):
+        rng = np.random.default_rng(31)
+        for n in range(1, 7):
+            pts = rat.default_points(n)
+            vecs = random_tuples_with_blocks(rng, n, 200)
+            completions, coeffs = rat.tuple_composites(pts, vecs)
+            ref_completions, ref = reference_tuple_composites(pts, vecs)
+            assert max_rel(coeffs, ref) < 1e-12
+            assert np.abs(completions - ref_completions).max() < 1e-12
+            assert (rat.min_column_degrees(coeffs, n) == rat.min_column_degrees(ref, n)).all()
+
+    def test_points_1e6_apart(self):
+        # P_{i-1}(mu_i) has condition number about 1e6 here, so any two
+        # double-precision solves differ by about 1e-10 relative; both stay
+        # within a small multiple of eps * 1e6 of a 50-digit reference and
+        # decide every tuple as it does.
+        rng = np.random.default_rng(32)
+        gap = 1e-6
+        for n in (2, 3, 4, 5):
+            pts = rat.default_points(n)
+            pts[-1] = pts[0] + gap * np.exp(0.4j)
+            vecs = random_tuples_with_blocks(rng, n, 40)
+            coeffs = rat.tuple_composites(pts, vecs)[1]
+            ref = reference_tuple_composites(pts, vecs)[1]
+            exact = mp_tuple_composites(pts, vecs)
+            bound = 50 * np.finfo(float).eps / gap
+            assert max_rel(coeffs, exact) < bound and max_rel(ref, exact) < bound
+            want = rat.min_column_degrees(exact, n)
+            assert (rat.min_column_degrees(coeffs, n) == want).all()
+            assert (rat.min_column_degrees(ref, n) == want).all()
+            assert len(set(want.tolist())) > 1
