@@ -264,13 +264,6 @@ def s_equivalent(b1: EllipticBundle, b2: EllipticBundle, tol: float = CLASS_TOL)
     return direct or crossed
 
 
-def g2_isomorphic(b1: G2Twist, b2: G2Twist, tol: float = CLASS_TOL) -> bool:
-    """Stable bundles of odd degree are classified by their determinant;
-    in particular twisting by L fixes the class exactly when L is its own
-    inverse."""
-    return b1.det_class().same_class(b2.det_class(), tol)
-
-
 # ---------------------------------------------------------------------------
 # Morphism representatives.
 

@@ -71,19 +71,6 @@ class ParabolicBundle:
             raise ValueError(f"weight {self.weight} outside the small regime for n={n}")
 
 
-def pdeg_line(degree: int, signs, weight: float = DEFAULT_WEIGHT) -> float:
-    """Parabolic degree of a line subbundle with induced signs +-1."""
-    return degree + weight * sum(signs)
-
-
-def pdeg(pb: ParabolicBundle) -> float:
-    """Rank-2 parabolic degree: the symmetric weights cancel."""
-    u = pb.underlying
-    if isinstance(u, RationalBundle):
-        return float(u.degree)
-    return float(u.det_class().degree)
-
-
 def _underlying_semistable(u) -> bool:
     if isinstance(u, RationalBundle):
         return u.is_semistable()
@@ -102,19 +89,6 @@ def _mark_keys(pb: ParabolicBundle) -> list:
     if not elliptic_semistable(u):
         raise UnderlyingUnstable(f"{u} is unstable")
     return [bad_group_key(u, m.line) for m in pb.marks]
-
-
-def classify_lines(pb: ParabolicBundle) -> list[dict]:
-    """Per-mark flags: bad or good, and the same-direction group count."""
-    keys = _mark_keys(pb)
-    out = []
-    for i, (mark, key) in enumerate(zip(pb.marks, keys)):
-        if key is None:
-            out.append({"bad": False, "group_size": 0})
-            continue
-        size = sum(1 for k in keys if _same_key(key, k))
-        out.append({"bad": True, "group_size": size})
-    return out
 
 
 def _same_key(k1, k2) -> bool:
@@ -159,11 +133,6 @@ def stability(pb: ParabolicBundle) -> StabilityVerdict:
 
 # ---------------------------------------------------------------------------
 # The correspondence between sequences and marked lines.
-
-
-def lines_from_sequence(seq: RationalSequence) -> list[Mark]:
-    """Marked lines of a sequence: its direction tuple in the base frame."""
-    return [Mark(mu, d) for mu, d in zip(seq.points, seq.h_map())]
 
 
 def lines_from_elliptic_sequence(base: MarkedBundle, steps) -> list[Mark]:

@@ -126,39 +126,27 @@ def _max(x, y):
 def _rank_one(a, b, c, d, rank_tol, norm_tol):
     """Closed-form rank-1 test of [[a, b], [c, d]], entrywise over scalars
     or arrays of one shape; see ``rank_one_column_spaces``."""
-    def closed_form(a, b, c, d):
-        p = (a * a.conjugate() + b * b.conjugate()).real
-        q = (c * c.conjugate() + d * d.conjugate()).real
-        r = a * c.conjugate() + b * d.conjugate()
-        # Dominant eigenvalue of the Gram matrix (cancellation-free branch);
-        # the small singular value via s1 s2 = |det| avoids squaring
-        # conditioning.
-        lam1 = 0.5 * (p + q) + (0.25 * (p - q) ** 2 + abs(r) ** 2) ** 0.5
-        s1 = lam1 ** 0.5
-        s2 = abs(a * d - b * c) / _where(s1 > 0, s1, 1.0)
-        first = abs(lam1 - p) >= abs(lam1 - q)
-        x = _where(first, r, lam1 - q)
-        y = _where(first, lam1 - p, r.conjugate())
-        small = (abs(x) ** 2 + abs(y) ** 2) ** 0.5 < norm_tol * _max(s1, 1.0)
-        x = _where(small, _where(p >= q, 1.0, 0.0), x)
-        y = _where(small, _where(p >= q, 0.0, 1.0), y)
-        return x, y, s1, s2, (s1 >= norm_tol) & (s2 <= rank_tol * s1)
-
-    r0, r1 = _max(abs(a), abs(b)), _max(abs(c), abs(d))
-    top = _max(r0, r1)
+    top = _max(_max(abs(a), abs(b)), _max(abs(c), abs(d)))
     nonzero = top >= norm_tol
     t = _where(nonzero, top, 1.0)
-    x, y, s1, s2, ok = closed_form(a / t, b / t, c / t, d / t)
-    # Row then column equilibration; a row at noise level keeps the top scale.
-    r0, r1 = _where(r0 > norm_tol * top, r0, t), _where(r1 > norm_tol * top, r1, t)
-    a, b, c, d = a / r0, b / r0, c / r1, d / r1
-    c0, c1 = _max(abs(a), abs(c)), _max(abs(b), abs(d))
-    c0, c1 = _where(c0 > norm_tol, c0, 1.0), _where(c1 > norm_tol, c1, 1.0)
-    xb, yb, s1b, s2b, okb = closed_form(a / c0, b / c1, c / c0, d / c1)
-    use_b = _where(ok, False, okb)
-    s1, s2 = _where(use_b, s1b, s1), _where(use_b, s2b, s2)
-    return (_where(use_b, r0 * xb, x), _where(use_b, r1 * yb, y),
-            _where(nonzero, s1, 0.0), _where(nonzero, s2, 0.0), nonzero & (ok | okb))
+    a, b, c, d = a / t, b / t, c / t, d / t
+    p = (a * a.conjugate() + b * b.conjugate()).real
+    q = (c * c.conjugate() + d * d.conjugate()).real
+    r = a * c.conjugate() + b * d.conjugate()
+    # Dominant eigenvalue of the Gram matrix (cancellation-free branch);
+    # the small singular value via s1 s2 = |det| avoids squaring
+    # conditioning.
+    lam1 = 0.5 * (p + q) + (0.25 * (p - q) ** 2 + abs(r) ** 2) ** 0.5
+    s1 = lam1 ** 0.5
+    s2 = abs(a * d - b * c) / _where(s1 > 0, s1, 1.0)
+    first = abs(lam1 - p) >= abs(lam1 - q)
+    x = _where(first, r, lam1 - q)
+    y = _where(first, lam1 - p, r.conjugate())
+    small = (abs(x) ** 2 + abs(y) ** 2) ** 0.5 < norm_tol * _max(s1, 1.0)
+    x = _where(small, _where(p >= q, 1.0, 0.0), x)
+    y = _where(small, _where(p >= q, 0.0, 1.0), y)
+    ok = nonzero & (s1 >= norm_tol) & (s2 <= rank_tol * s1)
+    return x, y, _where(nonzero, s1, 0.0), _where(nonzero, s2, 0.0), ok
 
 
 def rank_one_column_spaces(m: np.ndarray, rank_tol: float = PROJ_TOL,
@@ -167,13 +155,13 @@ def rank_one_column_spaces(m: np.ndarray, rank_tol: float = PROJ_TOL,
 
     Returns ``(vecs, sigma1, sigma2, ok)``: homogeneous vectors (..., 2)
     spanning the column spaces, the two singular values, and the mask of
-    matrices that are rank 1.  Two closed-form tests run: one on the
-    top-normalized matrix (a pass means the returned direction is
-    projectively accurate within the tolerance), and one on the
-    row/column-equilibrated matrix (a pass sees structural rank-1 behind
-    exponential frame anisotropy; a noise-level row fails it harmlessly
-    because the other test already accepted).  The zero matrix fails
-    with singular values 0.
+    matrices that are rank 1.  One closed-form test runs on the
+    top-normalized matrix: a pass (s2 <= rank_tol * s1) means the
+    returned direction is projectively accurate within the tolerance.
+    Equilibrating rows and columns first would not help: for a rank-1
+    matrix plus noise, the normalized ratio s2/s1 is at most the
+    equilibrated one, so it accepts whenever that one would.  The zero
+    matrix fails with singular values 0.
     """
     m = np.asarray(m, dtype=complex)
     x, y, s1, s2, ok = _rank_one(m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1],

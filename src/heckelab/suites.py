@@ -50,10 +50,15 @@ def _box(rng: np.random.Generator, lat: Lattice, count: int) -> np.ndarray:
     return (2 * rng.random(count) - 0.5) + (2 * rng.random(count) - 0.5) * lat.tau
 
 
+def _curve_point(rng, lat) -> CurvePoint:
+    """A point of the torus from two uniform draws, real part first."""
+    return CurvePoint(rng.random() + rng.random() * lat.tau, lat)
+
+
 def _torus_points(rng, lat, count, min_gap=0.05) -> list[CurvePoint]:
     pts: list[CurvePoint] = []
     while len(pts) < count:
-        z = CurvePoint(rng.random() + rng.random() * lat.tau, lat)
+        z = _curve_point(rng, lat)
         if all(lat.distance(z.lift, w.lift) >= min_gap for w in pts):
             pts.append(z)
     return pts
@@ -279,7 +284,8 @@ def verify_elliptic_tables(report, config, rng):
     report.add("equivariance", f"both intertwining laws, {draws} draws per row",
                worst_eq, tol_eq)
     report.add("direction-roundtrip", "eta of each constructed morphism", worst_dir, 1e-8)
-    report.add("det-zero-at-point", "grid plus Newton localization of the degeneracy",
+    report.add("det-zero-at-point",
+               "argument-principle count of one zero in the centred cell, Newton from the point",
                worst_zero, 1e-6)
     report.add_flag("hecke-length-pm1", "every row changes the length by one", length_ok)
 
@@ -287,20 +293,17 @@ def verify_elliptic_tables(report, config, rng):
 def _elliptic_row_fixtures(lat, rng):
     O = ell.trivial_line(lat)
 
-    def pt(rng):
-        return CurvePoint(rng.random() + rng.random() * lat.tau, lat)
-
     def lam(rng):
         return rng.normal() + 1j * rng.normal()
 
     def far(rng, *others):
         while True:
-            q = pt(rng)
+            q = _curve_point(rng, lat)
             if all(lat.distance(q.lift, o.lift) > 0.05 for o in others):
                 return q
 
     def dec_q(rng):
-        p = pt(rng)
+        p = _curve_point(rng, lat)
         return ell.Decomposable(ell.point_line(far(rng, p)), O), p
 
     rows = [
@@ -311,13 +314,13 @@ def _elliptic_row_fixtures(lat, rng):
         ("Op-pivot", lambda r: _op(r, lat, ProjPoint(1, 0))),
         ("Op-counter", lambda r: _op(r, lat, ProjPoint(0, 1))),
         ("Op-generic", lambda r: _op(r, lat, None)),
-        ("OO-pivot", lambda r: (ell.Decomposable(O, O), pt(r), ProjPoint(1, 0))),
-        ("OO-generic", lambda r: (ell.Decomposable(O, O), pt(r), ProjPoint(lam(r), 1))),
+        ("OO-pivot", lambda r: (ell.Decomposable(O, O), _curve_point(r, lat), ProjPoint(1, 0))),
+        ("OO-generic", lambda r: (ell.Decomposable(O, O), _curve_point(r, lat), ProjPoint(lam(r), 1))),
         ("ss-pivot", lambda r: _ss(r, lat, ProjPoint(1, 0))),
         ("ss-counter", lambda r: _ss(r, lat, ProjPoint(0, 1))),
         ("ss-generic", lambda r: _ss(r, lat, None)),
-        ("F2-pivot", lambda r: (ell.F2Twist(O), pt(r), ProjPoint(1, 0))),
-        ("F2-generic", lambda r: (ell.F2Twist(O), pt(r), ProjPoint(lam(r), 1))),
+        ("F2-pivot", lambda r: (ell.F2Twist(O), _curve_point(r, lat), ProjPoint(1, 0))),
+        ("F2-generic", lambda r: (ell.F2Twist(O), _curve_point(r, lat), ProjPoint(lam(r), 1))),
         ("G2-generic", lambda r: _g2(r, lat, None)),
         ("G2-branch", lambda r: _g2(r, lat, "branch")),
         ("G2-moved", lambda r: _g2(r, lat, "moved")),
@@ -327,9 +330,9 @@ def _elliptic_row_fixtures(lat, rng):
 
 def _od(rng, lat, a):
     O = ell.trivial_line(lat)
-    p = CurvePoint(rng.random() + rng.random() * lat.tau, lat)
-    q1 = CurvePoint(rng.random() + rng.random() * lat.tau, lat)
-    q2 = CurvePoint(rng.random() + rng.random() * lat.tau, lat)
+    p = _curve_point(rng, lat)
+    q1 = _curve_point(rng, lat)
+    q2 = _curve_point(rng, lat)
     bundle = ell.Decomposable(ell.point_line(q1).tensor(ell.point_line(q2)), O)
     if a is None:
         a = ProjPoint(rng.normal() + 1j * rng.normal(), 1)
@@ -338,7 +341,7 @@ def _od(rng, lat, a):
 
 def _op(rng, lat, a):
     O = ell.trivial_line(lat)
-    p = CurvePoint(rng.random() + rng.random() * lat.tau, lat)
+    p = _curve_point(rng, lat)
     bundle = ell.Decomposable(ell.point_line(p), O)
     if a is None:
         a = ProjPoint(rng.normal() + 1j * rng.normal(), rng.normal() + 1j * rng.normal())
@@ -347,9 +350,9 @@ def _op(rng, lat, a):
 
 def _ss(rng, lat, a):
     O = ell.trivial_line(lat)
-    p = CurvePoint(rng.random() + rng.random() * lat.tau, lat)
+    p = _curve_point(rng, lat)
     while True:
-        q = CurvePoint(rng.random() + rng.random() * lat.tau, lat)
+        q = _curve_point(rng, lat)
         if lat.distance(p.lift, q.lift) > 0.05:
             break
     bundle = ell.Decomposable(ell.point_line(p).tensor(ell.point_line(q).inverse()), O)
@@ -360,9 +363,9 @@ def _ss(rng, lat, a):
 
 def _g2(rng, lat, mode):
     O = ell.trivial_line(lat)
-    p = CurvePoint(rng.random() + rng.random() * lat.tau, lat)
+    p = _curve_point(rng, lat)
     if mode == "moved":
-        other = CurvePoint(rng.random() + rng.random() * lat.tau, lat)
+        other = _curve_point(rng, lat)
         bundle = ell.G2Twist(other.lift, ell.point_line(other).inverse())
     else:
         bundle = ell.G2Twist(p.lift, O)
@@ -373,47 +376,40 @@ def _g2(rng, lat, mode):
     return bundle, p, a
 
 
-def _det_zero_distance(rep) -> float:
-    """Largest distance from a certified determinant zero to the point.
+#: Samples per edge of the period cell on which the zeros of det alpha are counted.
+CELL_EDGE_SAMPLES = 256
 
-    Newton runs from the best-separated grid minima of a scale-free
-    deficiency measure; only runs that converge count as zeros (frame
-    factors can fake shallow minima without any zero nearby).
-    """
+
+def _det_zero_count(rep) -> tuple[float, float]:
+    """Zeros of det alpha in the period cell centred at the point, by the
+    argument principle (Delves and Lyness, Math. Comp. 21, 1967): the
+    winding number along the cell boundary, p + (+-1 +- tau)/2, and the
+    largest phase step between samples (well below pi when resolved)."""
     lat = rep.upstream.lattice
-    u = (np.arange(48) + 0.5) / 48
-    zz = (u[:, None] + u[None, :] * lat.tau).ravel()
-    vals = rep.evaluator(zz)
-    d = np.abs(np.linalg.det(vals)) / np.maximum(
-        np.sum(np.abs(vals) ** 2, axis=(-2, -1)), 1e-300)
-    order = np.argsort(d)
-    starts = []
-    for idx in order:
-        z0 = zz[int(idx)]
-        if all(lat.distance(z0, s) > 0.15 for s in starts):
-            starts.append(z0)
-        if len(starts) == 6:
-            break
-    zeros = []
-    for z in starts:
-        converged = False
-        for _ in range(40):
-            eps = 1e-6
-            f = np.linalg.det(rep.evaluator(np.asarray(z)))
-            df = (np.linalg.det(rep.evaluator(np.asarray(z + eps)))
-                  - np.linalg.det(rep.evaluator(np.asarray(z - eps)))) / (2 * eps)
-            if not np.isfinite(df) or abs(df) < 1e-300:
-                break
-            step = f / df
-            z = lat.reduce(z - step)
-            if abs(step) < 1e-10:
-                converged = True
-                break
-        if converged and all(lat.distance(z, w) > 1e-4 for w in zeros):
-            zeros.append(z)
-    if not zeros:
+    corners = rep.point.lift + np.array([-1 - lat.tau, 1 - lat.tau, 1 + lat.tau, -1 + lat.tau]) / 2
+    t = np.arange(CELL_EDGE_SAMPLES) / CELL_EDGE_SAMPLES
+    ring = (corners[:, None] + (np.roll(corners, -1) - corners)[:, None] * t).ravel()
+    det = np.linalg.det(rep.evaluator(ring))
+    steps = np.angle(np.roll(det, -1) / det)
+    return float(steps.sum() / (2 * np.pi)), float(np.abs(steps).max())
+
+
+def _det_zero_distance(rep) -> float:
+    """Distance from the point to the one zero of det alpha in its centred
+    cell: inf unless the resolved count (phase steps below 0.5 rad) is
+    exactly one, then Newton from the point locates that zero."""
+    count, max_step = _det_zero_count(rep)
+    if round(count) != 1 or max_step >= 0.5:
         return float("inf")
-    return max(lat.distance(z, rep.point.lift) for z in zeros)
+    eps = 1e-6
+    z = rep.point.lift
+    for _ in range(8):
+        f, f_plus, f_minus = np.linalg.det(rep.evaluator(z + np.array([0.0, eps, -eps])))
+        step = f / ((f_plus - f_minus) / (2 * eps))
+        z -= step
+        if abs(step) < 1e-10:
+            return rep.upstream.lattice.distance(z, rep.point.lift)
+    return float("inf")
 
 
 def verify_double_table(report, config, rng):
@@ -442,7 +438,7 @@ def verify_double_table(report, config, rng):
     )
     ok = got is not None and ell.s_equivalent(got, want)
     ok &= ell.double_hecke(ell.Decomposable(O, O), p1, p2, a, a) is None
-    delta = CurvePoint(rng.random() + rng.random() * lat.tau, lat)
+    delta = _curve_point(rng, lat)
     eg = ell.Decomposable(ell.LineBundleClass(0, delta.lift, lat),
                           ell.LineBundleClass(0, -delta.lift, lat))
     rep1 = ell.morphism_rep(eg, p1, a)
@@ -451,9 +447,8 @@ def verify_double_table(report, config, rng):
     # coordinate: the composite key is its image under the first step.
     delta2 = ell.second_direction_for_class(rep1.result, p1, p2, bi)
     rep2 = ell.morphism_rep(rep1.result, p2, delta2)
-    local = eta_at(rep2.evaluator(np.asarray(p2.lift)), p2.lift)
-    v = rep1.evaluator(np.asarray(p2.lift)) @ local.vec
-    got = ell.double_hecke(eg, p1, p2, a, ProjPoint(v[0], v[1]))
+    _, b = ell.raw_directions([rep1.evaluator, rep2.evaluator], [p1, p2])
+    got = ell.double_hecke(eg, p1, p2, a, b)
     ok &= got is not None and isinstance(got, ell.F2Twist)
     report.add_flag("printed-rows", "split-trivial, diagonal, and torsion outcomes", ok)
 
@@ -472,13 +467,13 @@ def _double_sample(lat, rng, k):
         bundle = ell.F2Twist(ell.torsion_line(lat, int(rng.integers(1, 5))))
         d1, d2 = ProjPoint(rng.normal() + 1j * rng.normal(), 1), random_point(rng)
     elif kind == 3:
-        delta = CurvePoint(rng.random() + rng.random() * lat.tau, lat)
+        delta = _curve_point(rng, lat)
         bundle = ell.Decomposable(ell.LineBundleClass(0, delta.lift, lat),
                                   ell.LineBundleClass(0, -delta.lift, lat))
         d1 = (ProjPoint(0, 1), ProjPoint(1, 0))[k % 2]
         d2 = random_point(rng)
     elif kind == 4:
-        delta = CurvePoint(rng.random() + rng.random() * lat.tau, lat)
+        delta = _curve_point(rng, lat)
         bundle = ell.Decomposable(ell.LineBundleClass(0, delta.lift, lat),
                                   ell.LineBundleClass(0, -delta.lift, lat))
         d1, d2 = random_point(rng), random_point(rng)
@@ -509,10 +504,7 @@ def _double_sample(lat, rng, k):
 def _two_route_agree(bundle, p1, p2, d1, d2, lat) -> bool:
     rep1 = ell.morphism_rep(bundle, p1, d1)
     rep2 = ell.morphism_rep(rep1.result, p2, d2)
-    a = eta_at(rep1.evaluator(np.asarray(p1.lift)), p1.lift)
-    local = eta_at(rep2.evaluator(np.asarray(p2.lift)), p2.lift)
-    v = rep1.evaluator(np.asarray(p2.lift)) @ local.vec
-    b = ProjPoint(v[0], v[1])
+    a, b = ell.raw_directions([rep1.evaluator, rep2.evaluator], [p1, p2])
     table = ell.double_hecke(bundle, p1, p2, a, b)
     chained = rep2.result.tensor(ell.LineBundleClass(1, halve_sum(p1, p2).lift, lat))
     if table is None:
@@ -589,8 +581,8 @@ def _compute_space_t2(report, config, rng, n):
         worst = 0.0
         for _ in range(draws):
             q, p1 = _torus_points(rng, lat, 2)
-            tau0 = th.pi_cover(CurvePoint(rng.random() + rng.random() * lat.tau, lat))
-            tau1 = th.pi_cover(CurvePoint(rng.random() + rng.random() * lat.tau, lat))
+            tau0 = th.pi_cover(_curve_point(rng, lat))
+            tau1 = th.pi_cover(_curve_point(rng, lat))
             base = ell.base_from_coordinate(tau0, q)
             steps = ell.sequence_from_coordinates(base, [p1], [tau1])
             h = ell.h_total(base, steps)
@@ -611,7 +603,7 @@ def _compute_space_t2(report, config, rng, n):
         on_curve_excluded = 0
         trials = max(2, _n(config, 20) // 4)
         for _ in range(trials):
-            p = CurvePoint(rng.random() + rng.random() * lat.tau, lat)
+            p = _curve_point(rng, lat)
             tri = ell.f_embedding(p, q, p1, p2)
             base = ell.base_from_coordinate(tri[0], q)
             steps = ell.sequence_from_coordinates(base, [p1, p2], [tri[1], tri[2]])
@@ -622,7 +614,7 @@ def _compute_space_t2(report, config, rng, n):
         trials_far = max(4, _n(config, 100) // 2)
         for _ in range(trials_far):
             while True:
-                taus = [th.pi_cover(CurvePoint(rng.random() + rng.random() * lat.tau, lat))
+                taus = [th.pi_cover(_curve_point(rng, lat))
                         for _ in range(3)]
                 if ell.distance_to_curve(taus, q, p1, p2) > 0.1:
                     break
@@ -723,14 +715,14 @@ def embed_check(report, config, rng):
     ok = True
     for k in range(n_seq):
         q, p1, p2 = _torus_points(rng, lat, 3)
-        tau0 = th.pi_cover(CurvePoint(rng.random() + rng.random() * lat.tau, lat))
+        tau0 = th.pi_cover(_curve_point(rng, lat))
         base = ell.base_from_coordinate(tau0, q)
         if k % 2:
             # Force both marks bad in the same direction.
             bad = ProjPoint(1, 0)
             steps = ell.steps_from_base_directions(base.bundle, [p1, p2], [bad, bad])
         else:
-            taus = [th.pi_cover(CurvePoint(rng.random() + rng.random() * lat.tau, lat))
+            taus = [th.pi_cover(_curve_point(rng, lat))
                     for _ in range(2)]
             steps = ell.sequence_from_coordinates(base, [p1, p2], taus)
         marks = par.lines_from_elliptic_sequence(base, steps)
@@ -754,10 +746,10 @@ def embed_check(report, config, rng):
     ok = True
     for k in range(10):
         q, p1, p2 = _torus_points(rng, lat, 3)
-        tau0 = th.pi_cover(CurvePoint(rng.random() + rng.random() * lat.tau, lat))
+        tau0 = th.pi_cover(_curve_point(rng, lat))
         base = ell.base_from_coordinate(tau0, q)
         while True:
-            taus = [th.pi_cover(CurvePoint(rng.random() + rng.random() * lat.tau, lat))
+            taus = [th.pi_cover(_curve_point(rng, lat))
                     for _ in range(2)]
             steps = ell.sequence_from_coordinates(base, [p1, p2], taus)
             if ell.membership_Hp(base, steps):

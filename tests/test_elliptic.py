@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from heckelab import elliptic as ell
+from heckelab import suites
 from heckelab import theta as th
 from heckelab.elliptic import (
     Decomposable,
@@ -355,14 +358,16 @@ def test_s_equivalence_f2_vs_split():
 
 
 def test_g2_twist_identification():
+    # Stable bundles of odd degree are classified by their determinant, so
+    # twisting by L fixes the class exactly when L is its own inverse.
     p = rpt()
     g = G2Twist(p.lift, O)
     for i in range(1, 5):
-        assert ell.g2_isomorphic(g, g.tensor(torsion_line(LAT, i)))
+        assert g.det_class().same_class(g.tensor(torsion_line(LAT, i)).det_class())
     d = rpt()
     generic = LineBundleClass(0, d.lift, LAT)
     if d.torsion_index() is None:
-        assert not ell.g2_isomorphic(g, g.tensor(generic))
+        assert not g.det_class().same_class(g.tensor(generic).det_class())
 
 
 def test_h_total_rejects_coincident_points():
@@ -611,3 +616,42 @@ def test_membership_decides_curve_offsets(tau):
             base = ell.base_from_coordinate(off[0], q)
             steps = ell.sequence_from_coordinates(base, [p1, p2], off[1:])
             assert ell.membership_Hp(base, steps) == member, (p, d)
+
+
+# ---------------------------------------------------------------------------
+# The det-zero certificate of verify-elliptic-tables: det alpha has exactly
+# one zero per period cell, at the modification point.
+
+@pytest.mark.parametrize("tau", REF_TAUS)
+def test_every_row_counts_one_resolved_zero(tau):
+    lat = Lattice(tau)
+    rng = np.random.default_rng(7)
+    for name, make in suites._elliptic_row_fixtures(lat, rng):
+        for _ in range(3):
+            rep = ell.morphism_rep(*make(rng))
+            count, max_step = suites._det_zero_count(rep)
+            assert abs(count - 1) < 1e-9, name
+            assert max_step < 0.5, name
+            assert suites._det_zero_distance(rep) < 1e-12, name
+
+
+@pytest.mark.parametrize("tau", REF_TAUS)
+def test_two_modifications_count_two_zeros(tau):
+    # The composite of two modifications degenerates at both points, so the
+    # cell centred at the first holds two zeros and the record must fail.
+    lat = Lattice(tau)
+    p1 = CurvePoint(0.37 + 0.61 * lat.tau, lat)
+    p2 = CurvePoint(p1.lift + 0.3 + 0.2 * lat.tau, lat)
+    rep1 = ell.morphism_rep(Decomposable(trivial_line(lat), trivial_line(lat)),
+                            p1, ProjPoint(0.4 - 0.2j, 1))
+    rep2 = ell.morphism_rep(rep1.result, p2, ProjPoint(1, 0.7j))
+    both = dataclasses.replace(rep1, result=rep2.result,
+                               evaluator=lambda z: rep1.evaluator(z) @ rep2.evaluator(z))
+    count, max_step = suites._det_zero_count(both)
+    assert abs(count - 2) < 1e-9 and max_step < 0.5
+    assert suites._det_zero_distance(both) == float("inf")
+    # A frame change alone has no zero: the count is 0 and the record fails too.
+    frame = dataclasses.replace(rep1, evaluator=lambda z: np.broadcast_to(
+        np.array([[2.0, 1.0], [1.0, 1.0]], dtype=complex), np.shape(z) + (2, 2)))
+    assert abs(suites._det_zero_count(frame)[0]) < 1e-9
+    assert suites._det_zero_distance(frame) == float("inf")

@@ -20,11 +20,9 @@ from heckelab.parabolic import (
     ParabolicBundle,
     TerminalNotMinimal,
     Verdict,
-    classify_lines,
     hecke_embedding_elliptic,
     hecke_embedding_rational,
-    pdeg,
-    pdeg_line,
+    max_bad_group,
     rational_terminal_class,
     stability,
 )
@@ -50,53 +48,48 @@ def rpt(rng=RNG):
     return CurvePoint(rng.random() + rng.random() * LAT.tau, LAT)
 
 
-class TestParabolicDegree:
-    def test_rank2_weights_cancel(self):
-        pb = ParabolicBundle(O00, (Mark(0.1, A), Mark(0.2, B)))
-        assert pdeg(pb) == 0.0
-
-    def test_line_all_positive(self):
-        assert abs(pdeg_line(2, [1, 1, 1], 1e-3) - (2 + 3e-3)) < 1e-15
-
-    def test_line_mixed_signs(self):
-        assert abs(pdeg_line(1, [1, -1], 1e-3) - 1.0) < 1e-15
+def bad_flags(pb):
+    return [key is not None for key in par._mark_keys(pb)]
 
 
 class TestClassifyLines:
     def test_rational_all_bad_grouped_by_equality(self):
         pb = ParabolicBundle(O00, (Mark(0.1, A), Mark(0.2, A), Mark(0.3, B)))
-        flags = classify_lines(pb)
-        assert [f["bad"] for f in flags] == [True, True, True]
-        assert [f["group_size"] for f in flags] == [2, 2, 1]
+        keys = par._mark_keys(pb)
+        assert bad_flags(pb) == [True, True, True]
+        assert [sum(par._same_key(k, j) for j in keys) for k in keys] == [2, 2, 1]
+        assert max_bad_group(pb) == 2
+        assert stability(pb).witness == 2
 
     def test_elliptic_semistable_pair(self):
         d = rpt()
         e = Decomposable(LineBundleClass(0, d.lift, LAT), LineBundleClass(0, -d.lift, LAT))
         marks = (Mark(rpt(), ProjPoint(1, 0)), Mark(rpt(), ProjPoint(0, 1)),
                  Mark(rpt(), ProjPoint(0.4, 1)))
-        flags = classify_lines(ParabolicBundle(e, marks))
-        assert [f["bad"] for f in flags] == [True, True, False]
+        pb = ParabolicBundle(e, marks)
+        assert bad_flags(pb) == [True, True, False]
+        assert max_bad_group(pb) == 1
 
     def test_f2_single_bad_direction(self):
         e = F2Twist(trivial_line(LAT))
-        flags = classify_lines(ParabolicBundle(e, (Mark(rpt(), ProjPoint(1, 0)),
-                                                   Mark(rpt(), ProjPoint(0, 1)))))
-        assert [f["bad"] for f in flags] == [True, False]
+        pb = ParabolicBundle(e, (Mark(rpt(), ProjPoint(1, 0)), Mark(rpt(), ProjPoint(0, 1))))
+        assert bad_flags(pb) == [True, False]
+        assert stability(pb).witness == 1
 
     def test_g2_no_bad_directions(self):
         e = G2Twist(rpt().lift, trivial_line(LAT))
-        flags = classify_lines(ParabolicBundle(e, (Mark(rpt(), random_point(RNG)),)))
-        assert flags[0]["bad"] is False
+        pb = ParabolicBundle(e, (Mark(rpt(), random_point(RNG)),))
+        assert bad_flags(pb) == [False]
+        assert max_bad_group(pb) == 0
 
     def test_torsion_split_all_bad(self):
         e = Decomposable(torsion_line(LAT, 2), torsion_line(LAT, 2))
-        flags = classify_lines(ParabolicBundle(e, (Mark(rpt(), random_point(RNG)),
-                                                   Mark(rpt(), random_point(RNG)))))
-        assert all(f["bad"] for f in flags)
+        pb = ParabolicBundle(e, (Mark(rpt(), random_point(RNG)), Mark(rpt(), random_point(RNG))))
+        assert bad_flags(pb) == [True, True]
 
     def test_unstable_underlying_rejected(self):
         with pytest.raises(par.UnderlyingUnstable):
-            classify_lines(ParabolicBundle(RationalBundle(1, 0), (Mark(0.1, A),)))
+            par._mark_keys(ParabolicBundle(RationalBundle(1, 0), (Mark(0.1, A),)))
 
 
 class TestStability:
@@ -128,7 +121,7 @@ class TestStability:
 class TestCorrespondence:
     def test_roundtrip_identity(self):
         seq = rat.random_minimal_sequence(3, np.random.default_rng(1))
-        marks = par.lines_from_sequence(seq)
+        marks = [Mark(mu, d) for mu, d in zip(seq.points, seq.h_map())]
         points, dirs = par.tuple_from_lines(marks)
         assert points == seq.points
         back = chain_directions(tuple_matrices(points, dirs), points)
