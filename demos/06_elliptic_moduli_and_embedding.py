@@ -24,8 +24,8 @@ tau0, tau1, tau2 = (th.pi_cover(pt()) for _ in range(3))
 
 print("prescribe coordinates, build the sequence, read them back:")
 base = ell.base_from_coordinate(tau0, q)
-steps = ell.sequence_from_coordinates(base, [p1, p2], [tau1, tau2])
-h = ell.h_total(base, steps)
+seq = ell.sequence_from_coordinates(base, [p1, p2], [tau1, tau2])
+h = ell.h_total(seq)
 for i, (got, want) in enumerate(zip(h, [tau0, tau1, tau2])):
     print(f"  h_{i} = {got}   (residual {chordal(got, want):.2e})")
 
@@ -33,15 +33,15 @@ print("\nlength-two membership distinguishes the embedded curve:")
 p = pt()
 tri = ell.f_embedding(p, q, p1, p2)
 on_base = ell.base_from_coordinate(tri[0], q)
-on_steps = ell.sequence_from_coordinates(on_base, [p1, p2], [tri[1], tri[2]])
-print(f"  f(p) tuple:      member = {ell.membership_Hp(on_base, on_steps)}"
+on_seq = ell.sequence_from_coordinates(on_base, [p1, p2], [tri[1], tri[2]])
+print(f"  f(p) tuple:      member = {ell.membership_Hp(on_seq)}"
       f"   (distance to curve {ell.distance_to_curve(list(tri), q, p1, p2):.1e})")
 d = ell.distance_to_curve([tau0, tau1, tau2], q, p1, p2)
-print(f"  prescribed tuple: member = {ell.membership_Hp(base, steps)}"
+print(f"  prescribed tuple: member = {ell.membership_Hp(seq)}"
       f"   (distance to curve {d:.3f})")
 
 print("\nmembers embed as stable parabolic bundles (n + 1 marks):")
-pb = par.hecke_embedding_elliptic(base, steps)
+pb = par.hecke_embedding_elliptic(seq)
 print(f"  underlying {pb.underlying}, {len(pb.marks)} marks,"
       f" verdict {par.stability(pb).verdict.value}")
 

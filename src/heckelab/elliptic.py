@@ -101,6 +101,50 @@ def torsion_line(lattice: Lattice, i: int) -> LineBundleClass:
 
 
 # ---------------------------------------------------------------------------
+# 2x2 matrix functions of z: automorphy factors and morphism evaluators.
+
+
+MatFn = Callable[[np.ndarray], np.ndarray]
+
+
+def _matfn(e00, e01, e10, e11) -> MatFn:
+    """The matrix function with the given entry functions."""
+    def f(z):
+        z = np.asarray(z, dtype=complex)
+        out = np.empty(z.shape + (2, 2), dtype=complex)
+        out[..., 0, 0] = e00(z)
+        out[..., 0, 1] = e01(z)
+        out[..., 1, 0] = e10(z)
+        out[..., 1, 1] = e11(z)
+        return out
+
+    return f
+
+
+def _const(v: complex):
+    def f(z):
+        return np.full(np.asarray(z).shape, v, dtype=complex)
+
+    return f
+
+
+_ZERO = _const(0.0)
+_ONE = _const(1.0)
+_SWAP = _matfn(_ZERO, _ONE, _ONE, _ZERO)
+
+
+def _compose(left: MatFn | None, right: MatFn | None) -> MatFn | None:
+    """The pointwise product left(z) @ right(z); None is the identity."""
+    if left is None or right is None:
+        return right if left is None else left
+
+    def f(z):
+        return left(z) @ right(z)
+
+    return f
+
+
+# ---------------------------------------------------------------------------
 # Rank-2 bundles.
 
 
@@ -125,17 +169,8 @@ class Decomposable:
     def tensor(self, l: LineBundleClass) -> "Decomposable":
         return Decomposable(self.l1.tensor(l), self.l2.tensor(l))
 
-    def factor(self) -> Callable:
-        f1, f2 = self.l1.factor(), self.l2.factor()
-
-        def f(z):
-            z = np.asarray(z, dtype=complex)
-            out = np.zeros(z.shape + (2, 2), dtype=complex)
-            out[..., 0, 0] = f1(z)
-            out[..., 1, 1] = f2(z)
-            return out
-
-        return f
+    def factor(self) -> MatFn:
+        return _matfn(self.l1.factor(), _ZERO, _ZERO, self.l2.factor())
 
     def __str__(self) -> str:
         return f"O[{self.l1.degree},{self.l1.reduced():.4f}]+O[{self.l2.degree},{self.l2.reduced():.4f}]"
@@ -159,19 +194,9 @@ class F2Twist:
     def tensor(self, l: LineBundleClass) -> "F2Twist":
         return F2Twist(self.l.tensor(l))
 
-    def factor(self) -> Callable:
+    def factor(self) -> MatFn:
         fl = self.l.factor()
-
-        def f(z):
-            z = np.asarray(z, dtype=complex)
-            out = np.zeros(z.shape + (2, 2), dtype=complex)
-            v = fl(z)
-            out[..., 0, 0] = v
-            out[..., 0, 1] = v
-            out[..., 1, 1] = v
-            return out
-
-        return f
+        return _matfn(fl, fl, _ZERO, fl)
 
     def __str__(self) -> str:
         return f"F2x[{self.l.degree},{self.l.reduced():.4f}]"
@@ -200,25 +225,21 @@ class G2Twist:
     def tensor(self, l: LineBundleClass) -> "G2Twist":
         return G2Twist(self.point_lift, self.l.tensor(l))
 
-    def factor(self) -> Callable:
+    def factor(self) -> MatFn:
         fl = self.l.factor()
         fw = th.automorphy_factor(self.point_lift + 0.5)
-
-        def f(z):
-            z = np.asarray(z, dtype=complex)
-            out = np.zeros(z.shape + (2, 2), dtype=complex)
-            v = fl(z)
-            out[..., 0, 1] = v
-            out[..., 1, 0] = v * fw(z)
-            return out
-
-        return f
+        return _matfn(_ZERO, fl, lambda z: fl(z) * fw(z), _ZERO)
 
     def __str__(self) -> str:
         return f"G2({self.lattice.reduce(self.point_lift):.4f})x[{self.l.degree},{self.l.reduced():.4f}]"
 
 
 EllipticBundle = Decomposable | F2Twist | G2Twist
+
+
+def dual_pair(delta: complex, lattice: Lattice) -> Decomposable:
+    """L + L^{-1} for the degree-0 class L with lift ``delta``."""
+    return Decomposable(LineBundleClass(0, delta, lattice), LineBundleClass(0, -delta, lattice))
 
 
 def is_semistable(b: EllipticBundle) -> bool:
@@ -268,48 +289,6 @@ def s_equivalent(b1: EllipticBundle, b2: EllipticBundle, tol: float = CLASS_TOL)
 # Morphism representatives.
 
 
-MatFn = Callable[[np.ndarray], np.ndarray]
-
-
-def _matfn(e00, e01, e10, e11) -> MatFn:
-    def f(z):
-        z = np.asarray(z, dtype=complex)
-        out = np.empty(z.shape + (2, 2), dtype=complex)
-        out[..., 0, 0] = e00(z)
-        out[..., 0, 1] = e01(z)
-        out[..., 1, 0] = e10(z)
-        out[..., 1, 1] = e11(z)
-        return out
-
-    return f
-
-
-def _const(v: complex):
-    def f(z):
-        return np.full(np.asarray(z).shape, v, dtype=complex)
-
-    return f
-
-
-def _compose(phi: MatFn | None, mat: MatFn) -> MatFn:
-    if phi is None:
-        return mat
-
-    def f(z):
-        return phi(z) @ mat(z)
-
-    return f
-
-
-@dataclass(frozen=True)
-class EllipticStep:
-    """One modification: the point and the direction in the standard
-    trivialization of the bundle being modified."""
-
-    point: CurvePoint
-    direction: ProjPoint
-
-
 @dataclass(frozen=True)
 class MorphismRep:
     """Matrix representative alpha: F -> E of a Hecke modification.
@@ -353,39 +332,12 @@ def _theta_const(lattice: Lattice) -> complex:
     return complex(-th.g_theta_w(0.0, 0.0, lattice))
 
 
-def _transport(phi_at_p: np.ndarray | None, a: ProjPoint) -> ProjPoint:
-    if phi_at_p is None:
-        return a
-    return transport_direction(phi_at_p, a)
-
-
 def _scalar_shift(n: int) -> MatFn | None:
     """diag(exp(2 pi i n z), 1): frame change absorbing a lattice shift
     n*tau of the first summand's trivializing lift."""
     if n == 0:
         return None
-
-    def f(z):
-        z = np.asarray(z, dtype=complex)
-        out = np.zeros(z.shape + (2, 2), dtype=complex)
-        out[..., 0, 0] = np.exp(TWO_PI_I * n * z)
-        out[..., 1, 1] = 1.0
-        return out
-
-    return f
-
-
-def _swap_then(phi: MatFn | None) -> MatFn:
-    swap = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-
-    def f(z):
-        z = np.asarray(z, dtype=complex)
-        base = np.broadcast_to(swap, z.shape + (2, 2)).copy()
-        if phi is None:
-            return base
-        return base @ phi(z)
-
-    return f
+    return _matfn(lambda z: np.exp(TWO_PI_I * n * z), _ZERO, _ZERO, _ONE)
 
 
 def morphism_rep(e: EllipticBundle, p: CurvePoint, a: ProjPoint) -> MorphismRep:
@@ -408,105 +360,73 @@ def _morphism_dec(e: Decomposable, p: CurvePoint, a: ProjPoint) -> MorphismRep:
     lat = e.lattice
     pt = p.lift
     swap = e.l1.degree < e.l2.degree
-    u1, u2 = (e.l2, e.l1) if swap else (e.l1, e.l2)
-    m = u2
-    lp = u1.tensor(u2.inverse())  # degree k >= 0, exact lift
+    u1, m = (e.l2, e.l1) if swap else (e.l1, e.l2)
+    lp = u1.tensor(m.inverse())  # degree k >= 0, exact lift
     k, t = lp.degree, lp.lift
+    trivial = k == 0 and lat.distance(t, 0.0) < CLASS_TOL  # O + O
+    own = k == 1 and lat.distance(t, pt) < CLASS_TOL  # O(p) + O at its own point
+    # Frame change table -> stored: a scalar-exponential lift fix on the
+    # first summand (O + O and O(p) + O), then the order swap, as needed.
+    phi = None
+    if trivial or own:
+        phi = _scalar_shift(round((t - pt if own else t).imag / lat.tau.imag))
+    if swap:
+        phi = _compose(_SWAP, phi)
+    a_t = a if phi is None else transport_direction(phi(np.asarray(pt)), a)
 
-    def make_frame(lift_shift: complex | None) -> tuple[MatFn | None, np.ndarray | None]:
-        """Frame change table -> stored: a scalar-exponential lift fix on
-        the first summand followed by the order swap, as needed."""
-        phi = None
-        if lift_shift is not None:
-            n = round(lift_shift.imag / lat.tau.imag)
-            phi = _scalar_shift(n)
-        if swap:
-            phi = _swap_then(phi)
-        return phi, (None if phi is None else phi(np.asarray(pt)))
+    def theta_p(z):
+        return th.theta_w(z, pt, lat)
 
-    phi, phi_at_p = make_frame(None)
+    pivot = _matfn(_ONE, _ZERO, _ZERO, theta_p)  # toward [1:0]
+    counter = _matfn(theta_p, _ZERO, _ZERO, _ONE)  # toward [0:1]
+    low = LineBundleClass(-1, -pt, lat).tensor(m)
 
     def finish(row, mat, target):
         return MorphismRep(_compose(phi, mat), row, e, target, p)
 
-    a_t = _transport(phi_at_p, a)
-
-    if k == 0 and lat.distance(t, 0.0) < CLASS_TOL:
-        phi, phi_at_p = make_frame(t)
-        a_t = _transport(phi_at_p, a)
+    if trivial:
         # O + O: every direction is bad; two matrix shapes.
+        target = Decomposable(trivial_line(lat).tensor(m), low)
         if a_t.is_zero_dir():
-            mat = _matfn(_const(1.0), _const(0.0), _const(0.0),
-                         lambda z: th.theta_w(z, pt, lat))
-            row = "OO:[1:0]"
-        else:
-            lam = a_t.a / a_t.c
-            mat = _matfn(_const(lam), lambda z: th.theta_w(z, pt, lat),
-                         _const(1.0), _const(0.0))
-            row = "OO:[lam:1]"
-        target = Decomposable(LineBundleClass(0, 0.0, lat).tensor(m),
-                              LineBundleClass(-1, -pt, lat).tensor(m))
-        return finish(row, mat, target)
+            return finish("OO:[1:0]", pivot, target)
+        mat = _matfn(_const(a_t.a / a_t.c), theta_p, _ONE, _ZERO)
+        return finish("OO:[lam:1]", mat, target)
 
     if k == 0:
         # O(p - q) + O with q = p - t; strictly semistable, t nontrivial.
-        w = t
-        q_lift = pt - w
+        q_lift = pt - t
         if a_t.is_zero_dir():
-            mat = _matfn(_const(1.0), _const(0.0), _const(0.0),
-                         lambda z: th.theta_w(z, pt, lat))
-            target = Decomposable(u1, LineBundleClass(-1, -pt, lat).tensor(m))
-            return finish("ss:[1:0]", mat, target)
+            return finish("ss:[1:0]", pivot, Decomposable(u1, low))
         if a_t.is_infinity_dir():
-            mat = _matfn(lambda z: th.theta_w(z, pt, lat), _const(0.0),
-                         _const(0.0), _const(1.0))
             target = Decomposable(LineBundleClass(-1, -q_lift, lat).tensor(m), m)
-            return finish("ss:[0:1]", mat, target)
+            return finish("ss:[0:1]", counter, target)
         sa = a_t.a / complex(th.theta_tilde_w(q_lift - pt, 0.5 - lat.tau, lat))
         sb = a_t.c / complex(th.theta_tilde_w(pt - q_lift, 0.5 - lat.tau, lat))
-        e2w = np.exp(TWO_PI_I * w)
+        e2t = np.exp(TWO_PI_I * t)
         mat = _matfn(
-            lambda z: sa * th.theta_tilde_w(z, pt + w + 0.5 - lat.tau, lat),
-            lambda z: -sa * e2w * th.theta_tilde_w(z, pt + w + 0.5, lat),
-            lambda z: sb * th.theta_tilde_w(z, pt - w + 0.5 - lat.tau, lat),
-            lambda z: -sb * th.theta_tilde_w(z, pt - w + 0.5, lat),
+            lambda z: sa * th.theta_tilde_w(z, pt + t + 0.5 - lat.tau, lat),
+            lambda z: -sa * e2t * th.theta_tilde_w(z, pt + t + 0.5, lat),
+            lambda z: sb * th.theta_tilde_w(z, pt - t + 0.5 - lat.tau, lat),
+            lambda z: -sb * th.theta_tilde_w(z, pt - t + 0.5, lat),
         )
         target = G2Twist(q_lift, LineBundleClass(-1, -q_lift, lat).tensor(m))
         return finish("ss:[x:y]", mat, target)
 
-    if k == 1 and lat.distance(t, pt) < CLASS_TOL:
-        phi, phi_at_p = make_frame(t - pt)
-        a_t = _transport(phi_at_p, a)
-        # O(p) + O at its own point.
+    if own:
         if a_t.is_zero_dir():
-            mat = _matfn(_const(1.0), _const(0.0), _const(0.0),
-                         lambda z: th.theta_w(z, pt, lat))
-            target = Decomposable(LineBundleClass(1, pt, lat).tensor(m),
-                                  LineBundleClass(-1, -pt, lat).tensor(m))
-            return finish("Op:[1:0]", mat, target)
+            target = Decomposable(LineBundleClass(1, pt, lat).tensor(m), low)
+            return finish("Op:[1:0]", pivot, target)
         if a_t.is_infinity_dir():
-            mat = _matfn(lambda z: th.theta_w(z, pt, lat), _const(0.0),
-                         _const(0.0), _const(1.0))
-            target = Decomposable(LineBundleClass(0, 0.0, lat).tensor(m), m)
-            return finish("Op:[0:1]", mat, target)
-        kappa = _theta_const(lat)
-        scale = a_t.c * kappa / a_t.a
-        mat = _matfn(
-            lambda z: th.theta_w(z, pt, lat),
-            lambda z: -th.g_theta_w(z, pt, lat),
-            _const(0.0),
-            _const(scale),
-        )
+            return finish("Op:[0:1]", counter, Decomposable(trivial_line(lat).tensor(m), m))
+        scale = a_t.c * _theta_const(lat) / a_t.a
+        mat = _matfn(theta_p, lambda z: -th.g_theta_w(z, pt, lat), _ZERO, _const(scale))
         return finish("Op:[x:y]", mat, F2Twist(m))
 
     # O(D) + O for deg D = k >= 1 with D's point distinct from p (k = 1)
     # or arbitrary (k >= 2; the theta product uses (k-1) [0] + the twist).
+    kind = "OD" if k > 1 else "Oq"
     if a_t.is_zero_dir():
-        mat = _matfn(_const(1.0), _const(0.0), _const(0.0),
-                     lambda z: th.theta_w(z, pt, lat))
-        target = Decomposable(u1, LineBundleClass(-1, -pt, lat).tensor(m))
-        row = "OD:[1:0]" if k > 1 else "Oq:[1:0]"
-        return finish(row, mat, target)
+        return finish(f"{kind}:[1:0]", pivot, Decomposable(u1, low))
     # The table family is lambda * (theta product); its direction at p is
     # [lambda * product(p) : 1], so hitting the requested direction means
     # dividing out the product's value at p.
@@ -521,11 +441,9 @@ def _morphism_dec(e: Decomposable, p: CurvePoint, a: ProjPoint) -> MorphismRep:
             acc = acc * th.theta_w(z, 0.0, lat) ** (k - 1)
         return lam * acc
 
-    mat = _matfn(lambda z: th.theta_w(z, pt, lat), theta_product,
-                 _const(0.0), _const(1.0))
+    mat = _matfn(theta_p, theta_product, _ZERO, _ONE)
     target = Decomposable(LineBundleClass(k - 1, t - pt, lat).tensor(m), m)
-    row = "OD:[lam:1]" if k > 1 else "Oq:[lam:1]"
-    return finish(row, mat, target)
+    return finish(f"{kind}:[lam:1]", mat, target)
 
 
 def _morphism_f2(e: F2Twist, p: CurvePoint, a: ProjPoint) -> MorphismRep:
@@ -533,8 +451,8 @@ def _morphism_f2(e: F2Twist, p: CurvePoint, a: ProjPoint) -> MorphismRep:
     pt = p.lift
     m = e.l
     if a.is_zero_dir():
-        mat = _matfn(_const(1.0), lambda z: th.g_theta_w(z, pt, lat),
-                     _const(0.0), lambda z: th.theta_w(z, pt, lat))
+        mat = _matfn(_ONE, lambda z: th.g_theta_w(z, pt, lat), _ZERO,
+                     lambda z: th.theta_w(z, pt, lat))
         target = Decomposable(m, LineBundleClass(-1, -pt, lat).tensor(m))
         return MorphismRep(mat, "F2:[1:0]", e, target, p)
     lam = a.a / a.c
@@ -560,16 +478,10 @@ def _morphism_g2(e: G2Twist, p: CurvePoint, a: ProjPoint) -> MorphismRep:
     # Rewrite G2(p') tensor N as G2(p) tensor M; the exact half-difference
     # lift makes the frame change a constant diagonal.
     m = LineBundleClass(e.l.degree, e.l.lift + (e.point_lift - pt) / 2, lat)
-    d2 = np.exp(1j * np.pi * (e.point_lift - pt))
-    phi_const = np.array([[1.0, 0.0], [0.0, d2]], dtype=complex)
-    moved = abs(e.point_lift - pt) > 1e-14
-
-    def phi(z):
-        z = np.asarray(z, dtype=complex)
-        return np.broadcast_to(phi_const, z.shape + (2, 2)).copy()
-
-    phi_fn: MatFn | None = phi if moved else None
-    a_t = _transport(phi_const if moved else None, a)
+    phi = None
+    if abs(e.point_lift - pt) > 1e-14:
+        phi = _matfn(_ONE, _ZERO, _ZERO, _const(np.exp(1j * np.pi * (e.point_lift - pt))))
+    a_t = a if phi is None else transport_direction(phi(np.asarray(pt)), a)
 
     idx = th.branch_index(a_t, lat)
     if idx is not None:
@@ -586,7 +498,7 @@ def _morphism_g2(e: G2Twist, p: CurvePoint, a: ProjPoint) -> MorphismRep:
                             - i_pi * th.theta_tilde_w_deriv(z, ct, lat)),
         )
         target = F2Twist(torsion_line(lat, idx).tensor(m))
-        return MorphismRep(_compose(phi_fn, mat), f"G2:a{idx}", e, target, p)
+        return MorphismRep(_compose(phi, mat), f"G2:a{idx}", e, target, p)
 
     root, _ = th.invert_cover(a_t, lat)
     # Any exact lift of the root works if used consistently in the
@@ -600,9 +512,7 @@ def _morphism_g2(e: G2Twist, p: CurvePoint, a: ProjPoint) -> MorphismRep:
         lambda z: e2w * th.theta_tilde_w(z, pt - 2 * w + 0.5 - lat.tau, lat),
         lambda z: th.theta_tilde_w(z, pt + 2 * w + 0.5 - lat.tau, lat) / e2w,
     )
-    target = Decomposable(LineBundleClass(0, w, lat).tensor(m),
-                          LineBundleClass(0, -w, lat).tensor(m))
-    return MorphismRep(_compose(phi_fn, mat), "G2:good", e, target, p)
+    return MorphismRep(_compose(phi, mat), "G2:good", e, dual_pair(w, lat).tensor(m), p)
 
 
 def single_hecke(e: EllipticBundle, p: CurvePoint, a: ProjPoint) -> EllipticBundle:
@@ -626,11 +536,7 @@ def mss_coordinate(e: EllipticBundle) -> ProjPoint:
     """
     if not is_even_semistable(e) or not has_trivial_det(e):
         raise NotSemistable(f"{e} is not semistable with trivial determinant")
-    if isinstance(e, Decomposable):
-        return th.pi_cover(e.l1.twist_point())
-    if isinstance(e, F2Twist):
-        return th.pi_cover(e.l.twist_point())
-    raise NotSemistable("G2 twists have Hecke length 1")
+    return th.pi_cover((e.l1 if isinstance(e, Decomposable) else e.l).twist_point())
 
 
 def _stable_first_class(
@@ -678,39 +584,27 @@ def double_hecke(
     ept = halve_sum(p1, p2)
     e1 = LineBundleClass(1, ept.lift, lat)
 
+    def split_class(li: LineBundleClass) -> Decomposable:
+        """O(e - p1) L_i + O(e - p2) L_i."""
+        return Decomposable(e1.tensor(point_line(p1).inverse()).tensor(li),
+                            e1.tensor(point_line(p2).inverse()).tensor(li))
+
     if isinstance(e, F2Twist):
-        li = e.l
         if a.is_zero_dir():
             # Bad first direction: unstable intermediate.
-            if b.is_zero_dir():
-                return None
-            return Decomposable(
-                e1.tensor(point_line(p1).inverse()).tensor(li),
-                e1.tensor(point_line(p2).inverse()).tensor(li),
-            )
+            return None if b.is_zero_dir() else split_class(e.l)
         return _stable_first_class(e, p1, p2, a, b)
 
     delta = e.l1  # degree 0 with l2 the inverse class, by the precondition
     ti = delta.twist_point().torsion_index()
     if ti is not None:
         # (O + O) tensor L_i: every direction is bad; a = b is terminal-unstable.
-        li = torsion_line(lat, ti)
-        if chordal(a, b) < PROJ_TOL:
-            return None
-        return Decomposable(
-            e1.tensor(point_line(p1).inverse()).tensor(li),
-            e1.tensor(point_line(p2).inverse()).tensor(li),
-        )
+        return None if chordal(a, b) < PROJ_TOL else split_class(torsion_line(lat, ti))
 
     # O(p - e') + O(e' - p) block with p = e' + delta.
     p = ept + delta.twist_point()
     j = (p - p1).torsion_index()
     k = (p - p2).torsion_index()
-
-    def dec_pair(q: CurvePoint) -> Decomposable:
-        d = p - q
-        return Decomposable(LineBundleClass(0, d.lift, lat),
-                            LineBundleClass(0, -d.lift, lat))
 
     if a.is_infinity_dir():
         if j is not None:
@@ -722,7 +616,7 @@ def double_hecke(
             return F2Twist(torsion_line(lat, j))
         if b.is_infinity_dir():
             return None
-        return dec_pair(p1)
+        return dual_pair((p - p1).lift, lat)
     if a.is_zero_dir():
         if k is not None:
             if b.is_zero_dir():
@@ -733,7 +627,7 @@ def double_hecke(
             return F2Twist(torsion_line(lat, k))
         if b.is_zero_dir():
             return None
-        return dec_pair(p2)
+        return dual_pair((p - p2).lift, lat)
     return _stable_first_class(e, p1, p2, a, b)
 
 
@@ -775,31 +669,40 @@ def bad_group_key(e: EllipticBundle, direction: ProjPoint):
     return None
 
 
-def sequence_evaluators(base: EllipticBundle, steps) -> tuple[list, list[EllipticBundle]]:
-    """Chained morphism representatives for stepwise direction data.
+def raw_directions(reps) -> list[ProjPoint]:
+    """Directions of a chain of representatives in the trivialization of
+    the first one's upstream bundle: eta of the composite evaluator at each
+    point (see ``chain_directions``)."""
+    return chain_directions([r.evaluator for r in reps], [np.asarray(r.point.lift) for r in reps])
 
-    Step directions are in the standard trivialization of the bundle they
-    modify; the stored-frame convention makes consecutive evaluators
+
+@dataclass(frozen=True)
+class EllipticSequence:
+    """A point of H(T^2, n): modifications of a marked bundle, held as the
+    chain of morphism representatives, each built once.
+
+    Each step's direction is in the standard trivialization of the bundle
+    it modifies; the stored-frame convention makes consecutive evaluators
     directly composable.
     """
-    evs = []
-    bundles = [base]
-    current = base
-    for s in steps:
-        rep = morphism_rep(current, s.point, s.direction)
-        evs.append(rep.evaluator)
-        current = rep.result
-        bundles.append(current)
-    return evs, bundles
+
+    base: MarkedBundle
+    reps: tuple[MorphismRep, ...]
+
+    @property
+    def points(self) -> list[CurvePoint]:
+        return [r.point for r in self.reps]
+
+    @property
+    def terminal(self) -> EllipticBundle:
+        return self.reps[-1].result if self.reps else self.base.bundle
+
+    def lines(self) -> list[ProjPoint]:
+        """The parabolic lines: each step's direction in the base trivialization."""
+        return raw_directions(self.reps)
 
 
-def raw_directions(evs, points: list[CurvePoint]) -> list[ProjPoint]:
-    """Directions of each step in the base trivialization: eta of the
-    composite evaluator at each point (see ``chain_directions``)."""
-    return chain_directions(evs, [np.asarray(p.lift) for p in points])
-
-
-def h_total(base: MarkedBundle, steps) -> list[ProjPoint]:
+def h_total(seq: EllipticSequence) -> list[ProjPoint]:
     """The n+1 moduli coordinates of a sequence on a marked bundle.
 
     Coordinate 0 is the class of the base bundle; coordinate i >= 1 is the
@@ -807,18 +710,9 @@ def h_total(base: MarkedBundle, steps) -> list[ProjPoint]:
     modification of the base at (p_i, q) in the directions read off the
     composed sequence and the mark.
     """
-    steps = list(steps)
-    pts = [s.point for s in steps]
-    for i, pnt in enumerate(pts):
-        if pnt == base.q:
-            raise ValueError("modification points must avoid the marked point")
-        for other in pts[i + 1:]:
-            if pnt == other:
-                raise ValueError("modification points must be pairwise distinct")
+    base = seq.base
     out = [mss_coordinate(base.bundle)]
-    evs, _ = sequence_evaluators(base.bundle, steps)
-    dirs = raw_directions(evs, pts)
-    for pnt, d in zip(pts, dirs):
+    for pnt, d in zip(seq.points, seq.lines()):
         # Reinterpreted two-step sequence: the mark modification first.
         # Its composite coordinates are (mark line, d_i): line data is
         # order-independent under the canonical parabolic correspondence.
@@ -872,18 +766,15 @@ def distance_to_curve(triple, q: CurvePoint, p1: CurvePoint, p2: CurvePoint) -> 
     return float(np.abs(cross).max(axis=1).min())
 
 
-def membership_Hp(base: MarkedBundle, steps) -> bool:
+def membership_Hp(seq: EllipticSequence) -> bool:
     """Exact membership for n <= 2: n <= 1 is all of the total space; for
     n = 2 the complement is the embedded curve."""
-    steps = list(steps)
-    n = len(steps)
+    n = len(seq.reps)
     if n <= 1:
         return True
     if n > 2:
         raise Unsupported("exact membership is computed for n <= 2 only")
-    h = h_total(base, steps)
-    d = distance_to_curve(h, base.q, steps[0].point, steps[1].point)
-    return d >= CURVE_TOL
+    return distance_to_curve(h_total(seq), seq.base.q, *seq.points) >= CURVE_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -906,10 +797,7 @@ def base_from_coordinate(
     else:
         # Centered lift: the strictly semistable rows see the doubled
         # twist 2*delta, so the balanced representative matters.
-        delta = lat.reduce_centered(th.invert_cover(tau0, lat)[0].lift)
-        bundle = Decomposable(
-            LineBundleClass(0, delta, lat), LineBundleClass(0, -delta, lat)
-        )
+        bundle = dual_pair(lat.reduce_centered(th.invert_cover(tau0, lat)[0].lift), lat)
     mark = line if line is not None else ProjPoint(1.0, 1.0)
     return MarkedBundle(bundle, q, mark)
 
@@ -937,40 +825,45 @@ def second_direction_for_class(
 
 def sequence_from_coordinates(
     base: MarkedBundle, points: list[CurvePoint], taus: list[ProjPoint]
-) -> list[EllipticStep]:
-    """Steps realizing prescribed moduli coordinates (tau_1 .. tau_n).
+) -> EllipticSequence:
+    """The sequence realizing prescribed moduli coordinates (tau_1 .. tau_n).
 
     For each point the reinterpreted two-step sequence through the mark
-    pins the parabolic line at that point; the lines convert to stepwise
-    directions by transport through the growing composite.
+    pins the parabolic line at that point; ``sequence_from_lines`` builds
+    the chain from those lines.
     """
-    lat = base.q.lattice
     rep_q = morphism_rep(base.bundle, base.q, base.line)
     h1 = rep_q.result
-    base_dirs = []
+    lines = []
     for pnt, tau in zip(points, taus):
         delta = second_direction_for_class(h1, base.q, pnt, tau)
         rep2 = morphism_rep(h1, pnt, delta)
         local = eta_at(rep2.evaluator(np.asarray(pnt.lift)), pnt.lift)
         v = rep_q.evaluator(np.asarray(pnt.lift)) @ local.vec
-        base_dirs.append(ProjPoint(v[0], v[1]))
-    return steps_from_base_directions(base.bundle, points, base_dirs)
+        lines.append(ProjPoint(v[0], v[1]))
+    return sequence_from_lines(base, points, lines)
 
 
-def steps_from_base_directions(
-    bundle: EllipticBundle, points: list[CurvePoint], dirs: list[ProjPoint]
-) -> list[EllipticStep]:
-    """Steps at ``points`` whose directions, in the trivialization of
-    ``bundle``, are ``dirs``: each is transported back through the
-    composite of the steps before it."""
-    steps: list[EllipticStep] = []
-    evs: list[MatFn] = []
-    current = bundle
-    for pnt, d in zip(points, dirs):
-        val = prefix_product(evs, np.asarray(pnt.lift))
-        step = EllipticStep(pnt, transport_direction(val, d))
-        rep = morphism_rep(current, step.point, step.direction)
-        evs.append(rep.evaluator)
-        current = rep.result
-        steps.append(step)
-    return steps
+def sequence_from_lines(
+    base: MarkedBundle, points: list[CurvePoint], lines: list[ProjPoint]
+) -> EllipticSequence:
+    """The sequence at ``points`` whose lines, in the trivialization of the
+    base bundle, are ``lines``: each is transported back through the
+    composite of the steps before it to the direction its step takes.
+
+    Raises ValueError unless the points are pairwise distinct and away
+    from the mark.
+    """
+    points = list(points)
+    for i, pnt in enumerate(points):
+        if pnt == base.q:
+            raise ValueError("modification points must avoid the marked point")
+        if any(pnt == other for other in points[i + 1:]):
+            raise ValueError("modification points must be pairwise distinct")
+    reps: list[MorphismRep] = []
+    current = base.bundle
+    for pnt, line in zip(points, lines):
+        val = prefix_product([r.evaluator for r in reps], np.asarray(pnt.lift))
+        reps.append(morphism_rep(current, pnt, transport_direction(val, line)))
+        current = reps[-1].result
+    return EllipticSequence(base, tuple(reps))

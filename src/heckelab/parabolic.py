@@ -21,11 +21,9 @@ from .rational import (
 )
 from .elliptic import (
     EllipticBundle,
-    MarkedBundle,
+    EllipticSequence,
     bad_group_key,
     is_semistable as elliptic_semistable,
-    raw_directions,
-    sequence_evaluators,
 )
 
 #: Default parabolic weight; inside mu < 1/(2n) for all n <= 16.
@@ -135,11 +133,8 @@ def stability(pb: ParabolicBundle) -> StabilityVerdict:
 # The correspondence between sequences and marked lines.
 
 
-def lines_from_elliptic_sequence(base: MarkedBundle, steps) -> list[Mark]:
-    steps = list(steps)
-    evs, _ = sequence_evaluators(base.bundle, steps)
-    dirs = raw_directions(evs, [s.point for s in steps])
-    return [Mark(s.point, d) for s, d in zip(steps, dirs)]
+def lines_from_elliptic_sequence(seq: EllipticSequence) -> list[Mark]:
+    return [Mark(p, d) for p, d in zip(seq.points, seq.lines())]
 
 
 def tuple_from_lines(marks: list[Mark]):
@@ -185,17 +180,13 @@ def hecke_embedding_rational(
 
 
 def hecke_embedding_elliptic(
-    base: MarkedBundle, steps, weight: float = DEFAULT_WEIGHT
+    seq: EllipticSequence, weight: float = DEFAULT_WEIGHT
 ) -> ParabolicBundle:
     """Embed an even minimal sequence on a marked bundle, adding the good
     mark itself as the auxiliary line."""
-    steps = list(steps)
-    n = len(steps)
-    if n % 2:
+    if len(seq.reps) % 2:
         raise ValueError("the embedding is defined for even-length sequences")
-    evs, bundles = sequence_evaluators(base.bundle, steps)
-    if not elliptic_semistable(bundles[-1]):
-        raise TerminalNotMinimal(f"terminal bundle {bundles[-1]} is unstable")
-    marks = lines_from_elliptic_sequence(base, steps)
-    marks.append(Mark(base.q, base.line))
-    return ParabolicBundle(base.bundle, tuple(marks), weight)
+    if not elliptic_semistable(seq.terminal):
+        raise TerminalNotMinimal(f"terminal bundle {seq.terminal} is unstable")
+    marks = lines_from_elliptic_sequence(seq) + [Mark(seq.base.q, seq.base.line)]
+    return ParabolicBundle(seq.base.bundle, tuple(marks), weight)

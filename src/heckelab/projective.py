@@ -56,12 +56,6 @@ class ProjPoint:
         """True for points within ``tol`` of [0:1]."""
         return abs(self.c) > abs(self.a) and abs(self.a) < tol
 
-    def affine(self) -> complex:
-        """The ratio c/a (second chart coordinate); requires a != 0."""
-        if abs(self.a) < NORM_TOL:
-            raise ZeroDivisionError("point is [0:1]")
-        return self.c / self.a
-
     def apply(self, mat: np.ndarray) -> "ProjPoint":
         """Image under an invertible 2x2 matrix acting on homogeneous coords."""
         v = np.asarray(mat, dtype=complex) @ self.vec

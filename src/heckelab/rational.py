@@ -52,9 +52,6 @@ class RationalBundle:
     def is_semistable(self) -> bool:
         return self.n == self.m
 
-    def twist(self, k: int) -> "RationalBundle":
-        return RationalBundle(self.n + k, self.m + k)
-
     def __str__(self) -> str:
         return f"O({self.n})+O({self.m})"
 

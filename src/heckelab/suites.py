@@ -439,15 +439,14 @@ def verify_double_table(report, config, rng):
     ok = got is not None and ell.s_equivalent(got, want)
     ok &= ell.double_hecke(ell.Decomposable(O, O), p1, p2, a, a) is None
     delta = _curve_point(rng, lat)
-    eg = ell.Decomposable(ell.LineBundleClass(0, delta.lift, lat),
-                          ell.LineBundleClass(0, -delta.lift, lat))
+    eg = ell.dual_pair(delta.lift, lat)
     rep1 = ell.morphism_rep(eg, p1, a)
     bi = th.branch_points(lat)[1]
     # A second direction landing on a branch point of the intrinsic
     # coordinate: the composite key is its image under the first step.
     delta2 = ell.second_direction_for_class(rep1.result, p1, p2, bi)
     rep2 = ell.morphism_rep(rep1.result, p2, delta2)
-    _, b = ell.raw_directions([rep1.evaluator, rep2.evaluator], [p1, p2])
+    _, b = ell.raw_directions([rep1, rep2])
     got = ell.double_hecke(eg, p1, p2, a, b)
     ok &= got is not None and isinstance(got, ell.F2Twist)
     report.add_flag("printed-rows", "split-trivial, diagonal, and torsion outcomes", ok)
@@ -468,22 +467,19 @@ def _double_sample(lat, rng, k):
         d1, d2 = ProjPoint(rng.normal() + 1j * rng.normal(), 1), random_point(rng)
     elif kind == 3:
         delta = _curve_point(rng, lat)
-        bundle = ell.Decomposable(ell.LineBundleClass(0, delta.lift, lat),
-                                  ell.LineBundleClass(0, -delta.lift, lat))
+        bundle = ell.dual_pair(delta.lift, lat)
         d1 = (ProjPoint(0, 1), ProjPoint(1, 0))[k % 2]
         d2 = random_point(rng)
     elif kind == 4:
         delta = _curve_point(rng, lat)
-        bundle = ell.Decomposable(ell.LineBundleClass(0, delta.lift, lat),
-                                  ell.LineBundleClass(0, -delta.lift, lat))
+        bundle = ell.dual_pair(delta.lift, lat)
         d1, d2 = random_point(rng), random_point(rng)
     elif kind == 5:
         # 2-torsion subcase at the first point.
         j = int(rng.integers(2, 5))
         p = p1 + torsion_point(lat, j)
         delta = p - halve_sum(p1, p2)
-        bundle = ell.Decomposable(ell.LineBundleClass(0, delta.lift, lat),
-                                  ell.LineBundleClass(0, -delta.lift, lat))
+        bundle = ell.dual_pair(delta.lift, lat)
         d1 = ProjPoint(0, 1)
         d2 = (random_point(rng), ProjPoint(1, 0), ProjPoint(0, 1))[k % 3]
     elif kind == 6:
@@ -491,8 +487,7 @@ def _double_sample(lat, rng, k):
         j = int(rng.integers(2, 5))
         p = p2 + torsion_point(lat, j)
         delta = p - halve_sum(p1, p2)
-        bundle = ell.Decomposable(ell.LineBundleClass(0, delta.lift, lat),
-                                  ell.LineBundleClass(0, -delta.lift, lat))
+        bundle = ell.dual_pair(delta.lift, lat)
         d1 = ProjPoint(1, 0)
         d2 = (random_point(rng), ProjPoint(1, 0), ProjPoint(0, 1))[k % 3]
     else:
@@ -504,7 +499,7 @@ def _double_sample(lat, rng, k):
 def _two_route_agree(bundle, p1, p2, d1, d2, lat) -> bool:
     rep1 = ell.morphism_rep(bundle, p1, d1)
     rep2 = ell.morphism_rep(rep1.result, p2, d2)
-    a, b = ell.raw_directions([rep1.evaluator, rep2.evaluator], [p1, p2])
+    a, b = ell.raw_directions([rep1, rep2])
     table = ell.double_hecke(bundle, p1, p2, a, b)
     chained = rep2.result.tensor(ell.LineBundleClass(1, halve_sum(p1, p2).lift, lat))
     if table is None:
@@ -573,7 +568,7 @@ def _compute_space_t2(report, config, rng, n):
         for a in sphere_grid(16):
             q = CurvePoint(0.31 + 0.43 * lat.tau, lat)
             base = ell.base_from_coordinate(a, q)
-            worst = max(worst, chordal(ell.h_total(base, [])[0], a))
+            worst = max(worst, chordal(ell.h_total(ell.EllipticSequence(base, ()))[0], a))
         report.add("coordinate-span", "16-point grid of base classes", worst, 1e-8)
         return
     if n == 1:
@@ -584,10 +579,10 @@ def _compute_space_t2(report, config, rng, n):
             tau0 = th.pi_cover(_curve_point(rng, lat))
             tau1 = th.pi_cover(_curve_point(rng, lat))
             base = ell.base_from_coordinate(tau0, q)
-            steps = ell.sequence_from_coordinates(base, [p1], [tau1])
-            h = ell.h_total(base, steps)
+            seq = ell.sequence_from_coordinates(base, [p1], [tau1])
+            h = ell.h_total(seq)
             worst = max(worst, chordal(h[0], tau0), chordal(h[1], tau1))
-            if not ell.membership_Hp(base, steps):
+            if not ell.membership_Hp(seq):
                 worst = 1.0
         report.add("bijectivity-roundtrip", f"{draws} coordinate pairs", worst, 1e-7)
         return
@@ -606,8 +601,8 @@ def _compute_space_t2(report, config, rng, n):
             p = _curve_point(rng, lat)
             tri = ell.f_embedding(p, q, p1, p2)
             base = ell.base_from_coordinate(tri[0], q)
-            steps = ell.sequence_from_coordinates(base, [p1, p2], [tri[1], tri[2]])
-            on_curve_excluded += not ell.membership_Hp(base, steps)
+            seq = ell.sequence_from_coordinates(base, [p1, p2], [tri[1], tri[2]])
+            on_curve_excluded += not ell.membership_Hp(seq)
         report.add_flag("curve-excluded", f"{trials} unstable-terminal tuples",
                         on_curve_excluded == trials)
         far_included = 0
@@ -619,8 +614,8 @@ def _compute_space_t2(report, config, rng, n):
                 if ell.distance_to_curve(taus, q, p1, p2) > 0.1:
                     break
             base = ell.base_from_coordinate(taus[0], q)
-            steps = ell.sequence_from_coordinates(base, [p1, p2], [taus[1], taus[2]])
-            far_included += ell.membership_Hp(base, steps)
+            seq = ell.sequence_from_coordinates(base, [p1, p2], [taus[1], taus[2]])
+            far_included += ell.membership_Hp(seq)
         report.add_flag("far-tuples-included", f"{trials_far} tuples beyond 0.1",
                         far_included == trials_far)
         return
@@ -720,15 +715,14 @@ def embed_check(report, config, rng):
         if k % 2:
             # Force both marks bad in the same direction.
             bad = ProjPoint(1, 0)
-            steps = ell.steps_from_base_directions(base.bundle, [p1, p2], [bad, bad])
+            seq = ell.sequence_from_lines(base, [p1, p2], [bad, bad])
         else:
             taus = [th.pi_cover(_curve_point(rng, lat))
                     for _ in range(2)]
-            steps = ell.sequence_from_coordinates(base, [p1, p2], taus)
-        marks = par.lines_from_elliptic_sequence(base, steps)
+            seq = ell.sequence_from_coordinates(base, [p1, p2], taus)
+        marks = par.lines_from_elliptic_sequence(seq)
         verdict = par.stability(par.ParabolicBundle(base.bundle, tuple(marks)))
-        _, bundles = ell.sequence_evaluators(base.bundle, steps)
-        if verdict.verdict is V.UNSTABLE and ell.is_semistable(bundles[-1]):
+        if verdict.verdict is V.UNSTABLE and ell.is_semistable(seq.terminal):
             ok = False
     report.add_flag("unstable-marks-unstable-terminal-elliptic",
                     f"{n_seq} seeded two-step sequences", ok)
@@ -751,10 +745,10 @@ def embed_check(report, config, rng):
         while True:
             taus = [th.pi_cover(_curve_point(rng, lat))
                     for _ in range(2)]
-            steps = ell.sequence_from_coordinates(base, [p1, p2], taus)
-            if ell.membership_Hp(base, steps):
+            seq = ell.sequence_from_coordinates(base, [p1, p2], taus)
+            if ell.membership_Hp(seq):
                 break
-        pb = par.hecke_embedding_elliptic(base, steps)
+        pb = par.hecke_embedding_elliptic(seq)
         if par.stability(pb).verdict is not V.STABLE:
             ok = False
     report.add_flag("elliptic-embedding-stable", "members of the length-two space", ok)

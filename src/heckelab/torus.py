@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,8 +17,9 @@ POINT_TOL = 1e-8
 class Lattice:
     """The lattice Z + Z*tau with Im tau > 0.
 
-    Carries a write-once cache used for per-lattice derived data (branch
-    points of the double cover); instances are otherwise immutable.
+    Carries a write-once cache used for per-lattice derived data (the
+    reduced basis, branch points of the double cover); instances are
+    otherwise immutable.
     """
 
     __slots__ = ("tau", "_cache")
@@ -59,14 +61,32 @@ class Lattice:
         x, y = self.coords(complex(z))
         return ((x + 0.5) % 1.0 - 0.5) + ((y + 0.5) % 1.0 - 0.5) * self.tau
 
+    def _reduced_basis(self) -> tuple[complex, complex]:
+        """Lagrange-reduced basis (b1, b2): |b1| <= |b2| and
+        |Re(b2 conj(b1))| <= |b1|^2 / 2, cached per lattice."""
+        basis = self._cache.get("reduced_basis")
+        if basis is None:
+            b1, b2 = (1.0 + 0.0j, self.tau) if abs(self.tau) >= 1 else (self.tau, 1.0 + 0.0j)
+            while True:
+                b2 -= round((b2 * b1.conjugate()).real / abs(b1) ** 2) * b1
+                if abs(b2) >= abs(b1):
+                    break
+                b1, b2 = b2, b1
+            basis = self._cache["reduced_basis"] = (b1, b2)
+        return basis
+
     def distance(self, z1: complex, z2: complex) -> float:
-        """Distance |z1 - z2| minimized over lattice translates."""
-        d = self.reduce(complex(z1) - complex(z2))
-        best = abs(d)
-        for m in (0, -1):
-            for n in (0, -1):
-                best = min(best, abs(d + m + n * self.tau))
-        return best
+        """Distance |z1 - z2| minimized over lattice translates.
+
+        The nearest lattice point is a corner of the cell of the reduced
+        basis that contains z1 - z2 (for an unreduced basis it need not be).
+        """
+        b1, b2 = self._reduced_basis()
+        d = complex(z1) - complex(z2)
+        x = (d * b2.conjugate()).imag / (b1 * b2.conjugate()).imag
+        y = (d * b1.conjugate()).imag / (b2 * b1.conjugate()).imag
+        d -= math.floor(x) * b1 + math.floor(y) * b2
+        return min(abs(d - m * b1 - n * b2) for m in (0, 1) for n in (0, 1))
 
     def torsion_lifts(self) -> tuple[complex, complex, complex, complex]:
         """Lifts of the four 2-torsion points: 0, 1/2, tau/2, (1+tau)/2."""

@@ -8,7 +8,6 @@ from heckelab import suites
 from heckelab import theta as th
 from heckelab.elliptic import (
     Decomposable,
-    EllipticStep,
     F2Twist,
     G2Twist,
     LineBundleClass,
@@ -249,7 +248,7 @@ class TestHTotal:
         q = rpt()
         tau0 = th.pi_cover(rpt())
         base = ell.base_from_coordinate(tau0, q)
-        h = ell.h_total(base, [])
+        h = ell.h_total(ell.EllipticSequence(base, ()))
         assert len(h) == 1 and chordal(h[0], tau0) < 1e-9
 
     def test_roundtrip_n1_n2(self):
@@ -261,8 +260,7 @@ class TestHTotal:
                 taus = [th.pi_cover(rpt(rng)) for _ in range(n)]
                 tau0 = th.pi_cover(rpt(rng))
                 base = ell.base_from_coordinate(tau0, q)
-                steps = ell.sequence_from_coordinates(base, pts, taus)
-                h = ell.h_total(base, steps)
+                h = ell.h_total(ell.sequence_from_coordinates(base, pts, taus))
                 assert chordal(h[0], tau0) < 1e-9
                 assert max(chordal(x, y) for x, y in zip(h[1:], taus)) < 1e-8
 
@@ -272,9 +270,9 @@ class TestHTotal:
         tau0 = th.pi_cover(rpt(rng))
         base = ell.base_from_coordinate(tau0, q)
         for _ in range(3):
-            steps = ell.sequence_from_coordinates(
+            seq = ell.sequence_from_coordinates(
                 base, [rpt(rng)], [th.pi_cover(rpt(rng))])
-            assert chordal(ell.h_total(base, steps)[0], tau0) < 1e-9
+            assert chordal(ell.h_total(seq)[0], tau0) < 1e-9
 
     def test_bad_mark_rejected(self):
         q = rpt()
@@ -289,18 +287,18 @@ class TestMembership:
     def test_low_n_always_member(self):
         q = rpt()
         base = ell.base_from_coordinate(th.pi_cover(rpt()), q)
-        assert ell.membership_Hp(base, [])
-        steps = ell.sequence_from_coordinates(base, [rpt()], [th.pi_cover(rpt())])
-        assert ell.membership_Hp(base, steps)
+        assert ell.membership_Hp(ell.EllipticSequence(base, ()))
+        seq = ell.sequence_from_coordinates(base, [rpt()], [th.pi_cover(rpt())])
+        assert ell.membership_Hp(seq)
 
     def test_unsupported_above_two(self):
         q = rpt()
         base = ell.base_from_coordinate(th.pi_cover(rpt()), q)
         pts = [rpt(), rpt(), rpt()]
         taus = [th.pi_cover(rpt()) for _ in range(3)]
-        steps = ell.sequence_from_coordinates(base, pts, taus)
+        seq = ell.sequence_from_coordinates(base, pts, taus)
         with pytest.raises(Unsupported):
-            ell.membership_Hp(base, steps)
+            ell.membership_Hp(seq)
 
     def test_curve_excluded_far_included(self):
         rng = np.random.default_rng(16)
@@ -308,15 +306,15 @@ class TestMembership:
         p = rpt(rng)
         tri = ell.f_embedding(p, q, p1, p2)
         base = ell.base_from_coordinate(tri[0], q)
-        steps = ell.sequence_from_coordinates(base, [p1, p2], [tri[1], tri[2]])
-        assert not ell.membership_Hp(base, steps)
+        seq = ell.sequence_from_coordinates(base, [p1, p2], [tri[1], tri[2]])
+        assert not ell.membership_Hp(seq)
         while True:
             taus = [th.pi_cover(rpt(rng)) for _ in range(3)]
             if ell.distance_to_curve(taus, q, p1, p2) > 0.1:
                 break
         base = ell.base_from_coordinate(taus[0], q)
-        steps = ell.sequence_from_coordinates(base, [p1, p2], [taus[1], taus[2]])
-        assert ell.membership_Hp(base, steps)
+        seq = ell.sequence_from_coordinates(base, [p1, p2], [taus[1], taus[2]])
+        assert ell.membership_Hp(seq)
 
 
 class TestFEmbedding:
@@ -370,13 +368,78 @@ def test_g2_twist_identification():
         assert not g.det_class().same_class(g.tensor(generic).det_class())
 
 
-def test_h_total_rejects_coincident_points():
-    q = rpt()
-    base = ell.base_from_coordinate(th.pi_cover(rpt()), q)
-    p = rpt()
-    steps = [EllipticStep(p, random_point(RNG)), EllipticStep(p, random_point(RNG))]
-    with pytest.raises(ValueError):
-        ell.h_total(base, steps)
+class TestSequenceFromLines:
+    """The one builder of elliptic sequences: each step's morphism
+    representative is built once, from lines in the base trivialization."""
+
+    def sample(self, rng):
+        q = rpt(rng)
+        base = ell.base_from_coordinate(th.pi_cover(rpt(rng)), q)
+        return base, [rpt_away(q) for _ in range(3)]
+
+    def test_lines_roundtrip(self):
+        rng = np.random.default_rng(41)
+        for trial in range(6):
+            base, pts = self.sample(rng)
+            for n in (1, 2, 3):
+                lines = [random_point(rng) for _ in range(n)]
+                # Bad lines of the split base, at the first and the last step.
+                lines[0] = (ProjPoint(1, 0), ProjPoint(0, 1))[trial % 2]
+                if n > 1:
+                    lines[-1] = (ProjPoint(0, 1), ProjPoint(1, 0))[trial % 2]
+                seq = ell.sequence_from_lines(base, pts[:n], lines)
+                assert len(seq.reps) == n and seq.points == pts[:n]
+                assert max(chordal(x, y) for x, y in zip(seq.lines(), lines)) < 1e-10
+                assert seq.terminal == seq.reps[-1].result
+
+    def test_empty_sequence_terminal_is_base(self):
+        base, _ = self.sample(np.random.default_rng(42))
+        seq = ell.sequence_from_lines(base, [], [])
+        assert seq.reps == () and seq.lines() == [] and seq.terminal == base.bundle
+
+    def test_rejects_coincident_points(self):
+        q = rpt()
+        base = ell.base_from_coordinate(th.pi_cover(rpt()), q)
+        p = rpt_away(q)
+        with pytest.raises(ValueError, match="distinct"):
+            ell.sequence_from_lines(base, [p, CurvePoint(p.lift + 1 + LAT.tau, LAT)],
+                                    [random_point(RNG), random_point(RNG)])
+
+    def test_rejects_point_at_mark(self):
+        q = rpt()
+        base = ell.base_from_coordinate(th.pi_cover(rpt()), q)
+        for pts in ([q], [rpt_away(q), CurvePoint(q.lift - LAT.tau, LAT)]):
+            with pytest.raises(ValueError, match="marked point"):
+                ell.sequence_from_lines(base, pts, [random_point(RNG) for _ in pts])
+
+    def test_consumers_never_rebuild_the_chain(self, monkeypatch):
+        from heckelab import parabolic as par
+
+        rng = np.random.default_rng(43)
+        q, p1, p2 = rpt(rng), rpt(rng), rpt(rng)
+        base = ell.base_from_coordinate(th.pi_cover(rpt(rng)), q)
+        while True:
+            seq = ell.sequence_from_coordinates(base, [p1, p2],
+                                                [th.pi_cover(rpt(rng)) for _ in range(2)])
+            if ell.membership_Hp(seq):
+                break
+        calls = []
+        original = ell.morphism_rep
+
+        def counting(e, p, a):
+            calls.append((e, p))
+            return original(e, p, a)
+
+        monkeypatch.setattr(ell, "morphism_rep", counting)
+        par.lines_from_elliptic_sequence(seq)
+        par.hecke_embedding_elliptic(seq)
+        assert calls == []
+        ell.h_total(seq)
+        ell.membership_Hp(seq)
+        # What h_total builds is double_hecke's own two-step sequences
+        # through the mark, never a step of the chain.
+        assert calls[0] == (base.bundle, q)
+        assert not any(e == r.upstream and p == r.point for e, p in calls for r in seq.reps)
 
 
 class TestUnstableBranchImage:
@@ -404,7 +467,8 @@ class TestUnstableBranchImage:
             # First modification toward [0:1] (bad): coordinate
             # cover(p - p1); toward [1:0] (bad): coordinate cover(p - q).
             for d1, shift in ((ProjPoint(0, 1), p - p1), (ProjPoint(1, 0), p - q)):
-                h = ell.h_total(base, [EllipticStep(p1, d1)])
+                seq = ell.EllipticSequence(base, (ell.morphism_rep(bundle, p1, d1),))
+                h = ell.h_total(seq)
                 assert chordal(h[0], th.pi_cover(p - e)) < 1e-8
                 assert chordal(h[1], th.pi_cover(shift)) < 1e-7
 
@@ -614,8 +678,8 @@ def test_membership_decides_curve_offsets(tau):
         for d, member in ((1e-8, False), (1e-7, False), (1e-5, True), (1e-4, True)):
             off = offset_triple(tri, d, rng)
             base = ell.base_from_coordinate(off[0], q)
-            steps = ell.sequence_from_coordinates(base, [p1, p2], off[1:])
-            assert ell.membership_Hp(base, steps) == member, (p, d)
+            seq = ell.sequence_from_coordinates(base, [p1, p2], off[1:])
+            assert ell.membership_Hp(seq) == member, (p, d)
 
 
 # ---------------------------------------------------------------------------

@@ -168,20 +168,16 @@ class TestLemmaDirection:
             q, p1, p2 = (rpt(rng) for _ in range(3))
             base = ell.base_from_coordinate(th.pi_cover(rpt(rng)), q)
             bad = ProjPoint(1, 0)
-            steps = []
-            evs = []
+            reps = []
             current = base.bundle
             for pnt in (p1, p2):
                 val = np.eye(2, dtype=complex)
-                for ev in evs:
-                    val = val @ ev(np.asarray(pnt.lift))
+                for rep in reps:
+                    val = val @ rep.evaluator(np.asarray(pnt.lift))
                 v = np.linalg.solve(val, bad.vec)
-                step = ell.EllipticStep(pnt, ProjPoint(v[0], v[1]))
-                rep = ell.morphism_rep(current, step.point, step.direction)
-                evs.append(rep.evaluator)
-                current = rep.result
-                steps.append(step)
-            marks = par.lines_from_elliptic_sequence(base, steps)
+                reps.append(ell.morphism_rep(current, pnt, ProjPoint(v[0], v[1])))
+                current = reps[-1].result
+            marks = par.lines_from_elliptic_sequence(ell.EllipticSequence(base, tuple(reps)))
             pb = ParabolicBundle(base.bundle, tuple(marks))
             assert stability(pb).verdict is Verdict.UNSTABLE
             assert not ell.is_semistable(current)
@@ -231,9 +227,9 @@ class TestEmbedding:
         base = ell.base_from_coordinate(th.pi_cover(rpt(rng)), q)
         while True:
             taus = [th.pi_cover(rpt(rng)) for _ in range(2)]
-            steps = ell.sequence_from_coordinates(base, [p1, p2], taus)
-            if ell.membership_Hp(base, steps):
+            seq = ell.sequence_from_coordinates(base, [p1, p2], taus)
+            if ell.membership_Hp(seq):
                 break
-        pb = hecke_embedding_elliptic(base, steps)
+        pb = hecke_embedding_elliptic(seq)
         assert stability(pb).verdict is Verdict.STABLE
         assert len(pb.marks) == 3

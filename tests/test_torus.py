@@ -1,0 +1,69 @@
+import numpy as np
+import pytest
+
+from heckelab.torus import CurvePoint, Lattice
+
+#: The default lattices, a skewed one far from the fundamental domain, a
+#: flat one, the square and hexagonal lattices, and a tall one.
+TAUS = (0.21 + 1.3j, 0.3 + 0.45j, 3.21 + 0.25j, 0.1 + 0.15j, 1j,
+        0.5 + 0.5j * np.sqrt(3), 0.5 + 4j)
+
+
+def brute_distance(lat, z):
+    """Distance to the nearest m + n tau with |m|, |n| <= 60."""
+    m = np.arange(-60, 61)
+    return float(np.abs(z - (m[:, None] + m[None, :] * lat.tau)).min())
+
+
+@pytest.mark.parametrize("tau", TAUS)
+def test_distance_matches_brute_force(tau):
+    lat = Lattice(tau)
+    rng = np.random.default_rng(3)
+    for _ in range(400):
+        x, y = 3 * rng.random(2) - 1.5
+        z = complex(x + y * tau)
+        assert abs(lat.distance(z, 0.0) - brute_distance(lat, z)) < 1e-12, z
+
+
+@pytest.mark.parametrize("tau", TAUS)
+def test_distance_is_lattice_invariant_and_symmetric(tau):
+    lat = Lattice(tau)
+    rng = np.random.default_rng(4)
+    for _ in range(50):
+        z1, z2 = rng.normal(size=2) + 1j * rng.normal(size=2)
+        m, n = rng.integers(-9, 10, size=2)
+        d = lat.distance(z1, z2)
+        assert abs(lat.distance(z1 + m + n * tau, z2) - d) < 1e-12
+        assert abs(lat.distance(z2, z1) - d) < 1e-12
+        assert lat.distance(z1, z1 + m + n * tau) < 1e-12
+
+
+@pytest.mark.parametrize("tau", TAUS)
+def test_reduced_basis_spans_the_lattice(tau):
+    lat = Lattice(tau)
+    b1, b2 = lat._reduced_basis()
+    assert abs(b1) <= abs(b2)
+    assert abs((b2 * b1.conjugate()).real) <= abs(b1) ** 2 / 2 + 1e-12
+    # Same covolume, and both vectors are lattice points.
+    assert abs(abs((b1.conjugate() * b2).imag) - tau.imag) < 1e-12
+    assert lat.distance(b1, 0.0) < 1e-12 and lat.distance(b2, 0.0) < 1e-12
+    assert lat._reduced_basis() is lat._reduced_basis()
+
+
+def test_corner_search_of_the_unreduced_cell_overestimates():
+    # At tau = 3.21 + 0.25i the nearest lattice point of this z is not a
+    # corner of its {1, tau} cell; the reduced cell finds it.
+    lat = Lattice(3.21 + 0.25j)
+    z = 0.95 + 0.35 * lat.tau
+    corners = min(abs(z - m - n * lat.tau) for m in (0, 1) for n in (0, 1))
+    assert corners > brute_distance(lat, z) + 0.9
+    assert abs(lat.distance(z, 0.0) - brute_distance(lat, z)) < 1e-12
+
+
+def test_canonical_lifts_unchanged():
+    lat = Lattice(3.21 + 0.25j)
+    p = CurvePoint(2.7 - 1.3 * lat.tau, lat)
+    x, y = lat.coords(p.lift)
+    assert 0 <= x < 1 and 0 <= y < 1
+    assert abs(p.lift - lat.reduce(2.7 - 1.3 * lat.tau)) == 0
+    assert p == CurvePoint(p.lift + 3 - 2 * lat.tau, lat)
