@@ -1,22 +1,22 @@
 """Hecke modifications of rank-2 bundles on the complex torus.
 
 Bundles are described by factors of automorphy; morphisms between them by
-theta-valued 2x2 matrix functions.  Line-bundle data carries an *exact*
-complex lift of its Abel-Jacobi point, not just the class: the lift pins
-the standard trivialization, which is what makes morphism matrices of
-consecutive modifications directly composable.  Class-level comparisons
-reduce lifts modulo the lattice.
+the rows of the paper's tables, held as data: sums of constants times
+products of translated theta functions and exponentials.  Line-bundle data
+carries an *exact* complex lift of its Abel-Jacobi point, not just the
+class: the lift pins the standard trivialization, which is what makes
+morphism matrices of consecutive modifications directly composable.
+Class-level comparisons reduce lifts modulo the lattice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .projective import PROJ_TOL, ProjPoint, chordal, transport_direction
-from .grassmannian import chain_directions, eta_at, prefix_product
+from .grassmannian import eta_at
 from .torus import CurvePoint, Lattice, halve_sum
 from . import theta as th
 
@@ -55,14 +55,10 @@ class LineBundleClass:
     lift: complex
     lattice: Lattice
 
-    def factor(self) -> Callable:
-        """Standard automorphy factor exp(-2 pi i (d z - t - d/2))."""
+    def factor(self, z) -> np.ndarray:
+        """Standard automorphy factor exp(-2 pi i (d z - t - d/2)) at z."""
         d, t = self.degree, self.lift
-
-        def f(z):
-            return np.exp(-TWO_PI_I * (d * np.asarray(z, dtype=complex) - t - d / 2))
-
-        return f
+        return np.exp(-TWO_PI_I * (d * np.asarray(z, dtype=complex) - t - d / 2))
 
     def tensor(self, other: "LineBundleClass") -> "LineBundleClass":
         return LineBundleClass(self.degree + other.degree, self.lift + other.lift, self.lattice)
@@ -101,47 +97,59 @@ def torsion_line(lattice: Lattice, i: int) -> LineBundleClass:
 
 
 # ---------------------------------------------------------------------------
-# 2x2 matrix functions of z: automorphy factors and morphism evaluators.
+# 2x2 matrices of z: automorphy factors and morphism term tables.
 
 
-MatFn = Callable[[np.ndarray], np.ndarray]
+def _mat2(a, b, c, d) -> np.ndarray:
+    """The matrices [[a, b], [c, d]] (..., 2, 2) of broadcast entry arrays."""
+    out = np.empty(np.broadcast(a, b, c, d).shape + (2, 2), dtype=complex)
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = a, b, c, d
+    return out
 
 
-def _matfn(e00, e01, e10, e11) -> MatFn:
-    """The matrix function with the given entry functions."""
-    def f(z):
-        z = np.asarray(z, dtype=complex)
-        out = np.empty(z.shape + (2, 2), dtype=complex)
-        out[..., 0, 0] = e00(z)
-        out[..., 0, 1] = e01(z)
-        out[..., 1, 0] = e10(z)
-        out[..., 1, 1] = e11(z)
-        return out
+#: Factor kinds of a term: theta_w, theta_w', theta~_w and theta~_w' at z
+#: for w = param, and EXP, exp(2 pi i param z).
+TH, DTH, TT, DTT, EXP = "TH", "DTH", "TT", "DTT", "EXP"
 
-    return f
+_IDENTITY = ((0, 1.0, ()), (3, 1.0, ()))
 
 
-def _const(v: complex):
-    def f(z):
-        return np.full(np.asarray(z).shape, v, dtype=complex)
+def _evaluate(terms, z, lattice: Lattice) -> np.ndarray:
+    """The matrices (..., 2, 2) of a term table at an array of z, with one
+    kernel call per kind of factor over its distinct params."""
+    z = np.asarray(z, dtype=complex)
+    cols: dict[str, dict] = {}
+    for _, _, factors in terms:
+        for kind, param in factors:
+            col = cols.setdefault(kind, {})
+            col.setdefault(param, len(col))
+    vals, zc = {}, z[..., None]
+    for kind, col in cols.items():
+        w = np.array(list(col))
+        t = 2 * lattice.tau if kind in (TT, DTT) else lattice.tau
+        kernel = th.theta_raw_deriv if kind in (DTH, DTT) else th.theta_raw
+        vals[kind] = np.exp(TWO_PI_I * w * zc) if kind == EXP else kernel(zc - 0.5 * (1 + t) - w, t)
+    out = np.zeros(z.shape + (4,), dtype=complex)
+    for entry, coef, factors in terms:
+        v = coef
+        for kind, param in factors:
+            v = v * vals[kind][..., cols[kind][param]]
+        out[..., entry] += v
+    return out.reshape(z.shape + (2, 2))
 
-    return f
 
-
-_ZERO = _const(0.0)
-_ONE = _const(1.0)
-_SWAP = _matfn(_ZERO, _ONE, _ONE, _ZERO)
-
-
-def _compose(left: MatFn | None, right: MatFn | None) -> MatFn | None:
-    """The pointwise product left(z) @ right(z); None is the identity."""
-    if left is None or right is None:
-        return right if left is None else left
-
-    def f(z):
-        return left(z) @ right(z)
-
-    return f
+def _framed(terms, shift: int, scale: complex, swap: bool):
+    """The terms of P diag(exp(2 pi i shift z), scale) M for the terms of M,
+    P the row swap if ``swap``: a frame change from a table presentation to
+    the stored one.  The frame itself is ``_framed(_IDENTITY, ...)``."""
+    out = []
+    for entry, coef, factors in terms:
+        if entry < 2:
+            factors = factors + ((EXP, shift),) if shift else factors
+        else:
+            coef = coef * scale
+        out.append((entry ^ 2 if swap else entry, coef, factors))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +177,8 @@ class Decomposable:
     def tensor(self, l: LineBundleClass) -> "Decomposable":
         return Decomposable(self.l1.tensor(l), self.l2.tensor(l))
 
-    def factor(self) -> MatFn:
-        return _matfn(self.l1.factor(), _ZERO, _ZERO, self.l2.factor())
+    def factor(self, z) -> np.ndarray:
+        return _mat2(self.l1.factor(z), 0, 0, self.l2.factor(z))
 
     def __str__(self) -> str:
         return f"O[{self.l1.degree},{self.l1.reduced():.4f}]+O[{self.l2.degree},{self.l2.reduced():.4f}]"
@@ -194,9 +202,9 @@ class F2Twist:
     def tensor(self, l: LineBundleClass) -> "F2Twist":
         return F2Twist(self.l.tensor(l))
 
-    def factor(self) -> MatFn:
-        fl = self.l.factor()
-        return _matfn(fl, fl, _ZERO, fl)
+    def factor(self, z) -> np.ndarray:
+        fl = self.l.factor(z)
+        return _mat2(fl, fl, 0, fl)
 
     def __str__(self) -> str:
         return f"F2x[{self.l.degree},{self.l.reduced():.4f}]"
@@ -225,10 +233,9 @@ class G2Twist:
     def tensor(self, l: LineBundleClass) -> "G2Twist":
         return G2Twist(self.point_lift, self.l.tensor(l))
 
-    def factor(self) -> MatFn:
-        fl = self.l.factor()
-        fw = th.automorphy_factor(self.point_lift + 0.5)
-        return _matfn(_ZERO, fl, lambda z: fl(z) * fw(z), _ZERO)
+    def factor(self, z) -> np.ndarray:
+        fl = self.l.factor(z)
+        return _mat2(0, fl, fl * th.automorphy_factor(self.point_lift + 0.5)(z), 0)
 
     def __str__(self) -> str:
         return f"G2({self.lattice.reduce(self.point_lift):.4f})x[{self.l.degree},{self.l.reduced():.4f}]"
@@ -291,18 +298,21 @@ def s_equivalent(b1: EllipticBundle, b2: EllipticBundle, tol: float = CLASS_TOL)
 
 @dataclass(frozen=True)
 class MorphismRep:
-    """Matrix representative alpha: F -> E of a Hecke modification.
-
-    ``evaluator`` maps arrays of z to (..., 2, 2) matrices in the stored
-    trivializations of ``upstream`` (E) and ``result`` (F); equivariance
-    intertwines result-side and upstream-side automorphy factors.
+    """Matrix representative alpha: F -> E of a Hecke modification, as its
+    table row: each term (entry, coef, factors) adds coef times the product
+    of its factors (kind, param) to entry 0..3, row-major.  Matrices are in
+    the stored trivializations of ``upstream`` (E) and ``result`` (F).
     """
 
-    evaluator: MatFn
+    terms: tuple
     row: str
     upstream: EllipticBundle
     result: EllipticBundle
     point: CurvePoint
+
+    def evaluator(self, z) -> np.ndarray:
+        """alpha at an array of z: (..., 2, 2) matrices."""
+        return _evaluate(self.terms, z, self.upstream.lattice)
 
 
 def check_equivariance(rep: MorphismRep, samples: int = 20, seed: int = 5) -> float:
@@ -317,10 +327,8 @@ def check_equivariance(rep: MorphismRep, samples: int = 20, seed: int = 5) -> fl
     a_z = rep.evaluator(z)
     a_tau = rep.evaluator(z + lat.tau)
     a_one = rep.evaluator(z + 1.0)
-    f_e = rep.upstream.factor()(z)
-    f_f = rep.result.factor()(z)
-    lhs = a_tau @ f_f
-    rhs = f_e @ a_z
+    lhs = a_tau @ rep.result.factor(z)
+    rhs = rep.upstream.factor(z) @ a_z
     scale = max(float(np.abs(rhs).max()), float(np.abs(a_z).max()), 1e-30)
     r1 = float(np.abs(lhs - rhs).max()) / scale
     r2 = float(np.abs(a_one - a_z).max()) / max(float(np.abs(a_z).max()), 1e-30)
@@ -332,22 +340,14 @@ def _theta_const(lattice: Lattice) -> complex:
     return complex(-th.g_theta_w(0.0, 0.0, lattice))
 
 
-def _scalar_shift(n: int) -> MatFn | None:
-    """diag(exp(2 pi i n z), 1): frame change absorbing a lattice shift
-    n*tau of the first summand's trivializing lift."""
-    if n == 0:
-        return None
-    return _matfn(lambda z: np.exp(TWO_PI_I * n * z), _ZERO, _ZERO, _ONE)
-
-
 def morphism_rep(e: EllipticBundle, p: CurvePoint, a: ProjPoint) -> MorphismRep:
     """Table representative of the modification of ``e`` at ``p`` toward ``a``.
 
     The bundle is rewritten as (table form) tensor M; matrices are
     twist-invariant, so only the frame change between the stored and table
     presentations (a swap, a scalar exponential, or a constant diagonal
-    for moving the G2 point) dresses the table matrix.  The direction is
-    transported through the same frame change before dispatch.
+    for moving the G2 point) dresses the table row.  The direction is
+    transported through the frame's value at p before dispatch.
     """
     if isinstance(e, Decomposable):
         return _morphism_dec(e, p, a)
@@ -367,30 +367,26 @@ def _morphism_dec(e: Decomposable, p: CurvePoint, a: ProjPoint) -> MorphismRep:
     own = k == 1 and lat.distance(t, pt) < CLASS_TOL  # O(p) + O at its own point
     # Frame change table -> stored: a scalar-exponential lift fix on the
     # first summand (O + O and O(p) + O), then the order swap, as needed.
-    phi = None
-    if trivial or own:
-        phi = _scalar_shift(round((t - pt if own else t).imag / lat.tau.imag))
-    if swap:
-        phi = _compose(_SWAP, phi)
-    a_t = a if phi is None else transport_direction(phi(np.asarray(pt)), a)
+    shift = round((t - pt if own else t).imag / lat.tau.imag) if trivial or own else 0
+    frame = (shift, 1.0, swap)
+    phi = _framed(_IDENTITY, *frame)
+    a_t = a if phi == _IDENTITY else transport_direction(_evaluate(phi, pt, lat), a)
 
-    def theta_p(z):
-        return th.theta_w(z, pt, lat)
-
-    pivot = _matfn(_ONE, _ZERO, _ZERO, theta_p)  # toward [1:0]
-    counter = _matfn(theta_p, _ZERO, _ZERO, _ONE)  # toward [0:1]
+    theta_p = ((TH, pt),)
+    pivot = ((0, 1.0, ()), (3, 1.0, theta_p))  # toward [1:0]
+    counter = ((0, 1.0, theta_p), (3, 1.0, ()))  # toward [0:1]
     low = LineBundleClass(-1, -pt, lat).tensor(m)
 
-    def finish(row, mat, target):
-        return MorphismRep(_compose(phi, mat), row, e, target, p)
+    def finish(row, terms, target):
+        return MorphismRep(_framed(terms, *frame), row, e, target, p)
 
     if trivial:
         # O + O: every direction is bad; two matrix shapes.
         target = Decomposable(trivial_line(lat).tensor(m), low)
         if a_t.is_zero_dir():
             return finish("OO:[1:0]", pivot, target)
-        mat = _matfn(_const(a_t.a / a_t.c), theta_p, _ONE, _ZERO)
-        return finish("OO:[lam:1]", mat, target)
+        terms = ((0, a_t.a / a_t.c, ()), (1, 1.0, theta_p), (2, 1.0, ()))
+        return finish("OO:[lam:1]", terms, target)
 
     if k == 0:
         # O(p - q) + O with q = p - t; strictly semistable, t nontrivial.
@@ -403,14 +399,14 @@ def _morphism_dec(e: Decomposable, p: CurvePoint, a: ProjPoint) -> MorphismRep:
         sa = a_t.a / complex(th.theta_tilde_w(q_lift - pt, 0.5 - lat.tau, lat))
         sb = a_t.c / complex(th.theta_tilde_w(pt - q_lift, 0.5 - lat.tau, lat))
         e2t = np.exp(TWO_PI_I * t)
-        mat = _matfn(
-            lambda z: sa * th.theta_tilde_w(z, pt + t + 0.5 - lat.tau, lat),
-            lambda z: -sa * e2t * th.theta_tilde_w(z, pt + t + 0.5, lat),
-            lambda z: sb * th.theta_tilde_w(z, pt - t + 0.5 - lat.tau, lat),
-            lambda z: -sb * th.theta_tilde_w(z, pt - t + 0.5, lat),
+        terms = (
+            (0, sa, ((TT, pt + t + 0.5 - lat.tau),)),
+            (1, -sa * e2t, ((TT, pt + t + 0.5),)),
+            (2, sb, ((TT, pt - t + 0.5 - lat.tau),)),
+            (3, -sb, ((TT, pt - t + 0.5),)),
         )
         target = G2Twist(q_lift, LineBundleClass(-1, -q_lift, lat).tensor(m))
-        return finish("ss:[x:y]", mat, target)
+        return finish("ss:[x:y]", terms, target)
 
     if own:
         if a_t.is_zero_dir():
@@ -419,14 +415,14 @@ def _morphism_dec(e: Decomposable, p: CurvePoint, a: ProjPoint) -> MorphismRep:
         if a_t.is_infinity_dir():
             return finish("Op:[0:1]", counter, Decomposable(trivial_line(lat).tensor(m), m))
         scale = a_t.c * _theta_const(lat) / a_t.a
-        mat = _matfn(theta_p, lambda z: -th.g_theta_w(z, pt, lat), _ZERO, _const(scale))
-        return finish("Op:[x:y]", mat, F2Twist(m))
+        terms = ((0, 1.0, theta_p), (1, -1j / (2 * np.pi), ((DTH, pt),)), (3, scale, ()))
+        return finish("Op:[x:y]", terms, F2Twist(m))
 
     # O(D) + O for deg D = k >= 1 with D's point distinct from p (k = 1)
     # or arbitrary (k >= 2; the theta product uses (k-1) [0] + the twist).
-    kind = "OD" if k > 1 else "Oq"
+    name = "OD" if k > 1 else "Oq"
     if a_t.is_zero_dir():
-        return finish(f"{kind}:[1:0]", pivot, Decomposable(u1, low))
+        return finish(f"{name}:[1:0]", pivot, Decomposable(u1, low))
     # The table family is lambda * (theta product); its direction at p is
     # [lambda * product(p) : 1], so hitting the requested direction means
     # dividing out the product's value at p.
@@ -434,16 +430,9 @@ def _morphism_dec(e: Decomposable, p: CurvePoint, a: ProjPoint) -> MorphismRep:
     if k > 1:
         denom *= complex(th.theta_w(pt, 0.0, lat)) ** (k - 1)
     lam = (a_t.a / a_t.c) / denom
-
-    def theta_product(z):
-        acc = th.theta_w(z, t, lat)
-        if k > 1:
-            acc = acc * th.theta_w(z, 0.0, lat) ** (k - 1)
-        return lam * acc
-
-    mat = _matfn(theta_p, theta_product, _ZERO, _ONE)
+    terms = ((0, 1.0, theta_p), (1, lam, ((TH, t),) + ((TH, 0.0),) * (k - 1)), (3, 1.0, ()))
     target = Decomposable(LineBundleClass(k - 1, t - pt, lat).tensor(m), m)
-    return finish(f"{kind}:[lam:1]", mat, target)
+    return finish(f"{name}:[lam:1]", terms, target)
 
 
 def _morphism_f2(e: F2Twist, p: CurvePoint, a: ProjPoint) -> MorphismRep:
@@ -451,25 +440,22 @@ def _morphism_f2(e: F2Twist, p: CurvePoint, a: ProjPoint) -> MorphismRep:
     pt = p.lift
     m = e.l
     if a.is_zero_dir():
-        mat = _matfn(_ONE, lambda z: th.g_theta_w(z, pt, lat), _ZERO,
-                     lambda z: th.theta_w(z, pt, lat))
+        terms = ((0, 1.0, ()), (1, 1j / (2 * np.pi), ((DTH, pt),)), (3, 1.0, ((TH, pt),)))
         target = Decomposable(m, LineBundleClass(-1, -pt, lat).tensor(m))
-        return MorphismRep(mat, "F2:[1:0]", e, target, p)
+        return MorphismRep(terms, "F2:[1:0]", e, target, p)
     lam = a.a / a.c
     lam_p = lam - 2 * complex(th.g_tilde_w(0.0, 0.5, lat))
     c = pt - 0.5
     ct = c - lat.tau
     i_pi = 1j / np.pi
-    mat = _matfn(
-        lambda z: (1 - lam_p) * th.theta_tilde_w(z, ct, lat)
-        - i_pi * th.theta_tilde_w_deriv(z, ct, lat),
-        lambda z: lam_p * th.theta_tilde_w(z, c, lat)
-        + i_pi * th.theta_tilde_w_deriv(z, c, lat),
-        lambda z: -th.theta_tilde_w(z, ct, lat),
-        lambda z: th.theta_tilde_w(z, c, lat),
+    terms = (
+        (0, 1 - lam_p, ((TT, ct),)), (0, -i_pi, ((DTT, ct),)),
+        (1, lam_p, ((TT, c),)), (1, i_pi, ((DTT, c),)),
+        (2, -1.0, ((TT, ct),)),
+        (3, 1.0, ((TT, c),)),
     )
     target = G2Twist(pt, LineBundleClass(-1, -pt, lat).tensor(m))
-    return MorphismRep(mat, "F2:[lam:1]", e, target, p)
+    return MorphismRep(terms, "F2:[lam:1]", e, target, p)
 
 
 def _morphism_g2(e: G2Twist, p: CurvePoint, a: ProjPoint) -> MorphismRep:
@@ -478,10 +464,10 @@ def _morphism_g2(e: G2Twist, p: CurvePoint, a: ProjPoint) -> MorphismRep:
     # Rewrite G2(p') tensor N as G2(p) tensor M; the exact half-difference
     # lift makes the frame change a constant diagonal.
     m = LineBundleClass(e.l.degree, e.l.lift + (e.point_lift - pt) / 2, lat)
-    phi = None
-    if abs(e.point_lift - pt) > 1e-14:
-        phi = _matfn(_ONE, _ZERO, _ZERO, _const(np.exp(1j * np.pi * (e.point_lift - pt))))
-    a_t = a if phi is None else transport_direction(phi(np.asarray(pt)), a)
+    moved = abs(e.point_lift - pt) > 1e-14
+    frame = (0, np.exp(1j * np.pi * (e.point_lift - pt)) if moved else 1.0, False)
+    phi = _framed(_IDENTITY, *frame)
+    a_t = a if phi == _IDENTITY else transport_direction(_evaluate(phi, pt, lat), a)
 
     idx = th.branch_index(a_t, lat)
     if idx is not None:
@@ -490,15 +476,14 @@ def _morphism_g2(e: G2Twist, p: CurvePoint, a: ProjPoint) -> MorphismRep:
         ct = c - lat.tau
         ei = np.exp(TWO_PI_I * zi)
         i_pi = 1j / np.pi
-        mat = _matfn(
-            lambda z: th.theta_tilde_w(z, c, lat),
-            lambda z: -i_pi * th.theta_tilde_w_deriv(z, c, lat),
-            lambda z: ei * th.theta_tilde_w(z, ct, lat),
-            lambda z: ei * (th.theta_tilde_w(z, ct, lat)
-                            - i_pi * th.theta_tilde_w_deriv(z, ct, lat)),
+        terms = (
+            (0, 1.0, ((TT, c),)),
+            (1, -i_pi, ((DTT, c),)),
+            (2, ei, ((TT, ct),)),
+            (3, ei, ((TT, ct),)), (3, -ei * i_pi, ((DTT, ct),)),
         )
         target = F2Twist(torsion_line(lat, idx).tensor(m))
-        return MorphismRep(_compose(phi, mat), f"G2:a{idx}", e, target, p)
+        return MorphismRep(_framed(terms, *frame), f"G2:a{idx}", e, target, p)
 
     root, _ = th.invert_cover(a_t, lat)
     # Any exact lift of the root works if used consistently in the
@@ -506,13 +491,13 @@ def _morphism_g2(e: G2Twist, p: CurvePoint, a: ProjPoint) -> MorphismRep:
     # lift keeps the doubled arguments +-2w numerically balanced.
     w = lat.reduce_centered(root.lift)
     e2w = np.exp(TWO_PI_I * w)
-    mat = _matfn(
-        lambda z: th.theta_tilde_w(z, pt - 2 * w + 0.5, lat),
-        lambda z: th.theta_tilde_w(z, pt + 2 * w + 0.5, lat),
-        lambda z: e2w * th.theta_tilde_w(z, pt - 2 * w + 0.5 - lat.tau, lat),
-        lambda z: th.theta_tilde_w(z, pt + 2 * w + 0.5 - lat.tau, lat) / e2w,
+    terms = (
+        (0, 1.0, ((TT, pt - 2 * w + 0.5),)),
+        (1, 1.0, ((TT, pt + 2 * w + 0.5),)),
+        (2, e2w, ((TT, pt - 2 * w + 0.5 - lat.tau),)),
+        (3, 1 / e2w, ((TT, pt + 2 * w + 0.5 - lat.tau),)),
     )
-    return MorphismRep(_compose(phi, mat), "G2:good", e, dual_pair(w, lat).tensor(m), p)
+    return MorphismRep(_framed(terms, *frame), "G2:good", e, dual_pair(w, lat).tensor(m), p)
 
 
 def single_hecke(e: EllipticBundle, p: CurvePoint, a: ProjPoint) -> EllipticBundle:
@@ -539,10 +524,8 @@ def mss_coordinate(e: EllipticBundle) -> ProjPoint:
     return th.pi_cover((e.l1 if isinstance(e, Decomposable) else e.l).twist_point())
 
 
-def _stable_first_class(
-    e: EllipticBundle, p1: CurvePoint, p2: CurvePoint, a: ProjPoint, b: ProjPoint
-) -> EllipticBundle:
-    """E2 tensor O(e) when the first modification is in a good direction.
+def _stable_first_class(rep1: MorphismRep, p2: CurvePoint, b: ProjPoint) -> EllipticBundle:
+    """E2 tensor O(e) when the first modification ``rep1`` is in a good direction.
 
     The intermediate bundle is stable, so the composite coordinate b must
     be transported back through the first-step representative before the
@@ -551,11 +534,12 @@ def _stable_first_class(
     first-step matrix at p2 (they agree only along unstable intermediates,
     where repeated subbundle modifications keep the coordinate constant).
     """
-    lat = e.lattice
-    rep1 = morphism_rep(e, p1, a)
+    p1 = rep1.point
+    if p1 == p2:
+        raise ValueError("modification points must be distinct")
     aval = rep1.evaluator(np.asarray(p2.lift))
     second = single_hecke(rep1.result, p2, transport_direction(aval, b))
-    out = second.tensor(LineBundleClass(1, halve_sum(p1, p2).lift, lat))
+    out = second.tensor(LineBundleClass(1, halve_sum(p1, p2).lift, p1.lattice))
     if not is_even_semistable(out):
         raise AssertionError("modification of a stable bundle must be semistable")
     return out
@@ -593,7 +577,7 @@ def double_hecke(
         if a.is_zero_dir():
             # Bad first direction: unstable intermediate.
             return None if b.is_zero_dir() else split_class(e.l)
-        return _stable_first_class(e, p1, p2, a, b)
+        return _stable_first_class(morphism_rep(e, p1, a), p2, b)
 
     delta = e.l1  # degree 0 with l2 the inverse class, by the precondition
     ti = delta.twist_point().torsion_index()
@@ -628,7 +612,7 @@ def double_hecke(
         if b.is_zero_dir():
             return None
         return dual_pair((p - p2).lift, lat)
-    return _stable_first_class(e, p1, p2, a, b)
+    return _stable_first_class(morphism_rep(e, p1, a), p2, b)
 
 
 @dataclass(frozen=True)
@@ -671,9 +655,19 @@ def bad_group_key(e: EllipticBundle, direction: ProjPoint):
 
 def raw_directions(reps) -> list[ProjPoint]:
     """Directions of a chain of representatives in the trivialization of
-    the first one's upstream bundle: eta of the composite evaluator at each
-    point (see ``chain_directions``)."""
-    return chain_directions([r.evaluator for r in reps], [np.asarray(r.point.lift) for r in reps])
+    the first one's upstream bundle, in the factored form of
+    ``chain_directions``: eta of each step at its point, transported by the
+    product of the steps before it.  Each step is evaluated once, at its
+    own point and all later ones."""
+    zs = np.array([r.point.lift for r in reps])
+    prefix = np.tile(np.eye(2, dtype=complex), (len(reps), 1, 1))
+    out = []
+    for i, r in enumerate(reps):
+        val = r.evaluator(zs[i:])
+        v = prefix[i] @ eta_at(val[0], zs[i]).vec
+        out.append(ProjPoint(v[0], v[1]))
+        prefix[i + 1:] = prefix[i + 1:] @ val[1:]
+    return out
 
 
 @dataclass(frozen=True)
@@ -707,19 +701,19 @@ def h_total(seq: EllipticSequence) -> list[ProjPoint]:
 
     Coordinate 0 is the class of the base bundle; coordinate i >= 1 is the
     class (twisted back to trivial determinant) of the two-step
-    modification of the base at (p_i, q) in the directions read off the
-    composed sequence and the mark.
+    modification of the base at (q, p_i) in the directions read off the
+    mark and the composed sequence.
     """
     base = seq.base
     out = [mss_coordinate(base.bundle)]
-    for pnt, d in zip(seq.points, seq.lines()):
-        # Reinterpreted two-step sequence: the mark modification first.
-        # Its composite coordinates are (mark line, d_i): line data is
-        # order-independent under the canonical parabolic correspondence.
-        cls = double_hecke(base.bundle, base.q, pnt, base.line, d)
-        if cls is None:
-            raise AssertionError("mark direction is good; E2 cannot be unstable")
-        out.append(mss_coordinate(cls))
+    if seq.reps:
+        # Reinterpreted two-step sequences: the mark modification first, in
+        # a good direction (``double_hecke``'s stable branch).  Composite
+        # coordinates (mark line, d_i): line data is order-independent
+        # under the canonical parabolic correspondence.
+        rep_q = morphism_rep(base.bundle, base.q, base.line)
+        out += [mss_coordinate(_stable_first_class(rep_q, pnt, d))
+                for pnt, d in zip(seq.points, seq.lines())]
     return out
 
 
@@ -860,10 +854,14 @@ def sequence_from_lines(
             raise ValueError("modification points must avoid the marked point")
         if any(pnt == other for other in points[i + 1:]):
             raise ValueError("modification points must be pairwise distinct")
+    # prefix[i]: the product of the steps built so far, at point i.
+    zs = np.array([pnt.lift for pnt in points])
+    prefix = np.tile(np.eye(2, dtype=complex), (len(points), 1, 1))
     reps: list[MorphismRep] = []
     current = base.bundle
-    for pnt, line in zip(points, lines):
-        val = prefix_product([r.evaluator for r in reps], np.asarray(pnt.lift))
-        reps.append(morphism_rep(current, pnt, transport_direction(val, line)))
+    for i, (pnt, line) in enumerate(zip(points, lines)):
+        reps.append(morphism_rep(current, pnt, transport_direction(prefix[i], line)))
         current = reps[-1].result
+        if i + 1 < len(points):
+            prefix[i + 1:] = prefix[i + 1:] @ reps[-1].evaluator(zs[i + 1:])
     return EllipticSequence(base, tuple(reps))
