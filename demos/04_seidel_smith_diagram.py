@@ -26,8 +26,8 @@ print("eigenvalues vs modification points:",
       np.round(sorted([mu1, mu2], key=lambda v: v.real), 6))
 
 print("\nleft-eigenvector directions:")
-for pt in ss.woodward(A, [mu1, mu2]):
-    print(" ", pt)
+for x, y in ss.woodward_vecs(A, np.array([mu1, mu2])):
+    print(" ", ProjPoint(x, y))
 print("direction tuple of the sequence:")
 for pt in seq.h_map():
     print(" ", pt, "->", pt.involution(), "after [x:y] -> [-y:x]")

@@ -830,10 +830,9 @@ def sequence_from_coordinates(
     h1 = rep_q.result
     lines = []
     for pnt, tau in zip(points, taus):
+        # The second step's direction at its point is delta by construction.
         delta = second_direction_for_class(h1, base.q, pnt, tau)
-        rep2 = morphism_rep(h1, pnt, delta)
-        local = eta_at(rep2.evaluator(np.asarray(pnt.lift)), pnt.lift)
-        v = rep_q.evaluator(np.asarray(pnt.lift)) @ local.vec
+        v = rep_q.evaluator(np.asarray(pnt.lift)) @ delta.vec
         lines.append(ProjPoint(v[0], v[1]))
     return sequence_from_lines(base, points, lines)
 

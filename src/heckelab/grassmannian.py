@@ -148,11 +148,6 @@ def constant_representatives(vecs: np.ndarray) -> np.ndarray:
     return np.stack([np.stack([a, -c.conj()], axis=-1), np.stack([c, a.conj()], axis=-1)], axis=-2)
 
 
-def constant_representative(point: ProjPoint) -> SeriesMat2:
-    """One point of ``constant_representatives``, as a constant series."""
-    return SeriesMat2.constant(constant_representatives(point.vec))
-
-
 def random_unit(rng: np.random.Generator, order: int) -> SeriesMat2:
     """A random series matrix with a well-conditioned constant term.
 

@@ -14,11 +14,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .projective import PROJ_TOL, ProjPoint, chordal_vecs
-from .grassmannian import chain_direction_vecs, constant_representatives
+from .grassmannian import chain_direction_vecs
 from .pseries import PolyMat2
 
 #: Minimum separation of modification points within one sequence.
 MIN_POINT_SEP = 1e-8
+
+#: Relative smallest singular value at which a rank test finds a kernel.
+RANK_DROP_TOL = 1e-9
 
 
 class NotGlobal(ValueError):
@@ -239,42 +242,6 @@ def direction_vecs(tuples) -> np.ndarray:
     return flat.reshape(len(tuples), len(tuples[0]), 2)
 
 
-def tuple_composites(points, vecs) -> tuple[np.ndarray, np.ndarray]:
-    """Unit completions and composites realizing a batch of direction tuples.
-
-    ``vecs`` (B, n, 2) holds the directions at the shared ``points``.
-    Step i uses the unit completion C of the transported direction
-    v = P_{i-1}(mu_i)^{-1} a_i, so that eta of the composite at mu_i is a_i,
-    and appends the factor C diag(1, z - mu_i).  The equivalence class of
-    the sequence (hence every isomorphism invariant) depends only on the
-    tuple.  Returns the completions (B, n, 2, 2) and the composite
-    coefficients (B, 2, 2, n + 1), ascending in z.
-    """
-    batch, n = vecs.shape[:2]
-    completions = np.empty((batch, n, 2, 2), dtype=complex)
-    p = np.zeros((batch, n + 1, 2, 2), dtype=complex)
-    p[:, 0] = np.eye(2)
-    for i, mu in enumerate(points[:n]):
-        # P_{i-1}(mu) by Horner's rule, then v = adj(val) a / det(val); the
-        # points are MIN_POINT_SEP apart, so val is invertible.
-        val = p[:, i]
-        for k in range(i - 1, -1, -1):
-            val = val * mu + p[:, k]
-        (a, b), (c, d) = np.moveaxis(val, 0, -1)
-        x, y = vecs[:, i, 0], vecs[:, i, 1]
-        v = np.stack([d * x - b * y, a * y - c * x], axis=-1) / (a * d - b * c)[:, None]
-        v /= np.linalg.norm(v, axis=-1, keepdims=True)
-        c = completions[:, i] = constant_representatives(v)
-        # Times C diag(1, z - mu), one column of C at a time.
-        q = p[:, : i + 1]
-        q0, q1 = (q[..., 0] * c[:, None, None, 0, j] + q[..., 1] * c[:, None, None, 1, j] for j in (0, 1))
-        p[:, : i + 1, :, 0] = q0
-        p[:, 0, :, 1] = 0.0
-        p[:, 1 : i + 2, :, 1] = q1
-        p[:, : i + 1, :, 1] -= mu * q1
-    return completions, np.moveaxis(p, 1, -1)
-
-
 def product_matrix(coeffs: np.ndarray, d: int, rows: np.ndarray) -> np.ndarray:
     """Linear map from g (degree <= d) to the coefficients z^t, t in ``rows``,
     of P g.
@@ -296,42 +263,50 @@ def above_degree_matrix(coeffs: np.ndarray, d: int) -> np.ndarray:
     return product_matrix(coeffs, d, np.arange(d + 1, coeffs.shape[-1] + d))
 
 
-def min_column_degrees(coeffs: np.ndarray, n: int, tol: float = 1e-9) -> np.ndarray:
-    """Smallest d per composite with a nonzero polynomial g, deg(P g) <= d.
+def terminal_hecke_lengths(points, vecs) -> np.ndarray:
+    """Terminal Hecke length per tuple of ``vecs`` (B, n, 2) at the distinct
+    ``points``; memory grows with B.
 
-    ``coeffs`` (B, 2, 2, D + 1) are composites of n modification matrices;
-    each has splitting type (-d1, -(n - d1)) with d1 this minimum.  g of
-    degree <= d suffices (adjugate bound).  One stacked SVD per candidate d
-    decides every composite still open; zero padding only adds zero rows.
+    The image of every sequence realizing a tuple is the module
+    N = {s in C[z]^2 : s(mu_i) lies on the line a_i}: both have colength n
+    and one contains the other.  The terminal type is (-d1, -(n - d1)) with
+    d1 the least degree of a nonzero s in N, the least d at which the
+    n x 2(d + 1) matrix of the conditions on the coefficients of s drops
+    rank.  One stacked SVD per d decides every tuple still open; beyond
+    d = n // 2 - 1 there are more unknowns than conditions.
     """
-    coeffs = coeffs / np.abs(coeffs).max(axis=(-3, -2, -1), keepdims=True)
-    out = np.full(len(coeffs), (n + 1) // 2)
-    open_ = np.arange(len(coeffs))
-    for d in range((n + 1) // 2 + 1):
-        a = above_degree_matrix(coeffs[open_], d)
-        unknowns = a.shape[-1]
-        if a.shape[-2] < unknowns:
-            out[open_] = d
-            break
-        s = np.linalg.svd(a, compute_uv=False)
-        done = s[:, unknowns - 1] < tol * np.maximum(s[:, 0], 1.0)
-        out[open_[done]] = d
+    batch, n = vecs.shape[:2]
+    # Row i: the perpendicular (y_i, -x_i) / |a_i| of a_i = [x_i : y_i].
+    perp = np.stack([vecs[..., 1], -vecs[..., 0]], axis=-1) / np.linalg.norm(vecs, axis=-1, keepdims=True)
+    powers = np.asarray(points, dtype=complex)[:n, None] ** np.arange(n // 2)
+    out = np.full(batch, n % 2)
+    open_ = np.arange(batch)
+    for d in range(n // 2):
+        # Column (j, k): component j of the perpendicular times mu_i^k.
+        a = perp[open_, :, :, None] * powers[:, None, : d + 1]
+        s = np.linalg.svd(a.reshape(len(open_), n, 2 * (d + 1)), compute_uv=False)
+        done = s[:, -1] < RANK_DROP_TOL * s[:, 0]
+        out[open_[done]] = n - 2 * d
         open_ = open_[~done]
         if not open_.size:
             break
     return out
 
 
-def terminal_hecke_lengths(points, vecs) -> np.ndarray:
-    """Terminal Hecke length per tuple of ``vecs`` (B, n, 2); memory grows with B."""
-    n = vecs.shape[1]
-    return n - 2 * min_column_degrees(tuple_composites(points, vecs)[1], n)
-
-
-def min_column_degree(p: PolyMat2, tol: float = 1e-9) -> int:
-    """One composite of ``min_column_degrees``."""
+def min_column_degree(p: PolyMat2, tol: float = RANK_DROP_TOL) -> int:
+    """Smallest d with a nonzero polynomial g, deg(P g) <= d, for a composite
+    P of n modification matrices, whose splitting type is (-d1, -(n - d1))
+    with d1 this minimum.  g of degree <= d suffices (adjugate bound)."""
     n = p.det().size - 1
-    return int(min_column_degrees(p.coeffs()[None], n, tol)[0])
+    coeffs = p.coeffs() / np.abs(p.coeffs()).max()
+    for d in range((n + 1) // 2 + 1):
+        a = above_degree_matrix(coeffs, d)
+        if a.shape[-2] < a.shape[-1]:
+            return d
+        s = np.linalg.svd(a, compute_uv=False)
+        if s[-1] < tol * max(s[0], 1.0):
+            return d
+    return (n + 1) // 2
 
 
 def terminal_hecke_length(points: list[complex], dirs: list[ProjPoint]) -> int:
@@ -341,7 +316,9 @@ def terminal_hecke_length(points: list[complex], dirs: list[ProjPoint]) -> int:
 
 def membership_H(n: int, dirs: list[ProjPoint], points: list[complex] | None = None) -> bool:
     """True iff the tuple's terminal bundle has the minimum Hecke length
-    (0 for n even, 1 for n odd)."""
+    (0 for n even, 1 for n odd): iff the module
+    N = {s in C[z]^2 : s(mu_i) lies on the line a_i} of
+    ``terminal_hecke_lengths`` has no nonzero element of degree below n // 2."""
     if len(dirs) != n:
         raise ValueError("need exactly n directions")
     if points is None:
@@ -358,13 +335,6 @@ def membership_H_closed_forms(vecs: np.ndarray) -> np.ndarray:
         raise ValueError("closed forms cover n <= 3 only")
     near = chordal_vecs(vecs[:, :-1], vecs[:, 1:]) < PROJ_TOL
     return ~near.all(axis=1) | (n < 2)
-
-
-def membership_H_closed_form(n: int, dirs: list[ProjPoint]) -> bool:
-    """One tuple of ``membership_H_closed_forms``."""
-    if len(dirs) != n:
-        raise ValueError("need exactly n directions")
-    return bool(membership_H_closed_forms(direction_vecs([dirs]))[0])
 
 
 def random_minimal_sequence(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .projective import ProjPoint, chordal_vecs
+from .projective import chordal_vecs
 from .rational import (
     RationalSequence,
     above_degree_matrix,
@@ -138,12 +138,6 @@ def woodward_vecs(a: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
         raise DegenerateSpectrum(f"two eigenvalues collide (gap {gaps.min():.3e})")
     mat = np.swapaxes(a, -1, -2)[..., None, :, :] - eigenvalues[..., None, None] * np.eye(a.shape[-1])
     return np.linalg.svd(mat)[2][..., -1, -2:].conj()
-
-
-def woodward(a: np.ndarray, eigenvalues) -> list[ProjPoint]:
-    """One matrix of ``woodward_vecs``, as CP^1 points."""
-    vecs = woodward_vecs(np.asarray(a, dtype=complex), np.asarray(eigenvalues, dtype=complex))
-    return [ProjPoint(x, y) for x, y in vecs]
 
 
 def conjecture_residuals(seqs) -> np.ndarray:

@@ -630,34 +630,30 @@ def check_conjecture(report, config, rng):
     if m < 1:
         raise ConfigError(f"{usage}: m must be >= 1, got {m}")
     if m == 1:
-        worst_mat = worst_chi = 0.0
-        for _ in range(100):
-            l1, l2 = rng.normal() + 1j * rng.normal(), rng.normal() + 1j * rng.normal()
-            mu1 = rng.normal() + 1j * rng.normal()
-            mu2 = mu1 + 1.0 + 0.5 * (rng.normal() + 1j * rng.normal())
-            seq = rat.RationalSequence((
-                rat.RationalHeckeStep(mu1, ProjPoint(l1, 1)),
-                rat.RationalHeckeStep(mu2, ProjPoint(l2, 1)),
-            ))
-            a = ss.kamnitzer(seq)
-            expect = np.array([[mu1 - l1 * l2, l1 * (mu2 - mu1 + l1 * l2)],
-                               [-l2, mu2 + l1 * l2]])
-            worst_mat = max(worst_mat, float(np.abs(a - expect).max()))
-            seqb = rat.RationalSequence((
-                rat.RationalHeckeStep(mu1, ProjPoint(1, 0)),
-                rat.RationalHeckeStep(mu2, ProjPoint(l2, 1)),
-            ))
-            ab = ss.kamnitzer(seqb)
-            expectb = np.array([[mu2, -l2], [0.0, mu1]])
-            worst_mat = max(worst_mat, float(np.abs(ab - expectb).max()))
-            ab0 = ss.kamnitzer(rat.RationalSequence((
-                rat.RationalHeckeStep(mu1, ProjPoint(1, 0)),
-                rat.RationalHeckeStep(mu2, ProjPoint(0, 1)),
-            )))
-            worst_mat = max(worst_mat, float(np.abs(ab0 - np.diag([mu2, mu1])).max()))
-            ev = sorted(ss.chi(a), key=lambda v: (v.real, v.imag))
-            want = sorted([mu1, mu2], key=lambda v: (v.real, v.imag))
-            worst_chi = max(worst_chi, max(abs(x - y) for x, y in zip(ev, want)))
+        # Per draw: l1, l2, mu1 and mu2's offset, real part first.
+        r = rng.normal(size=(100, 4, 2))
+        l1, l2, mu1, w = np.moveaxis(r[..., 0] + 1j * r[..., 1], -1, 0)
+        mus = np.stack([mu1, mu1 + 1.0 + 0.5 * w], axis=-1)
+        # lambda as ProjPoint normalizes it, and the closed forms of the
+        # shapes [l1:1],[l2:1], [1:0],[l2:1] and [1:0],[0:1], in Python
+        # complex arithmetic: numpy's vector complex product rounds otherwise.
+        lam, expect = [], []
+        for x, y, (m1, m2) in zip(l1.tolist(), l2.tolist(), mus.tolist()):
+            lam.append([p.a / p.c for p in (ProjPoint(x, 1), ProjPoint(y, 1))])
+            expect.append([[[m1 - x * y, x * (m2 - m1 + x * y)], [-y, m2 + x * y]],
+                           [[m2, -y], [0, m1]], [[m2, 0], [0, m1]]])
+        lam = np.array(lam)
+
+        def slices(lam, first_zero):
+            # [lam_1:1] or, if first_zero, [1:0] (lam_1 unused), then [lam_2:1].
+            flags = np.broadcast_to([first_zero, False], mus.shape)
+            semistable = np.broadcast_to([True, False], mus.shape)
+            return ss.slice_matrices(rat.table_coeffs(mus, lam, flags, semistable), np.zeros(100))
+
+        got = np.stack([slices(lam, False), slices(lam, True), slices(0 * lam, True)], axis=1)
+        worst_mat = float(np.abs(got - np.array(expect)).max())
+        ev = np.sort_complex(np.linalg.eigvals(got[:, 0]))
+        worst_chi = float(np.abs(ev - np.sort_complex(mus)).max())
         report.add("slice-matrix-closed-forms", "both two-step shapes, 100 draws",
                    worst_mat, 1e-10)
         report.add("eigenvalue-recovery", "chi of the slice matrix", worst_chi, 1e-9)

@@ -39,9 +39,19 @@ O00 = RationalBundle(0, 0)
 
 
 def tuple_matrices(points, dirs):
-    """The factors C_i diag(1, z - mu_i) that tuple_composites realizes."""
-    completions = rat.tuple_composites(points, rat.direction_vecs([dirs]))[0][0]
-    return [PolyMat2.constant(c) * PolyMat2.z_shift(mu) for c, mu in zip(completions, points)]
+    """Factors C_i diag(1, z - mu_i) realizing a direction tuple: C_i is the
+    unit completion of v = P(mu_i)^{-1} a_i for the product P of the
+    factors before it, so that eta of the prefix at mu_i is a_i."""
+    mats = []
+    for mu, a in zip(points, dirs):
+        val = np.eye(2, dtype=complex)
+        for mat in mats:
+            val = val @ mat(mu)
+        v = np.linalg.solve(val, a.vec)
+        v = v / np.linalg.norm(v)
+        c = np.array([[v[0], -np.conj(v[1])], [v[1], np.conj(v[0])]])
+        mats.append(PolyMat2.constant(c) * PolyMat2.z_shift(mu))
+    return mats
 
 
 def rpt(rng=RNG):

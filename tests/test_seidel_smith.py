@@ -21,7 +21,6 @@ from heckelab.seidel_smith import (
     kamnitzer,
     separated_points,
     slice_matrices,
-    woodward,
     woodward_vecs,
 )
 
@@ -188,25 +187,31 @@ class TestKamnitzer:
             kamnitzer(seq)
 
 
+def woodward_points(a, eigenvalues):
+    """The left-eigenvector directions of one matrix, as CP^1 points."""
+    vecs = woodward_vecs(np.asarray(a, dtype=complex), np.asarray(eigenvalues, dtype=complex))
+    return [ProjPoint(x, y) for x, y in vecs]
+
+
 class TestWoodward:
     def test_beta_form_points(self):
-        w = woodward(np.array([[MU2, -L2], [0, MU1]]), [MU1, MU2])
+        w = woodward_points(np.array([[MU2, -L2], [0, MU1]]), [MU1, MU2])
         assert chordal(w[0], ProjPoint(0, 1)) < 1e-12
         assert chordal(w[1], ProjPoint(1, -LB2)) < 1e-12
 
     def test_alpha_form_points(self):
-        w = woodward(kamnitzer(alpha_form()), [MU1, MU2])
+        w = woodward_points(kamnitzer(alpha_form()), [MU1, MU2])
         assert chordal(w[0], ProjPoint(1, -L1)) < 1e-12
         assert chordal(w[1], ProjPoint(-LB2, 1 + L1 * LB2)) < 1e-12
 
     def test_diagonal_standard_basis(self):
-        w = woodward(np.diag([MU1, MU2]), [MU1, MU2])
+        w = woodward_points(np.diag([MU1, MU2]), [MU1, MU2])
         assert w[0] == ProjPoint(1, 0)
         assert w[1] == ProjPoint(0, 1)
 
     def test_degenerate_spectrum_rejected(self):
         with pytest.raises(DegenerateSpectrum):
-            woodward(np.eye(2), [1.0, 1.0])
+            woodward_vecs(np.eye(2), np.array([1.0, 1.0]))
 
     def test_left_eigenvector_chain_shape(self):
         rng = np.random.default_rng(4)
@@ -229,7 +234,7 @@ class TestWoodward:
             ev = chi(s)
             if min(abs(ev[i] - ev[j]) for i in range(4) for j in range(i + 1, 4)) < 1e-3:
                 continue
-            pts = woodward(s.dense(), ev)
+            pts = woodward_points(s.dense(), ev)
             for i in range(4):
                 near = sum(1 for j in range(4) if chordal(pts[i], pts[j]) < 1e-8)
                 assert near <= 2
