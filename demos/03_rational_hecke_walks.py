@@ -11,22 +11,22 @@ import numpy as np
 
 from heckelab import rational as rat
 from heckelab.projective import ProjPoint, chordal, random_point
-from heckelab.rational import RationalBundle, RationalHeckeStep, RationalSequence
+from heckelab.rational import RationalBundle, RationalSequence
 
 print("Transition table on normalized types (k, 0):")
 for k in (0, 2):
     b = RationalBundle(k, 0)
     for d in (ProjPoint(1, 0), ProjPoint(0.5, 1)):
-        print(f"  {b} --[{d}]--> {rat.single_hecke(b, d)}"
-              f"   ({rat.branch_transition(b, d)})")
+        row = ("semistable:any-direction" if b.is_semistable()
+               else "unstable:[1:0]" if d.is_zero_dir() else "unstable:[lambda:1]")
+        print(f"  {b} --[{d}]--> {rat.single_hecke(b, d)}   ({row})")
 
 print("\nTwo-step direction tuples match the closed forms:")
 l1, l2 = 0.7 - 0.3j, 1.1 + 0.2j
 mu1, mu2 = 0.2 + 0.1j, 0.9 - 0.4j
 lb2 = l2 / (mu2 - mu1)
-seq = RationalSequence((RationalHeckeStep(mu1, ProjPoint(l1, 1)),
-                        RationalHeckeStep(mu2, ProjPoint(l2, 1))))
-h = seq.h_map()
+seq = RationalSequence([mu1, mu2], [ProjPoint(l1, 1).vec, ProjPoint(l2, 1).vec])
+h = [ProjPoint(*v) for v in seq.h_map()]
 print(f"  generic shape: h = {h[0]}, {h[1]}")
 print(f"  expected       ([l1:1], [l1*lb2+1 : lb2]); residual "
       f"{max(chordal(h[0], ProjPoint(l1, 1)), chordal(h[1], ProjPoint(l1*lb2+1, lb2))):.2e}")
@@ -50,7 +50,7 @@ for dirs, label in [([a, a, b, c], "(a,a,b,c)"), ([a, a, a, b], "(a,a,a,b)"),
     print(f"  {label}: terminal Hecke length {length}")
 
 print("\nThe second chart certifies global regularity; a corrupted entry fails:")
-m = rat.morphism_matrix(RationalBundle(3, 0), RationalHeckeStep(0.0, ProjPoint(0.5, 1)))
+m = rat.morphism_matrix(RationalBundle(3, 0), 0.0, ProjPoint(0.5, 1))
 w = rat.chart_convert(m, RationalBundle(2, 0), RationalBundle(3, 0))
 print(f"  [alpha]_w(0.9) =\n{np.round(w(0.9), 6)}")
 bad = rat.PolyMat2([[[0.0, 1.0, 1.0], [0.5]], [[0.0], [1.0]]])

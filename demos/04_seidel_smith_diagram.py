@@ -11,28 +11,28 @@ import numpy as np
 
 from heckelab import seidel_smith as ss
 from heckelab.projective import ProjPoint
-from heckelab.rational import RationalHeckeStep, RationalSequence, random_minimal_sequence
+from heckelab.rational import RationalSequence
 
 l1, l2 = 0.7 - 0.3j, 1.1 + 0.2j
 mu1, mu2 = 0.2 + 0.1j, 0.9 - 0.4j
 
-seq = RationalSequence((RationalHeckeStep(mu1, ProjPoint(l1, 1)),
-                        RationalHeckeStep(mu2, ProjPoint(l2, 1))))
+seq = RationalSequence([mu1, mu2], [ProjPoint(l1, 1).vec, ProjPoint(l2, 1).vec])
 A = ss.kamnitzer(seq)
 print("slice matrix of the generic two-step sequence:")
 print(np.round(A, 6))
 print("eigenvalues vs modification points:",
-      np.round(sorted(ss.chi(A), key=lambda v: v.real), 6),
+      np.round(sorted(np.linalg.eigvals(A), key=lambda v: v.real), 6),
       np.round(sorted([mu1, mu2], key=lambda v: v.real), 6))
 
 print("\nleft-eigenvector directions:")
 for x, y in ss.woodward_vecs(A, np.array([mu1, mu2])):
     print(" ", ProjPoint(x, y))
 print("direction tuple of the sequence:")
-for pt in seq.h_map():
+for pt in (ProjPoint(*v) for v in seq.h_map()):
     print(" ", pt, "->", pt.involution(), "after [x:y] -> [-y:x]")
 
-print(f"\ndiagram residual (closed-form case): {ss.conjecture_residuals([seq])[0]:.3e}")
+residual = ss.conjecture_residuals(RationalSequence(seq.points[None], seq.vecs[None]))[0]
+print(f"\ndiagram residual (closed-form case): {residual:.3e}")
 
 rng = np.random.default_rng(3)
 for m in (1, 2, 3):

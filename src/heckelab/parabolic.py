@@ -16,8 +16,8 @@ from .projective import PROJ_TOL, ProjPoint, chordal
 from .rational import (
     RationalBundle,
     RationalSequence,
-    membership_H,
     terminal_hecke_length,
+    terminal_hecke_lengths,
 )
 from .elliptic import (
     EllipticBundle,
@@ -171,12 +171,12 @@ def hecke_embedding_rational(
         for j in range(i + 1, 3):
             if chordal(aux[i].line, aux[j].line) < PROJ_TOL:
                 raise ValueError("auxiliary lines must be distinct")
-    dirs = seq.h_map()
-    if not membership_H(n, dirs, seq.points):
-        raise TerminalNotMinimal(f"terminal bundle {seq.terminal()} is not minimal")
-    marks = [Mark(mu, d) for mu, d in zip(seq.points, dirs)] + list(aux)
-    pb = ParabolicBundle(RationalBundle(0, 0), tuple(marks), weight)
-    return pb
+    h = seq.h_map()
+    length = terminal_hecke_lengths(seq.points, h[None])[0]
+    if length:
+        raise TerminalNotMinimal(f"terminal Hecke length {length} is not minimal")
+    marks = [Mark(mu, ProjPoint(a, c)) for mu, (a, c) in zip(seq.points.tolist(), h.tolist())]
+    return ParabolicBundle(RationalBundle(0, 0), tuple(marks + list(aux)), weight)
 
 
 def hecke_embedding_elliptic(

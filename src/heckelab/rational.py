@@ -1,15 +1,19 @@
 """Hecke modifications of rank-2 bundles on the projective line.
 
 Bundles are split types O(n) + O(m); a modification at a point mu in a
-direction of CP^1 moves between them.  Morphism representatives are 2x2
-polynomial matrices in the coordinate z of the affine chart around 0,
-composable along a sequence; the direction map reads composites back into
-CP^1 coordinates, and the second chart certifies global regularity.
+direction of CP^1 moves between them.  A sequence of modifications of
+O + O is its points and direction vectors, held as arrays for one
+sequence or a stack (``RationalSequence``); its Hecke lengths are one walk
+of the transition rule, and its morphism representatives are 2x2
+polynomial matrices in the coordinate z of the affine chart around 0, one
+table of coefficients per step.  The direction map reads their composites
+back into CP^1 coordinates, the second chart certifies global regularity,
+and the terminal type of a direction tuple decides membership.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,10 +52,6 @@ class RationalBundle:
     def hecke_length(self) -> int:
         return self.n - self.m
 
-    @property
-    def degree(self) -> int:
-        return self.n + self.m
-
     def is_semistable(self) -> bool:
         return self.n == self.m
 
@@ -71,81 +71,73 @@ def single_hecke(b: RationalBundle, direction: ProjPoint) -> RationalBundle:
     return RationalBundle(b.n - 1, b.m)
 
 
-def branch_transition(b: RationalBundle, direction: ProjPoint) -> str:
-    """Name of the transition-table row that ``single_hecke`` fires."""
-    if b.is_semistable():
-        return "semistable:any-direction"
-    return "unstable:[1:0]" if direction.is_zero_dir() else "unstable:[lambda:1]"
-
-
-@dataclass(frozen=True)
-class RationalHeckeStep:
-    """One modification: chart coordinate of the point, and the direction
-    in the standard trivialization of the bundle being modified."""
-
-    point: complex
-    direction: ProjPoint
-
-
 def default_points(n: int) -> list[complex]:
     return [(k + 1) / (n + 1) + 0.1j * (k + 1) for k in range(n)]
 
 
 @dataclass(frozen=True)
 class RationalSequence:
-    """A sequence of Hecke modifications of the trivial bundle O + O."""
+    """Sequences of Hecke modifications of the trivial bundle O + O, one or a
+    stack of one length n: the chart coordinates ``points`` (..., n) of the
+    modifications and their directions ``vecs`` (..., n, 2), homogeneous
+    vectors in the standard trivialization of the bundle being modified,
+    normalized as ``ProjPoint`` normalizes them (the larger coordinate 1).
+    """
 
-    steps: tuple[RationalHeckeStep, ...]
-    base: RationalBundle = field(default_factory=lambda: RationalBundle(0, 0))
+    points: np.ndarray
+    vecs: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "steps", tuple(self.steps))
-        pts = [s.point for s in self.steps]
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                if abs(pts[i] - pts[j]) < MIN_POINT_SEP:
-                    raise ValueError(f"points {pts[i]} and {pts[j]} coincide")
+        points = np.asarray(self.points, dtype=complex)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "vecs", np.asarray(self.vecs, dtype=complex).reshape(points.shape + (2,)))
+        gaps = np.abs(points[..., :, None] - points[..., None, :])
+        # Every point is within MIN_POINT_SEP of itself; any other pair fails.
+        if np.count_nonzero(gaps < MIN_POINT_SEP) > points.size:
+            raise ValueError("two modification points of a sequence coincide")
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return self.points.shape[-1]
 
-    @property
-    def points(self) -> list[complex]:
-        return [s.point for s in self.steps]
+    def _zero_dirs(self) -> np.ndarray:
+        """Steps toward [1:0] (..., n), as ``ProjPoint.is_zero_dir`` decides."""
+        return np.abs(self.vecs[..., 1]) < PROJ_TOL * np.abs(self.vecs[..., 0])
 
-    def bundles(self) -> list[RationalBundle]:
-        """Intermediate classes E_0 .. E_n along the sequence."""
-        out = [self.base]
-        for s in self.steps:
-            out.append(single_hecke(out[-1], s.direction))
+    def hecke_lengths(self) -> np.ndarray:
+        """Hecke lengths (..., n + 1) of E_0 = O + O, E_1, ..., E_n: from
+        length 0, or toward [1:0], a step adds one; otherwise it subtracts one."""
+        zero = self._zero_dirs()
+        out = np.zeros(zero.shape[:-1] + (len(self) + 1,), dtype=int)
+        for i in range(len(self)):
+            out[..., i + 1] = out[..., i] + np.where((out[..., i] == 0) | zero[..., i], 1, -1)
         return out
 
-    def terminal(self) -> RationalBundle:
-        return self.bundles()[-1]
+    def coeffs(self) -> np.ndarray:
+        """Table-matrix coefficients (..., n, 2, 2, 2) of the steps."""
+        zero = self._zero_dirs()
+        # lam = a / c in Python's complex division: numpy's rounds otherwise
+        # in about one case in eight.
+        lam = [0j if z else a / c for (a, c), z in
+               zip(self.vecs.reshape(-1, 2).tolist(), zero.ravel().tolist())]
+        return table_coeffs(self.points, np.reshape(np.array(lam, dtype=complex), zero.shape),
+                            zero, self.hecke_lengths()[..., :-1] == 0)
 
-    def matrices(self) -> list[PolyMat2]:
-        """Table morphism matrices, one per step."""
-        return [PolyMat2(c) for c in sequence_coeffs([self])[1][0]]
-
-    def composite(self) -> PolyMat2:
-        return PolyMat2(composites(sequence_coeffs([self])[1])[0])
-
-    def h_map(self) -> list[ProjPoint]:
-        """Direction tuple in the trivialization of the base bundle."""
-        points, coeffs, _ = sequence_coeffs([self])
-        return [ProjPoint(a, c) for a, c in h_vecs(points, coeffs)[0]]
+    def h_map(self) -> np.ndarray:
+        """Direction tuples (..., n, 2) in the trivialization of O + O."""
+        return h_vecs(self.points, self.coeffs())
 
 
-def morphism_matrix(b: RationalBundle, step: RationalHeckeStep) -> PolyMat2:
-    """Table representative of the modification of ``b`` at ``step``.
+def morphism_matrix(b: RationalBundle, mu: complex, direction: ProjPoint) -> PolyMat2:
+    """Table representative of the modification of ``b`` at ``mu`` in
+    ``direction``.
 
     Matrices are invariant under twisting, so only the normalized type
     (k, 0) matters.  The determinant is a nonzero multiple of z - mu and
-    the direction map returns ``step.direction`` at mu.
+    the direction map returns ``direction`` at mu.
     """
-    d = step.direction
-    zero = d.is_zero_dir()
-    return PolyMat2(table_coeffs(step.point, 0j if zero else d.a / d.c, zero, b.is_semistable()))
+    zero = direction.is_zero_dir()
+    return PolyMat2(table_coeffs(mu, 0j if zero else direction.a / direction.c, zero,
+                                 b.is_semistable()))
 
 
 def table_coeffs(mu, lam, zero, semistable) -> np.ndarray:
@@ -165,21 +157,6 @@ def table_coeffs(mu, lam, zero, semistable) -> np.ndarray:
     return c
 
 
-def sequence_coeffs(seqs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Points (B, n), table-matrix coefficients (B, n, 2, 2, 2) and terminal
-    Hecke lengths (B,) of a nonempty list of sequences of one length n."""
-    rows, terminal = [], []
-    for seq in seqs:
-        bundles = seq.bundles()
-        terminal.append(bundles[-1].hecke_length)
-        for s, b in zip(seq.steps, bundles):
-            d = s.direction
-            zero = d.is_zero_dir()
-            rows.append((s.point, 0j if zero else d.a / d.c, zero, b.is_semistable()))
-    cols = [np.array([r[i] for r in rows]).reshape(len(seqs), -1) for i in range(4)]
-    return cols[0].astype(complex), table_coeffs(*cols), np.array(terminal)
-
-
 def composites(coeffs: np.ndarray) -> np.ndarray:
     """Composite coefficients (B, 2, 2, n + 1), ascending in z, of the step
     coefficients (B, n, 2, 2, 2), multiplied left to right."""
@@ -195,11 +172,12 @@ def composites(coeffs: np.ndarray) -> np.ndarray:
 
 
 def h_vecs(points: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Direction tuples (B, n, 2) of stacked sequences, from the points (B, n)
-    and step coefficients (B, n, 2, 2, 2) of ``sequence_coeffs``: h_i is eta
-    of the composite of the first i table matrices at the i-th point."""
+    """Direction tuples (..., n, 2) of stacked sequences, from the points
+    (..., n) and step coefficients (..., n, 2, 2, 2): h_i is eta of the
+    composite of the first i table matrices at the i-th point."""
     # Step k evaluated at point i, for the direction chain of the sequence.
-    factors = coeffs[:, :, None, ..., 0] + coeffs[:, :, None, ..., 1] * points[:, None, :, None, None]
+    factors = (coeffs[..., :, None, :, :, 0]
+               + coeffs[..., :, None, :, :, 1] * points[..., None, :, None, None])
     return chain_direction_vecs(factors)
 
 
@@ -274,8 +252,17 @@ def terminal_hecke_lengths(points, vecs) -> np.ndarray:
     n x 2(d + 1) matrix of the conditions on the coefficients of s drops
     rank.  One stacked SVD per d decides every tuple still open; beyond
     d = n // 2 - 1 there are more unknowns than conditions.
+
+    Coincidence is decided first, by the rule of ``ProjPoint`` equality: a
+    direction within PROJ_TOL (chordal) of its predecessor is replaced by
+    that predecessor, so the rank test only tells exact repeats from
+    offsets of PROJ_TOL or more.
     """
     batch, n = vecs.shape[:2]
+    near = chordal_vecs(vecs[:, :-1], vecs[:, 1:]) < PROJ_TOL
+    vecs = vecs.copy()
+    for i in np.flatnonzero(near.any(axis=0)):  # in order, so runs take their first
+        vecs[near[:, i], i + 1] = vecs[near[:, i], i]
     # Row i: the perpendicular (y_i, -x_i) / |a_i| of a_i = [x_i : y_i].
     perp = np.stack([vecs[..., 1], -vecs[..., 0]], axis=-1) / np.linalg.norm(vecs, axis=-1, keepdims=True)
     powers = np.asarray(points, dtype=complex)[:n, None] ** np.arange(n // 2)
@@ -318,7 +305,11 @@ def membership_H(n: int, dirs: list[ProjPoint], points: list[complex] | None = N
     """True iff the tuple's terminal bundle has the minimum Hecke length
     (0 for n even, 1 for n odd): iff the module
     N = {s in C[z]^2 : s(mu_i) lies on the line a_i} of
-    ``terminal_hecke_lengths`` has no nonzero element of degree below n // 2."""
+    ``terminal_hecke_lengths`` has no nonzero element of degree below n // 2.
+
+    Directions within PROJ_TOL (chordal) of their predecessor count as that
+    predecessor, the rule of ``ProjPoint`` equality and of
+    ``membership_H_closed_forms``."""
     if len(dirs) != n:
         raise ValueError("need exactly n directions")
     if points is None:
@@ -351,14 +342,12 @@ def random_minimal_sequence(
     """
     if points is None:
         points = default_points(n)
-    steps = []
-    current = RationalBundle(0, 0)
-    for mu in points:
-        if current.is_semistable() and rng.random() < zero_dir_rate:
+    vecs, length = [], 0
+    for _ in points:
+        if length == 0 and rng.random() < zero_dir_rate:
             d = ProjPoint(1.0, 0.0)
         else:
-            lam = rng.normal() + 1j * rng.normal()
-            d = ProjPoint(lam, 1.0)
-        steps.append(RationalHeckeStep(mu, d))
-        current = single_hecke(current, d)
-    return RationalSequence(tuple(steps))
+            d = ProjPoint(rng.normal() + 1j * rng.normal(), 1.0)
+        vecs.append((d.a, d.c))
+        length += 1 if length == 0 or d.is_zero_dir() else -1
+    return RationalSequence(points, vecs)

@@ -11,8 +11,6 @@ two routes through [x:y] -> [-y:x].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .projective import chordal_vecs
@@ -23,7 +21,6 @@ from .rational import (
     h_vecs,
     product_matrix,
     random_minimal_sequence,
-    sequence_coeffs,
 )
 
 #: Eigenvalues closer than this are treated as a degenerate spectrum.
@@ -41,51 +38,20 @@ class ReductionFailure(ValueError):
     """Cokernel reduction is singular: the sequence is not in the space."""
 
 
-@dataclass(frozen=True)
-class SlodowyMatrix:
-    """Slice element: left-column blocks Y_1..Y_m; identities implied."""
-
-    blocks: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        bs = tuple(np.asarray(b, dtype=complex).reshape(2, 2) for b in self.blocks)
-        object.__setattr__(self, "blocks", bs)
-
-    @property
-    def m(self) -> int:
-        return len(self.blocks)
-
-    def dense(self) -> np.ndarray:
-        m = self.m
-        a = np.zeros((2 * m, 2 * m), dtype=complex)
-        for i, y in enumerate(self.blocks):
-            a[2 * i : 2 * i + 2, 0:2] = y
-        for i in range(m - 1):
-            a[2 * i : 2 * i + 2, 2 * i + 2 : 2 * i + 4] = np.eye(2)
-        return a
-
-
-def chi(a: SlodowyMatrix | np.ndarray) -> np.ndarray:
-    """Multiset of eigenvalues of the dense form."""
-    dense = a.dense() if isinstance(a, SlodowyMatrix) else np.asarray(a, dtype=complex)
-    return np.linalg.eigvals(dense)
-
-
 def kamnitzer(seq: RationalSequence) -> np.ndarray:
-    """One sequence of ``slice_matrices``."""
-    _, coeffs, terminal = sequence_coeffs([seq])
-    return slice_matrices(coeffs, terminal)[0]
+    """``slice_matrices`` of one sequence."""
+    return slice_matrices(seq.coeffs()[None], seq.hecke_lengths()[None, -1])[0]
 
 
 def slice_matrices(coeffs: np.ndarray, terminal: np.ndarray) -> np.ndarray:
     """Matrices (B, n, n) of multiplication by z on C[z]^2 / P C[z]^2.
 
     P is the composite of a sequence of n = 2m modifications with
-    semistable terminal, given by the step coefficients and terminal Hecke
-    lengths of ``sequence_coeffs``; the basis is {z^{m-1} e1, z^{m-1} e2,
-    ..., e1, e2} and the result lies in the slice with eigenvalues at the
-    modification points.  Any sequence with an unstable terminal or a
-    singular reduction raises ReductionFailure.
+    semistable terminal, given by the step coefficients (B, n, 2, 2, 2) and
+    terminal Hecke lengths (B,) of stacked sequences; the basis is
+    {z^{m-1} e1, z^{m-1} e2, ..., e1, e2} and the result lies in the slice
+    with eigenvalues at the modification points.  Any sequence with an
+    unstable terminal or a singular reduction raises ReductionFailure.
     """
     batch, n = coeffs.shape[:2]
     if n == 0 or n % 2:
@@ -140,18 +106,18 @@ def woodward_vecs(a: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
     return np.linalg.svd(mat)[2][..., -1, -2:].conj()
 
 
-def conjecture_residuals(seqs) -> np.ndarray:
+def conjecture_residuals(seq: RationalSequence) -> np.ndarray:
     """Max chordal mismatch of the two routes around the diagram, per sequence
-    of a nonempty list of one length.
+    of a stack ``seq`` (B, n).
 
     Route one: the direction tuple of the sequence followed by
     [x:y] -> [-y:x].  Route two: the slice matrix of the sequence followed
     by the left-eigenvector embedding, eigenvalues ordered as the
     modification points.
     """
-    points, coeffs, terminal = sequence_coeffs(seqs)
-    w = woodward_vecs(slice_matrices(coeffs, terminal), points)
-    h = h_vecs(points, coeffs)
+    coeffs = seq.coeffs()
+    w = woodward_vecs(slice_matrices(coeffs, seq.hecke_lengths()[:, -1]), seq.points)
+    h = h_vecs(seq.points, coeffs)
     return chordal_vecs(np.stack([-h[..., 1], h[..., 0]], axis=-1), w).max(axis=-1)
 
 
@@ -169,12 +135,13 @@ def conjecture_check(m: int, samples: int, rng: np.random.Generator) -> float:
     """Max residual over ``samples`` random sequences of length 2m.
 
     Sequences are drawn CONJECTURE_CHUNK at a time, in the order of one
-    draw after another, and each chunk is decided in one stacked pass;
-    the chunk bounds the arrays alive at once.
+    draw after another, and each chunk is stacked into one sequence array
+    and decided in one pass; the chunk bounds the arrays alive at once.
     """
     worst = 0.0
     for start in range(0, samples, CONJECTURE_CHUNK):
-        seqs = [random_minimal_sequence(2 * m, rng, points=separated_points(2 * m, rng))
-                for _ in range(min(CONJECTURE_CHUNK, samples - start))]
-        worst = max(worst, float(conjecture_residuals(seqs).max()))
+        draws = [random_minimal_sequence(2 * m, rng, points=separated_points(2 * m, rng))
+                 for _ in range(min(CONJECTURE_CHUNK, samples - start))]
+        seq = RationalSequence([d.points for d in draws], [d.vecs for d in draws])
+        worst = max(worst, float(conjecture_residuals(seq).max()))
     return worst

@@ -55,6 +55,19 @@ def _curve_point(rng, lat) -> CurvePoint:
     return CurvePoint(rng.random() + rng.random() * lat.tau, lat)
 
 
+def _cover_draw(rng, lat) -> ProjPoint:
+    """The cover image of a ``_curve_point`` draw."""
+    return th.pi_cover(_curve_point(rng, lat))
+
+
+def _far_point(rng, lat, *others) -> CurvePoint:
+    """The first ``_curve_point`` draw more than 0.05 from every point of ``others``."""
+    while True:
+        q = _curve_point(rng, lat)
+        if all(lat.distance(q.lift, o.lift) > 0.05 for o in others):
+            return q
+
+
 def _torus_points(rng, lat, count, min_gap=0.05) -> list[CurvePoint]:
     pts: list[CurvePoint] = []
     while len(pts) < count:
@@ -201,16 +214,15 @@ def _left_equivariance(c):
 
 def verify_rational_tables(report, config, rng):
     mu = 0.37 - 0.21j
-    rows = [
-        (rat.RationalBundle(3, 0), ProjPoint(1, 0), "unstable-pivot"),
-        (rat.RationalBundle(3, 0), ProjPoint(0.8 - 0.3j, 1), "unstable-generic"),
-        (rat.RationalBundle(0, 0), ProjPoint(0.8 - 0.3j, 1), "semistable-generic"),
-        (rat.RationalBundle(0, 0), ProjPoint(1, 0), "semistable-pivot"),
+    rows = [  # unstable pivot and generic, semistable generic and pivot
+        (rat.RationalBundle(3, 0), ProjPoint(1, 0)),
+        (rat.RationalBundle(3, 0), ProjPoint(0.8 - 0.3j, 1)),
+        (rat.RationalBundle(0, 0), ProjPoint(0.8 - 0.3j, 1)),
+        (rat.RationalBundle(0, 0), ProjPoint(1, 0)),
     ]
+    mats = [rat.morphism_matrix(b, mu, d) for b, d in rows]
     worst_det = worst_dir = 0.0
-    for b, d, _name in rows:
-        step = rat.RationalHeckeStep(mu, d)
-        m = rat.morphism_matrix(b, step)
+    for (_, d), m in zip(rows, mats):
         det = m.det()
         c = det[-1]
         expect = np.array([-mu * c, c])
@@ -222,10 +234,10 @@ def verify_rational_tables(report, config, rng):
                worst_dir, 1e-10)
 
     worst = 0.0
-    m = rat.morphism_matrix(rat.RationalBundle(3, 0), rat.RationalHeckeStep(0.0, ProjPoint(1, 0)))
+    m = rat.morphism_matrix(rat.RationalBundle(3, 0), 0.0, ProjPoint(1, 0))
     w = rat.chart_convert(m, rat.RationalBundle(3, -1), rat.RationalBundle(3, 0))
     worst = max(worst, float(abs(w(1.3 + 0.2j)[0, 0] - 1)), float(abs(w(1.3 + 0.2j)[1, 1] - 1)))
-    m = rat.morphism_matrix(rat.RationalBundle(3, 0), rat.RationalHeckeStep(0.0, ProjPoint(0.5, 1)))
+    m = rat.morphism_matrix(rat.RationalBundle(3, 0), 0.0, ProjPoint(0.5, 1))
     w = rat.chart_convert(m, rat.RationalBundle(2, 0), rat.RationalBundle(3, 0))
     expect = np.array([[1.0, 0.5 * (1.3 + 0.2j) ** 3], [0.0, 1.0]])
     worst = max(worst, float(np.abs(w(1.3 + 0.2j) - expect).max()))
@@ -233,12 +245,9 @@ def verify_rational_tables(report, config, rng):
                worst, 1e-12)
 
     globality = 0.0
-    for b, d, _name in rows:
-        step = rat.RationalHeckeStep(mu, d)
-        m = rat.morphism_matrix(b, step)
-        target = rat.single_hecke(b, d)
+    for (b, d), m in zip(rows, mats):
         try:
-            rat.chart_convert(m, target, b)
+            rat.chart_convert(m, rat.single_hecke(b, d), b)
         except rat.NotGlobal:
             globality = 1.0
     report.add("chart-globality", "all four rows glue to global morphisms",
@@ -296,15 +305,9 @@ def _elliptic_row_fixtures(lat, rng):
     def lam(rng):
         return rng.normal() + 1j * rng.normal()
 
-    def far(rng, *others):
-        while True:
-            q = _curve_point(rng, lat)
-            if all(lat.distance(q.lift, o.lift) > 0.05 for o in others):
-                return q
-
     def dec_q(rng):
         p = _curve_point(rng, lat)
-        return ell.Decomposable(ell.point_line(far(rng, p)), O), p
+        return ell.Decomposable(ell.point_line(_far_point(rng, lat, p)), O), p
 
     rows = [
         ("Oq-pivot", lambda r: (*dec_q(r), ProjPoint(1, 0))),
@@ -351,10 +354,7 @@ def _op(rng, lat, a):
 def _ss(rng, lat, a):
     O = ell.trivial_line(lat)
     p = _curve_point(rng, lat)
-    while True:
-        q = _curve_point(rng, lat)
-        if lat.distance(p.lift, q.lift) > 0.05:
-            break
+    q = _far_point(rng, lat, p)
     bundle = ell.Decomposable(ell.point_line(p).tensor(ell.point_line(q).inverse()), O)
     if a is None:
         a = ProjPoint(rng.normal() + 1j * rng.normal(), rng.normal() + 1j * rng.normal())
@@ -576,8 +576,8 @@ def _compute_space_t2(report, config, rng, n):
         worst = 0.0
         for _ in range(draws):
             q, p1 = _torus_points(rng, lat, 2)
-            tau0 = th.pi_cover(_curve_point(rng, lat))
-            tau1 = th.pi_cover(_curve_point(rng, lat))
+            tau0 = _cover_draw(rng, lat)
+            tau1 = _cover_draw(rng, lat)
             base = ell.base_from_coordinate(tau0, q)
             seq = ell.sequence_from_coordinates(base, [p1], [tau1])
             h = ell.h_total(seq)
@@ -609,8 +609,7 @@ def _compute_space_t2(report, config, rng, n):
         trials_far = max(4, _n(config, 100) // 2)
         for _ in range(trials_far):
             while True:
-                taus = [th.pi_cover(_curve_point(rng, lat))
-                        for _ in range(3)]
+                taus = [_cover_draw(rng, lat) for _ in range(3)]
                 if ell.distance_to_curve(taus, q, p1, p2) > 0.1:
                     break
             base = ell.base_from_coordinate(taus[0], q)
@@ -706,15 +705,14 @@ def embed_check(report, config, rng):
     ok = True
     for k in range(n_seq):
         q, p1, p2 = _torus_points(rng, lat, 3)
-        tau0 = th.pi_cover(_curve_point(rng, lat))
+        tau0 = _cover_draw(rng, lat)
         base = ell.base_from_coordinate(tau0, q)
         if k % 2:
             # Force both marks bad in the same direction.
             bad = ProjPoint(1, 0)
             seq = ell.sequence_from_lines(base, [p1, p2], [bad, bad])
         else:
-            taus = [th.pi_cover(_curve_point(rng, lat))
-                    for _ in range(2)]
+            taus = [_cover_draw(rng, lat) for _ in range(2)]
             seq = ell.sequence_from_coordinates(base, [p1, p2], taus)
         marks = par.lines_from_elliptic_sequence(seq)
         verdict = par.stability(par.ParabolicBundle(base.bundle, tuple(marks)))
@@ -736,11 +734,10 @@ def embed_check(report, config, rng):
     ok = True
     for k in range(10):
         q, p1, p2 = _torus_points(rng, lat, 3)
-        tau0 = th.pi_cover(_curve_point(rng, lat))
+        tau0 = _cover_draw(rng, lat)
         base = ell.base_from_coordinate(tau0, q)
         while True:
-            taus = [th.pi_cover(_curve_point(rng, lat))
-                    for _ in range(2)]
+            taus = [_cover_draw(rng, lat) for _ in range(2)]
             seq = ell.sequence_from_coordinates(base, [p1, p2], taus)
             if ell.membership_Hp(seq):
                 break

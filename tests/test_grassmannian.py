@@ -90,9 +90,9 @@ def test_chain_directions_match_the_composite():
     rng = np.random.default_rng(8)
     for n in (1, 3, 5):
         seq = rat.random_minimal_sequence(n, rng)
-        mats = seq.matrices()
+        mats = [PolyMat2(c) for c in seq.coeffs()]
         dirs = chain_directions(mats, seq.points)
-        full = seq.composite()
+        full = PolyMat2(rat.composites(seq.coeffs()[None])[0])
         comp = PolyMat2.identity()
         for mat, mu, d in zip(mats, seq.points, dirs):
             assert np.allclose(prefix_product(mats, mu), full(mu))
@@ -105,8 +105,8 @@ def test_h_map_matches_the_scalar_chain():
     for n in (1, 2, 4, 6):
         for _ in range(10):
             seq = rat.random_minimal_sequence(n, rng)
-            scalar = chain_directions(seq.matrices(), seq.points)
-            assert max(chordal(x, y) for x, y in zip(seq.h_map(), scalar)) < 1e-13
+            scalar = chain_directions([PolyMat2(c) for c in seq.coeffs()], seq.points)
+            assert max(chordal(ProjPoint(*v), y) for v, y in zip(seq.h_map(), scalar)) < 1e-13
 
 
 def test_stacked_verify_eta_paths_match_the_scalar_ones():
@@ -117,9 +117,9 @@ def test_stacked_verify_eta_paths_match_the_scalar_ones():
     generic, special = suites._two_step_directions(l1, l2, mu1, mu2)
     for k in range(50):
         for first, stacked in ((ProjPoint(l1[k], 1), generic[k]), (ProjPoint(1, 0), special[k])):
-            seq = rat.RationalSequence((rat.RationalHeckeStep(mu1[k], first),
-                                        rat.RationalHeckeStep(mu2[k], ProjPoint(l2[k], 1))))
-            scalar = chain_directions(seq.matrices(), seq.points)
+            seq = rat.RationalSequence([mu1[k], mu2[k]],
+                                       rat.direction_vecs([[first, ProjPoint(l2[k], 1)]])[0])
+            scalar = chain_directions([PolyMat2(c) for c in seq.coeffs()], seq.points)
             assert max(chordal(ProjPoint(*v), d) for v, d in zip(stacked, scalar)) < 1e-13
 
     c = rng.normal(size=(50, 4)) + 1j * rng.normal(size=(50, 4))

@@ -131,9 +131,9 @@ class TestStability:
 class TestCorrespondence:
     def test_roundtrip_identity(self):
         seq = rat.random_minimal_sequence(3, np.random.default_rng(1))
-        marks = [Mark(mu, d) for mu, d in zip(seq.points, seq.h_map())]
+        marks = [Mark(mu, ProjPoint(*v)) for mu, v in zip(seq.points.tolist(), seq.h_map())]
         points, dirs = par.tuple_from_lines(marks)
-        assert points == seq.points
+        assert points == seq.points.tolist()
         back = chain_directions(tuple_matrices(points, dirs), points)
         assert max(chordal(x, y) for x, y in zip(back, dirs)) < 1e-9
 
@@ -197,16 +197,13 @@ class TestEmbedding:
     AUX = [Mark(10.0 + 1j, A), Mark(11.0 + 1j, B), Mark(12.0 + 1j, C)]
 
     def test_rational_zero_steps(self):
-        seq = rat.RationalSequence(())
+        seq = rat.RationalSequence([], np.zeros((0, 2)))
         pb = hecke_embedding_rational(seq, self.AUX)
         assert stability(pb).verdict is Verdict.STABLE
         assert len(pb.marks) == 3
 
     def test_rational_two_distinct(self):
-        seq = rat.RationalSequence((
-            rat.RationalHeckeStep(0.1, ProjPoint(0.5, 1)),
-            rat.RationalHeckeStep(0.9, ProjPoint(-0.8 + 0.3j, 1)),
-        ))
+        seq = rat.RationalSequence([0.1, 0.9], [ProjPoint(0.5, 1).vec, ProjPoint(-0.8 + 0.3j, 1).vec])
         pb = hecke_embedding_rational(seq, self.AUX)
         assert stability(pb).verdict is Verdict.STABLE
         assert len(pb.marks) == 5
@@ -216,18 +213,16 @@ class TestEmbedding:
         # Directions are read from the composite; realize an equal pair.
         pts = rat.default_points(2)
         dirs = chain_directions(tuple_matrices(pts, [a, a]), pts)
-        seq_steps = []
         prefix = np.eye(2, dtype=complex)
         current = RationalBundle(0, 0)
         built = []
         for mu, d in zip(pts, dirs):
             v = np.linalg.solve(prefix, d.vec)
-            step = rat.RationalHeckeStep(mu, ProjPoint(v[0], v[1]))
-            built.append(step)
-            m = rat.morphism_matrix(current, step)
-            prefix = prefix @ m(pts[1])
-            current = rat.single_hecke(current, step.direction)
-        seq = rat.RationalSequence(tuple(built))
+            step = ProjPoint(v[0], v[1])
+            built.append(step.vec)
+            prefix = prefix @ rat.morphism_matrix(current, mu, step)(pts[1])
+            current = rat.single_hecke(current, step)
+        seq = rat.RationalSequence(pts, built)
         with pytest.raises(TerminalNotMinimal):
             hecke_embedding_rational(seq, self.AUX)
 

@@ -8,9 +8,20 @@ from heckelab.rational import (
     NotGlobal,
     PolyMat2,
     RationalBundle,
-    RationalHeckeStep,
     RationalSequence,
 )
+
+
+def sequence(points, dirs):
+    """The sequence of modifications of O + O at ``points`` toward ``dirs``."""
+    return RationalSequence(points, rat.direction_vecs([dirs])[0])
+
+
+def branch_transition(b, direction):
+    """Name of the transition-table row that ``single_hecke`` fires."""
+    if b.is_semistable():
+        return "semistable:any-direction"
+    return "unstable:[1:0]" if direction.is_zero_dir() else "unstable:[lambda:1]"
 
 
 class TestSingleHecke:
@@ -31,9 +42,13 @@ class TestSingleHecke:
                 assert abs(rat.single_hecke(b, d).hecke_length - b.hecke_length) == 1
 
     def test_branch_transition_rows(self):
-        assert rat.branch_transition(RationalBundle(2, 0), ProjPoint(1, 0)) == "unstable:[1:0]"
-        assert rat.branch_transition(RationalBundle(2, 0), ProjPoint(1, 1)) == "unstable:[lambda:1]"
-        assert rat.branch_transition(RationalBundle(0, 0), ProjPoint(1, 0)).startswith("semistable")
+        assert branch_transition(RationalBundle(2, 0), ProjPoint(1, 0)) == "unstable:[1:0]"
+        assert branch_transition(RationalBundle(2, 0), ProjPoint(1, 1)) == "unstable:[lambda:1]"
+        assert branch_transition(RationalBundle(0, 0), ProjPoint(1, 0)).startswith("semistable")
+        for b in (RationalBundle(2, 0), RationalBundle(0, 0)):
+            for d in (ProjPoint(1, 0), ProjPoint(1, 1)):
+                up = branch_transition(b, d) != "unstable:[lambda:1]"
+                assert rat.single_hecke(b, d).hecke_length == b.hecke_length + (1 if up else -1)
 
 
 class TestMorphismMatrix:
@@ -48,23 +63,23 @@ class TestMorphismMatrix:
         ]
 
     def test_table_shapes(self):
-        m = rat.morphism_matrix(RationalBundle(2, 0), RationalHeckeStep(self.MU, ProjPoint(1, 0)))
+        m = rat.morphism_matrix(RationalBundle(2, 0), self.MU, ProjPoint(1, 0))
         assert np.allclose(m(1.0), [[1, 0], [0, 1 - self.MU]])
-        m = rat.morphism_matrix(RationalBundle(2, 0), RationalHeckeStep(self.MU, ProjPoint(0.5, 1)))
+        m = rat.morphism_matrix(RationalBundle(2, 0), self.MU, ProjPoint(0.5, 1))
         assert np.allclose(m(1.0), [[1 - self.MU, 0.5], [0, 1]])
-        m = rat.morphism_matrix(RationalBundle(0, 0), RationalHeckeStep(self.MU, ProjPoint(0.5, 1)))
+        m = rat.morphism_matrix(RationalBundle(0, 0), self.MU, ProjPoint(0.5, 1))
         assert np.allclose(m(1.0), [[0.5, 1 - self.MU], [1, 0]])
 
     def test_det_is_linear_with_root_at_point(self):
         for b, d in self.rows():
-            m = rat.morphism_matrix(b, RationalHeckeStep(self.MU, d))
+            m = rat.morphism_matrix(b, self.MU, d)
             det = m.det()
             assert det.size == 2
             assert abs(det[0] / det[1] + self.MU) < 1e-14
 
     def test_direction_roundtrip(self):
         for b, d in self.rows():
-            m = rat.morphism_matrix(b, RationalHeckeStep(self.MU, d))
+            m = rat.morphism_matrix(b, self.MU, d)
             assert chordal(eta_at(m, self.MU), d) < 1e-10
 
     def test_composite_det_has_degree_n(self):
@@ -77,8 +92,8 @@ class TestMorphismMatrix:
             for _ in range(10):
                 dirs = [choices[int(rng.integers(2))] if rng.random() < 0.6
                         else random_point(rng) for _ in range(n)]
-                seq = RationalSequence(tuple(map(RationalHeckeStep, pts, dirs)))
-                det = seq.composite().det()
+                seq = sequence(pts, dirs)
+                det = PolyMat2(rat.composites(seq.coeffs()[None])[0]).det()
                 assert det.size - 1 == n
                 want = det[-1] * np.poly(pts)[::-1]
                 assert np.abs(det - want).max() < 1e-12 * np.abs(want).max()
@@ -86,13 +101,13 @@ class TestMorphismMatrix:
 
 class TestChartConvert:
     def test_pivot_row_is_identity_at_origin(self):
-        m = rat.morphism_matrix(RationalBundle(3, 0), RationalHeckeStep(0.0, ProjPoint(1, 0)))
+        m = rat.morphism_matrix(RationalBundle(3, 0), 0.0, ProjPoint(1, 0))
         w = rat.chart_convert(m, RationalBundle(3, -1), RationalBundle(3, 0))
         assert np.allclose(w(0.77), np.eye(2))
 
     def test_generic_row_by_closed_form(self):
         lam = 0.5 - 1.1j
-        m = rat.morphism_matrix(RationalBundle(3, 0), RationalHeckeStep(0.0, ProjPoint(lam, 1)))
+        m = rat.morphism_matrix(RationalBundle(3, 0), 0.0, ProjPoint(lam, 1))
         w = rat.chart_convert(m, RationalBundle(2, 0), RationalBundle(3, 0))
         z = 0.9 + 0.4j
         assert np.allclose(w(z), [[1, lam * z ** 3], [0, 1]])
@@ -100,7 +115,7 @@ class TestChartConvert:
     def test_all_rows_glue(self):
         mu = 0.3 + 0.6j
         for b, d in TestMorphismMatrix().rows():
-            m = rat.morphism_matrix(b, RationalHeckeStep(mu, d))
+            m = rat.morphism_matrix(b, mu, d)
             rat.chart_convert(m, rat.single_hecke(b, d), b)
 
     def test_corrupted_matrix_rejected(self):
@@ -114,23 +129,17 @@ class TestHMap:
         l1, l2 = 0.7 - 0.3j, 1.1 + 0.2j
         mu1, mu2 = 0.2 + 0.1j, 0.9 - 0.4j
         lb2 = l2 / (mu2 - mu1)
-        seq = RationalSequence((
-            RationalHeckeStep(mu1, ProjPoint(l1, 1)),
-            RationalHeckeStep(mu2, ProjPoint(l2, 1)),
-        ))
-        h = seq.h_map()
+        h = [ProjPoint(*v) for v in sequence([mu1, mu2], [ProjPoint(l1, 1), ProjPoint(l2, 1)]).h_map()]
         assert chordal(h[0], ProjPoint(l1, 1)) < 1e-12
         assert chordal(h[1], ProjPoint(l1 * lb2 + 1, lb2)) < 1e-12
-        seqb = RationalSequence((
-            RationalHeckeStep(mu1, ProjPoint(1, 0)),
-            RationalHeckeStep(mu2, ProjPoint(l2, 1)),
-        ))
-        hb = seqb.h_map()
+        hb = [ProjPoint(*v) for v in sequence([mu1, mu2], [ProjPoint(1, 0), ProjPoint(l2, 1)]).h_map()]
         assert hb[0] == ProjPoint(1, 0)
         assert chordal(hb[1], ProjPoint(lb2, 1)) < 1e-12
 
     def test_empty_sequence(self):
-        assert RationalSequence(()).h_map() == []
+        seq = RationalSequence([], np.zeros((0, 2)))
+        assert seq.h_map().shape == (0, 2)
+        assert seq.hecke_lengths().tolist() == [0]
 
     def test_tuple_roundtrip(self):
         rng = np.random.default_rng(3)
@@ -142,10 +151,9 @@ class TestHMap:
 
     def test_coincident_points_rejected(self):
         with pytest.raises(ValueError):
-            RationalSequence((
-                RationalHeckeStep(0.5, ProjPoint(1, 0)),
-                RationalHeckeStep(0.5, ProjPoint(0, 1)),
-            ))
+            sequence([0.5, 0.5], [ProjPoint(1, 0), ProjPoint(0, 1)])
+        with pytest.raises(ValueError):
+            RationalSequence([[0.1, 0.2], [0.5, 0.5]], np.ones((2, 2, 2)))
 
 
 class TestMembership:
@@ -192,13 +200,78 @@ class TestMembership:
         assert rat.terminal_hecke_length(pts, [a, a, a, a]) == 4
 
 
+# ---------------------------------------------------------------------------
+# The array sequence against the per-step objects it replaced.
+
+
+def reference_random_minimal(n, rng, points=None, zero_dir_rate=0.25):
+    """The per-step loop that drew ``random_minimal_sequence``: one ProjPoint
+    and one ``single_hecke`` per step from O + O."""
+    if points is None:
+        points = rat.default_points(n)
+    dirs, current = [], RationalBundle(0, 0)
+    for mu in points:
+        if current.is_semistable() and rng.random() < zero_dir_rate:
+            d = ProjPoint(1.0, 0.0)
+        else:
+            lam = rng.normal() + 1j * rng.normal()
+            d = ProjPoint(lam, 1.0)
+        dirs.append(d)
+        current = rat.single_hecke(current, d)
+    return points, dirs
+
+
+def mixed_tuples(rng, n, count):
+    """Direction tuples mixing [1:0], directions just inside and outside its
+    PROJ_TOL ball, [0:1] and random points."""
+    choices = [ProjPoint(1, 0), ProjPoint(1, 3e-9), ProjPoint(1, 3e-8), ProjPoint(0, 1)]
+    return [[choices[int(rng.integers(4))] if rng.random() < 0.6 else random_point(rng)
+             for _ in range(n)] for _ in range(count)]
+
+
+class TestArraySequence:
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_length_walk_and_tables_match_the_step_objects(self, n):
+        rng = np.random.default_rng(50 + n)
+        tuples = mixed_tuples(rng, n, 60)
+        pts = rat.default_points(n)
+        seq = RationalSequence(np.broadcast_to(pts, (60, n)), rat.direction_vecs(tuples))
+        lengths, coeffs = seq.hecke_lengths(), seq.coeffs()
+        assert lengths.shape == (60, n + 1) and coeffs.shape == (60, n, 2, 2, 2)
+        for k, dirs in enumerate(tuples):
+            b = RationalBundle(0, 0)
+            walk = [b.hecke_length]
+            for i, (mu, d) in enumerate(zip(pts, dirs)):
+                assert np.array_equal(coeffs[k, i], rat.morphism_matrix(b, mu, d).c)
+                b = rat.single_hecke(b, d)
+                walk.append(b.hecke_length)
+            assert lengths[k].tolist() == walk
+            # One sequence of the stack alone reads the same arrays.
+            alone = sequence(pts, dirs)
+            assert alone.hecke_lengths().tolist() == walk
+            assert np.array_equal(alone.coeffs(), coeffs[k])
+
+    @pytest.mark.parametrize("seed", [7, 11, 12345])
+    def test_random_minimal_sequence_draws_as_the_step_loop(self, seed):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for n in (1, 2, 3, 4, 6):
+            for points in (None, [0.3j + k for k in range(n)]):
+                for rate in (0.25, 0.9):
+                    seq = rat.random_minimal_sequence(n, rng, points=points, zero_dir_rate=rate)
+                    pts, dirs = reference_random_minimal(n, ref, points=points, zero_dir_rate=rate)
+                    assert rng.bit_generator.state == ref.bit_generator.state
+                    assert seq.points.tolist() == list(pts)
+                    assert np.array_equal(seq.vecs, rat.direction_vecs([dirs])[0])
+                    assert seq.hecke_lengths()[-1] == n % 2
+
+
 def test_random_minimal_sequences_are_minimal():
     rng = np.random.default_rng(9)
     for n in (2, 3, 4, 6):
         for _ in range(10):
             seq = rat.random_minimal_sequence(n, rng)
-            assert seq.terminal().hecke_length == n % 2
-            assert rat.membership_H(n, seq.h_map(), seq.points)
+            assert seq.hecke_lengths()[-1] == n % 2
+            assert rat.membership_H(n, [ProjPoint(*v) for v in seq.h_map()], seq.points)
 
 
 # ---------------------------------------------------------------------------
@@ -370,9 +443,7 @@ class TestClosedForms:
         grid = sphere_grid(20)
         tuples = [list(c) for c in itertools.product(grid, repeat=n)]
         # Repeated directions with one moved off at a chordal offset on
-        # either side of both tolerances; offsets from about 1e-10 to 1e-8
-        # lie between the SVD tolerance and PROJ_TOL, where the two tests
-        # disagree.
+        # either side of both tolerances.
         for offset in (1e-12, 1e-6):
             for b in grid:
                 for last in range(n):
@@ -385,6 +456,28 @@ class TestClosedForms:
         assert closed.tolist() == numerical.tolist()
         assert closed.tolist() == [closed_form(d) for d in tuples]
         assert closed.sum() == len(tuples) - 20 - 20 * n  # coincident grid and 1e-12 tuples
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_one_coincidence_rule_across_the_tolerance_band(self, n):
+        # Repeated directions with one moved off, at every position, two
+        # phases and offsets from 1e-12 to 1e-5: both deciders call the
+        # tuple coincident exactly when the offset is below PROJ_TOL.
+        tuples, offsets = [], np.geomspace(1e-12, 1e-5, 29)
+        for offset in offsets:
+            for b in sphere_grid(20):
+                for moved in range(n):
+                    for phase in (0.7, 2.1):
+                        dirs = [b] * n
+                        dirs[moved] = chordal_offset(b, offset, phase)
+                        tuples.append(dirs)
+        vecs = rat.direction_vecs(tuples)
+        closed = rat.membership_H_closed_forms(vecs)
+        numerical = rat.terminal_hecke_lengths(rat.default_points(n), vecs) == n % 2
+        assert closed.tolist() == numerical.tolist()
+        # The band between the rank test's roundoff and PROJ_TOL is decided
+        # by the chordal rule alone.
+        per_offset = closed.reshape(len(offsets), -1)
+        assert not per_offset[offsets < 9e-9].any() and per_offset[offsets > 1.1e-8].all()
 
     def test_small_n(self):
         vecs = rat.direction_vecs([[d] for d in sphere_grid(5)])

@@ -1,21 +1,24 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
+from heckelab.grassmannian import chain_directions
 from heckelab.projective import ProjPoint, chordal
 from heckelab.pseries import PolyMat2
 from heckelab.rational import (
-    RationalHeckeStep,
+    RationalBundle,
     RationalSequence,
     above_degree_matrix,
+    direction_vecs,
+    morphism_matrix,
     random_minimal_sequence,
-    sequence_coeffs,
+    single_hecke,
 )
 from heckelab.seidel_smith import (
     SPECTRUM_GAP,
     DegenerateSpectrum,
     ReductionFailure,
-    SlodowyMatrix,
-    chi,
     conjecture_check,
     conjecture_residuals,
     kamnitzer,
@@ -27,6 +30,46 @@ from heckelab.seidel_smith import (
 L1, L2 = 0.7 - 0.3j, 1.1 + 0.2j
 MU1, MU2 = 0.2 + 0.1j, 0.9 - 0.4j
 LB2 = L2 / (MU2 - MU1)
+
+
+@dataclass(frozen=True)
+class SlodowyMatrix:
+    """Slice element: left-column blocks Y_1..Y_m; identities implied."""
+
+    blocks: tuple[np.ndarray, ...]
+
+    def __post_init__(self):
+        bs = tuple(np.asarray(b, dtype=complex).reshape(2, 2) for b in self.blocks)
+        object.__setattr__(self, "blocks", bs)
+
+    @property
+    def m(self) -> int:
+        return len(self.blocks)
+
+    def dense(self) -> np.ndarray:
+        m = self.m
+        a = np.zeros((2 * m, 2 * m), dtype=complex)
+        for i, y in enumerate(self.blocks):
+            a[2 * i : 2 * i + 2, 0:2] = y
+        for i in range(m - 1):
+            a[2 * i : 2 * i + 2, 2 * i + 2 : 2 * i + 4] = np.eye(2)
+        return a
+
+
+def chi(a) -> np.ndarray:
+    """Multiset of eigenvalues of the dense form."""
+    dense = a.dense() if isinstance(a, SlodowyMatrix) else np.asarray(a, dtype=complex)
+    return np.linalg.eigvals(dense)
+
+
+def sequence(points, dirs):
+    """The sequence of modifications of O + O at ``points`` toward ``dirs``."""
+    return RationalSequence(points, direction_vecs([dirs])[0])
+
+
+def stack(seqs):
+    """One stacked sequence of a list of sequences of one length."""
+    return RationalSequence([s.points for s in seqs], [s.vecs for s in seqs])
 
 
 def char_poly(s: SlodowyMatrix) -> np.ndarray:
@@ -42,17 +85,29 @@ def char_poly(s: SlodowyMatrix) -> np.ndarray:
 
 
 # Reference copy of the per-draw diagram check that the stacked pass
-# replaced: PolyMat2 products, one SVD, one lstsq and one SVD per
-# eigenvalue per sequence, and the scalar direction chain.
+# replaced: per-step classes and table matrices, PolyMat2 products, one
+# SVD, one lstsq and one SVD per eigenvalue per sequence, and the scalar
+# direction chain.
+
+
+def _ref_steps(seq):
+    """Table matrices of one sequence and its terminal class, one
+    ``morphism_matrix`` and one ``single_hecke`` per step from O + O."""
+    b, mats = RationalBundle(0, 0), []
+    for mu, (a, c) in zip(seq.points.tolist(), seq.vecs.tolist()):
+        mats.append(morphism_matrix(b, mu, ProjPoint(a, c)))
+        b = single_hecke(b, ProjPoint(a, c))
+    return mats, b
 
 
 def _ref_kamnitzer(seq):
     n = len(seq)
     m = n // 2
-    if not seq.terminal().is_semistable():
+    mats, terminal = _ref_steps(seq)
+    if not terminal.is_semistable():
         raise ReductionFailure("unstable terminal")
     p = PolyMat2.identity()
-    for mat in seq.matrices():
+    for mat in mats:
         p = p * mat
     deg = 2 * m
     _, s, vh = np.linalg.svd(above_degree_matrix(p.coeffs() / p.coeff_scale(), deg))
@@ -90,7 +145,8 @@ def _ref_woodward(a, eigenvalues):
 
 def _ref_residual(seq):
     w = _ref_woodward(_ref_kamnitzer(seq), seq.points)
-    return max(chordal(p.involution(), q) for p, q in zip(seq.h_map(), w))
+    h = chain_directions(_ref_steps(seq)[0], seq.points.tolist())
+    return max(chordal(p.involution(), q) for p, q in zip(h, w))
 
 
 def _draws(m, samples, seed):
@@ -101,17 +157,11 @@ def _draws(m, samples, seed):
 
 
 def alpha_form(l1=L1, l2=L2, mu1=MU1, mu2=MU2):
-    return RationalSequence((
-        RationalHeckeStep(mu1, ProjPoint(l1, 1)),
-        RationalHeckeStep(mu2, ProjPoint(l2, 1)),
-    ))
+    return sequence([mu1, mu2], [ProjPoint(l1, 1), ProjPoint(l2, 1)])
 
 
 def beta_form(l2=L2, mu1=MU1, mu2=MU2):
-    return RationalSequence((
-        RationalHeckeStep(mu1, ProjPoint(1, 0)),
-        RationalHeckeStep(mu2, ProjPoint(l2, 1)),
-    ))
+    return sequence([mu1, mu2], [ProjPoint(1, 0), ProjPoint(l2, 1)])
 
 
 class TestChi:
@@ -179,10 +229,7 @@ class TestKamnitzer:
                     assert abs(a[i, j] - want_val) < 1e-9
 
     def test_rejects_unstable_terminal(self):
-        seq = RationalSequence((
-            RationalHeckeStep(MU1, ProjPoint(0.4, 1)),
-            RationalHeckeStep(MU2, ProjPoint(1, 0)),
-        ))
+        seq = sequence([MU1, MU2], [ProjPoint(0.4, 1), ProjPoint(1, 0)])
         with pytest.raises(ReductionFailure):
             kamnitzer(seq)
 
@@ -242,7 +289,7 @@ class TestWoodward:
 
 class TestConjecture:
     def test_closed_forms_commute(self):
-        assert conjecture_residuals([alpha_form(), beta_form()]).max() < 1e-12
+        assert conjecture_residuals(stack([alpha_form(), beta_form()])).max() < 1e-12
 
     def test_m1_m2_sweeps(self):
         rng = np.random.default_rng(6)
@@ -268,7 +315,7 @@ class TestStackedPass:
     def test_matches_per_draw_reference(self, m, seed):
         samples = 200 if m <= 2 else 50
         seqs = _draws(m, samples, seed)
-        batched = conjecture_residuals(seqs)
+        batched = conjecture_residuals(stack(seqs))
         reference = np.array([_ref_residual(seq) for seq in seqs])
         assert np.abs(batched - reference).max() < REFERENCE_BOUND[m]
         assert conjecture_check(m, samples, np.random.default_rng(seed)) == batched.max()
@@ -276,29 +323,27 @@ class TestStackedPass:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_element_matches_batch_of_one(self, m):
         seqs = _draws(m, 12, 5)
-        _, coeffs, terminal = sequence_coeffs(seqs)
-        stacked = slice_matrices(coeffs, terminal)
-        residuals = conjecture_residuals(seqs)
+        seq = stack(seqs)
+        stacked = slice_matrices(seq.coeffs(), seq.hecke_lengths()[:, -1])
+        residuals = conjecture_residuals(seq)
         for i, seq in enumerate(seqs):
             alone = kamnitzer(seq)
             assert np.abs(stacked[i] - alone).max() <= 1e-14 * np.abs(alone).max()
             ref = _ref_kamnitzer(seq)
             assert np.abs(stacked[i] - ref).max() <= 1e-10 * np.abs(ref).max()
-            assert abs(residuals[i] - conjecture_residuals([seq])[0]) < 1e-14
+            assert abs(residuals[i] - conjecture_residuals(stack([seq]))[0]) < 1e-14
 
     def test_unstable_terminal_in_batch_raises_like_scalar(self):
-        bad = RationalSequence((
-            RationalHeckeStep(MU1, ProjPoint(0.4, 1)),
-            RationalHeckeStep(MU2, ProjPoint(1, 0)),
-        ))
+        bad = sequence([MU1, MU2], [ProjPoint(0.4, 1), ProjPoint(1, 0)])
         with pytest.raises(ReductionFailure):
             _ref_residual(bad)
         seqs = _draws(1, 5, 3)
         with pytest.raises(ReductionFailure):
-            conjecture_residuals(seqs[:2] + [bad] + seqs[2:])
+            conjecture_residuals(stack(seqs[:2] + [bad] + seqs[2:]))
 
     def test_submodule_of_wrong_dimension_raises(self):
-        _, coeffs, terminal = sequence_coeffs(_draws(1, 3, 2))
+        seq = stack(_draws(1, 3, 2))
+        coeffs, terminal = seq.coeffs(), seq.hecke_lengths()[:, -1]
         coeffs[1] = 0.0
         coeffs[1, :, 0, 0, 0] = 1.0  # every step diag(1, 0): P is singular, every g qualifies
         with pytest.raises(ReductionFailure, match="dimension"):
