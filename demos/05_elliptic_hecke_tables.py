@@ -39,7 +39,7 @@ rows = [
 ]
 print(f"{'row':28s} {'equivariance':>13s} {'direction':>11s} {'result'}")
 for name, bundle, a in rows:
-    rep = ell.morphism_rep(bundle, p, a)
+    rep = ell.morphism_rep([bundle], [p], [a])[0]
     resid = ell.check_equivariance(rep)
     dirr = chordal(eta_at(rep.evaluator(np.asarray(p.lift)), p.lift), a)
     print(f"{name:28s} {resid:13.2e} {dirr:11.2e} {rep.result}")
@@ -61,8 +61,8 @@ p1, p2 = pt(), pt()
 e = halve_sum(p1, p2)
 bundle = F2Twist(O)
 d1, d2 = ProjPoint(0.8 - 0.5j, 1), random_point(rng)
-rep1 = ell.morphism_rep(bundle, p1, d1)
-rep2 = ell.morphism_rep(rep1.result, p2, d2)
+rep1 = ell.morphism_rep([bundle], [p1], [d1])[0]
+rep2 = ell.morphism_rep([rep1.result], [p2], [d2])[0]
 a1 = eta_at(rep1.evaluator(np.asarray(p1.lift)), p1.lift)
 local = eta_at(rep2.evaluator(np.asarray(p2.lift)), p2.lift)
 v = rep1.evaluator(np.asarray(p2.lift)) @ local.vec

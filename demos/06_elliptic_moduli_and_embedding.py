@@ -23,21 +23,21 @@ q, p1, p2 = pt(), pt(), pt()
 tau0, tau1, tau2 = (th.pi_cover(pt()) for _ in range(3))
 
 print("prescribe coordinates, build the sequence, read them back:")
-base = ell.base_from_coordinate(tau0, q)
-seq = ell.sequence_from_coordinates(base, [p1, p2], [tau1, tau2])
-h = ell.h_total(seq)
+base = ell.base_from_coordinate([tau0], [q])[0]
+seq = ell.sequence_from_coordinates([base], [[p1, p2]], [[tau1, tau2]])[0]
+h = ell.h_total([seq])[0]
 for i, (got, want) in enumerate(zip(h, [tau0, tau1, tau2])):
     print(f"  h_{i} = {got}   (residual {chordal(got, want):.2e})")
 
 print("\nlength-two membership distinguishes the embedded curve:")
 p = pt()
-tri = ell.f_embedding(p, q, p1, p2)
-on_base = ell.base_from_coordinate(tri[0], q)
-on_seq = ell.sequence_from_coordinates(on_base, [p1, p2], [tri[1], tri[2]])
-print(f"  f(p) tuple:      member = {ell.membership_Hp(on_seq)}"
-      f"   (distance to curve {ell.distance_to_curve(list(tri), q, p1, p2):.1e})")
-d = ell.distance_to_curve([tau0, tau1, tau2], q, p1, p2)
-print(f"  prescribed tuple: member = {ell.membership_Hp(seq)}"
+tri = ell.f_embedding([p], q, p1, p2)[0]
+on_base = ell.base_from_coordinate([tri[0]], [q])[0]
+on_seq = ell.sequence_from_coordinates([on_base], [[p1, p2]], [[tri[1], tri[2]]])[0]
+print(f"  f(p) tuple:      member = {ell.membership_Hp([on_seq])[0]}"
+      f"   (distance to curve {ell.distance_to_curve([tri], [q], [p1], [p2])[0]:.1e})")
+d = ell.distance_to_curve([[tau0, tau1, tau2]], [q], [p1], [p2])[0]
+print(f"  prescribed tuple: member = {ell.membership_Hp([seq])[0]}"
       f"   (distance to curve {d:.3f})")
 
 print("\nmembers embed as stable parabolic bundles (n + 1 marks):")
@@ -50,7 +50,7 @@ import itertools
 
 pts = [CurvePoint((i + 0.5) / 24 + ((i * 11) % 24 + 0.5) / 24 * lat.tau, lat)
        for i in range(24)]
-vals = [ell.f_embedding(x, q, p1, p2) for x in pts]
+vals = ell.f_embedding(pts, q, p1, p2)
 mind = min(max(chordal(s, t) for s, t in zip(u, v))
            for u, v in itertools.combinations(vals, 2))
 print(f"  min pairwise distance over 276 pairs: {mind:.4f}")

@@ -340,20 +340,33 @@ def _theta_const(lattice: Lattice) -> complex:
     return complex(-th.g_theta_w(0.0, 0.0, lattice))
 
 
-def morphism_rep(e: EllipticBundle, p: CurvePoint, a: ProjPoint) -> MorphismRep:
-    """Table representative of the modification of ``e`` at ``p`` toward ``a``.
+def morphism_rep(es, ps, dirs) -> list[MorphismRep]:
+    """Table representatives of the modifications of ``es[i]`` at ``ps[i]``
+    toward ``dirs[i]``, over stacks (sequences) of one length.
 
-    The bundle is rewritten as (table form) tensor M; matrices are
+    Each bundle is rewritten as (table form) tensor M; matrices are
     twist-invariant, so only the frame change between the stored and table
     presentations (a swap, a scalar exponential, or a constant diagonal
     for moving the G2 point) dresses the table row.  The direction is
-    transported through the frame's value at p before dispatch.
+    transported through the frame's value at p before dispatch.  The G2
+    rows of the stack share one branch test and one inversion of their
+    transported directions (``theta._invert_lifts``).
     """
-    if isinstance(e, Decomposable):
-        return _morphism_dec(e, p, a)
-    if isinstance(e, F2Twist):
-        return _morphism_f2(e, p, a)
-    return _morphism_g2(e, p, a)
+    out = [None] * len(es)
+    g2 = []
+    for i, (e, p, a) in enumerate(zip(es, ps, dirs)):
+        if isinstance(e, Decomposable):
+            out[i] = _morphism_dec(e, p, a)
+        elif isinstance(e, F2Twist):
+            out[i] = _morphism_f2(e, p, a)
+        else:
+            g2.append((i, *_g2_frame(e, p, a)))
+    if g2:
+        lifts, idx = th._invert_lifts([g[3].a for g in g2], [g[3].c for g in g2],
+                                      es[g2[0][0]].lattice)
+        for (i, m, frame, _), w, k in zip(g2, lifts.tolist(), idx.tolist()):
+            out[i] = _morphism_g2(es[i], ps[i], m, frame, k, w)
+    return out
 
 
 def _morphism_dec(e: Decomposable, p: CurvePoint, a: ProjPoint) -> MorphismRep:
@@ -458,19 +471,27 @@ def _morphism_f2(e: F2Twist, p: CurvePoint, a: ProjPoint) -> MorphismRep:
     return MorphismRep(terms, "F2:[lam:1]", e, target, p)
 
 
-def _morphism_g2(e: G2Twist, p: CurvePoint, a: ProjPoint) -> MorphismRep:
+def _g2_frame(e: G2Twist, p: CurvePoint, a: ProjPoint):
+    """(M, frame, transported direction) of a G2 row: G2(p') tensor N
+    rewritten as G2(p) tensor M; the exact half-difference lift makes the
+    frame change a constant diagonal."""
     lat = e.lattice
     pt = p.lift
-    # Rewrite G2(p') tensor N as G2(p) tensor M; the exact half-difference
-    # lift makes the frame change a constant diagonal.
     m = LineBundleClass(e.l.degree, e.l.lift + (e.point_lift - pt) / 2, lat)
     moved = abs(e.point_lift - pt) > 1e-14
     frame = (0, np.exp(1j * np.pi * (e.point_lift - pt)) if moved else 1.0, False)
     phi = _framed(_IDENTITY, *frame)
     a_t = a if phi == _IDENTITY else transport_direction(_evaluate(phi, pt, lat), a)
+    return m, frame, a_t
 
-    idx = th.branch_index(a_t, lat)
-    if idx is not None:
+
+def _morphism_g2(e: G2Twist, p: CurvePoint, m: LineBundleClass, frame, idx: int,
+                 root: complex) -> MorphismRep:
+    """The G2 row for the transported direction with branch index ``idx``
+    (0 off the branch points) and fiber lift ``root``."""
+    lat = e.lattice
+    pt = p.lift
+    if idx:
         zi = lat.torsion_lifts()[idx - 1]
         c = pt - 2 * zi + 0.5
         ct = c - lat.tau
@@ -485,11 +506,10 @@ def _morphism_g2(e: G2Twist, p: CurvePoint, a: ProjPoint) -> MorphismRep:
         target = F2Twist(torsion_line(lat, idx).tensor(m))
         return MorphismRep(_framed(terms, *frame), f"G2:a{idx}", e, target, p)
 
-    root, _ = th.invert_cover(a_t, lat)
     # Any exact lift of the root works if used consistently in the
     # characters, the exponentials, and the target twists; the centered
     # lift keeps the doubled arguments +-2w numerically balanced.
-    w = lat.reduce_centered(root.lift)
+    w = lat.reduce_centered(root)
     e2w = np.exp(TWO_PI_I * w)
     terms = (
         (0, 1.0, ((TT, pt - 2 * w + 0.5),)),
@@ -506,26 +526,33 @@ def single_hecke(e: EllipticBundle, p: CurvePoint, a: ProjPoint) -> EllipticBund
     Delegates to the morphism constructor so the class-level table and the
     matrix-level table cannot drift apart.
     """
-    return morphism_rep(e, p, a).result
+    return morphism_rep([e], [p], [a])[0].result
 
 
 # ---------------------------------------------------------------------------
 # Two-step classification, moduli coordinates, and the total direction map.
 
 
-def mss_coordinate(e: EllipticBundle) -> ProjPoint:
-    """Coordinate of the S-equivalence class in the semistable moduli line.
+def mss_coordinate(es) -> list[ProjPoint]:
+    """Coordinates of the S-equivalence classes ``es`` in the semistable
+    moduli line, from one cover call.
 
     [L + L^{-1}] maps to the cover image of the twist of L; an F2 twist
     maps like its S-equivalent L + L.
     """
-    if not is_even_semistable(e) or not has_trivial_det(e):
-        raise NotSemistable(f"{e} is not semistable with trivial determinant")
-    return th.pi_cover((e.l1 if isinstance(e, Decomposable) else e.l).twist_point())
+    for e in es:
+        if not is_even_semistable(e) or not has_trivial_det(e):
+            raise NotSemistable(f"{e} is not semistable with trivial determinant")
+    if not es:
+        return []
+    lifts = [(e.l1 if isinstance(e, Decomposable) else e.l).twist_point().lift for e in es]
+    return th._cover_points(lifts, es[0].lattice)
 
 
-def _stable_first_class(rep1: MorphismRep, p2: CurvePoint, b: ProjPoint) -> EllipticBundle:
-    """E2 tensor O(e) when the first modification ``rep1`` is in a good direction.
+def _stable_first_class(reps1, points, dirs) -> list[list[EllipticBundle]]:
+    """E2 tensor O(e) for each first modification ``reps1[i]``, in a good
+    direction, followed by second modifications at ``points[i][j]`` with
+    composite coordinates ``dirs[i][j]``.
 
     The intermediate bundle is stable, so the composite coordinate b must
     be transported back through the first-step representative before the
@@ -533,15 +560,26 @@ def _stable_first_class(rep1: MorphismRep, p2: CurvePoint, b: ProjPoint) -> Elli
     and intrinsic coordinates differ by the Moebius action of the
     first-step matrix at p2 (they agree only along unstable intermediates,
     where repeated subbundle modifications keep the coordinate constant).
+    Each first step is evaluated once, at all its second points, and every
+    second step of the stack is one ``morphism_rep`` call.
     """
-    p1 = rep1.point
-    if p1 == p2:
-        raise ValueError("modification points must be distinct")
-    aval = rep1.evaluator(np.asarray(p2.lift))
-    second = single_hecke(rep1.result, p2, transport_direction(aval, b))
-    out = second.tensor(LineBundleClass(1, halve_sum(p1, p2).lift, p1.lattice))
-    if not is_even_semistable(out):
-        raise AssertionError("modification of a stable bundle must be semistable")
+    ups, pts, ds = [], [], []
+    for rep1, p2s, bs in zip(reps1, points, dirs):
+        if any(rep1.point == p2 for p2 in p2s):
+            raise ValueError("modification points must be distinct")
+        avals = rep1.evaluator(np.array([p2.lift for p2 in p2s]))
+        ups += [rep1.result] * len(p2s)
+        pts += p2s
+        ds += [transport_direction(v, b) for v, b in zip(avals, bs)]
+    second = iter(morphism_rep(ups, pts, ds))
+    out = []
+    for rep1, p2s in zip(reps1, points):
+        lat = rep1.point.lattice
+        row = [next(second).result.tensor(LineBundleClass(1, halve_sum(rep1.point, p2).lift, lat))
+               for p2 in p2s]
+        if not all(is_even_semistable(c) for c in row):
+            raise AssertionError("modification of a stable bundle must be semistable")
+        out.append(row)
     return out
 
 
@@ -577,7 +615,7 @@ def double_hecke(
         if a.is_zero_dir():
             # Bad first direction: unstable intermediate.
             return None if b.is_zero_dir() else split_class(e.l)
-        return _stable_first_class(morphism_rep(e, p1, a), p2, b)
+        return _stable_first_class(morphism_rep([e], [p1], [a]), [[p2]], [[b]])[0][0]
 
     delta = e.l1  # degree 0 with l2 the inverse class, by the precondition
     ti = delta.twist_point().torsion_index()
@@ -612,7 +650,7 @@ def double_hecke(
         if b.is_zero_dir():
             return None
         return dual_pair((p - p2).lift, lat)
-    return _stable_first_class(morphism_rep(e, p1, a), p2, b)
+    return _stable_first_class(morphism_rep([e], [p1], [a]), [[p2]], [[b]])[0][0]
 
 
 @dataclass(frozen=True)
@@ -696,31 +734,37 @@ class EllipticSequence:
         return raw_directions(self.reps)
 
 
-def h_total(seq: EllipticSequence) -> list[ProjPoint]:
-    """The n+1 moduli coordinates of a sequence on a marked bundle.
+def h_total(seqs) -> list[list[ProjPoint]]:
+    """The n+1 moduli coordinates of each sequence on a marked bundle.
 
     Coordinate 0 is the class of the base bundle; coordinate i >= 1 is the
     class (twisted back to trivial determinant) of the two-step
     modification of the base at (q, p_i) in the directions read off the
-    mark and the composed sequence.
+    mark and the composed sequence.  For the whole stack, the marks'
+    representatives are one ``morphism_rep`` call, the second steps
+    another, and the coordinates of each kind one cover call.
     """
-    base = seq.base
-    out = [mss_coordinate(base.bundle)]
-    if seq.reps:
+    out = [[c] for c in mss_coordinate([s.base.bundle for s in seqs])]
+    live = [i for i, s in enumerate(seqs) if s.reps]
+    if live:
         # Reinterpreted two-step sequences: the mark modification first, in
         # a good direction (``double_hecke``'s stable branch).  Composite
         # coordinates (mark line, d_i): line data is order-independent
         # under the canonical parabolic correspondence.
-        rep_q = morphism_rep(base.bundle, base.q, base.line)
-        out += [mss_coordinate(_stable_first_class(rep_q, pnt, d))
-                for pnt, d in zip(seq.points, seq.lines())]
+        bases = [seqs[i].base for i in live]
+        rep_q = morphism_rep([b.bundle for b in bases], [b.q for b in bases],
+                             [b.line for b in bases])
+        classes = _stable_first_class(rep_q, [seqs[i].points for i in live],
+                                      [seqs[i].lines() for i in live])
+        coords = iter(mss_coordinate([c for row in classes for c in row]))
+        for i, row in zip(live, classes):
+            out[i] += [next(coords) for _ in row]
     return out
 
 
-def f_embedding(
-    p: CurvePoint, q: CurvePoint, p1: CurvePoint, p2: CurvePoint
-) -> tuple[ProjPoint, ProjPoint, ProjPoint]:
-    """The embedded curve of unstable-terminal classes for n = 2.
+def f_embedding(ps, q: CurvePoint, p1: CurvePoint, p2: CurvePoint) -> list[tuple]:
+    """The embedded curve of unstable-terminal classes for n = 2, at each
+    point of ``ps``: triples of ProjPoints from one cover call.
 
     Component i is the cover image of p shifted by e_i = (q + p_i)/2 data:
     pi_1 = cover(p - e_1), pi_2 = cover(p - p_1),
@@ -728,139 +772,149 @@ def f_embedding(
     """
     e1 = halve_sum(q, p1)
     e2 = halve_sum(q, p2)
-    return (
-        th.pi_cover(p - e1),
-        th.pi_cover(p - p1),
-        th.pi_cover(p - p2 + e2 - e1),
-    )
+    lifts = [x.lift for p in ps for x in (p - e1, p - p1, p - p2 + e2 - e1)]
+    pts = th._cover_points(lifts, q.lattice)
+    return [tuple(pts[3 * i:3 * i + 3]) for i in range(len(ps))]
 
 
-def distance_to_curve(triple, q: CurvePoint, p1: CurvePoint, p2: CurvePoint) -> float:
-    """Max-chordal distance from a (CP^1)^3 point to the embedded curve.
+def distance_to_curve(triples, qs, p1s, p2s) -> np.ndarray:
+    """Max-chordal distance from each (CP^1)^3 point ``triples[i]`` to the
+    embedded curve of ``(qs[i], p1s[i], p2s[i])``, as a (B,) array.
 
     Component j of f is pi(p - s_j), so the curve points where it meets
     its target t_j are the cover fiber s_j +- r_j, {r_j, -r_j} =
-    pi^{-1}(t_j), all three from one batched inversion.  The value is the
-    least max-chordal residual over those six curve points, evaluated in
-    one batched cover call.  Like any residual it is attained at real
-    curve points; it is about 1e-15 on the curve, and near the curve
-    within about 2x of the true minimum: for distinct q, p1, p2 at most
-    one component can sit at a branch point, so a well-conditioned fiber
-    is always among the candidates.
+    pi^{-1}(t_j): the (B, 3) targets go through one batched inversion.  The
+    value is the least max-chordal residual over those six curve points
+    per triple, with all (B, 6, 3) residuals from one batched cover call.
+    Like any residual it is attained at real curve points; it is about
+    1e-15 on the curve, and near the curve within about 2x of the true
+    minimum: for distinct q, p1, p2 at most one component can sit at a
+    branch point, so a well-conditioned fiber is always among the
+    candidates.
     """
-    lat = q.lattice
-    e1 = halve_sum(q, p1)
-    e2 = halve_sum(q, p2)
-    shifts = np.array([e1.lift, p1.lift, p2.lift - e2.lift + e1.lift])
-    ta = np.array([t.a for t in triple])
-    tc = np.array([t.c for t in triple])
-    roots = th._invert_lifts(ta, tc, lat)
-    z = np.concatenate([shifts + roots, shifts - roots])
-    cross = th._cover_cross(z[:, None] - shifts, ta, tc, lat)
-    return float(np.abs(cross).max(axis=1).min())
+    shifts = []
+    for q, p1, p2 in zip(qs, p1s, p2s):
+        e1 = halve_sum(q, p1)
+        e2 = halve_sum(q, p2)
+        shifts.append((e1.lift, p1.lift, p2.lift - e2.lift + e1.lift))
+    shifts = np.array(shifts, dtype=complex).reshape(-1, 3)
+    t = np.array([[x.vec for x in tri] for tri in triples], dtype=complex).reshape(-1, 3, 2)
+    ta, tc = t[..., 0], t[..., 1]
+    lat = qs[0].lattice
+    roots = th._invert_lifts(ta.ravel(), tc.ravel(), lat)[0].reshape(ta.shape)
+    z = np.concatenate([shifts + roots, shifts - roots], axis=1)
+    cross = th._cover_cross(z[:, :, None] - shifts[:, None], ta[:, None], tc[:, None], lat)
+    return np.abs(cross).max(axis=2).min(axis=1)
 
 
-def membership_Hp(seq: EllipticSequence) -> bool:
-    """Exact membership for n <= 2: n <= 1 is all of the total space; for
-    n = 2 the complement is the embedded curve."""
-    n = len(seq.reps)
-    if n <= 1:
-        return True
-    if n > 2:
+def membership_Hp(seqs) -> list[bool]:
+    """Exact membership of each sequence for n <= 2: n <= 1 is all of the
+    total space; for n = 2 the complement is the embedded curve, decided
+    by one stacked ``distance_to_curve``."""
+    if any(len(s.reps) > 2 for s in seqs):
         raise Unsupported("exact membership is computed for n <= 2 only")
-    return distance_to_curve(h_total(seq), seq.base.q, *seq.points) >= CURVE_TOL
+    two = [s for s in seqs if len(s.reps) == 2]
+    dist = iter(distance_to_curve(h_total(two), [s.base.q for s in two],
+                                  [s.points[0] for s in two],
+                                  [s.points[1] for s in two]).tolist() if two else ())
+    return [next(dist) >= CURVE_TOL if len(s.reps) == 2 else True for s in seqs]
 
 
 # ---------------------------------------------------------------------------
 # Constructive inverse of the total direction map.
 
 
-def base_from_coordinate(
-    tau0: ProjPoint, q: CurvePoint, line: ProjPoint | None = None
-) -> MarkedBundle:
-    """A marked bundle whose moduli coordinate is ``tau0``.
+def base_from_coordinate(taus, qs) -> list[MarkedBundle]:
+    """Marked bundles at ``qs[i]`` whose moduli coordinates are ``taus[i]``,
+    with one branch test and one inversion for the stack.
 
     Branch-point coordinates give the F2 twist by the matching torsion
     bundle (the split form L_i + L_i carries no good line); otherwise the
-    dual pair of cover preimages.
+    dual pair of cover preimages.  The mark is the line [1:1].
     """
-    lat = q.lattice
-    idx = th.branch_index(tau0, lat)
-    if idx is not None:
-        bundle: EllipticBundle = F2Twist(torsion_line(lat, idx))
-    else:
+    lat = qs[0].lattice
+    lifts, idx = th._invert_lifts([t.a for t in taus], [t.c for t in taus], lat)
+    out = []
+    for q, z, i in zip(qs, lifts.tolist(), idx.tolist()):
         # Centered lift: the strictly semistable rows see the doubled
         # twist 2*delta, so the balanced representative matters.
-        bundle = dual_pair(lat.reduce_centered(th.invert_cover(tau0, lat)[0].lift), lat)
-    mark = line if line is not None else ProjPoint(1.0, 1.0)
-    return MarkedBundle(bundle, q, mark)
+        bundle = F2Twist(torsion_line(lat, i)) if i else dual_pair(lat.reduce_centered(z), lat)
+        out.append(MarkedBundle(bundle, q, ProjPoint(1.0, 1.0)))
+    return out
 
 
-def second_direction_for_class(
-    h1: G2Twist, q: CurvePoint, p: CurvePoint, tau: ProjPoint
-) -> ProjPoint:
-    """Direction (in the stored frame of ``h1``) whose modification at p
-    lands on the moduli coordinate ``tau`` after the O(e) twist.
+def second_direction_for_class(h1s, qs, ps, taus) -> list[ProjPoint]:
+    """Directions (in the stored frame of ``h1s[i]``) whose modification at
+    ``ps[i]`` lands on the moduli coordinate ``taus[i]`` after the O(e)
+    twist, from one inversion and one cover call.
 
     Inverts the good-direction row: the class pair is {w, -w} + kappa with
     kappa the combined twist of the point-moving normalization and the
     e-twist, so w is the cover preimage of tau shifted by kappa.
     """
-    lat = h1.lattice
-    t_m = h1.l.lift + (h1.point_lift - p.lift) / 2
-    kappa = t_m + (q.lift + p.lift) / 2
-    root, _ = th.invert_cover(tau, lat)
-    w = CurvePoint(root.lift - kappa, lat)
-    delta_table = th.pi_cover(w)
-    d2 = np.exp(1j * np.pi * (h1.point_lift - p.lift))
-    v = delta_table.vec
-    return ProjPoint(v[0], d2 * v[1])
+    lat = qs[0].lattice
+    roots, _ = th._invert_lifts([t.a for t in taus], [t.c for t in taus], lat)
+    ws, d2s = [], []
+    for h1, q, p, root in zip(h1s, qs, ps, roots.tolist()):
+        t_m = h1.l.lift + (h1.point_lift - p.lift) / 2
+        kappa = t_m + (q.lift + p.lift) / 2
+        ws.append(CurvePoint(root - kappa, lat).lift)
+        d2s.append(np.exp(1j * np.pi * (h1.point_lift - p.lift)))
+    return [ProjPoint(d.a, d2 * d.c) for d, d2 in zip(th._cover_points(ws, lat), d2s)]
 
 
-def sequence_from_coordinates(
-    base: MarkedBundle, points: list[CurvePoint], taus: list[ProjPoint]
-) -> EllipticSequence:
-    """The sequence realizing prescribed moduli coordinates (tau_1 .. tau_n).
+def sequence_from_coordinates(bases, points, taus) -> list[EllipticSequence]:
+    """The sequences realizing prescribed moduli coordinates
+    (taus[i][0] .. taus[i][n-1]) at ``points[i]`` on ``bases[i]``.
 
     For each point the reinterpreted two-step sequence through the mark
     pins the parabolic line at that point; ``sequence_from_lines`` builds
-    the chain from those lines.
+    the chains from those lines.  The marks' representatives are one
+    ``morphism_rep`` call, the second directions one
+    ``second_direction_for_class`` call, and each mark representative is
+    evaluated once, at all its points.
     """
-    rep_q = morphism_rep(base.bundle, base.q, base.line)
-    h1 = rep_q.result
+    rep_q = morphism_rep([b.bundle for b in bases], [b.q for b in bases],
+                         [b.line for b in bases])
+    flat = [(r.result, b.q, p, t) for r, b, pts, ts in zip(rep_q, bases, points, taus)
+            for p, t in zip(pts, ts)]
+    # The second step's direction at its point is delta by construction.
+    deltas = iter(second_direction_for_class(*zip(*flat)) if flat else ())
     lines = []
-    for pnt, tau in zip(points, taus):
-        # The second step's direction at its point is delta by construction.
-        delta = second_direction_for_class(h1, base.q, pnt, tau)
-        v = rep_q.evaluator(np.asarray(pnt.lift)) @ delta.vec
-        lines.append(ProjPoint(v[0], v[1]))
-    return sequence_from_lines(base, points, lines)
+    for r, pts in zip(rep_q, points):
+        vals = r.evaluator(np.array([p.lift for p in pts])) if pts else ()
+        lines.append([ProjPoint(*(v @ next(deltas).vec)) for v in vals])
+    return sequence_from_lines(bases, points, lines)
 
 
-def sequence_from_lines(
-    base: MarkedBundle, points: list[CurvePoint], lines: list[ProjPoint]
-) -> EllipticSequence:
-    """The sequence at ``points`` whose lines, in the trivialization of the
-    base bundle, are ``lines``: each is transported back through the
-    composite of the steps before it to the direction its step takes.
+def sequence_from_lines(bases, points, lines) -> list[EllipticSequence]:
+    """The sequences at ``points[i]`` whose lines, in the trivialization of
+    ``bases[i]``, are ``lines[i]``: each line is transported back through
+    the composite of the steps before it to the direction its step takes.
+    Step j of every sequence in the stack is one ``morphism_rep`` call.
 
-    Raises ValueError unless the points are pairwise distinct and away
-    from the mark.
+    Raises ValueError unless each sequence's points are pairwise distinct
+    and away from its mark.
     """
-    points = list(points)
-    for i, pnt in enumerate(points):
-        if pnt == base.q:
-            raise ValueError("modification points must avoid the marked point")
-        if any(pnt == other for other in points[i + 1:]):
-            raise ValueError("modification points must be pairwise distinct")
-    # prefix[i]: the product of the steps built so far, at point i.
-    zs = np.array([pnt.lift for pnt in points])
-    prefix = np.tile(np.eye(2, dtype=complex), (len(points), 1, 1))
-    reps: list[MorphismRep] = []
-    current = base.bundle
-    for i, (pnt, line) in enumerate(zip(points, lines)):
-        reps.append(morphism_rep(current, pnt, transport_direction(prefix[i], line)))
-        current = reps[-1].result
-        if i + 1 < len(points):
-            prefix[i + 1:] = prefix[i + 1:] @ reps[-1].evaluator(zs[i + 1:])
-    return EllipticSequence(base, tuple(reps))
+    points = [list(pts) for pts in points]
+    for base, pts in zip(bases, points):
+        for i, pnt in enumerate(pts):
+            if pnt == base.q:
+                raise ValueError("modification points must avoid the marked point")
+            if any(pnt == other for other in pts[i + 1:]):
+                raise ValueError("modification points must be pairwise distinct")
+    # prefix[k][i]: the product of sequence k's steps built so far, at its point i.
+    zs = [np.array([pnt.lift for pnt in pts]) for pts in points]
+    prefix = [np.tile(np.eye(2, dtype=complex), (len(pts), 1, 1)) for pts in points]
+    reps: list[list[MorphismRep]] = [[] for _ in bases]
+    for i in range(max(map(len, points), default=0)):
+        live = [k for k, pts in enumerate(points) if i < len(pts)]
+        step = morphism_rep(
+            [reps[k][-1].result if reps[k] else bases[k].bundle for k in live],
+            [points[k][i] for k in live],
+            [transport_direction(prefix[k][i], lines[k][i]) for k in live])
+        for k, rep in zip(live, step):
+            reps[k].append(rep)
+            if i + 1 < len(points[k]):
+                prefix[k][i + 1:] = prefix[k][i + 1:] @ rep.evaluator(zs[k][i + 1:])
+    return [EllipticSequence(b, tuple(r)) for b, r in zip(bases, reps)]

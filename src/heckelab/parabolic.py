@@ -13,12 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .projective import PROJ_TOL, ProjPoint, chordal
-from .rational import (
-    RationalBundle,
-    RationalSequence,
-    terminal_hecke_length,
-    terminal_hecke_lengths,
-)
+from .rational import RationalBundle, RationalSequence, terminal_hecke_length
 from .elliptic import (
     EllipticBundle,
     EllipticSequence,
@@ -171,11 +166,12 @@ def hecke_embedding_rational(
         for j in range(i + 1, 3):
             if chordal(aux[i].line, aux[j].line) < PROJ_TOL:
                 raise ValueError("auxiliary lines must be distinct")
-    h = seq.h_map()
-    length = terminal_hecke_lengths(seq.points, h[None])[0]
+    # The sequence's own length walk gives the terminal type; no rank test.
+    length = seq.hecke_lengths()[-1]
     if length:
         raise TerminalNotMinimal(f"terminal Hecke length {length} is not minimal")
-    marks = [Mark(mu, ProjPoint(a, c)) for mu, (a, c) in zip(seq.points.tolist(), h.tolist())]
+    marks = [Mark(mu, ProjPoint(a, c)) for mu, (a, c) in zip(seq.points.tolist(),
+                                                             seq.h_map().tolist())]
     return ParabolicBundle(RationalBundle(0, 0), tuple(marks + list(aux)), weight)
 
 

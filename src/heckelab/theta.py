@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .projective import ProjPoint, chordal
+from .projective import ProjPoint, chordal_vecs
 from .torus import CurvePoint, Lattice
 
 TWO_PI_I = 2j * np.pi
@@ -161,10 +161,17 @@ def h_map(z, lattice: Lattice):
         return num / den
 
 
+def _cover_points(z, lattice: Lattice) -> list[ProjPoint]:
+    """Cover images of every lift in ``z`` (flattened), from one
+    ``_cover_homogeneous`` call."""
+    den, num = _cover_homogeneous(z, lattice)
+    return [ProjPoint(d, n) for d, n in zip(np.ravel(den).tolist(), np.ravel(num).tolist())]
+
+
 def pi_cover(p: CurvePoint) -> ProjPoint:
-    """The 2:1 cover X -> CP^1, [z] -> [1 : h(z)], evaluated homogeneously."""
-    den, num = _cover_homogeneous(p.lift, p.lattice)
-    return ProjPoint(complex(den), complex(num))
+    """The 2:1 cover X -> CP^1, [z] -> [1 : h(z)], evaluated homogeneously;
+    a batch of one over ``_cover_points``."""
+    return _cover_points(p.lift, p.lattice)[0]
 
 
 def _cover_cross(z, a, c, lattice: Lattice):
@@ -194,14 +201,6 @@ def branch_points(lattice: Lattice) -> tuple[ProjPoint, ...]:
         )
         lattice._cache["branch_points"] = cached
     return cached
-
-
-def branch_index(a: ProjPoint, lattice: Lattice, tol: float = 1e-8) -> int | None:
-    """Index 1..4 of the branch point matching ``a``, or None."""
-    for i, b in enumerate(branch_points(lattice), start=1):
-        if chordal(a, b) < tol:
-            return i
-    return None
 
 
 def _cover_moebius(lattice: Lattice):
@@ -250,20 +249,28 @@ def _carlson_rf(x, y, z):
     return (1 - e2 / 10 + e3 / 14 + e2 * e2 / 24 - 3 * e2 * e3 / 44) / np.sqrt(v[3])
 
 
-def _invert_lifts(a, c, lattice: Lattice) -> np.ndarray:
-    """Canonical lifts z with pi([z]) = [a : c], one per fiber {z, -z},
-    elementwise over 1-D arrays: the 2-torsion lift within 1e-8 of a branch
-    point (``branch_index``), else z = R_F(w - e1, w - e2, w - e3) for
-    w = M^-1([a : c]) (DLMF 19.25.35), finite off b1.  One batched image
-    check raises ``NoConvergence`` on a miss."""
+def _invert_lifts(a, c, lattice: Lattice) -> tuple[np.ndarray, np.ndarray]:
+    """Fibers of the cover over the targets [a : c], elementwise over 1-D
+    arrays: ``(lifts, idx)``.
+
+    ``idx`` is the branch test, 1..4 for the first branch point within
+    1e-8 chordal of the target (one ``chordal_vecs`` against the four
+    cached branch points), else 0.  A branch target's fiber is its
+    2-torsion point; any other is z = R_F(w - e1, w - e2, w - e3) for
+    w = M^-1([a : c]) (DLMF 19.25.35), finite off b1.  ``lifts`` holds the
+    lexicographically smaller canonical lift of each fiber {z, -z}, the
+    first point of ``invert_cover``.  One batched image check raises
+    ``NoConvergence`` on a miss."""
     a, c = np.asarray(a, dtype=complex), np.asarray(c, dtype=complex)
-    out = np.empty(a.shape, dtype=complex)
-    idx = [branch_index(ProjPoint(x, y), lattice) for x, y in zip(a, c)]
-    free = np.array([i is None for i in idx], dtype=bool)
-    out[~free] = [lattice.torsion_lifts()[i - 1] for i in idx if i is not None]
+    bp = branch_points(lattice)
+    near = chordal_vecs(np.stack([a, c], axis=-1)[:, None],
+                        np.array([b.vec for b in bp])) < 1e-8
+    idx = np.where(near.any(axis=1), near.argmax(axis=1) + 1, 0)
+    out = np.array(lattice.torsion_lifts())[idx - 1]  # entries with idx 0 are set below
+    free = idx == 0
     if free.any():
         k, e = _cover_moebius(lattice)
-        b1, b2 = branch_points(lattice)[:2]
+        b1, b2 = bp[:2]
         a, c = a[free], c[free]
         w = e[0] + k * (a * b2.c - c * b2.a) / (a * b1.c - c * b1.a)
         z = _carlson_rf(w - e[0], w - e[1], w - e[2])
@@ -271,7 +278,10 @@ def _invert_lifts(a, c, lattice: Lattice) -> np.ndarray:
         if miss.any():
             raise NoConvergence(f"no preimage found for [{a[miss][0]} : {c[miss][0]}]")
         out[free] = lattice.reduce(z)
-    return out
+    p = lattice.reduce(out)
+    m = lattice.reduce(-p)
+    first = (p.real < m.real) | ((p.real == m.real) & (p.imag <= m.imag))
+    return np.where(first, p, m), idx
 
 
 def invert_cover(a: ProjPoint, lattice: Lattice) -> tuple[CurvePoint, CurvePoint]:
@@ -282,11 +292,5 @@ def invert_cover(a: ProjPoint, lattice: Lattice) -> tuple[CurvePoint, CurvePoint
     Carlson's R_F, with no starts and no iteration that can fail.  The
     first point has the lexicographically smaller canonical lift; at a
     branch point (within 1e-8) both are the 2-torsion point."""
-    p = CurvePoint(complex(_invert_lifts([a.a], [a.c], lattice)[0]), lattice)
-    p = _lex_smaller(p, -p)
+    p = CurvePoint(complex(_invert_lifts([a.a], [a.c], lattice)[0][0]), lattice)
     return p, -p
-
-
-def _lex_smaller(p: CurvePoint, q: CurvePoint) -> CurvePoint:
-    a, b = p.lift, q.lift
-    return p if (a.real, a.imag) <= (b.real, b.imag) else q

@@ -34,6 +34,38 @@ def test_s2_reports_are_pinned():
         assert hashlib.sha256(text.encode()).hexdigest() == digest, n
 
 
+#: (command, tau, samples) -> seed -> each record's (name, status, observed
+#: value of a flag, inputs line): the decisions of the elliptic rounds the
+#: benchmark times, which a change of draw order would move.  No residual
+#: digit is pinned; those depend on the BLAS and SIMD build.
+ELLIPTIC_DECISIONS = {
+    ("compute-space T2 2", 0.21 + 1.3j, 8): {
+        seed: [("embedding-injectivity", "pass", None, f"min-distance={mind}"),
+               ("curve-excluded", "pass", 0.0, ""), ("far-tuples-included", "pass", 0.0, "")]
+        for seed, mind in ((7, "0.044712"), (11, "0.035089"))
+    },
+    ("embed-check", 0.3 + 0.45j, 10): {
+        seed: [(name, "pass", 0.0, "") for name in (
+            "split-verdicts", "unstable-marks-unstable-terminal-rational",
+            "unstable-marks-unstable-terminal-elliptic", "rational-embedding-stable",
+            "elliptic-embedding-stable")]
+        for seed in (7, 11)
+    },
+}
+
+
+def test_elliptic_decisions_are_pinned():
+    for (label, tau, samples), by_seed in ELLIPTIC_DECISIONS.items():
+        command, *extra = label.split()
+        for seed, want in by_seed.items():
+            report = run_text(command, extra, tau=tau, seed=seed, samples=samples)
+            # add_flag records observe 0 or 1 against tolerance 0.5.
+            got = [(r.name, {True: "pass", False: "FAIL", None: "info"}[r.passed],
+                    r.observed if r.tolerance == 0.5 else None, r.inputs)
+                   for r in report.records]
+            assert got == want, (label, seed)
+
+
 def test_seed_changes_draws_not_structure():
     r1 = run_text("verify-theta", seed=1, samples=20)
     r2 = run_text("verify-theta", seed=2, samples=20)

@@ -4,6 +4,7 @@ import types
 import numpy as np
 import pytest
 
+from heckelab import cli
 from heckelab import elliptic as ell
 from heckelab import suites
 from heckelab import theta as th
@@ -130,7 +131,7 @@ def all_row_fixtures(lat=LAT):
 
 
 def test_frame_fixtures_reach_swap_and_shift():
-    reps = {name: ell.morphism_rep(b, p, a) for name, b, p, a in all_row_fixtures()}
+    reps = {name: ell.morphism_rep([b], [p], [a])[0] for name, b, p, a in all_row_fixtures()}
     shifts = {param for rep in reps.values() for _, _, factors in rep.terms
               for kind, param in factors if kind == ell.EXP}
     assert shifts == {1, -1, -2}
@@ -143,14 +144,14 @@ class TestMorphismRows:
     @pytest.mark.parametrize("name,bundle,p,a", all_row_fixtures(),
                              ids=[r[0] for r in all_row_fixtures()])
     def test_equivariance_direction_length(self, name, bundle, p, a):
-        rep = ell.morphism_rep(bundle, p, a)
+        rep = ell.morphism_rep([bundle], [p], [a])[0]
         assert ell.check_equivariance(rep) < 1e-10
         assert chordal(eta_at(rep.evaluator(np.asarray(p.lift)), p.lift), a) < 1e-9
         assert abs(rep.result.hecke_length - bundle.hecke_length) == 1
 
     def test_corrupted_row_fails_equivariance(self):
         p = rpt()
-        rep = ell.morphism_rep(Decomposable(point_line(p), O), p, ProjPoint(1, 0))
+        rep = ell.morphism_rep([Decomposable(point_line(p), O)], [p], [ProjPoint(1, 0)])[0]
         # The rows exchanged: entry e moves to e ^ 2, as evaluator(z)[..., ::-1, :].
         swapped = dataclasses.replace(rep, terms=tuple((e ^ 2, c, f) for e, c, f in rep.terms))
         z = np.array([0.2 + 0.3j, -0.4 + 0.9j])
@@ -159,14 +160,14 @@ class TestMorphismRows:
 
     def test_specific_targets(self):
         p, q = rpt(), rpt()
-        rep = ell.morphism_rep(Decomposable(point_line(q), O), p, ProjPoint(1, 0))
+        rep = ell.morphism_rep([Decomposable(point_line(q), O)], [p], [ProjPoint(1, 0)])[0]
         assert isinstance(rep.result, Decomposable)
         assert rep.result.l1.same_class(point_line(q))
         assert rep.result.l2.same_class(point_line(p).inverse())
-        rep = ell.morphism_rep(Decomposable(O, O), p, ProjPoint(0.5, 1))
+        rep = ell.morphism_rep([Decomposable(O, O)], [p], [ProjPoint(0.5, 1)])[0]
         assert rep.result.l1.same_class(O)
         assert rep.result.l2.same_class(point_line(p).inverse())
-        rep = ell.morphism_rep(F2Twist(O), p, ProjPoint(0.5, 1))
+        rep = ell.morphism_rep([F2Twist(O)], [p], [ProjPoint(0.5, 1)])[0]
         assert isinstance(rep.result, G2Twist)
 
     def test_row_not_found_never_fires_on_cp1(self):
@@ -176,7 +177,7 @@ class TestMorphismRows:
         p = rpt()
         for bundle in (Decomposable(O, O), F2Twist(O), G2Twist(p.lift, O)):
             for d in sphere_grid(16):
-                ell.morphism_rep(bundle, p, d)
+                ell.morphism_rep([bundle], [p], [d])[0]
 
 
 class TestSingleHecke:
@@ -213,28 +214,28 @@ class TestSingleHecke:
 
 class TestMss:
     def test_trivial_is_first_branch_point(self):
-        assert chordal(ell.mss_coordinate(Decomposable(O, O)), th.branch_points(LAT)[0]) < 1e-10
+        assert chordal(ell.mss_coordinate([Decomposable(O, O)])[0], th.branch_points(LAT)[0]) < 1e-10
 
     def test_order_independent(self):
         d = rpt()
         l = LineBundleClass(0, d.lift, LAT)
-        a1 = ell.mss_coordinate(Decomposable(l, l.inverse()))
-        a2 = ell.mss_coordinate(Decomposable(l.inverse(), l))
+        a1 = ell.mss_coordinate([Decomposable(l, l.inverse())])[0]
+        a2 = ell.mss_coordinate([Decomposable(l.inverse(), l)])[0]
         assert chordal(a1, a2) < 1e-10
 
     def test_f2_twist_matches_split_class(self):
         for i in range(1, 5):
             li = torsion_line(LAT, i)
-            a1 = ell.mss_coordinate(F2Twist(li))
-            a2 = ell.mss_coordinate(Decomposable(li, li))
+            a1 = ell.mss_coordinate([F2Twist(li)])[0]
+            a2 = ell.mss_coordinate([Decomposable(li, li)])[0]
             assert chordal(a1, a2) < 1e-10
 
     def test_rejects_unstable_and_g2(self):
         p = rpt()
         with pytest.raises(NotSemistable):
-            ell.mss_coordinate(Decomposable(point_line(p), O))
+            ell.mss_coordinate([Decomposable(point_line(p), O)])[0]
         with pytest.raises(NotSemistable):
-            ell.mss_coordinate(G2Twist(p.lift, O))
+            ell.mss_coordinate([G2Twist(p.lift, O)])[0]
 
 
 class TestDoubleHecke:
@@ -269,8 +270,8 @@ class TestHTotal:
     def test_empty_sequence_single_coordinate(self):
         q = rpt()
         tau0 = th.pi_cover(rpt())
-        base = ell.base_from_coordinate(tau0, q)
-        h = ell.h_total(ell.EllipticSequence(base, ()))
+        base = ell.base_from_coordinate([tau0], [q])[0]
+        h = ell.h_total([ell.EllipticSequence(base, ())])[0]
         assert len(h) == 1 and chordal(h[0], tau0) < 1e-9
 
     def test_roundtrip_n1_n2(self):
@@ -281,8 +282,8 @@ class TestHTotal:
                 pts = [rpt(rng) for _ in range(n)]
                 taus = [th.pi_cover(rpt(rng)) for _ in range(n)]
                 tau0 = th.pi_cover(rpt(rng))
-                base = ell.base_from_coordinate(tau0, q)
-                h = ell.h_total(ell.sequence_from_coordinates(base, pts, taus))
+                base = ell.base_from_coordinate([tau0], [q])[0]
+                h = ell.h_total([ell.sequence_from_coordinates([base], [pts], [taus])[0]])[0]
                 assert chordal(h[0], tau0) < 1e-9
                 assert max(chordal(x, y) for x, y in zip(h[1:], taus)) < 1e-8
 
@@ -290,11 +291,11 @@ class TestHTotal:
         rng = np.random.default_rng(15)
         q = rpt(rng)
         tau0 = th.pi_cover(rpt(rng))
-        base = ell.base_from_coordinate(tau0, q)
+        base = ell.base_from_coordinate([tau0], [q])[0]
         for _ in range(3):
             seq = ell.sequence_from_coordinates(
-                base, [rpt(rng)], [th.pi_cover(rpt(rng))])
-            assert chordal(ell.h_total(seq)[0], tau0) < 1e-9
+                [base], [[rpt(rng)]], [[th.pi_cover(rpt(rng))]])[0]
+            assert chordal(ell.h_total([seq])[0][0], tau0) < 1e-9
 
     def test_bad_mark_rejected(self):
         q = rpt()
@@ -308,35 +309,35 @@ class TestHTotal:
 class TestMembership:
     def test_low_n_always_member(self):
         q = rpt()
-        base = ell.base_from_coordinate(th.pi_cover(rpt()), q)
-        assert ell.membership_Hp(ell.EllipticSequence(base, ()))
-        seq = ell.sequence_from_coordinates(base, [rpt()], [th.pi_cover(rpt())])
-        assert ell.membership_Hp(seq)
+        base = ell.base_from_coordinate([th.pi_cover(rpt())], [q])[0]
+        assert ell.membership_Hp([ell.EllipticSequence(base, ())])[0]
+        seq = ell.sequence_from_coordinates([base], [[rpt()]], [[th.pi_cover(rpt())]])[0]
+        assert ell.membership_Hp([seq])[0]
 
     def test_unsupported_above_two(self):
         q = rpt()
-        base = ell.base_from_coordinate(th.pi_cover(rpt()), q)
+        base = ell.base_from_coordinate([th.pi_cover(rpt())], [q])[0]
         pts = [rpt(), rpt(), rpt()]
         taus = [th.pi_cover(rpt()) for _ in range(3)]
-        seq = ell.sequence_from_coordinates(base, pts, taus)
+        seq = ell.sequence_from_coordinates([base], [pts], [taus])[0]
         with pytest.raises(Unsupported):
-            ell.membership_Hp(seq)
+            ell.membership_Hp([seq])[0]
 
     def test_curve_excluded_far_included(self):
         rng = np.random.default_rng(16)
         q, p1, p2 = rpt(rng), rpt(rng), rpt(rng)
         p = rpt(rng)
-        tri = ell.f_embedding(p, q, p1, p2)
-        base = ell.base_from_coordinate(tri[0], q)
-        seq = ell.sequence_from_coordinates(base, [p1, p2], [tri[1], tri[2]])
-        assert not ell.membership_Hp(seq)
+        tri = ell.f_embedding([p], q, p1, p2)[0]
+        base = ell.base_from_coordinate([tri[0]], [q])[0]
+        seq = ell.sequence_from_coordinates([base], [[p1, p2]], [[tri[1], tri[2]]])[0]
+        assert not ell.membership_Hp([seq])[0]
         while True:
             taus = [th.pi_cover(rpt(rng)) for _ in range(3)]
-            if ell.distance_to_curve(taus, q, p1, p2) > 0.1:
+            if ell.distance_to_curve([taus], [q], [p1], [p2])[0] > 0.1:
                 break
-        base = ell.base_from_coordinate(taus[0], q)
-        seq = ell.sequence_from_coordinates(base, [p1, p2], [taus[1], taus[2]])
-        assert ell.membership_Hp(seq)
+        base = ell.base_from_coordinate([taus[0]], [q])[0]
+        seq = ell.sequence_from_coordinates([base], [[p1, p2]], [[taus[1], taus[2]]])[0]
+        assert ell.membership_Hp([seq])[0]
 
 
 class TestFEmbedding:
@@ -344,8 +345,8 @@ class TestFEmbedding:
         q, p1, p2 = rpt(), rpt(), rpt()
         e1 = halve_sum(q, p1)
         p = rpt()
-        f1 = ell.f_embedding(p, q, p1, p2)
-        f2 = ell.f_embedding(e1.double() - p, q, p1, p2)
+        f1 = ell.f_embedding([p], q, p1, p2)[0]
+        f2 = ell.f_embedding([e1.double() - p], q, p1, p2)[0]
         assert chordal(f1[0], f2[0]) < 1e-9
 
     def test_shift_identity(self):
@@ -353,8 +354,8 @@ class TestFEmbedding:
         e1 = halve_sum(q, p1)
         for _ in range(20):
             p = rpt()
-            f1 = ell.f_embedding(p, q, p1, p2)
-            f3 = ell.f_embedding(p + e1 - p1, q, p1, p2)
+            f1 = ell.f_embedding([p], q, p1, p2)[0]
+            f3 = ell.f_embedding([p + e1 - p1], q, p1, p2)[0]
             assert chordal(f1[1], f3[0]) < 1e-9
 
     def test_sampled_injectivity(self):
@@ -363,7 +364,7 @@ class TestFEmbedding:
         q, p1, p2 = rpt(), rpt(), rpt()
         pts = [CurvePoint((i + 0.5) / 20 + ((i * 7) % 20 + 0.5) / 20 * LAT.tau, LAT)
                for i in range(20)]
-        vals = [ell.f_embedding(p, q, p1, p2) for p in pts]
+        vals = ell.f_embedding(pts, q, p1, p2)
         mind = min(max(chordal(a, b) for a, b in zip(x, y))
                    for x, y in itertools.combinations(vals, 2))
         assert mind > 0
@@ -396,7 +397,7 @@ class TestSequenceFromLines:
 
     def sample(self, rng):
         q = rpt(rng)
-        base = ell.base_from_coordinate(th.pi_cover(rpt(rng)), q)
+        base = ell.base_from_coordinate([th.pi_cover(rpt(rng))], [q])[0]
         return base, [rpt_away(q) for _ in range(3)]
 
     def test_lines_roundtrip(self):
@@ -409,55 +410,55 @@ class TestSequenceFromLines:
                 lines[0] = (ProjPoint(1, 0), ProjPoint(0, 1))[trial % 2]
                 if n > 1:
                     lines[-1] = (ProjPoint(0, 1), ProjPoint(1, 0))[trial % 2]
-                seq = ell.sequence_from_lines(base, pts[:n], lines)
+                seq = ell.sequence_from_lines([base], [pts[:n]], [lines])[0]
                 assert len(seq.reps) == n and seq.points == pts[:n]
                 assert max(chordal(x, y) for x, y in zip(seq.lines(), lines)) < 1e-10
                 assert seq.terminal == seq.reps[-1].result
 
     def test_empty_sequence_terminal_is_base(self):
         base, _ = self.sample(np.random.default_rng(42))
-        seq = ell.sequence_from_lines(base, [], [])
+        seq = ell.sequence_from_lines([base], [[]], [[]])[0]
         assert seq.reps == () and seq.lines() == [] and seq.terminal == base.bundle
 
     def test_rejects_coincident_points(self):
         q = rpt()
-        base = ell.base_from_coordinate(th.pi_cover(rpt()), q)
+        base = ell.base_from_coordinate([th.pi_cover(rpt())], [q])[0]
         p = rpt_away(q)
         with pytest.raises(ValueError, match="distinct"):
-            ell.sequence_from_lines(base, [p, CurvePoint(p.lift + 1 + LAT.tau, LAT)],
-                                    [random_point(RNG), random_point(RNG)])
+            ell.sequence_from_lines([base], [[p, CurvePoint(p.lift + 1 + LAT.tau, LAT)]],
+                                    [[random_point(RNG), random_point(RNG)]])[0]
 
     def test_rejects_point_at_mark(self):
         q = rpt()
-        base = ell.base_from_coordinate(th.pi_cover(rpt()), q)
+        base = ell.base_from_coordinate([th.pi_cover(rpt())], [q])[0]
         for pts in ([q], [rpt_away(q), CurvePoint(q.lift - LAT.tau, LAT)]):
             with pytest.raises(ValueError, match="marked point"):
-                ell.sequence_from_lines(base, pts, [random_point(RNG) for _ in pts])
+                ell.sequence_from_lines([base], [pts], [[random_point(RNG) for _ in pts]])[0]
 
     def test_consumers_never_rebuild_the_chain(self, monkeypatch):
         from heckelab import parabolic as par
 
         rng = np.random.default_rng(43)
         q, p1, p2 = rpt(rng), rpt(rng), rpt(rng)
-        base = ell.base_from_coordinate(th.pi_cover(rpt(rng)), q)
+        base = ell.base_from_coordinate([th.pi_cover(rpt(rng))], [q])[0]
         while True:
-            seq = ell.sequence_from_coordinates(base, [p1, p2],
-                                                [th.pi_cover(rpt(rng)) for _ in range(2)])
-            if ell.membership_Hp(seq):
+            seq = ell.sequence_from_coordinates([base], [[p1, p2]],
+                                                [[th.pi_cover(rpt(rng)) for _ in range(2)]])[0]
+            if ell.membership_Hp([seq])[0]:
                 break
         calls = []
         original = ell.morphism_rep
 
-        def counting(e, p, a):
-            calls.append((e, p))
-            return original(e, p, a)
+        def counting(es, ps, dirs):
+            calls.extend(zip(es, ps))
+            return original(es, ps, dirs)
 
         monkeypatch.setattr(ell, "morphism_rep", counting)
         par.lines_from_elliptic_sequence(seq)
         par.hecke_embedding_elliptic(seq)
         assert calls == []
-        ell.h_total(seq)
-        ell.membership_Hp(seq)
+        ell.h_total([seq])[0]
+        ell.membership_Hp([seq])[0]
         # What h_total builds is double_hecke's own two-step sequences
         # through the mark, never a step of the chain.
         assert calls[0] == (base.bundle, q)
@@ -489,8 +490,8 @@ class TestUnstableBranchImage:
             # First modification toward [0:1] (bad): coordinate
             # cover(p - p1); toward [1:0] (bad): coordinate cover(p - q).
             for d1, shift in ((ProjPoint(0, 1), p - p1), (ProjPoint(1, 0), p - q)):
-                seq = ell.EllipticSequence(base, (ell.morphism_rep(bundle, p1, d1),))
-                h = ell.h_total(seq)
+                seq = ell.EllipticSequence(base, (ell.morphism_rep([bundle], [p1], [d1])[0],))
+                h = ell.h_total([seq])[0]
                 assert chordal(h[0], th.pi_cover(p - e)) < 1e-8
                 assert chordal(h[1], th.pi_cover(shift)) < 1e-7
 
@@ -506,7 +507,7 @@ class TestOrderIndependence:
             p1, p2 = rpt(rng), rpt(rng)
             if LAT.distance(p1.lift, p2.lift) < 0.1:
                 continue
-            base = ell.base_from_coordinate(th.pi_cover(rpt(rng)), q)
+            base = ell.base_from_coordinate([th.pi_cover(rpt(rng))], [q])[0]
             if trial % 3 == 0:
                 lines = [ProjPoint(1, 0), random_point(rng)]  # a bad start
             else:
@@ -519,7 +520,7 @@ class TestOrderIndependence:
                     val = np.eye(2, dtype=complex)
                     for ev in evs:
                         val = val @ ev(np.asarray(pnt.lift))
-                    rep = ell.morphism_rep(current, pnt, transport_direction(val, d))
+                    rep = ell.morphism_rep([current], [pnt], [transport_direction(val, d)])[0]
                     evs.append(rep.evaluator)
                     current = rep.result
                 return current
@@ -547,7 +548,7 @@ def residual_reference(u, v, triple, q, p1, p2):
     ``f_embedding`` evaluation per parameter pair."""
     lat = q.lattice
     out = []
-    for x, y in zip(ell.f_embedding(CurvePoint(u + v * lat.tau, lat), q, p1, p2), triple):
+    for x, y in zip(ell.f_embedding([CurvePoint(u + v * lat.tau, lat)], q, p1, p2)[0], triple):
         out.append((x.a * y.c - x.c * y.a)
                    / (np.hypot(abs(x.a), abs(x.c)) * np.hypot(abs(y.a), abs(y.c))))
     return np.array(out)
@@ -621,7 +622,7 @@ def six_fiber_reference(triple, q, p1, p2):
     best = np.inf
     for shift, target in zip((e1, p1, p2 - e2 + e1), triple):
         for r in th.invert_cover(target, q.lattice):
-            f = ell.f_embedding(shift + r, q, p1, p2)
+            f = ell.f_embedding([shift + r], q, p1, p2)[0]
             best = min(best, max(chordal(x, y) for x, y in zip(f, triple)))
     return best
 
@@ -650,13 +651,13 @@ def offset_triple(tri, d, rng):
 @pytest.mark.parametrize("tau", REF_TAUS)
 def test_distance_matches_six_fiber_reference(tau):
     lat, rng, q, p1, p2, _ = curve_setup(tau, seed=52)
-    on_curve = [ell.f_embedding(CurvePoint(rng.random() + rng.random() * tau, lat), q, p1, p2)
+    on_curve = [ell.f_embedding([CurvePoint(rng.random() + rng.random() * tau, lat)], q, p1, p2)[0]
                 for _ in range(10)]
     near = [offset_triple(tri, 1e-6, rng) for tri in on_curve]
     loose = [[random_point(rng) for _ in range(3)] for _ in range(10)]
     for kind, triples in (("on", on_curve), ("near", near), ("random", loose)):
         for tri in triples:
-            d = ell.distance_to_curve(tri, q, p1, p2)
+            d = ell.distance_to_curve([tri], [q], [p1], [p2])[0]
             assert abs(d - six_fiber_reference(tri, q, p1, p2)) <= 1e-13, kind
             if kind == "on":
                 assert d < 1e-12
@@ -679,11 +680,11 @@ def near_branch_curve_points(tau, seed):
 def test_curve_offsets_near_branch_fibers(tau):
     lat, rng, q, p1, p2, pts = near_branch_curve_points(tau, seed=53)
     for p in pts:
-        tri = ell.f_embedding(p, q, p1, p2)
-        assert ell.distance_to_curve(tri, q, p1, p2) < 1e-12
+        tri = ell.f_embedding([p], q, p1, p2)[0]
+        assert ell.distance_to_curve([tri], [q], [p1], [p2])[0] < 1e-12
         for d, excluded in ((1e-8, True), (1e-7, True), (1e-5, False), (1e-4, False)):
             off = offset_triple(tri, d, rng)
-            dist = ell.distance_to_curve(off, q, p1, p2)
+            dist = ell.distance_to_curve([off], [q], [p1], [p2])[0]
             assert (dist < ell.CURVE_TOL) == excluded, (p, d)
             assert dist <= 2.5 * distance_reference(off, q, p1, p2), (p, d)
 
@@ -694,12 +695,12 @@ def test_membership_decides_curve_offsets(tau):
     # one curve point per component, with torsion offsets 0, 1e-9, 1e-5.
     lat, rng, q, p1, p2, pts = near_branch_curve_points(tau, seed=54)
     for p in pts[::4]:
-        tri = ell.f_embedding(p, q, p1, p2)
+        tri = ell.f_embedding([p], q, p1, p2)[0]
         for d, member in ((1e-8, False), (1e-7, False), (1e-5, True), (1e-4, True)):
             off = offset_triple(tri, d, rng)
-            base = ell.base_from_coordinate(off[0], q)
-            seq = ell.sequence_from_coordinates(base, [p1, p2], off[1:])
-            assert ell.membership_Hp(seq) == member, (p, d)
+            base = ell.base_from_coordinate([off[0]], [q])[0]
+            seq = ell.sequence_from_coordinates([base], [[p1, p2]], [off[1:]])[0]
+            assert ell.membership_Hp([seq])[0] == member, (p, d)
 
 
 # ---------------------------------------------------------------------------
@@ -712,7 +713,7 @@ def test_every_row_counts_one_resolved_zero(tau):
     rng = np.random.default_rng(7)
     for name, make in suites._elliptic_row_fixtures(lat, rng):
         for _ in range(3):
-            rep = ell.morphism_rep(*make(rng))
+            rep = ell.morphism_rep(*([x] for x in make(rng)))[0]
             count, max_step = suites._det_zero_count(rep)
             assert abs(count - 1) < 1e-9, name
             assert max_step < 0.5, name
@@ -726,9 +727,9 @@ def test_two_modifications_count_two_zeros(tau):
     lat = Lattice(tau)
     p1 = CurvePoint(0.37 + 0.61 * lat.tau, lat)
     p2 = CurvePoint(p1.lift + 0.3 + 0.2 * lat.tau, lat)
-    rep1 = ell.morphism_rep(Decomposable(trivial_line(lat), trivial_line(lat)),
-                            p1, ProjPoint(0.4 - 0.2j, 1))
-    rep2 = ell.morphism_rep(rep1.result, p2, ProjPoint(1, 0.7j))
+    rep1 = ell.morphism_rep([Decomposable(trivial_line(lat), trivial_line(lat))],
+                            [p1], [ProjPoint(0.4 - 0.2j, 1)])[0]
+    rep2 = ell.morphism_rep([rep1.result], [p2], [ProjPoint(1, 0.7j)])[0]
     # Stand-ins for a representative: the zero count reads only these fields.
     both = types.SimpleNamespace(point=rep1.point, upstream=rep1.upstream,
                                  evaluator=lambda z: rep1.evaluator(z) @ rep2.evaluator(z))
@@ -798,7 +799,8 @@ def reference_evaluator(e, p, a):
             phi = _ref_matfn(_REF_ONE, _REF_ZERO, _REF_ZERO,
                              _ref_const(np.exp(1j * np.pi * (e.point_lift - pt))))
         a_t = a if phi is None else transport_direction(phi(np.asarray(pt)), a)
-        idx = th.branch_index(a_t, lat)
+        idx = next((i for i, b in enumerate(th.branch_points(lat), start=1)
+                    if chordal(a_t, b) < 1e-8), None)
         if idx is not None:
             zi = lat.torsion_lifts()[idx - 1]
             c = pt - 2 * zi + 0.5
@@ -898,10 +900,246 @@ def test_term_tables_match_closure_reference(tau):
     cases += all_row_fixtures(lat)
     box = (2 * rng.random(64) - 0.5) + (2 * rng.random(64) - 0.5) * tau
     for name, bundle, p, a in cases:
-        rep = ell.morphism_rep(bundle, p, a)
+        rep = ell.morphism_rep([bundle], [p], [a])[0]
         row, ref = reference_evaluator(bundle, p, a)
         assert rep.row == row, name
         for z in (np.append(box, p.lift), np.asarray(p.lift)):
             want = ref(z)
             err = np.abs(rep.evaluator(z) - want).max(axis=(-2, -1))
             assert (err / np.abs(want).max(axis=(-2, -1))).max() <= 1e-14, name
+
+
+# ---------------------------------------------------------------------------
+# Stacked passes: element i of a stack is a batch of one of draw i, and the
+# suites draw every input first in the order of a per-draw loop.
+
+
+def close(x, y, tol=1e-12):
+    """Bundles, marked bundles and points equal up to ``tol`` in every lift."""
+    if dataclasses.is_dataclass(x):
+        return type(x) is type(y) and all(close(getattr(x, f.name), getattr(y, f.name), tol)
+                                          for f in dataclasses.fields(x))
+    if isinstance(x, (complex, float)):
+        return abs(x - y) <= tol
+    return x == y
+
+
+def same_sequence(s, t):
+    return (close(s.base, t.base) and [r.row for r in s.reps] == [r.row for r in t.reps]
+            and all(close(r.result, u.result) for r, u in zip(s.reps, t.reps))
+            and all(chordal(x, y) < 1e-12 for x, y in zip(s.lines(), t.lines())))
+
+
+def stacked_inputs(lat, seed):
+    """Bases, points and lines of a stack of two-step draws: random and
+    branch-value coordinates (F2 bases), the forced bad lines [1:0] and
+    [0:1], and a second line whose G2 step meets a branch value."""
+    rng = np.random.default_rng(seed)
+    tau = lat.tau
+    bp = th.branch_points(lat)
+    q, p1, p2 = (CurvePoint(x + y * tau, lat) for x, y in ((0.13, 0.71), (0.52, 0.24), (0.86, 0.58)))
+    coords = [th.pi_cover(CurvePoint(rng.random() + rng.random() * tau, lat)) for _ in range(4)]
+    coords += [bp[0], bp[2], at_chordal_offset(bp[1], 1e-9, 0.7), ProjPoint(0, 1)]
+    bases = ell.base_from_coordinate(coords, [q] * len(coords))
+    lines = [[random_point(rng), random_point(rng)] for _ in bases]
+    lines[1] = [ProjPoint(1, 0), ProjPoint(1, 0)]
+    lines[2] = [ProjPoint(0, 1), ProjPoint(1, 0)]
+    # Second line of draw 3 chosen so its step on G2 is toward bp[3] (row G2:a4).
+    rep1 = ell.morphism_rep([bases[3].bundle], [p1], lines[3][:1])[0]
+    scale = ell._g2_frame(rep1.result, p2, bp[3])[1][1]
+    lines[3][1] = ProjPoint(*(rep1.evaluator(np.asarray(p2.lift)) @ [bp[3].a, scale * bp[3].c]))
+    return rng, q, p1, p2, coords, bases, lines
+
+
+@pytest.mark.parametrize("tau", REF_TAUS)
+def test_stacked_stages_match_batches_of_one(tau):
+    lat = Lattice(tau)
+    rng, q, p1, p2, coords, bases, lines = stacked_inputs(lat, seed=61)
+    assert [type(b.bundle) for b in bases[4:7]] == [F2Twist] * 3
+    for tau0, base in zip(coords, bases):
+        assert close(base, ell.base_from_coordinate([tau0], [q])[0])
+
+    n = len(bases)
+    by_lines = ell.sequence_from_lines(bases, [[p1, p2]] * n, lines)
+    assert by_lines[3].reps[1].row == "G2:a4"
+    assert {s.reps[0].row for s in by_lines[1:3]} == {"ss:[1:0]", "ss:[0:1]"}
+    taus = [[th.pi_cover(CurvePoint(rng.random() + rng.random() * lat.tau, lat))
+             for _ in range(2)] for _ in bases]
+    taus[0] = [th.branch_points(lat)[1], ProjPoint(1, 0)]
+    by_coords = ell.sequence_from_coordinates(bases, [[p1, p2]] * n, taus)
+    for i in range(n):
+        alone = ell.sequence_from_lines([bases[i]], [[p1, p2]], [lines[i]])[0]
+        assert same_sequence(by_lines[i], alone)
+        alone = ell.sequence_from_coordinates([bases[i]], [[p1, p2]], [taus[i]])[0]
+        assert same_sequence(by_coords[i], alone)
+
+    # Ragged lengths 0, 1 and 2 in one stack, with an on-curve tuple.
+    on = ell.f_embedding([CurvePoint(0.37 + 0.61 * lat.tau, lat)], q, p1, p2)[0]
+    on_seq = ell.sequence_from_coordinates(ell.base_from_coordinate([on[0]], [q]), [[p1, p2]],
+                                           [on[1:]])[0]
+    seqs = [ell.EllipticSequence(bases[0], ()), *by_coords[:4], on_seq,
+            ell.sequence_from_lines(bases[5:6], [[p2]], [lines[5][:1]])[0], *by_lines]
+    stacked_h = ell.h_total(seqs)
+    member = ell.membership_Hp(seqs)
+    assert not member[5] and member[0] and member[6]
+    for seq, h, m in zip(seqs, stacked_h, member):
+        assert max(chordal(x, y) for x, y in zip(h, ell.h_total([seq])[0])) < 1e-12
+        assert m == ell.membership_Hp([seq])[0]
+
+    two = [s for s in seqs if len(s.reps) == 2]
+    triples = [h for h in stacked_h if len(h) == 3] + [on, offset_triple(on, 1e-7, rng)]
+    qs, firsts, seconds = ([q] * len(triples), [p1] * len(triples), [p2] * len(triples))
+    dist = ell.distance_to_curve(triples, qs, firsts, seconds)
+    assert dist.shape == (len(two) + 2,) and dist[-2] < 1e-12
+    for tri, d in zip(triples, dist):
+        assert abs(d - ell.distance_to_curve([tri], [q], [p1], [p2])[0]) <= 1e-13
+
+
+@pytest.mark.parametrize("tau", REF_TAUS)
+def test_stacked_morphism_rows_match_batches_of_one(tau):
+    lat = Lattice(tau)
+    cases = all_row_fixtures(lat)
+    stacked = ell.morphism_rep(*zip(*[(b, p, a) for _, b, p, a in cases]))
+    z = np.array([0.31 + 0.17j, -0.42 + 0.63j])
+    for (name, b, p, a), rep in zip(cases, stacked):
+        alone = ell.morphism_rep([b], [p], [a])[0]
+        assert rep.row == alone.row and close(rep.result, alone.result), name
+        assert np.array_equal(rep.evaluator(z), alone.evaluator(z)), name
+
+
+def test_stacked_builders_reject_coincident_points():
+    q = rpt()
+    p = rpt_away(q)
+    bases = ell.base_from_coordinate([th.pi_cover(rpt()), th.pi_cover(rpt())], [q, q])
+    lines = [[random_point(RNG), random_point(RNG)]] * 2
+    good = [p, rpt_away(q, p)]
+    for bad, match in (([p, CurvePoint(p.lift + LAT.tau, LAT)], "distinct"),
+                       ([p, CurvePoint(q.lift - 1, LAT)], "marked point")):
+        with pytest.raises(ValueError, match=match):
+            ell.sequence_from_lines(bases, [good, bad], lines)
+        with pytest.raises(ValueError, match=match):
+            ell.sequence_from_coordinates(bases, [good, bad], [[th.pi_cover(rpt())] * 2] * 2)
+
+
+# Reference copies of the suites' per-draw loops, from before the draws
+# were stacked: one scalar cover call per draw.
+
+def ref_curve_point(rng, lat):
+    return CurvePoint(rng.random() + rng.random() * lat.tau, lat)
+
+
+def ref_cover_draw(rng, lat):
+    return th.pi_cover(ref_curve_point(rng, lat))
+
+
+def ref_torus_points(rng, lat, count, min_gap=0.05):
+    pts = []
+    while len(pts) < count:
+        z = ref_curve_point(rng, lat)
+        if all(lat.distance(z.lift, w.lift) >= min_gap for w in pts):
+            pts.append(z)
+    return pts
+
+
+class _Stop(Exception):
+    pass
+
+
+def spy_suite(monkeypatch, rng, stop, command, samples, *extra):
+    """Run a suite on ``rng`` at the default tau, recording each call of the
+    stacked builders as (args, generator state); the run ends at the first
+    call of ``stop``."""
+    calls = {}
+    for name in ("base_from_coordinate", "sequence_from_coordinates", "sequence_from_lines",
+                 "f_embedding"):
+        def spy(*args, name=name, original=getattr(ell, name)):
+            calls.setdefault(name, []).append((args, rng.bit_generator.state))
+            if name == stop:
+                raise _Stop
+            return original(*args)
+
+        monkeypatch.setattr(ell, name, spy)
+    config = cli.RunConfig(samples=samples, extra=extra)
+    try:
+        cli.COMMANDS[command](cli.Report(command, config), config, rng)
+    except _Stop:
+        pass
+    return calls
+
+
+def same_points(got, want):
+    return [p.lift for p in got] == [p.lift for p in want]
+
+
+def same_targets(got, want):
+    return len(got) == len(want) and all(chordal(x, y) < 1e-15 for x, y in zip(got, want))
+
+
+@pytest.mark.parametrize("seed", [7, 11, 12345])
+def test_t2_1_draws_in_per_draw_order(monkeypatch, seed):
+    lat = Lattice()
+    calls = spy_suite(monkeypatch, np.random.default_rng(seed), "sequence_from_coordinates",
+                      "compute-space", 30, "T2", "1")
+    ref = np.random.default_rng(seed)
+    draws = [(*ref_torus_points(ref, lat, 2), ref_cover_draw(ref, lat), ref_cover_draw(ref, lat))
+             for _ in range(30)]
+    (tau0, qs), state = calls["base_from_coordinate"][0]
+    _, p1s, tau1 = calls["sequence_from_coordinates"][0][0]
+    assert state == ref.bit_generator.state
+    assert same_points(qs, [d[0] for d in draws])
+    assert same_points([p for (p,) in p1s], [d[1] for d in draws])
+    assert same_targets(tau0, [d[2] for d in draws])
+    assert same_targets([t for (t,) in tau1], [d[3] for d in draws])
+
+
+@pytest.mark.parametrize("seed", [7, 11, 12345])
+def test_t2_2_draws_in_per_draw_order(monkeypatch, seed):
+    lat = Lattice()
+    calls = spy_suite(monkeypatch, np.random.default_rng(seed), None, "compute-space", 8,
+                      "T2", "2")
+    ref = np.random.default_rng(seed)
+    q, p1, p2 = ref_torus_points(ref, lat, 3)
+    on_curve = [ref_curve_point(ref, lat) for _ in range(2)]
+    (ps, *qp), state = calls["f_embedding"][1]
+    assert same_points(qp, [q, p1, p2]) and same_points(ps, on_curve)
+    assert state == ref.bit_generator.state
+    # The far tuples: a per-candidate rejection loop accepts the same ones.
+    far = []
+    for _ in range(4):
+        while True:
+            taus = [ref_cover_draw(ref, lat) for _ in range(3)]
+            if ell.distance_to_curve([taus], [q], [p1], [p2])[0] > 0.1:
+                break
+        far.append(taus)
+    (tau0, qs), _ = calls["base_from_coordinate"][1]
+    (_, points, pairs), _ = calls["sequence_from_coordinates"][1]
+    assert same_targets(tau0, [t[0] for t in far]) and same_points(qs, [q] * 4)
+    assert same_targets([t for pair in pairs for t in pair], [t for f in far for t in f[1:]])
+    assert all(same_points(pts, [p1, p2]) for pts in points)
+
+
+@pytest.mark.parametrize("seed", [7, 11, 12345])
+def test_embed_check_elliptic_draws_in_per_draw_order(monkeypatch, seed):
+    lat, n_seq = Lattice(), 12
+    calls = spy_suite(monkeypatch, np.random.default_rng(seed), "sequence_from_coordinates",
+                      "embed-check", n_seq)
+    ref = np.random.default_rng(seed)
+    for k in range(n_seq):  # the rational section's draws
+        n = int(ref.integers(2, 5))
+        count = n - (n // 2 + 1) + 1 if k % 2 else n
+        [random_point(ref) for _ in range(count)]
+    draws = []
+    for k in range(n_seq):
+        pts = ref_torus_points(ref, lat, 3)
+        tau0 = ref_cover_draw(ref, lat)
+        draws.append((pts, tau0, [] if k % 2 else [ref_cover_draw(ref, lat) for _ in range(2)]))
+    (tau0, qs), state = calls["base_from_coordinate"][0]
+    assert state == ref.bit_generator.state
+    assert same_points(qs, [d[0][0] for d in draws])
+    assert same_targets(tau0, [d[1] for d in draws])
+    (_, bad_points, bad_lines), _ = calls["sequence_from_lines"][0]
+    (_, points, taus), _ = calls["sequence_from_coordinates"][0]
+    assert [same_points(p, d[0][1:]) for p, d in zip(bad_points, draws[1::2])] == [True] * 6
+    assert all(line == [ProjPoint(1, 0)] * 2 for line in bad_lines)
+    assert [same_points(p, d[0][1:]) for p, d in zip(points, draws[0::2])] == [True] * 6
+    assert same_targets([t for pair in taus for t in pair], [t for d in draws for t in d[2]])

@@ -176,7 +176,7 @@ class TestLemmaDirection:
         rng = np.random.default_rng(5)
         for _ in range(10):
             q, p1, p2 = (rpt(rng) for _ in range(3))
-            base = ell.base_from_coordinate(th.pi_cover(rpt(rng)), q)
+            base = ell.base_from_coordinate([th.pi_cover(rpt(rng))], [q])[0]
             bad = ProjPoint(1, 0)
             reps = []
             current = base.bundle
@@ -185,7 +185,7 @@ class TestLemmaDirection:
                 for rep in reps:
                     val = val @ rep.evaluator(np.asarray(pnt.lift))
                 v = np.linalg.solve(val, bad.vec)
-                reps.append(ell.morphism_rep(current, pnt, ProjPoint(v[0], v[1])))
+                reps.append(ell.morphism_rep([current], [pnt], [ProjPoint(v[0], v[1])])[0])
                 current = reps[-1].result
             marks = par.lines_from_elliptic_sequence(ell.EllipticSequence(base, tuple(reps)))
             pb = ParabolicBundle(base.bundle, tuple(marks))
@@ -226,14 +226,31 @@ class TestEmbedding:
         with pytest.raises(TerminalNotMinimal):
             hecke_embedding_rational(seq, self.AUX)
 
+    def test_length_walk_agrees_with_rank_test(self):
+        # The embedding reads minimality off the sequence's length walk; the
+        # rank test on its direction tuple decides the same on every draw.
+        for n in (2, 4, 6):
+            for seed in range(40):
+                seq = rat.random_minimal_sequence(n, np.random.default_rng(seed))
+                walk = seq.hecke_lengths()[-1]
+                assert walk == rat.terminal_hecke_lengths(seq.points, seq.h_map()[None])[0] == 0
+                hecke_embedding_rational(seq, self.AUX)
+
+    def test_rational_rejects_walk_to_length_two(self):
+        # Two steps toward [1:0]: the walk goes 0 -> 1 -> 2.
+        seq = rat.RationalSequence([0.2, 0.7], [ProjPoint(1, 0).vec, ProjPoint(1, 1e-12).vec])
+        assert seq.hecke_lengths().tolist() == [0, 1, 2]
+        with pytest.raises(TerminalNotMinimal, match="length 2"):
+            hecke_embedding_rational(seq, self.AUX)
+
     def test_elliptic_members_embed_stably(self):
         rng = np.random.default_rng(6)
         q, p1, p2 = (rpt(rng) for _ in range(3))
-        base = ell.base_from_coordinate(th.pi_cover(rpt(rng)), q)
+        base = ell.base_from_coordinate([th.pi_cover(rpt(rng))], [q])[0]
         while True:
             taus = [th.pi_cover(rpt(rng)) for _ in range(2)]
-            seq = ell.sequence_from_coordinates(base, [p1, p2], taus)
-            if ell.membership_Hp(seq):
+            seq = ell.sequence_from_coordinates([base], [[p1, p2]], [taus])[0]
+            if ell.membership_Hp([seq])[0]:
                 break
         pb = hecke_embedding_elliptic(seq)
         assert stability(pb).verdict is Verdict.STABLE

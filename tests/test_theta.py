@@ -173,11 +173,26 @@ def test_g2_determinant_factor():
 REF_TAUS = (0.21 + 1.3j, 0.3 + 0.45j)
 
 
+def branch_index_reference(a, lattice, tol=1e-8):
+    """The scalar branch test that ``_invert_lifts`` runs on a whole stack:
+    index 1..4 of the first branch point within ``tol`` chordal of ``a``,
+    else None."""
+    for i, b in enumerate(th.branch_points(lattice), start=1):
+        if chordal(a, b) < tol:
+            return i
+    return None
+
+
+def lex_smaller(p, q):
+    a, b = p.lift, q.lift
+    return p if (a.real, a.imag) <= (b.real, b.imag) else q
+
+
 def invert_cover_reference(a, lattice):
     """Scalar-reduce Newton with separate value and derivative closures:
     every start runs to convergence or 60 iterations, and the root is
     chosen among all iterates that pass the image check."""
-    idx = th.branch_index(a, lattice)
+    idx = branch_index_reference(a, lattice)
     if idx is not None:
         t = CurvePoint(lattice.torsion_lifts()[idx - 1], lattice)
         return t, t
@@ -227,8 +242,8 @@ def invert_cover_reference(a, lattice):
     rep = roots[0]
     for r in roots[1:]:
         if not (r == rep or r == -rep):
-            rep = th._lex_smaller(rep, r)
-    p = th._lex_smaller(rep, -rep)
+            rep = lex_smaller(rep, r)
+    p = lex_smaller(rep, -rep)
     return p, -p
 
 
@@ -357,7 +372,7 @@ def test_moebius_chart_self_check(tau):
     assert abs(w3 - e[1]) <= 1e-13 * np.abs(e).max()
     rng = np.random.default_rng(9)
     den, num = th._cover_homogeneous(rng.random(64) + rng.random(64) * tau, lat)
-    lifts = th._invert_lifts(den, num, lat)
+    lifts, _ = th._invert_lifts(den, num, lat)
     assert np.abs(th._cover_cross(lifts, den, num, lat)).max() <= 1e-12
 
 
@@ -367,14 +382,40 @@ def test_inverting_an_array_matches_each_element(tau):
     targets = reference_fibers(lat, 40, seed=17)
     a = np.array([t.a for t in targets])
     c = np.array([t.c for t in targets])
-    together = th._invert_lifts(a, c, lat)
-    alone = np.array([th._invert_lifts(a[i:i + 1], c[i:i + 1], lat)[0] for i in range(a.size)])
-    assert np.array_equal(together.view(np.uint64), alone.view(np.uint64))
+    together, idx = th._invert_lifts(a, c, lat)
+    alone = [th._invert_lifts(a[i:i + 1], c[i:i + 1], lat) for i in range(a.size)]
+    assert np.array_equal(together.view(np.uint64),
+                          np.array([z[0] for z, _ in alone]).view(np.uint64))
+    assert idx.tolist() == [int(i[0]) for _, i in alone]
+
+
+@pytest.mark.parametrize("tau", REF_TAUS)
+def test_stacked_branch_test_matches_scalar(tau):
+    # Targets at 0 and within 1e-9 of each branch point take its 2-torsion
+    # lift, those at 1e-7 the R_F path, all in one stack with [0:1], [1:0]
+    # and random targets, exactly as the scalar test decides one at a time.
+    lat = Lattice(tau)
+    near = [at_chordal_offset(b, d, phase) for b in th.branch_points(lat)
+            for d in (0.0, 1e-9, 1e-7) for phase in (0.3, 2.1)]
+    targets = near + [ProjPoint(0, 1), ProjPoint(1, 0)] + reference_fibers(lat, 8, seed=3)[:8]
+    lifts, idx = th._invert_lifts([t.a for t in targets], [t.c for t in targets], lat)
+    want = [branch_index_reference(t, lat) or 0 for t in targets]
+    assert idx.tolist() == want
+    assert want[:len(near)] == sum(([i] * 4 + [0] * 2 for i in (1, 2, 3, 4)), [])
+    for t, z, i in zip(targets, lifts.tolist(), want):
+        p = CurvePoint(z, lat)
+        if i:
+            torsion = CurvePoint(lat.torsion_lifts()[i - 1], lat)
+            assert z == lex_smaller(torsion, -torsion).lift
+        else:
+            assert chordal(th.pi_cover(p), t) < 1e-8
+        # The fiber's lexicographically smaller canonical lift, as invert_cover picks.
+        assert lex_smaller(p, -p) is p and th.invert_cover(t, lat)[0] == p
 
 
 @pytest.mark.parametrize("tau", REF_TAUS)
 def test_inversion_at_the_branch_tolerance(tau):
-    # branch_index matches within 1e-8 chordal.  Just inside, the fiber is the
+    # The branch test matches within 1e-8 chordal.  Just inside, the fiber is the
     # 2-torsion point itself; just outside, R_F must still return a fiber
     # that maps within 1e-8 of the target.  [0:1] and [1:0] are not branch
     # points and take the R_F path at both offsets.
@@ -384,7 +425,7 @@ def test_inversion_at_the_branch_tolerance(tau):
             r1, r2 = th.invert_cover(at_chordal_offset(b, 0.5e-8, phase), lat)
             assert r1 == r2 and r1.torsion_index() == i
             a = at_chordal_offset(b, 2e-8, phase)
-            assert th.branch_index(a, lat) is None
+            assert branch_index_reference(a, lat) is None
             assert chordal(th.pi_cover(th.invert_cover(a, lat)[0]), a) < 1e-8
     for b in (ProjPoint(0, 1), ProjPoint(1, 0)):
         for d in (0.5e-8, 2e-8):
