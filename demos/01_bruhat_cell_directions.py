@@ -14,7 +14,7 @@ from heckelab.grassmannian import (
     constant_representatives,
     eta_at,
     eta_invariance_checks,
-    random_unit,
+    random_units,
 )
 from heckelab.projective import ProjPoint, chordal, sphere_grid
 from heckelab.pseries import SeriesMat2
@@ -32,13 +32,13 @@ print(f"  eta = {eta_at(m, mu)}  (expected [lambda:1] with lambda = {lam})")
 
 print("\nRight multiplication by a unit never moves the direction;")
 print("worst residual over 200 random unit pairs at truncation order 8:")
-units = np.array([[random_unit(rng, 8).c for _ in range(2)] for _ in range(200)])
-worst = eta_invariance_checks(units[:, 0], units[:, 1]).max()
+units = random_units(rng, 400, 8).c
+worst = eta_invariance_checks(units[0::2], units[1::2]).max()
 print(f"  {worst:.3e}")
 
 print("\nThe companion factorization A(0) Z B = A Z behind that invariance,")
 print("checked coefficientwise on 50 random units:")
-worst = max(companion_residual(random_unit(rng, 8)) for _ in range(50))
+worst = companion_residual(random_units(rng, 50, 8))
 print(f"  {worst:.3e}")
 
 print("\nEvery direction on a 32-point sphere grid has a constant preimage:")

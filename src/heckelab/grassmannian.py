@@ -148,19 +148,21 @@ def constant_representatives(vecs: np.ndarray) -> np.ndarray:
     return np.stack([np.stack([a, -c.conj()], axis=-1), np.stack([c, a.conj()], axis=-1)], axis=-2)
 
 
-def random_unit(rng: np.random.Generator, order: int) -> SeriesMat2:
-    """A random series matrix with a well-conditioned constant term.
+def random_units(rng: np.random.Generator, count: int, order: int) -> SeriesMat2:
+    """``count`` random series matrices with well-conditioned constant terms:
+    the units, and generator state, of drawing and testing one at a time.
 
     Marginal units amplify coefficient growth through the inverse series;
     rejecting them keeps self-consistency residuals near roundoff.
     """
     decay = 0.4 ** np.arange(order + 1)
-    while True:
-        re, im = rng.normal(size=(2, 2, 2, order + 1))
-        coeffs = (re + 1j * im) * decay
-        (a, b), (c, d) = coeffs[..., 0].tolist()
-        if abs(a * d - b * c) > 0.3:
-            return SeriesMat2(coeffs)
+    draws = rng.normal(size=(count, 2, 2, 2, order + 1))
+    coeffs = (draws[:, 0] + 1j * draws[:, 1]) * decay
+    # Python complex arithmetic: numpy's vector product rounds differently.
+    units = coeffs[[abs(a * d - b * c) > 0.3 for (a, b), (c, d) in coeffs[..., 0].tolist()]]
+    if len(units) < count:  # redraw the rejected ones after the block
+        units = np.concatenate([units, random_units(rng, count - len(units), order).c])
+    return SeriesMat2(units)
 
 
 def companion_residual(a: SeriesMat2) -> float:

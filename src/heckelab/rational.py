@@ -250,7 +250,8 @@ def terminal_hecke_lengths(points, vecs) -> np.ndarray:
     and one contains the other.  The terminal type is (-d1, -(n - d1)) with
     d1 the least degree of a nonzero s in N, the least d at which the
     n x 2(d + 1) matrix of the conditions on the coefficients of s drops
-    rank.  One stacked SVD per d decides every tuple still open; beyond
+    rank: at d = 0 by the Cauchy-Binet closed form ``two_column_ratio``, at
+    each d >= 1 by one stacked SVD of the tuples still open; beyond
     d = n // 2 - 1 there are more unknowns than conditions.
 
     Coincidence is decided first, by the rule of ``ProjPoint`` equality: a
@@ -258,7 +259,7 @@ def terminal_hecke_lengths(points, vecs) -> np.ndarray:
     that predecessor, so the rank test only tells exact repeats from
     offsets of PROJ_TOL or more.
     """
-    batch, n = vecs.shape[:2]
+    n = vecs.shape[1]
     near = chordal_vecs(vecs[:, :-1], vecs[:, 1:]) < PROJ_TOL
     vecs = vecs.copy()
     for i in np.flatnonzero(near.any(axis=0)):  # in order, so runs take their first
@@ -266,18 +267,26 @@ def terminal_hecke_lengths(points, vecs) -> np.ndarray:
     # Row i: the perpendicular (y_i, -x_i) / |a_i| of a_i = [x_i : y_i].
     perp = np.stack([vecs[..., 1], -vecs[..., 0]], axis=-1) / np.linalg.norm(vecs, axis=-1, keepdims=True)
     powers = np.asarray(points, dtype=complex)[:n, None] ** np.arange(n // 2)
-    out = np.full(batch, n % 2)
-    open_ = np.arange(batch)
-    for d in range(n // 2):
+    out = np.where(two_column_ratio(perp) < RANK_DROP_TOL, n, n % 2)
+    open_ = np.flatnonzero(out != n)
+    for d in range(1, n // 2):
         # Column (j, k): component j of the perpendicular times mu_i^k.
         a = perp[open_, :, :, None] * powers[:, None, : d + 1]
         s = np.linalg.svd(a.reshape(len(open_), n, 2 * (d + 1)), compute_uv=False)
         done = s[:, -1] < RANK_DROP_TOL * s[:, 0]
         out[open_[done]] = n - 2 * d
         open_ = open_[~done]
-        if not open_.size:
-            break
     return out
+
+
+def two_column_ratio(a: np.ndarray) -> np.ndarray:
+    """s_min / s_max of (..., n, 2) matrices (0 for zero ones) by Cauchy-Binet,
+    s_min s_max = sqrt(D) for D the sum of |2 x 2 minors|^2, and
+    s_max^2 = (F + sqrt(F^2 - 4D)) / 2 for F the squared Frobenius norm."""
+    i, j = np.triu_indices(a.shape[-2], 1)
+    d = (np.abs(a[..., i, 0] * a[..., j, 1] - a[..., i, 1] * a[..., j, 0]) ** 2).sum(axis=-1)
+    f = (np.abs(a) ** 2).sum(axis=(-2, -1))
+    return 2 * np.sqrt(d) / np.maximum(f + np.sqrt(np.maximum(f * f - 4 * d, 0)), np.finfo(float).tiny)
 
 
 def min_column_degree(p: PolyMat2, tol: float = RANK_DROP_TOL) -> int:

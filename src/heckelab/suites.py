@@ -22,7 +22,7 @@ from .grassmannian import (
     eta_invariance_checks,
     eta_vecs,
     in_bruhat_cell,
-    random_unit,
+    random_units,
 )
 from .torus import CurvePoint, Lattice, halve_sum, torsion_point
 from . import rational as rat
@@ -155,15 +155,13 @@ def verify_eta(report, config, rng):
     tol = _tol(config, 1e-9)
     worst = 0.0
     for start in range(0, n_pairs, UNIT_CHUNK):
-        units = np.array([[random_unit(rng, DEFAULT_ORDER).c for _ in range(2)]
-                          for _ in range(min(UNIT_CHUNK, n_pairs - start))])
-        worst = max(worst, float(eta_invariance_checks(units[:, 0], units[:, 1]).max()))
+        units = random_units(rng, 2 * min(UNIT_CHUNK, n_pairs - start), DEFAULT_ORDER).c
+        worst = max(worst, float(eta_invariance_checks(units[0::2], units[1::2]).max()))
     report.add("right-multiplication-invariance",
                f"{n_pairs} random unit pairs at order {DEFAULT_ORDER}", worst, tol)
 
-    units = SeriesMat2(np.array([random_unit(rng, DEFAULT_ORDER).c for _ in range(100)]))
     report.add("companion-factorization", "A(0) Z B = A Z coefficientwise",
-               companion_residual(units), 1e-12)
+               companion_residual(random_units(rng, 100, DEFAULT_ORDER)), 1e-12)
 
     grid = rat.direction_vecs([sphere_grid(32)])[0]
     reps = SeriesMat2.constant(constant_representatives(grid))
@@ -537,8 +535,9 @@ def _random_tuples(rng, n, count):
     """``count`` tuples of n ``random_point`` draws, in draw order, as
     (k, n, 2) arrays of at most S2_CHUNK tuples."""
     for start in range(0, count, S2_CHUNK):
-        yield rat.direction_vecs([[random_point(rng) for _ in range(n)]
-                                  for _ in range(min(S2_CHUNK, count - start))])
+        v = rng.normal(size=(min(S2_CHUNK, count - start), n, 2, 2))  # real pair, imaginary pair
+        yield rat.direction_vecs([[ProjPoint(a, c) for a, c in tup]
+                                  for tup in (v[..., 0, :] + 1j * v[..., 1, :]).tolist()])
 
 
 def _compute_space_s2(report, config, rng, n):

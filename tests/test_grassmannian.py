@@ -12,7 +12,7 @@ from heckelab.grassmannian import (
     eta_invariance_checks,
     in_bruhat_cell,
     prefix_product,
-    random_unit,
+    random_units,
 )
 from heckelab.projective import ProjPoint, chordal, sphere_grid
 from heckelab.pseries import PolyMat2, SeriesMat2, bruhat_companion
@@ -58,13 +58,9 @@ def test_in_bruhat_cell():
 def test_invariance_trivial_and_random():
     ident = SeriesMat2.identity(8)
     assert eta_invariance_checks(ident.c, ident.c) == 0.0
-    rng = np.random.default_rng(5)
-    a = random_unit(rng, 8)
-    assert eta_invariance_checks(a.c, ident.c) < 1e-12
-    worst = 0.0
-    for _ in range(100):
-        worst = max(worst, eta_invariance_checks(random_unit(rng, 8).c, random_unit(rng, 8).c))
-    assert worst < 1e-9
+    units = random_units(np.random.default_rng(5), 201, 8).c
+    assert eta_invariance_checks(units[0], ident.c) < 1e-12
+    assert eta_invariance_checks(units[1::2], units[2::2]).max() < 1e-9
 
 
 def test_surjectivity_witness():
@@ -77,7 +73,7 @@ def test_surjectivity_witness():
 def test_left_equivariance():
     rng = np.random.default_rng(6)
     for _ in range(50):
-        a = random_unit(rng, 8)
+        a = SeriesMat2(random_units(rng, 1, 8).c[0])
         c = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         if abs(np.linalg.det(c)) < 1e-2:
             continue
@@ -134,8 +130,35 @@ def test_stacked_verify_eta_paths_match_the_scalar_ones():
 
 def test_stacked_companion_residual_is_the_worst_of_the_stack():
     rng = np.random.default_rng(42)
-    units = [random_unit(rng, 8) for _ in range(20)]
-    stacked = companion_residual(SeriesMat2(np.array([u.c for u in units])))
-    assert stacked == max(companion_residual(u) for u in units)
-    b = bruhat_companion(SeriesMat2(np.array([u.c for u in units])))
+    stack = random_units(rng, 20, 8)
+    units = [SeriesMat2(c) for c in stack.c]
+    assert companion_residual(stack) == max(companion_residual(u) for u in units)
+    b = bruhat_companion(stack)
     assert all(np.array_equal(b.c[k], bruhat_companion(u).c) for k, u in enumerate(units))
+
+
+def per_draw_unit(rng, order):
+    """One ``random_units`` unit drawn by the per-draw rejection loop, and the
+    candidates it drew."""
+    decay = 0.4 ** np.arange(order + 1)
+    tries = 0
+    while True:
+        tries += 1
+        re, im = rng.normal(size=(2, 2, 2, order + 1))
+        coeffs = (re + 1j * im) * decay
+        (a, b), (c, d) = coeffs[..., 0].tolist()
+        if abs(a * d - b * c) > 0.3:
+            return coeffs, tries
+
+
+@pytest.mark.parametrize("seed", [7, 11, 12345])
+@pytest.mark.parametrize("count", [1, 100, 200])
+def test_random_units_draw_in_per_draw_order(seed, count):
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = random_units(rng, count, 8).c
+    units, tries = zip(*(per_draw_unit(ref, 8) for _ in range(count)))
+    want = np.array(units)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == ref.bit_generator.state
+    if count > 1:  # the blocks after the first redraw rejected candidates
+        assert sum(tries) > count

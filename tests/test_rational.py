@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from heckelab import rational as rat
+from heckelab import suites
 from heckelab.grassmannian import chain_directions, eta_at
 from heckelab.projective import ProjPoint, chordal, random_point, sphere_grid
 from heckelab.rational import (
@@ -540,3 +541,71 @@ class TestAdjugateSolve:
                         for c in mp_tuple_composites(pts, vecs)]
                 assert rat.terminal_hecke_lengths(pts, vecs).tolist() == want
                 assert len(set(want)) > 1
+
+
+# ---------------------------------------------------------------------------
+# The d = 0 rank test without an SVD, and the stacked S2 draws.
+
+
+def perpendiculars(vecs):
+    """The d = 0 condition matrices (B, n, 2) of ``terminal_hecke_lengths``:
+    row i is the unit perpendicular of direction i."""
+    return np.stack([vecs[..., 1], -vecs[..., 0]], axis=-1) / np.linalg.norm(vecs, axis=-1, keepdims=True)
+
+
+def near_repeats(n, offsets, phases=(0.7,)):
+    """Repeated grid directions with one moved off by each chordal offset."""
+    tuples = []
+    for offset in offsets:
+        for b in sphere_grid(20):
+            for moved in range(n):
+                for phase in phases:
+                    dirs = [b] * n
+                    dirs[moved] = chordal_offset(b, offset, phase)
+                    tuples.append(dirs)
+    return tuples
+
+
+class TestTwoColumnRatio:
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_decides_as_the_svd(self, n):
+        import itertools
+
+        grid = sphere_grid({2: 20, 3: 20, 4: 6, 5: 5, 6: 4}[n])
+        tuples = [list(c) for c in itertools.product(grid, repeat=n)]
+        tuples += near_repeats(n, np.geomspace(1e-12, 1e-5, 29), (0.7, 2.1))
+        vecs = np.concatenate([rat.direction_vecs(tuples),
+                               random_tuples_with_blocks(np.random.default_rng(40 + n), n, 400)])
+        a = perpendiculars(vecs)
+        ratio = rat.two_column_ratio(a)
+        s = np.linalg.svd(a, compute_uv=False)
+        assert ((ratio < rat.RANK_DROP_TOL) == (s[:, -1] < rat.RANK_DROP_TOL * s[:, 0])).all()
+        # The SVD's s_min carries an absolute roundoff of about 1e-16 s_max
+        # (up to 2e-4 relative at a ratio of 1.6e-12 against 60 digits), so
+        # below a ratio of 1e-9 the bound is that absolute floor.
+        svd = s[:, -1] / s[:, 0]
+        assert (np.abs(ratio - svd) <= 1e-6 * svd + 1e-15).all()
+        repeats = (a == a[:, :1]).all(axis=(-2, -1))
+        assert repeats.any() and (ratio[repeats] <= 1e-15).all()
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_near_repeats_against_high_precision(self, n):
+        import mpmath as mp
+
+        a = perpendiculars(rat.direction_vecs(near_repeats(n, np.geomspace(1e-12, 1e-8, 5))[::7]))
+        with mp.workdps(40):
+            exact = np.array([float(min(s) / max(s)) for s in
+                              (mp.svd_c(mp.matrix(m.tolist()), compute_uv=False) for m in a)])
+        assert (np.abs(rat.two_column_ratio(a) - exact) <= 1e-6 * exact + 1e-16).all()
+
+
+@pytest.mark.parametrize("seed", [7, 11, 12345])
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_s2_tuples_draw_in_per_draw_order(seed, n):
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = list(suites._random_tuples(rng, n, suites.S2_CHUNK + 50))
+    want = [rat.direction_vecs([[random_point(ref) for _ in range(n)] for _ in range(k)])
+            for k in (suites.S2_CHUNK, 50)]
+    assert [g.shape for g in got] == [w.shape for w in want]
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+    assert rng.bit_generator.state == ref.bit_generator.state
