@@ -43,7 +43,7 @@ p = CurvePoint(0.31 + 0.27 * tau, lat)
 r1, r2 = th.invert_cover(th.pi_cover(p), lat)
 print(f"  p        = {p.lift:.6f}")
 print(f"  fiber    = {r1.lift:.6f}, {r2.lift:.6f}")
-print(f"  sums to the origin: {(r1 + r2).is_zero()}")
+print(f"  sums to the origin: {r1 + r2 == CurvePoint(0, lat)}")
 
 print("\nAt a branch point the fiber collapses:")
 q1, q2 = th.invert_cover(th.branch_points(lat)[2], lat)

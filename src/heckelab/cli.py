@@ -29,8 +29,12 @@ class RunConfig:
     extra: tuple[str, ...] = ()
 
     def __post_init__(self):
+        if not np.isfinite(self.tau):
+            raise ConfigError(f"tau must be finite, got {self.tau}")
         if complex(self.tau).imag <= 0:
             raise ConfigError("Im tau must be positive")
+        if self.tol is not None and not np.isfinite(self.tol):
+            raise ConfigError(f"tol must be finite, got {self.tol}")
         if self.samples is not None and self.samples < 1:
             raise ConfigError("samples must be >= 1")
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .projective import PROJ_TOL, ProjPoint, chordal, transport_direction
-from .grassmannian import eta_at
+from .grassmannian import chain_direction_vecs
 from .torus import CurvePoint, Lattice, halve_sum
 from . import theta as th
 
@@ -668,43 +668,51 @@ class MarkedBundle:
             raise ValueError(f"line {self.line} is a bad direction of {self.bundle}")
 
 
-def bad_group_key(e: EllipticBundle, direction: ProjPoint):
-    """Grouping key when the direction is bad for ``e``, else None.
+def bad_group_key(e: EllipticBundle, direction: ProjPoint) -> ProjPoint | None:
+    """The fiber direction of the maximal-slope subbundle witnessing that
+    ``direction`` is bad for ``e``, or None when it is good.
 
-    Directions bad in the same direction (witnessed by one maximal-slope
-    subbundle) share a key.
+    Marks are bad in the same direction exactly when their witnesses are
+    equal.
     """
     if isinstance(e, G2Twist):
         return None
     if isinstance(e, F2Twist):
-        return "sub" if direction.is_zero_dir() else None
+        return ProjPoint(1, 0) if direction.is_zero_dir() else None
     if e.l1.degree != e.l2.degree:
         raise NotSemistable(f"{e} is unstable")
     if e.l1.same_class(e.l2):
-        # Every direction is the fiber of a constant subbundle; two marks
-        # share a subbundle exactly when the directions are equal.
-        return ("dir", direction)
+        # Every direction is the fiber of a constant subbundle.
+        return direction
     if direction.is_zero_dir():
-        return "sub1"
+        return ProjPoint(1, 0)
     if direction.is_infinity_dir():
-        return "sub2"
+        return ProjPoint(0, 1)
     return None
 
 
-def raw_directions(reps) -> list[ProjPoint]:
-    """Directions of a chain of representatives in the trivialization of
-    the first one's upstream bundle, in the factored form of
-    ``chain_directions``: eta of each step at its point, transported by the
-    product of the steps before it.  Each step is evaluated once, at its
-    own point and all later ones."""
-    zs = np.array([r.point.lift for r in reps])
-    prefix = np.tile(np.eye(2, dtype=complex), (len(reps), 1, 1))
-    out = []
-    for i, r in enumerate(reps):
-        val = r.evaluator(zs[i:])
-        v = prefix[i] @ eta_at(val[0], zs[i]).vec
-        out.append(ProjPoint(v[0], v[1]))
-        prefix[i + 1:] = prefix[i + 1:] @ val[1:]
+def chain_lines(chains) -> list[list[ProjPoint]]:
+    """Directions of each chain of representatives in the trivialization
+    of its first upstream bundle: eta of each step at its point,
+    transported by the product of the steps before it.
+
+    Each representative is evaluated once, at its own point and all later
+    ones; the chains of each length are read by one
+    ``chain_direction_vecs`` call.
+    """
+    by_length: dict[int, list[int]] = {}
+    for i, reps in enumerate(chains):
+        by_length.setdefault(len(reps), []).append(i)
+    out = [[] for _ in chains]
+    for n, idx in by_length.items():
+        # Factor k at point i for k <= i; the rest is never read.
+        factors = np.zeros((len(idx), n, n, 2, 2), dtype=complex)
+        for b, i in enumerate(idx):
+            zs = np.array([r.point.lift for r in chains[i]])
+            for k, r in enumerate(chains[i]):
+                factors[b, k, k:] = r.evaluator(zs[k:])
+        for i, vecs in zip(idx, chain_direction_vecs(factors).tolist()):
+            out[i] = [ProjPoint(a, c) for a, c in vecs]
     return out
 
 
@@ -731,7 +739,7 @@ class EllipticSequence:
 
     def lines(self) -> list[ProjPoint]:
         """The parabolic lines: each step's direction in the base trivialization."""
-        return raw_directions(self.reps)
+        return chain_lines([self.reps])[0]
 
 
 def h_total(seqs) -> list[list[ProjPoint]]:
@@ -742,7 +750,8 @@ def h_total(seqs) -> list[list[ProjPoint]]:
     modification of the base at (q, p_i) in the directions read off the
     mark and the composed sequence.  For the whole stack, the marks'
     representatives are one ``morphism_rep`` call, the second steps
-    another, and the coordinates of each kind one cover call.
+    another, the lines one ``chain_lines`` call, and the coordinates of
+    each kind one cover call.
     """
     out = [[c] for c in mss_coordinate([s.base.bundle for s in seqs])]
     live = [i for i, s in enumerate(seqs) if s.reps]
@@ -755,7 +764,7 @@ def h_total(seqs) -> list[list[ProjPoint]]:
         rep_q = morphism_rep([b.bundle for b in bases], [b.q for b in bases],
                              [b.line for b in bases])
         classes = _stable_first_class(rep_q, [seqs[i].points for i in live],
-                                      [seqs[i].lines() for i in live])
+                                      chain_lines([seqs[i].reps for i in live]))
         coords = iter(mss_coordinate([c for row in classes for c in row]))
         for i, row in zip(live, classes):
             out[i] += [next(coords) for _ in row]

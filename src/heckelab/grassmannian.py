@@ -2,9 +2,9 @@
 
 A composite of Hecke morphism matrices, evaluated at the modification
 point, is a rank-1 matrix whose column space is the direction of the
-modification.  ``eta_at`` extracts that direction, ``chain_directions``
-reads it off every step of a chain of morphisms, and ``in_bruhat_cell``
-decides membership for local series data.
+modification.  ``eta_at`` extracts that direction,
+``chain_direction_vecs`` reads it off every step of stacked chains of
+morphisms, and ``in_bruhat_cell`` decides membership for local series data.
 """
 
 from __future__ import annotations
@@ -61,38 +61,18 @@ def eta_vecs(vals: np.ndarray) -> np.ndarray:
     return vecs
 
 
-def prefix_product(evaluators, z) -> np.ndarray:
-    """Product of the evaluators at ``z``, left to right from the identity."""
-    out = np.eye(2, dtype=complex)
-    for ev in evaluators:
-        out = out @ ev(z)
-    return out
-
-
-def chain_directions(evaluators, zs) -> list[ProjPoint]:
-    """Direction of each step of a chain of evaluators z -> 2x2, in the
-    frame of the chain's start: eta of the composite of the first i + 1
-    evaluators at ``zs[i]``.
-
-    The composite is evaluated in factored form: the rank-1 column space is
-    extracted from the final factor, where the degeneracy is structural and
-    well conditioned, and the invertible prefix transports the direction
-    vector, which avoids amplifying the extraction through ill-conditioned
-    products.
-    """
-    out = []
-    for i, z in enumerate(zs):
-        v = prefix_product(evaluators[:i], z) @ eta_at(evaluators[i], z).vec
-        out.append(ProjPoint(v[0], v[1]))
-    return out
-
-
 def chain_direction_vecs(factors: np.ndarray) -> np.ndarray:
-    """``chain_directions`` over stacked chains of evaluated factors.
+    """Direction of each step of stacked chains of evaluated factors, in
+    the frame of the chain's start: eta of the composite of the first
+    i + 1 factors at point i.
 
     ``factors[..., k, i, :, :]`` is factor k at point i (..., n, n, 2, 2);
-    only k <= i is read.  Returns the direction vectors (..., n, 2), in the
-    same factored form: eta of the final factor, transported by the prefix.
+    only k <= i is read.  Returns the direction vectors (..., n, 2).  The
+    composite is taken in factored form: the rank-1 column space is
+    extracted from the final factor, where the degeneracy is structural
+    and well conditioned, and the invertible prefix transports the
+    direction vector, which avoids amplifying the extraction through
+    ill-conditioned products.
     """
     n = factors.shape[-3]
     diag = np.arange(n)

@@ -70,41 +70,17 @@ def _underlying_semistable(u) -> bool:
     return elliptic_semistable(u)
 
 
-def _mark_keys(pb: ParabolicBundle) -> list:
-    """Bad-direction grouping key per mark; None marks a good line."""
-    u = pb.underlying
-    if isinstance(u, RationalBundle):
-        if not u.is_semistable():
-            raise UnderlyingUnstable(f"{u} is unstable")
-        # Split semistable bundle: every direction is the fiber of a
-        # constant subbundle; same direction <=> equal lines.
-        return [("dir", m.line) for m in pb.marks]
-    if not elliptic_semistable(u):
-        raise UnderlyingUnstable(f"{u} is unstable")
-    return [bad_group_key(u, m.line) for m in pb.marks]
-
-
-def _same_key(k1, k2) -> bool:
-    if k1 is None or k2 is None:
-        return False
-    if isinstance(k1, tuple) and k1 and k1[0] == "dir":
-        return (
-            isinstance(k2, tuple)
-            and k2
-            and k2[0] == "dir"
-            and chordal(k1[1], k2[1]) < PROJ_TOL
-        )
-    return k1 == k2
-
-
 def max_bad_group(pb: ParabolicBundle) -> int:
-    keys = _mark_keys(pb)
-    best = 0
-    for key in keys:
-        if key is None:
-            continue
-        best = max(best, sum(1 for k in keys if _same_key(key, k)))
-    return best
+    """The most marks whose lines one maximal-slope subbundle witnesses as
+    bad: marks with equal witnesses (``bad_group_key``) form one group."""
+    u = pb.underlying
+    if not _underlying_semistable(u):
+        raise UnderlyingUnstable(f"{u} is unstable")
+    # A split semistable rational bundle has every line as the fiber of a
+    # constant subbundle, which witnesses that line itself.
+    keys = [m.line if isinstance(u, RationalBundle) else bad_group_key(u, m.line)
+            for m in pb.marks]
+    return max((sum(k == j for j in keys) for k in keys if k is not None), default=0)
 
 
 def stability(pb: ParabolicBundle) -> StabilityVerdict:

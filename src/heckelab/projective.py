@@ -56,11 +56,6 @@ class ProjPoint:
         """True for points within ``tol`` of [0:1]."""
         return abs(self.c) > abs(self.a) and abs(self.a) < tol
 
-    def apply(self, mat: np.ndarray) -> "ProjPoint":
-        """Image under an invertible 2x2 matrix acting on homogeneous coords."""
-        v = np.asarray(mat, dtype=complex) @ self.vec
-        return ProjPoint(v[0], v[1])
-
     def involution(self) -> "ProjPoint":
         """The map [x:y] -> [-y:x]."""
         return ProjPoint(-self.c, self.a)

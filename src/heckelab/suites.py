@@ -417,16 +417,12 @@ def _det_zero_distance(rep) -> float:
 def verify_double_table(report, config, rng):
     lat = Lattice(config.tau)
     samples = _n(config, 200)
-    agree = 0
-    total = 0
-    for k in range(samples):
-        bundle, p1, p2, d1, d2 = _double_sample(lat, rng, k)
-        if _two_route_agree(bundle, p1, p2, d1, d2, lat):
-            agree += 1
-        total += 1
+    # Every draw first, in the order of a per-draw loop; then stacked passes.
+    draws = [_double_sample(lat, rng, k) for k in range(samples)]
+    agree = sum(_two_route_agreement(draws, lat))
     report.add_flag("two-route-agreement",
-                    f"composed-evaluator keys vs chained classes, {total} samples",
-                    agree == total, inputs=f"agree={agree}")
+                    f"composed-evaluator keys vs chained classes, {samples} samples",
+                    agree == samples, inputs=f"agree={agree}")
 
     # Spot checks of three printed rows.
     O = ell.trivial_line(lat)
@@ -448,7 +444,7 @@ def verify_double_table(report, config, rng):
     # coordinate: the composite key is its image under the first step.
     delta2 = ell.second_direction_for_class([rep1.result], [p1], [p2], [bi])[0]
     rep2 = ell.morphism_rep([rep1.result], [p2], [delta2])[0]
-    _, b = ell.raw_directions([rep1, rep2])
+    _, b = ell.chain_lines([[rep1, rep2]])[0]
     got = ell.double_hecke(eg, p1, p2, a, b)
     ok &= got is not None and isinstance(got, ell.F2Twist)
     report.add_flag("printed-rows", "split-trivial, diagonal, and torsion outcomes", ok)
@@ -498,17 +494,24 @@ def _double_sample(lat, rng, k):
     return bundle, p1, p2, d1, d2
 
 
-def _two_route_agree(bundle, p1, p2, d1, d2, lat) -> bool:
-    rep1 = ell.morphism_rep([bundle], [p1], [d1])[0]
-    rep2 = ell.morphism_rep([rep1.result], [p2], [d2])[0]
-    a, b = ell.raw_directions([rep1, rep2])
-    table = ell.double_hecke(bundle, p1, p2, a, b)
-    chained = rep2.result.tensor(ell.LineBundleClass(1, halve_sum(p1, p2).lift, lat))
-    if table is None:
-        return not ell.is_even_semistable(chained)
-    if not ell.is_even_semistable(chained):
-        return False
-    return ell.s_equivalent(table, chained)
+def _two_route_agreement(draws, lat) -> list[bool]:
+    """Per ``_double_sample`` draw: does ``double_hecke`` on the composite
+    direction pair give the class the chained modifications reach?  Each
+    step of the stack is one ``morphism_rep`` call, the pairs one
+    ``chain_lines`` call."""
+    bundles, p1s, p2s, d1s, d2s = zip(*draws)
+    reps1 = ell.morphism_rep(bundles, p1s, d1s)
+    reps2 = ell.morphism_rep([r.result for r in reps1], p2s, d2s)
+    out = []
+    for bundle, p1, p2, rep2, (a, b) in zip(bundles, p1s, p2s, reps2,
+                                            ell.chain_lines(list(zip(reps1, reps2)))):
+        table = ell.double_hecke(bundle, p1, p2, a, b)
+        chained = rep2.result.tensor(ell.LineBundleClass(1, halve_sum(p1, p2).lift, lat))
+        if table is None:
+            out.append(not ell.is_even_semistable(chained))
+        else:
+            out.append(ell.is_even_semistable(chained) and ell.s_equivalent(table, chained))
+    return out
 
 
 def compute_space(report, config, rng):
@@ -728,8 +731,8 @@ def embed_check(report, config, rng):
                                    [[bad, bad]] * (n_seq // 2))
     seqs += ell.sequence_from_coordinates(bases[0::2], [p[1:] for p in pts[0::2]], taus)
     ok = True
-    for seq in seqs:
-        marks = par.lines_from_elliptic_sequence(seq)
+    for seq, lines in zip(seqs, ell.chain_lines([s.reps for s in seqs])):
+        marks = [par.Mark(p, d) for p, d in zip(seq.points, lines)]
         verdict = par.stability(par.ParabolicBundle(seq.base.bundle, tuple(marks)))
         if verdict.verdict is V.UNSTABLE and ell.is_semistable(seq.terminal):
             ok = False

@@ -125,9 +125,6 @@ class CurvePoint:
     def __hash__(self):  # pragma: no cover - equality is tolerance based
         raise TypeError("CurvePoint is not hashable")
 
-    def is_zero(self) -> bool:
-        return self.lattice.distance(self.lift, 0.0) < POINT_TOL
-
     def torsion_index(self) -> int | None:
         """Index 1..4 among the 2-torsion points, or None."""
         for i, t in enumerate(self.lattice.torsion_lifts(), start=1):

@@ -122,9 +122,19 @@ def test_out_of_range_counts_are_config_errors(capsys):
         assert "Traceback" not in err
 
 
+def test_non_finite_tau_and_tol_are_config_errors(capsys):
+    for args, bound in [(["verify-theta", "--tau", "nan,1.3"], "tau must be finite"),
+                        (["verify-theta", "--tau", "0.2,inf"], "tau must be finite"),
+                        (["verify-eta", "--tol", "nan"], "tol must be finite")]:
+        assert cli.main(args) == 2, args
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and bound in err, (args, err)
+        assert "Traceback" not in err
+
+
 def test_numerical_failure_is_not_a_config_error(capsys):
     # Im tau = 4 lies outside the range where the elliptic suites pass;
-    # eta_at raises NotInCell (a ValueError) inside the suite.
+    # the direction reader raises NotInCell (a ValueError) inside the suite.
     code = cli.main(["verify-double-table", "--tau", "0.2,4", "--samples", "12"])
     err = capsys.readouterr().err
     assert code == 1

@@ -24,6 +24,8 @@ from heckelab.grassmannian import eta_at
 from heckelab.projective import ProjPoint, chordal, random_point, transport_direction
 from heckelab.torus import CurvePoint, Lattice, halve_sum
 
+from chain_refs import chain_directions, raw_directions
+
 LAT = Lattice()
 RNG = np.random.default_rng(77)
 
@@ -252,12 +254,9 @@ class TestDoubleHecke:
         assert ell.double_hecke(Decomposable(O, O), p1, p2, a, a) is None
 
     def test_two_route_consistency(self):
-        from heckelab.suites import _double_sample, _two_route_agree
-
         rng = np.random.default_rng(10)
-        for k in range(40):
-            bundle, p1, p2, d1, d2 = _double_sample(LAT, rng, k)
-            assert _two_route_agree(bundle, p1, p2, d1, d2, LAT)
+        draws = [suites._double_sample(LAT, rng, k) for k in range(40)]
+        assert all(suites._two_route_agreement(draws, LAT))
 
     def test_rejects_nontrivial_det(self):
         p1, p2 = rpt(), rpt()
@@ -1005,6 +1004,50 @@ def test_stacked_morphism_rows_match_batches_of_one(tau):
         alone = ell.morphism_rep([b], [p], [a])[0]
         assert rep.row == alone.row and close(rep.result, alone.result), name
         assert np.array_equal(rep.evaluator(z), alone.evaluator(z)), name
+
+
+@pytest.mark.parametrize("tau", REF_TAUS)
+def test_chain_lines_match_the_scalar_readers(tau):
+    lat = Lattice(tau)
+    rng, q, p1, p2, _, bases, lines = stacked_inputs(lat, seed=62)
+    p3 = CurvePoint(0.27 + 0.09 * lat.tau, lat)
+    n = len(bases)
+    two = ell.sequence_from_lines(bases, [[p1, p2]] * n, lines)
+    three = ell.sequence_from_lines(bases, [[p1, p2, p3]] * n,
+                                    [ls + [random_point(rng)] for ls in lines])
+    one = ell.sequence_from_lines(bases, [[p2]] * n, [ls[:1] for ls in lines])
+    # Lengths 0-3 interleaved in one stack.
+    chains = [()] + [s.reps for trio in zip(three, one, two) for s in trio] + [()]
+    rows = {r.row.split(":")[0] for reps in chains for r in reps}
+    assert {"F2", "G2", "ss"} <= rows
+    stacked = ell.chain_lines(chains)
+    assert [len(x) for x in stacked] == [len(c) for c in chains]
+    for reps, got in zip(chains, stacked):
+        evaluators = [r.evaluator for r in reps]
+        for want in (raw_directions(reps), chain_directions(evaluators, [r.point.lift for r in reps])):
+            assert all(chordal(x, y) <= 1e-12 for x, y in zip(got, want))
+        # A stack reads each member as a batch of one does.
+        assert all(chordal(x, y) <= 1e-14 for x, y in zip(got, ell.chain_lines([reps])[0]))
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_double_table_counts_match_a_per_draw_loop(seed):
+    config = cli.RunConfig(seed=seed)
+    (record, *_) = cli.run("verify-double-table", config).records
+    rng = cli.suite_rng(config, "verify-double-table")
+    agree = 0
+    for k in range(200):
+        bundle, p1, p2, d1, d2 = suites._double_sample(LAT, rng, k)
+        rep1 = ell.morphism_rep([bundle], [p1], [d1])[0]
+        rep2 = ell.morphism_rep([rep1.result], [p2], [d2])[0]
+        table = ell.double_hecke(bundle, p1, p2, *raw_directions([rep1, rep2]))
+        chained = rep2.result.tensor(LineBundleClass(1, halve_sum(p1, p2).lift, LAT))
+        if table is None:
+            agree += not ell.is_even_semistable(chained)
+        else:
+            agree += ell.is_even_semistable(chained) and ell.s_equivalent(table, chained)
+    assert record.inputs == f"agree={agree}"
+    assert record.passed == (agree == 200)
 
 
 def test_stacked_builders_reject_coincident_points():

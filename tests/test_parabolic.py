@@ -26,11 +26,12 @@ from heckelab.parabolic import (
     rational_terminal_class,
     stability,
 )
-from heckelab.grassmannian import chain_directions
 from heckelab.projective import ProjPoint, chordal, random_point
 from heckelab.pseries import PolyMat2
 from heckelab.rational import RationalBundle
 from heckelab.torus import CurvePoint, Lattice
+
+from chain_refs import chain_directions
 
 LAT = Lattice()
 RNG = np.random.default_rng(20)
@@ -59,15 +60,19 @@ def rpt(rng=RNG):
 
 
 def bad_flags(pb):
-    return [key is not None for key in par._mark_keys(pb)]
+    return [ell.bad_group_key(pb.underlying, m.line) is not None for m in pb.marks]
 
 
 class TestClassifyLines:
     def test_rational_all_bad_grouped_by_equality(self):
-        pb = ParabolicBundle(O00, (Mark(0.1, A), Mark(0.2, A), Mark(0.3, B)))
-        keys = par._mark_keys(pb)
-        assert bad_flags(pb) == [True, True, True]
-        assert [sum(par._same_key(k, j) for j in keys) for k in keys] == [2, 2, 1]
+        marks = (Mark(0.1, A), Mark(0.2, A), Mark(0.3, B))
+        pb = ParabolicBundle(O00, marks)
+        # Every line of O + O is bad, witnessed by the constant subbundle
+        # with that fiber: each mark's group is the marks with its line.
+        for m, size in zip(marks, [2, 2, 1]):
+            group = tuple(n for n in marks if n.line == m.line)
+            assert len(group) == size
+            assert max_bad_group(ParabolicBundle(O00, group)) == size
         assert max_bad_group(pb) == 2
         assert stability(pb).witness == 2
 
@@ -78,12 +83,16 @@ class TestClassifyLines:
                  Mark(rpt(), ProjPoint(0.4, 1)))
         pb = ParabolicBundle(e, marks)
         assert bad_flags(pb) == [True, True, False]
+        assert [ell.bad_group_key(e, m.line) for m in marks[:2]] == [A, B]
         assert max_bad_group(pb) == 1
+        near = ParabolicBundle(e, marks[:1] + (Mark(rpt(), ProjPoint(1, 1e-10)),))
+        assert max_bad_group(near) == 2
 
     def test_f2_single_bad_direction(self):
         e = F2Twist(trivial_line(LAT))
         pb = ParabolicBundle(e, (Mark(rpt(), ProjPoint(1, 0)), Mark(rpt(), ProjPoint(0, 1))))
         assert bad_flags(pb) == [True, False]
+        assert ell.bad_group_key(e, ProjPoint(1, 1e-10)) == A
         assert stability(pb).witness == 1
 
     def test_g2_no_bad_directions(self):
@@ -96,10 +105,16 @@ class TestClassifyLines:
         e = Decomposable(torsion_line(LAT, 2), torsion_line(LAT, 2))
         pb = ParabolicBundle(e, (Mark(rpt(), random_point(RNG)), Mark(rpt(), random_point(RNG))))
         assert bad_flags(pb) == [True, True]
+        assert [ell.bad_group_key(e, m.line) for m in pb.marks] == [m.line for m in pb.marks]
+        assert max_bad_group(pb) == 1
 
     def test_unstable_underlying_rejected(self):
         with pytest.raises(par.UnderlyingUnstable):
-            par._mark_keys(ParabolicBundle(RationalBundle(1, 0), (Mark(0.1, A),)))
+            max_bad_group(ParabolicBundle(RationalBundle(1, 0), (Mark(0.1, A),)))
+        d = rpt()
+        unstable = Decomposable(LineBundleClass(1, d.lift, LAT), LineBundleClass(-1, -d.lift, LAT))
+        with pytest.raises(par.UnderlyingUnstable):
+            max_bad_group(ParabolicBundle(unstable, (Mark(rpt(), A),)))
 
 
 class TestStability:

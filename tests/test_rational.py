@@ -3,7 +3,7 @@ import pytest
 
 from heckelab import rational as rat
 from heckelab import suites
-from heckelab.grassmannian import chain_directions, eta_at
+from heckelab.grassmannian import eta_at
 from heckelab.projective import ProjPoint, chordal, random_point, sphere_grid
 from heckelab.rational import (
     NotGlobal,
@@ -11,6 +11,8 @@ from heckelab.rational import (
     RationalBundle,
     RationalSequence,
 )
+
+from chain_refs import chain_directions
 
 
 def sequence(points, dirs):

@@ -3,7 +3,6 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from heckelab.grassmannian import chain_directions
 from heckelab.projective import ProjPoint, chordal
 from heckelab.pseries import PolyMat2
 from heckelab.rational import (
@@ -26,6 +25,8 @@ from heckelab.seidel_smith import (
     slice_matrices,
     woodward_vecs,
 )
+
+from chain_refs import chain_directions
 
 L1, L2 = 0.7 - 0.3j, 1.1 + 0.2j
 MU1, MU2 = 0.2 + 0.1j, 0.9 - 0.4j
