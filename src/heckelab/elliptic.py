@@ -11,11 +11,12 @@ Class-level comparisons reduce lifts modulo the lattice.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .projective import PROJ_TOL, ProjPoint, chordal, transport_direction
+from .projective import PROJ_TOL, ProjPoint, chordal, transport_direction, transport_directions
 from .grassmannian import chain_direction_vecs
 from .torus import CurvePoint, Lattice, halve_sum
 from . import theta as th
@@ -114,28 +115,42 @@ TH, DTH, TT, DTT, EXP = "TH", "DTH", "TT", "DTT", "EXP"
 _IDENTITY = ((0, 1.0, ()), (3, 1.0, ()))
 
 
-def _evaluate(terms, z, lattice: Lattice) -> np.ndarray:
-    """The matrices (..., 2, 2) of a term table at an array of z, with one
-    kernel call per kind of factor over its distinct params."""
-    z = np.asarray(z, dtype=complex)
-    cols: dict[str, dict] = {}
-    for _, _, factors in terms:
-        for kind, param in factors:
-            col = cols.setdefault(kind, {})
-            col.setdefault(param, len(col))
-    vals, zc = {}, z[..., None]
-    for kind, col in cols.items():
-        w = np.array(list(col))
-        t = 2 * lattice.tau if kind in (TT, DTT) else lattice.tau
+def evaluate_stack(tables, zs, lattice: Lattice) -> list[np.ndarray]:
+    """The matrices (..., 2, 2) of each term table ``tables[i]`` at its own
+    array ``zs[i]``: the factors of each kind, at every table's distinct
+    params and points, come from one kernel call for the whole stack."""
+    if not tables:
+        return []
+    zs = [np.asarray(z, dtype=complex) for z in zs]
+    taus = {TH: lattice.tau, DTH: lattice.tau, TT: 2 * lattice.tau, DTT: 2 * lattice.tau}
+    cols, args = [], {}
+    for terms, z in zip(tables, zs):
+        col: dict[str, dict] = {}  # kind -> {param: column}
+        for kind, param in (f for _, _, factors in terms for f in factors):
+            col.setdefault(kind, {}).setdefault(param, len(col[kind]))
+        cols.append(col)
+        for kind, c in col.items():
+            w, zc = np.array(list(c)), z[..., None]
+            arg = TWO_PI_I * w * zc if kind == EXP else zc - 0.5 * (1 + taus[kind]) - w
+            args.setdefault(kind, []).append(arg)
+    vals = {}
+    for kind, parts in args.items():
+        flat = np.concatenate([x.ravel() for x in parts])
         kernel = th.theta_raw_deriv if kind in (DTH, DTT) else th.theta_raw
-        vals[kind] = np.exp(TWO_PI_I * w * zc) if kind == EXP else kernel(zc - 0.5 * (1 + t) - w, t)
-    out = np.zeros(z.shape + (4,), dtype=complex)
-    for entry, coef, factors in terms:
-        v = coef
-        for kind, param in factors:
-            v = v * vals[kind][..., cols[kind][param]]
-        out[..., entry] += v
-    return out.reshape(z.shape + (2, 2))
+        flat = np.exp(flat) if kind == EXP else kernel(flat, taus[kind]) if flat.size else flat
+        ends = itertools.accumulate(x.size for x in parts)
+        vals[kind] = iter([flat[e - x.size:e].reshape(x.shape) for x, e in zip(parts, ends)])
+    out = []
+    for terms, z, col in zip(tables, zs, cols):
+        v_t = {kind: next(vals[kind]) for kind in col}
+        m = np.zeros(z.shape + (4,), dtype=complex)
+        for entry, coef, factors in terms:
+            v = coef
+            for kind, param in factors:
+                v = v * v_t[kind][..., col[kind][param]]
+            m[..., entry] += v
+        out.append(m.reshape(z.shape + (2, 2)))
+    return out
 
 
 def _framed(terms, shift: int, scale: complex, swap: bool):
@@ -312,7 +327,7 @@ class MorphismRep:
 
     def evaluator(self, z) -> np.ndarray:
         """alpha at an array of z: (..., 2, 2) matrices."""
-        return _evaluate(self.terms, z, self.upstream.lattice)
+        return evaluate_stack([self.terms], [z], self.upstream.lattice)[0]
 
 
 def check_equivariance(rep: MorphismRep, samples: int = 20, seed: int = 5) -> float:
@@ -324,9 +339,7 @@ def check_equivariance(rep: MorphismRep, samples: int = 20, seed: int = 5) -> fl
     lat = rep.upstream.lattice
     rng = np.random.default_rng(seed)
     z = (2 * rng.random(samples) - 0.5) + (2 * rng.random(samples) - 0.5) * lat.tau
-    a_z = rep.evaluator(z)
-    a_tau = rep.evaluator(z + lat.tau)
-    a_one = rep.evaluator(z + 1.0)
+    a_z, a_tau, a_one = evaluate_stack([rep.terms] * 3, [z, z + lat.tau, z + 1.0], lat)
     lhs = a_tau @ rep.result.factor(z)
     rhs = rep.upstream.factor(z) @ a_z
     scale = max(float(np.abs(rhs).max()), float(np.abs(a_z).max()), 1e-30)
@@ -348,28 +361,44 @@ def morphism_rep(es, ps, dirs) -> list[MorphismRep]:
     twist-invariant, so only the frame change between the stored and table
     presentations (a swap, a scalar exponential, or a constant diagonal
     for moving the G2 point) dresses the table row.  The direction is
-    transported through the frame's value at p before dispatch.  The G2
-    rows of the stack share one branch test and one inversion of their
-    transported directions (``theta._invert_lifts``).
+    transported through the frame's value at p before dispatch.  The
+    theta~ constants of the stack's ``ss:[x:y]`` rows are one kernel call;
+    its G2 rows share one frame evaluation, transport, branch test and
+    inversion of their transported directions (``theta._invert_lifts``).
     """
-    out = [None] * len(es)
-    g2 = []
+    out, g2 = [None] * len(es), []
+    lat = es[0].lattice if es else None
     for i, (e, p, a) in enumerate(zip(es, ps, dirs)):
         if isinstance(e, Decomposable):
             out[i] = _morphism_dec(e, p, a)
         elif isinstance(e, F2Twist):
             out[i] = _morphism_f2(e, p, a)
         else:
-            g2.append((i, *_g2_frame(e, p, a)))
+            # G2(p') tensor N as G2(p) tensor M: the exact half-difference
+            # lift makes the frame change a constant diagonal.
+            d = e.point_lift - p.lift
+            m = LineBundleClass(e.l.degree, e.l.lift + d / 2, e.lattice)
+            g2.append((i, m, (0, np.exp(1j * np.pi * d) if abs(d) > 1e-14 else 1.0, False)))
+    ss = [i for i, r in enumerate(out) if isinstance(r, tuple)]
+    if ss:
+        z = np.array([out[i][1] for i in ss])
+        consts = th.theta_tilde_w(np.concatenate([z, -z]), 0.5 - lat.tau, lat).tolist()
+        for i, minus, plus in zip(ss, consts, consts[len(ss):]):
+            out[i] = out[i][0](minus, plus)
     if g2:
-        lifts, idx = th._invert_lifts([g[3].a for g in g2], [g[3].c for g in g2],
-                                      es[g2[0][0]].lattice)
-        for (i, m, frame, _), w, k in zip(g2, lifts.tolist(), idx.tolist()):
+        mats = evaluate_stack([_framed(_IDENTITY, *frame) for _, _, frame in g2],
+                              [ps[i].lift for i, _, _ in g2], lat)
+        vecs = transport_directions(np.array(mats), np.array([dirs[i].vec for i, _, _ in g2]))
+        a_t = [ProjPoint(x, y) for x, y in vecs.tolist()]
+        lifts, idx = th._invert_lifts([d.a for d in a_t], [d.c for d in a_t], lat)
+        for (i, m, frame), w, k in zip(g2, lifts.tolist(), idx.tolist()):
             out[i] = _morphism_g2(es[i], ps[i], m, frame, k, w)
     return out
 
 
-def _morphism_dec(e: Decomposable, p: CurvePoint, a: ProjPoint) -> MorphismRep:
+def _morphism_dec(e: Decomposable, p: CurvePoint, a: ProjPoint):
+    """The row of a split bundle; for ``ss:[x:y]`` the pair (build, z) of a
+    builder of the row from theta~_{1/2 - tau} at z and -z, and z."""
     lat = e.lattice
     pt = p.lift
     swap = e.l1.degree < e.l2.degree
@@ -383,7 +412,7 @@ def _morphism_dec(e: Decomposable, p: CurvePoint, a: ProjPoint) -> MorphismRep:
     shift = round((t - pt if own else t).imag / lat.tau.imag) if trivial or own else 0
     frame = (shift, 1.0, swap)
     phi = _framed(_IDENTITY, *frame)
-    a_t = a if phi == _IDENTITY else transport_direction(_evaluate(phi, pt, lat), a)
+    a_t = a if phi == _IDENTITY else transport_direction(evaluate_stack([phi], [pt], lat)[0], a)
 
     theta_p = ((TH, pt),)
     pivot = ((0, 1.0, ()), (3, 1.0, theta_p))  # toward [1:0]
@@ -409,17 +438,21 @@ def _morphism_dec(e: Decomposable, p: CurvePoint, a: ProjPoint) -> MorphismRep:
         if a_t.is_infinity_dir():
             target = Decomposable(LineBundleClass(-1, -q_lift, lat).tensor(m), m)
             return finish("ss:[0:1]", counter, target)
-        sa = a_t.a / complex(th.theta_tilde_w(q_lift - pt, 0.5 - lat.tau, lat))
-        sb = a_t.c / complex(th.theta_tilde_w(pt - q_lift, 0.5 - lat.tau, lat))
-        e2t = np.exp(TWO_PI_I * t)
-        terms = (
-            (0, sa, ((TT, pt + t + 0.5 - lat.tau),)),
-            (1, -sa * e2t, ((TT, pt + t + 0.5),)),
-            (2, sb, ((TT, pt - t + 0.5 - lat.tau),)),
-            (3, -sb, ((TT, pt - t + 0.5),)),
-        )
-        target = G2Twist(q_lift, LineBundleClass(-1, -q_lift, lat).tensor(m))
-        return finish("ss:[x:y]", terms, target)
+
+        def scaled(theta_minus: complex, theta_plus: complex) -> MorphismRep:
+            # theta~_{1/2 - tau} at q - p and at p - q, from the stack's call.
+            sa, sb = a_t.a / theta_minus, a_t.c / theta_plus
+            e2t = np.exp(TWO_PI_I * t)
+            terms = (
+                (0, sa, ((TT, pt + t + 0.5 - lat.tau),)),
+                (1, -sa * e2t, ((TT, pt + t + 0.5),)),
+                (2, sb, ((TT, pt - t + 0.5 - lat.tau),)),
+                (3, -sb, ((TT, pt - t + 0.5),)),
+            )
+            target = G2Twist(q_lift, LineBundleClass(-1, -q_lift, lat).tensor(m))
+            return finish("ss:[x:y]", terms, target)
+
+        return scaled, q_lift - pt
 
     if own:
         if a_t.is_zero_dir():
@@ -469,20 +502,6 @@ def _morphism_f2(e: F2Twist, p: CurvePoint, a: ProjPoint) -> MorphismRep:
     )
     target = G2Twist(pt, LineBundleClass(-1, -pt, lat).tensor(m))
     return MorphismRep(terms, "F2:[lam:1]", e, target, p)
-
-
-def _g2_frame(e: G2Twist, p: CurvePoint, a: ProjPoint):
-    """(M, frame, transported direction) of a G2 row: G2(p') tensor N
-    rewritten as G2(p) tensor M; the exact half-difference lift makes the
-    frame change a constant diagonal."""
-    lat = e.lattice
-    pt = p.lift
-    m = LineBundleClass(e.l.degree, e.l.lift + (e.point_lift - pt) / 2, lat)
-    moved = abs(e.point_lift - pt) > 1e-14
-    frame = (0, np.exp(1j * np.pi * (e.point_lift - pt)) if moved else 1.0, False)
-    phi = _framed(_IDENTITY, *frame)
-    a_t = a if phi == _IDENTITY else transport_direction(_evaluate(phi, pt, lat), a)
-    return m, frame, a_t
 
 
 def _morphism_g2(e: G2Twist, p: CurvePoint, m: LineBundleClass, frame, idx: int,
@@ -560,18 +579,18 @@ def _stable_first_class(reps1, points, dirs) -> list[list[EllipticBundle]]:
     and intrinsic coordinates differ by the Moebius action of the
     first-step matrix at p2 (they agree only along unstable intermediates,
     where repeated subbundle modifications keep the coordinate constant).
-    Each first step is evaluated once, at all its second points, and every
-    second step of the stack is one ``morphism_rep`` call.
+    The stack's first steps at their second points are one
+    ``evaluate_stack`` call; its transports and second steps one call each.
     """
-    ups, pts, ds = [], [], []
-    for rep1, p2s, bs in zip(reps1, points, dirs):
+    for rep1, p2s in zip(reps1, points):
         if any(rep1.point == p2 for p2 in p2s):
             raise ValueError("modification points must be distinct")
-        avals = rep1.evaluator(np.array([p2.lift for p2 in p2s]))
-        ups += [rep1.result] * len(p2s)
-        pts += p2s
-        ds += [transport_direction(v, b) for v, b in zip(avals, bs)]
-    second = iter(morphism_rep(ups, pts, ds))
+    avals = evaluate_stack([r.terms for r in reps1], [[p2.lift for p2 in p2s] for p2s in points],
+                           reps1[0].point.lattice)
+    ups = [rep1.result for rep1, p2s in zip(reps1, points) for _ in p2s]
+    pts = [p2 for p2s in points for p2 in p2s]
+    vecs = transport_directions(np.concatenate(avals), np.array([b.vec for d in dirs for b in d]))
+    second = iter(morphism_rep(ups, pts, [ProjPoint(a, c) for a, c in vecs.tolist()]))
     out = []
     for rep1, p2s in zip(reps1, points):
         lat = rep1.point.lattice
@@ -697,20 +716,24 @@ def chain_lines(chains) -> list[list[ProjPoint]]:
     transported by the product of the steps before it.
 
     Each representative is evaluated once, at its own point and all later
-    ones; the chains of each length are read by one
-    ``chain_direction_vecs`` call.
+    ones, all in one ``evaluate_stack`` call; the chains of each length are
+    read by one ``chain_direction_vecs`` call.
     """
+    reps = [r for chain in chains for r in chain]
+    zs = [[r.point.lift for r in chain] for chain in chains]
+    flat = iter(evaluate_stack([r.terms for r in reps], [z[k:] for z in zs for k in range(len(z))],
+                               reps[0].point.lattice if reps else None))
+    vals = [[next(flat) for _ in chain] for chain in chains]
     by_length: dict[int, list[int]] = {}
-    for i, reps in enumerate(chains):
-        by_length.setdefault(len(reps), []).append(i)
+    for i, chain in enumerate(chains):
+        by_length.setdefault(len(chain), []).append(i)
     out = [[] for _ in chains]
     for n, idx in by_length.items():
         # Factor k at point i for k <= i; the rest is never read.
         factors = np.zeros((len(idx), n, n, 2, 2), dtype=complex)
         for b, i in enumerate(idx):
-            zs = np.array([r.point.lift for r in chains[i]])
-            for k, r in enumerate(chains[i]):
-                factors[b, k, k:] = r.evaluator(zs[k:])
+            for k, v in enumerate(vals[i]):
+                factors[b, k, k:] = v
         for i, vecs in zip(idx, chain_direction_vecs(factors).tolist()):
             out[i] = [ProjPoint(a, c) for a, c in vecs]
     return out
@@ -880,8 +903,8 @@ def sequence_from_coordinates(bases, points, taus) -> list[EllipticSequence]:
     pins the parabolic line at that point; ``sequence_from_lines`` builds
     the chains from those lines.  The marks' representatives are one
     ``morphism_rep`` call, the second directions one
-    ``second_direction_for_class`` call, and each mark representative is
-    evaluated once, at all its points.
+    ``second_direction_for_class`` call, and the mark representatives at
+    all their points one ``evaluate_stack`` call.
     """
     rep_q = morphism_rep([b.bundle for b in bases], [b.q for b in bases],
                          [b.line for b in bases])
@@ -889,10 +912,9 @@ def sequence_from_coordinates(bases, points, taus) -> list[EllipticSequence]:
             for p, t in zip(pts, ts)]
     # The second step's direction at its point is delta by construction.
     deltas = iter(second_direction_for_class(*zip(*flat)) if flat else ())
-    lines = []
-    for r, pts in zip(rep_q, points):
-        vals = r.evaluator(np.array([p.lift for p in pts])) if pts else ()
-        lines.append([ProjPoint(*(v @ next(deltas).vec)) for v in vals])
+    vals = evaluate_stack([r.terms for r in rep_q], [[p.lift for p in pts] for pts in points],
+                          bases[0].q.lattice if bases else None)
+    lines = [[ProjPoint(*(v @ next(deltas).vec)) for v in vs] for vs in vals]
     return sequence_from_lines(bases, points, lines)
 
 
@@ -900,7 +922,8 @@ def sequence_from_lines(bases, points, lines) -> list[EllipticSequence]:
     """The sequences at ``points[i]`` whose lines, in the trivialization of
     ``bases[i]``, are ``lines[i]``: each line is transported back through
     the composite of the steps before it to the direction its step takes.
-    Step j of every sequence in the stack is one ``morphism_rep`` call.
+    Step j of every sequence in the stack is one ``transport_directions``,
+    one ``morphism_rep`` and one ``evaluate_stack`` call (at later points).
 
     Raises ValueError unless each sequence's points are pairwise distinct
     and away from its mark.
@@ -918,12 +941,13 @@ def sequence_from_lines(bases, points, lines) -> list[EllipticSequence]:
     reps: list[list[MorphismRep]] = [[] for _ in bases]
     for i in range(max(map(len, points), default=0)):
         live = [k for k, pts in enumerate(points) if i < len(pts)]
-        step = morphism_rep(
-            [reps[k][-1].result if reps[k] else bases[k].bundle for k in live],
-            [points[k][i] for k in live],
-            [transport_direction(prefix[k][i], lines[k][i]) for k in live])
-        for k, rep in zip(live, step):
+        vecs = transport_directions(np.array([prefix[k][i] for k in live]),
+                                    np.array([lines[k][i].vec for k in live]))
+        step = morphism_rep([reps[k][-1].result if reps[k] else bases[k].bundle for k in live],
+                            [points[k][i] for k in live],
+                            [ProjPoint(a, c) for a, c in vecs.tolist()])
+        for k, rep, v in zip(live, step, evaluate_stack(
+                [r.terms for r in step], [zs[k][i + 1:] for k in live], bases[0].q.lattice)):
             reps[k].append(rep)
-            if i + 1 < len(points[k]):
-                prefix[k][i + 1:] = prefix[k][i + 1:] @ rep.evaluator(zs[k][i + 1:])
+            prefix[k][i + 1:] = prefix[k][i + 1:] @ v
     return [EllipticSequence(b, tuple(r)) for b, r in zip(bases, reps)]

@@ -18,6 +18,7 @@ from .elliptic import (
     EllipticBundle,
     EllipticSequence,
     bad_group_key,
+    chain_lines,
     is_semistable as elliptic_semistable,
 )
 
@@ -104,10 +105,6 @@ def stability(pb: ParabolicBundle) -> StabilityVerdict:
 # The correspondence between sequences and marked lines.
 
 
-def lines_from_elliptic_sequence(seq: EllipticSequence) -> list[Mark]:
-    return [Mark(p, d) for p, d in zip(seq.points, seq.lines())]
-
-
 def tuple_from_lines(marks: list[Mark]):
     """Inverse correspondence: the marks are exactly the direction tuple."""
     return [m.point for m in marks], [m.line for m in marks]
@@ -151,14 +148,20 @@ def hecke_embedding_rational(
     return ParabolicBundle(RationalBundle(0, 0), tuple(marks + list(aux)), weight)
 
 
-def hecke_embedding_elliptic(
-    seq: EllipticSequence, weight: float = DEFAULT_WEIGHT
-) -> ParabolicBundle:
-    """Embed an even minimal sequence on a marked bundle, adding the good
-    mark itself as the auxiliary line."""
-    if len(seq.reps) % 2:
-        raise ValueError("the embedding is defined for even-length sequences")
-    if not elliptic_semistable(seq.terminal):
-        raise TerminalNotMinimal(f"terminal bundle {seq.terminal} is unstable")
-    marks = lines_from_elliptic_sequence(seq) + [Mark(seq.base.q, seq.base.line)]
-    return ParabolicBundle(seq.base.bundle, tuple(marks), weight)
+def hecke_embeddings_elliptic(seqs, weight: float = DEFAULT_WEIGHT) -> list[ParabolicBundle]:
+    """Embed even minimal sequences on marked bundles, adding each good
+    mark itself as the auxiliary line; the lines of the whole stack are
+    one ``chain_lines`` read."""
+    for seq in seqs:
+        if len(seq.reps) % 2:
+            raise ValueError("the embedding is defined for even-length sequences")
+        if not elliptic_semistable(seq.terminal):
+            raise TerminalNotMinimal(f"terminal bundle {seq.terminal} is unstable")
+    return [ParabolicBundle(s.base.bundle,
+                            tuple(map(Mark, s.points + [s.base.q], lines + [s.base.line])), weight)
+            for s, lines in zip(seqs, chain_lines([s.reps for s in seqs]))]
+
+
+def hecke_embedding_elliptic(seq: EllipticSequence, weight=DEFAULT_WEIGHT) -> ParabolicBundle:
+    """A batch of one of ``hecke_embeddings_elliptic``."""
+    return hecke_embeddings_elliptic([seq], weight)[0]

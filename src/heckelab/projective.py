@@ -167,16 +167,19 @@ def rank_one_column_space(m: np.ndarray, rank_tol: float = PROJ_TOL,
     return (ProjPoint(x, y) if ok else None), s1, s2
 
 
-def transport_direction(mat: np.ndarray, point: ProjPoint) -> ProjPoint:
-    """Preimage of a direction under an invertible 2x2 matrix.
+def transport_directions(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Preimages (..., 2) of directions ``vecs`` (..., 2) under invertible
+    2x2 matrices ``mats`` (..., 2, 2): one batched solve, with row/column
+    equilibration so exponential frame anisotropy does not destroy the
+    projective answer."""
+    m = np.asarray(mats, dtype=complex)
+    r = np.abs(m).max(axis=-1)
+    m1 = m / r[..., :, None]
+    c = np.abs(m1).max(axis=-2)
+    m2 = m1 / c[..., None, :]
+    return np.linalg.solve(m2, (vecs / r)[..., None])[..., 0] / c
 
-    Solves with row/column equilibration so exponential frame
-    anisotropy does not destroy the projective answer.
-    """
-    m = np.asarray(mat, dtype=complex)
-    r = np.abs(m).max(axis=1)
-    m1 = m / r[:, None]
-    c = np.abs(m1).max(axis=0)
-    m2 = m1 / c[None, :]
-    u = np.linalg.solve(m2, point.vec / r)
-    return ProjPoint(u[0] / c[0], u[1] / c[1])
+
+def transport_direction(mat: np.ndarray, point: ProjPoint) -> ProjPoint:
+    """A batch of one of ``transport_directions``, as a ProjPoint."""
+    return ProjPoint(*transport_directions(mat, point.vec).tolist())

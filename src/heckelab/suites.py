@@ -695,21 +695,21 @@ def embed_check(report, config, rng):
     report.add_flag("split-verdicts", "distinct/equal line fixtures at two weights", ok)
 
     n_seq = _n(config, 200)
-    ok = True
+    by_length = {2: [], 3: [], 4: []}
     for k in range(n_seq):
         n = int(rng.integers(2, 5))
+        r = n // 2 + 1 if k % 2 else 1  # odd draws repeat their first line r times
+        a = random_point(rng)
+        by_length[n].append([a] * r + [random_point(rng) for _ in range(n - r)])
+    ok = True
+    for n, tuples in by_length.items():
         pts = rat.default_points(n)
-        if k % 2:
-            a = random_point(rng)
-            r = n // 2 + 1
-            dirs = [a] * r + [random_point(rng) for _ in range(n - r)]
-        else:
-            dirs = [random_point(rng) for _ in range(n)]
-        marks = [par.Mark(p, d) for p, d in zip(pts, dirs)]
-        verdict = par.stability(par.ParabolicBundle(O00, tuple(marks)))
-        terminal = par.rational_terminal_class(marks)
-        if verdict.verdict is V.UNSTABLE and terminal.is_semistable():
-            ok = False
+        lengths = rat.terminal_hecke_lengths(pts, rat.direction_vecs(tuples)) if tuples else ()
+        for dirs, length in zip(tuples, lengths):
+            marks = tuple(par.Mark(p, d) for p, d in zip(pts, dirs))
+            # The terminal class is semistable exactly at Hecke length 0.
+            verdict = par.stability(par.ParabolicBundle(O00, marks)).verdict
+            ok &= not (verdict is V.UNSTABLE and length == 0)
     report.add_flag("unstable-marks-unstable-terminal-rational",
                     f"{n_seq} seeded sequences, lengths 2..4", ok)
 
@@ -749,16 +749,25 @@ def embed_check(report, config, rng):
             ok = False
     report.add_flag("rational-embedding-stable", "even-length fixtures, three marks added", ok)
 
-    ok = True
-    for k in range(10):
-        q, p1, p2 = _torus_points(rng, lat, 3)
-        base = ell.base_from_coordinate(_cover_draws(rng, lat, 1), [q])
-        while True:
-            seq = ell.sequence_from_coordinates(base, [[p1, p2]], [_cover_draws(rng, lat, 2)])
-            if ell.membership_Hp(seq)[0]:
-                break
-        seq = seq[0]
-        pb = par.hecke_embedding_elliptic(seq)
-        if par.stability(pb).verdict is not V.STABLE:
-            ok = False
+    # Every draw first, in the order of a per-draw loop that redraws a pair
+    # until its sequence is a member; a (measure-zero) rejection rewinds the
+    # generator to just after that draw and redraws from its pair on.
+    seqs, kept = [], []
+    while len(seqs) < 10:
+        draws, states = kept, []
+        for k in range(10 - len(seqs)):
+            if k == len(draws):
+                draws.append((_torus_points(rng, lat, 3), _curve_point(rng, lat).lift))
+            draws[k] += tuple(p.lift for p in _curve_points(rng, lat, 2))
+            states.append(rng.bit_generator.state)
+        covers = th._cover_points([z for d in draws for z in d[1:]], lat)
+        bases = ell.base_from_coordinate(covers[0::3], [d[0][0] for d in draws])
+        pairs = [covers[3 * k + 1:3 * k + 3] for k in range(len(draws))]
+        batch = ell.sequence_from_coordinates(bases, [d[0][1:] for d in draws], pairs)
+        j = (ell.membership_Hp(batch) + [False]).index(False)
+        seqs += batch[:j]
+        if j < len(batch):
+            rng.bit_generator.state = states[j]
+            kept = [draws[j][:2]]
+    ok = all(par.stability(pb).verdict is V.STABLE for pb in par.hecke_embeddings_elliptic(seqs))
     report.add_flag("elliptic-embedding-stable", "members of the length-two space", ok)

@@ -42,14 +42,17 @@ ELLIPTIC_DECISIONS = {
     ("compute-space T2 2", 0.21 + 1.3j, 8): {
         seed: [("embedding-injectivity", "pass", None, f"min-distance={mind}"),
                ("curve-excluded", "pass", 0.0, ""), ("far-tuples-included", "pass", 0.0, "")]
-        for seed, mind in ((7, "0.044712"), (11, "0.035089"))
+        for seed, mind in ((7, "0.044712"), (11, "0.035089"), (12345, "0.029939"))
     },
     ("embed-check", 0.3 + 0.45j, 10): {
         seed: [(name, "pass", 0.0, "") for name in (
             "split-verdicts", "unstable-marks-unstable-terminal-rational",
             "unstable-marks-unstable-terminal-elliptic", "rational-embedding-stable",
             "elliptic-embedding-stable")]
-        for seed in (7, 11)
+        for seed in (7, 11, 12345)
+    },
+    ("compute-space T2 1", 0.3 + 0.45j, 30): {
+        seed: [("bijectivity-roundtrip", "pass", None, "")] for seed in (7, 11, 12345)
     },
 }
 

@@ -6,6 +6,7 @@ import pytest
 
 from heckelab import cli
 from heckelab import elliptic as ell
+from heckelab import rational as rat
 from heckelab import suites
 from heckelab import theta as th
 from heckelab.elliptic import (
@@ -453,7 +454,7 @@ class TestSequenceFromLines:
             return original(es, ps, dirs)
 
         monkeypatch.setattr(ell, "morphism_rep", counting)
-        par.lines_from_elliptic_sequence(seq)
+        seq.lines()
         par.hecke_embedding_elliptic(seq)
         assert calls == []
         ell.h_total([seq])[0]
@@ -908,6 +909,31 @@ def test_term_tables_match_closure_reference(tau):
             assert (err / np.abs(want).max(axis=(-2, -1))).max() <= 1e-14, name
 
 
+@pytest.mark.parametrize("tau", REF_TAUS)
+def test_evaluate_stack_matches_batches_of_one(tau):
+    # Every row of the closure-reference fixtures in one stack, each table
+    # at its own points: ragged 1-D arrays (some empty), a scalar and a 2-D
+    # array, within 1e-13 of each matrix's largest entry.
+    lat = Lattice(tau)
+    rng = np.random.default_rng(23)
+    cases = [(name, *make(rng)) for name, make in suites._elliptic_row_fixtures(lat, rng)
+             for _ in range(3)]
+    cases += all_row_fixtures(lat)
+    reps = ell.morphism_rep(*zip(*[(b, p, a) for _, b, p, a in cases]))
+    box = (2 * rng.random(40) - 0.5) + (2 * rng.random(40) - 0.5) * tau
+    zs = [box[i % 5:i % 5 + i % 7] for i in range(len(reps))]
+    zs[1], zs[2] = np.asarray(reps[1].point.lift), box[:12].reshape(3, 4)
+    assert {z.size for z in zs} >= {0, 1, 6}
+    stacked = ell.evaluate_stack([r.terms for r in reps], zs, lat)
+    for (name, *_), rep, z, got in zip(cases, reps, zs, stacked):
+        want = rep.evaluator(z)
+        assert got.shape == want.shape == z.shape + (2, 2), name
+        if z.size:
+            err = np.abs(got - want).max(axis=(-2, -1)) / np.abs(want).max(axis=(-2, -1))
+            assert err.max() <= 1e-13, name
+    assert ell.evaluate_stack([], [], lat) == []
+
+
 # ---------------------------------------------------------------------------
 # Stacked passes: element i of a stack is a batch of one of draw i, and the
 # suites draw every input first in the order of a per-draw loop.
@@ -945,7 +971,7 @@ def stacked_inputs(lat, seed):
     lines[2] = [ProjPoint(0, 1), ProjPoint(1, 0)]
     # Second line of draw 3 chosen so its step on G2 is toward bp[3] (row G2:a4).
     rep1 = ell.morphism_rep([bases[3].bundle], [p1], lines[3][:1])[0]
-    scale = ell._g2_frame(rep1.result, p2, bp[3])[1][1]
+    scale = np.exp(1j * np.pi * (rep1.result.point_lift - p2.lift))  # the G2 frame's diagonal
     lines[3][1] = ProjPoint(*(rep1.evaluator(np.asarray(p2.lift)) @ [bp[3].a, scale * bp[3].c]))
     return rng, q, p1, p2, coords, bases, lines
 
@@ -1186,3 +1212,69 @@ def test_embed_check_elliptic_draws_in_per_draw_order(monkeypatch, seed):
     assert all(line == [ProjPoint(1, 0)] * 2 for line in bad_lines)
     assert [same_points(p, d[0][1:]) for p, d in zip(points, draws[0::2])] == [True] * 6
     assert same_targets([t for pair in taus for t in pair], [t for d in draws for t in d[2]])
+
+
+def ref_embedding_draws(ref, lat, n_seq, reject):
+    """The draws of embed-check's ``elliptic-embedding-stable`` section from
+    a per-draw loop that redraws a pair until its sequence is a member,
+    after replaying the earlier sections' draws; the first pair of draw
+    ``reject`` counts as a non-member.  Returns (points, base coordinate,
+    accepted pair, rejected pairs) per draw."""
+    for k in range(n_seq):  # the rational terminal section
+        n = int(ref.integers(2, 5))
+        [random_point(ref) for _ in range(n - (n // 2 + 1) + 1 if k % 2 else n)]
+    for k in range(n_seq):  # the elliptic terminal section
+        ref_torus_points(ref, lat, 3)
+        [ref_curve_point(ref, lat) for _ in range(1 if k % 2 else 3)]
+    for k in range(10):  # the rational embedding section
+        rat.random_minimal_sequence(2 + 2 * (k % 2), ref)
+    draws = []
+    for k in range(10):
+        pts = ref_torus_points(ref, lat, 3)
+        tau0 = ref_cover_draw(ref, lat)
+        base = ell.base_from_coordinate([tau0], pts[:1])
+        rejected = []
+        while True:
+            pair = [ref_cover_draw(ref, lat) for _ in range(2)]
+            seq = ell.sequence_from_coordinates(base, [pts[1:]], [pair])
+            if ell.membership_Hp(seq)[0] and not (k == reject and not rejected):
+                break
+            rejected.append(pair)
+        draws.append((pts, tau0, pair, rejected))
+    return draws
+
+
+@pytest.mark.parametrize("seed, reject", [(7, None), (11, None), (12345, None), (11, 3)])
+def test_embedding_stable_draws_in_per_draw_order(monkeypatch, seed, reject):
+    lat, n_seq = Lattice(), 4
+    ref = np.random.default_rng(seed)
+    draws = ref_embedding_draws(ref, lat, n_seq, reject)
+    member = ell.membership_Hp
+    first = []
+
+    def rejecting(seqs):
+        out = member(seqs)
+        if reject is not None and not first:
+            first.append(seqs)
+            out[reject] = False
+        return out
+
+    monkeypatch.setattr(ell, "membership_Hp", rejecting)
+    rng = np.random.default_rng(seed)
+    calls = spy_suite(monkeypatch, rng, None, "embed-check", n_seq)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    passes = list(zip(calls["base_from_coordinate"][1:], calls["sequence_from_coordinates"][1:]))
+    assert len(passes) == (1 if reject is None else 2)
+    # Each pass keeps the draws before its first rejection.
+    got = []
+    for (((tau0, qs), _), ((_, points, pairs), _)), keep in zip(passes, [reject, None]):
+        got += [(q, *pts, t, pair) for q, pts, t, pair in zip(qs, points, tau0, pairs)][:keep]
+    assert len(got) == 10
+    for (q, p1, p2, tau0, pair), (pts, t0, want, _) in zip(got, draws):
+        assert same_points([q, p1, p2], pts) and same_targets([tau0, *pair], [t0, *want])
+    if reject is not None:
+        (tau0, qs), _ = passes[0][0]
+        (_, points, pairs), _ = passes[0][1]
+        pts, t0, _, rejected = draws[reject]
+        assert rejected and same_points([qs[reject], *points[reject]], pts)
+        assert same_targets([tau0[reject], *pairs[reject]], [t0, *rejected[0]])

@@ -202,7 +202,8 @@ class TestLemmaDirection:
                 v = np.linalg.solve(val, bad.vec)
                 reps.append(ell.morphism_rep([current], [pnt], [ProjPoint(v[0], v[1])])[0])
                 current = reps[-1].result
-            marks = par.lines_from_elliptic_sequence(ell.EllipticSequence(base, tuple(reps)))
+            seq = ell.EllipticSequence(base, tuple(reps))
+            marks = [Mark(p, d) for p, d in zip(seq.points, seq.lines())]
             pb = ParabolicBundle(base.bundle, tuple(marks))
             assert stability(pb).verdict is Verdict.UNSTABLE
             assert not ell.is_semistable(current)

@@ -9,6 +9,8 @@ from heckelab.projective import (
     chordal_vecs,
     rank_one_column_space,
     rank_one_column_spaces,
+    transport_direction,
+    transport_directions,
 )
 
 
@@ -120,3 +122,32 @@ def test_chordal_vecs_matches_points():
     v = rng.normal(size=(30, 2)) + 1j * rng.normal(size=(30, 2))
     want = [chordal(ProjPoint(*a), ProjPoint(*b)) for a, b in zip(u, v)]
     assert np.allclose(chordal_vecs(u, v), want, rtol=1e-14, atol=0)
+
+
+def _ref_transport(m, vec):
+    """Reference copy of the one-matrix equilibrated solve the stacked form
+    replaced: the preimage's homogeneous vector."""
+    r = np.abs(m).max(axis=1)
+    m1 = m / r[:, None]
+    c = np.abs(m1).max(axis=0)
+    u = np.linalg.solve(m1 / c[None, :], vec / r)
+    return np.array([u[0] / c[0], u[1] / c[1]])
+
+
+def test_stacked_transport_is_bit_identical_per_element():
+    rng = np.random.default_rng(8)
+    mats = rng.normal(size=(60, 2, 2)) + 1j * rng.normal(size=(60, 2, 2))
+    mats[:20, 0] *= np.exp(rng.uniform(-30, 30, size=(20, 1)))  # exponential frame anisotropy
+    mats[20:30, 0, 1] = mats[20:30, 1, 0] = 0  # constant diagonal frames
+    mats[30] = np.eye(2)
+    vecs = rng.normal(size=(60, 2)) + 1j * rng.normal(size=(60, 2))
+    vecs[40] = [1, 0]
+    vecs[41] = [0, 1]
+    want = np.array([_ref_transport(m, v) for m, v in zip(mats, vecs)])
+    assert np.array_equal(transport_directions(mats, vecs), want)
+    assert np.array_equal(transport_directions(mats[:, None], vecs[:, None])[:, 0], want)
+    assert transport_directions(mats[:0], vecs[:0]).shape == (0, 2)
+    for m, v in zip(mats, vecs):
+        p = ProjPoint(*v)
+        got, ref = transport_direction(m, p), ProjPoint(*_ref_transport(m, p.vec))
+        assert (got.a, got.c) == (ref.a, ref.c)
