@@ -161,14 +161,15 @@ def composites(coeffs: np.ndarray) -> np.ndarray:
     """Composite coefficients (B, 2, 2, n + 1), ascending in z, of the step
     coefficients (B, n, 2, 2, 2), multiplied left to right."""
     batch, n = coeffs.shape[:2]
-    p = np.zeros((batch, n + 1, 2, 2), dtype=complex)
-    p[:, 0] = np.eye(2)
+    p = np.zeros((batch, 2, 2, n + 1), dtype=complex)
+    p[:, 0, 0, 0] = p[:, 1, 1, 0] = 1.0
     for i in range(n):
-        q = p[:, : i + 1]
-        hi = q @ coeffs[:, i, None, ..., 1]
-        p[:, : i + 1] = q @ coeffs[:, i, None, ..., 0]
-        p[:, 1 : i + 2] += hi
-    return np.moveaxis(p, 1, -1)
+        # Entry (a, j) of P c, per power of z of c: sum over k of P_ak c_kj,
+        # axes (B, a, k, j, power of c, power of P).
+        s = (p[:, :, :, None, None, : i + 1] * coeffs[:, i, None, ..., None]).sum(axis=2)
+        p[..., : i + 1] = s[..., 0, :]
+        p[..., 1 : i + 2] += s[..., 1, :]
+    return p
 
 
 def h_vecs(points: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -343,20 +344,34 @@ def random_minimal_sequence(
     points: list[complex] | None = None,
     zero_dir_rate: float = 0.25,
 ) -> RationalSequence:
-    """A random sequence whose terminal bundle has minimal Hecke length.
+    """A random sequence whose terminal bundle has minimal Hecke length, at
+    ``points`` (default ``default_points``), directions from
+    ``minimal_direction_vecs``."""
+    if points is None:
+        points = default_points(n)
+    return RationalSequence(points, minimal_direction_vecs(len(points), rng, zero_dir_rate))
+
+
+def minimal_direction_vecs(n: int, rng: np.random.Generator,
+                           zero_dir_rate: float = 0.25) -> list[tuple[complex, complex]]:
+    """Directions of a random sequence of n steps with minimal terminal Hecke
+    length, as ``ProjPoint`` normalizes them (the larger coordinate 1).
 
     From a semistable class every direction raises the length (draw any
     direction, occasionally the distinguished [1:0]); from an unstable
-    class only non-[1:0] directions lower it, so those are forced.
+    class only non-[1:0] directions lower it, so those are forced.  Per
+    step: one ``random()`` from a semistable class, then, unless [1:0] was
+    drawn, one ``normal()`` pair.
     """
-    if points is None:
-        points = default_points(n)
     vecs, length = [], 0
-    for _ in points:
+    for _ in range(n):
         if length == 0 and rng.random() < zero_dir_rate:
-            d = ProjPoint(1.0, 0.0)
+            vec = (1.0 + 0.0j, 0.0j)
         else:
-            d = ProjPoint(rng.normal() + 1j * rng.normal(), 1.0)
-        vecs.append((d.a, d.c))
-        length += 1 if length == 0 or d.is_zero_dir() else -1
-    return RationalSequence(points, vecs)
+            lam = rng.normal() + 1j * rng.normal()
+            # ProjPoint(lam, 1.0), in its Python complex arithmetic.
+            vec = (1.0 + 0.0j, 1.0 / lam) if abs(lam) >= 1.0 else (lam / 1.0, 1.0 + 0.0j)
+        vecs.append(vec)
+        # ProjPoint.is_zero_dir: the first coordinate is 1 whenever the second is below 1.
+        length += 1 if length == 0 or abs(vec[1]) < PROJ_TOL else -1
+    return vecs

@@ -13,14 +13,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .projective import chordal_vecs
+from .projective import chordal_vecs, rank_one_column_spaces
 from .rational import (
+    RANK_DROP_TOL,
     RationalSequence,
     above_degree_matrix,
     composites,
     h_vecs,
+    minimal_direction_vecs,
     product_matrix,
-    random_minimal_sequence,
+    two_column_ratio,
 )
 
 #: Eigenvalues closer than this are treated as a degenerate spectrum.
@@ -50,8 +52,16 @@ def slice_matrices(coeffs: np.ndarray, terminal: np.ndarray) -> np.ndarray:
     semistable terminal, given by the step coefficients (B, n, 2, 2, 2) and
     terminal Hecke lengths (B,) of stacked sequences; the basis is
     {z^{m-1} e1, z^{m-1} e2, ..., e1, e2} and the result lies in the slice
-    with eigenvalues at the modification points.  Any sequence with an
-    unstable terminal or a singular reduction raises ReductionFailure.
+    with eigenvalues at the modification points.
+
+    The terminal type (-m, -m) makes the image N = P C[z]^2 free on two
+    elements of degree m: P g for the 2-dimensional kernel of the
+    coefficients of P g above degree m (deg g <= m), one small SVD per
+    sequence.  Their z^m coefficient L is invertible, so Q L^{-1} =
+    z^m + sum_t C_t z^t is the monic generator and z^m e_j reduces to
+    -sum_t C_t e_j z^t: the left block column is -C_{m-1}, ..., -C_0.  Any
+    sequence with an unstable terminal, a kernel of another dimension or a
+    singular L raises ReductionFailure.
     """
     batch, n = coeffs.shape[:2]
     if n == 0 or n % 2:
@@ -62,48 +72,58 @@ def slice_matrices(coeffs: np.ndarray, terminal: np.ndarray) -> np.ndarray:
     m = n // 2
     p = composites(coeffs)
     p /= np.abs(p).max(axis=(-3, -2, -1), keepdims=True)
-    # P g for g of degree <= 2m suffices (adjugate bound); the coefficients
-    # above degree 2m must vanish.
-    _, s, vh = np.linalg.svd(above_degree_matrix(p, n))
-    rank = np.sum(s > 1e-9 * np.maximum(s[:, :1], 1.0), axis=1)
+    _, s, vh = np.linalg.svd(above_degree_matrix(p, m), full_matrices=False)
+    rank = np.sum(s > RANK_DROP_TOL * np.maximum(s[:, :1], 1.0), axis=1)
     if (rank != n).any():
-        dim = 2 * n + 2 - rank[np.argmax(rank != n)]
-        raise ReductionFailure(f"degree-bounded submodule has dimension {dim}, not {n + 2}")
-    # Basis of the degree-bounded part of the image submodule, dimension 2m + 2.
-    basis = product_matrix(p, n, np.arange(n + 1)) @ np.swapaxes(vh[:, n:].conj(), 1, 2)
-    # Reduce z * (z^{m-1} e_j), i.e. z^m e_j, against the quotient basis
-    # {z^k e_j : k < m} in the decreasing-power block order plus the basis.
-    quotient = np.array([j * (n + 1) + m - 1 - blk for blk in range(m) for j in range(2)])
-    system = np.concatenate([np.broadcast_to(np.eye(2 * n + 2)[:, quotient], (batch, 2 * n + 2, n)),
-                             basis], axis=2)
-    targets = np.eye(2 * n + 2)[:, [m, n + 1 + m]]
-    u, s, vh = np.linalg.svd(system)
-    # lstsq's rank rule (rcond = eps * max(M, N)) and residual bound.
-    if (s[:, -1] <= np.finfo(float).eps * (2 * n + 2) * s[:, 0]).any():
-        raise ReductionFailure("module reduction system is singular")
-    sol = np.swapaxes(vh.conj(), 1, 2) @ ((np.swapaxes(u.conj(), 1, 2) @ targets) / s[..., None])
-    if np.linalg.norm(system @ sol - targets, axis=1).max() > 1e-8:
-        raise ReductionFailure("module reduction system is singular")
+        dim = n + 2 - rank[np.argmax(rank != n)]
+        raise ReductionFailure(f"degree-bounded submodule has dimension {dim}, not 2")
+    # Coefficients Q_t (B, m + 1, 2, 2) of the two generators P g.
+    q = product_matrix(p, m, np.arange(m + 1)) @ np.swapaxes(vh[:, n:].conj(), 1, 2)
+    q = np.swapaxes(q.reshape(batch, 2, m + 1, 2), 1, 2)
+    lead = q[:, m]
+    # A rank-deficient L: the kernel also has dimension 2 for composites of
+    # type (-(m - 1), -(m + 1)).
+    if (two_column_ratio(lead) < RANK_DROP_TOL).any():
+        raise ReductionFailure("leading coefficient of the degree-m generators is singular")
+    # C_t = Q_t L^{-1}, from L^T C_t^T = Q_t^T.
+    c = np.swapaxes(np.linalg.solve(np.swapaxes(lead, 1, 2)[:, None],
+                                    np.swapaxes(q[:, :m], 2, 3)), 2, 3)
+    if np.abs(c @ lead[:, None] - q[:, :m]).max() > 1e-8 * np.abs(q).max():
+        raise ReductionFailure("monic generator residual too large")
     a = np.zeros((batch, n, n), dtype=complex)
     a[:, : n - 2, 2:] = np.eye(n - 2)
-    a[:, :, :2] = sol[:, :n]
+    a[:, :, :2] = -c[:, ::-1].reshape(batch, n, 2)
     return a
 
 
 def woodward_vecs(a: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
-    """Last 2-block of the left eigenvectors of stacked matrices (..., N, N),
+    """Last 2-block of the left eigenvectors of stacked slices (..., 2m, 2m),
     one homogeneous vector (..., k, 2) per eigenvalue (..., k).
 
-    Each is the least-norm kernel vector v of v A = mu v, from the SVD of
-    A^T - mu.  The eigenvalue order is the caller's; it is never sorted
+    For left blocks A_1..A_m, the left eigenvector v of mu has blocks
+    v_j = mu^{m-j} v_m, and v_m spans the left kernel of the 2x2
+    M(mu) = mu^m - sum_k mu^{m-k} A_k: it is (y, -x) for the column space
+    [x:y] of M(mu), by ``rank_one_column_spaces``.  Only the left block
+    column is read, so any other 2m x 2m input with m > 1 raises
+    ValueError.  The eigenvalue order is the caller's; it is never sorted
     here because the diagram comparison is order-sensitive.
     """
     i, j = np.triu_indices(eigenvalues.shape[-1], 1)
     gaps = np.abs(eigenvalues[..., i] - eigenvalues[..., j])
     if (gaps < SPECTRUM_GAP).any():
         raise DegenerateSpectrum(f"two eigenvalues collide (gap {gaps.min():.3e})")
-    mat = np.swapaxes(a, -1, -2)[..., None, :, :] - eigenvalues[..., None, None] * np.eye(a.shape[-1])
-    return np.linalg.svd(mat)[2][..., -1, -2:].conj()
+    n = a.shape[-1]
+    if n % 2 or (a[..., 2:] != np.eye(n, n - 2)).any():
+        raise ValueError("not a block-companion slice: identity superdiagonal blocks, "
+                         "zeros elsewhere right of the left block column")
+    blocks = a[..., :2].reshape(a.shape[:-2] + (1, n // 2, 2, 2))
+    mu = eigenvalues[..., None, None]
+    # Horner: M_0 = 1, M_k = mu M_{k-1} - A_k.
+    mat = np.broadcast_to(np.eye(2, dtype=complex), mu.shape[:-2] + (2, 2))
+    for k in range(n // 2):
+        mat = mu * mat - blocks[..., k, :, :]
+    x, y = np.moveaxis(rank_one_column_spaces(mat)[0], -1, 0)
+    return np.stack([y, -x], axis=-1)
 
 
 def conjecture_residuals(seq: RationalSequence) -> np.ndarray:
@@ -131,17 +151,26 @@ def separated_points(count: int, rng: np.random.Generator, gap: float = 0.3) -> 
     return pts
 
 
+def conjecture_draws(m: int, count: int, rng: np.random.Generator) -> RationalSequence:
+    """``count`` random minimal sequences of length 2m, stacked: per draw,
+    ``separated_points`` and then ``minimal_direction_vecs``, the rng order
+    of ``random_minimal_sequence`` at those points."""
+    points, vecs = [], []
+    for _ in range(count):
+        points.append(separated_points(2 * m, rng))
+        vecs.append(minimal_direction_vecs(2 * m, rng))
+    return RationalSequence(points, vecs)
+
+
 def conjecture_check(m: int, samples: int, rng: np.random.Generator) -> float:
     """Max residual over ``samples`` random sequences of length 2m.
 
-    Sequences are drawn CONJECTURE_CHUNK at a time in draw order, stacked
-    into one sequence array and decided in one pass; the chunk bounds the
-    arrays alive at once, and past 100 a larger one saves no time.
+    Sequences are drawn CONJECTURE_CHUNK at a time by ``conjecture_draws``
+    and decided in one pass; the chunk bounds the arrays alive at once, and
+    past 100 a larger one saves no time.
     """
     worst = 0.0
     for start in range(0, samples, CONJECTURE_CHUNK):
-        draws = [random_minimal_sequence(2 * m, rng, points=separated_points(2 * m, rng))
-                 for _ in range(min(CONJECTURE_CHUNK, samples - start))]
-        seq = RationalSequence([d.points for d in draws], [d.vecs for d in draws])
+        seq = conjecture_draws(m, min(CONJECTURE_CHUNK, samples - start), rng)
         worst = max(worst, float(conjecture_residuals(seq).max()))
     return worst

@@ -277,6 +277,29 @@ def test_random_minimal_sequences_are_minimal():
             assert rat.membership_H(n, [ProjPoint(*v) for v in seq.h_map()], seq.points)
 
 
+def reference_composites(coeffs):
+    """The stacked-matmul loop that ``composites`` replaced: 2x2 products on
+    (B, i + 1, 2, 2) slices, degree on axis 1."""
+    batch, n = coeffs.shape[:2]
+    p = np.zeros((batch, n + 1, 2, 2), dtype=complex)
+    p[:, 0] = np.eye(2)
+    for i in range(n):
+        q = p[:, : i + 1]
+        hi = q @ coeffs[:, i, None, ..., 1]
+        p[:, : i + 1] = q @ coeffs[:, i, None, ..., 0]
+        p[:, 1 : i + 2] += hi
+    return np.moveaxis(p, 1, -1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+def test_composites_bit_equal_to_the_matmul_loop(n):
+    rng = np.random.default_rng(60 + n)
+    seq = RationalSequence(np.broadcast_to(rat.default_points(n), (80, n)),
+                           rat.direction_vecs(mixed_tuples(rng, n, 80)))
+    coeffs = seq.coeffs()
+    assert np.array_equal(rat.composites(coeffs), reference_composites(coeffs))
+
+
 # ---------------------------------------------------------------------------
 # The batched membership core against the per-tuple loops it replaced.
 

@@ -19,6 +19,7 @@ from heckelab.seidel_smith import (
     DegenerateSpectrum,
     ReductionFailure,
     conjecture_check,
+    conjecture_draws,
     conjecture_residuals,
     kamnitzer,
     separated_points,
@@ -273,6 +274,26 @@ class TestWoodward:
             v = np.concatenate([mu * w, w])
             assert np.abs(v @ dense - mu * v).max() < 1e-9 * np.abs(v).max()
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_closed_form_matches_full_svd(self, m):
+        rng = np.random.default_rng(40 + m)
+        for _ in range(20):
+            s = SlodowyMatrix(tuple(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+                                    for _ in range(m)))
+            ev = chi(s)
+            ref = _ref_woodward(s.dense(), ev)
+            for p, q in zip(woodward_points(s.dense(), ev), ref):
+                assert chordal(p, q) <= 1e-12
+
+    def test_rejects_a_matrix_outside_the_slice(self):
+        dense = np.random.default_rng(8).normal(size=(4, 4)).astype(complex)
+        with pytest.raises(ValueError, match="slice"):
+            woodward_vecs(dense, chi(dense))
+        almost = SlodowyMatrix((np.eye(2), np.eye(2))).dense()
+        almost[0, 3] = 1e-20
+        with pytest.raises(ValueError, match="slice"):
+            woodward_vecs(almost, np.array([1.0, 2.0, 3.0, 4.0]))
+
     def test_at_most_m_coincidences(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
@@ -296,6 +317,10 @@ class TestConjecture:
         rng = np.random.default_rng(6)
         assert conjecture_check(1, 60, rng) < 1e-8
         assert conjecture_check(2, 60, rng) < 1e-8
+
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_m4_residual_at_roundoff(self, seed):
+        assert conjecture_check(4, 50, np.random.default_rng(seed)) < 1e-12
 
     def test_m3_sweep_reports(self):
         residual = conjecture_check(3, 10, np.random.default_rng(7))
@@ -349,6 +374,33 @@ class TestStackedPass:
         coeffs[1, :, 0, 0, 0] = 1.0  # every step diag(1, 0): P is singular, every g qualifies
         with pytest.raises(ReductionFailure, match="dimension"):
             slice_matrices(coeffs, terminal)
+
+    @pytest.mark.parametrize("dirs", [
+        [ProjPoint(0.4, 1), ProjPoint(1, 0)],
+        [ProjPoint(0.4, 1), ProjPoint(1, 0), ProjPoint(1, 0), ProjPoint(0.3, 1)],
+        [ProjPoint(0.5, 1), ProjPoint(0.2, 1), ProjPoint(1, 0), ProjPoint(1, 0)],
+        [ProjPoint(1, 0)] * 4,
+    ])
+    def test_unstable_terminal_passed_as_semistable_raises(self, dirs):
+        bad = sequence([MU1, MU2, 0.1 - 0.5j, -0.6 + 0.3j][: len(dirs)], dirs)
+        assert bad.hecke_lengths()[-1] > 0
+        with pytest.raises(ReductionFailure):
+            slice_matrices(bad.coeffs()[None], np.zeros(1))
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [7, 11, 12345])
+    def test_stacked_draws_match_per_draw_sequences(self, m, seed):
+        rng = np.random.default_rng(seed)
+        seq = conjecture_draws(m, 40, rng)
+        # The per-draw loop of ``_draws``, with its generator kept;
+        # test_rational checks random_minimal_sequence against per-step
+        # ProjPoint draws.
+        ref_rng = np.random.default_rng(seed)
+        ref = stack([random_minimal_sequence(2 * m, ref_rng, points=separated_points(2 * m, ref_rng))
+                     for _ in range(40)])
+        assert np.array_equal(seq.points, ref.points)
+        assert np.array_equal(seq.vecs, ref.vecs)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_close_eigenvalues_in_batch_raise_like_scalar(self):
         a = np.diag([MU1, MU2]).astype(complex)
