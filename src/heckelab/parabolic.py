@@ -12,7 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .projective import PROJ_TOL, ProjPoint, chordal
+import numpy as np
+
+from .projective import PROJ_TOL, ProjPoint, chordal, chordal_vecs
 from .rational import RationalBundle, RationalSequence, terminal_hecke_length
 from .elliptic import (
     EllipticBundle,
@@ -72,33 +74,41 @@ def _underlying_semistable(u) -> bool:
 
 
 def max_bad_group(pb: ParabolicBundle) -> int:
-    """The most marks whose lines one maximal-slope subbundle witnesses as
-    bad: marks with equal witnesses (``bad_group_key``) form one group."""
-    u = pb.underlying
-    if not _underlying_semistable(u):
-        raise UnderlyingUnstable(f"{u} is unstable")
+    """The most marks whose lines one maximal-slope subbundle witnesses as bad."""
+    if not _underlying_semistable(pb.underlying):
+        raise UnderlyingUnstable(f"{pb.underlying} is unstable")
+    return stability(pb).witness
+
+
+def stabilities(pbs: list[ParabolicBundle]) -> list[StabilityVerdict]:
+    """Small-weight verdicts: compare each largest bad group m with n/2.
+
+    Marks with witnesses equal as ``ProjPoint ==`` decides form one group;
+    the keys of all bundles, padded to (B, w, 2), are compared in one
+    ``chordal_vecs`` call.  An unstable underlying bundle is parabolically
+    unstable outright (its maximal subbundle wins by at least 1/2 against
+    any weight sum), with witness n.
+    """
+    ok = [_underlying_semistable(pb.underlying) for pb in pbs]
     # A split semistable rational bundle has every line as the fiber of a
     # constant subbundle, which witnesses that line itself.
-    keys = [m.line if isinstance(u, RationalBundle) else bad_group_key(u, m.line)
-            for m in pb.marks]
-    return max((sum(k == j for j in keys) for k in keys if k is not None), default=0)
+    witnesses = [[m.line if isinstance(pb.underlying, RationalBundle) else bad_group_key(pb.underlying, m.line)
+                  for m in pb.marks] if s else [] for pb, s in zip(pbs, ok)]
+    rows = [[(k.a, k.c) for k in ks if k is not None] for ks in witnesses]
+    w = max(map(len, rows), default=0)
+    keys = np.array([r + [(1, 0)] * (w - len(r)) for r in rows], dtype=complex).reshape(len(rows), w, 2)
+    valid = np.arange(w) < np.array([len(r) for r in rows], dtype=int)[:, None]
+    same = (chordal_vecs(keys[:, :, None], keys[:, None]) < PROJ_TOL) & valid[:, None]
+    groups = np.where(valid, same.sum(-1), 0).max(-1, initial=0).tolist()
+    by_sign = (Verdict.STRICTLY_SEMISTABLE, Verdict.UNSTABLE, Verdict.STABLE)  # index: sign of 2m - n
+    return [StabilityVerdict(by_sign[(2 * m > len(pb.marks)) - (2 * m < len(pb.marks))], m) if s
+            else StabilityVerdict(Verdict.UNSTABLE, len(pb.marks))
+            for pb, s, m in zip(pbs, ok, groups)]
 
 
 def stability(pb: ParabolicBundle) -> StabilityVerdict:
-    """Small-weight verdict: compare the largest bad group m with n/2.
-
-    An unstable underlying bundle is parabolically unstable outright (its
-    maximal subbundle wins by at least 1/2 against any weight sum).
-    """
-    if not _underlying_semistable(pb.underlying):
-        return StabilityVerdict(Verdict.UNSTABLE, len(pb.marks))
-    m = max_bad_group(pb)
-    n = len(pb.marks)
-    if 2 * m < n:
-        return StabilityVerdict(Verdict.STABLE, m)
-    if 2 * m == n:
-        return StabilityVerdict(Verdict.STRICTLY_SEMISTABLE, m)
-    return StabilityVerdict(Verdict.UNSTABLE, m)
+    """A batch of one of ``stabilities``."""
+    return stabilities([pb])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -121,31 +131,33 @@ def rational_terminal_class(marks: list[Mark]) -> RationalBundle:
 # Hecke embeddings into the parabolic moduli spaces.
 
 
-def hecke_embedding_rational(
+def hecke_embeddings_rational(
     seq: RationalSequence, aux: list[Mark], weight: float = DEFAULT_WEIGHT
-) -> ParabolicBundle:
-    """Embed a minimal-terminal sequence as a stable parabolic bundle.
-
-    The sequence contributes its direction tuple as marks; three auxiliary
-    marks with distinct lines at fresh points make the result stable for
-    even length.
-    """
+) -> list[ParabolicBundle]:
+    """Embed minimal-terminal sequences, one or a stack, as stable parabolic
+    bundles: each adds three auxiliary marks with distinct lines at fresh
+    points to its direction tuple.  One length walk and one ``h_map`` read
+    serve the whole stack."""
     n = len(seq)
     if n % 2:
         raise ValueError("the embedding is defined for even-length sequences")
     if len(aux) != 3:
         raise ValueError("need exactly three auxiliary marks")
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if chordal(aux[i].line, aux[j].line) < PROJ_TOL:
-                raise ValueError("auxiliary lines must be distinct")
-    # The sequence's own length walk gives the terminal type; no rank test.
-    length = seq.hecke_lengths()[-1]
-    if length:
-        raise TerminalNotMinimal(f"terminal Hecke length {length} is not minimal")
-    marks = [Mark(mu, ProjPoint(a, c)) for mu, (a, c) in zip(seq.points.tolist(),
-                                                             seq.h_map().tolist())]
-    return ParabolicBundle(RationalBundle(0, 0), tuple(marks + list(aux)), weight)
+    if min(chordal(aux[i].line, aux[j].line) for i, j in ((0, 1), (0, 2), (1, 2))) < PROJ_TOL:
+        raise ValueError("auxiliary lines must be distinct")
+    # The sequences' own length walk gives the terminal type; no rank test.
+    lengths = seq.hecke_lengths()[..., -1].ravel()
+    if lengths.any():
+        raise TerminalNotMinimal(f"terminal Hecke length {lengths[lengths != 0][0]} is not minimal")
+    dirs = seq.h_map().reshape(lengths.size, n, 2).tolist()
+    return [ParabolicBundle(RationalBundle(0, 0), tuple(
+        [Mark(mu, ProjPoint(a, c)) for mu, (a, c) in zip(pts, h)] + list(aux)), weight)
+        for pts, h in zip(seq.points.reshape(lengths.size, n).tolist(), dirs)]
+
+
+def hecke_embedding_rational(seq: RationalSequence, aux, weight=DEFAULT_WEIGHT) -> ParabolicBundle:
+    """A batch of one of ``hecke_embeddings_rational``."""
+    return hecke_embeddings_rational(seq, aux, weight)[0]
 
 
 def hecke_embeddings_elliptic(seqs, weight: float = DEFAULT_WEIGHT) -> list[ParabolicBundle]:

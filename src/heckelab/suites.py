@@ -675,6 +675,12 @@ def check_conjecture(report, config, rng):
                worst, tol)
 
 
+def _rational_embedding_draws(rng) -> dict[int, rat.RationalSequence]:
+    """Ten minimal sequences drawn at lengths 2, 4, 2, 4, ..., stacked by length."""
+    vecs = [rat.minimal_direction_vecs(2 + 2 * (k % 2), rng) for k in range(10)]
+    return {n: rat.RationalSequence([rat.default_points(n)] * 5, vecs[n // 2 - 1::2]) for n in (2, 4)}
+
+
 def embed_check(report, config, rng):
     lat = Lattice(config.tau)
     # Split-bundle verdict table.
@@ -687,11 +693,9 @@ def embed_check(report, config, rng):
         ((par.Mark(0.1, A), par.Mark(0.2, A)), V.UNSTABLE),
         ((par.Mark(0.1, A), par.Mark(0.2, B)), V.STRICTLY_SEMISTABLE),
     ]
-    ok = True
-    for marks, want in fixtures:
-        for w in (1e-3, 1e-4):
-            if par.stability(par.ParabolicBundle(O00, marks, w)).verdict is not want:
-                ok = False
+    cases = [(par.ParabolicBundle(O00, marks, w), want) for marks, want in fixtures for w in (1e-3, 1e-4)]
+    verdicts = par.stabilities([pb for pb, _ in cases])
+    ok = all(v.verdict is want for v, (_, want) in zip(verdicts, cases))
     report.add_flag("split-verdicts", "distinct/equal line fixtures at two weights", ok)
 
     n_seq = _n(config, 200)
@@ -701,15 +705,14 @@ def embed_check(report, config, rng):
         r = n // 2 + 1 if k % 2 else 1  # odd draws repeat their first line r times
         a = random_point(rng)
         by_length[n].append([a] * r + [random_point(rng) for _ in range(n - r)])
-    ok = True
+    pbs, lengths = [], []
     for n, tuples in by_length.items():
         pts = rat.default_points(n)
-        lengths = rat.terminal_hecke_lengths(pts, rat.direction_vecs(tuples)) if tuples else ()
-        for dirs, length in zip(tuples, lengths):
-            marks = tuple(par.Mark(p, d) for p, d in zip(pts, dirs))
-            # The terminal class is semistable exactly at Hecke length 0.
-            verdict = par.stability(par.ParabolicBundle(O00, marks)).verdict
-            ok &= not (verdict is V.UNSTABLE and length == 0)
+        lengths += rat.terminal_hecke_lengths(pts, rat.direction_vecs(tuples)).tolist() if tuples else []
+        pbs += [par.ParabolicBundle(O00, tuple(map(par.Mark, pts, dirs))) for dirs in tuples]
+    # The terminal class is semistable exactly at Hecke length 0.
+    ok = not any(v.verdict is V.UNSTABLE and length == 0
+                 for v, length in zip(par.stabilities(pbs), lengths))
     report.add_flag("unstable-marks-unstable-terminal-rational",
                     f"{n_seq} seeded sequences, lengths 2..4", ok)
 
@@ -730,23 +733,17 @@ def embed_check(report, config, rng):
     seqs = ell.sequence_from_lines(bases[1::2], [p[1:] for p in pts[1::2]],
                                    [[bad, bad]] * (n_seq // 2))
     seqs += ell.sequence_from_coordinates(bases[0::2], [p[1:] for p in pts[0::2]], taus)
-    ok = True
-    for seq, lines in zip(seqs, ell.chain_lines([s.reps for s in seqs])):
-        marks = [par.Mark(p, d) for p, d in zip(seq.points, lines)]
-        verdict = par.stability(par.ParabolicBundle(seq.base.bundle, tuple(marks)))
-        if verdict.verdict is V.UNSTABLE and ell.is_semistable(seq.terminal):
-            ok = False
+    verdicts = par.stabilities([par.ParabolicBundle(s.base.bundle, tuple(map(par.Mark, s.points, lines)))
+                                for s, lines in zip(seqs, ell.chain_lines([s.reps for s in seqs]))])
+    ok = not any(v.verdict is V.UNSTABLE and ell.is_semistable(s.terminal)
+                 for v, s in zip(verdicts, seqs))
     report.add_flag("unstable-marks-unstable-terminal-elliptic",
                     f"{n_seq} seeded two-step sequences", ok)
 
-    ok = True
-    for k in range(10):
-        n = 2 + 2 * (k % 2)
-        seq = rat.random_minimal_sequence(n, rng)
-        aux = [par.Mark(10.0 + 1j, A), par.Mark(11.0 + 1j, B), par.Mark(12.0 + 1j, C)]
-        pb = par.hecke_embedding_rational(seq, aux)
-        if par.stability(pb).verdict is not V.STABLE:
-            ok = False
+    aux = [par.Mark(10.0 + 1j, A), par.Mark(11.0 + 1j, B), par.Mark(12.0 + 1j, C)]
+    pbs = [pb for seq in _rational_embedding_draws(rng).values()
+           for pb in par.hecke_embeddings_rational(seq, aux)]
+    ok = all(v.verdict is V.STABLE for v in par.stabilities(pbs))
     report.add_flag("rational-embedding-stable", "even-length fixtures, three marks added", ok)
 
     # Every draw first, in the order of a per-draw loop that redraws a pair
@@ -769,5 +766,5 @@ def embed_check(report, config, rng):
         if j < len(batch):
             rng.bit_generator.state = states[j]
             kept = [draws[j][:2]]
-    ok = all(par.stability(pb).verdict is V.STABLE for pb in par.hecke_embeddings_elliptic(seqs))
+    ok = all(v.verdict is V.STABLE for v in par.stabilities(par.hecke_embeddings_elliptic(seqs)))
     report.add_flag("elliptic-embedding-stable", "members of the length-two space", ok)

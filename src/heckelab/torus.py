@@ -86,7 +86,7 @@ class Lattice:
         x = (d * b2.conjugate()).imag / (b1 * b2.conjugate()).imag
         y = (d * b1.conjugate()).imag / (b2 * b1.conjugate()).imag
         d -= math.floor(x) * b1 + math.floor(y) * b2
-        return min(abs(d - m * b1 - n * b2) for m in (0, 1) for n in (0, 1))
+        return min(abs(d), abs(d - b2), abs(d - b1), abs(d - b1 - b2))
 
     def torsion_lifts(self) -> tuple[complex, complex, complex, complex]:
         """Lifts of the four 2-torsion points: 0, 1/2, tau/2, (1+tau)/2."""

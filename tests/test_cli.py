@@ -51,6 +51,13 @@ ELLIPTIC_DECISIONS = {
             "elliptic-embedding-stable")]
         for seed in (7, 11, 12345)
     },
+    ("embed-check", 0.21 + 1.3j, None): {
+        seed: [(name, "pass", 0.0, "") for name in (
+            "split-verdicts", "unstable-marks-unstable-terminal-rational",
+            "unstable-marks-unstable-terminal-elliptic", "rational-embedding-stable",
+            "elliptic-embedding-stable")]
+        for seed in (7, 11)
+    },
     ("compute-space T2 1", 0.3 + 0.45j, 30): {
         seed: [("bijectivity-roundtrip", "pass", None, "")] for seed in (7, 11, 12345)
     },

@@ -3,9 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
+from heckelab import cli
 from heckelab import elliptic as ell
 from heckelab import parabolic as par
 from heckelab import rational as rat
+from heckelab import suites
 from heckelab import theta as th
 from heckelab.elliptic import (
     Decomposable,
@@ -22,11 +24,13 @@ from heckelab.parabolic import (
     Verdict,
     hecke_embedding_elliptic,
     hecke_embedding_rational,
+    hecke_embeddings_rational,
     max_bad_group,
     rational_terminal_class,
+    stabilities,
     stability,
 )
-from heckelab.projective import ProjPoint, chordal, random_point
+from heckelab.projective import PROJ_TOL, ProjPoint, chordal, random_point
 from heckelab.pseries import PolyMat2
 from heckelab.rational import RationalBundle
 from heckelab.torus import CurvePoint, Lattice
@@ -115,6 +119,134 @@ class TestClassifyLines:
         unstable = Decomposable(LineBundleClass(1, d.lift, LAT), LineBundleClass(-1, -d.lift, LAT))
         with pytest.raises(par.UnderlyingUnstable):
             max_bad_group(ParabolicBundle(unstable, (Mark(rpt(), A),)))
+
+
+def _semistable(u):
+    return u.is_semistable() if isinstance(u, RationalBundle) else ell.is_semistable(u)
+
+
+def reference_stability(pb):
+    """The per-bundle verdict of ``stability`` before ``stabilities``:
+    witnesses compared pairwise with ``ProjPoint ==``."""
+    u, n = pb.underlying, len(pb.marks)
+    if not _semistable(u):
+        return par.StabilityVerdict(Verdict.UNSTABLE, n)
+    keys = [m.line if isinstance(u, RationalBundle) else ell.bad_group_key(u, m.line)
+            for m in pb.marks]
+    m = max((sum(k == j for j in keys) for k in keys if k is not None), default=0)
+    if 2 * m < n:
+        return par.StabilityVerdict(Verdict.STABLE, m)
+    if 2 * m == n:
+        return par.StabilityVerdict(Verdict.STRICTLY_SEMISTABLE, m)
+    return par.StabilityVerdict(Verdict.UNSTABLE, m)
+
+
+def near_line(x, gap):
+    """A line [x + delta : 1] at chordal distance ``gap`` from [x : 1], to
+    first order (the test checks the true distance)."""
+    return ProjPoint(x + gap * (1 + abs(x) ** 2), 1)
+
+
+def mixed_bundles():
+    """Rational and elliptic bundles of 0 to 7 marks: unstable underlying
+    bundles, F2 and G2 twists, O + O, and lines half and twice ``PROJ_TOL``
+    apart, including a chain whose ends differ while each neighbor pair is
+    equal."""
+    rng = np.random.default_rng(21)
+    x = 0.3 - 0.2j
+    close, far = near_line(x, 0.5 * PROJ_TOL), near_line(x, 2 * PROJ_TOL)
+    chain = [near_line(x, 0.6 * PROJ_TOL * k) for k in range(3)]
+    base = ProjPoint(x, 1)
+    d = rpt(rng)
+    pair = Decomposable(LineBundleClass(0, d.lift, LAT), LineBundleClass(0, -d.lift, LAT))
+    unstable = Decomposable(LineBundleClass(1, d.lift, LAT), LineBundleClass(-1, -d.lift, LAT))
+    oo = Decomposable(trivial_line(LAT), trivial_line(LAT))
+    f2 = F2Twist(trivial_line(LAT))
+    g2 = G2Twist(rpt(rng).lift, trivial_line(LAT))
+    split = Decomposable(torsion_line(LAT, 2), torsion_line(LAT, 2))
+    zero, inf, near_zero = ProjPoint(1, 0), ProjPoint(0, 1), ProjPoint(1, 0.5 * PROJ_TOL)
+
+    def marks(lines):
+        return tuple(Mark(0.1 * (k + 1), line) for k, line in enumerate(lines))
+
+    def emarks(lines):
+        return tuple(Mark(rpt(rng), line) for line in lines)
+
+    return [
+        ParabolicBundle(O00, ()),
+        ParabolicBundle(O00, marks([base, close, far])),
+        ParabolicBundle(O00, marks([base, close, B, C])),
+        ParabolicBundle(O00, marks([base, far, B, C])),
+        ParabolicBundle(O00, marks(chain)),
+        ParabolicBundle(O00, marks(chain + [A, B, C, C])),
+        ParabolicBundle(RationalBundle(1, 0), ()),
+        ParabolicBundle(RationalBundle(1, 0), marks([A, B])),
+        ParabolicBundle(RationalBundle(2, 0), marks([A, A, A])),
+        ParabolicBundle(pair, ()),
+        ParabolicBundle(pair, emarks([zero, near_zero, inf, base])),
+        ParabolicBundle(pair, emarks([zero, inf, base, close])),
+        ParabolicBundle(unstable, emarks([zero])),
+        ParabolicBundle(unstable, ()),
+        ParabolicBundle(oo, emarks([base, close, far, far, random_point(rng)])),
+        ParabolicBundle(oo, emarks(chain)),
+        ParabolicBundle(f2, emarks([zero, near_zero, inf])),
+        ParabolicBundle(f2, emarks([inf, base])),
+        ParabolicBundle(g2, emarks([zero, zero, inf, base, base, base, close])),
+        ParabolicBundle(g2, ()),
+        ParabolicBundle(split, emarks([random_point(rng) for _ in range(4)])),
+        ParabolicBundle(O00, marks([random_point(rng) for _ in range(5)] + [A, A])),
+    ]
+
+
+class TestStabilities:
+    def test_fixture_lines_straddle_the_tolerance(self):
+        x = 0.3 - 0.2j
+        base = ProjPoint(x, 1)
+        assert 0.4 * PROJ_TOL < chordal(base, near_line(x, 0.5 * PROJ_TOL)) < 0.6 * PROJ_TOL
+        assert 1.9 * PROJ_TOL < chordal(base, near_line(x, 2 * PROJ_TOL)) < 2.1 * PROJ_TOL
+        ends = [near_line(x, 0), near_line(x, 1.2 * PROJ_TOL)]
+        mid = near_line(x, 0.6 * PROJ_TOL)
+        assert ends[0] != ends[1] and mid == ends[0] and mid == ends[1]
+
+    def test_matches_the_per_bundle_rule(self):
+        pbs = mixed_bundles()
+        got = stabilities(pbs)
+        assert got == [reference_stability(pb) for pb in pbs]
+        assert got == [stability(pb) for pb in pbs]
+        # Every verdict occurs, and the witnesses cover the padded widths.
+        assert {v.verdict for v in got} == set(Verdict)
+        assert [v.witness for v in got[:6]] == [0, 2, 2, 1, 3, 3]
+
+    def test_order_and_subsets_do_not_matter(self):
+        pbs = mixed_bundles()
+        want = [reference_stability(pb) for pb in pbs]
+        assert stabilities(pbs[::-1]) == want[::-1]
+        assert stabilities(pbs[1::3]) == want[1::3]
+        assert stabilities([]) == []
+
+    def test_max_bad_group_is_the_witness(self):
+        for pb in mixed_bundles():
+            want = reference_stability(pb)
+            if _semistable(pb.underlying):
+                assert max_bad_group(pb) == want.witness
+            else:
+                with pytest.raises(par.UnderlyingUnstable):
+                    max_bad_group(pb)
+
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_embed_check_bundles(self, monkeypatch, seed):
+        seen = []
+        batched = par.stabilities
+
+        def record(pbs):
+            seen.extend(pbs)
+            return batched(pbs)
+
+        monkeypatch.setattr(par, "stabilities", record)
+        assert cli.run("embed-check", cli.RunConfig(seed=seed)).ok
+        # 8 split fixtures, 2 x 200 seeded sequences, 10 + 10 embeddings.
+        assert len(seen) == 428
+        assert batched(seen) == [reference_stability(pb) for pb in seen]
 
 
 class TestStability:
@@ -258,6 +390,48 @@ class TestEmbedding:
         assert seq.hecke_lengths().tolist() == [0, 1, 2]
         with pytest.raises(TerminalNotMinimal, match="length 2"):
             hecke_embedding_rational(seq, self.AUX)
+
+    def test_stack_marks_equal_batches_of_one(self):
+        rng = np.random.default_rng(22)
+        for n in (0, 2, 4, 6):
+            pts = rat.default_points(n)
+            vecs = [rat.minimal_direction_vecs(n, rng) for _ in range(7)]
+            stack = hecke_embeddings_rational(rat.RationalSequence([pts] * 7, vecs), self.AUX)
+            assert len(stack) == 7
+            for pb, v in zip(stack, vecs):
+                one = hecke_embedding_rational(rat.RationalSequence(pts, v), self.AUX)
+                assert ([(m.point, m.line.a, m.line.c) for m in pb.marks]
+                        == [(m.point, m.line.a, m.line.c) for m in one.marks])
+                assert pb.underlying == one.underlying and pb.weight == one.weight
+            assert all(v.verdict is Verdict.STABLE for v in stabilities(stack))
+
+    def test_stack_rejections(self):
+        rng = np.random.default_rng(23)
+        pts3 = rat.default_points(3)
+        odd = rat.RationalSequence([pts3] * 2, [rat.minimal_direction_vecs(3, rng) for _ in range(2)])
+        with pytest.raises(ValueError, match="even-length"):
+            hecke_embeddings_rational(odd, self.AUX)
+        pts = rat.default_points(2)
+        good = rat.minimal_direction_vecs(2, rng)
+        stack = rat.RationalSequence([pts] * 2, [good, rat.minimal_direction_vecs(2, rng)])
+        with pytest.raises(ValueError, match="distinct"):
+            hecke_embeddings_rational(stack, [self.AUX[0], self.AUX[1], Mark(13.0 + 1j, A)])
+        walk = [ProjPoint(1, 0).vec, ProjPoint(1, 1e-12).vec]
+        bad = rat.RationalSequence([pts] * 3, [good, walk, good])
+        assert bad.hecke_lengths()[:, -1].tolist() == [0, 2, 0]
+        with pytest.raises(TerminalNotMinimal, match="length 2"):
+            hecke_embeddings_rational(bad, self.AUX)
+
+    @pytest.mark.parametrize("seed", [7, 11, 12345])
+    def test_section_draws_match_the_per_draw_loop(self, seed):
+        rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        stacks = suites._rational_embedding_draws(rng)
+        loop = [rat.random_minimal_sequence(2 + 2 * (k % 2), loop_rng) for k in range(10)]
+        for n, stack in stacks.items():
+            assert stack.points.shape == (5, n)
+            assert np.array_equal(stack.points, np.array([s.points for s in loop[n // 2 - 1::2]]))
+            assert np.array_equal(stack.vecs, np.array([s.vecs for s in loop[n // 2 - 1::2]]))
+        assert rng.bit_generator.state == loop_rng.bit_generator.state
 
     def test_elliptic_members_embed_stably(self):
         rng = np.random.default_rng(6)

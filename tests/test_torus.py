@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,33 @@ def test_distance_is_lattice_invariant_and_symmetric(tau):
         assert abs(lat.distance(z1 + m + n * tau, z2) - d) < 1e-12
         assert abs(lat.distance(z2, z1) - d) < 1e-12
         assert lat.distance(z1, z1 + m + n * tau) < 1e-12
+
+
+def generator_distance(lat, z1, z2):
+    """``Lattice.distance`` in its earlier form, a generator over the cell
+    corners (m, n)."""
+    b1, b2 = lat._reduced_basis()
+    d = complex(z1) - complex(z2)
+    x = (d * b2.conjugate()).imag / (b1 * b2.conjugate()).imag
+    y = (d * b1.conjugate()).imag / (b2 * b1.conjugate()).imag
+    d -= math.floor(x) * b1 + math.floor(y) * b2
+    return min(abs(d - m * b1 - n * b2) for m in (0, 1) for n in (0, 1))
+
+
+@pytest.mark.parametrize("tau", TAUS[:2])
+def test_distance_equals_the_generator_form(tau):
+    lat = Lattice(tau)
+    b1, b2 = lat._reduced_basis()
+    rng = np.random.default_rng(5)
+    z1s = list(rng.normal(size=500) + 1j * rng.normal(size=500))
+    z2s = list(rng.normal(size=500) + 1j * rng.normal(size=500))
+    # Lattice translates of z2 and the cell corners of the reduced basis,
+    # where the floors and the four candidates tie.
+    shifts = [m + n * tau for m, n in rng.integers(-9, 10, size=(100, 2)).tolist()]
+    z1s += [z + s for z, s in zip(z2s, shifts)] + [m * b1 + n * b2 for m in (0, 1) for n in (0, 1)]
+    z2s += z2s[:100] + [0.0] * 4
+    for z1, z2 in zip(z1s, z2s):
+        assert lat.distance(z1, z2) == generator_distance(lat, z1, z2), (z1, z2)
 
 
 @pytest.mark.parametrize("tau", TAUS)
