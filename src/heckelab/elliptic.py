@@ -800,11 +800,12 @@ def f_embedding(ps, q: CurvePoint, p1: CurvePoint, p2: CurvePoint) -> list[tuple
 
     Component i is the cover image of p shifted by e_i = (q + p_i)/2 data:
     pi_1 = cover(p - e_1), pi_2 = cover(p - p_1),
-    pi_3 = cover(p - p_2 + e_2 - e_1).
+    pi_3 = cover(p - p_2 + e_2 - e_1), on the array of lifts, each step
+    reduced as ``CurvePoint`` arithmetic reduces.
     """
-    e1 = halve_sum(q, p1)
-    e2 = halve_sum(q, p2)
-    lifts = [x.lift for p in ps for x in (p - e1, p - p1, p - p2 + e2 - e1)]
+    red, z = q.lattice.reduce, np.array([p.lift for p in ps], dtype=complex)
+    e1, e2 = halve_sum(q, p1).lift, halve_sum(q, p2).lift
+    lifts = np.stack([red(z - e1), red(z - p1.lift), red(red(red(z - p2.lift) + e2) - e1)], axis=-1)
     pts = th._cover_points(lifts, q.lattice)
     return [tuple(pts[3 * i:3 * i + 3]) for i in range(len(ps))]
 

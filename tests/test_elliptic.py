@@ -703,6 +703,64 @@ def test_membership_decides_curve_offsets(tau):
             assert ell.membership_Hp([seq])[0] == member, (p, d)
 
 
+@pytest.mark.parametrize("tau", REF_TAUS)
+def test_stacked_membership_near_curve(tau):
+    # One stack of on-curve triples, the same triples with one coordinate
+    # moved by 1e-4 chordal, and far triples, decided by one membership_Hp
+    # call, as the on-curve and far tuples of compute-space T2 2 are.
+    lat, rng, q, p1, p2, _ = curve_setup(tau, seed=55)
+    on_curve = ell.f_embedding([CurvePoint(rng.random() + rng.random() * tau, lat)
+                                for _ in range(6)], q, p1, p2)
+    moved = [list(t) for t in on_curve]
+    for k, tri in enumerate(moved):
+        tri[k % 3] = at_chordal_offset(tri[k % 3], 1e-4, rng.uniform(0, 2 * np.pi))
+    dist = ell.distance_to_curve(moved, [q] * 6, [p1] * 6, [p2] * 6)
+    assert np.all((dist > 1e-5) & (dist < 1e-3)), dist
+    far = []
+    while len(far) < 6:
+        taus = [th.pi_cover(CurvePoint(rng.random() + rng.random() * tau, lat)) for _ in range(3)]
+        if ell.distance_to_curve([taus], [q], [p1], [p2])[0] > 0.1:
+            far.append(taus)
+    tris = on_curve + moved + far
+
+    def sequences(tris):
+        bases = ell.base_from_coordinate([t[0] for t in tris], [q] * len(tris))
+        return ell.sequence_from_coordinates(bases, [[p1, p2]] * len(tris), [t[1:] for t in tris])
+
+    member = ell.membership_Hp(sequences(tris))
+    assert member == [ell.membership_Hp(sequences([t]))[0] for t in tris]
+    assert member == [False] * 6 + [True] * 12
+
+
+@pytest.mark.parametrize("tau", REF_TAUS)
+def test_f_embedding_matches_curve_point_arithmetic(monkeypatch, tau):
+    # The array shifts reduce at each step as CurvePoint arithmetic does,
+    # so the cover inputs and images are bit-identical to the per-point
+    # form, also where a lattice coordinate wraps around 0 or 1.
+    lat, rng, q, p1, p2, _ = curve_setup(tau, seed=56)
+    e1, e2 = halve_sum(q, p1), halve_sum(q, p2)
+    offsets = [0.0] + [s * d for s in (1e-12, 1e-13, -1e-13, -1e-12) for d in (1, tau, 1 + tau)]
+    anchors = [0.0, e1.lift, p1.lift, p2.lift, p2.lift - e2.lift, p2.lift - e2.lift + e1.lift]
+    ps = [CurvePoint(a + d, lat) for a in anchors for d in offsets]
+    ps += [CurvePoint(rng.random() + rng.random() * tau, lat) for _ in range(20)]
+    coords = np.array([lat.coords(x.lift) for p in ps for x in (p, p - e1, p - p1)])
+    assert (coords < 1e-12).any() and (coords > 1 - 1e-12).any()
+
+    lifts = [x.lift for p in ps for x in (p - e1, p - p1, p - p2 + e2 - e1)]
+    want = th._cover_points(lifts, lat)
+    seen = []
+
+    def spy(z, lattice, original=th._cover_points):
+        seen.append(np.array(z, dtype=complex))
+        return original(z, lattice)
+
+    monkeypatch.setattr(th, "_cover_points", spy)
+    got = ell.f_embedding(ps, q, p1, p2)
+    [z] = seen
+    assert z.ravel().tobytes() == np.array(lifts, dtype=complex).tobytes()
+    assert [(x.a, x.c) for tri in got for x in tri] == [(x.a, x.c) for x in want]
+
+
 # ---------------------------------------------------------------------------
 # The det-zero certificate of verify-elliptic-tables: det alpha has exactly
 # one zero per period cell, at the modification point.
@@ -1169,9 +1227,10 @@ def test_t2_2_draws_in_per_draw_order(monkeypatch, seed):
     ref = np.random.default_rng(seed)
     q, p1, p2 = ref_torus_points(ref, lat, 3)
     on_curve = [ref_curve_point(ref, lat) for _ in range(2)]
-    (ps, *qp), state = calls["f_embedding"][1]
-    assert same_points(qp, [q, p1, p2]) and same_points(ps, on_curve)
-    assert state == ref.bit_generator.state
+    # One f_embedding call: the 46-point grid, then the on-curve draws.
+    [((ps, *qp), state)] = calls["f_embedding"]
+    assert len(ps) == 46 + 2 and same_points(ps[46:], on_curve)
+    assert same_points(qp, [q, p1, p2]) and state == ref.bit_generator.state
     # The far tuples: a per-candidate rejection loop accepts the same ones.
     far = []
     for _ in range(4):
@@ -1180,11 +1239,13 @@ def test_t2_2_draws_in_per_draw_order(monkeypatch, seed):
             if ell.distance_to_curve([taus], [q], [p1], [p2])[0] > 0.1:
                 break
         far.append(taus)
-    (tau0, qs), _ = calls["base_from_coordinate"][1]
-    (_, points, pairs), _ = calls["sequence_from_coordinates"][1]
-    assert same_targets(tau0, [t[0] for t in far]) and same_points(qs, [q] * 4)
-    assert same_targets([t for pair in pairs for t in pair], [t for f in far for t in f[1:]])
-    assert all(same_points(pts, [p1, p2]) for pts in points)
+    # One membership pass: the on-curve triples, then the far tuples.
+    tris = ell.f_embedding(on_curve, q, p1, p2) + far
+    [((tau0, qs), _)] = calls["base_from_coordinate"]
+    [((_, points, pairs), _)] = calls["sequence_from_coordinates"]
+    assert same_targets(tau0, [t[0] for t in tris]) and same_points(qs, [q] * 6)
+    assert same_targets([t for pair in pairs for t in pair], [t for f in tris for t in f[1:]])
+    assert len(points) == 6 and all(same_points(pts, [p1, p2]) for pts in points)
 
 
 @pytest.mark.parametrize("seed", [7, 11, 12345])
