@@ -44,9 +44,9 @@ for n, dirs, label in [
 print("\nTerminal splitting types from the composite matrix, n = 4:")
 pts = rat.default_points(4)
 c = ProjPoint(2.0, 1)
-for dirs, label in [([a, a, b, c], "(a,a,b,c)"), ([a, a, a, b], "(a,a,a,b)"),
-                    ([a, a, a, a], "(a,a,a,a)")]:
-    length = rat.terminal_hecke_length(pts, dirs)
+tuples = {"(a,a,b,c)": [a, a, b, c], "(a,a,a,b)": [a, a, a, b], "(a,a,a,a)": [a, a, a, a]}
+lengths = rat.terminal_hecke_lengths(pts, rat.direction_vecs(list(tuples.values())))
+for label, length in zip(tuples, lengths.tolist()):
     print(f"  {label}: terminal Hecke length {length}")
 
 print("\nThe second chart certifies global regularity; a corrupted entry fails:")

@@ -29,7 +29,7 @@ for x, y in ss.woodward_vecs(A, np.array([mu1, mu2])):
     print(" ", ProjPoint(x, y))
 print("direction tuple of the sequence:")
 for pt in (ProjPoint(*v) for v in seq.h_map()):
-    print(" ", pt, "->", pt.involution(), "after [x:y] -> [-y:x]")
+    print(" ", pt, "->", ProjPoint(-pt.c, pt.a), "after [x:y] -> [-y:x]")
 
 residual = ss.conjecture_residuals(RationalSequence(seq.points[None], seq.vecs[None]))[0]
 print(f"\ndiagram residual (closed-form case): {residual:.3e}")

@@ -45,13 +45,13 @@ for name, bundle, a in rows:
     print(f"{name:28s} {resid:13.2e} {dirr:11.2e} {rep.result}")
 
 print("\nsingle-modification classification echoes the table:")
-out = ell.single_hecke(Decomposable(point_line(p), O), p, ProjPoint(0, 1))
-print(f"  O(p)+O at p toward [0:1]  ->  {out}  (trivial type:"
-      f" {ell.s_equivalent(out, Decomposable(O, O))})")
-out = ell.single_hecke(F2Twist(O), p, ProjPoint(0.4, 1))
-print(f"  F2 in a good direction    ->  {out}")
 a = th.pi_cover(pt())
-out = ell.single_hecke(G2Twist(p.lift, O), p, a)
+split, f2, out = (rep.result for rep in ell.morphism_rep(
+    [Decomposable(point_line(p), O), F2Twist(O), G2Twist(p.lift, O)], [p] * 3,
+    [ProjPoint(0, 1), ProjPoint(0.4, 1), a]))
+print(f"  O(p)+O at p toward [0:1]  ->  {split}  (trivial type:"
+      f" {ell.s_equivalent(split, Decomposable(O, O))})")
+print(f"  F2 in a good direction    ->  {f2}")
 print(f"  G2(p) toward {a}  ->  {out}")
 print(f"    cover image of the summand matches the direction:"
       f" {chordal(th.pi_cover(out.l1.twist_point()), a):.2e}")

@@ -41,7 +41,7 @@ print(f"  prescribed tuple: member = {ell.membership_Hp([seq])[0]}"
       f"   (distance to curve {d:.3f})")
 
 print("\nmembers embed as stable parabolic bundles (n + 1 marks):")
-pb = par.hecke_embedding_elliptic(seq)
+pb = par.hecke_embeddings_elliptic([seq])[0]
 print(f"  underlying {pb.underlying}, {len(pb.marks)} marks,"
       f" verdict {par.stability(pb).verdict.value}")
 

@@ -25,7 +25,6 @@ class RunConfig:
     seed: int = 7
     samples: int | None = None
     tol: float | None = None
-    out: str | None = None
     extra: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -173,7 +172,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = RunConfig(
             tau=ns.tau, seed=ns.seed, samples=ns.samples, tol=ns.tol,
-            out=ns.out, extra=tuple(ns.args),
+            extra=tuple(ns.args),
         )
         report = run(ns.command, config)
     except ConfigError as exc:

@@ -539,15 +539,6 @@ def _morphism_g2(e: G2Twist, p: CurvePoint, m: LineBundleClass, frame, idx: int,
     return MorphismRep(_framed(terms, *frame), "G2:good", e, dual_pair(w, lat).tensor(m), p)
 
 
-def single_hecke(e: EllipticBundle, p: CurvePoint, a: ProjPoint) -> EllipticBundle:
-    """Class of the modified bundle: the table transition.
-
-    Delegates to the morphism constructor so the class-level table and the
-    matrix-level table cannot drift apart.
-    """
-    return morphism_rep([e], [p], [a])[0].result
-
-
 # ---------------------------------------------------------------------------
 # Two-step classification, moduli coordinates, and the total direction map.
 
@@ -759,10 +750,6 @@ class EllipticSequence:
     @property
     def terminal(self) -> EllipticBundle:
         return self.reps[-1].result if self.reps else self.base.bundle
-
-    def lines(self) -> list[ProjPoint]:
-        """The parabolic lines: each step's direction in the base trivialization."""
-        return chain_lines([self.reps])[0]
 
 
 def h_total(seqs) -> list[list[ProjPoint]]:

@@ -15,10 +15,9 @@ from enum import Enum
 import numpy as np
 
 from .projective import PROJ_TOL, ProjPoint, chordal, chordal_vecs
-from .rational import RationalBundle, RationalSequence, terminal_hecke_length
+from .rational import RationalBundle, RationalSequence
 from .elliptic import (
     EllipticBundle,
-    EllipticSequence,
     bad_group_key,
     chain_lines,
     is_semistable as elliptic_semistable,
@@ -26,10 +25,6 @@ from .elliptic import (
 
 #: Default parabolic weight; inside mu < 1/(2n) for all n <= 16.
 DEFAULT_WEIGHT = 1e-3
-
-
-class UnderlyingUnstable(ValueError):
-    """Operation needs a semistable underlying bundle."""
 
 
 class TerminalNotMinimal(ValueError):
@@ -73,13 +68,6 @@ def _underlying_semistable(u) -> bool:
     return elliptic_semistable(u)
 
 
-def max_bad_group(pb: ParabolicBundle) -> int:
-    """The most marks whose lines one maximal-slope subbundle witnesses as bad."""
-    if not _underlying_semistable(pb.underlying):
-        raise UnderlyingUnstable(f"{pb.underlying} is unstable")
-    return stability(pb).witness
-
-
 def stabilities(pbs: list[ParabolicBundle]) -> list[StabilityVerdict]:
     """Small-weight verdicts: compare each largest bad group m with n/2.
 
@@ -112,22 +100,6 @@ def stability(pb: ParabolicBundle) -> StabilityVerdict:
 
 
 # ---------------------------------------------------------------------------
-# The correspondence between sequences and marked lines.
-
-
-def tuple_from_lines(marks: list[Mark]):
-    """Inverse correspondence: the marks are exactly the direction tuple."""
-    return [m.point for m in marks], [m.line for m in marks]
-
-
-def rational_terminal_class(marks: list[Mark]) -> RationalBundle:
-    """Terminal bundle class of the sequence reinterpreting the marks."""
-    points, dirs = tuple_from_lines(marks)
-    d1 = (len(marks) - terminal_hecke_length(points, dirs)) // 2
-    return RationalBundle(-d1, -(len(marks) - d1))
-
-
-# ---------------------------------------------------------------------------
 # Hecke embeddings into the parabolic moduli spaces.
 
 
@@ -155,11 +127,6 @@ def hecke_embeddings_rational(
         for pts, h in zip(seq.points.reshape(lengths.size, n).tolist(), dirs)]
 
 
-def hecke_embedding_rational(seq: RationalSequence, aux, weight=DEFAULT_WEIGHT) -> ParabolicBundle:
-    """A batch of one of ``hecke_embeddings_rational``."""
-    return hecke_embeddings_rational(seq, aux, weight)[0]
-
-
 def hecke_embeddings_elliptic(seqs, weight: float = DEFAULT_WEIGHT) -> list[ParabolicBundle]:
     """Embed even minimal sequences on marked bundles, adding each good
     mark itself as the auxiliary line; the lines of the whole stack are
@@ -173,7 +140,3 @@ def hecke_embeddings_elliptic(seqs, weight: float = DEFAULT_WEIGHT) -> list[Para
                             tuple(map(Mark, s.points + [s.base.q], lines + [s.base.line])), weight)
             for s, lines in zip(seqs, chain_lines([s.reps for s in seqs]))]
 
-
-def hecke_embedding_elliptic(seq: EllipticSequence, weight=DEFAULT_WEIGHT) -> ParabolicBundle:
-    """A batch of one of ``hecke_embeddings_elliptic``."""
-    return hecke_embeddings_elliptic([seq], weight)[0]

@@ -56,10 +56,6 @@ class ProjPoint:
         """True for points within ``tol`` of [0:1]."""
         return abs(self.c) > abs(self.a) and abs(self.a) < tol
 
-    def involution(self) -> "ProjPoint":
-        """The map [x:y] -> [-y:x]."""
-        return ProjPoint(-self.c, self.a)
-
 
 def chordal(p: ProjPoint, q: ProjPoint) -> float:
     """Chordal distance |a_p c_q - c_p a_q| / (|p| |q|), bounded by 1."""

@@ -68,20 +68,6 @@ class _Mat2:
         c[1, 1, :2] = (-mu, 1.0)
         return cls(c)
 
-    def _combine(self, other, op):
-        size = self._fit(self.c.shape[-1], other.c.shape[-1])
-        out = np.zeros((2, 2, size), dtype=complex)
-        out[..., : self.c.shape[-1]] = self.c[..., :size]
-        k = min(other.c.shape[-1], size)
-        out[..., :k] = op(out[..., :k], other.c[..., :k])
-        return type(self)(out)
-
-    def __add__(self, other):
-        return self._combine(other, np.add)
-
-    def __sub__(self, other):
-        return self._combine(other, np.subtract)
-
     def det(self) -> np.ndarray:
         """Ascending coefficients of the determinant."""
         size = self._fit(self.c.shape[-1], 2 * self.c.shape[-1] - 1)

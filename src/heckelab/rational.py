@@ -306,11 +306,6 @@ def min_column_degree(p: PolyMat2, tol: float = RANK_DROP_TOL) -> int:
     return (n + 1) // 2
 
 
-def terminal_hecke_length(points: list[complex], dirs: list[ProjPoint]) -> int:
-    """Hecke length of the terminal bundle of the tuple's sequence class."""
-    return int(terminal_hecke_lengths(points, direction_vecs([dirs]))[0])
-
-
 def membership_H(n: int, dirs: list[ProjPoint], points: list[complex] | None = None) -> bool:
     """True iff the tuple's terminal bundle has the minimum Hecke length
     (0 for n even, 1 for n odd): iff the module
@@ -324,7 +319,7 @@ def membership_H(n: int, dirs: list[ProjPoint], points: list[complex] | None = N
         raise ValueError("need exactly n directions")
     if points is None:
         points = default_points(n)
-    return terminal_hecke_length(points, dirs) == n % 2
+    return int(terminal_hecke_lengths(points, direction_vecs([dirs]))[0]) == n % 2
 
 
 def membership_H_closed_forms(vecs: np.ndarray) -> np.ndarray:
@@ -336,20 +331,6 @@ def membership_H_closed_forms(vecs: np.ndarray) -> np.ndarray:
         raise ValueError("closed forms cover n <= 3 only")
     near = chordal_vecs(vecs[:, :-1], vecs[:, 1:]) < PROJ_TOL
     return ~near.all(axis=1) | (n < 2)
-
-
-def random_minimal_sequence(
-    n: int,
-    rng: np.random.Generator,
-    points: list[complex] | None = None,
-    zero_dir_rate: float = 0.25,
-) -> RationalSequence:
-    """A random sequence whose terminal bundle has minimal Hecke length, at
-    ``points`` (default ``default_points``), directions from
-    ``minimal_direction_vecs``."""
-    if points is None:
-        points = default_points(n)
-    return RationalSequence(points, minimal_direction_vecs(len(points), rng, zero_dir_rate))
 
 
 def minimal_direction_vecs(n: int, rng: np.random.Generator,

@@ -153,8 +153,8 @@ def separated_points(count: int, rng: np.random.Generator, gap: float = 0.3) -> 
 
 def conjecture_draws(m: int, count: int, rng: np.random.Generator) -> RationalSequence:
     """``count`` random minimal sequences of length 2m, stacked: per draw,
-    ``separated_points`` and then ``minimal_direction_vecs``, the rng order
-    of ``random_minimal_sequence`` at those points."""
+    ``separated_points`` and then ``minimal_direction_vecs`` for those
+    points, both from ``rng`` in that order."""
     points, vecs = [], []
     for _ in range(count):
         points.append(separated_points(2 * m, rng))

@@ -112,9 +112,6 @@ class CurvePoint:
     def __neg__(self) -> "CurvePoint":
         return CurvePoint(-self.lift, self.lattice)
 
-    def double(self) -> "CurvePoint":
-        return CurvePoint(2 * self.lift, self.lattice)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, CurvePoint)

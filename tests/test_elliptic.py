@@ -186,19 +186,19 @@ class TestMorphismRows:
 class TestSingleHecke:
     def test_op_counter_direction_trivializes(self):
         p = rpt()
-        out = ell.single_hecke(Decomposable(point_line(p), O), p, ProjPoint(0, 1))
+        out = ell.morphism_rep([Decomposable(point_line(p), O)], [p], [ProjPoint(0, 1)])[0].result
         assert ell.s_equivalent(out, Decomposable(O, O))
 
     def test_f2_good_gives_g2(self):
         p = rpt()
-        out = ell.single_hecke(F2Twist(O), p, ProjPoint(0.3 - 0.2j, 1))
+        out = ell.morphism_rep([F2Twist(O)], [p], [ProjPoint(0.3 - 0.2j, 1)])[0].result
         assert isinstance(out, G2Twist)
         assert out.det_class().same_class(point_line(p).inverse())
 
     def test_g2_good_pair_consistent_with_cover(self):
         p = rpt()
         a = th.pi_cover(rpt())
-        out = ell.single_hecke(G2Twist(p.lift, O), p, a)
+        out = ell.morphism_rep([G2Twist(p.lift, O)], [p], [a])[0].result
         assert isinstance(out, Decomposable)
         assert chordal(th.pi_cover(out.l1.twist_point()), a) < 1e-7
         # The pair is inverse-symmetric: independent of the root choice.
@@ -212,7 +212,7 @@ class TestSingleHecke:
         for b in bundles:
             for _ in range(5):
                 d = random_point(rng)
-                assert abs(ell.single_hecke(b, p, d).hecke_length - b.hecke_length) == 1
+                assert abs(ell.morphism_rep([b], [p], [d])[0].result.hecke_length - b.hecke_length) == 1
 
 
 class TestMss:
@@ -346,7 +346,7 @@ class TestFEmbedding:
         e1 = halve_sum(q, p1)
         p = rpt()
         f1 = ell.f_embedding([p], q, p1, p2)[0]
-        f2 = ell.f_embedding([e1.double() - p], q, p1, p2)[0]
+        f2 = ell.f_embedding([e1 + e1 - p], q, p1, p2)[0]
         assert chordal(f1[0], f2[0]) < 1e-9
 
     def test_shift_identity(self):
@@ -412,13 +412,13 @@ class TestSequenceFromLines:
                     lines[-1] = (ProjPoint(0, 1), ProjPoint(1, 0))[trial % 2]
                 seq = ell.sequence_from_lines([base], [pts[:n]], [lines])[0]
                 assert len(seq.reps) == n and seq.points == pts[:n]
-                assert max(chordal(x, y) for x, y in zip(seq.lines(), lines)) < 1e-10
+                assert max(chordal(x, y) for x, y in zip(ell.chain_lines([seq.reps])[0], lines)) < 1e-10
                 assert seq.terminal == seq.reps[-1].result
 
     def test_empty_sequence_terminal_is_base(self):
         base, _ = self.sample(np.random.default_rng(42))
         seq = ell.sequence_from_lines([base], [[]], [[]])[0]
-        assert seq.reps == () and seq.lines() == [] and seq.terminal == base.bundle
+        assert seq.reps == () and ell.chain_lines([seq.reps]) == [[]] and seq.terminal == base.bundle
 
     def test_rejects_coincident_points(self):
         q = rpt()
@@ -454,8 +454,8 @@ class TestSequenceFromLines:
             return original(es, ps, dirs)
 
         monkeypatch.setattr(ell, "morphism_rep", counting)
-        seq.lines()
-        par.hecke_embedding_elliptic(seq)
+        ell.chain_lines([seq.reps])
+        par.hecke_embeddings_elliptic([seq])
         assert calls == []
         ell.h_total([seq])[0]
         ell.membership_Hp([seq])[0]
@@ -1010,7 +1010,7 @@ def close(x, y, tol=1e-12):
 def same_sequence(s, t):
     return (close(s.base, t.base) and [r.row for r in s.reps] == [r.row for r in t.reps]
             and all(close(r.result, u.result) for r, u in zip(s.reps, t.reps))
-            and all(chordal(x, y) < 1e-12 for x, y in zip(s.lines(), t.lines())))
+            and all(chordal(x, y) < 1e-12 for x, y in zip(*ell.chain_lines([s.reps, t.reps]))))
 
 
 def stacked_inputs(lat, seed):
@@ -1288,7 +1288,7 @@ def ref_embedding_draws(ref, lat, n_seq, reject):
         ref_torus_points(ref, lat, 3)
         [ref_curve_point(ref, lat) for _ in range(1 if k % 2 else 3)]
     for k in range(10):  # the rational embedding section
-        rat.random_minimal_sequence(2 + 2 * (k % 2), ref)
+        rat.minimal_direction_vecs(2 + 2 * (k % 2), ref)
     draws = []
     for k in range(10):
         pts = ref_torus_points(ref, lat, 3)

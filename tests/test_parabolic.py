@@ -22,11 +22,8 @@ from heckelab.parabolic import (
     ParabolicBundle,
     TerminalNotMinimal,
     Verdict,
-    hecke_embedding_elliptic,
-    hecke_embedding_rational,
+    hecke_embeddings_elliptic,
     hecke_embeddings_rational,
-    max_bad_group,
-    rational_terminal_class,
     stabilities,
     stability,
 )
@@ -67,6 +64,17 @@ def bad_flags(pb):
     return [ell.bad_group_key(pb.underlying, m.line) is not None for m in pb.marks]
 
 
+def witness(pb):
+    """The most marks whose lines one maximal-slope subbundle witnesses as bad."""
+    return stabilities([pb])[0].witness
+
+
+def terminal_length(marks):
+    """Terminal Hecke length of the sequence whose direction tuple is the marks."""
+    vecs = rat.direction_vecs([[m.line for m in marks]])
+    return int(rat.terminal_hecke_lengths([m.point for m in marks], vecs)[0])
+
+
 class TestClassifyLines:
     def test_rational_all_bad_grouped_by_equality(self):
         marks = (Mark(0.1, A), Mark(0.2, A), Mark(0.3, B))
@@ -76,8 +84,8 @@ class TestClassifyLines:
         for m, size in zip(marks, [2, 2, 1]):
             group = tuple(n for n in marks if n.line == m.line)
             assert len(group) == size
-            assert max_bad_group(ParabolicBundle(O00, group)) == size
-        assert max_bad_group(pb) == 2
+            assert witness(ParabolicBundle(O00, group)) == size
+        assert witness(pb) == 2
         assert stability(pb).witness == 2
 
     def test_elliptic_semistable_pair(self):
@@ -88,9 +96,9 @@ class TestClassifyLines:
         pb = ParabolicBundle(e, marks)
         assert bad_flags(pb) == [True, True, False]
         assert [ell.bad_group_key(e, m.line) for m in marks[:2]] == [A, B]
-        assert max_bad_group(pb) == 1
+        assert witness(pb) == 1
         near = ParabolicBundle(e, marks[:1] + (Mark(rpt(), ProjPoint(1, 1e-10)),))
-        assert max_bad_group(near) == 2
+        assert witness(near) == 2
 
     def test_f2_single_bad_direction(self):
         e = F2Twist(trivial_line(LAT))
@@ -103,22 +111,22 @@ class TestClassifyLines:
         e = G2Twist(rpt().lift, trivial_line(LAT))
         pb = ParabolicBundle(e, (Mark(rpt(), random_point(RNG)),))
         assert bad_flags(pb) == [False]
-        assert max_bad_group(pb) == 0
+        assert witness(pb) == 0
 
     def test_torsion_split_all_bad(self):
         e = Decomposable(torsion_line(LAT, 2), torsion_line(LAT, 2))
         pb = ParabolicBundle(e, (Mark(rpt(), random_point(RNG)), Mark(rpt(), random_point(RNG))))
         assert bad_flags(pb) == [True, True]
         assert [ell.bad_group_key(e, m.line) for m in pb.marks] == [m.line for m in pb.marks]
-        assert max_bad_group(pb) == 1
+        assert witness(pb) == 1
 
     def test_unstable_underlying_rejected(self):
-        with pytest.raises(par.UnderlyingUnstable):
-            max_bad_group(ParabolicBundle(RationalBundle(1, 0), (Mark(0.1, A),)))
+        # An unstable underlying bundle is unstable outright, with witness n.
         d = rpt()
         unstable = Decomposable(LineBundleClass(1, d.lift, LAT), LineBundleClass(-1, -d.lift, LAT))
-        with pytest.raises(par.UnderlyingUnstable):
-            max_bad_group(ParabolicBundle(unstable, (Mark(rpt(), A),)))
+        got = stabilities([ParabolicBundle(RationalBundle(1, 0), (Mark(0.1, A), Mark(0.2, B))),
+                           ParabolicBundle(unstable, (Mark(rpt(), A),))])
+        assert got == [par.StabilityVerdict(Verdict.UNSTABLE, 2), par.StabilityVerdict(Verdict.UNSTABLE, 1)]
 
 
 def _semistable(u):
@@ -224,14 +232,9 @@ class TestStabilities:
         assert stabilities(pbs[1::3]) == want[1::3]
         assert stabilities([]) == []
 
-    def test_max_bad_group_is_the_witness(self):
+    def test_each_bundle_alone_matches_the_rule(self):
         for pb in mixed_bundles():
-            want = reference_stability(pb)
-            if _semistable(pb.underlying):
-                assert max_bad_group(pb) == want.witness
-            else:
-                with pytest.raises(par.UnderlyingUnstable):
-                    max_bad_group(pb)
+            assert stabilities([pb]) == [reference_stability(pb)]
 
     @pytest.mark.parametrize("seed", [7, 11])
     def test_embed_check_bundles(self, monkeypatch, seed):
@@ -277,10 +280,10 @@ class TestStability:
 
 class TestCorrespondence:
     def test_roundtrip_identity(self):
-        seq = rat.random_minimal_sequence(3, np.random.default_rng(1))
+        vecs = rat.minimal_direction_vecs(3, np.random.default_rng(1))
+        seq = rat.RationalSequence(rat.default_points(3), vecs)
         marks = [Mark(mu, ProjPoint(*v)) for mu, v in zip(seq.points.tolist(), seq.h_map())]
-        points, dirs = par.tuple_from_lines(marks)
-        assert points == seq.points.tolist()
+        points, dirs = [m.point for m in marks], [m.line for m in marks]
         back = chain_directions(tuple_matrices(points, dirs), points)
         assert max(chordal(x, y) for x, y in zip(back, dirs)) < 1e-9
 
@@ -293,17 +296,16 @@ class TestCorrespondence:
                 dirs = [a, a, random_point(rng)]
             else:
                 dirs = [random_point(rng) for _ in range(3)]
-            classes = set()
-            for perm in itertools.permutations(range(3)):
-                marks = [Mark(pts[i], dirs[i]) for i in perm]
-                classes.add(str(rational_terminal_class(marks)))
-            assert len(classes) == 1
+            # The length fixes the terminal class (-d1, -(3 - d1)), d1 = (3 - length) / 2.
+            lengths = {terminal_length([Mark(pts[i], dirs[i]) for i in perm])
+                       for perm in itertools.permutations(range(3))}
+            assert len(lengths) == 1
 
     def test_equal_first_lines_terminal_type(self):
         a = random_point(np.random.default_rng(3))
         for r in (1, 2, 3):
             marks = [Mark(p, a) for p in rat.default_points(r)]
-            assert rational_terminal_class(marks) == RationalBundle(0, -r)
+            assert terminal_length(marks) == r  # the terminal class O + O(-r)
 
 
 class TestLemmaDirection:
@@ -317,7 +319,8 @@ class TestLemmaDirection:
             dirs = [a] * r + [random_point(rng) for _ in range(n - r)]
             marks = [Mark(p, d) for p, d in zip(pts, dirs)]
             assert stability(ParabolicBundle(O00, tuple(marks))).verdict is Verdict.UNSTABLE
-            assert not rational_terminal_class(marks).is_semistable()
+            # Length 0 is the one semistable terminal class, O(-n/2) + O(-n/2).
+            assert terminal_length(marks) != 0
 
     def test_elliptic_two_step(self):
         rng = np.random.default_rng(5)
@@ -335,7 +338,7 @@ class TestLemmaDirection:
                 reps.append(ell.morphism_rep([current], [pnt], [ProjPoint(v[0], v[1])])[0])
                 current = reps[-1].result
             seq = ell.EllipticSequence(base, tuple(reps))
-            marks = [Mark(p, d) for p, d in zip(seq.points, seq.lines())]
+            marks = [Mark(p, d) for p, d in zip(seq.points, ell.chain_lines([seq.reps])[0])]
             pb = ParabolicBundle(base.bundle, tuple(marks))
             assert stability(pb).verdict is Verdict.UNSTABLE
             assert not ell.is_semistable(current)
@@ -346,13 +349,13 @@ class TestEmbedding:
 
     def test_rational_zero_steps(self):
         seq = rat.RationalSequence([], np.zeros((0, 2)))
-        pb = hecke_embedding_rational(seq, self.AUX)
+        pb = hecke_embeddings_rational(seq, self.AUX)[0]
         assert stability(pb).verdict is Verdict.STABLE
         assert len(pb.marks) == 3
 
     def test_rational_two_distinct(self):
         seq = rat.RationalSequence([0.1, 0.9], [ProjPoint(0.5, 1).vec, ProjPoint(-0.8 + 0.3j, 1).vec])
-        pb = hecke_embedding_rational(seq, self.AUX)
+        pb = hecke_embeddings_rational(seq, self.AUX)[0]
         assert stability(pb).verdict is Verdict.STABLE
         assert len(pb.marks) == 5
 
@@ -372,24 +375,25 @@ class TestEmbedding:
             current = rat.single_hecke(current, step)
         seq = rat.RationalSequence(pts, built)
         with pytest.raises(TerminalNotMinimal):
-            hecke_embedding_rational(seq, self.AUX)
+            hecke_embeddings_rational(seq, self.AUX)
 
     def test_length_walk_agrees_with_rank_test(self):
         # The embedding reads minimality off the sequence's length walk; the
         # rank test on its direction tuple decides the same on every draw.
         for n in (2, 4, 6):
             for seed in range(40):
-                seq = rat.random_minimal_sequence(n, np.random.default_rng(seed))
+                vecs = rat.minimal_direction_vecs(n, np.random.default_rng(seed))
+                seq = rat.RationalSequence(rat.default_points(n), vecs)
                 walk = seq.hecke_lengths()[-1]
                 assert walk == rat.terminal_hecke_lengths(seq.points, seq.h_map()[None])[0] == 0
-                hecke_embedding_rational(seq, self.AUX)
+                hecke_embeddings_rational(seq, self.AUX)
 
     def test_rational_rejects_walk_to_length_two(self):
         # Two steps toward [1:0]: the walk goes 0 -> 1 -> 2.
         seq = rat.RationalSequence([0.2, 0.7], [ProjPoint(1, 0).vec, ProjPoint(1, 1e-12).vec])
         assert seq.hecke_lengths().tolist() == [0, 1, 2]
         with pytest.raises(TerminalNotMinimal, match="length 2"):
-            hecke_embedding_rational(seq, self.AUX)
+            hecke_embeddings_rational(seq, self.AUX)
 
     def test_stack_marks_equal_batches_of_one(self):
         rng = np.random.default_rng(22)
@@ -399,7 +403,7 @@ class TestEmbedding:
             stack = hecke_embeddings_rational(rat.RationalSequence([pts] * 7, vecs), self.AUX)
             assert len(stack) == 7
             for pb, v in zip(stack, vecs):
-                one = hecke_embedding_rational(rat.RationalSequence(pts, v), self.AUX)
+                one = hecke_embeddings_rational(rat.RationalSequence(pts, v), self.AUX)[0]
                 assert ([(m.point, m.line.a, m.line.c) for m in pb.marks]
                         == [(m.point, m.line.a, m.line.c) for m in one.marks])
                 assert pb.underlying == one.underlying and pb.weight == one.weight
@@ -426,7 +430,8 @@ class TestEmbedding:
     def test_section_draws_match_the_per_draw_loop(self, seed):
         rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         stacks = suites._rational_embedding_draws(rng)
-        loop = [rat.random_minimal_sequence(2 + 2 * (k % 2), loop_rng) for k in range(10)]
+        loop = [rat.RationalSequence(rat.default_points(n), rat.minimal_direction_vecs(n, loop_rng))
+                for n in [2 + 2 * (k % 2) for k in range(10)]]
         for n, stack in stacks.items():
             assert stack.points.shape == (5, n)
             assert np.array_equal(stack.points, np.array([s.points for s in loop[n // 2 - 1::2]]))
@@ -442,6 +447,6 @@ class TestEmbedding:
             seq = ell.sequence_from_coordinates([base], [[p1, p2]], [taus])[0]
             if ell.membership_Hp([seq])[0]:
                 break
-        pb = hecke_embedding_elliptic(seq)
+        pb = hecke_embeddings_elliptic([seq])[0]
         assert stability(pb).verdict is Verdict.STABLE
         assert len(pb.marks) == 3

@@ -191,16 +191,14 @@ class TestMembership:
         # Equal first r directions leave the terminal at split type (0, -r).
         a = self.A
         pts = rat.default_points(3)
-        assert rat.terminal_hecke_length(pts, [a, a, a]) == 3
+        assert batched_lengths(pts, [[a, a, a]]) == [3]
         assert rat.min_column_degree(reference_composite(pts, [a, a, a])) == 0
 
     def test_n4_lengths(self):
         pts = rat.default_points(4)
         a, b, c = self.A, self.B, ProjPoint(2.0, 1)
-        assert rat.terminal_hecke_length(pts, [a, a, b, b]) == 0
-        assert rat.terminal_hecke_length(pts, [a, a, b, c]) == 0
-        assert rat.terminal_hecke_length(pts, [a, a, a, b]) == 2
-        assert rat.terminal_hecke_length(pts, [a, a, a, a]) == 4
+        tuples = [[a, a, b, b], [a, a, b, c], [a, a, a, b], [a, a, a, a]]
+        assert batched_lengths(pts, tuples) == [0, 0, 2, 4]
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +206,8 @@ class TestMembership:
 
 
 def reference_random_minimal(n, rng, points=None, zero_dir_rate=0.25):
-    """The per-step loop that drew ``random_minimal_sequence``: one ProjPoint
-    and one ``single_hecke`` per step from O + O."""
+    """The per-step loop that ``minimal_direction_vecs`` replaced: one
+    ProjPoint and one ``single_hecke`` per step from O + O."""
     if points is None:
         points = rat.default_points(n)
     dirs, current = [], RationalBundle(0, 0)
@@ -255,12 +253,13 @@ class TestArraySequence:
             assert np.array_equal(alone.coeffs(), coeffs[k])
 
     @pytest.mark.parametrize("seed", [7, 11, 12345])
-    def test_random_minimal_sequence_draws_as_the_step_loop(self, seed):
+    def test_minimal_direction_vecs_draw_as_the_step_loop(self, seed):
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         for n in (1, 2, 3, 4, 6):
             for points in (None, [0.3j + k for k in range(n)]):
                 for rate in (0.25, 0.9):
-                    seq = rat.random_minimal_sequence(n, rng, points=points, zero_dir_rate=rate)
+                    seq = RationalSequence(rat.default_points(n) if points is None else points,
+                                           rat.minimal_direction_vecs(n, rng, zero_dir_rate=rate))
                     pts, dirs = reference_random_minimal(n, ref, points=points, zero_dir_rate=rate)
                     assert rng.bit_generator.state == ref.bit_generator.state
                     assert seq.points.tolist() == list(pts)
@@ -268,11 +267,11 @@ class TestArraySequence:
                     assert seq.hecke_lengths()[-1] == n % 2
 
 
-def test_random_minimal_sequences_are_minimal():
+def test_minimal_direction_vecs_are_minimal():
     rng = np.random.default_rng(9)
     for n in (2, 3, 4, 6):
         for _ in range(10):
-            seq = rat.random_minimal_sequence(n, rng)
+            seq = RationalSequence(rat.default_points(n), rat.minimal_direction_vecs(n, rng))
             assert seq.hecke_lengths()[-1] == n % 2
             assert rat.membership_H(n, [ProjPoint(*v) for v in seq.h_map()], seq.points)
 
@@ -451,7 +450,7 @@ class TestBatchedCore:
         tuples += [[a, a, a, random_point(rng)], [a] * 4]
         batch = batched_lengths(pts, tuples)
         for dirs, length in zip(tuples, batch):
-            assert rat.terminal_hecke_length(pts, dirs) == length
+            assert batched_lengths(pts, [dirs]) == [length]
             ref = reference_composite(pts, dirs)
             assert rat.min_column_degree(ref) == reference_min_column_degree(ref)
             assert rat.membership_H(4, dirs, pts) == (length == 0)

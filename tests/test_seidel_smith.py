@@ -10,8 +10,8 @@ from heckelab.rational import (
     RationalSequence,
     above_degree_matrix,
     direction_vecs,
+    minimal_direction_vecs,
     morphism_matrix,
-    random_minimal_sequence,
     single_hecke,
 )
 from heckelab.seidel_smith import (
@@ -148,13 +148,14 @@ def _ref_woodward(a, eigenvalues):
 def _ref_residual(seq):
     w = _ref_woodward(_ref_kamnitzer(seq), seq.points)
     h = chain_directions(_ref_steps(seq)[0], seq.points.tolist())
-    return max(chordal(p.involution(), q) for p, q in zip(h, w))
+    # Compare each h direction, mapped by [x:y] -> [-y:x], with w.
+    return max(chordal(ProjPoint(-p.c, p.a), q) for p, q in zip(h, w))
 
 
 def _draws(m, samples, seed):
     """The sequences ``conjecture_check`` draws, in its rng order."""
     rng = np.random.default_rng(seed)
-    return [random_minimal_sequence(2 * m, rng, points=separated_points(2 * m, rng))
+    return [RationalSequence(separated_points(2 * m, rng), minimal_direction_vecs(2 * m, rng))
             for _ in range(samples)]
 
 
@@ -218,7 +219,7 @@ class TestKamnitzer:
         rng = np.random.default_rng(3)
         for m in (1, 2, 3):
             pts = separated_points(2 * m, rng)
-            seq = random_minimal_sequence(2 * m, rng, points=pts)
+            seq = RationalSequence(pts, minimal_direction_vecs(2 * m, rng))
             a = kamnitzer(seq)
             ev = sorted(chi(a), key=lambda v: (v.real, v.imag))
             want = sorted(pts, key=lambda v: (v.real, v.imag))
@@ -393,10 +394,11 @@ class TestStackedPass:
         rng = np.random.default_rng(seed)
         seq = conjecture_draws(m, 40, rng)
         # The per-draw loop of ``_draws``, with its generator kept;
-        # test_rational checks random_minimal_sequence against per-step
+        # test_rational checks minimal_direction_vecs against per-step
         # ProjPoint draws.
         ref_rng = np.random.default_rng(seed)
-        ref = stack([random_minimal_sequence(2 * m, ref_rng, points=separated_points(2 * m, ref_rng))
+        ref = stack([RationalSequence(separated_points(2 * m, ref_rng),
+                                      minimal_direction_vecs(2 * m, ref_rng))
                      for _ in range(40)])
         assert np.array_equal(seq.points, ref.points)
         assert np.array_equal(seq.vecs, ref.vecs)
