@@ -3,8 +3,9 @@
 Each modification moves between split types O(n) + O(m): the distinguished
 subbundle direction raises the gap |n - m| and every other direction
 lowers it.  Composing the table matrices and reading directions back
-recovers the closed-form two-step formulas, and the splitting type of a
-composite decides membership in the minimal-terminal spaces.
+recovers the closed-form two-step formulas.  The terminal type of a
+direction tuple, read off the least degree of a section through its lines
+with no composite built, decides membership in the minimal-terminal spaces.
 """
 
 import numpy as np
@@ -41,7 +42,7 @@ for n, dirs, label in [
 ]:
     print(f"  n={n} {label:10s} member: {rat.membership_H(n, dirs)}")
 
-print("\nTerminal splitting types from the composite matrix, n = 4:")
+print("\nTerminal Hecke lengths read off the direction tuples, n = 4:")
 pts = rat.default_points(4)
 c = ProjPoint(2.0, 1)
 tuples = {"(a,a,b,c)": [a, a, b, c], "(a,a,a,b)": [a, a, a, b], "(a,a,a,a)": [a, a, a, a]}

@@ -283,21 +283,15 @@ def has_trivial_det(b: EllipticBundle, tol: float = CLASS_TOL) -> bool:
 
 
 def s_class(b: EllipticBundle):
-    """S-equivalence data of a semistable bundle: the unordered pair of
-    graded line-bundle classes."""
+    """S-equivalence data of a semistable bundle: the pair of graded
+    line-bundle classes, in either order."""
     if isinstance(b, Decomposable):
         if b.l1.degree != b.l2.degree:
             raise NotSemistable(f"{b} is unstable")
-        return _sorted_pair(b.l1, b.l2)
+        return b.l1, b.l2
     if isinstance(b, F2Twist):
-        return _sorted_pair(b.l, b.l)
+        return b.l, b.l
     raise NotSemistable("G2 twists are stable, not strictly semistable")
-
-
-def _sorted_pair(a: LineBundleClass, b: LineBundleClass):
-    ka = (a.degree, round(a.reduced().real, 6), round(a.reduced().imag, 6))
-    kb = (b.degree, round(b.reduced().real, 6), round(b.reduced().imag, 6))
-    return (a, b) if ka <= kb else (b, a)
 
 
 def s_equivalent(b1: EllipticBundle, b2: EllipticBundle, tol: float = CLASS_TOL) -> bool:

@@ -221,25 +221,19 @@ def direction_vecs(tuples) -> np.ndarray:
     return flat.reshape(len(tuples), len(tuples[0]), 2)
 
 
-def product_matrix(coeffs: np.ndarray, d: int, rows: np.ndarray) -> np.ndarray:
-    """Linear map from g (degree <= d) to the coefficients z^t, t in ``rows``,
-    of P g.
+def above_degree_matrix(coeffs: np.ndarray, d: int) -> np.ndarray:
+    """Linear map from g (degree <= d) to the coefficients of P g above
+    degree d.
 
     ``coeffs`` (..., 2, 2, D + 1) are ascending coefficients of P.  Row
-    (i, t) reads the z^t coefficient of (P g)_i; column (j, k) is the z^k
-    coefficient of g_j.  Shape (..., 2 len(rows), 2(d + 1)).
+    (i, t) reads the z^t coefficient of (P g)_i, t = d + 1 .. D + d; column
+    (j, k) is the z^k coefficient of g_j.  Shape (..., 2D, 2(d + 1)).
     """
-    # Indices t - k outside 0 .. D wrap into the zero padding.
-    idx = rows[:, None] - np.arange(d + 1)
+    # Indices t - k above D read the zero padding.
+    idx = np.arange(d + 1, coeffs.shape[-1] + d)[:, None] - np.arange(d + 1)
     padded = np.concatenate([coeffs, np.zeros(coeffs.shape[:-1] + (d,), complex)], axis=-1)
     a = np.swapaxes(padded[..., idx], -3, -2)
-    return a.reshape(coeffs.shape[:-3] + (2 * len(rows), 2 * (d + 1)))
-
-
-def above_degree_matrix(coeffs: np.ndarray, d: int) -> np.ndarray:
-    """``product_matrix`` for the rows t = d + 1 .. D + d: the coefficients of
-    P g above degree d, shape (..., 2D, 2(d + 1))."""
-    return product_matrix(coeffs, d, np.arange(d + 1, coeffs.shape[-1] + d))
+    return a.reshape(coeffs.shape[:-3] + (2 * len(idx), 2 * (d + 1)))
 
 
 def terminal_hecke_lengths(points, vecs) -> np.ndarray:

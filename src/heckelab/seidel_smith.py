@@ -17,11 +17,9 @@ from .projective import chordal_vecs, rank_one_column_spaces
 from .rational import (
     RANK_DROP_TOL,
     RationalSequence,
-    above_degree_matrix,
     composites,
     h_vecs,
     minimal_direction_vecs,
-    product_matrix,
     two_column_ratio,
 )
 
@@ -54,14 +52,14 @@ def slice_matrices(coeffs: np.ndarray, terminal: np.ndarray) -> np.ndarray:
     {z^{m-1} e1, z^{m-1} e2, ..., e1, e2} and the result lies in the slice
     with eigenvalues at the modification points.
 
-    The terminal type (-m, -m) makes the image N = P C[z]^2 free on two
-    elements of degree m: P g for the 2-dimensional kernel of the
-    coefficients of P g above degree m (deg g <= m), one small SVD per
-    sequence.  Their z^m coefficient L is invertible, so Q L^{-1} =
-    z^m + sum_t C_t z^t is the monic generator and z^m e_j reduces to
-    -sum_t C_t e_j z^t: the left block column is -C_{m-1}, ..., -C_0.  Any
-    sequence with an unstable terminal, a kernel of another dimension or a
-    singular L raises ReductionFailure.
+    The step tables keep the column degrees of P at the splitting degrees
+    of the bundle reached, so for a semistable terminal P has no nonzero
+    coefficient above degree m and its columns generate the image
+    N = P C[z]^2.  Its z^m coefficient L is invertible (det P has degree
+    n), so P L^{-1} = z^m + sum_t C_t z^t is the monic generator and
+    z^m e_j reduces to -sum_t C_t e_j z^t: the left block column is
+    -C_{m-1}, ..., -C_0.  An unstable terminal, a nonzero coefficient of P
+    above degree m or a singular L raises ReductionFailure.
     """
     batch, n = coeffs.shape[:2]
     if n == 0 or n % 2:
@@ -72,20 +70,14 @@ def slice_matrices(coeffs: np.ndarray, terminal: np.ndarray) -> np.ndarray:
     m = n // 2
     p = composites(coeffs)
     p /= np.abs(p).max(axis=(-3, -2, -1), keepdims=True)
-    _, s, vh = np.linalg.svd(above_degree_matrix(p, m), full_matrices=False)
-    rank = np.sum(s > RANK_DROP_TOL * np.maximum(s[:, :1], 1.0), axis=1)
-    if (rank != n).any():
-        dim = n + 2 - rank[np.argmax(rank != n)]
-        raise ReductionFailure(f"degree-bounded submodule has dimension {dim}, not 2")
-    # Coefficients Q_t (B, m + 1, 2, 2) of the two generators P g.
-    q = product_matrix(p, m, np.arange(m + 1)) @ np.swapaxes(vh[:, n:].conj(), 1, 2)
-    q = np.swapaxes(q.reshape(batch, 2, m + 1, 2), 1, 2)
+    if (p[..., m + 1 :] != 0).any():
+        raise ReductionFailure(f"a composite has a nonzero coefficient above degree {m}")
+    # Coefficients P_t (B, m + 1, 2, 2) of the generators.
+    q = np.moveaxis(p[..., : m + 1], -1, 1)
     lead = q[:, m]
-    # A rank-deficient L: the kernel also has dimension 2 for composites of
-    # type (-(m - 1), -(m + 1)).
     if (two_column_ratio(lead) < RANK_DROP_TOL).any():
         raise ReductionFailure("leading coefficient of the degree-m generators is singular")
-    # C_t = Q_t L^{-1}, from L^T C_t^T = Q_t^T.
+    # C_t = P_t L^{-1}, from L^T C_t^T = P_t^T.
     c = np.swapaxes(np.linalg.solve(np.swapaxes(lead, 1, 2)[:, None],
                                     np.swapaxes(q[:, :m], 2, 3)), 2, 3)
     if np.abs(c @ lead[:, None] - q[:, :m]).max() > 1e-8 * np.abs(q).max():

@@ -159,6 +159,21 @@ def _draws(m, samples, seed):
             for _ in range(samples)]
 
 
+def _excursions(m):
+    """Sequences of length 2m whose Hecke lengths climb past 1 before
+    returning to 0, which ``conjecture_draws`` never makes: up to length 2
+    for m >= 2, and up to length 3 for m >= 3."""
+    walks = [[0, 1, 2, 1, 0] + [1, 0] * (m - 2), [0, 1, 2, 3, 2, 1, 0] + [1, 0] * (m - 3)]
+    rng = np.random.default_rng(m)
+    seqs = []
+    for lengths in walks[: max(m - 1, 0)]:
+        dirs = [ProjPoint(1, 0) if b > a > 0 else ProjPoint(rng.normal() + 1j * rng.normal(), 1)
+                for a, b in zip(lengths, lengths[1:])]
+        seqs.append(sequence(separated_points(2 * m, rng), dirs))
+        assert seqs[-1].hecke_lengths().tolist() == lengths
+    return seqs
+
+
 def alpha_form(l1=L1, l2=L2, mu1=MU1, mu2=MU2):
     return sequence([mu1, mu2], [ProjPoint(l1, 1), ProjPoint(l2, 1)])
 
@@ -331,13 +346,14 @@ class TestConjecture:
 
 
 #: Agreement of the stacked and per-draw residuals, both roundoff.  At m = 3
-#: the per-draw loop alone reads up to 1.6e-12 (seed 12345), so its bound
-#: leaves room for the reference's own error.
-REFERENCE_BOUND = {1: 1e-12, 2: 1e-12, 3: 5e-12}
+#: the per-draw loop alone reads up to 1.6e-12 (seed 12345), and at m = 4 up
+#: to 1.6e-11 (seed 7), so their bounds leave room for the reference's own
+#: error.
+REFERENCE_BOUND = {1: 1e-12, 2: 1e-12, 3: 5e-12, 4: 5e-11}
 
 
 class TestStackedPass:
-    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
     @pytest.mark.parametrize("seed", [7, 11, 12345])
     def test_matches_per_draw_reference(self, m, seed):
         samples = 200 if m <= 2 else 50
@@ -347,9 +363,9 @@ class TestStackedPass:
         assert np.abs(batched - reference).max() < REFERENCE_BOUND[m]
         assert conjecture_check(m, samples, np.random.default_rng(seed)) == batched.max()
 
-    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_element_matches_batch_of_one(self, m):
-        seqs = _draws(m, 12, 5)
+        seqs = _draws(m, 12, 5) + _excursions(m)
         seq = stack(seqs)
         stacked = slice_matrices(seq.coeffs(), seq.hecke_lengths()[:, -1])
         residuals = conjecture_residuals(seq)
@@ -368,12 +384,12 @@ class TestStackedPass:
         with pytest.raises(ReductionFailure):
             conjecture_residuals(stack(seqs[:2] + [bad] + seqs[2:]))
 
-    def test_submodule_of_wrong_dimension_raises(self):
+    def test_singular_composite_raises(self):
         seq = stack(_draws(1, 3, 2))
         coeffs, terminal = seq.coeffs(), seq.hecke_lengths()[:, -1]
         coeffs[1] = 0.0
-        coeffs[1, :, 0, 0, 0] = 1.0  # every step diag(1, 0): P is singular, every g qualifies
-        with pytest.raises(ReductionFailure, match="dimension"):
+        coeffs[1, :, 0, 0, 0] = 1.0  # every step diag(1, 0): P = diag(1, 0), its z^1 coefficient 0
+        with pytest.raises(ReductionFailure, match="singular"):
             slice_matrices(coeffs, terminal)
 
     @pytest.mark.parametrize("dirs", [
@@ -412,3 +428,73 @@ class TestStackedPass:
         eigenvalues = np.array([[MU1, MU2], close, [MU2, MU1]])
         with pytest.raises(DegenerateSpectrum):
             woodward_vecs(np.stack([a] * 3), eigenvalues)
+
+
+def _exact_slice(points, dirs, lengths):
+    """The slice of one sequence over Q(i), for Gaussian-rational points and
+    directions (None for [1:0]) along the Hecke ``lengths``: the composite of
+    the table matrices, its exact zeros above degree m, and the monic
+    generator's C_t = P_t P_m^{-1}, with no floating-point step."""
+    from sympy import QQ_I
+    from sympy.polys.matrices import DomainMatrix
+
+    def mat(rows):
+        return DomainMatrix([[QQ_I.convert(x) for x in row] for row in rows], (2, 2), QQ_I)
+
+    zero, p = mat([[0, 0], [0, 0]]), [mat([[1, 0], [0, 1]])]
+    for mu, lam, length in zip(points, dirs, lengths):
+        if lam is None:  # diag(1, z - mu)
+            t0, t1 = mat([[1, 0], [0, -mu]]), mat([[0, 0], [0, 1]])
+        elif length == 0:  # [[lam, z - mu], [1, 0]]
+            t0, t1 = mat([[lam, -mu], [1, 0]]), mat([[0, 1], [0, 0]])
+        else:  # [[z - mu, lam], [0, 1]]
+            t0, t1 = mat([[-mu, lam], [0, 1]]), mat([[1, 0], [0, 0]])
+        p = [a * t0 + b * t1 for a, b in zip(p + [zero], [zero] + p)]
+    n = len(points)
+    m = n // 2
+    assert all(c.is_zero_matrix for c in p[m + 1:])
+    inv = p[m].inv()
+    a = np.zeros((n, n), dtype=complex)
+    a[: n - 2, 2:] = np.eye(n - 2)
+    for k in range(m):
+        c = (p[m - 1 - k] * inv).to_list()
+        a[2 * k : 2 * k + 2, :2] = [[-complex(float(g.x), float(g.y)) for g in row] for row in c]
+    return a
+
+
+def _gaussian(rng, count, scale, bound):
+    """``count`` distinct Gaussian rationals (a + b i) / scale, |a|, |b| <= bound."""
+    from sympy import I, Rational
+
+    pairs = []
+    while len(pairs) < count:
+        pair = tuple(int(v) for v in rng.integers(-bound, bound + 1, size=2))
+        if pair not in pairs:
+            pairs.append(pair)
+    return [Rational(a, scale) + I * Rational(b, scale) for a, b in pairs]
+
+
+class TestExactOracle:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_slices_match_exact_gaussian_rational_slices(self, m):
+        pytest.importorskip("sympy")
+        rng = np.random.default_rng(70 + m)
+        # Five minimal walks, and one excursion to length 2.
+        walks = [[0, 1] * m + [0] for _ in range(5)]
+        if m >= 2:
+            walks.append([0, 1, 2, 1, 0] + [1, 0] * (m - 2))
+        n = 2 * m
+        seqs, exact = [], []
+        for lengths in walks:
+            # Dyadic, so the floats the program reads are the same rationals.
+            points, lams = _gaussian(rng, n, 4, 6), _gaussian(rng, n, 8, 5)
+            dirs = [None if (b > a > 0 or (a == 0 and rng.random() < 0.3)) else lam
+                    for a, b, lam in zip(lengths, lengths[1:], lams)]
+            vecs = [(1, 0) if d is None else (complex(d), 1) for d in dirs]
+            seqs.append(RationalSequence([complex(p) for p in points], vecs))
+            assert seqs[-1].hecke_lengths().tolist() == lengths
+            exact.append(_exact_slice(points, dirs, lengths[:-1]))
+        seq = stack(seqs)
+        got = slice_matrices(seq.coeffs(), seq.hecke_lengths()[:, -1])
+        for a, want in zip(got, exact):
+            assert np.abs(a - want).max() <= 1e-12 * np.abs(want).max()
