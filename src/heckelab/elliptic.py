@@ -11,12 +11,13 @@ Class-level comparisons reduce lifts modulo the lattice.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .projective import PROJ_TOL, ProjPoint, chordal, transport_direction, transport_directions
+from .projective import PROJ_TOL, ProjPoint, chordal, transport_directions
 from .grassmannian import chain_direction_vecs
 from .torus import CurvePoint, Lattice, halve_sum
 from . import theta as th
@@ -115,41 +116,90 @@ TH, DTH, TT, DTT, EXP = "TH", "DTH", "TT", "DTT", "EXP"
 _IDENTITY = ((0, 1.0, ()), (3, 1.0, ()))
 
 
+@functools.cache
+def _layout(shape: tuple) -> tuple:
+    """The terms of a term-table shape, in which an entry starts a term and
+    each (kind, column) after it is one of its factors, as (entry, factors)
+    with a factor as (kind, position among the columns of its kind); and
+    each kind with its columns, numbered after one coefficient per term."""
+    n_terms = sum(type(x) is int for x in shape)
+    terms, by_kind, where = [], {}, {}
+    for x in shape:
+        if type(x) is int:
+            terms.append((x, []))
+            continue
+        kind, c = x
+        if c not in where:
+            cs = by_kind.setdefault(kind, [])
+            where[c] = kind, len(cs)
+            cs.append(n_terms + c)
+        terms[-1][1].append(where[c])
+    return (tuple((entry, tuple(factors)) for entry, factors in terms),
+            tuple((kind, tuple(cs)) for kind, cs in by_kind.items()))
+
+
 def evaluate_stack(tables, zs, lattice: Lattice) -> list[np.ndarray]:
     """The matrices (..., 2, 2) of each term table ``tables[i]`` at its own
-    array ``zs[i]``: the factors of each kind, at every table's distinct
-    params and points, come from one kernel call for the whole stack."""
+    array ``zs[i]``, grouped by term-table shape, one broadcast per shape.
+
+    A table's columns are its distinct (kind, param) factors; its shape is
+    its entries, the kind and column of each factor.  The tables of one
+    shape are evaluated together over all their points, term by term in
+    table order; the factors of each kind, at every table's columns and
+    points, come from one kernel call for the whole stack.  Tables with
+    no points are not walked.
+    """
     if not tables:
         return []
     zs = [np.asarray(z, dtype=complex) for z in zs]
     taus = {TH: lattice.tau, DTH: lattice.tau, TT: 2 * lattice.tau, DTT: 2 * lattice.tau}
-    cols, args = [], {}
-    for terms, z in zip(tables, zs):
-        col: dict[str, dict] = {}  # kind -> {param: column}
-        for kind, param in (f for _, _, factors in terms for f in factors):
-            col.setdefault(kind, {}).setdefault(param, len(col[kind]))
-        cols.append(col)
-        for kind, c in col.items():
-            w, zc = np.array(list(c)), z[..., None]
-            arg = TWO_PI_I * w * zc if kind == EXP else zc - 0.5 * (1 + taus[kind]) - w
+    out = [None] * len(tables)
+    groups: dict[tuple, tuple] = {}  # shape -> (tables, points, rows of coefs and params)
+    for i, (terms, z) in enumerate(zip(tables, zs)):
+        if not z.size:
+            out[i] = np.zeros(z.shape + (2, 2), dtype=complex)
+            continue
+        col, shape, row = {}, [], []  # col: (kind, param) -> column
+        for entry, coef, factors in terms:
+            shape.append(entry)
+            row.append(coef)
+            for f in factors:
+                shape.append((f[0], col.setdefault(f, len(col))))
+        row += [param for _, param in col]
+        idx, points, rows = groups.setdefault(tuple(shape), ([], [], []))
+        idx.append(i)
+        points.append(z.ravel())
+        rows.append(row)
+    args, data = {}, {}
+    for shape, (idx, points, rows) in groups.items():
+        w = np.array(rows, dtype=complex)
+        if idx[1:]:  # each point takes its table's row; a lone table's row broadcasts
+            w = np.repeat(w, list(map(len, points)), axis=0)
+        z = np.concatenate(points)[:, None]
+        layout = _layout(shape)
+        data[shape] = layout, w, len(z)
+        for kind, cs in layout[1]:
+            arg = TWO_PI_I * w[:, cs] * z if kind == EXP else z - 0.5 * (1 + taus[kind]) - w[:, cs]
             args.setdefault(kind, []).append(arg)
     vals = {}
     for kind, parts in args.items():
         flat = np.concatenate([x.ravel() for x in parts])
         kernel = th.theta_raw_deriv if kind in (DTH, DTT) else th.theta_raw
-        flat = np.exp(flat) if kind == EXP else kernel(flat, taus[kind]) if flat.size else flat
+        flat = np.exp(flat) if kind == EXP else kernel(flat, taus[kind])
         ends = itertools.accumulate(x.size for x in parts)
         vals[kind] = iter([flat[e - x.size:e].reshape(x.shape) for x, e in zip(parts, ends)])
-    out = []
-    for terms, z, col in zip(tables, zs, cols):
-        v_t = {kind: next(vals[kind]) for kind in col}
-        m = np.zeros(z.shape + (4,), dtype=complex)
-        for entry, coef, factors in terms:
-            v = coef
-            for kind, param in factors:
-                v = v * v_t[kind][..., col[kind][param]]
-            m[..., entry] += v
-        out.append(m.reshape(z.shape + (2, 2)))
+    for shape, (idx, points, _) in groups.items():
+        (terms, by_kind), coefs, size = data[shape]
+        v_s = {kind: next(vals[kind]) for kind, _ in by_kind}
+        m = np.zeros((size, 4), dtype=complex)
+        for (entry, factors), v in zip(terms, coefs.T):  # v: the term's coefficients
+            for kind, k in factors:
+                v = v * v_s[kind][:, k]
+            m[:, entry] += v
+        start = 0
+        for i, p in zip(idx, points):
+            out[i] = m[start:start + len(p)].reshape(zs[i].shape + (2, 2))
+            start += len(p)
     return out
 
 
@@ -355,24 +405,42 @@ def morphism_rep(es, ps, dirs) -> list[MorphismRep]:
     twist-invariant, so only the frame change between the stored and table
     presentations (a swap, a scalar exponential, or a constant diagonal
     for moving the G2 point) dresses the table row.  The direction is
-    transported through the frame's value at p before dispatch.  The
+    transported through the frame's value at p before dispatch: the
+    frames of the stack that are not the identity, G2 rows included, are
+    one ``evaluate_stack`` and one ``transport_directions`` call.  The
     theta~ constants of the stack's ``ss:[x:y]`` rows are one kernel call;
-    its G2 rows share one frame evaluation, transport, branch test and
-    inversion of their transported directions (``theta._invert_lifts``).
+    its G2 rows share one branch test and inversion of their transported
+    directions (``theta._invert_lifts``).
     """
-    out, g2 = [None] * len(es), []
     lat = es[0].lattice if es else None
-    for i, (e, p, a) in enumerate(zip(es, ps, dirs)):
+    # moved: (i, frame terms) of the frames that are not the identity, and every G2 frame.
+    forms, moved, g2 = [None] * len(es), [], []
+    for i, (e, p) in enumerate(zip(es, ps)):
         if isinstance(e, Decomposable):
-            out[i] = _morphism_dec(e, p, a)
-        elif isinstance(e, F2Twist):
-            out[i] = _morphism_f2(e, p, a)
-        else:
+            forms[i] = _split_form(e, p)
+            phi = _framed(_IDENTITY, *forms[i][-1])
+            if phi != _IDENTITY:
+                moved.append((i, phi))
+        elif isinstance(e, G2Twist):
             # G2(p') tensor N as G2(p) tensor M: the exact half-difference
             # lift makes the frame change a constant diagonal.
             d = e.point_lift - p.lift
-            m = LineBundleClass(e.l.degree, e.l.lift + d / 2, e.lattice)
-            g2.append((i, m, (0, np.exp(1j * np.pi * d) if abs(d) > 1e-14 else 1.0, False)))
+            frame = (0, np.exp(1j * np.pi * d) if abs(d) > 1e-14 else 1.0, False)
+            forms[i] = LineBundleClass(e.l.degree, e.l.lift + d / 2, e.lattice), frame
+            moved.append((i, _framed(_IDENTITY, *frame)))
+            g2.append(i)
+    a_t = list(dirs)
+    if moved:
+        mats = evaluate_stack([phi for _, phi in moved], [ps[i].lift for i, _ in moved], lat)
+        vecs = transport_directions(np.array(mats), np.array([dirs[i].vec for i, _ in moved]))
+        for (i, _), (x, y) in zip(moved, vecs.tolist()):
+            a_t[i] = ProjPoint(x, y)
+    out = [None] * len(es)
+    for i, (e, p, a) in enumerate(zip(es, ps, a_t)):
+        if isinstance(e, Decomposable):
+            out[i] = _morphism_dec(e, p, a, forms[i])
+        elif isinstance(e, F2Twist):
+            out[i] = _morphism_f2(e, p, a)
     ss = [i for i, r in enumerate(out) if isinstance(r, tuple)]
     if ss:
         z = np.array([out[i][1] for i in ss])
@@ -380,33 +448,38 @@ def morphism_rep(es, ps, dirs) -> list[MorphismRep]:
         for i, minus, plus in zip(ss, consts, consts[len(ss):]):
             out[i] = out[i][0](minus, plus)
     if g2:
-        mats = evaluate_stack([_framed(_IDENTITY, *frame) for _, _, frame in g2],
-                              [ps[i].lift for i, _, _ in g2], lat)
-        vecs = transport_directions(np.array(mats), np.array([dirs[i].vec for i, _, _ in g2]))
-        a_t = [ProjPoint(x, y) for x, y in vecs.tolist()]
-        lifts, idx = th._invert_lifts([d.a for d in a_t], [d.c for d in a_t], lat)
-        for (i, m, frame), w, k in zip(g2, lifts.tolist(), idx.tolist()):
-            out[i] = _morphism_g2(es[i], ps[i], m, frame, k, w)
+        lifts, idx = th._invert_lifts([a_t[i].a for i in g2], [a_t[i].c for i in g2], lat)
+        for i, w, k in zip(g2, lifts.tolist(), idx.tolist()):
+            out[i] = _morphism_g2(es[i], ps[i], *forms[i], k, w)
     return out
 
 
-def _morphism_dec(e: Decomposable, p: CurvePoint, a: ProjPoint):
-    """The row of a split bundle; for ``ss:[x:y]`` the pair (build, z) of a
-    builder of the row from theta~_{1/2 - tau} at z and -z, and z."""
+def _split_form(e: Decomposable, p: CurvePoint):
+    """(u1, m, lp, trivial, own, frame) of a split bundle at ``p``: its
+    summands in table order, lp = u1 tensor m^-1 of degree k >= 0, whether
+    the bundle is O + O or O(p) + O (up to the twist m), and the frame
+    (shift, scale, swap) from the table presentation to the stored one."""
     lat = e.lattice
-    pt = p.lift
     swap = e.l1.degree < e.l2.degree
     u1, m = (e.l2, e.l1) if swap else (e.l1, e.l2)
     lp = u1.tensor(m.inverse())  # degree k >= 0, exact lift
     k, t = lp.degree, lp.lift
     trivial = k == 0 and lat.distance(t, 0.0) < CLASS_TOL  # O + O
-    own = k == 1 and lat.distance(t, pt) < CLASS_TOL  # O(p) + O at its own point
+    own = k == 1 and lat.distance(t, p.lift) < CLASS_TOL  # O(p) + O at its own point
     # Frame change table -> stored: a scalar-exponential lift fix on the
     # first summand (O + O and O(p) + O), then the order swap, as needed.
-    shift = round((t - pt if own else t).imag / lat.tau.imag) if trivial or own else 0
-    frame = (shift, 1.0, swap)
-    phi = _framed(_IDENTITY, *frame)
-    a_t = a if phi == _IDENTITY else transport_direction(evaluate_stack([phi], [pt], lat)[0], a)
+    shift = round((t - p.lift if own else t).imag / lat.tau.imag) if trivial or own else 0
+    return u1, m, lp, trivial, own, (shift, 1.0, swap)
+
+
+def _morphism_dec(e: Decomposable, p: CurvePoint, a_t: ProjPoint, form):
+    """The row of a split bundle for the direction ``a_t`` in the table
+    frame, given its ``_split_form``; for ``ss:[x:y]`` the pair (build, z)
+    of a builder of the row from theta~_{1/2 - tau} at z and -z, and z."""
+    lat = e.lattice
+    pt = p.lift
+    u1, m, lp, trivial, own, frame = form
+    k, t = lp.degree, lp.lift
 
     theta_p = ((TH, pt),)
     pivot = ((0, 1.0, ()), (3, 1.0, theta_p))  # toward [1:0]
@@ -806,6 +879,8 @@ def distance_to_curve(triples, qs, p1s, p2s) -> np.ndarray:
     branch point, so a well-conditioned fiber is always among the
     candidates.
     """
+    if not qs:
+        return np.zeros(0)
     shifts = []
     for q, p1, p2 in zip(qs, p1s, p2s):
         e1 = halve_sum(q, p1)
@@ -846,6 +921,8 @@ def base_from_coordinate(taus, qs) -> list[MarkedBundle]:
     bundle (the split form L_i + L_i carries no good line); otherwise the
     dual pair of cover preimages.  The mark is the line [1:1].
     """
+    if not qs:
+        return []
     lat = qs[0].lattice
     lifts, idx = th._invert_lifts([t.a for t in taus], [t.c for t in taus], lat)
     out = []
@@ -866,6 +943,8 @@ def second_direction_for_class(h1s, qs, ps, taus) -> list[ProjPoint]:
     kappa the combined twist of the point-moving normalization and the
     e-twist, so w is the cover preimage of tau shifted by kappa.
     """
+    if not qs:
+        return []
     lat = qs[0].lattice
     roots, _ = th._invert_lifts([t.a for t in taus], [t.c for t in taus], lat)
     ws, d2s = [], []

@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import types
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -990,6 +992,130 @@ def test_evaluate_stack_matches_batches_of_one(tau):
             err = np.abs(got - want).max(axis=(-2, -1)) / np.abs(want).max(axis=(-2, -1))
             assert err.max() <= 1e-13, name
     assert ell.evaluate_stack([], [], lat) == []
+
+
+def per_table_stack(tables, zs, lattice):
+    """``evaluate_stack`` as it was before grouping by shape: the kernel
+    arguments and the term sums are formed one table at a time."""
+    if not tables:
+        return []
+    zs = [np.asarray(z, dtype=complex) for z in zs]
+    taus = {ell.TH: lattice.tau, ell.DTH: lattice.tau, ell.TT: 2 * lattice.tau,
+            ell.DTT: 2 * lattice.tau}
+    cols, args = [], {}
+    for terms, z in zip(tables, zs):
+        col = {}
+        for kind, param in (f for _, _, factors in terms for f in factors):
+            col.setdefault(kind, {}).setdefault(param, len(col[kind]))
+        cols.append(col)
+        for kind, c in col.items():
+            w, zc = np.array(list(c)), z[..., None]
+            arg = ell.TWO_PI_I * w * zc if kind == ell.EXP else zc - 0.5 * (1 + taus[kind]) - w
+            args.setdefault(kind, []).append(arg)
+    vals = {}
+    for kind, parts in args.items():
+        flat = np.concatenate([x.ravel() for x in parts])
+        kernel = th.theta_raw_deriv if kind in (ell.DTH, ell.DTT) else th.theta_raw
+        flat = np.exp(flat) if kind == ell.EXP else kernel(flat, taus[kind]) if flat.size else flat
+        ends = itertools.accumulate(x.size for x in parts)
+        vals[kind] = iter([flat[e - x.size:e].reshape(x.shape) for x, e in zip(parts, ends)])
+    out = []
+    for terms, z, col in zip(tables, zs, cols):
+        v_t = {kind: next(vals[kind]) for kind in col}
+        m = np.zeros(z.shape + (4,), dtype=complex)
+        for entry, coef, factors in terms:
+            v = coef
+            for kind, param in factors:
+                v = v * v_t[kind][..., col[kind][param]]
+            m[..., entry] += v
+        out.append(m.reshape(z.shape + (2, 2)))
+    return out
+
+
+def shuffled_row_stack(lat, seed):
+    """The term tables of every suite row fixture (three draws each), every
+    row and frame fixture, and the frames of swaps, shifts and a G2 scale,
+    shuffled; with points that are ragged 1-D arrays (some empty), a
+    scalar and a 2-D array."""
+    rng = np.random.default_rng(seed)
+    cases = [(name, *make(rng)) for name, make in suites._elliptic_row_fixtures(lat, rng)
+             for _ in range(3)]
+    cases += all_row_fixtures(lat)
+    tables = [r.terms for r in ell.morphism_rep(*zip(*[(b, p, a) for _, b, p, a in cases]))]
+    frames = ((1, 1.0, False), (-2, 1.0, True), (0, 1.0, True), (0, 0.3 - 0.8j, False))
+    tables += [ell._framed(ell._IDENTITY, *frame) for frame in frames]
+    tables = [tables[i] for i in rng.permutation(len(tables))]
+    box = (2 * rng.random(40) - 0.5) + (2 * rng.random(40) - 0.5) * lat.tau
+    zs = [box[i % 5:i % 5 + i % 7] for i in range(len(tables))]
+    zs[1], zs[2] = np.asarray(box[7]), box[:12].reshape(3, 4)
+    return tables, zs
+
+
+@pytest.mark.parametrize("tau", REF_TAUS)
+def test_grouped_evaluation_is_bit_exact(tau):
+    # Grouping by shape keeps every kernel argument, product and sum as the
+    # per-table loop forms them, so the matrices agree bit for bit.
+    lat = Lattice(tau)
+    tables, zs = shuffled_row_stack(lat, seed=31)
+    assert {z.size for z in zs} >= {0, 1, 6, 12} and {z.ndim for z in zs} == {0, 1, 2}
+    got = ell.evaluate_stack(tables, zs, lat)
+    want = per_table_stack(tables, zs, lat)
+    assert len(got) == len(want) == len(tables)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and np.array_equal(g, w)
+    back = ell.evaluate_stack(tables[::-1], zs[::-1], lat)
+    assert all(np.array_equal(g, w) for g, w in zip(back, got[::-1]))
+
+
+def test_evaluate_stack_evaluates_each_distinct_column_once(monkeypatch):
+    # One kernel call per kind, at each table's distinct (kind, param)
+    # columns only: a factor repeated within a table is evaluated once.
+    lat = Lattice(REF_TAUS[1])
+    tables, zs = shuffled_row_stack(lat, seed=37)
+    kernels = {ell.TH: ("theta_raw", lat.tau), ell.DTH: ("theta_raw_deriv", lat.tau),
+               ell.TT: ("theta_raw", 2 * lat.tau), ell.DTT: ("theta_raw_deriv", 2 * lat.tau)}
+    want, slots = Counter(), 0
+    for terms, z in zip(tables, zs):
+        factors = [f for _, _, fs in terms for f in fs if f[0] != ell.EXP]
+        slots += len(factors) * np.size(z)
+        for kind, _ in set(factors):
+            want[kernels[kind]] += np.size(z)
+    assert sum(want.values()) < slots
+    points, calls = Counter(), Counter()
+    for name in ("theta_raw", "theta_raw_deriv"):
+        def spy(z, tau, name=name, original=getattr(th, name)):
+            points[name, tau] += np.size(z)
+            calls[name, tau] += 1
+            return original(z, tau)
+        monkeypatch.setattr(th, name, spy)
+    ell.evaluate_stack(tables, zs, lat)
+    assert points == want
+    assert calls == Counter(dict.fromkeys(want, 1))
+
+
+EMPTY_STACKS = {
+    "evaluate_stack": lambda q: ell.evaluate_stack([], [], None),
+    "morphism_rep": lambda q: ell.morphism_rep([], [], []),
+    "mss_coordinate": lambda q: ell.mss_coordinate([]),
+    "chain_lines": lambda q: ell.chain_lines([]),
+    "h_total": lambda q: ell.h_total([]),
+    "membership_Hp": lambda q: ell.membership_Hp([]),
+    "f_embedding": lambda q: ell.f_embedding([], q, q + q, q + q + q),
+    "distance_to_curve": lambda q: ell.distance_to_curve([], [], [], []),
+    "base_from_coordinate": lambda q: ell.base_from_coordinate([], []),
+    "second_direction_for_class": lambda q: ell.second_direction_for_class([], [], [], []),
+    "sequence_from_coordinates": lambda q: ell.sequence_from_coordinates([], [], []),
+    "sequence_from_lines": lambda q: ell.sequence_from_lines([], [], []),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMPTY_STACKS))
+def test_stacked_builders_accept_an_empty_stack(name):
+    got = EMPTY_STACKS[name](CurvePoint(0.13 + 0.71 * LAT.tau, LAT))
+    if name == "distance_to_curve":
+        assert isinstance(got, np.ndarray) and got.shape == (0,)
+    else:
+        assert got == []
 
 
 # ---------------------------------------------------------------------------
