@@ -13,7 +13,14 @@ from typing import Callable
 
 import numpy as np
 
-from .projective import ProjPoint, chordal_vecs, rank_one_column_space, rank_one_column_spaces
+from .projective import (
+    ProjPoint,
+    chordal_vecs,
+    complex_abs,
+    complex_mul,
+    rank_one_column_space,
+    rank_one_column_spaces,
+)
 from .pseries import UNIT_TOL, NonUnit, SeriesMat2, bruhat_companion, series_product
 
 #: Relative second-singular-value threshold for rank-1 detection.
@@ -138,8 +145,8 @@ def random_units(rng: np.random.Generator, count: int, order: int) -> SeriesMat2
     decay = 0.4 ** np.arange(order + 1)
     draws = rng.normal(size=(count, 2, 2, 2, order + 1))
     coeffs = (draws[:, 0] + 1j * draws[:, 1]) * decay
-    # Python complex arithmetic: numpy's vector product rounds differently.
-    units = coeffs[[abs(a * d - b * c) > 0.3 for (a, b), (c, d) in coeffs[..., 0].tolist()]]
+    (a, b), (c, d) = np.moveaxis(coeffs[..., 0], 0, -1)
+    units = coeffs[complex_abs(complex_mul(a, d) - complex_mul(b, c)) > 0.3]
     if len(units) < count:  # redraw the rejected ones after the block
         units = np.concatenate([units, random_units(rng, count - len(units), order).c])
     return SeriesMat2(units)

@@ -57,6 +57,69 @@ class ProjPoint:
         return abs(self.c) > abs(self.a) and abs(self.a) < tol
 
 
+def complex_abs(z: np.ndarray) -> np.ndarray:
+    """Moduli of a complex array, as Python's ``abs(complex)`` rounds them
+    (``hypot``); numpy's complex ``np.abs`` may round otherwise."""
+    return np.hypot(z.real, z.imag)
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """The complex array re + i im, with the parts set separately so that
+    signed zeros survive."""
+    out = np.empty(np.broadcast(re, im).shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def complex_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b elementwise, rounded as Python's complex product:
+    (ar br - ai bi) + i (ar bi + ai br), no fused multiply-add.  numpy's
+    complex multiply may round otherwise."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    return _complex(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
+
+
+def complex_div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a / b elementwise for finite operands, rounded as Python's complex
+    division: Smith's method, scaled by whichever part of b is larger in
+    magnitude (the real part on a tie).  numpy's complex division may
+    round otherwise.  Raises ZeroDivisionError where b is 0, as Python does.
+    """
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    if ((b.real == 0) & (b.imag == 0)).any():
+        raise ZeroDivisionError("complex division by zero")
+    by_real = np.abs(b.real) >= np.abs(b.imag)
+    # Name the parts so that both branches read as the real-part one:
+    # p is the larger part of b and s the part of a on the same axis.
+    p, q = np.where(by_real, b.real, b.imag), np.where(by_real, b.imag, b.real)
+    s, t = np.where(by_real, a.real, a.imag), np.where(by_real, a.imag, a.real)
+    ratio = q / p
+    denom = p + q * ratio
+    cross = s * ratio
+    # Python's branches read t - cross and cross - t, which differ in the
+    # sign of a zero, so neither is written as the other's negation.
+    return _complex((s + t * ratio) / denom, np.where(by_real, t - cross, cross - t) / denom)
+
+
+def normalized_vecs(vecs: np.ndarray) -> np.ndarray:
+    """Homogeneous vectors (..., 2) normalized as ``ProjPoint`` normalizes
+    them, bit for bit: [1 : c/a] where |a| >= |c|, else [a/c : 1].  Raises
+    DegeneratePoint if both coordinates of any vector are below NORM_TOL."""
+    vecs = np.asarray(vecs, dtype=complex)
+    a, c = vecs[..., 0], vecs[..., 1]
+    mod_a, mod_c = complex_abs(a), complex_abs(c)
+    small = np.maximum(mod_a, mod_c) < NORM_TOL
+    if small.any():
+        i = tuple(np.argwhere(small)[0])
+        raise DegeneratePoint(f"[{a[i]}:{c[i]}] is not a projective point")
+    first = mod_a >= mod_c
+    ratio = complex_div(np.where(first, c, a), np.where(first, a, c))
+    out = np.empty(vecs.shape, dtype=complex)
+    out[..., 0] = np.where(first, 1.0 + 0.0j, ratio)
+    out[..., 1] = np.where(first, ratio, 1.0 + 0.0j)
+    return out
+
+
 def chordal(p: ProjPoint, q: ProjPoint) -> float:
     """Chordal distance |a_p c_q - c_p a_q| / (|p| |q|), bounded by 1."""
     return _chordal(p.a, p.c, q.a, q.c)

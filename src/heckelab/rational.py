@@ -14,10 +14,11 @@ and the terminal type of a direction tuple decides membership.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
-from .projective import PROJ_TOL, ProjPoint, chordal_vecs
+from .projective import PROJ_TOL, ProjPoint, chordal_vecs, complex_abs, complex_div, normalized_vecs
 from .grassmannian import chain_direction_vecs
 from .pseries import PolyMat2
 
@@ -101,7 +102,7 @@ class RationalSequence:
 
     def _zero_dirs(self) -> np.ndarray:
         """Steps toward [1:0] (..., n), as ``ProjPoint.is_zero_dir`` decides."""
-        return np.abs(self.vecs[..., 1]) < PROJ_TOL * np.abs(self.vecs[..., 0])
+        return complex_abs(self.vecs[..., 1]) < PROJ_TOL * complex_abs(self.vecs[..., 0])
 
     def hecke_lengths(self) -> np.ndarray:
         """Hecke lengths (..., n + 1) of E_0 = O + O, E_1, ..., E_n: from
@@ -115,12 +116,9 @@ class RationalSequence:
     def coeffs(self) -> np.ndarray:
         """Table-matrix coefficients (..., n, 2, 2, 2) of the steps."""
         zero = self._zero_dirs()
-        # lam = a / c in Python's complex division: numpy's rounds otherwise
-        # in about one case in eight.
-        lam = [0j if z else a / c for (a, c), z in
-               zip(self.vecs.reshape(-1, 2).tolist(), zero.ravel().tolist())]
-        return table_coeffs(self.points, np.reshape(np.array(lam, dtype=complex), zero.shape),
-                            zero, self.hecke_lengths()[..., :-1] == 0)
+        # Outside ``zero`` the divisor c is nonzero; inside, 1.0 stands in for it.
+        lam = np.where(zero, 0j, complex_div(self.vecs[..., 0], np.where(zero, 1.0, self.vecs[..., 1])))
+        return table_coeffs(self.points, lam, zero, self.hecke_lengths()[..., :-1] == 0)
 
     def h_map(self) -> np.ndarray:
         """Direction tuples (..., n, 2) in the trivialization of O + O."""
@@ -278,10 +276,20 @@ def two_column_ratio(a: np.ndarray) -> np.ndarray:
     """s_min / s_max of (..., n, 2) matrices (0 for zero ones) by Cauchy-Binet,
     s_min s_max = sqrt(D) for D the sum of |2 x 2 minors|^2, and
     s_max^2 = (F + sqrt(F^2 - 4D)) / 2 for F the squared Frobenius norm."""
-    i, j = np.triu_indices(a.shape[-2], 1)
+    i, j = upper_pairs(a.shape[-2])
     d = (np.abs(a[..., i, 0] * a[..., j, 1] - a[..., i, 1] * a[..., j, 0]) ** 2).sum(axis=-1)
     f = (np.abs(a) ** 2).sum(axis=(-2, -1))
     return 2 * np.sqrt(d) / np.maximum(f + np.sqrt(np.maximum(f * f - 4 * d, 0)), np.finfo(float).tiny)
+
+
+@cache
+def upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n, 1)``, the index pairs i < j, made once per n and
+    read-only."""
+    pairs = np.triu_indices(n, 1)
+    for idx in pairs:
+        idx.flags.writeable = False
+    return pairs
 
 
 def min_column_degree(p: PolyMat2, tol: float = RANK_DROP_TOL) -> int:
@@ -327,26 +335,27 @@ def membership_H_closed_forms(vecs: np.ndarray) -> np.ndarray:
     return ~near.all(axis=1) | (n < 2)
 
 
-def minimal_direction_vecs(n: int, rng: np.random.Generator,
-                           zero_dir_rate: float = 0.25) -> list[tuple[complex, complex]]:
-    """Directions of a random sequence of n steps with minimal terminal Hecke
-    length, as ``ProjPoint`` normalizes them (the larger coordinate 1).
+def minimal_direction_vecs(count: int, n: int, rng: np.random.Generator,
+                           zero_dir_rate: float = 0.25) -> np.ndarray:
+    """Directions (count, n, 2) of ``count`` random sequences of n steps with
+    minimal terminal Hecke length, as ``ProjPoint`` normalizes them (the
+    larger coordinate 1).
 
     From a semistable class every direction raises the length (draw any
     direction, occasionally the distinguished [1:0]); from an unstable
-    class only non-[1:0] directions lower it, so those are forced.  Per
-    step: one ``random()`` from a semistable class, then, unless [1:0] was
-    drawn, one ``normal()`` pair.
+    class only non-[1:0] directions lower it, so those are forced.  Draw
+    order: one block ``random((count, n))``, then one block
+    ``normal((count, n, 2))`` of (real, imaginary) parts.  Step i of draw k
+    reads uniform (k, i) when its class is semistable, and the normal pair
+    (k, i) as the direction [lam:1] unless it drew [1:0].
     """
-    vecs, length = [], 0
-    for _ in range(n):
-        if length == 0 and rng.random() < zero_dir_rate:
-            vec = (1.0 + 0.0j, 0.0j)
-        else:
-            lam = rng.normal() + 1j * rng.normal()
-            # ProjPoint(lam, 1.0), in its Python complex arithmetic.
-            vec = (1.0 + 0.0j, 1.0 / lam) if abs(lam) >= 1.0 else (lam / 1.0, 1.0 + 0.0j)
-        vecs.append(vec)
+    u = rng.random((count, n))
+    z = rng.normal(size=(count, n, 2))
+    lam = z[..., 0] + 1j * z[..., 1]
+    vecs = normalized_vecs(np.stack([lam, np.ones_like(lam)], axis=-1))
+    length = np.zeros(count, dtype=int)
+    for i in range(n):
+        vecs[(length == 0) & (u[:, i] < zero_dir_rate), i] = (1.0, 0.0)
         # ProjPoint.is_zero_dir: the first coordinate is 1 whenever the second is below 1.
-        length += 1 if length == 0 or abs(vec[1]) < PROJ_TOL else -1
+        length += np.where((length == 0) | (complex_abs(vecs[:, i, 1]) < PROJ_TOL), 1, -1)
     return vecs

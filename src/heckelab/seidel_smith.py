@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .projective import chordal_vecs, rank_one_column_spaces
+from .projective import chordal_vecs, complex_abs, rank_one_column_spaces
 from .rational import (
     RANK_DROP_TOL,
     RationalSequence,
@@ -21,6 +21,7 @@ from .rational import (
     h_vecs,
     minimal_direction_vecs,
     two_column_ratio,
+    upper_pairs,
 )
 
 #: Eigenvalues closer than this are treated as a degenerate spectrum.
@@ -100,7 +101,7 @@ def woodward_vecs(a: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
     ValueError.  The eigenvalue order is the caller's; it is never sorted
     here because the diagram comparison is order-sensitive.
     """
-    i, j = np.triu_indices(eigenvalues.shape[-1], 1)
+    i, j = upper_pairs(eigenvalues.shape[-1])
     gaps = np.abs(eigenvalues[..., i] - eigenvalues[..., j])
     if (gaps < SPECTRUM_GAP).any():
         raise DegenerateSpectrum(f"two eigenvalues collide (gap {gaps.min():.3e})")
@@ -133,25 +134,44 @@ def conjecture_residuals(seq: RationalSequence) -> np.ndarray:
     return chordal_vecs(np.stack([-h[..., 1], h[..., 0]], axis=-1), w).max(axis=-1)
 
 
-def separated_points(count: int, rng: np.random.Generator, gap: float = 0.3) -> list[complex]:
-    """Random complex points with pairwise separation at least ``gap``."""
-    pts: list[complex] = []
-    while len(pts) < count:
-        z = rng.normal() + 1j * rng.normal()
-        if all(abs(z - w) >= gap for w in pts):
-            pts.append(z)
+def separated_points(count: int, n: int, rng: np.random.Generator,
+                     gap: float = 0.3) -> np.ndarray:
+    """``count`` draws (count, n) of n random complex points each, pairwise
+    at least ``gap`` apart within a draw.
+
+    Candidates are standard complex normals, drawn in rounds.  A round
+    draws one block ``normal((open, k, 2))`` of (real, imaginary) parts for
+    the ``open`` draws still short of n points, in draw order, with k the
+    number of points that the emptiest of them lacks.  Within a draw the
+    candidates are read in order, and one is kept when it is at least
+    ``gap`` from every point of its draw kept so far (moduli as Python's
+    ``abs`` rounds them), until the draw holds n points.
+    """
+    # Empty slots hold infinity, which is farther than ``gap`` from any candidate.
+    pts = np.full((count, n), np.inf, dtype=complex)
+    filled = np.zeros(count, dtype=int)
+    open_ = np.arange(count)
+    while open_.size:
+        k = n - int(filled[open_].min())
+        z = rng.normal(size=(open_.size, k, 2))
+        cands = z[..., 0] + 1j * z[..., 1]
+        kept, have = pts[open_], filled[open_]
+        for j in range(k):
+            far = (complex_abs(cands[:, j, None] - kept) >= gap).all(axis=1)
+            rows = np.flatnonzero(far & (have < n))
+            kept[rows, have[rows]] = cands[rows, j]
+            have[rows] += 1
+        pts[open_], filled[open_] = kept, have
+        open_ = open_[have < n]
     return pts
 
 
 def conjecture_draws(m: int, count: int, rng: np.random.Generator) -> RationalSequence:
-    """``count`` random minimal sequences of length 2m, stacked: per draw,
-    ``separated_points`` and then ``minimal_direction_vecs`` for those
-    points, both from ``rng`` in that order."""
-    points, vecs = [], []
-    for _ in range(count):
-        points.append(separated_points(2 * m, rng))
-        vecs.append(minimal_direction_vecs(2 * m, rng))
-    return RationalSequence(points, vecs)
+    """``count`` random minimal sequences of length 2m, stacked: the points
+    of every draw by ``separated_points``, then the directions of every
+    draw by ``minimal_direction_vecs``, both from ``rng`` in that order."""
+    return RationalSequence(separated_points(count, 2 * m, rng),
+                            minimal_direction_vecs(count, 2 * m, rng))
 
 
 def conjecture_check(m: int, samples: int, rng: np.random.Generator) -> float:

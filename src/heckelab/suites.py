@@ -13,7 +13,16 @@ import numpy as np
 
 from .cli_errors import ConfigError
 from . import theta as th
-from .projective import ProjPoint, chordal, chordal_vecs, random_point, sphere_grid
+from .projective import (
+    ProjPoint,
+    chordal,
+    chordal_vecs,
+    complex_div,
+    complex_mul,
+    normalized_vecs,
+    random_point,
+    sphere_grid,
+)
 from .pseries import SeriesMat2, DEFAULT_ORDER
 from .grassmannian import (
     companion_residual,
@@ -539,8 +548,7 @@ def _random_tuples(rng, n, count):
     (k, n, 2) arrays of at most S2_CHUNK tuples."""
     for start in range(0, count, S2_CHUNK):
         v = rng.normal(size=(min(S2_CHUNK, count - start), n, 2, 2))  # real pair, imaginary pair
-        yield rat.direction_vecs([[ProjPoint(a, c) for a, c in tup]
-                                  for tup in (v[..., 0, :] + 1j * v[..., 1, :]).tolist()])
+        yield normalized_vecs(v[..., 0, :] + 1j * v[..., 1, :])
 
 
 def _compute_space_s2(report, config, rng, n):
@@ -642,14 +650,15 @@ def check_conjecture(report, config, rng):
         l1, l2, mu1, w = np.moveaxis(r[..., 0] + 1j * r[..., 1], -1, 0)
         mus = np.stack([mu1, mu1 + 1.0 + 0.5 * w], axis=-1)
         # lambda as ProjPoint normalizes it, and the closed forms of the
-        # shapes [l1:1],[l2:1], [1:0],[l2:1] and [1:0],[0:1], in Python
-        # complex arithmetic: numpy's vector complex product rounds otherwise.
-        lam, expect = [], []
-        for x, y, (m1, m2) in zip(l1.tolist(), l2.tolist(), mus.tolist()):
-            lam.append([p.a / p.c for p in (ProjPoint(x, 1), ProjPoint(y, 1))])
-            expect.append([[[m1 - x * y, x * (m2 - m1 + x * y)], [-y, m2 + x * y]],
-                           [[m2, -y], [0, m1]], [[m2, 0], [0, m1]]])
-        lam = np.array(lam)
+        # shapes [l1:1],[l2:1], [1:0],[l2:1] and [1:0],[0:1], in Python's
+        # complex rounding.
+        vecs = normalized_vecs(np.stack([np.stack([l1, l2], axis=-1), np.ones((100, 2))], axis=-1))
+        lam = complex_div(vecs[..., 0], vecs[..., 1])
+        m1, m2 = mu1, mus[:, 1]
+        xy, zero = complex_mul(l1, l2), np.zeros(100)
+        expect = np.array([[[m1 - xy, complex_mul(l1, m2 - m1 + xy)], [-l2, m2 + xy]],
+                           [[m2, -l2], [zero, m1]], [[m2, zero], [zero, m1]]])
+        expect = np.moveaxis(expect, -1, 0)
 
         def slices(lam, first_zero):
             # [lam_1:1] or, if first_zero, [1:0] (lam_1 unused), then [lam_2:1].
@@ -673,9 +682,9 @@ def check_conjecture(report, config, rng):
 
 
 def _rational_embedding_draws(rng) -> dict[int, rat.RationalSequence]:
-    """Ten minimal sequences drawn at lengths 2, 4, 2, 4, ..., stacked by length."""
-    vecs = [rat.minimal_direction_vecs(2 + 2 * (k % 2), rng) for k in range(10)]
-    return {n: rat.RationalSequence([rat.default_points(n)] * 5, vecs[n // 2 - 1::2]) for n in (2, 4)}
+    """Five minimal sequences of length 2, then five of length 4, by length."""
+    return {n: rat.RationalSequence([rat.default_points(n)] * 5, rat.minimal_direction_vecs(5, n, rng))
+            for n in (2, 4)}
 
 
 def embed_check(report, config, rng):

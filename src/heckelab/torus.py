@@ -51,7 +51,14 @@ class Lattice:
 
         Elementwise on arrays; a scalar comes back as a Python complex.
         """
-        z = np.asarray(z, dtype=complex) if np.ndim(z) else complex(z)
+        # Python scalars (numpy's float64 and complex128 among them) skip
+        # numpy, which costs half of a scalar call.
+        if isinstance(z, (complex, float, int)):
+            z = complex(z)
+        else:
+            z = np.asarray(z, dtype=complex)
+            if not z.ndim:
+                z = complex(z)
         x, y = self.coords(z)
         return (x % 1.0) + (y % 1.0) * self.tau
 

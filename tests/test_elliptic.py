@@ -8,7 +8,6 @@ import pytest
 
 from heckelab import cli
 from heckelab import elliptic as ell
-from heckelab import rational as rat
 from heckelab import suites
 from heckelab import theta as th
 from heckelab.elliptic import (
@@ -28,6 +27,7 @@ from heckelab.projective import ProjPoint, chordal, random_point, transport_dire
 from heckelab.torus import CurvePoint, Lattice, halve_sum
 
 from chain_refs import chain_directions, raw_directions
+from draw_refs import reference_minimal_directions
 
 LAT = Lattice()
 RNG = np.random.default_rng(77)
@@ -1413,8 +1413,8 @@ def ref_embedding_draws(ref, lat, n_seq, reject):
     for k in range(n_seq):  # the elliptic terminal section
         ref_torus_points(ref, lat, 3)
         [ref_curve_point(ref, lat) for _ in range(1 if k % 2 else 3)]
-    for k in range(10):  # the rational embedding section
-        rat.minimal_direction_vecs(2 + 2 * (k % 2), ref)
+    for n in (2, 4):  # the rational embedding section
+        reference_minimal_directions(5, n, ref)
     draws = []
     for k in range(10):
         pts = ref_torus_points(ref, lat, 3)

@@ -85,7 +85,7 @@ def test_left_equivariance():
 def test_chain_directions_match_the_composite():
     rng = np.random.default_rng(8)
     for n in (1, 3, 5):
-        seq = rat.RationalSequence(rat.default_points(n), rat.minimal_direction_vecs(n, rng))
+        seq = rat.RationalSequence(rat.default_points(n), rat.minimal_direction_vecs(1, n, rng)[0])
         mats = [PolyMat2(c) for c in seq.coeffs()]
         dirs = chain_directions(mats, seq.points)
         full = PolyMat2(rat.composites(seq.coeffs()[None])[0])
@@ -100,7 +100,7 @@ def test_h_map_matches_the_scalar_chain():
     rng = np.random.default_rng(40)
     for n in (1, 2, 4, 6):
         for _ in range(10):
-            seq = rat.RationalSequence(rat.default_points(n), rat.minimal_direction_vecs(n, rng))
+            seq = rat.RationalSequence(rat.default_points(n), rat.minimal_direction_vecs(1, n, rng)[0])
             scalar = chain_directions([PolyMat2(c) for c in seq.coeffs()], seq.points)
             assert max(chordal(ProjPoint(*v), y) for v, y in zip(seq.h_map(), scalar)) < 1e-13
 

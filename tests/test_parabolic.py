@@ -33,6 +33,7 @@ from heckelab.rational import RationalBundle
 from heckelab.torus import CurvePoint, Lattice
 
 from chain_refs import chain_directions
+from draw_refs import reference_minimal_directions
 
 LAT = Lattice()
 RNG = np.random.default_rng(20)
@@ -280,7 +281,7 @@ class TestStability:
 
 class TestCorrespondence:
     def test_roundtrip_identity(self):
-        vecs = rat.minimal_direction_vecs(3, np.random.default_rng(1))
+        vecs = rat.minimal_direction_vecs(1, 3, np.random.default_rng(1))[0]
         seq = rat.RationalSequence(rat.default_points(3), vecs)
         marks = [Mark(mu, ProjPoint(*v)) for mu, v in zip(seq.points.tolist(), seq.h_map())]
         points, dirs = [m.point for m in marks], [m.line for m in marks]
@@ -382,7 +383,7 @@ class TestEmbedding:
         # rank test on its direction tuple decides the same on every draw.
         for n in (2, 4, 6):
             for seed in range(40):
-                vecs = rat.minimal_direction_vecs(n, np.random.default_rng(seed))
+                vecs = rat.minimal_direction_vecs(1, n, np.random.default_rng(seed))[0]
                 seq = rat.RationalSequence(rat.default_points(n), vecs)
                 walk = seq.hecke_lengths()[-1]
                 assert walk == rat.terminal_hecke_lengths(seq.points, seq.h_map()[None])[0] == 0
@@ -399,7 +400,7 @@ class TestEmbedding:
         rng = np.random.default_rng(22)
         for n in (0, 2, 4, 6):
             pts = rat.default_points(n)
-            vecs = [rat.minimal_direction_vecs(n, rng) for _ in range(7)]
+            vecs = rat.minimal_direction_vecs(7, n, rng)
             stack = hecke_embeddings_rational(rat.RationalSequence([pts] * 7, vecs), self.AUX)
             assert len(stack) == 7
             for pb, v in zip(stack, vecs):
@@ -412,12 +413,13 @@ class TestEmbedding:
     def test_stack_rejections(self):
         rng = np.random.default_rng(23)
         pts3 = rat.default_points(3)
-        odd = rat.RationalSequence([pts3] * 2, [rat.minimal_direction_vecs(3, rng) for _ in range(2)])
+        odd = rat.RationalSequence([pts3] * 2, rat.minimal_direction_vecs(2, 3, rng))
         with pytest.raises(ValueError, match="even-length"):
             hecke_embeddings_rational(odd, self.AUX)
         pts = rat.default_points(2)
-        good = rat.minimal_direction_vecs(2, rng)
-        stack = rat.RationalSequence([pts] * 2, [good, rat.minimal_direction_vecs(2, rng)])
+        pair = rat.minimal_direction_vecs(2, 2, rng)
+        good = pair[0]
+        stack = rat.RationalSequence([pts] * 2, pair)
         with pytest.raises(ValueError, match="distinct"):
             hecke_embeddings_rational(stack, [self.AUX[0], self.AUX[1], Mark(13.0 + 1j, A)])
         walk = [ProjPoint(1, 0).vec, ProjPoint(1, 1e-12).vec]
@@ -430,12 +432,11 @@ class TestEmbedding:
     def test_section_draws_match_the_per_draw_loop(self, seed):
         rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         stacks = suites._rational_embedding_draws(rng)
-        loop = [rat.RationalSequence(rat.default_points(n), rat.minimal_direction_vecs(n, loop_rng))
-                for n in [2 + 2 * (k % 2) for k in range(10)]]
+        loop = {n: reference_minimal_directions(5, n, loop_rng) for n in (2, 4)}
         for n, stack in stacks.items():
             assert stack.points.shape == (5, n)
-            assert np.array_equal(stack.points, np.array([s.points for s in loop[n // 2 - 1::2]]))
-            assert np.array_equal(stack.vecs, np.array([s.vecs for s in loop[n // 2 - 1::2]]))
+            assert np.array_equal(stack.points, np.array([rat.default_points(n)] * 5))
+            assert stack.vecs.tobytes() == rat.direction_vecs(loop[n]).tobytes()
         assert rng.bit_generator.state == loop_rng.bit_generator.state
 
     def test_elliptic_members_embed_stably(self):

@@ -1,12 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heckelab.grassmannian import RANK_TOL, NotInCell, eta_vecs
 from heckelab.projective import (
     NORM_TOL,
+    DegeneratePoint,
     ProjPoint,
     chordal,
     chordal_vecs,
+    complex_abs,
+    complex_div,
+    complex_mul,
+    normalized_vecs,
     rank_one_column_space,
     rank_one_column_spaces,
     transport_direction,
@@ -151,3 +158,71 @@ def test_stacked_transport_is_bit_identical_per_element():
         p = ProjPoint(*v)
         got, ref = transport_direction(m, p), ProjPoint(*_ref_transport(m, p.vec))
         assert (got.a, got.c) == (ref.a, ref.c)
+
+
+# ---------------------------------------------------------------------------
+# Array arithmetic that rounds as Python's complex does.
+
+#: Parts of the complex operands: signed zeros, moduli from 1e-300 to 1e300,
+#: values on either side of NORM_TOL, and any float in between.
+PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300, 1e300, -1e300, 5e-14, -2e-14, 3e-13]),
+    st.floats(min_value=-1e300, max_value=1e300),
+)
+NUMBERS = st.builds(complex, PARTS, PARTS)
+#: Pairs (a, c): independent, or tied in modulus |a| = |c|, exactly.
+PAIRS = st.one_of(
+    st.tuples(NUMBERS, NUMBERS),
+    NUMBERS.map(lambda z: (z, complex(z.imag, z.real))),
+    NUMBERS.map(lambda z: (z, -z.conjugate())),
+    st.sampled_from([(3 + 4j, 5 + 0j), (-0.0 + 5j, 4 - 3j), (1e-14 + 0j, -0.0 + 1e-14j)]),
+)
+EXACT = settings(derandomize=True, max_examples=200, deadline=None)
+
+
+@EXACT
+@given(st.lists(PAIRS, min_size=1, max_size=6))
+def test_complex_mul_and_abs_round_as_python(pairs):
+    a, c = (np.array(x, dtype=complex) for x in zip(*pairs))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert complex_mul(a, c).tobytes() == np.array([x * y for x, y in pairs]).tobytes()
+    assert complex_abs(a).tobytes() == np.array([abs(x) for x, _ in pairs]).tobytes()
+
+
+@EXACT
+@given(st.lists(PAIRS, min_size=1, max_size=6))
+def test_complex_div_rounds_as_python(pairs):
+    a, c = (np.array(x, dtype=complex) for x in zip(*pairs))
+    if (c == 0).any():
+        with pytest.raises(ZeroDivisionError):
+            complex_div(a, c)
+        keep = c != 0
+        a, c = a[keep], c[keep]
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = complex_div(a, c)
+    assert got.tobytes() == np.array([x / y for x, y in zip(a.tolist(), c.tolist())]).tobytes()
+
+
+@EXACT
+@given(st.lists(PAIRS, min_size=1, max_size=6))
+def test_normalized_vecs_are_projpoint_bits(pairs):
+    vecs = np.array(pairs, dtype=complex)
+    try:
+        want = np.array([[p.a, p.c] for p in (ProjPoint(a, c) for a, c in pairs)], dtype=complex)
+    except DegeneratePoint:
+        with pytest.raises(DegeneratePoint):
+            normalized_vecs(vecs)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert normalized_vecs(vecs).tobytes() == want.tobytes()
+
+
+def test_helpers_round_as_python_on_a_random_block():
+    """Moduli from 1e-4 to 1e4, where numpy's own complex product, quotient
+    and modulus round a large share of elements otherwise on SIMD builds."""
+    rng = np.random.default_rng(3)
+    a, c = (rng.normal(size=(2, 4000)) * 10.0 ** rng.integers(-4, 4, size=(2, 4000))).view(complex)
+    for helper, op in ((complex_mul, complex.__mul__), (complex_div, complex.__truediv__)):
+        want = np.array(list(map(op, a.tolist(), c.tolist())))
+        assert helper(a, c).tobytes() == want.tobytes()
+    assert complex_abs(a).tobytes() == np.array([abs(x) for x in a.tolist()]).tobytes()

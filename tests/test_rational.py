@@ -4,7 +4,7 @@ import pytest
 from heckelab import rational as rat
 from heckelab import suites
 from heckelab.grassmannian import eta_at
-from heckelab.projective import ProjPoint, chordal, random_point, sphere_grid
+from heckelab.projective import PROJ_TOL, ProjPoint, chordal, random_point, sphere_grid
 from heckelab.rational import (
     NotGlobal,
     PolyMat2,
@@ -13,6 +13,7 @@ from heckelab.rational import (
 )
 
 from chain_refs import chain_directions
+from draw_refs import reference_minimal_directions
 
 
 def sequence(points, dirs):
@@ -205,23 +206,6 @@ class TestMembership:
 # The array sequence against the per-step objects it replaced.
 
 
-def reference_random_minimal(n, rng, points=None, zero_dir_rate=0.25):
-    """The per-step loop that ``minimal_direction_vecs`` replaced: one
-    ProjPoint and one ``single_hecke`` per step from O + O."""
-    if points is None:
-        points = rat.default_points(n)
-    dirs, current = [], RationalBundle(0, 0)
-    for mu in points:
-        if current.is_semistable() and rng.random() < zero_dir_rate:
-            d = ProjPoint(1.0, 0.0)
-        else:
-            lam = rng.normal() + 1j * rng.normal()
-            d = ProjPoint(lam, 1.0)
-        dirs.append(d)
-        current = rat.single_hecke(current, d)
-    return points, dirs
-
-
 def mixed_tuples(rng, n, count):
     """Direction tuples mixing [1:0], directions just inside and outside its
     PROJ_TOL ball, [0:1] and random points."""
@@ -252,26 +236,36 @@ class TestArraySequence:
             assert alone.hecke_lengths().tolist() == walk
             assert np.array_equal(alone.coeffs(), coeffs[k])
 
+    def test_zero_directions_at_the_tolerance_decide_as_projpoint(self):
+        # |c| within a few ulps of PROJ_TOL, where numpy's complex abs and
+        # Python's round apart in a few percent of directions.
+        rng = np.random.default_rng(5)
+        c = PROJ_TOL * np.exp(2j * np.pi * rng.random(4000)) * (1 + rng.integers(-3, 4, 4000) * 2.0 ** -52)
+        dirs = [[ProjPoint(0.3, 1), ProjPoint(1, x)] for x in c.tolist()]
+        seq = RationalSequence(np.broadcast_to([0.2, 0.7], (4000, 2)), rat.direction_vecs(dirs))
+        want = [[0, 1, 2 if d[1].is_zero_dir() else 0] for d in dirs]
+        assert seq.hecke_lengths().tolist() == want
+        assert 0 < sum(w[2] for w in want) < 2 * 4000
+
     @pytest.mark.parametrize("seed", [7, 11, 12345])
     def test_minimal_direction_vecs_draw_as_the_step_loop(self, seed):
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         for n in (1, 2, 3, 4, 6):
-            for points in (None, [0.3j + k for k in range(n)]):
+            for count in (1, 7):
                 for rate in (0.25, 0.9):
-                    seq = RationalSequence(rat.default_points(n) if points is None else points,
-                                           rat.minimal_direction_vecs(n, rng, zero_dir_rate=rate))
-                    pts, dirs = reference_random_minimal(n, ref, points=points, zero_dir_rate=rate)
+                    vecs = rat.minimal_direction_vecs(count, n, rng, zero_dir_rate=rate)
+                    dirs = reference_minimal_directions(count, n, ref, zero_dir_rate=rate)
                     assert rng.bit_generator.state == ref.bit_generator.state
-                    assert seq.points.tolist() == list(pts)
-                    assert np.array_equal(seq.vecs, rat.direction_vecs([dirs])[0])
-                    assert seq.hecke_lengths()[-1] == n % 2
+                    assert vecs.tobytes() == rat.direction_vecs(dirs).tobytes()
+                    seq = RationalSequence(np.broadcast_to(rat.default_points(n), (count, n)), vecs)
+                    assert (seq.hecke_lengths()[:, -1] == n % 2).all()
 
 
 def test_minimal_direction_vecs_are_minimal():
     rng = np.random.default_rng(9)
     for n in (2, 3, 4, 6):
-        for _ in range(10):
-            seq = RationalSequence(rat.default_points(n), rat.minimal_direction_vecs(n, rng))
+        for vecs in rat.minimal_direction_vecs(10, n, rng):
+            seq = RationalSequence(rat.default_points(n), vecs)
             assert seq.hecke_lengths()[-1] == n % 2
             assert rat.membership_H(n, [ProjPoint(*v) for v in seq.h_map()], seq.points)
 
@@ -588,6 +582,14 @@ def near_repeats(n, offsets, phases=(0.7,)):
                     dirs[moved] = chordal_offset(b, offset, phase)
                     tuples.append(dirs)
     return tuples
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_upper_pairs_are_the_triu_indices(n):
+    i, j = rat.upper_pairs(n)
+    want_i, want_j = np.triu_indices(n, 1)
+    assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
+    assert rat.upper_pairs(n)[0] is i and not i.flags.writeable
 
 
 class TestTwoColumnRatio:

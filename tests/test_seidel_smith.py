@@ -15,6 +15,7 @@ from heckelab.rational import (
     single_hecke,
 )
 from heckelab.seidel_smith import (
+    CONJECTURE_CHUNK,
     SPECTRUM_GAP,
     DegenerateSpectrum,
     ReductionFailure,
@@ -28,6 +29,7 @@ from heckelab.seidel_smith import (
 )
 
 from chain_refs import chain_directions
+from draw_refs import reference_minimal_directions, reference_separated_points
 
 L1, L2 = 0.7 - 0.3j, 1.1 + 0.2j
 MU1, MU2 = 0.2 + 0.1j, 0.9 - 0.4j
@@ -153,10 +155,15 @@ def _ref_residual(seq):
 
 
 def _draws(m, samples, seed):
-    """The sequences ``conjecture_check`` draws, in its rng order."""
+    """The sequences ``conjecture_check`` draws, in its rng order: per chunk
+    of CONJECTURE_CHUNK, the points of every draw, then their directions."""
     rng = np.random.default_rng(seed)
-    return [RationalSequence(separated_points(2 * m, rng), minimal_direction_vecs(2 * m, rng))
-            for _ in range(samples)]
+    seqs = []
+    for start in range(0, samples, CONJECTURE_CHUNK):
+        count = min(CONJECTURE_CHUNK, samples - start)
+        points = reference_separated_points(count, 2 * m, rng)
+        seqs += map(sequence, points, reference_minimal_directions(count, 2 * m, rng))
+    return seqs
 
 
 def _excursions(m):
@@ -169,7 +176,7 @@ def _excursions(m):
     for lengths in walks[: max(m - 1, 0)]:
         dirs = [ProjPoint(1, 0) if b > a > 0 else ProjPoint(rng.normal() + 1j * rng.normal(), 1)
                 for a, b in zip(lengths, lengths[1:])]
-        seqs.append(sequence(separated_points(2 * m, rng), dirs))
+        seqs.append(sequence(separated_points(1, 2 * m, rng)[0], dirs))
         assert seqs[-1].hecke_lengths().tolist() == lengths
     return seqs
 
@@ -233,8 +240,8 @@ class TestKamnitzer:
     def test_output_in_fiber(self):
         rng = np.random.default_rng(3)
         for m in (1, 2, 3):
-            pts = separated_points(2 * m, rng)
-            seq = RationalSequence(pts, minimal_direction_vecs(2 * m, rng))
+            pts = separated_points(1, 2 * m, rng)[0]
+            seq = RationalSequence(pts, minimal_direction_vecs(1, 2 * m, rng)[0])
             a = kamnitzer(seq)
             ev = sorted(chi(a), key=lambda v: (v.real, v.imag))
             want = sorted(pts, key=lambda v: (v.real, v.imag))
@@ -346,8 +353,8 @@ class TestConjecture:
 
 
 #: Agreement of the stacked and per-draw residuals, both roundoff.  At m = 3
-#: the per-draw loop alone reads up to 1.6e-12 (seed 12345), and at m = 4 up
-#: to 1.6e-11 (seed 7), so their bounds leave room for the reference's own
+#: the per-draw loop alone reads up to 2.2e-12 (seed 7), and at m = 4 up
+#: to 2.2e-11 (seed 12345), so their bounds leave room for the reference's own
 #: error.
 REFERENCE_BOUND = {1: 1e-12, 2: 1e-12, 3: 5e-12, 4: 5e-11}
 
@@ -409,15 +416,11 @@ class TestStackedPass:
     def test_stacked_draws_match_per_draw_sequences(self, m, seed):
         rng = np.random.default_rng(seed)
         seq = conjecture_draws(m, 40, rng)
-        # The per-draw loop of ``_draws``, with its generator kept;
-        # test_rational checks minimal_direction_vecs against per-step
-        # ProjPoint draws.
         ref_rng = np.random.default_rng(seed)
-        ref = stack([RationalSequence(separated_points(2 * m, ref_rng),
-                                      minimal_direction_vecs(2 * m, ref_rng))
-                     for _ in range(40)])
-        assert np.array_equal(seq.points, ref.points)
-        assert np.array_equal(seq.vecs, ref.vecs)
+        points = reference_separated_points(40, 2 * m, ref_rng)
+        dirs = reference_minimal_directions(40, 2 * m, ref_rng)
+        assert seq.points.tobytes() == np.array(points).tobytes()
+        assert seq.vecs.tobytes() == direction_vecs(dirs).tobytes()
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_close_eigenvalues_in_batch_raise_like_scalar(self):
@@ -428,6 +431,45 @@ class TestStackedPass:
         eigenvalues = np.array([[MU1, MU2], close, [MU2, MU1]])
         with pytest.raises(DegenerateSpectrum):
             woodward_vecs(np.stack([a] * 3), eigenvalues)
+
+
+class ScriptedNormals:
+    """A generator stand-in whose ``normal`` blocks read the (real,
+    imaginary) parts of the given candidates in order."""
+
+    def __init__(self, candidates):
+        self.parts = [x for z in candidates for x in (z.real, z.imag)]
+
+    def normal(self, size):
+        k = int(np.prod(size))
+        block, self.parts = self.parts[:k], self.parts[k:]
+        return np.reshape(block, size)
+
+
+class TestSeparatedPoints:
+    def test_a_candidate_exactly_gap_away_is_kept(self):
+        for pair in ([0j, 0.3], [0j, -0.3j], [0.1 + 0.2j, 0.4 - 0.6j]):
+            gap = abs(pair[1] - pair[0])
+            assert separated_points(1, 2, ScriptedNormals(pair), gap=gap).tolist() == [pair]
+
+    def test_a_candidate_just_below_gap_is_skipped(self):
+        below = np.nextafter(0.3, 0.0)
+        # Round one draws two candidates for each draw and keeps one in the
+        # first; round two draws one more for the first draw only.
+        script = ScriptedNormals([0j, below, 1j, 1j + 0.3, 0.6])
+        pts = separated_points(2, 2, script, gap=0.3)
+        assert pts.tolist() == [[0j, 0.6], [1j, 1j + 0.3]]
+        assert script.parts == []
+
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_a_crowded_draw_finishes_as_the_loop(self, seed):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        pts = separated_points(5, 40, rng)
+        want = reference_separated_points(5, 40, ref)
+        assert pts.tobytes() == np.array(want).tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+        i, j = np.triu_indices(40, 1)
+        assert np.isfinite(pts).all() and (np.abs(pts[:, i] - pts[:, j]) >= 0.3).all()
 
 
 def _exact_slice(points, dirs, lengths):

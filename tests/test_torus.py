@@ -96,3 +96,24 @@ def test_canonical_lifts_unchanged():
     assert 0 <= x < 1 and 0 <= y < 1
     assert abs(p.lift - lat.reduce(2.7 - 1.3 * lat.tau)) == 0
     assert p == CurvePoint(p.lift + 3 - 2 * lat.tau, lat)
+
+
+def reference_reduce(lat, z):
+    """The reduction with the scalar test ``np.ndim(z) == 0``, which
+    ``Lattice.reduce`` replaced by a type test."""
+    z = np.asarray(z, dtype=complex) if np.ndim(z) else complex(z)
+    x, y = lat.coords(z)
+    return (x % 1.0) + (y % 1.0) * lat.tau
+
+
+@pytest.mark.parametrize("z", [
+    3, True, -2.75, 1.3 - 4.1j, complex(-0.0, -0.0), np.float64(2.6), np.complex128(-1.2 + 7.7j),
+    np.float32(0.3), np.int64(-9), np.complex64(0.5 - 0.25j), np.array(0.7 + 2.2j),
+    [0.1, 2.5 - 1j], np.array([-3.3 + 0.4j, 0.0]), np.array([[1.5], [-0.5j]]), [],
+], ids=lambda z: type(z).__name__ + str(np.ndim(z)))
+def test_reduce_keeps_types_and_values_of_each_input_kind(z):
+    lat = Lattice(0.3 + 0.45j)
+    got, want = lat.reduce(z), reference_reduce(lat, z)
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
