@@ -40,7 +40,7 @@ rows = [
 print(f"{'row':28s} {'equivariance':>13s} {'direction':>11s} {'result'}")
 for name, bundle, a in rows:
     rep = ell.morphism_rep([bundle], [p], [a])[0]
-    resid = ell.check_equivariance(rep)
+    resid = ell.check_equivariance([rep], [5])[0]
     dirr = chordal(eta_at(rep.evaluator(np.asarray(p.lift)), p.lift), a)
     print(f"{name:28s} {resid:13.2e} {dirr:11.2e} {rep.result}")
 

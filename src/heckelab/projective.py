@@ -160,43 +160,6 @@ def random_point(rng: np.random.Generator) -> ProjPoint:
     return ProjPoint(v[0], v[1])
 
 
-def _where(cond, x, y):
-    """``np.where`` that keeps Python scalars scalar (and fast)."""
-    if isinstance(cond, (bool, np.bool_)):
-        return x if cond else y
-    return np.where(cond, x, y)
-
-
-def _max(x, y):
-    return _where(x >= y, x, y)
-
-
-def _rank_one(a, b, c, d, rank_tol, norm_tol):
-    """Closed-form rank-1 test of [[a, b], [c, d]], entrywise over scalars
-    or arrays of one shape; see ``rank_one_column_spaces``."""
-    top = _max(_max(abs(a), abs(b)), _max(abs(c), abs(d)))
-    nonzero = top >= norm_tol
-    t = _where(nonzero, top, 1.0)
-    a, b, c, d = a / t, b / t, c / t, d / t
-    p = (a * a.conjugate() + b * b.conjugate()).real
-    q = (c * c.conjugate() + d * d.conjugate()).real
-    r = a * c.conjugate() + b * d.conjugate()
-    # Dominant eigenvalue of the Gram matrix (cancellation-free branch);
-    # the small singular value via s1 s2 = |det| avoids squaring
-    # conditioning.
-    lam1 = 0.5 * (p + q) + (0.25 * (p - q) ** 2 + abs(r) ** 2) ** 0.5
-    s1 = lam1 ** 0.5
-    s2 = abs(a * d - b * c) / _where(s1 > 0, s1, 1.0)
-    first = abs(lam1 - p) >= abs(lam1 - q)
-    x = _where(first, r, lam1 - q)
-    y = _where(first, lam1 - p, r.conjugate())
-    small = (abs(x) ** 2 + abs(y) ** 2) ** 0.5 < norm_tol * _max(s1, 1.0)
-    x = _where(small, _where(p >= q, 1.0, 0.0), x)
-    y = _where(small, _where(p >= q, 0.0, 1.0), y)
-    ok = nonzero & (s1 >= norm_tol) & (s2 <= rank_tol * s1)
-    return x, y, _where(nonzero, s1, 0.0), _where(nonzero, s2, 0.0), ok
-
-
 def rank_one_column_spaces(m: np.ndarray, rank_tol: float = PROJ_TOL,
                            norm_tol: float = NORM_TOL):
     """Column spaces of numerically rank-1 2x2 matrices ``m`` (..., 2, 2).
@@ -212,18 +175,36 @@ def rank_one_column_spaces(m: np.ndarray, rank_tol: float = PROJ_TOL,
     matrix fails with singular values 0.
     """
     m = np.asarray(m, dtype=complex)
-    x, y, s1, s2, ok = _rank_one(m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1],
-                                 rank_tol, norm_tol)
-    return np.stack([x, y], axis=-1), s1, s2, ok
+    top = np.abs(m).max(axis=(-2, -1))
+    nonzero = top >= norm_tol
+    t = np.where(nonzero, top, 1.0)[..., None, None]
+    (a, b), (c, d) = np.moveaxis(m / t, (-2, -1), (0, 1))
+    p = (a * a.conjugate() + b * b.conjugate()).real
+    q = (c * c.conjugate() + d * d.conjugate()).real
+    r = a * c.conjugate() + b * d.conjugate()
+    # Dominant eigenvalue of the Gram matrix (cancellation-free branch);
+    # the small singular value via s1 s2 = |det| avoids squaring
+    # conditioning.
+    lam1 = 0.5 * (p + q) + (0.25 * (p - q) ** 2 + abs(r) ** 2) ** 0.5
+    s1 = lam1 ** 0.5
+    s2 = abs(a * d - b * c) / np.where(s1 > 0, s1, 1.0)
+    first = abs(lam1 - p) >= abs(lam1 - q)
+    x = np.where(first, r, lam1 - q)
+    y = np.where(first, lam1 - p, r.conjugate())
+    small = (abs(x) ** 2 + abs(y) ** 2) ** 0.5 < norm_tol * np.maximum(s1, 1.0)
+    x = np.where(small, np.where(p >= q, 1.0, 0.0), x)
+    y = np.where(small, np.where(p >= q, 0.0, 1.0), y)
+    ok = nonzero & (s1 >= norm_tol) & (s2 <= rank_tol * s1)
+    return np.stack([x, y], axis=-1), np.where(nonzero, s1, 0.0), np.where(nonzero, s2, 0.0), ok
 
 
 def rank_one_column_space(m: np.ndarray, rank_tol: float = PROJ_TOL,
                           norm_tol: float = NORM_TOL):
-    """One matrix of ``rank_one_column_spaces``: ``(point, sigma1, sigma2)``
-    with ``point`` a ProjPoint, or None when the matrix is not rank 1."""
-    (a, b), (c, d) = np.asarray(m, dtype=complex).tolist()
-    x, y, s1, s2, ok = _rank_one(a, b, c, d, rank_tol, norm_tol)
-    return (ProjPoint(x, y) if ok else None), s1, s2
+    """A batch of one of ``rank_one_column_spaces``: ``(point, sigma1,
+    sigma2)`` with ``point`` a ProjPoint, or None when the matrix is not
+    rank 1."""
+    vecs, s1, s2, ok = rank_one_column_spaces(np.asarray(m)[None], rank_tol, norm_tol)
+    return (ProjPoint(*vecs[0].tolist()) if ok[0] else None), float(s1[0]), float(s2[0])
 
 
 def transport_directions(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:

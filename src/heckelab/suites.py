@@ -287,20 +287,19 @@ def verify_elliptic_tables(report, config, rng):
     lat = Lattice(config.tau)
     draws = _n(config, 20)
     tol_eq = _tol(config, 1e-8)
-    rows = _elliptic_row_fixtures(lat, rng)
     worst_eq = worst_dir = worst_zero = 0.0
     length_ok = True
-    for name, make in rows:
-        for k in range(draws):
-            bundle, p, a = make(rng)
-            rep = ell.morphism_rep([bundle], [p], [a])[0]
-            worst_eq = max(worst_eq, ell.check_equivariance(rep, seed=k + 1))
-            worst_dir = max(worst_dir,
-                            chordal(eta_at(rep.evaluator(np.asarray(p.lift)), p.lift), a))
-            if abs(rep.result.hecke_length - bundle.hecke_length) != 1:
-                length_ok = False
-            if k < 3:
-                worst_zero = max(worst_zero, _det_zero_distance(rep))
+    # One stacked pass per row, over its draws made first in per-draw order.
+    for _, make in _elliptic_row_fixtures(lat):
+        bundles, points, dirs = zip(*[make(rng) for _ in range(draws)])
+        reps = ell.morphism_rep(bundles, points, dirs)
+        worst_eq = max(worst_eq, float(ell.check_equivariance(reps, range(1, draws + 1)).max()))
+        at_p = ell.evaluate_stack([r.terms for r in reps], [p.lift for p in points], lat)
+        roundtrip = chordal_vecs(eta_vecs(np.array(at_p)), np.array([a.vec for a in dirs]))
+        worst_dir = max(worst_dir, float(roundtrip.max()))
+        length_ok &= all(abs(r.result.hecke_length - b.hecke_length) == 1
+                         for r, b in zip(reps, bundles))
+        worst_zero = max([worst_zero] + [_det_zero_distance(r) for r in reps[:3]])
     report.add("equivariance", f"both intertwining laws, {draws} draws per row",
                worst_eq, tol_eq)
     report.add("direction-roundtrip", "eta of each constructed morphism", worst_dir, 1e-8)
@@ -310,81 +309,58 @@ def verify_elliptic_tables(report, config, rng):
     report.add_flag("hecke-length-pm1", "every row changes the length by one", length_ok)
 
 
-def _elliptic_row_fixtures(lat, rng):
+def _elliptic_row_fixtures(lat):
+    """(name, make) for each row of the elliptic tables: ``make(rng)``
+    draws a point p, then the rest of the row's bundle, then its
+    direction, and returns (bundle, p, direction)."""
     O = ell.trivial_line(lat)
+
+    def far_line(rng, p):
+        return ell.point_line(_far_point(rng, lat, p))
+
+    def moved_g2(rng, p):
+        q = _curve_point(rng, lat)
+        return ell.G2Twist(q.lift, ell.point_line(q).inverse())
 
     def lam(rng):
         return rng.normal() + 1j * rng.normal()
 
-    def dec_q(rng):
-        p = _curve_point(rng, lat)
-        return ell.Decomposable(ell.point_line(_far_point(rng, lat, p)), O), p
+    bundles = {  # kind -> (rng, p) -> bundle
+        "Oq": lambda r, p: ell.Decomposable(far_line(r, p), O),
+        "OD": lambda r, p: ell.Decomposable(
+            ell.point_line(_curve_point(r, lat)).tensor(ell.point_line(_curve_point(r, lat))), O),
+        "Op": lambda r, p: ell.Decomposable(ell.point_line(p), O),
+        "OO": lambda r, p: ell.Decomposable(O, O),
+        "ss": lambda r, p: ell.Decomposable(ell.point_line(p).tensor(far_line(r, p).inverse()), O),
+        "F2": lambda r, p: ell.F2Twist(O),
+        "G2": lambda r, p: ell.G2Twist(p.lift, O),
+        "G2-moved": moved_g2,
+    }
+    directions = {  # kind -> rng -> direction
+        "[1:0]": lambda r: ProjPoint(1, 0),
+        "[0:1]": lambda r: ProjPoint(0, 1),
+        "[lam:1]": lambda r: ProjPoint(lam(r), 1),
+        "[x:y]": lambda r: ProjPoint(lam(r), lam(r)),
+        "branch": lambda r: th.branch_points(lat)[int(r.integers(4))],
+    }
 
-    rows = [
-        ("Oq-pivot", lambda r: (*dec_q(r), ProjPoint(1, 0))),
-        ("Oq-generic", lambda r: (*dec_q(r), ProjPoint(lam(r), 1))),
-        ("OD-pivot", lambda r: _od(r, lat, ProjPoint(1, 0))),
-        ("OD-generic", lambda r: _od(r, lat, None)),
-        ("Op-pivot", lambda r: _op(r, lat, ProjPoint(1, 0))),
-        ("Op-counter", lambda r: _op(r, lat, ProjPoint(0, 1))),
-        ("Op-generic", lambda r: _op(r, lat, None)),
-        ("OO-pivot", lambda r: (ell.Decomposable(O, O), _curve_point(r, lat), ProjPoint(1, 0))),
-        ("OO-generic", lambda r: (ell.Decomposable(O, O), _curve_point(r, lat), ProjPoint(lam(r), 1))),
-        ("ss-pivot", lambda r: _ss(r, lat, ProjPoint(1, 0))),
-        ("ss-counter", lambda r: _ss(r, lat, ProjPoint(0, 1))),
-        ("ss-generic", lambda r: _ss(r, lat, None)),
-        ("F2-pivot", lambda r: (ell.F2Twist(O), _curve_point(r, lat), ProjPoint(1, 0))),
-        ("F2-generic", lambda r: (ell.F2Twist(O), _curve_point(r, lat), ProjPoint(lam(r), 1))),
-        ("G2-generic", lambda r: _g2(r, lat, None)),
-        ("G2-branch", lambda r: _g2(r, lat, "branch")),
-        ("G2-moved", lambda r: _g2(r, lat, "moved")),
+    def row(bundle, direction):
+        def make(rng):
+            p = _curve_point(rng, lat)
+            return bundle(rng, p), p, direction(rng)
+        return make
+
+    table = [
+        ("Oq-pivot", "Oq", "[1:0]"), ("Oq-generic", "Oq", "[lam:1]"),
+        ("OD-pivot", "OD", "[1:0]"), ("OD-generic", "OD", "[lam:1]"),
+        ("Op-pivot", "Op", "[1:0]"), ("Op-counter", "Op", "[0:1]"), ("Op-generic", "Op", "[x:y]"),
+        ("OO-pivot", "OO", "[1:0]"), ("OO-generic", "OO", "[lam:1]"),
+        ("ss-pivot", "ss", "[1:0]"), ("ss-counter", "ss", "[0:1]"), ("ss-generic", "ss", "[x:y]"),
+        ("F2-pivot", "F2", "[1:0]"), ("F2-generic", "F2", "[lam:1]"),
+        ("G2-generic", "G2", "[x:y]"), ("G2-branch", "G2", "branch"),
+        ("G2-moved", "G2-moved", "[x:y]"),
     ]
-    return rows
-
-
-def _od(rng, lat, a):
-    O = ell.trivial_line(lat)
-    p = _curve_point(rng, lat)
-    q1 = _curve_point(rng, lat)
-    q2 = _curve_point(rng, lat)
-    bundle = ell.Decomposable(ell.point_line(q1).tensor(ell.point_line(q2)), O)
-    if a is None:
-        a = ProjPoint(rng.normal() + 1j * rng.normal(), 1)
-    return bundle, p, a
-
-
-def _op(rng, lat, a):
-    O = ell.trivial_line(lat)
-    p = _curve_point(rng, lat)
-    bundle = ell.Decomposable(ell.point_line(p), O)
-    if a is None:
-        a = ProjPoint(rng.normal() + 1j * rng.normal(), rng.normal() + 1j * rng.normal())
-    return bundle, p, a
-
-
-def _ss(rng, lat, a):
-    O = ell.trivial_line(lat)
-    p = _curve_point(rng, lat)
-    q = _far_point(rng, lat, p)
-    bundle = ell.Decomposable(ell.point_line(p).tensor(ell.point_line(q).inverse()), O)
-    if a is None:
-        a = ProjPoint(rng.normal() + 1j * rng.normal(), rng.normal() + 1j * rng.normal())
-    return bundle, p, a
-
-
-def _g2(rng, lat, mode):
-    O = ell.trivial_line(lat)
-    p = _curve_point(rng, lat)
-    if mode == "moved":
-        other = _curve_point(rng, lat)
-        bundle = ell.G2Twist(other.lift, ell.point_line(other).inverse())
-    else:
-        bundle = ell.G2Twist(p.lift, O)
-    if mode == "branch":
-        a = th.branch_points(lat)[int(rng.integers(4))]
-    else:
-        a = ProjPoint(rng.normal() + 1j * rng.normal(), rng.normal() + 1j * rng.normal())
-    return bundle, p, a
+    return [(name, row(bundles[b], directions[d])) for name, b, d in table]
 
 
 #: Samples per edge of the period cell on which the zeros of det alpha are counted.

@@ -60,7 +60,11 @@ def theta_raw(z, tau: complex):
     z0, m = _reduce(z, tau)
     n_terms = _terms_needed(tau, float(np.abs(z0.imag).max(initial=0.0)))
     factor = np.exp(-1j * np.pi * m * m * tau - TWO_PI_I * m * z0)
-    return factor * _theta_reduced(z0, tau, n_terms, 0)
+    # A named operand: numpy would turn factor * <temporary> into an
+    # in-place <temporary> *= factor from 16,384 points up, and its SIMD
+    # complex multiply is not bitwise commutative.
+    val = _theta_reduced(z0, tau, n_terms, 0)
+    return factor * val
 
 
 def theta_raw_deriv(z, tau: complex):
@@ -70,8 +74,8 @@ def theta_raw_deriv(z, tau: complex):
     n_terms = _terms_needed(tau, float(np.abs(z0.imag).max(initial=0.0)))
     factor = np.exp(-1j * np.pi * m * m * tau - TWO_PI_I * m * z0)
     val = _theta_reduced(z0, tau, n_terms, 0)
-    dval = _theta_reduced(z0, tau, n_terms, 1)
-    return factor * (dval - TWO_PI_I * m * val)
+    dval = _theta_reduced(z0, tau, n_terms, 1) - TWO_PI_I * m * val
+    return factor * dval  # a named operand, as in theta_raw
 
 
 def theta_w(z, w: complex, lattice: Lattice):

@@ -5,10 +5,15 @@ The library draws random points and directions in blocks
 These loops make the same generator calls in the order those docstrings
 state, with ``ProjPoint``, ``single_hecke`` and Python's complex
 arithmetic, so the tests can require equal bits and equal generator state.
+``reference_row_fixtures`` is the elliptic table's fixtures as they were
+written before one drawer per bundle kind and per direction kind.
 """
 
+from heckelab import elliptic as ell
+from heckelab import theta as th
 from heckelab.projective import ProjPoint
 from heckelab.rational import RationalBundle, single_hecke
+from heckelab.suites import _curve_point, _far_point
 
 
 def reference_minimal_directions(count, n, rng, zero_dir_rate=0.25) -> list[list[ProjPoint]]:
@@ -43,3 +48,82 @@ def reference_separated_points(count, n, rng, gap=0.3) -> list[list[complex]]:
                 if len(p) < n and all(abs(z - w) >= gap for w in p):
                     p.append(z)
     return pts
+
+
+def reference_row_fixtures(lat):
+    """The elliptic table rows as (name, make) with one helper per bundle
+    family, each drawing its point, then the rest of its bundle, then its
+    direction (a direction given as None is drawn, [lam:1] or [x:y])."""
+    O = ell.trivial_line(lat)
+
+    def lam(rng):
+        return rng.normal() + 1j * rng.normal()
+
+    def dec_q(rng):
+        p = _curve_point(rng, lat)
+        return ell.Decomposable(ell.point_line(_far_point(rng, lat, p)), O), p
+
+    return [
+        ("Oq-pivot", lambda r: (*dec_q(r), ProjPoint(1, 0))),
+        ("Oq-generic", lambda r: (*dec_q(r), ProjPoint(lam(r), 1))),
+        ("OD-pivot", lambda r: _od(r, lat, ProjPoint(1, 0))),
+        ("OD-generic", lambda r: _od(r, lat, None)),
+        ("Op-pivot", lambda r: _op(r, lat, ProjPoint(1, 0))),
+        ("Op-counter", lambda r: _op(r, lat, ProjPoint(0, 1))),
+        ("Op-generic", lambda r: _op(r, lat, None)),
+        ("OO-pivot", lambda r: (ell.Decomposable(O, O), _curve_point(r, lat), ProjPoint(1, 0))),
+        ("OO-generic", lambda r: (ell.Decomposable(O, O), _curve_point(r, lat), ProjPoint(lam(r), 1))),
+        ("ss-pivot", lambda r: _ss(r, lat, ProjPoint(1, 0))),
+        ("ss-counter", lambda r: _ss(r, lat, ProjPoint(0, 1))),
+        ("ss-generic", lambda r: _ss(r, lat, None)),
+        ("F2-pivot", lambda r: (ell.F2Twist(O), _curve_point(r, lat), ProjPoint(1, 0))),
+        ("F2-generic", lambda r: (ell.F2Twist(O), _curve_point(r, lat), ProjPoint(lam(r), 1))),
+        ("G2-generic", lambda r: _g2(r, lat, None)),
+        ("G2-branch", lambda r: _g2(r, lat, "branch")),
+        ("G2-moved", lambda r: _g2(r, lat, "moved")),
+    ]
+
+
+def _od(rng, lat, a):
+    O = ell.trivial_line(lat)
+    p = _curve_point(rng, lat)
+    q1 = _curve_point(rng, lat)
+    q2 = _curve_point(rng, lat)
+    bundle = ell.Decomposable(ell.point_line(q1).tensor(ell.point_line(q2)), O)
+    if a is None:
+        a = ProjPoint(rng.normal() + 1j * rng.normal(), 1)
+    return bundle, p, a
+
+
+def _op(rng, lat, a):
+    O = ell.trivial_line(lat)
+    p = _curve_point(rng, lat)
+    bundle = ell.Decomposable(ell.point_line(p), O)
+    if a is None:
+        a = ProjPoint(rng.normal() + 1j * rng.normal(), rng.normal() + 1j * rng.normal())
+    return bundle, p, a
+
+
+def _ss(rng, lat, a):
+    O = ell.trivial_line(lat)
+    p = _curve_point(rng, lat)
+    q = _far_point(rng, lat, p)
+    bundle = ell.Decomposable(ell.point_line(p).tensor(ell.point_line(q).inverse()), O)
+    if a is None:
+        a = ProjPoint(rng.normal() + 1j * rng.normal(), rng.normal() + 1j * rng.normal())
+    return bundle, p, a
+
+
+def _g2(rng, lat, mode):
+    O = ell.trivial_line(lat)
+    p = _curve_point(rng, lat)
+    if mode == "moved":
+        other = _curve_point(rng, lat)
+        bundle = ell.G2Twist(other.lift, ell.point_line(other).inverse())
+    else:
+        bundle = ell.G2Twist(p.lift, O)
+    if mode == "branch":
+        a = th.branch_points(lat)[int(rng.integers(4))]
+    else:
+        a = ProjPoint(rng.normal() + 1j * rng.normal(), rng.normal() + 1j * rng.normal())
+    return bundle, p, a

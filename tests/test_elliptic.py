@@ -27,7 +27,7 @@ from heckelab.projective import ProjPoint, chordal, random_point, transport_dire
 from heckelab.torus import CurvePoint, Lattice, halve_sum
 
 from chain_refs import chain_directions, raw_directions
-from draw_refs import reference_minimal_directions
+from draw_refs import reference_minimal_directions, reference_row_fixtures
 
 LAT = Lattice()
 RNG = np.random.default_rng(77)
@@ -150,7 +150,7 @@ class TestMorphismRows:
                              ids=[r[0] for r in all_row_fixtures()])
     def test_equivariance_direction_length(self, name, bundle, p, a):
         rep = ell.morphism_rep([bundle], [p], [a])[0]
-        assert ell.check_equivariance(rep) < 1e-10
+        assert ell.check_equivariance([rep], [5])[0] < 1e-10
         assert chordal(eta_at(rep.evaluator(np.asarray(p.lift)), p.lift), a) < 1e-9
         assert abs(rep.result.hecke_length - bundle.hecke_length) == 1
 
@@ -161,7 +161,7 @@ class TestMorphismRows:
         swapped = dataclasses.replace(rep, terms=tuple((e ^ 2, c, f) for e, c, f in rep.terms))
         z = np.array([0.2 + 0.3j, -0.4 + 0.9j])
         assert np.array_equal(swapped.evaluator(z), rep.evaluator(z)[..., ::-1, :])
-        assert ell.check_equivariance(swapped) > 1e-2
+        assert ell.check_equivariance([swapped], [5])[0] > 1e-2
 
     def test_specific_targets(self):
         p, q = rpt(), rpt()
@@ -771,7 +771,7 @@ def test_f_embedding_matches_curve_point_arithmetic(monkeypatch, tau):
 def test_every_row_counts_one_resolved_zero(tau):
     lat = Lattice(tau)
     rng = np.random.default_rng(7)
-    for name, make in suites._elliptic_row_fixtures(lat, rng):
+    for name, make in suites._elliptic_row_fixtures(lat):
         for _ in range(3):
             rep = ell.morphism_rep(*([x] for x in make(rng)))[0]
             count, max_step = suites._det_zero_count(rep)
@@ -801,6 +801,91 @@ def test_two_modifications_count_two_zeros(tau):
         np.broadcast_to(np.array([[2.0, 1.0], [1.0, 1.0]], dtype=complex), np.shape(z) + (2, 2))))
     assert abs(suites._det_zero_count(frame)[0]) < 1e-9
     assert suites._det_zero_distance(frame) == float("inf")
+
+
+# ---------------------------------------------------------------------------
+# verify-elliptic-tables decides each row in one stacked pass: its fixtures
+# drawn as the per-draw helpers drew them, and its equivariance residuals as
+# the one-representative check computed them.
+
+
+def bits(*zs) -> bytes:
+    return np.array(zs, dtype=complex).tobytes()
+
+
+@pytest.mark.parametrize("tau", REF_TAUS)
+def test_row_fixtures_draw_as_the_reference(tau):
+    # Per row, then per draw, as the suite draws: equal bundles, equal bits
+    # of points and directions, and equal generator state at the end.
+    lat = Lattice(tau)
+    rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+    table, ref = suites._elliptic_row_fixtures(lat), reference_row_fixtures(lat)
+    assert [name for name, _ in table] == [name for name, _ in ref]
+    for (name, make), (_, ref_make) in zip(table, ref):
+        for _ in range(20):
+            (bundle, p, a), (ref_bundle, ref_p, ref_a) = make(rng), ref_make(ref_rng)
+            assert bundle == ref_bundle, name
+            assert bits(p.lift, a.a, a.c) == bits(ref_p.lift, ref_a.a, ref_a.c), name
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def reference_equivariance(rep, samples=20, seed=5):
+    """The one-representative equivariance check the stacked one replaced."""
+    lat = rep.upstream.lattice
+    rng = np.random.default_rng(seed)
+    z = (2 * rng.random(samples) - 0.5) + (2 * rng.random(samples) - 0.5) * lat.tau
+    a_z, a_tau, a_one = (rep.evaluator(w) for w in (z, z + lat.tau, z + 1.0))
+    lhs = a_tau @ rep.result.factor(z)
+    rhs = rep.upstream.factor(z) @ a_z
+    scale = max(float(np.abs(rhs).max()), float(np.abs(a_z).max()), 1e-30)
+    r1 = float(np.abs(lhs - rhs).max()) / scale
+    r2 = float(np.abs(a_one - a_z).max()) / max(float(np.abs(a_z).max()), 1e-30)
+    return max(r1, r2)
+
+
+@pytest.mark.parametrize("tau", REF_TAUS)
+def test_stacked_equivariance_matches_batches_of_one(tau):
+    # Every suite row (two draws each), every row and frame fixture, and the
+    # corrupted row: element i of the stack is its batch of one and the
+    # one-representative check, bit for bit.
+    lat = Lattice(tau)
+    rng = np.random.default_rng(29)
+    cases = [make(rng) for _, make in suites._elliptic_row_fixtures(lat) for _ in range(2)]
+    cases += [(b, p, a) for _, b, p, a in all_row_fixtures(lat)]
+    reps = ell.morphism_rep(*zip(*cases))
+    reps.append(dataclasses.replace(reps[0], terms=tuple((e ^ 2, c, f) for e, c, f in reps[0].terms)))
+    seeds = [k % 7 + 1 for k in range(len(reps))]
+    stacked = ell.check_equivariance(reps, seeds)
+    assert stacked.shape == (len(reps),) and stacked[-1] > 1e-2
+    for rep, seed, got in zip(reps, seeds, stacked.tolist()):
+        assert got == ell.check_equivariance([rep], [seed])[0] == reference_equivariance(rep, seed=seed)
+    assert ell.check_equivariance([], []).shape == (0,)
+
+
+@pytest.mark.parametrize("tau", REF_TAUS)
+def test_evaluate_stack_is_batch_independent_at_kernel_scale(tau, monkeypatch):
+    # One table per suite row at 1,024 points each: the theta kernel calls of
+    # the stack pass 16,384 points or more, where numpy's temporary elision
+    # used to reorder the kernel's last complex multiply.
+    lat = Lattice(tau)
+    rng = np.random.default_rng(37)
+    reps = ell.morphism_rep(*zip(*[make(rng) for _, make in suites._elliptic_row_fixtures(lat)]))
+    zs = [(2 * rng.random(1024) - 0.5) + (2 * rng.random(1024) - 0.5) * lat.tau for _ in reps]
+    sizes = []
+
+    def counted(kernel):
+        def call(z, t):
+            sizes.append(np.size(z))
+            return kernel(z, t)
+        return call
+
+    for name in ("theta_raw", "theta_raw_deriv"):
+        monkeypatch.setattr(th, name, counted(getattr(th, name)))
+    stacked = ell.evaluate_stack([r.terms for r in reps], zs, lat)
+    assert max(sizes) >= 16384
+    monkeypatch.undo()
+    for rep, z, got in zip(reps, zs, stacked):
+        assert np.array_equal(got.view(np.uint64), rep.evaluator(z).view(np.uint64)), rep.row
 
 
 # ---------------------------------------------------------------------------
@@ -955,7 +1040,7 @@ def test_term_tables_match_closure_reference(tau):
     # modification point itself, within 1e-14 of each matrix's largest entry.
     lat = Lattice(tau)
     rng = np.random.default_rng(19)
-    cases = [(name, *make(rng)) for name, make in suites._elliptic_row_fixtures(lat, rng)
+    cases = [(name, *make(rng)) for name, make in suites._elliptic_row_fixtures(lat)
              for _ in range(10)]
     cases += all_row_fixtures(lat)
     box = (2 * rng.random(64) - 0.5) + (2 * rng.random(64) - 0.5) * tau
@@ -976,7 +1061,7 @@ def test_evaluate_stack_matches_batches_of_one(tau):
     # array, within 1e-13 of each matrix's largest entry.
     lat = Lattice(tau)
     rng = np.random.default_rng(23)
-    cases = [(name, *make(rng)) for name, make in suites._elliptic_row_fixtures(lat, rng)
+    cases = [(name, *make(rng)) for name, make in suites._elliptic_row_fixtures(lat)
              for _ in range(3)]
     cases += all_row_fixtures(lat)
     reps = ell.morphism_rep(*zip(*[(b, p, a) for _, b, p, a in cases]))
@@ -1038,7 +1123,7 @@ def shuffled_row_stack(lat, seed):
     shuffled; with points that are ragged 1-D arrays (some empty), a
     scalar and a 2-D array."""
     rng = np.random.default_rng(seed)
-    cases = [(name, *make(rng)) for name, make in suites._elliptic_row_fixtures(lat, rng)
+    cases = [(name, *make(rng)) for name, make in suites._elliptic_row_fixtures(lat)
              for _ in range(3)]
     cases += all_row_fixtures(lat)
     tables = [r.terms for r in ell.morphism_rep(*zip(*[(b, p, a) for _, b, p, a in cases]))]

@@ -123,6 +123,29 @@ def test_one_full_rank_element_fails_the_batch():
         eta_vecs(mats)
 
 
+def test_one_matrix_is_its_batch_of_one():
+    # The zero matrix, a rank-2 one, rank-1 ones whose largest entry sits
+    # just above and just below NORM_TOL, and rank-1 ones at [1:0] and [0:1].
+    rng = np.random.default_rng(12)
+    u = rng.normal(size=2) + 1j * rng.normal(size=2)
+    v = rng.normal(size=2) + 1j * rng.normal(size=2)
+    rank1 = np.outer(u, v) / np.abs(np.outer(u, v)).max()
+    mats = np.array([np.zeros((2, 2)), rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)),
+                     rank1 * NORM_TOL * (1 + 1e-3), rank1 * NORM_TOL * (1 - 1e-3),
+                     [[0.3 - 2j, 1.7], [0, 0]], [[0, 0], [1j, -0.4 + 0.2j]]], dtype=complex)
+    vecs, s1, s2, ok = rank_one_column_spaces(mats, rank_tol=RANK_TOL)
+    assert ok.tolist() == [False, False, True, False, True, True]
+    for i, m in enumerate(mats):
+        point, o1, o2 = rank_one_column_space(m, rank_tol=RANK_TOL)
+        assert (o1, o2) == (s1[i], s2[i]) and type(o1) is float
+        if ok[i]:
+            want = ProjPoint(*vecs[i])
+            assert np.array([point.a, point.c]).tobytes() == np.array([want.a, want.c]).tobytes()
+        else:
+            assert point is None
+    assert (rank_one_column_space(mats[4])[0].a, rank_one_column_space(mats[5])[0].c) == (1, 1)
+
+
 def test_chordal_vecs_matches_points():
     rng = np.random.default_rng(4)
     u = rng.normal(size=(30, 2)) + 1j * rng.normal(size=(30, 2))

@@ -306,6 +306,20 @@ def test_reduce_array_is_bitwise_scalar(tau):
     assert isinstance(lat.reduce(zs[0]), complex)
 
 
+@pytest.mark.parametrize("tau", REF_TAUS)
+def test_kernel_bits_do_not_depend_on_the_batch(tau):
+    # From 16,384 points (256 KiB) numpy elides temporaries; the kernel's
+    # last multiply must keep its operand order there too.
+    rng = np.random.default_rng(43)
+    z = (2 * rng.random(16384) - 0.5) + (2 * rng.random(16384) - 0.5) * tau
+    for kernel in (th.theta_raw, th.theta_raw_deriv):
+        whole = kernel(z, tau)
+        chunks = np.concatenate([kernel(z[i:i + 100], tau) for i in range(0, z.size, 100)])
+        ones = np.concatenate([kernel(z[i:i + 1], tau) for i in range(0, z.size, 97)])
+        assert whole.tobytes() == chunks.tobytes(), kernel.__name__
+        assert whole[::97].tobytes() == ones.tobytes(), kernel.__name__
+
+
 # ---------------------------------------------------------------------------
 # The kernel against an independent high-precision oracle.
 
