@@ -41,7 +41,7 @@ print(f"{'row':28s} {'equivariance':>13s} {'direction':>11s} {'result'}")
 for name, bundle, a in rows:
     rep = ell.morphism_rep([bundle], [p], [a])[0]
     resid = ell.check_equivariance([rep], [5])[0]
-    dirr = chordal(eta_at(rep.evaluator(np.asarray(p.lift)), p.lift), a)
+    dirr = chordal(eta_at(ell.evaluate_stack([rep.terms], [p.lift], lat)[0], p.lift), a)
     print(f"{name:28s} {resid:13.2e} {dirr:11.2e} {rep.result}")
 
 print("\nsingle-modification classification echoes the table:")
@@ -63,9 +63,10 @@ bundle = F2Twist(O)
 d1, d2 = ProjPoint(0.8 - 0.5j, 1), random_point(rng)
 rep1 = ell.morphism_rep([bundle], [p1], [d1])[0]
 rep2 = ell.morphism_rep([rep1.result], [p2], [d2])[0]
-a1 = eta_at(rep1.evaluator(np.asarray(p1.lift)), p1.lift)
-local = eta_at(rep2.evaluator(np.asarray(p2.lift)), p2.lift)
-v = rep1.evaluator(np.asarray(p2.lift)) @ local.vec
+at_p1, at_p2 = ell.evaluate_stack([rep1.terms, rep1.terms], [p1.lift, p2.lift], lat)
+a1 = eta_at(at_p1, p1.lift)
+local = eta_at(ell.evaluate_stack([rep2.terms], [p2.lift], lat)[0], p2.lift)
+v = at_p2 @ local.vec
 b = ProjPoint(v[0], v[1])
 table = ell.double_hecke(bundle, p1, p2, a1, b)
 chain = rep2.result.tensor(ell.LineBundleClass(1, e.lift, lat))

@@ -369,10 +369,6 @@ class MorphismRep:
     result: EllipticBundle
     point: CurvePoint
 
-    def evaluator(self, z) -> np.ndarray:
-        """alpha at an array of z: (..., 2, 2) matrices."""
-        return evaluate_stack([self.terms], [z], self.upstream.lattice)[0]
-
 
 def check_equivariance(reps, seeds) -> np.ndarray:
     """Max relative residual of the two automorphy intertwining laws, for
@@ -381,25 +377,22 @@ def check_equivariance(reps, seeds) -> np.ndarray:
     Checks alpha(z + tau) f_F(z) = f_E(z) alpha(z) and plain 1-periodicity
     over 20 random z in a doubled fundamental box, drawn from
     ``default_rng(seeds[i])`` for ``reps[i]``; every evaluation of the
-    stack is one ``evaluate_stack`` call.
+    stack is one ``evaluate_stack`` call, each table at its z, z + tau and
+    z + 1 together, and the residuals are taken over the stack at once.
     """
-    lat = reps[0].upstream.lattice if reps else None
-    zs = []
-    for seed in seeds:
-        x, y = np.random.default_rng(seed).random((2, 20))
-        zs.append((2 * x - 0.5) + (2 * y - 0.5) * lat.tau)
-    vals = evaluate_stack([r.terms for r in reps for _ in range(3)],
-                          [w for z in zs for w in (z, z + lat.tau, z + 1.0)], lat)
-    out = np.empty(len(reps))
-    for i, (rep, z) in enumerate(zip(reps, zs)):
-        a_z, a_tau, a_one = vals[3 * i:3 * i + 3]
-        lhs = a_tau @ rep.result.factor(z)
-        rhs = rep.upstream.factor(z) @ a_z
-        scale = max(float(np.abs(rhs).max()), float(np.abs(a_z).max()), 1e-30)
-        r1 = float(np.abs(lhs - rhs).max()) / scale
-        r2 = float(np.abs(a_one - a_z).max()) / max(float(np.abs(a_z).max()), 1e-30)
-        out[i] = max(r1, r2)
-    return out
+    if not reps:
+        return np.empty(0)
+    lat = reps[0].upstream.lattice
+    x, y = np.moveaxis([np.random.default_rng(seed).random((2, 20)) for seed in seeds], 1, 0)
+    zs = (2 * x - 0.5) + (2 * y - 0.5) * lat.tau
+    vals = evaluate_stack([r.terms for r in reps], [(z, z + lat.tau, z + 1.0) for z in zs], lat)
+    a_z, a_tau, a_one = np.moveaxis(np.array(vals), 1, 0)
+    lhs = a_tau @ np.array([r.result.factor(z) for r, z in zip(reps, zs)])
+    rhs = np.array([r.upstream.factor(z) for r, z in zip(reps, zs)]) @ a_z
+    # The largest entry modulus per representative.
+    err, scale, peak, drift = (np.abs(m).max(axis=(1, 2, 3)) for m in (lhs - rhs, rhs, a_z, a_one - a_z))
+    floor = np.maximum(peak, 1e-30)
+    return np.maximum(err / np.maximum(scale, floor), drift / floor)
 
 
 def _theta_const(lattice: Lattice) -> complex:
@@ -813,7 +806,7 @@ class EllipticSequence:
     chain of morphism representatives, each built once.
 
     Each step's direction is in the standard trivialization of the bundle
-    it modifies; the stored-frame convention makes consecutive evaluators
+    it modifies; the stored-frame convention makes consecutive representatives
     directly composable.
     """
 

@@ -45,13 +45,10 @@ def _reduce(z: np.ndarray, tau: complex):
     return z0, m
 
 
-def _theta_reduced(z0: np.ndarray, tau: complex, n_terms: int, weight: int):
-    """sum_n (2 pi i n)^weight exp(pi i (n^2 tau + 2 n z0)) for weight 0 or 1."""
+def _theta_terms(z0: np.ndarray, tau: complex, n_terms: int):
+    """The terms exp(pi i (n^2 tau + 2 n z0)), |n| <= n_terms, on a last axis; and n."""
     n = np.arange(-n_terms, n_terms + 1)
-    expo = np.exp(1j * np.pi * (n * n * tau) + TWO_PI_I * np.multiply.outer(z0, n))
-    if weight:
-        expo = expo * (TWO_PI_I * n)
-    return expo.sum(axis=-1)
+    return np.exp(1j * np.pi * (n * n * tau) + TWO_PI_I * np.multiply.outer(z0, n)), n
 
 
 def theta_raw(z, tau: complex):
@@ -63,7 +60,7 @@ def theta_raw(z, tau: complex):
     # A named operand: numpy would turn factor * <temporary> into an
     # in-place <temporary> *= factor from 16,384 points up, and its SIMD
     # complex multiply is not bitwise commutative.
-    val = _theta_reduced(z0, tau, n_terms, 0)
+    val = _theta_terms(z0, tau, n_terms)[0].sum(axis=-1)
     return factor * val
 
 
@@ -73,8 +70,9 @@ def theta_raw_deriv(z, tau: complex):
     z0, m = _reduce(z, tau)
     n_terms = _terms_needed(tau, float(np.abs(z0.imag).max(initial=0.0)))
     factor = np.exp(-1j * np.pi * m * m * tau - TWO_PI_I * m * z0)
-    val = _theta_reduced(z0, tau, n_terms, 0)
-    dval = _theta_reduced(z0, tau, n_terms, 1) - TWO_PI_I * m * val
+    terms, n = _theta_terms(z0, tau, n_terms)  # one exponential array for both sums
+    val = terms.sum(axis=-1)
+    dval = (terms * (TWO_PI_I * n)).sum(axis=-1) - TWO_PI_I * m * val
     return factor * dval  # a named operand, as in theta_raw
 
 

@@ -6,8 +6,15 @@ and ``elliptic.chain_lines``); the tests compare those against these loops.
 
 import numpy as np
 
+from heckelab.elliptic import evaluate_stack
 from heckelab.grassmannian import eta_at
 from heckelab.projective import ProjPoint
+
+
+def evaluator(rep):
+    """alpha of an elliptic morphism representative as a function of an
+    array of z: its term table evaluated as a stack of one."""
+    return lambda z: evaluate_stack([rep.terms], [z], rep.upstream.lattice)[0]
 
 
 def prefix_product(evaluators, z) -> np.ndarray:
@@ -36,7 +43,7 @@ def raw_directions(reps) -> list[ProjPoint]:
     prefix = np.tile(np.eye(2, dtype=complex), (len(reps), 1, 1))
     out = []
     for i, r in enumerate(reps):
-        val = r.evaluator(zs[i:])
+        val = evaluator(r)(zs[i:])
         v = prefix[i] @ eta_at(val[0], zs[i]).vec
         out.append(ProjPoint(v[0], v[1]))
         prefix[i + 1:] = prefix[i + 1:] @ val[1:]

@@ -1,6 +1,5 @@
 import dataclasses
 import itertools
-import types
 from collections import Counter
 
 import numpy as np
@@ -26,7 +25,7 @@ from heckelab.grassmannian import eta_at
 from heckelab.projective import ProjPoint, chordal, random_point, transport_direction
 from heckelab.torus import CurvePoint, Lattice, halve_sum
 
-from chain_refs import chain_directions, raw_directions
+from chain_refs import chain_directions, evaluator, raw_directions
 from draw_refs import reference_minimal_directions, reference_row_fixtures
 
 LAT = Lattice()
@@ -151,16 +150,16 @@ class TestMorphismRows:
     def test_equivariance_direction_length(self, name, bundle, p, a):
         rep = ell.morphism_rep([bundle], [p], [a])[0]
         assert ell.check_equivariance([rep], [5])[0] < 1e-10
-        assert chordal(eta_at(rep.evaluator(np.asarray(p.lift)), p.lift), a) < 1e-9
+        assert chordal(eta_at(evaluator(rep)(np.asarray(p.lift)), p.lift), a) < 1e-9
         assert abs(rep.result.hecke_length - bundle.hecke_length) == 1
 
     def test_corrupted_row_fails_equivariance(self):
         p = rpt()
         rep = ell.morphism_rep([Decomposable(point_line(p), O)], [p], [ProjPoint(1, 0)])[0]
-        # The rows exchanged: entry e moves to e ^ 2, as evaluator(z)[..., ::-1, :].
+        # The rows exchanged: entry e moves to e ^ 2, each matrix's rows reversed.
         swapped = dataclasses.replace(rep, terms=tuple((e ^ 2, c, f) for e, c, f in rep.terms))
         z = np.array([0.2 + 0.3j, -0.4 + 0.9j])
-        assert np.array_equal(swapped.evaluator(z), rep.evaluator(z)[..., ::-1, :])
+        assert np.array_equal(evaluator(swapped)(z), evaluator(rep)(z)[..., ::-1, :])
         assert ell.check_equivariance([swapped], [5])[0] > 1e-2
 
     def test_specific_targets(self):
@@ -523,7 +522,7 @@ class TestOrderIndependence:
                     for ev in evs:
                         val = val @ ev(np.asarray(pnt.lift))
                     rep = ell.morphism_rep([current], [pnt], [transport_direction(val, d)])[0]
-                    evs.append(rep.evaluator)
+                    evs.append(evaluator(rep))
                     current = rep.result
                 return current
 
@@ -764,43 +763,111 @@ def test_f_embedding_matches_curve_point_arithmetic(monkeypatch, tau):
 
 
 # ---------------------------------------------------------------------------
-# The det-zero certificate of verify-elliptic-tables: det alpha has exactly
-# one zero per period cell, at the modification point.
+# The det-zero record of verify-elliptic-tables: det alpha = c theta_w(., t)
+# with t = p, so det alpha has exactly one zero per period cell, at the
+# modification point.  The argument principle is an independent oracle.
+
+#: Samples per edge of the cell on which the ring oracle counts zeros.
+CELL_EDGE_SAMPLES = 256
+
+
+def ring_zero_count(alpha, centre, lat, size=1.0) -> tuple[float, float]:
+    """Zeros of det alpha in the period cell centred at ``centre``, scaled
+    by ``size``, by the argument principle (Delves and Lyness, Math. Comp.
+    21, 1967): the winding number along the cell boundary,
+    centre + size (+-1 +- tau)/2, and the largest phase step between
+    samples (well below pi when resolved)."""
+    corners = centre + size * np.array([-1 - lat.tau, 1 - lat.tau, 1 + lat.tau, -1 + lat.tau]) / 2
+    t = np.arange(CELL_EDGE_SAMPLES) / CELL_EDGE_SAMPLES
+    ring = (corners[:, None] + (np.roll(corners, -1) - corners)[:, None] * t).ravel()
+    det = np.linalg.det(alpha(ring))
+    steps = np.angle(np.roll(det, -1) / det)
+    return float(steps.sum() / (2 * np.pi)), float(np.abs(steps).max())
+
+
+def det_identity(reps, draws) -> np.ndarray:
+    """The suite's det-zero record of each representative, at
+    check_equivariance's 20-point box for each of the seeds 1..draws."""
+    lat = reps[0].upstream.lattice
+    zs = np.array([suites._box(np.random.default_rng(s), lat, 20) for s in range(1, draws + 1)])
+    alphas = np.array(ell.evaluate_stack([r.terms for r in reps], zs, lat))
+    return suites._det_identity_residuals(reps, zs, alphas)
+
+
+def composed(terms1, terms2) -> tuple:
+    """The term table of the matrix product of two term tables."""
+    return tuple((e1 & 2 | e2 & 1, c1 * c2, f1 + f2)
+                 for e1, c1, f1 in terms1 for e2, c2, f2 in terms2 if e1 & 1 == e2 >> 1)
+
 
 @pytest.mark.parametrize("tau", REF_TAUS)
 def test_every_row_counts_one_resolved_zero(tau):
+    # Wherever the identity holds, the ring counts one resolved zero in the
+    # cell centred at the point, and one in a cell a tenth that size.
     lat = Lattice(tau)
     rng = np.random.default_rng(7)
     for name, make in suites._elliptic_row_fixtures(lat):
-        for _ in range(3):
-            rep = ell.morphism_rep(*([x] for x in make(rng)))[0]
-            count, max_step = suites._det_zero_count(rep)
+        reps = ell.morphism_rep(*zip(*[make(rng) for _ in range(3)]))
+        assert (det_identity(reps, 3) < 1e-12).all(), name
+        for rep, size in itertools.product(reps, (1.0, 0.1)):
+            count, max_step = ring_zero_count(evaluator(rep), rep.point.lift, lat, size)
             assert abs(count - 1) < 1e-9, name
             assert max_step < 0.5, name
-            assert suites._det_zero_distance(rep) < 1e-12, name
+
+
+@pytest.mark.parametrize("tau", REF_TAUS)
+def test_det_record_is_the_identity_over_every_draw(tau):
+    # The suite reads the record off its one evaluation per row, at each
+    # point and then at the boxes: the largest residual over every draw of
+    # every row, bit for bit.
+    config = cli.RunConfig(tau=tau, seed=7, samples=4)
+    rng = cli.suite_rng(config, "verify-elliptic-tables")
+    want = max(det_identity(ell.morphism_rep(*zip(*[make(rng) for _ in range(4)])), 4).max()
+               for _, make in suites._elliptic_row_fixtures(Lattice(tau)))
+    records = cli.run("verify-elliptic-tables", config).records
+    assert [r.observed for r in records if r.name == "det-zero-at-point"] == [want]
 
 
 @pytest.mark.parametrize("tau", REF_TAUS)
 def test_two_modifications_count_two_zeros(tau):
     # The composite of two modifications degenerates at both points, so the
-    # cell centred at the first holds two zeros and the record must fail.
+    # cell centred at the first holds two zeros, its det class has degree 2
+    # and the record must fail.
     lat = Lattice(tau)
     p1 = CurvePoint(0.37 + 0.61 * lat.tau, lat)
     p2 = CurvePoint(p1.lift + 0.3 + 0.2 * lat.tau, lat)
     rep1 = ell.morphism_rep([Decomposable(trivial_line(lat), trivial_line(lat))],
                             [p1], [ProjPoint(0.4 - 0.2j, 1)])[0]
     rep2 = ell.morphism_rep([rep1.result], [p2], [ProjPoint(1, 0.7j)])[0]
-    # Stand-ins for a representative: the zero count reads only these fields.
-    both = types.SimpleNamespace(point=rep1.point, upstream=rep1.upstream,
-                                 evaluator=lambda z: rep1.evaluator(z) @ rep2.evaluator(z))
-    count, max_step = suites._det_zero_count(both)
+    both = dataclasses.replace(rep1, terms=composed(rep1.terms, rep2.terms), result=rep2.result)
+    z = np.array([0.2 + 0.3j, -0.4 + 0.9j])
+    assert np.allclose(evaluator(both)(z), evaluator(rep1)(z) @ evaluator(rep2)(z), rtol=1e-13)
+    count, max_step = ring_zero_count(evaluator(both), both.point.lift, lat)
     assert abs(count - 2) < 1e-9 and max_step < 0.5
-    assert suites._det_zero_distance(both) == float("inf")
-    # A frame change alone has no zero: the count is 0 and the record fails too.
-    frame = types.SimpleNamespace(point=rep1.point, upstream=rep1.upstream, evaluator=lambda z: (
-        np.broadcast_to(np.array([[2.0, 1.0], [1.0, 1.0]], dtype=complex), np.shape(z) + (2, 2))))
-    assert abs(suites._det_zero_count(frame)[0]) < 1e-9
-    assert suites._det_zero_distance(frame) == float("inf")
+    assert det_identity([both], 1)[0] > 1e-6
+    # A frame change alone has no zero: the count is 0, its det class has
+    # degree 0, and the record fails too.
+    frame = dataclasses.replace(rep1, terms=((0, 2.0, ()), (1, 1.0, ()), (2, 1.0, ()), (3, 1.0, ())),
+                                result=rep1.upstream)
+    assert abs(ring_zero_count(evaluator(frame), frame.point.lift, lat)[0]) < 1e-9
+    assert det_identity([frame], 1)[0] > 1e-6
+
+
+@pytest.mark.parametrize("tau", REF_TAUS)
+def test_torsion_shifted_det_class_fails_every_row(tau):
+    # E twisted by a square root of the 2-torsion class 1/2 moves the det
+    # class to t + 1/2.  Then t is not p, and theta_w(., t + 1/2) fits no
+    # multiple of det alpha, so each draw fails even with the point moved
+    # along to keep t = p.
+    lat = Lattice(tau)
+    rng = np.random.default_rng(7)
+    half = LineBundleClass(0, 0.25, lat)
+    for name, make in suites._elliptic_row_fixtures(lat):
+        reps = ell.morphism_rep(*zip(*[make(rng) for _ in range(20)]))
+        shifted = [dataclasses.replace(r, upstream=r.upstream.tensor(half)) for r in reps]
+        moved = [dataclasses.replace(r, point=CurvePoint(r.point.lift + 0.5, lat)) for r in shifted]
+        assert (det_identity(shifted, 20) > 1e-6).all(), name
+        assert (det_identity(moved, 20) > 1e-6).all(), name
 
 
 # ---------------------------------------------------------------------------
@@ -834,7 +901,7 @@ def reference_equivariance(rep, samples=20, seed=5):
     lat = rep.upstream.lattice
     rng = np.random.default_rng(seed)
     z = (2 * rng.random(samples) - 0.5) + (2 * rng.random(samples) - 0.5) * lat.tau
-    a_z, a_tau, a_one = (rep.evaluator(w) for w in (z, z + lat.tau, z + 1.0))
+    a_z, a_tau, a_one = (evaluator(rep)(w) for w in (z, z + lat.tau, z + 1.0))
     lhs = a_tau @ rep.result.factor(z)
     rhs = rep.upstream.factor(z) @ a_z
     scale = max(float(np.abs(rhs).max()), float(np.abs(a_z).max()), 1e-30)
@@ -885,7 +952,7 @@ def test_evaluate_stack_is_batch_independent_at_kernel_scale(tau, monkeypatch):
     assert max(sizes) >= 16384
     monkeypatch.undo()
     for rep, z, got in zip(reps, zs, stacked):
-        assert np.array_equal(got.view(np.uint64), rep.evaluator(z).view(np.uint64)), rep.row
+        assert np.array_equal(got.view(np.uint64), evaluator(rep)(z).view(np.uint64)), rep.row
 
 
 # ---------------------------------------------------------------------------
@@ -1050,7 +1117,7 @@ def test_term_tables_match_closure_reference(tau):
         assert rep.row == row, name
         for z in (np.append(box, p.lift), np.asarray(p.lift)):
             want = ref(z)
-            err = np.abs(rep.evaluator(z) - want).max(axis=(-2, -1))
+            err = np.abs(evaluator(rep)(z) - want).max(axis=(-2, -1))
             assert (err / np.abs(want).max(axis=(-2, -1))).max() <= 1e-14, name
 
 
@@ -1071,7 +1138,7 @@ def test_evaluate_stack_matches_batches_of_one(tau):
     assert {z.size for z in zs} >= {0, 1, 6}
     stacked = ell.evaluate_stack([r.terms for r in reps], zs, lat)
     for (name, *_), rep, z, got in zip(cases, reps, zs, stacked):
-        want = rep.evaluator(z)
+        want = evaluator(rep)(z)
         assert got.shape == want.shape == z.shape + (2, 2), name
         if z.size:
             err = np.abs(got - want).max(axis=(-2, -1)) / np.abs(want).max(axis=(-2, -1))
@@ -1241,7 +1308,7 @@ def stacked_inputs(lat, seed):
     # Second line of draw 3 chosen so its step on G2 is toward bp[3] (row G2:a4).
     rep1 = ell.morphism_rep([bases[3].bundle], [p1], lines[3][:1])[0]
     scale = np.exp(1j * np.pi * (rep1.result.point_lift - p2.lift))  # the G2 frame's diagonal
-    lines[3][1] = ProjPoint(*(rep1.evaluator(np.asarray(p2.lift)) @ [bp[3].a, scale * bp[3].c]))
+    lines[3][1] = ProjPoint(*(evaluator(rep1)(np.asarray(p2.lift)) @ [bp[3].a, scale * bp[3].c]))
     return rng, q, p1, p2, coords, bases, lines
 
 
@@ -1298,7 +1365,7 @@ def test_stacked_morphism_rows_match_batches_of_one(tau):
     for (name, b, p, a), rep in zip(cases, stacked):
         alone = ell.morphism_rep([b], [p], [a])[0]
         assert rep.row == alone.row and close(rep.result, alone.result), name
-        assert np.array_equal(rep.evaluator(z), alone.evaluator(z)), name
+        assert np.array_equal(evaluator(rep)(z), evaluator(alone)(z)), name
 
 
 @pytest.mark.parametrize("tau", REF_TAUS)
@@ -1318,7 +1385,7 @@ def test_chain_lines_match_the_scalar_readers(tau):
     stacked = ell.chain_lines(chains)
     assert [len(x) for x in stacked] == [len(c) for c in chains]
     for reps, got in zip(chains, stacked):
-        evaluators = [r.evaluator for r in reps]
+        evaluators = [evaluator(r) for r in reps]
         for want in (raw_directions(reps), chain_directions(evaluators, [r.point.lift for r in reps])):
             assert all(chordal(x, y) <= 1e-12 for x, y in zip(got, want))
         # A stack reads each member as a batch of one does.

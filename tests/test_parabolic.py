@@ -32,7 +32,7 @@ from heckelab.pseries import PolyMat2
 from heckelab.rational import RationalBundle
 from heckelab.torus import CurvePoint, Lattice
 
-from chain_refs import chain_directions
+from chain_refs import chain_directions, evaluator
 from draw_refs import reference_minimal_directions
 
 LAT = Lattice()
@@ -334,7 +334,7 @@ class TestLemmaDirection:
             for pnt in (p1, p2):
                 val = np.eye(2, dtype=complex)
                 for rep in reps:
-                    val = val @ rep.evaluator(np.asarray(pnt.lift))
+                    val = val @ evaluator(rep)(np.asarray(pnt.lift))
                 v = np.linalg.solve(val, bad.vec)
                 reps.append(ell.morphism_rep([current], [pnt], [ProjPoint(v[0], v[1])])[0])
                 current = reps[-1].result
