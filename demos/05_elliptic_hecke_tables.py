@@ -37,10 +37,13 @@ rows = [
      Decomposable(point_line(p).tensor(point_line(q).inverse()), O),
      random_point(rng)),
 ]
+# 20 points in a doubled fundamental box, where each row is certified.
+box = np.random.default_rng(5)
+zs = (2 * box.random(20) - 0.5) + (2 * box.random(20) - 0.5) * lat.tau
 print(f"{'row':28s} {'equivariance':>13s} {'direction':>11s} {'result'}")
 for name, bundle, a in rows:
     rep = ell.morphism_rep([bundle], [p], [a])[0]
-    resid = ell.check_equivariance([rep], [5])[0]
+    resid = ell.certify_rows([rep], [zs])[0][0]
     dirr = chordal(eta_at(ell.evaluate_stack([rep.terms], [p.lift], lat)[0], p.lift), a)
     print(f"{name:28s} {resid:13.2e} {dirr:11.2e} {rep.result}")
 

@@ -370,21 +370,26 @@ class MorphismRep:
     point: CurvePoint
 
 
-def check_equivariance(reps, seeds) -> np.ndarray:
-    """Max relative residual of the two automorphy intertwining laws, for
-    each representative of a stack: (B,).
+def certify_rows(reps, zs) -> tuple[np.ndarray, np.ndarray]:
+    """The two certificates (equivariance, det_identity), each (B,), of
+    each representative ``reps[i]`` at its own points ``zs[i]`` (zs: (B, k)).
 
-    Checks alpha(z + tau) f_F(z) = f_E(z) alpha(z) and plain 1-periodicity
-    over 20 random z in a doubled fundamental box, drawn from
-    ``default_rng(seeds[i])`` for ``reps[i]``; every evaluation of the
-    stack is one ``evaluate_stack`` call, each table at its z, z + tau and
-    z + 1 together, and the residuals are taken over the stack at once.
+    equivariance: the max relative residual of the automorphy intertwining
+    laws alpha(z + tau) f_F(z) = f_E(z) alpha(z) and alpha(z + 1) = alpha(z).
+    det_identity: inf unless det E - det F = O(t) has degree 1; else the
+    larger of the distance from t to p modulo the lattice and the fit
+    residual max|det - c theta| / max|det|, theta = theta_w(., t) and c =
+    <theta, det> / <theta, theta>.  alpha intertwines the automorphy
+    factors, so det alpha is a section of O(t): a multiple of theta_w(., t),
+    whose one zero per cell is t.  The fit takes no reference point and
+    divides by no theta value, so a point near t needs no floor.  Both read
+    one ``evaluate_stack`` call, each table at z, z + tau and z + 1
+    together; the theta values are one kernel call.
     """
     if not reps:
-        return np.empty(0)
+        return np.empty(0), np.empty(0)
     lat = reps[0].upstream.lattice
-    x, y = np.moveaxis([np.random.default_rng(seed).random((2, 20)) for seed in seeds], 1, 0)
-    zs = (2 * x - 0.5) + (2 * y - 0.5) * lat.tau
+    zs = np.asarray(zs, dtype=complex)
     vals = evaluate_stack([r.terms for r in reps], [(z, z + lat.tau, z + 1.0) for z in zs], lat)
     a_z, a_tau, a_one = np.moveaxis(np.array(vals), 1, 0)
     lhs = a_tau @ np.array([r.result.factor(z) for r, z in zip(reps, zs)])
@@ -392,7 +397,15 @@ def check_equivariance(reps, seeds) -> np.ndarray:
     # The largest entry modulus per representative.
     err, scale, peak, drift = (np.abs(m).max(axis=(1, 2, 3)) for m in (lhs - rhs, rhs, a_z, a_one - a_z))
     floor = np.maximum(peak, 1e-30)
-    return np.maximum(err / np.maximum(scale, floor), drift / floor)
+    equivariance = np.maximum(err / np.maximum(scale, floor), drift / floor)
+    dcs = [r.upstream.det_class().tensor(r.result.det_class().inverse()) for r in reps]
+    det = np.linalg.det(a_z)
+    theta = th.theta_w(zs, np.array([dc.lift for dc in dcs])[:, None], lat)
+    c = (theta.conj() * det).sum(1) / (theta.conj() * theta).sum(1)
+    fit = np.abs(det - c[:, None] * theta).max(1) / np.abs(det).max(1)
+    dist = [lat.distance(dc.lift, r.point.lift) if dc.degree == 1 else np.inf
+            for dc, r in zip(dcs, reps)]
+    return equivariance, np.maximum(fit, dist)
 
 
 def _theta_const(lattice: Lattice) -> complex:

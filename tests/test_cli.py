@@ -1,6 +1,11 @@
 import hashlib
 
+import numpy as np
+import pytest
+
 from heckelab import cli
+from heckelab import elliptic as ell
+from heckelab import seidel_smith as ss
 from heckelab.projective import DegeneratePoint
 
 
@@ -176,3 +181,26 @@ def test_failure_sets_exit_code(tmp_path, monkeypatch):
     code = cli.main(["verify-theta", "--samples", "10", "--tol", "1e-30",
                      "--out", str(tmp_path / "r.txt")])
     assert code == 1
+
+
+def nan_first(f):
+    """``f`` with the first element of its (first) residual array set to NaN."""
+    def wrapped(*args):
+        out = f(*args)
+        (out[0] if isinstance(out, tuple) else out)[0] = np.nan
+        return out
+    return wrapped
+
+
+@pytest.mark.parametrize("module,name,command,extra,record", [
+    (ell, "certify_rows", "verify-elliptic-tables", (), "equivariance"),
+    (ss, "conjecture_residuals", "check-conjecture", ("2",), "diagram-residual-m2"),
+], ids=["certify_rows", "conjecture_residuals"])
+def test_nan_residual_fails_its_record(monkeypatch, module, name, command, extra, record):
+    # A running max(worst, x) drops a NaN, which compares false with
+    # everything; the record must read NaN and FAIL.
+    monkeypatch.setattr(module, name, nan_first(getattr(module, name)))
+    report = run_text(command, extra, samples=8)
+    rec, = [r for r in report.records if r.name == record]
+    assert np.isnan(rec.observed) and rec.passed is False
+    assert not report.ok

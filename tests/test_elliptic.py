@@ -32,6 +32,16 @@ LAT = Lattice()
 RNG = np.random.default_rng(77)
 
 
+def boxes(lat, seeds) -> np.ndarray:
+    """20 points in a doubled fundamental box per seed (real parts drawn
+    first): the certificate points of verify-elliptic-tables, (B, 20)."""
+    out = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        out.append((2 * rng.random(20) - 0.5) + (2 * rng.random(20) - 0.5) * lat.tau)
+    return np.array(out)
+
+
 def rpt(rng=RNG):
     return CurvePoint(rng.random() + rng.random() * LAT.tau, LAT)
 
@@ -149,7 +159,8 @@ class TestMorphismRows:
                              ids=[r[0] for r in all_row_fixtures()])
     def test_equivariance_direction_length(self, name, bundle, p, a):
         rep = ell.morphism_rep([bundle], [p], [a])[0]
-        assert ell.check_equivariance([rep], [5])[0] < 1e-10
+        equivariance, det = ell.certify_rows([rep], boxes(LAT, [5]))
+        assert equivariance[0] < 1e-10 and det[0] < 1e-10
         assert chordal(eta_at(evaluator(rep)(np.asarray(p.lift)), p.lift), a) < 1e-9
         assert abs(rep.result.hecke_length - bundle.hecke_length) == 1
 
@@ -160,7 +171,7 @@ class TestMorphismRows:
         swapped = dataclasses.replace(rep, terms=tuple((e ^ 2, c, f) for e, c, f in rep.terms))
         z = np.array([0.2 + 0.3j, -0.4 + 0.9j])
         assert np.array_equal(evaluator(swapped)(z), evaluator(rep)(z)[..., ::-1, :])
-        assert ell.check_equivariance([swapped], [5])[0] > 1e-2
+        assert ell.certify_rows([swapped], boxes(LAT, [5]))[0][0] > 1e-2
 
     def test_specific_targets(self):
         p, q = rpt(), rpt()
@@ -786,12 +797,9 @@ def ring_zero_count(alpha, centre, lat, size=1.0) -> tuple[float, float]:
 
 
 def det_identity(reps, draws) -> np.ndarray:
-    """The suite's det-zero record of each representative, at
-    check_equivariance's 20-point box for each of the seeds 1..draws."""
-    lat = reps[0].upstream.lattice
-    zs = np.array([suites._box(np.random.default_rng(s), lat, 20) for s in range(1, draws + 1)])
-    alphas = np.array(ell.evaluate_stack([r.terms for r in reps], zs, lat))
-    return suites._det_identity_residuals(reps, zs, alphas)
+    """The suite's det-zero record of each representative, at the
+    certificate points of the seeds 1..draws."""
+    return ell.certify_rows(reps, boxes(reps[0].upstream.lattice, range(1, draws + 1)))[1]
 
 
 def composed(terms1, terms2) -> tuple:
@@ -817,15 +825,19 @@ def test_every_row_counts_one_resolved_zero(tau):
 
 @pytest.mark.parametrize("tau", REF_TAUS)
 def test_det_record_is_the_identity_over_every_draw(tau):
-    # The suite reads the record off its one evaluation per row, at each
-    # point and then at the boxes: the largest residual over every draw of
-    # every row, bit for bit.
+    # The suite reads both certificates off one certify_rows call per row:
+    # each record is the largest residual over every draw of every row,
+    # bit for bit.
     config = cli.RunConfig(tau=tau, seed=7, samples=4)
     rng = cli.suite_rng(config, "verify-elliptic-tables")
-    want = max(det_identity(ell.morphism_rep(*zip(*[make(rng) for _ in range(4)])), 4).max()
-               for _, make in suites._elliptic_row_fixtures(Lattice(tau)))
+    lat = Lattice(tau)
+    certs = [ell.certify_rows(ell.morphism_rep(*zip(*[make(rng) for _ in range(4)])),
+                              boxes(lat, range(1, 5)))
+             for _, make in suites._elliptic_row_fixtures(lat)]
+    want = {"equivariance": max(eq.max() for eq, _ in certs),
+            "det-zero-at-point": max(det.max() for _, det in certs)}
     records = cli.run("verify-elliptic-tables", config).records
-    assert [r.observed for r in records if r.name == "det-zero-at-point"] == [want]
+    assert {r.name: r.observed for r in records if r.name in want} == want
 
 
 @pytest.mark.parametrize("tau", REF_TAUS)
@@ -913,8 +925,9 @@ def reference_equivariance(rep, samples=20, seed=5):
 @pytest.mark.parametrize("tau", REF_TAUS)
 def test_stacked_equivariance_matches_batches_of_one(tau):
     # Every suite row (two draws each), every row and frame fixture, and the
-    # corrupted row: element i of the stack is its batch of one and the
-    # one-representative check, bit for bit.
+    # corrupted row: element i of both certificates of the stack is its
+    # batch of one, bit for bit, and its equivariance residual is the
+    # one-representative check's.
     lat = Lattice(tau)
     rng = np.random.default_rng(29)
     cases = [make(rng) for _, make in suites._elliptic_row_fixtures(lat) for _ in range(2)]
@@ -922,11 +935,14 @@ def test_stacked_equivariance_matches_batches_of_one(tau):
     reps = ell.morphism_rep(*zip(*cases))
     reps.append(dataclasses.replace(reps[0], terms=tuple((e ^ 2, c, f) for e, c, f in reps[0].terms)))
     seeds = [k % 7 + 1 for k in range(len(reps))]
-    stacked = ell.check_equivariance(reps, seeds)
-    assert stacked.shape == (len(reps),) and stacked[-1] > 1e-2
-    for rep, seed, got in zip(reps, seeds, stacked.tolist()):
-        assert got == ell.check_equivariance([rep], [seed])[0] == reference_equivariance(rep, seed=seed)
-    assert ell.check_equivariance([], []).shape == (0,)
+    zs = boxes(lat, seeds)
+    stacked = ell.certify_rows(reps, zs)
+    assert [x.shape for x in stacked] == [(len(reps),)] * 2 and stacked[0][-1] > 1e-2
+    for i, (rep, seed) in enumerate(zip(reps, seeds)):
+        alone = ell.certify_rows([rep], zs[i:i + 1])
+        assert [x[i] for x in stacked] == [x[0] for x in alone]
+        assert stacked[0][i] == reference_equivariance(rep, seed=seed)
+    assert [x.shape for x in ell.certify_rows([], np.empty((0, 20)))] == [(0,)] * 2
 
 
 @pytest.mark.parametrize("tau", REF_TAUS)
