@@ -642,10 +642,10 @@ def mss_coordinate(es) -> list[ProjPoint]:
     return th._cover_points(lifts, es[0].lattice)
 
 
-def _stable_first_class(reps1, points, dirs) -> list[list[EllipticBundle]]:
-    """E2 tensor O(e) for each first modification ``reps1[i]``, in a good
-    direction, followed by second modifications at ``points[i][j]`` with
-    composite coordinates ``dirs[i][j]``.
+def _stable_first_class(reps1, points, avals, dirs) -> list[list[EllipticBundle]]:
+    """E2 tensor O(e) for each first modification ``reps1[i]`` in a good
+    direction, with values ``avals[i]`` at its second points ``points[i]``,
+    followed by second modifications there with composite coordinates ``dirs[i]``.
 
     The intermediate bundle is stable, so the composite coordinate b must
     be transported back through the first-step representative before the
@@ -653,14 +653,11 @@ def _stable_first_class(reps1, points, dirs) -> list[list[EllipticBundle]]:
     and intrinsic coordinates differ by the Moebius action of the
     first-step matrix at p2 (they agree only along unstable intermediates,
     where repeated subbundle modifications keep the coordinate constant).
-    The stack's first steps at their second points are one
-    ``evaluate_stack`` call; its transports and second steps one call each.
+    The stack's transports and second steps are one call each.
     """
     for rep1, p2s in zip(reps1, points):
         if any(rep1.point == p2 for p2 in p2s):
             raise ValueError("modification points must be distinct")
-    avals = evaluate_stack([r.terms for r in reps1], [[p2.lift for p2 in p2s] for p2s in points],
-                           reps1[0].point.lattice)
     ups = [rep1.result for rep1, p2s in zip(reps1, points) for _ in p2s]
     pts = [p2 for p2s in points for p2 in p2s]
     vecs = transport_directions(np.concatenate(avals), np.array([b.vec for d in dirs for b in d]))
@@ -704,11 +701,16 @@ def double_hecke(
         return Decomposable(e1.tensor(point_line(p1).inverse()).tensor(li),
                             e1.tensor(point_line(p2).inverse()).tensor(li))
 
+    def stable_class() -> EllipticBundle:
+        rep1 = morphism_rep([e], [p1], [a])[0]
+        vals = evaluate_stack([rep1.terms], [[p2.lift]], lat)
+        return _stable_first_class([rep1], [[p2]], vals, [[b]])[0][0]
+
     if isinstance(e, F2Twist):
         if a.is_zero_dir():
             # Bad first direction: unstable intermediate.
             return None if b.is_zero_dir() else split_class(e.l)
-        return _stable_first_class(morphism_rep([e], [p1], [a]), [[p2]], [[b]])[0][0]
+        return stable_class()
 
     delta = e.l1  # degree 0 with l2 the inverse class, by the precondition
     ti = delta.twist_point().torsion_index()
@@ -743,7 +745,7 @@ def double_hecke(
         if b.is_zero_dir():
             return None
         return dual_pair((p - p2).lift, lat)
-    return _stable_first_class(morphism_rep([e], [p1], [a]), [[p2]], [[b]])[0][0]
+    return stable_class()
 
 
 @dataclass(frozen=True)
@@ -784,39 +786,46 @@ def bad_group_key(e: EllipticBundle, direction: ProjPoint) -> ProjPoint | None:
     return None
 
 
-def chain_lines(chains) -> list[list[ProjPoint]]:
-    """Directions of each chain of representatives in the trivialization
-    of its first upstream bundle: eta of each step at its point,
-    transported by the product of the steps before it.
-
-    Each representative is evaluated once, at its own point and all later
-    ones, all in one ``evaluate_stack`` call; the chains of each length are
-    read by one ``chain_direction_vecs`` call.
-    """
+def chain_factors(chains) -> list[np.ndarray]:
+    """The factors (n, n, 2, 2) of each chain of representatives: step k at
+    point i for i >= k, zero below, from one ``evaluate_stack`` call that
+    evaluates each representative at its own point and all later ones."""
     reps = [r for chain in chains for r in chain]
     zs = [[r.point.lift for r in chain] for chain in chains]
     flat = iter(evaluate_stack([r.terms for r in reps], [z[k:] for z in zs for k in range(len(z))],
                                reps[0].point.lattice if reps else None))
-    vals = [[next(flat) for _ in chain] for chain in chains]
-    by_length: dict[int, list[int]] = {}
-    for i, chain in enumerate(chains):
-        by_length.setdefault(len(chain), []).append(i)
-    out = [[] for _ in chains]
-    for n, idx in by_length.items():
-        # Factor k at point i for k <= i; the rest is never read.
-        factors = np.zeros((len(idx), n, n, 2, 2), dtype=complex)
-        for b, i in enumerate(idx):
-            for k, v in enumerate(vals[i]):
-                factors[b, k, k:] = v
-        for i, vecs in zip(idx, chain_direction_vecs(factors).tolist()):
+    out = [np.zeros((len(z), len(z), 2, 2), dtype=complex) for z in zs]
+    for f in out:
+        for k in range(len(f)):
+            f[k, k:] = next(flat)
+    return out
+
+
+def factor_lines(factors) -> list[list[ProjPoint]]:
+    """Directions of each chain, given its factors (n, n, 2, 2), in the
+    trivialization of its first upstream bundle: eta of each step at its
+    point, transported by the product of the steps before it.  The chains
+    of each length are read by one ``chain_direction_vecs`` call."""
+    out = [[] for _ in factors]
+    for n in {len(f) for f in factors}:
+        idx = [i for i, f in enumerate(factors) if len(f) == n]
+        for i, vecs in zip(idx, chain_direction_vecs(np.array([factors[i] for i in idx])).tolist()):
             out[i] = [ProjPoint(a, c) for a, c in vecs]
     return out
 
 
-@dataclass(frozen=True)
+def chain_lines(chains) -> list[list[ProjPoint]]:
+    """``factor_lines`` of each chain's ``chain_factors``."""
+    return factor_lines(chain_factors(chains))
+
+
+@dataclass(frozen=True, eq=False)
 class EllipticSequence:
     """A point of H(T^2, n): modifications of a marked bundle, held as the
-    chain of morphism representatives, each built once.
+    chain of morphism representatives, each built once, with what its
+    builder evaluated: the chain's ``factors`` (see ``chain_factors``), and
+    the ``mark`` step (the base's modification at q toward its line) with
+    its ``mark_values`` (n, 2, 2) at the points.
 
     Each step's direction is in the standard trivialization of the bundle
     it modifies; the stored-frame convention makes consecutive representatives
@@ -825,6 +834,9 @@ class EllipticSequence:
 
     base: MarkedBundle
     reps: tuple[MorphismRep, ...]
+    factors: np.ndarray
+    mark: MorphismRep
+    mark_values: np.ndarray
 
     @property
     def points(self) -> list[CurvePoint]:
@@ -841,26 +853,23 @@ def h_total(seqs) -> list[list[ProjPoint]]:
     Coordinate 0 is the class of the base bundle; coordinate i >= 1 is the
     class (twisted back to trivial determinant) of the two-step
     modification of the base at (q, p_i) in the directions read off the
-    mark and the composed sequence.  For the whole stack, the marks'
-    representatives are one ``morphism_rep`` call, the second steps
-    another, the lines one ``chain_lines`` call, and the coordinates of
-    each kind one cover call.
+    mark and the composed sequence.  Each sequence carries its mark step,
+    its values and the chain's factors; for the whole stack, the second
+    steps are one ``morphism_rep`` call, the lines one ``factor_lines``
+    read, and all coordinates one cover call.
     """
-    out = [[c] for c in mss_coordinate([s.base.bundle for s in seqs])]
-    live = [i for i, s in enumerate(seqs) if s.reps]
-    if live:
-        # Reinterpreted two-step sequences: the mark modification first, in
-        # a good direction (``double_hecke``'s stable branch).  Composite
-        # coordinates (mark line, d_i): line data is order-independent
-        # under the canonical parabolic correspondence.
-        bases = [seqs[i].base for i in live]
-        rep_q = morphism_rep([b.bundle for b in bases], [b.q for b in bases],
-                             [b.line for b in bases])
-        classes = _stable_first_class(rep_q, [seqs[i].points for i in live],
-                                      chain_lines([seqs[i].reps for i in live]))
-        coords = iter(mss_coordinate([c for row in classes for c in row]))
-        for i, row in zip(live, classes):
-            out[i] += [next(coords) for _ in row]
+    live = [s for s in seqs if s.reps]
+    # Reinterpreted two-step sequences: the mark modification first, in a
+    # good direction (``double_hecke``'s stable branch).  Composite
+    # coordinates (mark line, d_i): line data is order-independent under
+    # the canonical parabolic correspondence.
+    classes = _stable_first_class([s.mark for s in live], [s.points for s in live],
+                                  [s.mark_values for s in live],
+                                  factor_lines([s.factors for s in live])) if live else []
+    coords = iter(mss_coordinate([s.base.bundle for s in seqs] + [c for row in classes for c in row]))
+    out = [[next(coords)] for _ in seqs]
+    for h, s in zip(out, seqs):
+        h += [next(coords) for _ in s.reps]
     return out
 
 
@@ -977,34 +986,42 @@ def sequence_from_coordinates(bases, points, taus) -> list[EllipticSequence]:
     (taus[i][0] .. taus[i][n-1]) at ``points[i]`` on ``bases[i]``.
 
     For each point the reinterpreted two-step sequence through the mark
-    pins the parabolic line at that point; ``sequence_from_lines`` builds
-    the chains from those lines.  The marks' representatives are one
-    ``morphism_rep`` call, the second directions one
-    ``second_direction_for_class`` call, and the mark representatives at
-    all their points one ``evaluate_stack`` call.
+    pins the parabolic line at that point.  The mark steps and their values
+    at the points (``_marks``, which the sequences keep) and the second
+    directions (one ``second_direction_for_class`` call) give the lines.
     """
-    rep_q = morphism_rep([b.bundle for b in bases], [b.q for b in bases],
-                         [b.line for b in bases])
+    rep_q, vals = _marks(bases, points)
     flat = [(r.result, b.q, p, t) for r, b, pts, ts in zip(rep_q, bases, points, taus)
             for p, t in zip(pts, ts)]
     # The second step's direction at its point is delta by construction.
     deltas = iter(second_direction_for_class(*zip(*flat)) if flat else ())
-    vals = evaluate_stack([r.terms for r in rep_q], [[p.lift for p in pts] for pts in points],
-                          bases[0].q.lattice if bases else None)
     lines = [[ProjPoint(*(v @ next(deltas).vec)) for v in vs] for vs in vals]
-    return sequence_from_lines(bases, points, lines)
+    return _sequences(bases, points, lines, rep_q, vals)
 
 
 def sequence_from_lines(bases, points, lines) -> list[EllipticSequence]:
     """The sequences at ``points[i]`` whose lines, in the trivialization of
     ``bases[i]``, are ``lines[i]``: each line is transported back through
     the composite of the steps before it to the direction its step takes.
-    Step j of every sequence in the stack is one ``transport_directions``,
-    one ``morphism_rep`` and one ``evaluate_stack`` call (at later points).
 
     Raises ValueError unless each sequence's points are pairwise distinct
     and away from its mark.
     """
+    return _sequences(bases, points, lines, *_marks(bases, points))
+
+
+def _marks(bases, points):
+    """Each base's mark step and its values at ``points[i]``: one
+    ``morphism_rep`` and one ``evaluate_stack`` call."""
+    marks = morphism_rep([b.bundle for b in bases], [b.q for b in bases], [b.line for b in bases])
+    return marks, evaluate_stack([r.terms for r in marks], [[p.lift for p in pts] for pts in points],
+                                 bases[0].q.lattice if bases else None)
+
+
+def _sequences(bases, points, lines, marks, mark_values) -> list[EllipticSequence]:
+    """``sequence_from_lines`` given the marks.  Step j of the stack is one
+    ``transport_directions``, one ``morphism_rep`` and one ``evaluate_stack``
+    call, at its own point and later ones: its factors and prefix products."""
     points = [list(pts) for pts in points]
     for base, pts in zip(bases, points):
         for i, pnt in enumerate(pts):
@@ -1015,6 +1032,7 @@ def sequence_from_lines(bases, points, lines) -> list[EllipticSequence]:
     # prefix[k][i]: the product of sequence k's steps built so far, at its point i.
     zs = [np.array([pnt.lift for pnt in pts]) for pts in points]
     prefix = [np.tile(np.eye(2, dtype=complex), (len(pts), 1, 1)) for pts in points]
+    factors = [np.zeros((len(pts), len(pts), 2, 2), dtype=complex) for pts in points]
     reps: list[list[MorphismRep]] = [[] for _ in bases]
     for i in range(max(map(len, points), default=0)):
         live = [k for k, pts in enumerate(points) if i < len(pts)]
@@ -1024,7 +1042,8 @@ def sequence_from_lines(bases, points, lines) -> list[EllipticSequence]:
                             [points[k][i] for k in live],
                             [ProjPoint(a, c) for a, c in vecs.tolist()])
         for k, rep, v in zip(live, step, evaluate_stack(
-                [r.terms for r in step], [zs[k][i + 1:] for k in live], bases[0].q.lattice)):
+                [r.terms for r in step], [zs[k][i:] for k in live], bases[0].q.lattice)):
             reps[k].append(rep)
-            prefix[k][i + 1:] = prefix[k][i + 1:] @ v
-    return [EllipticSequence(b, tuple(r)) for b, r in zip(bases, reps)]
+            factors[k][i, i:] = v
+            prefix[k][i + 1:] = prefix[k][i + 1:] @ v[1:]
+    return [EllipticSequence(*x) for x in zip(bases, map(tuple, reps), factors, marks, mark_values)]

@@ -19,7 +19,7 @@ from .rational import RationalBundle, RationalSequence
 from .elliptic import (
     EllipticBundle,
     bad_group_key,
-    chain_lines,
+    factor_lines,
     is_semistable as elliptic_semistable,
 )
 
@@ -130,7 +130,7 @@ def hecke_embeddings_rational(
 def hecke_embeddings_elliptic(seqs, weight: float = DEFAULT_WEIGHT) -> list[ParabolicBundle]:
     """Embed even minimal sequences on marked bundles, adding each good
     mark itself as the auxiliary line; the lines of the whole stack are
-    one ``chain_lines`` read."""
+    one ``factor_lines`` read of the sequences' factors."""
     for seq in seqs:
         if len(seq.reps) % 2:
             raise ValueError("the embedding is defined for even-length sequences")
@@ -138,5 +138,5 @@ def hecke_embeddings_elliptic(seqs, weight: float = DEFAULT_WEIGHT) -> list[Para
             raise TerminalNotMinimal(f"terminal bundle {seq.terminal} is unstable")
     return [ParabolicBundle(s.base.bundle,
                             tuple(map(Mark, s.points + [s.base.q], lines + [s.base.line])), weight)
-            for s, lines in zip(seqs, chain_lines([s.reps for s in seqs]))]
+            for s, lines in zip(seqs, factor_lines([s.factors for s in seqs]))]
 

@@ -524,7 +524,7 @@ def _compute_space_t2(report, config, rng, n):
         grid = sphere_grid(16)
         q = CurvePoint(0.31 + 0.43 * lat.tau, lat)
         bases = ell.base_from_coordinate(grid, [q] * len(grid))
-        h = ell.h_total([ell.EllipticSequence(base, ()) for base in bases])
+        h = ell.h_total(ell.sequence_from_lines(bases, [[]] * len(bases), [[]] * len(bases)))
         worst = np.max([chordal(hh[0], a) for hh, a in zip(h, grid)])
         report.add("coordinate-span", "16-point grid of base classes", worst, 1e-8)
         return
@@ -683,7 +683,7 @@ def embed_check(report, config, rng):
                                    [[bad, bad]] * (n_seq // 2))
     seqs += ell.sequence_from_coordinates(bases[0::2], [p[1:] for p in pts[0::2]], taus)
     verdicts = par.stabilities([par.ParabolicBundle(s.base.bundle, tuple(map(par.Mark, s.points, lines)))
-                                for s, lines in zip(seqs, ell.chain_lines([s.reps for s in seqs]))])
+                                for s, lines in zip(seqs, ell.factor_lines([s.factors for s in seqs]))])
     ok = not any(v.verdict is V.UNSTABLE and ell.is_semistable(s.terminal)
                  for v, s in zip(verdicts, seqs))
     report.add_flag("unstable-marks-unstable-terminal-elliptic",

@@ -195,13 +195,12 @@ def _cover_cross(z, a, c, lattice: Lattice):
 
 
 def branch_points(lattice: Lattice) -> tuple[ProjPoint, ...]:
-    """Images of the four 2-torsion points; cached per lattice."""
+    """Images of the four 2-torsion points, from one cover call on their
+    canonical lifts; cached per lattice."""
     cached = lattice._cache.get("branch_points")
     if cached is None:
-        cached = tuple(
-            pi_cover(CurvePoint(t, lattice)) for t in lattice.torsion_lifts()
-        )
-        lattice._cache["branch_points"] = cached
+        lifts = [lattice.reduce(t) for t in lattice.torsion_lifts()]
+        cached = lattice._cache["branch_points"] = tuple(_cover_points(lifts, lattice))
     return cached
 
 

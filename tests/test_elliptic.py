@@ -283,7 +283,7 @@ class TestHTotal:
         q = rpt()
         tau0 = th.pi_cover(rpt())
         base = ell.base_from_coordinate([tau0], [q])[0]
-        h = ell.h_total([ell.EllipticSequence(base, ())])[0]
+        h = ell.h_total(ell.sequence_from_lines([base], [[]], [[]]))[0]
         assert len(h) == 1 and chordal(h[0], tau0) < 1e-9
 
     def test_roundtrip_n1_n2(self):
@@ -322,7 +322,7 @@ class TestMembership:
     def test_low_n_always_member(self):
         q = rpt()
         base = ell.base_from_coordinate([th.pi_cover(rpt())], [q])[0]
-        assert ell.membership_Hp([ell.EllipticSequence(base, ())])[0]
+        assert ell.membership_Hp(ell.sequence_from_lines([base], [[]], [[]]))[0]
         seq = ell.sequence_from_coordinates([base], [[rpt()]], [[th.pi_cover(rpt())]])[0]
         assert ell.membership_Hp([seq])[0]
 
@@ -458,23 +458,30 @@ class TestSequenceFromLines:
                                                 [[th.pi_cover(rpt(rng)) for _ in range(2)]])[0]
             if ell.membership_Hp([seq])[0]:
                 break
-        calls = []
-        original = ell.morphism_rep
+        calls, tables = [], []
+        original_rep, original_eval = ell.morphism_rep, ell.evaluate_stack
 
         def counting(es, ps, dirs):
             calls.extend(zip(es, ps))
-            return original(es, ps, dirs)
+            return original_rep(es, ps, dirs)
+
+        def evaluating(tbls, zs, lattice):
+            tables.extend(tbls)
+            return original_eval(tbls, zs, lattice)
 
         monkeypatch.setattr(ell, "morphism_rep", counting)
-        ell.chain_lines([seq.reps])
+        monkeypatch.setattr(ell, "evaluate_stack", evaluating)
         par.hecke_embeddings_elliptic([seq])
-        assert calls == []
+        assert calls == [] and tables == []
         ell.h_total([seq])[0]
         ell.membership_Hp([seq])[0]
-        # What h_total builds is double_hecke's own two-step sequences
-        # through the mark, never a step of the chain.
-        assert calls[0] == (base.bundle, q)
-        assert not any(e == r.upstream and p == r.point for e, p in calls for r in seq.reps)
+        # What h_total builds is only the second step of double_hecke's
+        # two-step sequence through the mark, at each point; the mark step
+        # and the chain's steps are neither built nor evaluated again.
+        assert calls == [(seq.mark.result, p) for p in (p1, p2)] * 2
+        built = (seq.mark, *seq.reps)
+        assert not any(e == r.upstream and p == r.point for e, p in calls for r in built)
+        assert not any(t == r.terms for t in tables for r in built)
 
 
 class TestUnstableBranchImage:
@@ -502,7 +509,8 @@ class TestUnstableBranchImage:
             # First modification toward [0:1] (bad): coordinate
             # cover(p - p1); toward [1:0] (bad): coordinate cover(p - q).
             for d1, shift in ((ProjPoint(0, 1), p - p1), (ProjPoint(1, 0), p - q)):
-                seq = ell.EllipticSequence(base, (ell.morphism_rep([bundle], [p1], [d1])[0],))
+                seq = ell.sequence_from_lines([base], [[p1]], [[d1]])[0]
+                assert seq.reps[0].row == ell.morphism_rep([bundle], [p1], [d1])[0].row
                 h = ell.h_total([seq])[0]
                 assert chordal(h[0], th.pi_cover(p - e)) < 1e-8
                 assert chordal(h[1], th.pi_cover(shift)) < 1e-7
@@ -1354,7 +1362,7 @@ def test_stacked_stages_match_batches_of_one(tau):
     on = ell.f_embedding([CurvePoint(0.37 + 0.61 * lat.tau, lat)], q, p1, p2)[0]
     on_seq = ell.sequence_from_coordinates(ell.base_from_coordinate([on[0]], [q]), [[p1, p2]],
                                            [on[1:]])[0]
-    seqs = [ell.EllipticSequence(bases[0], ()), *by_coords[:4], on_seq,
+    seqs = [*ell.sequence_from_lines(bases[:1], [[]], [[]]), *by_coords[:4], on_seq,
             ell.sequence_from_lines(bases[5:6], [[p2]], [lines[5][:1]])[0], *by_lines]
     stacked_h = ell.h_total(seqs)
     member = ell.membership_Hp(seqs)
@@ -1406,6 +1414,63 @@ def test_chain_lines_match_the_scalar_readers(tau):
             assert all(chordal(x, y) <= 1e-12 for x, y in zip(got, want))
         # A stack reads each member as a batch of one does.
         assert all(chordal(x, y) <= 1e-14 for x, y in zip(got, ell.chain_lines([reps])[0]))
+
+
+def ragged_sequences(lat, seed):
+    """Sequences of lengths 0-3 from both builders on the bases of
+    ``stacked_inputs``, each builder's in one ragged stack."""
+    rng, q, p1, p2, _, bases, lines = stacked_inputs(lat, seed)
+    pts = [p1, p2, CurvePoint(0.27 + 0.09 * lat.tau, lat)]
+    n = [k % 4 for k in range(len(bases))]
+    lines = [(ls + [random_point(rng)])[:k] for ls, k in zip(lines, n)]
+    taus = [[th.pi_cover(CurvePoint(rng.random() + rng.random() * lat.tau, lat)) for _ in range(k)]
+            for k in n]
+    taus[1][0] = th.branch_points(lat)[2]
+    return (ell.sequence_from_lines(bases, [pts[:k] for k in n], lines)
+            + ell.sequence_from_coordinates(bases, [pts[:k] for k in n], taus))
+
+
+@pytest.mark.parametrize("tau", REF_TAUS)
+def test_sequences_keep_what_their_builders_evaluated(tau):
+    lat = Lattice(tau)
+    seqs = ragged_sequences(lat, seed=63)
+    assert sorted({len(s.reps) for s in seqs}) == [0, 1, 2, 3]
+    for seq, factors in zip(seqs, ell.chain_factors([s.reps for s in seqs])):
+        assert seq.factors.shape == (len(seq.reps),) * 2 + (2, 2)
+        assert np.array_equal(seq.factors, factors)
+        b = seq.base
+        assert seq.mark.terms == ell.morphism_rep([b.bundle], [b.q], [b.line])[0].terms
+        at_points = ell.evaluate_stack([seq.mark.terms], [[p.lift for p in seq.points]], lat)[0]
+        assert seq.mark_values.shape == (len(seq.reps), 2, 2)
+        assert np.array_equal(seq.mark_values, at_points)
+
+
+def reference_h_total(seqs):
+    """h_total that rebuilds each mark step: one ``morphism_rep`` call for
+    the marks and one ``evaluate_stack`` call at the points, the chains
+    evaluated again by ``chain_lines``, and one cover call per kind."""
+    out = [[c] for c in ell.mss_coordinate([s.base.bundle for s in seqs])]
+    live = [i for i, s in enumerate(seqs) if s.reps]
+    if live:
+        bases = [seqs[i].base for i in live]
+        rep_q = ell.morphism_rep([b.bundle for b in bases], [b.q for b in bases],
+                                 [b.line for b in bases])
+        points = [seqs[i].points for i in live]
+        avals = ell.evaluate_stack([r.terms for r in rep_q], [[p.lift for p in pts] for pts in points],
+                                   bases[0].q.lattice)
+        classes = ell._stable_first_class(rep_q, points, avals,
+                                          ell.chain_lines([seqs[i].reps for i in live]))
+        coords = iter(ell.mss_coordinate([c for row in classes for c in row]))
+        for i, row in zip(live, classes):
+            out[i] += [next(coords) for _ in row]
+    return out
+
+
+@pytest.mark.parametrize("tau", REF_TAUS)
+def test_h_total_matches_the_rebuilding_reference(tau):
+    seqs = ragged_sequences(Lattice(tau), seed=64)
+    got, want = ell.h_total(seqs), reference_h_total(seqs)
+    assert [[(x.a, x.c) for x in h] for h in got] == [[(x.a, x.c) for x in h] for h in want]
 
 
 @pytest.mark.parametrize("seed", [7, 11])

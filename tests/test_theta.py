@@ -105,6 +105,23 @@ def test_branch_points_distinct():
             assert chordal(bp[i], bp[j]) > 1e-3
 
 
+@pytest.mark.parametrize("tau", [0.21 + 1.3j, 0.3 + 0.45j])
+def test_branch_points_are_one_cover_call(tau, monkeypatch):
+    lat = Lattice(tau)
+    want = [th.pi_cover(CurvePoint(t, lat)) for t in lat.torsion_lifts()]
+    sizes = []
+    original = th._cover_homogeneous
+
+    def spy(z, lattice):
+        sizes.append(np.size(z))
+        return original(z, lattice)
+
+    monkeypatch.setattr(th, "_cover_homogeneous", spy)
+    got = th.branch_points(lat)
+    assert sizes == [4]
+    assert [(b.a, b.c) for b in got] == [(b.a, b.c) for b in want]
+
+
 def test_invert_cover_roundtrip():
     rng = np.random.default_rng(12)
     for _ in range(30):
