@@ -43,7 +43,7 @@ print(f"  {worst:.3e}")
 
 print("\nEvery direction on a 32-point sphere grid has a constant preimage:")
 worst = max(
-    chordal(eta_at(SeriesMat2.constant(constant_representatives(p.vec)) * SeriesMat2.z_shift(0.0, 8), 0.0), p)
+    chordal(eta_at(SeriesMat2.constant(constant_representatives(p.vec)) * SeriesMat2.z_shift(), 0.0), p)
     for p in sphere_grid(32)
 )
 print(f"  worst roundtrip {worst:.3e}")

@@ -68,14 +68,14 @@ class LineBundleClass:
     def inverse(self) -> "LineBundleClass":
         return LineBundleClass(-self.degree, -self.lift, self.lattice)
 
-    def same_class(self, other: "LineBundleClass", tol: float = CLASS_TOL) -> bool:
+    def same_class(self, other: "LineBundleClass") -> bool:
         return (
             self.degree == other.degree
-            and self.lattice.distance(self.lift, other.lift) < tol
+            and self.lattice.distance(self.lift, other.lift) < CLASS_TOL
         )
 
-    def is_trivial(self, tol: float = CLASS_TOL) -> bool:
-        return self.degree == 0 and self.lattice.distance(self.lift, 0.0) < tol
+    def is_trivial(self) -> bool:
+        return self.degree == 0 and self.lattice.distance(self.lift, 0.0) < CLASS_TOL
 
     def twist_point(self) -> CurvePoint:
         return CurvePoint(self.lift, self.lattice)
@@ -328,8 +328,8 @@ def is_even_semistable(b: EllipticBundle) -> bool:
     return b.hecke_length == 0
 
 
-def has_trivial_det(b: EllipticBundle, tol: float = CLASS_TOL) -> bool:
-    return b.det_class().is_trivial(tol)
+def has_trivial_det(b: EllipticBundle) -> bool:
+    return b.det_class().is_trivial()
 
 
 def s_class(b: EllipticBundle):
@@ -344,10 +344,10 @@ def s_class(b: EllipticBundle):
     raise NotSemistable("G2 twists are stable, not strictly semistable")
 
 
-def s_equivalent(b1: EllipticBundle, b2: EllipticBundle, tol: float = CLASS_TOL) -> bool:
+def s_equivalent(b1: EllipticBundle, b2: EllipticBundle) -> bool:
     p1, p2 = s_class(b1), s_class(b2)
-    direct = p1[0].same_class(p2[0], tol) and p1[1].same_class(p2[1], tol)
-    crossed = p1[0].same_class(p2[1], tol) and p1[1].same_class(p2[0], tol)
+    direct = p1[0].same_class(p2[0]) and p1[1].same_class(p2[1])
+    crossed = p1[0].same_class(p2[1]) and p1[1].same_class(p2[0])
     return direct or crossed
 
 

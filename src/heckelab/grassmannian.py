@@ -23,9 +23,6 @@ from .projective import (
 )
 from .pseries import UNIT_TOL, NonUnit, SeriesMat2, bruhat_companion, series_product
 
-#: Relative second-singular-value threshold for rank-1 detection.
-RANK_TOL = 1e-8
-
 
 class NotInCell(ValueError):
     """Evaluation point is not a simple-degeneracy point of the matrix."""
@@ -48,7 +45,7 @@ def eta_at(m: MatrixFunction, mu: complex) -> ProjPoint:
     class of the first column of A(0).
     """
     val = _evaluate(m, mu)
-    point, s1, s2 = rank_one_column_space(val, rank_tol=RANK_TOL)
+    point, s1, s2 = rank_one_column_space(val)
     if point is None:
         raise NotInCell(
             f"matrix at {mu} has singular values ({s1:.3e}, {s2:.3e}); not rank 1"
@@ -59,7 +56,7 @@ def eta_at(m: MatrixFunction, mu: complex) -> ProjPoint:
 def eta_vecs(vals: np.ndarray) -> np.ndarray:
     """``eta_at`` over stacked matrix values (..., 2, 2): homogeneous
     direction vectors (..., 2).  Raises NotInCell if any value is not rank 1."""
-    vecs, s1, s2, ok = rank_one_column_spaces(vals, rank_tol=RANK_TOL)
+    vecs, s1, s2, ok = rank_one_column_spaces(vals)
     if not ok.all():
         i = tuple(np.argwhere(~ok)[0].tolist())
         raise NotInCell(
@@ -92,7 +89,7 @@ def chain_direction_vecs(factors: np.ndarray) -> np.ndarray:
     return out
 
 
-def in_bruhat_cell(m: SeriesMat2, det_tol: float = UNIT_TOL) -> bool:
+def in_bruhat_cell(m: SeriesMat2) -> bool:
     """True iff det m vanishes to exactly first order at the series center
     and the center value has rank 1.
 
@@ -103,9 +100,9 @@ def in_bruhat_cell(m: SeriesMat2, det_tol: float = UNIT_TOL) -> bool:
         return False
     d = m.det()
     scale = max(np.abs(d).max(), 1.0)
-    if abs(d[0]) > det_tol * scale or abs(d[1]) <= det_tol * scale:
+    if abs(d[0]) > UNIT_TOL * scale or abs(d[1]) <= UNIT_TOL * scale:
         return False
-    point, _, _ = rank_one_column_space(m.constant_term(), rank_tol=RANK_TOL)
+    point, _, _ = rank_one_column_space(m.constant_term())
     return point is not None
 
 
@@ -119,7 +116,7 @@ def eta_invariance_checks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for unit in (a, b):
         if (np.abs(np.linalg.det(unit[..., 0])) <= UNIT_TOL).any():
             raise NonUnit("operand constant term is singular")
-    left = series_product(a, SeriesMat2.z_shift(0.0, a.shape[-1] - 1).c)
+    left = series_product(a, SeriesMat2.z_shift(a.shape[-1] - 1).c)
     right = series_product(left, b)
     return chordal_vecs(eta_vecs(left[..., 0]), eta_vecs(right[..., 0]))
 
@@ -156,7 +153,7 @@ def companion_residual(a: SeriesMat2) -> float:
     """Coefficientwise residual of A(0) Z B = A Z for B = bruhat_companion(A),
     the largest over a stack of A."""
     b = bruhat_companion(a)
-    z = SeriesMat2.z_shift(0.0, a.order)
+    z = SeriesMat2.z_shift(a.order)
     lhs = SeriesMat2.constant(a.constant_term(), a.order) * z * b
     rhs = a * z
     n = min(lhs.order, rhs.order)

@@ -103,9 +103,7 @@ def stability(pb: ParabolicBundle) -> StabilityVerdict:
 # Hecke embeddings into the parabolic moduli spaces.
 
 
-def hecke_embeddings_rational(
-    seq: RationalSequence, aux: list[Mark], weight: float = DEFAULT_WEIGHT
-) -> list[ParabolicBundle]:
+def hecke_embeddings_rational(seq: RationalSequence, aux: list[Mark]) -> list[ParabolicBundle]:
     """Embed minimal-terminal sequences, one or a stack, as stable parabolic
     bundles: each adds three auxiliary marks with distinct lines at fresh
     points to its direction tuple.  One length walk and one ``h_map`` read
@@ -123,11 +121,11 @@ def hecke_embeddings_rational(
         raise TerminalNotMinimal(f"terminal Hecke length {lengths[lengths != 0][0]} is not minimal")
     dirs = seq.h_map().reshape(lengths.size, n, 2).tolist()
     return [ParabolicBundle(RationalBundle(0, 0), tuple(
-        [Mark(mu, ProjPoint(a, c)) for mu, (a, c) in zip(pts, h)] + list(aux)), weight)
+        [Mark(mu, ProjPoint(a, c)) for mu, (a, c) in zip(pts, h)] + list(aux)))
         for pts, h in zip(seq.points.reshape(lengths.size, n).tolist(), dirs)]
 
 
-def hecke_embeddings_elliptic(seqs, weight: float = DEFAULT_WEIGHT) -> list[ParabolicBundle]:
+def hecke_embeddings_elliptic(seqs) -> list[ParabolicBundle]:
     """Embed even minimal sequences on marked bundles, adding each good
     mark itself as the auxiliary line; the lines of the whole stack are
     one ``factor_lines`` read of the sequences' factors."""
@@ -137,6 +135,6 @@ def hecke_embeddings_elliptic(seqs, weight: float = DEFAULT_WEIGHT) -> list[Para
         if not elliptic_semistable(seq.terminal):
             raise TerminalNotMinimal(f"terminal bundle {seq.terminal} is unstable")
     return [ParabolicBundle(s.base.bundle,
-                            tuple(map(Mark, s.points + [s.base.q], lines + [s.base.line])), weight)
+                            tuple(map(Mark, s.points + [s.base.q], lines + [s.base.line])))
             for s, lines in zip(seqs, factor_lines([s.factors for s in seqs]))]
 

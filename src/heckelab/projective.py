@@ -48,13 +48,13 @@ class ProjPoint:
     def vec(self) -> np.ndarray:
         return np.array([self.a, self.c], dtype=complex)
 
-    def is_zero_dir(self, tol: float = PROJ_TOL) -> bool:
-        """True for points within ``tol`` of [1:0]."""
-        return abs(self.a) >= abs(self.c) and abs(self.c) < tol
+    def is_zero_dir(self) -> bool:
+        """True for points within ``PROJ_TOL`` of [1:0]."""
+        return abs(self.a) >= abs(self.c) and abs(self.c) < PROJ_TOL
 
-    def is_infinity_dir(self, tol: float = PROJ_TOL) -> bool:
-        """True for points within ``tol`` of [0:1]."""
-        return abs(self.c) > abs(self.a) and abs(self.a) < tol
+    def is_infinity_dir(self) -> bool:
+        """True for points within ``PROJ_TOL`` of [0:1]."""
+        return abs(self.c) > abs(self.a) and abs(self.a) < PROJ_TOL
 
 
 def complex_abs(z: np.ndarray) -> np.ndarray:
@@ -160,14 +160,17 @@ def random_point(rng: np.random.Generator) -> ProjPoint:
     return ProjPoint(v[0], v[1])
 
 
-def rank_one_column_spaces(m: np.ndarray, rank_tol: float = PROJ_TOL,
-                           norm_tol: float = NORM_TOL):
+#: Relative second-singular-value threshold for rank-1 detection.
+RANK_TOL = 1e-8
+
+
+def rank_one_column_spaces(m: np.ndarray):
     """Column spaces of numerically rank-1 2x2 matrices ``m`` (..., 2, 2).
 
     Returns ``(vecs, sigma1, sigma2, ok)``: homogeneous vectors (..., 2)
     spanning the column spaces, the two singular values, and the mask of
     matrices that are rank 1.  One closed-form test runs on the
-    top-normalized matrix: a pass (s2 <= rank_tol * s1) means the
+    top-normalized matrix: a pass (s2 <= RANK_TOL * s1) means the
     returned direction is projectively accurate within the tolerance.
     Equilibrating rows and columns first would not help: for a rank-1
     matrix plus noise, the normalized ratio s2/s1 is at most the
@@ -176,7 +179,7 @@ def rank_one_column_spaces(m: np.ndarray, rank_tol: float = PROJ_TOL,
     """
     m = np.asarray(m, dtype=complex)
     top = np.abs(m).max(axis=(-2, -1))
-    nonzero = top >= norm_tol
+    nonzero = top >= NORM_TOL
     t = np.where(nonzero, top, 1.0)[..., None, None]
     (a, b), (c, d) = np.moveaxis(m / t, (-2, -1), (0, 1))
     p = (a * a.conjugate() + b * b.conjugate()).real
@@ -191,19 +194,18 @@ def rank_one_column_spaces(m: np.ndarray, rank_tol: float = PROJ_TOL,
     first = abs(lam1 - p) >= abs(lam1 - q)
     x = np.where(first, r, lam1 - q)
     y = np.where(first, lam1 - p, r.conjugate())
-    small = (abs(x) ** 2 + abs(y) ** 2) ** 0.5 < norm_tol * np.maximum(s1, 1.0)
+    small = (abs(x) ** 2 + abs(y) ** 2) ** 0.5 < NORM_TOL * np.maximum(s1, 1.0)
     x = np.where(small, np.where(p >= q, 1.0, 0.0), x)
     y = np.where(small, np.where(p >= q, 0.0, 1.0), y)
-    ok = nonzero & (s1 >= norm_tol) & (s2 <= rank_tol * s1)
+    ok = nonzero & (s1 >= NORM_TOL) & (s2 <= RANK_TOL * s1)
     return np.stack([x, y], axis=-1), np.where(nonzero, s1, 0.0), np.where(nonzero, s2, 0.0), ok
 
 
-def rank_one_column_space(m: np.ndarray, rank_tol: float = PROJ_TOL,
-                          norm_tol: float = NORM_TOL):
+def rank_one_column_space(m: np.ndarray):
     """A batch of one of ``rank_one_column_spaces``: ``(point, sigma1,
     sigma2)`` with ``point`` a ProjPoint, or None when the matrix is not
     rank 1."""
-    vecs, s1, s2, ok = rank_one_column_spaces(np.asarray(m)[None], rank_tol, norm_tol)
+    vecs, s1, s2, ok = rank_one_column_spaces(np.asarray(m)[None])
     return (ProjPoint(*vecs[0].tolist()) if ok[0] else None), float(s1[0]), float(s2[0])
 
 

@@ -57,15 +57,15 @@ class _Mat2:
         return cls(c)
 
     @classmethod
-    def identity(cls, order: int = DEFAULT_ORDER):
-        return cls.constant(np.eye(2), order)
+    def identity(cls):
+        return cls.constant(np.eye(2))
 
     @classmethod
-    def z_shift(cls, mu: complex = 0.0, order: int = DEFAULT_ORDER):
-        """The pivot matrix diag(1, z - mu)."""
+    def z_shift(cls, order: int = DEFAULT_ORDER):
+        """The pivot matrix diag(1, z)."""
         c = np.zeros((2, 2, order + 1), dtype=complex)
         c[0, 0, 0] = 1.0
-        c[1, 1, :2] = (-mu, 1.0)
+        c[1, 1, 1] = 1.0
         return cls(c)
 
     def det(self) -> np.ndarray:

@@ -180,14 +180,12 @@ def h_vecs(points: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return chain_direction_vecs(factors)
 
 
-def chart_convert(
-    alpha: PolyMat2, source: RationalBundle, target: RationalBundle, tol: float = 1e-12
-) -> PolyMat2:
+def chart_convert(alpha: PolyMat2, source: RationalBundle, target: RationalBundle) -> PolyMat2:
     """The matrix of the morphism in the chart at infinity.
 
     Entry (i, j) of the result is w^{dE_i} alpha_ij(1/w) w^{-dF_j} for the
     splitting degrees dE of ``target`` and dF of ``source``.  A coefficient
-    on a negative power above ``tol`` (relative) means the polynomial data
+    on a negative power above 1e-12 (relative) means the polynomial data
     does not glue to a global morphism.
     """
     de = (target.n, target.m)
@@ -200,7 +198,7 @@ def chart_convert(
             # Exponent of c[i, j, k] is shift - k; k > shift are negative powers.
             shift = de[i] - df[j]
             low = max(shift + 1, 0)
-            bad = np.flatnonzero(np.abs(c[i, j, low:]) > tol * scale)
+            bad = np.flatnonzero(np.abs(c[i, j, low:]) > 1e-12 * scale)
             if bad.size:
                 k = low + bad[0]
                 raise NotGlobal(f"entry ({i},{j}) has w^{shift - k} coefficient {c[i, j, k]:.3e}")
@@ -292,7 +290,7 @@ def upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs
 
 
-def min_column_degree(p: PolyMat2, tol: float = RANK_DROP_TOL) -> int:
+def min_column_degree(p: PolyMat2) -> int:
     """Smallest d with a nonzero polynomial g, deg(P g) <= d, for a composite
     P of n modification matrices, whose splitting type is (-d1, -(n - d1))
     with d1 this minimum.  g of degree <= d suffices (adjugate bound)."""
@@ -303,14 +301,14 @@ def min_column_degree(p: PolyMat2, tol: float = RANK_DROP_TOL) -> int:
         if a.shape[-2] < a.shape[-1]:
             return d
         s = np.linalg.svd(a, compute_uv=False)
-        if s[-1] < tol * max(s[0], 1.0):
+        if s[-1] < RANK_DROP_TOL * max(s[0], 1.0):
             return d
     return (n + 1) // 2
 
 
-def membership_H(n: int, dirs: list[ProjPoint], points: list[complex] | None = None) -> bool:
+def membership_H(n: int, dirs: list[ProjPoint]) -> bool:
     """True iff the tuple's terminal bundle has the minimum Hecke length
-    (0 for n even, 1 for n odd): iff the module
+    (0 for n even, 1 for n odd) at the ``default_points``: iff the module
     N = {s in C[z]^2 : s(mu_i) lies on the line a_i} of
     ``terminal_hecke_lengths`` has no nonzero element of degree below n // 2.
 
@@ -319,9 +317,7 @@ def membership_H(n: int, dirs: list[ProjPoint], points: list[complex] | None = N
     ``membership_H_closed_forms``."""
     if len(dirs) != n:
         raise ValueError("need exactly n directions")
-    if points is None:
-        points = default_points(n)
-    return int(terminal_hecke_lengths(points, direction_vecs([dirs]))[0]) == n % 2
+    return int(terminal_hecke_lengths(default_points(n), direction_vecs([dirs]))[0]) == n % 2
 
 
 def membership_H_closed_forms(vecs: np.ndarray) -> np.ndarray:
@@ -335,14 +331,13 @@ def membership_H_closed_forms(vecs: np.ndarray) -> np.ndarray:
     return ~near.all(axis=1) | (n < 2)
 
 
-def minimal_direction_vecs(count: int, n: int, rng: np.random.Generator,
-                           zero_dir_rate: float = 0.25) -> np.ndarray:
+def minimal_direction_vecs(count: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """Directions (count, n, 2) of ``count`` random sequences of n steps with
     minimal terminal Hecke length, as ``ProjPoint`` normalizes them (the
     larger coordinate 1).
 
     From a semistable class every direction raises the length (draw any
-    direction, occasionally the distinguished [1:0]); from an unstable
+    direction, the distinguished [1:0] at rate 1/4); from an unstable
     class only non-[1:0] directions lower it, so those are forced.  Draw
     order: one block ``random((count, n))``, then one block
     ``normal((count, n, 2))`` of (real, imaginary) parts.  Step i of draw k
@@ -355,7 +350,7 @@ def minimal_direction_vecs(count: int, n: int, rng: np.random.Generator,
     vecs = normalized_vecs(np.stack([lam, np.ones_like(lam)], axis=-1))
     length = np.zeros(count, dtype=int)
     for i in range(n):
-        vecs[(length == 0) & (u[:, i] < zero_dir_rate), i] = (1.0, 0.0)
+        vecs[(length == 0) & (u[:, i] < 0.25), i] = (1.0, 0.0)
         # ProjPoint.is_zero_dir: the first coordinate is 1 whenever the second is below 1.
         length += np.where((length == 0) | (complex_abs(vecs[:, i, 1]) < PROJ_TOL), 1, -1)
     return vecs

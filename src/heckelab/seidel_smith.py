@@ -134,20 +134,19 @@ def conjecture_residuals(seq: RationalSequence) -> np.ndarray:
     return chordal_vecs(np.stack([-h[..., 1], h[..., 0]], axis=-1), w).max(axis=-1)
 
 
-def separated_points(count: int, n: int, rng: np.random.Generator,
-                     gap: float = 0.3) -> np.ndarray:
+def separated_points(count: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """``count`` draws (count, n) of n random complex points each, pairwise
-    at least ``gap`` apart within a draw.
+    at least 0.3 apart within a draw.
 
     Candidates are standard complex normals, drawn in rounds.  A round
     draws one block ``normal((open, k, 2))`` of (real, imaginary) parts for
     the ``open`` draws still short of n points, in draw order, with k the
     number of points that the emptiest of them lacks.  Within a draw the
     candidates are read in order, and one is kept when it is at least
-    ``gap`` from every point of its draw kept so far (moduli as Python's
+    0.3 from every point of its draw kept so far (moduli as Python's
     ``abs`` rounds them), until the draw holds n points.
     """
-    # Empty slots hold infinity, which is farther than ``gap`` from any candidate.
+    # Empty slots hold infinity, which is farther than 0.3 from any candidate.
     pts = np.full((count, n), np.inf, dtype=complex)
     filled = np.zeros(count, dtype=int)
     open_ = np.arange(count)
@@ -157,7 +156,7 @@ def separated_points(count: int, n: int, rng: np.random.Generator,
         cands = z[..., 0] + 1j * z[..., 1]
         kept, have = pts[open_], filled[open_]
         for j in range(k):
-            far = (complex_abs(cands[:, j, None] - kept) >= gap).all(axis=1)
+            far = (complex_abs(cands[:, j, None] - kept) >= 0.3).all(axis=1)
             rows = np.flatnonzero(far & (have < n))
             kept[rows, have[rows]] = cands[rows, j]
             have[rows] += 1

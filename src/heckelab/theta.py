@@ -45,32 +45,32 @@ def _reduce(z: np.ndarray, tau: complex):
     return z0, m
 
 
-def _theta_terms(z0: np.ndarray, tau: complex, n_terms: int):
-    """The terms exp(pi i (n^2 tau + 2 n z0)), |n| <= n_terms, on a last axis; and n."""
+def _theta_series(z, tau: complex):
+    """The range-reduced series of theta at z = z0 + k + m tau:
+    ``(terms, n, m, factor)``, with the terms exp(pi i (n^2 tau + 2 n z0)),
+    |n| <= N, on a last axis, and the quasi-periodic factor that carries
+    the series at z0 back to z."""
+    z0, m = _reduce(np.asarray(z, dtype=complex), tau)
+    n_terms = _terms_needed(tau, float(np.abs(z0.imag).max(initial=0.0)))
     n = np.arange(-n_terms, n_terms + 1)
-    return np.exp(1j * np.pi * (n * n * tau) + TWO_PI_I * np.multiply.outer(z0, n)), n
+    terms = np.exp(1j * np.pi * (n * n * tau) + TWO_PI_I * np.multiply.outer(z0, n))
+    factor = np.exp(-1j * np.pi * m * m * tau - TWO_PI_I * m * z0)
+    return terms, n, m, factor
 
 
 def theta_raw(z, tau: complex):
     """Jacobi theta  sum_n exp(pi i (n^2 tau + 2 n z))  for Im tau > 0."""
-    z = np.asarray(z, dtype=complex)
-    z0, m = _reduce(z, tau)
-    n_terms = _terms_needed(tau, float(np.abs(z0.imag).max(initial=0.0)))
-    factor = np.exp(-1j * np.pi * m * m * tau - TWO_PI_I * m * z0)
+    terms, _, _, factor = _theta_series(z, tau)
     # A named operand: numpy would turn factor * <temporary> into an
     # in-place <temporary> *= factor from 16,384 points up, and its SIMD
     # complex multiply is not bitwise commutative.
-    val = _theta_terms(z0, tau, n_terms)[0].sum(axis=-1)
+    val = terms.sum(axis=-1)
     return factor * val
 
 
 def theta_raw_deriv(z, tau: complex):
     """d/dz of theta_raw, via termwise differentiation and range reduction."""
-    z = np.asarray(z, dtype=complex)
-    z0, m = _reduce(z, tau)
-    n_terms = _terms_needed(tau, float(np.abs(z0.imag).max(initial=0.0)))
-    factor = np.exp(-1j * np.pi * m * m * tau - TWO_PI_I * m * z0)
-    terms, n = _theta_terms(z0, tau, n_terms)  # one exponential array for both sums
+    terms, n, m, factor = _theta_series(z, tau)  # one exponential array for both sums
     val = terms.sum(axis=-1)
     dval = (terms * (TWO_PI_I * n)).sum(axis=-1) - TWO_PI_I * m * val
     return factor * dval  # a named operand, as in theta_raw
@@ -173,7 +173,7 @@ def _cover_points(z, lattice: Lattice) -> list[ProjPoint]:
 def pi_cover(p: CurvePoint) -> ProjPoint:
     """The 2:1 cover X -> CP^1, [z] -> [1 : h(z)], evaluated homogeneously;
     a batch of one over ``_cover_points``."""
-    return _cover_points(p.lift, p.lattice)[0]
+    return _cover_points([p.lift], p.lattice)[0]
 
 
 def _cover_cross(z, a, c, lattice: Lattice):

@@ -1,16 +1,24 @@
-"""No code that nothing calls: every public name in src/ has a caller there.
+"""No code that nothing calls, and no option that no caller sets.
 
-The census parses every module of ``src/heckelab`` with ``ast``.  A public
+The name census parses every module of ``src/heckelab`` with ``ast``.  A public
 function, class or method (a name without a leading underscore) counts as
 called when its identifier occurs in src/, as a name, an attribute or an
 imported name, anywhere outside its own definition.  Tests, demos and the
 benchmark do not count as callers, except that the names the benchmark's
 tracer reports or patches (``REPORTED``, ``KERNEL`` and ``METHODS`` in
 ``bench/tracer.py``) are exempt, since the tracer needs them to exist.
+
+The options census (``unset_options``) flags every parameter or dataclass
+field with a default that no call in src/ sets to another value, so that
+a tolerance, gap or rate that every caller leaves alone is a constant, not
+a setting tests would have to cover.  It compares source text, not
+values: ``rank_one_column_spaces(m, rank_tol=RANK_TOL)`` against a
+``PROJ_TOL`` default passed the same 1e-8 under another name, which the
+census cannot see; those ``rank_tol`` parameters were removed by hand.
 """
 
 import ast
-from collections import Counter
+from collections import Counter, namedtuple
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -95,3 +103,169 @@ def test_tracer_names_are_read_from_the_tracer():
 def test_every_public_name_has_a_caller_in_src():
     missing = sorted(uncalled(package_sources()) - tracer_names())
     assert not missing, f"public names that nothing in src/ calls: {missing}"
+
+
+# --- Options census -------------------------------------------------------
+
+#: Parameters and fields with a default that src/ never sets, each kept on
+#: purpose.
+OPTIONS_ALLOWED = {
+    # The console-script entry: argv comes from outside the program.
+    "cli.main(argv)",
+    # An accumulator that each report fills, not a setting.
+    "cli.Report.records",
+}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "dataclass"
+               for d in node.decorator_list)
+
+
+#: A parameter or dataclass field with a default: the name calls use to
+#: reach it, its positional index (None if keyword-only) and the default's
+#: source text.
+Option = namedtuple("Option", "label call_name param index default")
+
+
+class _Options(ast.NodeVisitor):
+    """Collects the options of one module by label, and its calls with the
+    qualified name of the function each one is in (None at module or class
+    level)."""
+
+    def __init__(self, module, options, calls):
+        self.module, self.options, self.calls = module, options, calls
+        self.scope: list[str] = []
+        self.function: list[str | None] = [None]
+
+    def visit_ClassDef(self, node):
+        if _is_dataclass(node):
+            fields = [s for s in node.body
+                      if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+            for i, s in enumerate(fields):
+                if s.value is not None:
+                    label = ".".join([self.module, *self.scope, node.name, s.target.id])
+                    self.options[label] = Option(label, node.name, s.target.id, i, ast.unparse(s.value))
+        self.scope.append(node.name)
+        self.function.append(None)
+        self.generic_visit(node)
+        self.scope.pop()
+        self.function.pop()
+
+    def visit_FunctionDef(self, node):
+        qual = ".".join([self.module, *self.scope, node.name])
+        in_class = self.function[-1] is None and bool(self.scope)
+        positional = node.args.posonlyargs + node.args.args
+        if in_class and positional and positional[0].arg in ("self", "cls"):
+            positional = positional[1:]
+        call_name = self.scope[-1] if in_class and node.name == "__init__" else node.name
+        pairs = [(a, d, i) for i, (a, d) in enumerate(
+            zip(positional[len(positional) - len(node.args.defaults):], node.args.defaults),
+            start=len(positional) - len(node.args.defaults))]
+        pairs += [(a, d, None) for a, d in zip(node.args.kwonlyargs, node.args.kw_defaults)
+                  if d is not None]
+        for arg, default, index in pairs:
+            label = f"{qual}({arg.arg})"
+            self.options[label] = Option(label, call_name, arg.arg, index, ast.unparse(default))
+        self.scope.append(node.name)
+        self.function.append(qual)
+        self.generic_visit(node)
+        self.scope.pop()
+        self.function.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Call(self, node):
+        self.calls.append((node, self.function[-1]))
+        self.generic_visit(node)
+
+
+def unset_options(sources: dict[str, str]) -> tuple[set[str], int]:
+    """The options of ``sources`` (module -> text) that no call sets, and
+    the count of all options.
+
+    An option is a function or method parameter with a default, or a
+    dataclass field with a default.  Calls are matched by name: ``f(...)``
+    and ``x.f(...)`` may call every function or method named ``f``, and
+    ``C(...)`` the ``__init__`` or the dataclass fields of every class
+    ``C``.  Arguments match by keyword or by position, ``self`` and ``cls``
+    not counted; a starred argument may set every later positional option
+    and a ``**`` argument every option.  An option is set when some call
+    passes it an expression whose source text differs from the default's,
+    except that an argument that is a parameter of the enclosing function,
+    passed straight through, sets it only if that parameter is set itself
+    (a parameter without a default always is).  This runs to a fixed point.
+    """
+    options: dict[str, Option] = {}
+    calls: list = []
+    for module, text in sources.items():
+        _Options(module, options, calls).visit(ast.parse(text))
+    by_name: dict[str, list[Option]] = {}
+    for option in options.values():
+        by_name.setdefault(option.call_name, []).append(option)
+    # The options of each function, as "function.parameter", for pass-through.
+    own = {label.partition("(")[0] + "." + option.param: label
+           for label, option in options.items() if label.endswith(")")}
+
+    edges: list[tuple[str | None, str]] = []  # (needed option or None, option set)
+    for call, enclosing in calls:
+        func = call.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        for label, _, param, index, default in by_name.get(name, ()):
+            given = [kw.value for kw in call.keywords if kw.arg == param]
+            if any(kw.arg is None for kw in call.keywords):
+                given.append(None)
+            if index is not None:
+                for i, arg in enumerate(call.args):
+                    if isinstance(arg, ast.Starred) and i <= index:
+                        given.append(None)
+                        break
+                    if i == index:
+                        given.append(arg)
+            for arg in given:
+                if arg is not None and ast.unparse(arg) == default:
+                    continue
+                needed = None
+                if isinstance(arg, ast.Name) and enclosing is not None:
+                    needed = own.get(f"{enclosing}.{arg.id}")
+                edges.append((needed, label))
+    is_set: set[str] = set()
+    while True:
+        grown = {label for needed, label in edges if needed is None or needed in is_set}
+        if grown <= is_set:
+            return set(options) - is_set, len(options)
+        is_set |= grown
+
+
+def test_options_census_rule():
+    sources = {
+        "a": "from dataclasses import dataclass, field\n\n"
+             "def f(x, tol=1e-8, rate=0.5, *, gap=0.3):\n    return g(x, tol)\n\n"
+             "def g(x, tol=1e-8, order=8):\n    return h(x, order)\n\n"
+             "def h(x, order=8, mu=0.0):\n    return x\n\n"
+             "class Shape:\n"
+             "    def __init__(self, side=1.0, scale=2.0):\n        self.side = side\n"
+             "    def area(self, unit=1.0):\n        return self.side\n\n"
+             "@dataclass\nclass Box:\n    width: float\n    depth: float = 1.0\n"
+             "    items: list = field(default_factory=list)\n",
+        "b": "from .a import f, g, Shape, Box\n\n"
+             "f(1.0, 1e-8, gap=0.1)\n"
+             "def k(y, order=8):\n    return g(y, 1e-8, order)\n\n"
+             "Shape(3.0).area(unit=2.0)\nBox(1.0, 2.0)\n",
+    }
+    unset, count = unset_options(sources)
+    assert count == 13
+    # f.tol passes the default text; g.tol gets f's unset tol straight
+    # through; g.order and h.order get k's and g's unset order.
+    assert unset == {"a.f(tol)", "a.f(rate)", "a.g(tol)", "a.g(order)", "a.h(order)",
+                     "a.h(mu)", "b.k(order)", "a.Shape.__init__(scale)", "a.Box.items"}
+    # Once k's order is set, it reaches g and then h.
+    sources["b"] += "k(2.0, order=4)\n"
+    assert unset_options(sources)[0] == unset - {"b.k(order)", "a.g(order)", "a.h(order)"}
+
+
+def test_every_option_is_set_somewhere_in_src():
+    unset, _ = unset_options(package_sources())
+    missing = sorted(unset - OPTIONS_ALLOWED)
+    assert not missing, f"defaulted parameters that no call in src/ sets: {missing}"

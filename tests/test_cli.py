@@ -6,7 +6,9 @@ import pytest
 from heckelab import cli
 from heckelab import elliptic as ell
 from heckelab import seidel_smith as ss
+from heckelab import suites
 from heckelab.projective import DegeneratePoint
+from heckelab.torus import Lattice
 
 
 def run_text(command, extra=(), **kw):
@@ -103,6 +105,19 @@ def test_all_suites_pass_at_small_samples():
     for command, extra in jobs:
         report = run_text(command, extra, samples=8)
         assert report.ok, f"{command} {extra}: {report.to_text()}"
+
+
+@pytest.mark.parametrize("tau, seed", [(0.21 + 1.3j, 2019), (0.3 + 0.45j, 815)])
+def test_verify_theta_with_its_one_sample_near_w(tau, seed):
+    # The one sample lies within 1e-2 of w, so none qualifies for the g
+    # records; they are evaluated half a period away.
+    rng = cli.suite_rng(cli.RunConfig(tau=tau, seed=seed), "verify-theta")
+    lat = Lattice(tau)
+    z, w = suites._box(rng, lat, 1)[0], suites._box(rng, lat, 1)[0]
+    assert lat.distance(z, w) <= 1e-2
+    report = run_text("verify-theta", tau=tau, seed=seed, samples=1)
+    g = [r for r in report.records if r.name.startswith("g-")]
+    assert report.ok and len(g) == 3 and max(r.observed for r in g) < 1e-14
 
 
 def test_main_writes_file_and_exit_code(tmp_path):

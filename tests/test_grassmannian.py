@@ -48,15 +48,15 @@ def test_eta_rejects_full_rank_and_zero():
 
 
 def test_in_bruhat_cell():
-    assert in_bruhat_cell(SeriesMat2.z_shift(0.0, 8))
-    assert not in_bruhat_cell(SeriesMat2.identity(8))
+    assert in_bruhat_cell(SeriesMat2.z_shift())
+    assert not in_bruhat_cell(SeriesMat2.identity())
     z = np.zeros(9)
     z[1] = 1.0
     assert not in_bruhat_cell(SeriesMat2(np.eye(2)[..., None] * z))
 
 
 def test_invariance_trivial_and_random():
-    ident = SeriesMat2.identity(8)
+    ident = SeriesMat2.identity()
     assert eta_invariance_checks(ident.c, ident.c) == 0.0
     units = random_units(np.random.default_rng(5), 201, 8).c
     assert eta_invariance_checks(units[0], ident.c) < 1e-12
@@ -66,7 +66,7 @@ def test_invariance_trivial_and_random():
 def test_surjectivity_witness():
     for point in sphere_grid(32):
         rep = SeriesMat2.constant(constant_representatives(point.vec))
-        back = eta_at(rep * SeriesMat2.z_shift(0.0, 8), 0.0)
+        back = eta_at(rep * SeriesMat2.z_shift(), 0.0)
         assert chordal(back, point) < 1e-12
 
 
@@ -77,7 +77,7 @@ def test_left_equivariance():
         c = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         if abs(np.linalg.det(c)) < 1e-2:
             continue
-        m = a * SeriesMat2.z_shift(0.0, 8)
+        m = a * SeriesMat2.z_shift()
         cm = SeriesMat2.constant(c, 8) * m
         assert chordal(eta_at(cm, 0.0), ProjPoint(*(c @ eta_at(m, 0.0).vec))) < 1e-9
 
@@ -120,7 +120,7 @@ def test_stacked_verify_eta_paths_match_the_scalar_ones():
 
     c = rng.normal(size=(50, 4)) + 1j * rng.normal(size=(50, 4))
     moved, conj = suites._left_equivariance(c)
-    z = SeriesMat2.z_shift(0.0, 8)
+    z = SeriesMat2.z_shift()
     for k in range(50):
         m = SeriesMat2.constant(constant_representatives(ProjPoint(c[k, 0], c[k, 1]).vec))
         cm = np.array([[c[k, 2], 1], [1, 0]])

@@ -53,7 +53,7 @@ def tuple_matrices(points, dirs):
         v = np.linalg.solve(val, a.vec)
         v = v / np.linalg.norm(v)
         c = np.array([[v[0], -np.conj(v[1])], [v[1], np.conj(v[0])]])
-        mats.append(PolyMat2.constant(c) * PolyMat2.z_shift(mu))
+        mats.append(PolyMat2.constant(c) * PolyMat2([[1, 0], [0, [-mu, 1]]]))
     return mats
 
 

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heckelab.grassmannian import RANK_TOL, NotInCell, eta_vecs
+from heckelab.grassmannian import NotInCell, eta_vecs
 from heckelab.projective import (
     NORM_TOL,
+    RANK_TOL,
     DegeneratePoint,
     ProjPoint,
     chordal,
@@ -91,13 +92,13 @@ def _cases():
 @pytest.mark.parametrize("name", sorted(_cases()))
 def test_array_form_matches_reference(name):
     mats = _cases()[name]
-    vecs, s1, s2, ok = rank_one_column_spaces(mats, rank_tol=RANK_TOL)
+    vecs, s1, s2, ok = rank_one_column_spaces(mats)
     for i, m in enumerate(mats):
         point, r1, r2 = _ref_rank_one(m)
         assert bool(ok[i]) == (point is not None)
         assert abs(s1[i] - r1) <= 1e-14 * max(r1, 1e-300)
         assert abs(s2[i] - r2) <= 1e-14 * max(r1, 1e-300)
-        one, o1, o2 = rank_one_column_space(m, rank_tol=RANK_TOL)
+        one, o1, o2 = rank_one_column_space(m)
         assert (one is None) == (point is None)
         assert (o1, o2) == pytest.approx((s1[i], s2[i]), rel=1e-14, abs=1e-14 * o1)
         if point is not None:
@@ -107,12 +108,12 @@ def test_array_form_matches_reference(name):
 
 def test_expected_decisions():
     cases = _cases()
-    assert rank_one_column_spaces(cases["rank1"], RANK_TOL)[3].all()
-    assert rank_one_column_spaces(cases["below-tol"], RANK_TOL)[3].all()
-    assert not rank_one_column_spaces(cases["above-tol"], RANK_TOL)[3].any()
-    assert rank_one_column_spaces(cases["rows-1e12-apart"], RANK_TOL)[3].all()
-    assert rank_one_column_spaces(cases["noise-level-row"], RANK_TOL)[3].all()
-    assert not rank_one_column_spaces(cases["zero-and-identity"], RANK_TOL)[3].any()
+    assert rank_one_column_spaces(cases["rank1"])[3].all()
+    assert rank_one_column_spaces(cases["below-tol"])[3].all()
+    assert not rank_one_column_spaces(cases["above-tol"])[3].any()
+    assert rank_one_column_spaces(cases["rows-1e12-apart"])[3].all()
+    assert rank_one_column_spaces(cases["noise-level-row"])[3].all()
+    assert not rank_one_column_spaces(cases["zero-and-identity"])[3].any()
 
 
 def test_one_full_rank_element_fails_the_batch():
@@ -133,10 +134,10 @@ def test_one_matrix_is_its_batch_of_one():
     mats = np.array([np.zeros((2, 2)), rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)),
                      rank1 * NORM_TOL * (1 + 1e-3), rank1 * NORM_TOL * (1 - 1e-3),
                      [[0.3 - 2j, 1.7], [0, 0]], [[0, 0], [1j, -0.4 + 0.2j]]], dtype=complex)
-    vecs, s1, s2, ok = rank_one_column_spaces(mats, rank_tol=RANK_TOL)
+    vecs, s1, s2, ok = rank_one_column_spaces(mats)
     assert ok.tolist() == [False, False, True, False, True, True]
     for i, m in enumerate(mats):
-        point, o1, o2 = rank_one_column_space(m, rank_tol=RANK_TOL)
+        point, o1, o2 = rank_one_column_space(m)
         assert (o1, o2) == (s1[i], s2[i]) and type(o1) is float
         if ok[i]:
             want = ProjPoint(*vecs[i])

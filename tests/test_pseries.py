@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from heckelab.grassmannian import companion_residual, eta_invariance_checks, random_units
 from heckelab.pseries import (
-    DEFAULT_ORDER,
     NonUnit,
     PolyMat2,
     SeriesMat2,
@@ -66,8 +65,8 @@ def test_polynomial_identity():
 def test_identity_matrix_multiplication():
     rng = np.random.default_rng(0)
     m = SeriesMat2(rng.normal(size=(2, 2, 5)) + 1j * rng.normal(size=(2, 2, 5)))
-    assert close(SeriesMat2.identity(4) * m, m)
-    assert close(m * SeriesMat2.identity(4), m)
+    assert close(SeriesMat2.constant(np.eye(2), 4) * m, m)
+    assert close(m * SeriesMat2.constant(np.eye(2), 4), m)
 
 
 def test_convolution_against_double_loop():
@@ -112,17 +111,17 @@ def test_polymat_drops_trailing_zero_coefficients():
     assert p.max_degree() == 1
     assert PolyMat2([[[0.0], [0.0]], [[0.0], [0.0]]]).c.shape == (2, 2, 1)
     # Exact products keep every coefficient: (z)(z) = z^2.
-    z = PolyMat2.z_shift(0.0)
+    z = PolyMat2.z_shift()
     assert np.array_equal((z * z).c[1, 1], [0, 0, 1])
     assert (z * z).det().size == 3
 
 
 def test_nonunit_raises():
-    z = SeriesMat2.z_shift(0.0, 4)
+    z = SeriesMat2.z_shift(4)
     with pytest.raises(NonUnit):
         bruhat_companion(z)
     with pytest.raises(NonUnit):
-        eta_invariance_checks(z.c, SeriesMat2.identity(4).c)
+        eta_invariance_checks(z.c, SeriesMat2.constant(np.eye(2), 4).c)
 
 
 @settings(max_examples=60, deadline=None)
@@ -140,7 +139,7 @@ def test_ring_laws(a, b, c):
 
 
 def test_bruhat_companion_trivial_cases():
-    ident = SeriesMat2.identity(DEFAULT_ORDER)
+    ident = SeriesMat2.identity()
     assert close(bruhat_companion(ident), ident)
     rng = np.random.default_rng(3)
     const = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))

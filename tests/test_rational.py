@@ -176,7 +176,6 @@ class TestMembership:
     def test_closed_form_matches_transition(self):
         rng = np.random.default_rng(7)
         for n in (2, 3):
-            pts = rat.default_points(n)
             for _ in range(60):
                 if rng.random() < 0.3:
                     a = random_point(rng)
@@ -186,7 +185,7 @@ class TestMembership:
                     dirs = [a] * (n - 1) + [random_point(rng)]
                 else:
                     dirs = [random_point(rng) for _ in range(n)]
-                assert rat.membership_H(n, dirs, pts) == closed_form(dirs)
+                assert rat.membership_H(n, dirs) == closed_form(dirs)
 
     def test_subbundle_chain_terminal_type(self):
         # Equal first r directions leave the terminal at split type (0, -r).
@@ -252,13 +251,12 @@ class TestArraySequence:
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         for n in (1, 2, 3, 4, 6):
             for count in (1, 7):
-                for rate in (0.25, 0.9):
-                    vecs = rat.minimal_direction_vecs(count, n, rng, zero_dir_rate=rate)
-                    dirs = reference_minimal_directions(count, n, ref, zero_dir_rate=rate)
-                    assert rng.bit_generator.state == ref.bit_generator.state
-                    assert vecs.tobytes() == rat.direction_vecs(dirs).tobytes()
-                    seq = RationalSequence(np.broadcast_to(rat.default_points(n), (count, n)), vecs)
-                    assert (seq.hecke_lengths()[:, -1] == n % 2).all()
+                vecs = rat.minimal_direction_vecs(count, n, rng)
+                dirs = reference_minimal_directions(count, n, ref)
+                assert rng.bit_generator.state == ref.bit_generator.state
+                assert vecs.tobytes() == rat.direction_vecs(dirs).tobytes()
+                seq = RationalSequence(np.broadcast_to(rat.default_points(n), (count, n)), vecs)
+                assert (seq.hecke_lengths()[:, -1] == n % 2).all()
 
 
 def test_minimal_direction_vecs_are_minimal():
@@ -267,7 +265,7 @@ def test_minimal_direction_vecs_are_minimal():
         for vecs in rat.minimal_direction_vecs(10, n, rng):
             seq = RationalSequence(rat.default_points(n), vecs)
             assert seq.hecke_lengths()[-1] == n % 2
-            assert rat.membership_H(n, [ProjPoint(*v) for v in seq.h_map()], seq.points)
+            assert rat.membership_H(n, [ProjPoint(*v) for v in seq.h_map()])
 
 
 def reference_composites(coeffs):
@@ -312,7 +310,7 @@ def reference_step(mats, mu, a):
     v = np.linalg.solve(val, a.vec)
     v = v / np.linalg.norm(v)
     c = np.array([[v[0], -np.conj(v[1])], [v[1], np.conj(v[0])]])
-    return PolyMat2.constant(c) * PolyMat2.z_shift(mu)
+    return PolyMat2.constant(c) * PolyMat2([[1, 0], [0, [-mu, 1]]])
 
 
 def tuple_matrices(points, dirs):
@@ -447,7 +445,7 @@ class TestBatchedCore:
             assert batched_lengths(pts, [dirs]) == [length]
             ref = reference_composite(pts, dirs)
             assert rat.min_column_degree(ref) == reference_min_column_degree(ref)
-            assert rat.membership_H(4, dirs, pts) == (length == 0)
+            assert rat.membership_H(4, dirs) == (length == 0)
 
 
 # ---------------------------------------------------------------------------

@@ -448,16 +448,16 @@ class ScriptedNormals:
 
 class TestSeparatedPoints:
     def test_a_candidate_exactly_gap_away_is_kept(self):
-        for pair in ([0j, 0.3], [0j, -0.3j], [0.1 + 0.2j, 0.4 - 0.6j]):
-            gap = abs(pair[1] - pair[0])
-            assert separated_points(1, 2, ScriptedNormals(pair), gap=gap).tolist() == [pair]
+        for pair in ([0j, 0.3], [0j, -0.3j]):
+            assert abs(pair[1] - pair[0]) == 0.3
+            assert separated_points(1, 2, ScriptedNormals(pair)).tolist() == [pair]
 
     def test_a_candidate_just_below_gap_is_skipped(self):
         below = np.nextafter(0.3, 0.0)
         # Round one draws two candidates for each draw and keeps one in the
         # first; round two draws one more for the first draw only.
         script = ScriptedNormals([0j, below, 1j, 1j + 0.3, 0.6])
-        pts = separated_points(2, 2, script, gap=0.3)
+        pts = separated_points(2, 2, script)
         assert pts.tolist() == [[0j, 0.6], [1j, 1j + 0.3]]
         assert script.parts == []
 

@@ -98,6 +98,20 @@ def test_cover_even_and_periodic():
     assert th.pi_cover(p) == th.pi_cover(-p)
 
 
+@pytest.mark.parametrize("tau", [-0.4 + 2j, 0.4 + 2j, 0.21 + 1.3j, 0.3 + 0.45j])
+def test_pi_cover_is_bitwise_a_point_of_the_batch(tau):
+    # numpy computes on 0-d and 1-d complex arrays with loops that round
+    # differently; pi_cover must evaluate as one element of a batch.
+    lat = Lattice(tau)
+    rng = np.random.default_rng(47)
+    zs = list(lat.torsion_lifts()) + (rng.random(2000) + rng.random(2000) * tau).tolist()
+    points = [CurvePoint(z, lat) for z in zs]
+    got = [th.pi_cover(p) for p in points]
+    want = th._cover_points([p.lift for p in points], lat)
+    assert (np.array([[p.a, p.c] for p in got]).tobytes()
+            == np.array([[p.a, p.c] for p in want]).tobytes())
+
+
 def test_branch_points_distinct():
     bp = th.branch_points(LAT)
     for i in range(4):
