@@ -76,16 +76,18 @@ def chain_direction_vecs(factors: np.ndarray) -> np.ndarray:
     extracted from the final factor, where the degeneracy is structural
     and well conditioned, and the invertible prefix transports the
     direction vector, which avoids amplifying the extraction through
-    ill-conditioned products.
+    ill-conditioned products.  Step 0 is its own eta; the prefix starts as
+    factor 0 and is carried only at the points a later step reads.
     """
     n = factors.shape[-3]
     diag = np.arange(n)
     eta = eta_vecs(factors[..., diag, diag, :, :])
-    out = np.empty_like(eta)
-    prefix = np.broadcast_to(np.eye(2, dtype=complex), factors.shape[:-4] + (n, 2, 2))
-    for k in range(n):
-        out[..., k, :] = np.einsum("...ij,...j->...i", prefix[..., k, :, :], eta[..., k, :])
-        prefix = prefix @ factors[..., k, :, :, :]
+    out = eta.copy()
+    for k in range(1, n):
+        # factors 0 .. k - 1 multiplied out at points k and later
+        prefix = (factors[..., 0, 1:, :, :] if k == 1
+                  else prefix[..., 1:, :, :] @ factors[..., k - 1, k:, :, :])
+        out[..., k, :] = np.einsum("...ij,...j->...i", prefix[..., 0, :, :], eta[..., k, :])
     return out
 
 
@@ -111,13 +113,15 @@ def eta_invariance_checks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for stacked series coefficients A, B (..., 2, 2, K).
 
     Every A and B must be a unit; the contract is a residual below 1e-9,
-    witnessing that eta only depends on the right-coset of A Z.
+    witnessing that eta only depends on the right-coset of A Z.  eta reads
+    only the constant terms, so only those are formed: the same bits as
+    the constant terms of the full-order products.
     """
     for unit in (a, b):
         if (np.abs(np.linalg.det(unit[..., 0])) <= UNIT_TOL).any():
             raise NonUnit("operand constant term is singular")
-    left = series_product(a, SeriesMat2.z_shift(a.shape[-1] - 1).c)
-    right = series_product(left, b)
+    left = series_product(a, SeriesMat2.z_shift(0).c, 1)
+    right = series_product(left, b, 1)
     return chordal_vecs(eta_vecs(left[..., 0]), eta_vecs(right[..., 0]))
 
 

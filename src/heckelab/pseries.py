@@ -62,10 +62,10 @@ class _Mat2:
 
     @classmethod
     def z_shift(cls, order: int = DEFAULT_ORDER):
-        """The pivot matrix diag(1, z)."""
+        """The pivot matrix diag(1, z) truncated at ``order``; diag(1, 0) at 0."""
         c = np.zeros((2, 2, order + 1), dtype=complex)
         c[0, 0, 0] = 1.0
-        c[1, 1, 1] = 1.0
+        c[1, 1, 1:2] = 1.0
         return cls(c)
 
     def det(self) -> np.ndarray:

@@ -180,8 +180,8 @@ def verify_eta(report, config, rng):
                companion_residual(random_units(rng, 100, DEFAULT_ORDER)), 1e-12)
 
     grid = rat.direction_vecs([sphere_grid(32)])[0]
-    reps = SeriesMat2.constant(constant_representatives(grid))
-    eta = eta_vecs((reps * SeriesMat2.z_shift()).constant_term())
+    reps = SeriesMat2.constant(constant_representatives(grid), 0)
+    eta = eta_vecs((reps * SeriesMat2.z_shift(0)).constant_term())
     report.add("surjectivity-grid", "constructive preimages on a 32-point grid",
                float(chordal_vecs(eta, grid).max()), 1e-12)
 
@@ -224,10 +224,10 @@ def _two_step_directions(l1, l2, mu1, mu2):
 def _left_equivariance(c):
     """C eta(A Z) and eta(C A Z), each (B, 2), for A the constant representative
     of [c0:c1] and C = [[c2, 1], [1, 0]], per row of c (B, 4)."""
-    az = SeriesMat2.constant(constant_representatives(c[:, :2])) * SeriesMat2.z_shift()
+    az = SeriesMat2.constant(constant_representatives(c[:, :2]), 0) * SeriesMat2.z_shift(0)
     cm = np.stack([c[:, 2], np.ones(len(c)), np.ones(len(c)), np.zeros(len(c))], -1).reshape(-1, 2, 2)
     return (np.einsum("bij,bj->bi", cm, eta_vecs(az.constant_term())),
-            eta_vecs((SeriesMat2.constant(cm) * az).constant_term()))
+            eta_vecs((SeriesMat2.constant(cm, 0) * az).constant_term()))
 
 
 def verify_rational_tables(report, config, rng):

@@ -7,7 +7,7 @@ and ``elliptic.chain_lines``); the tests compare those against these loops.
 import numpy as np
 
 from heckelab.elliptic import evaluate_stack
-from heckelab.grassmannian import eta_at
+from heckelab.grassmannian import eta_at, eta_vecs
 from heckelab.projective import ProjPoint
 
 
@@ -48,3 +48,41 @@ def raw_directions(reps) -> list[ProjPoint]:
         out.append(ProjPoint(v[0], v[1]))
         prefix[i + 1:] = prefix[i + 1:] @ val[1:]
     return out
+
+
+def identity_prefixed_vecs(factors: np.ndarray) -> np.ndarray:
+    """``chain_direction_vecs`` read from the identity: every prefix,
+    the identity included, multiplied out at every point of the chain."""
+    n = factors.shape[-3]
+    diag = np.arange(n)
+    eta = eta_vecs(factors[..., diag, diag, :, :])
+    out = np.empty_like(eta)
+    prefix = np.broadcast_to(np.eye(2, dtype=complex), factors.shape[:-4] + (n, 2, 2))
+    for k in range(n):
+        out[..., k, :] = np.einsum("...ij,...j->...i", prefix[..., k, :, :], eta[..., k, :])
+        prefix = prefix @ factors[..., k, :, :, :]
+    return out
+
+
+def random_factors(rng: np.random.Generator, lead: tuple, n: int) -> np.ndarray:
+    """Evaluated chain factors (*lead, n, n, 2, 2) for the chain readers.
+
+    Factor k at point i is a rank-1 matrix u w^T on the diagonal (i = k),
+    with u at [1:0], at [0:1] or generic, one third each; a complex matrix
+    with about a fifth of its entries exactly zero below it (k < i); and
+    NaN above it, which no reader may touch.
+    """
+    shape = tuple(lead) + (n, n)
+    g = rng.normal(size=shape + (2, 2, 2))
+    f = g[..., 0] + 1j * g[..., 1]
+    f[rng.random(shape + (2, 2)) < 0.2] = 0
+    u, w = f[..., 0].copy(), f[..., 1].copy()
+    kind = rng.integers(0, 3, size=shape)
+    u[kind == 1, 1] = 0
+    u[kind == 2, 0] = 0
+    u[(u == 0).all(axis=-1)] = 1  # a zero u or w has no direction
+    w[(w == 0).all(axis=-1)] = 1
+    on = np.arange(n)[:, None] == np.arange(n)[None, :]
+    f[..., on, :, :] = u[..., on, :, None] * w[..., on, None, :]
+    f[..., np.tril(np.ones((n, n), bool), -1), :, :] = np.nan
+    return f

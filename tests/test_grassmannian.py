@@ -5,17 +5,19 @@ from heckelab import rational as rat
 from heckelab import suites
 from heckelab.grassmannian import (
     NotInCell,
+    chain_direction_vecs,
     companion_residual,
     constant_representatives,
     eta_at,
     eta_invariance_checks,
+    eta_vecs,
     in_bruhat_cell,
     random_units,
 )
-from heckelab.projective import ProjPoint, chordal, sphere_grid
-from heckelab.pseries import PolyMat2, SeriesMat2, bruhat_companion
+from heckelab.projective import ProjPoint, chordal, chordal_vecs, sphere_grid
+from heckelab.pseries import PolyMat2, SeriesMat2, bruhat_companion, series_product
 
-from chain_refs import chain_directions, prefix_product
+from chain_refs import chain_directions, identity_prefixed_vecs, prefix_product, random_factors
 
 
 def test_eta_of_pivot_matrix():
@@ -61,6 +63,43 @@ def test_invariance_trivial_and_random():
     units = random_units(np.random.default_rng(5), 201, 8).c
     assert eta_invariance_checks(units[0], ident.c) < 1e-12
     assert eta_invariance_checks(units[1::2], units[2::2]).max() < 1e-9
+
+
+def full_order_invariance(a, b):
+    """``eta_invariance_checks`` with every coefficient of A Z and A Z B
+    formed, although eta reads only the constant terms."""
+    left = series_product(a, SeriesMat2.z_shift(a.shape[-1] - 1).c)
+    right = series_product(left, b)
+    return chordal_vecs(eta_vecs(left[..., 0]), eta_vecs(right[..., 0]))
+
+
+@pytest.mark.parametrize("order", [1, 2, 8])
+@pytest.mark.parametrize("pairs", [0, 1, 100])
+def test_invariance_checks_match_the_full_order_products(order, pairs):
+    units = random_units(np.random.default_rng(100 * order + pairs), 2 * pairs, order).c
+    a, b = units[0::2], units[1::2]
+    got = eta_invariance_checks(a, b)
+    assert got.shape == (pairs,)
+    assert np.array_equal(got, full_order_invariance(a, b))
+    ident = SeriesMat2.identity().c[..., : order + 1]
+    assert np.array_equal(eta_invariance_checks(ident, ident), full_order_invariance(ident, ident))
+
+
+def test_invariance_checks_at_order_zero():
+    units = random_units(np.random.default_rng(12), 40, 8).c
+    a, b = units[0::2], units[1::2]
+    assert np.array_equal(eta_invariance_checks(a[..., :1], b[..., :1]), eta_invariance_checks(a, b))
+    units = random_units(np.random.default_rng(13), 40, 0).c
+    assert eta_invariance_checks(units[0::2], units[1::2]).max() < 1e-15
+
+
+@pytest.mark.parametrize("lead", [(), (0,), (5,), (2, 3)])
+@pytest.mark.parametrize("n", range(6))
+def test_chain_direction_vecs_match_the_identity_prefixed_loop(lead, n):
+    factors = random_factors(np.random.default_rng(20 + n), lead, n)
+    got = chain_direction_vecs(factors)
+    assert got.shape == lead + (n, 2)
+    assert np.array_equal(got, identity_prefixed_vecs(factors))
 
 
 def test_surjectivity_witness():

@@ -116,6 +116,14 @@ def test_polymat_drops_trailing_zero_coefficients():
     assert (z * z).det().size == 3
 
 
+def test_z_shift_is_diag_1_z_truncated_at_its_order():
+    assert np.array_equal(SeriesMat2.z_shift(0).c, np.diag([1, 0])[..., None])
+    full = SeriesMat2.z_shift(8).c
+    assert np.array_equal(full[:, :, :2], [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]) and not full[..., 2:].any()
+    for order in range(9):
+        assert np.array_equal(SeriesMat2.z_shift(order).c, full[..., : order + 1])
+
+
 def test_nonunit_raises():
     z = SeriesMat2.z_shift(4)
     with pytest.raises(NonUnit):
