@@ -57,11 +57,6 @@ class LineBundleClass:
     lift: complex
     lattice: Lattice
 
-    def factor(self, z) -> np.ndarray:
-        """Standard automorphy factor exp(-2 pi i (d z - t - d/2)) at z."""
-        d, t = self.degree, self.lift
-        return np.exp(-TWO_PI_I * (d * np.asarray(z, dtype=complex) - t - d / 2))
-
     def tensor(self, other: "LineBundleClass") -> "LineBundleClass":
         return LineBundleClass(self.degree + other.degree, self.lift + other.lift, self.lattice)
 
@@ -99,21 +94,12 @@ def torsion_line(lattice: Lattice, i: int) -> LineBundleClass:
 
 
 # ---------------------------------------------------------------------------
-# 2x2 matrices of z: automorphy factors and morphism term tables.
-
-
-def _mat2(a, b, c, d) -> np.ndarray:
-    """The matrices [[a, b], [c, d]] (..., 2, 2) of broadcast entry arrays."""
-    out = np.empty(np.broadcast(a, b, c, d).shape + (2, 2), dtype=complex)
-    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = a, b, c, d
-    return out
+# 2x2 matrices of z: morphism term tables.
 
 
 #: Factor kinds of a term: theta_w, theta_w', theta~_w and theta~_w' at z
 #: for w = param, and EXP, exp(2 pi i param z).
 TH, DTH, TT, DTT, EXP = "TH", "DTH", "TT", "DTT", "EXP"
-
-_IDENTITY = ((0, 1.0, ()), (3, 1.0, ()))
 
 
 @functools.cache
@@ -206,7 +192,7 @@ def evaluate_stack(tables, zs, lattice: Lattice) -> list[np.ndarray]:
 def _framed(terms, shift: int, scale: complex, swap: bool):
     """The terms of P diag(exp(2 pi i shift z), scale) M for the terms of M,
     P the row swap if ``swap``: a frame change from a table presentation to
-    the stored one.  The frame itself is ``_framed(_IDENTITY, ...)``."""
+    the stored one."""
     out = []
     for entry, coef, factors in terms:
         if entry < 2:
@@ -242,9 +228,6 @@ class Decomposable:
     def tensor(self, l: LineBundleClass) -> "Decomposable":
         return Decomposable(self.l1.tensor(l), self.l2.tensor(l))
 
-    def factor(self, z) -> np.ndarray:
-        return _mat2(self.l1.factor(z), 0, 0, self.l2.factor(z))
-
     def __str__(self) -> str:
         return f"O[{self.l1.degree},{self.l1.reduced():.4f}]+O[{self.l2.degree},{self.l2.reduced():.4f}]"
 
@@ -266,10 +249,6 @@ class F2Twist:
 
     def tensor(self, l: LineBundleClass) -> "F2Twist":
         return F2Twist(self.l.tensor(l))
-
-    def factor(self, z) -> np.ndarray:
-        fl = self.l.factor(z)
-        return _mat2(fl, fl, 0, fl)
 
     def __str__(self) -> str:
         return f"F2x[{self.l.degree},{self.l.reduced():.4f}]"
@@ -298,15 +277,31 @@ class G2Twist:
     def tensor(self, l: LineBundleClass) -> "G2Twist":
         return G2Twist(self.point_lift, self.l.tensor(l))
 
-    def factor(self, z) -> np.ndarray:
-        fl = self.l.factor(z)
-        return _mat2(0, fl, fl * th.automorphy_factor(self.point_lift + 0.5)(z), 0)
-
     def __str__(self) -> str:
         return f"G2({self.lattice.reduce(self.point_lift):.4f})x[{self.l.degree},{self.l.reduced():.4f}]"
 
 
 EllipticBundle = Decomposable | F2Twist | G2Twist
+
+
+def automorphy_factors(bundles, zs) -> np.ndarray:
+    """The automorphy factors (B, k, 2, 2) of each bundle ``bundles[i]`` at
+    its own points ``zs[i]`` (zs: (B, k)): diag(f1, f2) for L1 + L2,
+    [[f, f], [0, f]] for F2 tensor L and [[0, f], [f g, 0]] for G2(p)
+    tensor L.  Each f is the standard factor exp(-2 pi i (d z - t - d/2))
+    of a line bundle of degree d and lift t, g that of O(p + 1/2); the
+    stack's factors are one exponential."""
+    zs = np.asarray(zs, dtype=complex)
+    lines = [(b.l1, b.l2) if isinstance(b, Decomposable) else (b.l, b.l) if isinstance(b, F2Twist)
+             else (b.l, LineBundleClass(1, b.point_lift + 0.5, b.lattice)) for b in bundles]
+    d = np.array([[l.degree for l in pair] for pair in lines], dtype=int).reshape(-1, 2).T[..., None]
+    t = np.array([[l.lift for l in pair] for pair in lines], dtype=complex).reshape(-1, 2).T[..., None]
+    f, g = np.exp(-TWO_PI_I * (d * zs - t - d / 2))
+    split, g2 = (np.array([isinstance(b, kind) for b in bundles])[:, None]
+                 for kind in (Decomposable, G2Twist))
+    out = np.stack([np.where(g2, 0, f), np.where(split, 0, f), np.where(g2, f * g, 0),
+                    np.where(g2, 0, g)], axis=-1)
+    return out.reshape(zs.shape + (2, 2))
 
 
 def dual_pair(delta: complex, lattice: Lattice) -> Decomposable:
@@ -392,8 +387,8 @@ def certify_rows(reps, zs) -> tuple[np.ndarray, np.ndarray]:
     zs = np.asarray(zs, dtype=complex)
     vals = evaluate_stack([r.terms for r in reps], [(z, z + lat.tau, z + 1.0) for z in zs], lat)
     a_z, a_tau, a_one = np.moveaxis(np.array(vals), 1, 0)
-    lhs = a_tau @ np.array([r.result.factor(z) for r, z in zip(reps, zs)])
-    rhs = np.array([r.upstream.factor(z) for r, z in zip(reps, zs)]) @ a_z
+    lhs = a_tau @ automorphy_factors([r.result for r in reps], zs)
+    rhs = automorphy_factors([r.upstream for r in reps], zs) @ a_z
     # The largest entry modulus per representative.
     err, scale, peak, drift = (np.abs(m).max(axis=(1, 2, 3)) for m in (lhs - rhs, rhs, a_z, a_one - a_z))
     floor = np.maximum(peak, 1e-30)
@@ -419,54 +414,56 @@ def morphism_rep(es, ps, dirs) -> list[MorphismRep]:
 
     Each bundle is rewritten as (table form) tensor M; matrices are
     twist-invariant, so only the frame change between the stored and table
-    presentations (a swap, a scalar exponential, or a constant diagonal
-    for moving the G2 point) dresses the table row.  The direction is
-    transported through the frame's value at p before dispatch: the
-    frames of the stack that are not the identity, G2 rows included, are
-    one ``evaluate_stack`` and one ``transport_directions`` call.  The
-    theta~ constants of the stack's ``ss:[x:y]`` rows are one kernel call;
-    its G2 rows share one branch test and inversion of their transported
-    directions (``theta._invert_lifts``).
+    presentations, P diag(exp(2 pi i shift z), scale) with P a row swap or
+    the identity, dresses the table row.  The frame is monomial, so the
+    direction reaches the table frame in closed form: swapped if P swaps,
+    then divided by the diagonal's value at p.  A direction whose frame is
+    the identity is used as given.  Before any row is built, the theta~
+    constants of the stack's strictly semistable split forms are one kernel
+    call, and the fibers over its G2 rows' directions one branch test and
+    inversion (``theta._invert_lifts``).
     """
     lat = es[0].lattice if es else None
-    # moved: (i, frame terms) of the frames that are not the identity, and every G2 frame.
-    forms, moved, g2 = [None] * len(es), [], []
+    forms, a_t = [], list(dirs)
     for i, (e, p) in enumerate(zip(es, ps)):
         if isinstance(e, Decomposable):
-            forms[i] = _split_form(e, p)
-            phi = _framed(_IDENTITY, *forms[i][-1])
-            if phi != _IDENTITY:
-                moved.append((i, phi))
+            forms.append(_split_form(e, p))
         elif isinstance(e, G2Twist):
             # G2(p') tensor N as G2(p) tensor M: the exact half-difference
             # lift makes the frame change a constant diagonal.
             d = e.point_lift - p.lift
             frame = (0, np.exp(1j * np.pi * d) if abs(d) > 1e-14 else 1.0, False)
-            forms[i] = LineBundleClass(e.l.degree, e.l.lift + d / 2, e.lattice), frame
-            moved.append((i, _framed(_IDENTITY, *frame)))
-            g2.append(i)
-    a_t = list(dirs)
-    if moved:
-        mats = evaluate_stack([phi for _, phi in moved], [ps[i].lift for i, _ in moved], lat)
-        vecs = transport_directions(np.array(mats), np.array([dirs[i].vec for i, _ in moved]))
-        for (i, _), (x, y) in zip(moved, vecs.tolist()):
-            a_t[i] = ProjPoint(x, y)
-    out = [None] * len(es)
-    for i, (e, p, a) in enumerate(zip(es, ps, a_t)):
-        if isinstance(e, Decomposable):
-            out[i] = _morphism_dec(e, p, a, forms[i])
-        elif isinstance(e, F2Twist):
-            out[i] = _morphism_f2(e, p, a)
-    ss = [i for i, r in enumerate(out) if isinstance(r, tuple)]
+            forms.append((LineBundleClass(e.l.degree, e.l.lift + d / 2, e.lattice), frame))
+        else:
+            forms.append((e.l, (0, 1.0, False)))
+        shift, scale, swap = forms[-1][-1]
+        if (shift, scale, swap) != (0, 1.0, False):
+            x, y = (a_t[i].c, a_t[i].a) if swap else (a_t[i].a, a_t[i].c)
+            a_t[i] = ProjPoint(x / np.exp(TWO_PI_I * shift * p.lift) if shift else x, y / scale)
+    # pre[i]: theta~_{1/2 - tau} at q - p and p - q for a strictly
+    # semistable split form; (branch index, fiber lift) for a G2 row.
+    pre = [None] * len(es)
+    ss = [i for i, e in enumerate(es)
+          if isinstance(e, Decomposable) and forms[i][2].degree == 0 and not forms[i][3]]
     if ss:
-        z = np.array([out[i][1] for i in ss])
-        consts = th.theta_tilde_w(np.concatenate([z, -z]), 0.5 - lat.tau, lat).tolist()
-        for i, minus, plus in zip(ss, consts, consts[len(ss):]):
-            out[i] = out[i][0](minus, plus)
+        z = np.array([(ps[i].lift - forms[i][2].lift) - ps[i].lift for i in ss])
+        vals = th.theta_tilde_w(np.concatenate([z, -z]), 0.5 - lat.tau, lat).tolist()
+        for i, minus, plus in zip(ss, vals, vals[len(ss):]):
+            pre[i] = minus, plus
+    g2 = [i for i, e in enumerate(es) if isinstance(e, G2Twist)]
     if g2:
         lifts, idx = th._invert_lifts([a_t[i].a for i in g2], [a_t[i].c for i in g2], lat)
-        for i, w, k in zip(g2, lifts.tolist(), idx.tolist()):
-            out[i] = _morphism_g2(es[i], ps[i], *forms[i], k, w)
+        for i, k, w in zip(g2, idx.tolist(), lifts.tolist()):
+            pre[i] = k, w
+    out = []
+    for e, p, a, form, values in zip(es, ps, a_t, forms, pre):
+        if isinstance(e, Decomposable):
+            row, terms, target = _morphism_dec(e, p, a, form, values)
+        elif isinstance(e, F2Twist):
+            row, terms, target = _morphism_f2(e, p, a)
+        else:
+            row, terms, target = _morphism_g2(e, p, form[0], *values)
+        out.append(MorphismRep(_framed(terms, *form[-1]), row, e, target, p))
     return out
 
 
@@ -488,13 +485,13 @@ def _split_form(e: Decomposable, p: CurvePoint):
     return u1, m, lp, trivial, own, (shift, 1.0, swap)
 
 
-def _morphism_dec(e: Decomposable, p: CurvePoint, a_t: ProjPoint, form):
-    """The row of a split bundle for the direction ``a_t`` in the table
-    frame, given its ``_split_form``; for ``ss:[x:y]`` the pair (build, z)
-    of a builder of the row from theta~_{1/2 - tau} at z and -z, and z."""
+def _morphism_dec(e: Decomposable, p: CurvePoint, a_t: ProjPoint, form, thetas):
+    """(row, terms, target) of a split bundle for the direction ``a_t`` in
+    the table frame, given its ``_split_form`` and, for a strictly
+    semistable form, ``thetas``: theta~_{1/2 - tau} at q - p and at p - q."""
     lat = e.lattice
     pt = p.lift
-    u1, m, lp, trivial, own, frame = form
+    u1, m, lp, trivial, own, _ = form
     k, t = lp.degree, lp.lift
 
     theta_p = ((TH, pt),)
@@ -502,56 +499,48 @@ def _morphism_dec(e: Decomposable, p: CurvePoint, a_t: ProjPoint, form):
     counter = ((0, 1.0, theta_p), (3, 1.0, ()))  # toward [0:1]
     low = LineBundleClass(-1, -pt, lat).tensor(m)
 
-    def finish(row, terms, target):
-        return MorphismRep(_framed(terms, *frame), row, e, target, p)
-
     if trivial:
         # O + O: every direction is bad; two matrix shapes.
         target = Decomposable(trivial_line(lat).tensor(m), low)
         if a_t.is_zero_dir():
-            return finish("OO:[1:0]", pivot, target)
+            return "OO:[1:0]", pivot, target
         terms = ((0, a_t.a / a_t.c, ()), (1, 1.0, theta_p), (2, 1.0, ()))
-        return finish("OO:[lam:1]", terms, target)
+        return "OO:[lam:1]", terms, target
 
     if k == 0:
         # O(p - q) + O with q = p - t; strictly semistable, t nontrivial.
         q_lift = pt - t
         if a_t.is_zero_dir():
-            return finish("ss:[1:0]", pivot, Decomposable(u1, low))
+            return "ss:[1:0]", pivot, Decomposable(u1, low)
         if a_t.is_infinity_dir():
             target = Decomposable(LineBundleClass(-1, -q_lift, lat).tensor(m), m)
-            return finish("ss:[0:1]", counter, target)
-
-        def scaled(theta_minus: complex, theta_plus: complex) -> MorphismRep:
-            # theta~_{1/2 - tau} at q - p and at p - q, from the stack's call.
-            sa, sb = a_t.a / theta_minus, a_t.c / theta_plus
-            e2t = np.exp(TWO_PI_I * t)
-            terms = (
-                (0, sa, ((TT, pt + t + 0.5 - lat.tau),)),
-                (1, -sa * e2t, ((TT, pt + t + 0.5),)),
-                (2, sb, ((TT, pt - t + 0.5 - lat.tau),)),
-                (3, -sb, ((TT, pt - t + 0.5),)),
-            )
-            target = G2Twist(q_lift, LineBundleClass(-1, -q_lift, lat).tensor(m))
-            return finish("ss:[x:y]", terms, target)
-
-        return scaled, q_lift - pt
+            return "ss:[0:1]", counter, target
+        sa, sb = a_t.a / thetas[0], a_t.c / thetas[1]
+        e2t = np.exp(TWO_PI_I * t)
+        terms = (
+            (0, sa, ((TT, pt + t + 0.5 - lat.tau),)),
+            (1, -sa * e2t, ((TT, pt + t + 0.5),)),
+            (2, sb, ((TT, pt - t + 0.5 - lat.tau),)),
+            (3, -sb, ((TT, pt - t + 0.5),)),
+        )
+        target = G2Twist(q_lift, LineBundleClass(-1, -q_lift, lat).tensor(m))
+        return "ss:[x:y]", terms, target
 
     if own:
         if a_t.is_zero_dir():
             target = Decomposable(LineBundleClass(1, pt, lat).tensor(m), low)
-            return finish("Op:[1:0]", pivot, target)
+            return "Op:[1:0]", pivot, target
         if a_t.is_infinity_dir():
-            return finish("Op:[0:1]", counter, Decomposable(trivial_line(lat).tensor(m), m))
+            return "Op:[0:1]", counter, Decomposable(trivial_line(lat).tensor(m), m)
         scale = a_t.c * _theta_const(lat) / a_t.a
         terms = ((0, 1.0, theta_p), (1, -1j / (2 * np.pi), ((DTH, pt),)), (3, scale, ()))
-        return finish("Op:[x:y]", terms, F2Twist(m))
+        return "Op:[x:y]", terms, F2Twist(m)
 
     # O(D) + O for deg D = k >= 1 with D's point distinct from p (k = 1)
     # or arbitrary (k >= 2; the theta product uses (k-1) [0] + the twist).
     name = "OD" if k > 1 else "Oq"
     if a_t.is_zero_dir():
-        return finish(f"{name}:[1:0]", pivot, Decomposable(u1, low))
+        return f"{name}:[1:0]", pivot, Decomposable(u1, low)
     # The table family is lambda * (theta product); its direction at p is
     # [lambda * product(p) : 1], so hitting the requested direction means
     # dividing out the product's value at p.
@@ -561,17 +550,17 @@ def _morphism_dec(e: Decomposable, p: CurvePoint, a_t: ProjPoint, form):
     lam = (a_t.a / a_t.c) / denom
     terms = ((0, 1.0, theta_p), (1, lam, ((TH, t),) + ((TH, 0.0),) * (k - 1)), (3, 1.0, ()))
     target = Decomposable(LineBundleClass(k - 1, t - pt, lat).tensor(m), m)
-    return finish(f"{name}:[lam:1]", terms, target)
+    return f"{name}:[lam:1]", terms, target
 
 
-def _morphism_f2(e: F2Twist, p: CurvePoint, a: ProjPoint) -> MorphismRep:
+def _morphism_f2(e: F2Twist, p: CurvePoint, a: ProjPoint):
     lat = e.lattice
     pt = p.lift
     m = e.l
     if a.is_zero_dir():
         terms = ((0, 1.0, ()), (1, 1j / (2 * np.pi), ((DTH, pt),)), (3, 1.0, ((TH, pt),)))
         target = Decomposable(m, LineBundleClass(-1, -pt, lat).tensor(m))
-        return MorphismRep(terms, "F2:[1:0]", e, target, p)
+        return "F2:[1:0]", terms, target
     lam = a.a / a.c
     lam_p = lam - 2 * complex(th.g_tilde_w(0.0, 0.5, lat))
     c = pt - 0.5
@@ -584,13 +573,13 @@ def _morphism_f2(e: F2Twist, p: CurvePoint, a: ProjPoint) -> MorphismRep:
         (3, 1.0, ((TT, c),)),
     )
     target = G2Twist(pt, LineBundleClass(-1, -pt, lat).tensor(m))
-    return MorphismRep(terms, "F2:[lam:1]", e, target, p)
+    return "F2:[lam:1]", terms, target
 
 
-def _morphism_g2(e: G2Twist, p: CurvePoint, m: LineBundleClass, frame, idx: int,
-                 root: complex) -> MorphismRep:
-    """The G2 row for the transported direction with branch index ``idx``
-    (0 off the branch points) and fiber lift ``root``."""
+def _morphism_g2(e: G2Twist, p: CurvePoint, m: LineBundleClass, idx: int, root: complex):
+    """(row, terms, target) of G2(p) tensor ``m`` for the direction in the
+    table frame with branch index ``idx`` (0 off the branch points) and
+    fiber lift ``root``."""
     lat = e.lattice
     pt = p.lift
     if idx:
@@ -606,7 +595,7 @@ def _morphism_g2(e: G2Twist, p: CurvePoint, m: LineBundleClass, frame, idx: int,
             (3, ei, ((TT, ct),)), (3, -ei * i_pi, ((DTT, ct),)),
         )
         target = F2Twist(torsion_line(lat, idx).tensor(m))
-        return MorphismRep(_framed(terms, *frame), f"G2:a{idx}", e, target, p)
+        return f"G2:a{idx}", terms, target
 
     # Any exact lift of the root works if used consistently in the
     # characters, the exponentials, and the target twists; the centered
@@ -619,7 +608,7 @@ def _morphism_g2(e: G2Twist, p: CurvePoint, m: LineBundleClass, frame, idx: int,
         (2, e2w, ((TT, pt - 2 * w + 0.5 - lat.tau),)),
         (3, 1 / e2w, ((TT, pt + 2 * w + 0.5 - lat.tau),)),
     )
-    return MorphismRep(_framed(terms, *frame), "G2:good", e, dual_pair(w, lat).tensor(m), p)
+    return "G2:good", terms, dual_pair(w, lat).tensor(m)
 
 
 # ---------------------------------------------------------------------------

@@ -701,25 +701,21 @@ def embed_check(report, config, rng):
     ok = all(v.verdict is V.STABLE for v in par.stabilities(pbs))
     report.add_flag("rational-embedding-stable", "even-length fixtures, three marks added", ok)
 
-    # Every draw first, in the order of a per-draw loop that redraws a pair
-    # until its sequence is a member; a (measure-zero) rejection rewinds the
-    # generator to just after that draw and redraws from its pair on.
-    seqs, kept = [], []
-    while len(seqs) < 10:
-        draws, states = kept, []
-        for k in range(10 - len(seqs)):
-            if k == len(draws):
-                draws.append((_torus_points(rng, lat, 3), _curve_point(rng, lat).lift))
-            draws[k] += tuple(p.lift for p in _curve_points(rng, lat, 2))
-            states.append(rng.bit_generator.state)
-        covers = th._cover_points([z for d in draws for z in d[1:]], lat)
-        bases = ell.base_from_coordinate(covers[0::3], [d[0][0] for d in draws])
-        pairs = [covers[3 * k + 1:3 * k + 3] for k in range(len(draws))]
-        batch = ell.sequence_from_coordinates(bases, [d[0][1:] for d in draws], pairs)
-        j = (ell.membership_Hp(batch) + [False]).index(False)
-        seqs += batch[:j]
-        if j < len(batch):
-            rng.bit_generator.state = states[j]
-            kept = [draws[j][:2]]
+    # Every draw first, in the order of a per-draw loop; then the pairs of
+    # the sequences that are not members (a measure-zero event) are drawn
+    # again, in draw order, until every sequence is a member.
+    draws = [[_torus_points(rng, lat, 3), _curve_point(rng, lat).lift,
+              *(p.lift for p in _curve_points(rng, lat, 2))] for _ in range(10)]
+    seqs, todo = [None] * 10, range(10)
+    while todo:
+        covers = th._cover_points([z for k in todo for z in draws[k][1:]], lat)
+        bases = ell.base_from_coordinate(covers[0::3], [draws[k][0][0] for k in todo])
+        pairs = [covers[3 * j + 1:3 * j + 3] for j in range(len(todo))]
+        batch = ell.sequence_from_coordinates(bases, [draws[k][0][1:] for k in todo], pairs)
+        for k, seq in zip(todo, batch):
+            seqs[k] = seq
+        todo = [k for k, member in zip(todo, ell.membership_Hp(batch)) if not member]
+        for k in todo:
+            draws[k][2:] = [p.lift for p in _curve_points(rng, lat, 2)]
     ok = all(v.verdict is V.STABLE for v in par.stabilities(par.hecke_embeddings_elliptic(seqs)))
     report.add_flag("elliptic-embedding-stable", "members of the length-two space", ok)

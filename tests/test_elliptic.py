@@ -56,6 +56,31 @@ def rpt_away(*others):
 O = trivial_line(LAT)
 
 
+def factor(bundle, z) -> np.ndarray:
+    """The automorphy factor (2, 2) of ``bundle`` at the one point ``z``."""
+    return ell.automorphy_factors([bundle], [[z]])[0, 0]
+
+
+def reference_factor(bundle, z) -> np.ndarray:
+    """The automorphy factors (k, 2, 2) of ``bundle`` at the points ``z``,
+    built per bundle and per line bundle, as ``automorphy_factors`` replaced."""
+    def line(l):
+        d, t = l.degree, l.lift
+        return np.exp(-ell.TWO_PI_I * (d * np.asarray(z, dtype=complex) - t - d / 2))
+
+    def mat2(a, b, c, d):
+        out = np.empty(np.broadcast(a, b, c, d).shape + (2, 2), dtype=complex)
+        out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = a, b, c, d
+        return out
+
+    if isinstance(bundle, Decomposable):
+        return mat2(line(bundle.l1), 0, 0, line(bundle.l2))
+    fl = line(bundle.l)
+    if isinstance(bundle, F2Twist):
+        return mat2(fl, fl, 0, fl)
+    return mat2(0, fl, fl * th.automorphy_factor(bundle.point_lift + 0.5)(z), 0)
+
+
 class TestLineBundles:
     def test_tensor_adds(self):
         p, q = rpt(), rpt()
@@ -69,32 +94,33 @@ class TestLineBundles:
             assert li.tensor(li).is_trivial()
 
     def test_factor_matches_shifted_exponential(self):
+        # The line factor of O(p) is the first diagonal entry of O(p) + O's.
         p = rpt()
         g = th.automorphy_factor(p.lift)
         z = 0.3 - 0.8j
-        assert abs(point_line(p).factor(z) - g(z)) < 1e-12
+        assert abs(factor(Decomposable(point_line(p), O), z)[0, 0] - g(z)) < 1e-12
 
 
 class TestAutomorphy:
     def test_trivial_bundle_identity_factor(self):
-        assert np.allclose(Decomposable(O, O).factor(np.asarray(0.3 + 0.1j)), np.eye(2))
+        assert np.allclose(factor(Decomposable(O, O), 0.3 + 0.1j), np.eye(2))
 
     def test_f2_det_trivial(self):
-        val = F2Twist(O).factor(np.asarray(0.2 - 0.4j))
+        val = factor(F2Twist(O), 0.2 - 0.4j)
         assert abs(np.linalg.det(val) - 1) < 1e-12
 
     def test_g2_det_is_point_factor(self):
         p = rpt()
         z = 0.7 + 0.2j
         want = th.automorphy_factor(p.lift)(z)
-        assert abs(np.linalg.det(G2Twist(p.lift, O).factor(np.asarray(z))) - want) < 1e-12
+        assert abs(np.linalg.det(factor(G2Twist(p.lift, O), z)) - want) < 1e-12
 
     def test_cocycle_consistency(self):
         # f(z + 1) must be the identity-factor branch: full 1-periodicity.
         p = rpt()
         for bundle in (Decomposable(point_line(p), O), F2Twist(O), G2Twist(p.lift, O)):
-            z = np.asarray(0.1 + 0.5j)
-            assert np.allclose(bundle.factor(z + 1), bundle.factor(z))
+            z = 0.1 + 0.5j
+            assert np.allclose(factor(bundle, z + 1), factor(bundle, z))
 
 
 def all_row_fixtures(lat=LAT):
@@ -922,8 +948,8 @@ def reference_equivariance(rep, samples=20, seed=5):
     rng = np.random.default_rng(seed)
     z = (2 * rng.random(samples) - 0.5) + (2 * rng.random(samples) - 0.5) * lat.tau
     a_z, a_tau, a_one = (evaluator(rep)(w) for w in (z, z + lat.tau, z + 1.0))
-    lhs = a_tau @ rep.result.factor(z)
-    rhs = rep.upstream.factor(z) @ a_z
+    lhs = a_tau @ reference_factor(rep.result, z)
+    rhs = reference_factor(rep.upstream, z) @ a_z
     scale = max(float(np.abs(rhs).max()), float(np.abs(a_z).max()), 1e-30)
     r1 = float(np.abs(lhs - rhs).max()) / scale
     r2 = float(np.abs(a_one - a_z).max()) / max(float(np.abs(a_z).max()), 1e-30)
@@ -951,6 +977,27 @@ def test_stacked_equivariance_matches_batches_of_one(tau):
         assert [x[i] for x in stacked] == [x[0] for x in alone]
         assert stacked[0][i] == reference_equivariance(rep, seed=seed)
     assert [x.shape for x in ell.certify_rows([], np.empty((0, 20)))] == [(0,)] * 2
+
+
+@pytest.mark.parametrize("tau", REF_TAUS)
+def test_automorphy_factors_match_the_per_bundle_reference(tau):
+    # Both bundles of every suite row (two draws each) and of every row and
+    # frame fixture, each at its own certificate points: the stacked
+    # factors are the per-bundle ones, and a batch of one, bit for bit.
+    lat = Lattice(tau)
+    rng = np.random.default_rng(41)
+    cases = [make(rng) for _, make in suites._elliptic_row_fixtures(lat) for _ in range(2)]
+    cases += [(b, p, a) for _, b, p, a in all_row_fixtures(lat)]
+    reps = ell.morphism_rep(*zip(*cases))
+    bundles = [r.upstream for r in reps] + [r.result for r in reps]
+    assert {type(b) for b in bundles} == {Decomposable, F2Twist, G2Twist}
+    zs = boxes(lat, [k % 7 + 1 for k in range(len(bundles))])
+    got = ell.automorphy_factors(bundles, zs)
+    assert got.shape == (len(bundles), 20, 2, 2)
+    for b, z, g in zip(bundles, zs, got):
+        assert g.tobytes() == reference_factor(b, z).tobytes(), str(b)
+        assert ell.automorphy_factors([b], z[None])[0].tobytes() == g.tobytes(), str(b)
+    assert ell.automorphy_factors([], np.empty((0, 20))).shape == (0, 20, 2, 2)
 
 
 @pytest.mark.parametrize("tau", REF_TAUS)
@@ -1208,6 +1255,10 @@ def per_table_stack(tables, zs, lattice):
     return out
 
 
+#: The term table of the identity matrix.
+IDENTITY = ((0, 1.0, ()), (3, 1.0, ()))
+
+
 def shuffled_row_stack(lat, seed):
     """The term tables of every suite row fixture (three draws each), every
     row and frame fixture, and the frames of swaps, shifts and a G2 scale,
@@ -1219,7 +1270,7 @@ def shuffled_row_stack(lat, seed):
     cases += all_row_fixtures(lat)
     tables = [r.terms for r in ell.morphism_rep(*zip(*[(b, p, a) for _, b, p, a in cases]))]
     frames = ((1, 1.0, False), (-2, 1.0, True), (0, 1.0, True), (0, 0.3 - 0.8j, False))
-    tables += [ell._framed(ell._IDENTITY, *frame) for frame in frames]
+    tables += [ell._framed(IDENTITY, *frame) for frame in frames]
     tables = [tables[i] for i in rng.permutation(len(tables))]
     box = (2 * rng.random(40) - 0.5) + (2 * rng.random(40) - 0.5) * lat.tau
     zs = [box[i % 5:i % 5 + i % 7] for i in range(len(tables))]
@@ -1380,16 +1431,74 @@ def test_stacked_stages_match_batches_of_one(tau):
         assert abs(d - ell.distance_to_curve([tri], [q], [p1], [p2])[0]) <= 1e-13
 
 
+def leaf_bits(x):
+    """``x`` with the numbers of its dataclass fields and tuples as bytes,
+    so that equality is bit for bit, signed zeros included."""
+    if dataclasses.is_dataclass(x):
+        return type(x).__name__, tuple(leaf_bits(getattr(x, f.name)) for f in dataclasses.fields(x))
+    if isinstance(x, tuple):
+        return tuple(leaf_bits(y) for y in x)
+    return bits(x) if isinstance(x, (complex, float)) else x
+
+
 @pytest.mark.parametrize("tau", REF_TAUS)
 def test_stacked_morphism_rows_match_batches_of_one(tau):
+    # Every suite row (two draws each) shuffled in with every row and frame
+    # fixture: element i of the stack, and of the reversed stack, is its
+    # batch of one, bit for bit in its row, result and terms.
     lat = Lattice(tau)
-    cases = all_row_fixtures(lat)
+    rng = np.random.default_rng(43)
+    cases = [(name, *make(rng)) for name, make in suites._elliptic_row_fixtures(lat)
+             for _ in range(2)]
+    cases += all_row_fixtures(lat)
+    cases = [cases[i] for i in rng.permutation(len(cases))]
     stacked = ell.morphism_rep(*zip(*[(b, p, a) for _, b, p, a in cases]))
+    back = ell.morphism_rep(*zip(*[(b, p, a) for _, b, p, a in cases[::-1]]))[::-1]
     z = np.array([0.31 + 0.17j, -0.42 + 0.63j])
-    for (name, b, p, a), rep in zip(cases, stacked):
+    for (name, b, p, a), rep, rev in zip(cases, stacked, back):
         alone = ell.morphism_rep([b], [p], [a])[0]
         assert rep.row == alone.row and close(rep.result, alone.result), name
         assert np.array_equal(evaluator(rep)(z), evaluator(alone)(z)), name
+        for other in (alone, rev):
+            assert other.row == rep.row, name
+            assert leaf_bits(other.result) == leaf_bits(rep.result), name
+            assert leaf_bits(other.terms) == leaf_bits(rep.terms), name
+    assert ell.morphism_rep([], [], []) == []
+
+
+def test_morphism_rep_changes_frames_in_closed_form(monkeypatch):
+    # Each frame is monomial, so no frame is evaluated and no direction is
+    # solved for: every row and frame fixture, and every suite row, at both
+    # lattices, without evaluate_stack or transport_directions.
+    def forbidden(*args):
+        raise AssertionError("morphism_rep evaluated or inverted a frame")
+
+    monkeypatch.setattr(ell, "evaluate_stack", forbidden)
+    monkeypatch.setattr(ell, "transport_directions", forbidden)
+    rng = np.random.default_rng(47)
+    for lat in map(Lattice, REF_TAUS):
+        cases = [make(rng) for _, make in suites._elliptic_row_fixtures(lat)]
+        cases += [(b, p, a) for _, b, p, a in all_row_fixtures(lat)]
+        reps = ell.morphism_rep(*zip(*cases))
+        assert all(isinstance(r, ell.MorphismRep) for r in reps)
+
+
+def test_g2_row_at_its_own_point_keeps_its_direction_bits(monkeypatch):
+    # The frame of G2(p) modified at p is the identity, so the direction
+    # reaches the fiber inversion as given: a -0.0 component stays -0.0,
+    # which a solve through the identity would make +0.0.
+    p = CurvePoint(0.393 + 0.544 * LAT.tau, LAT)
+    a = ProjPoint(1, complex(0.25, -0.0))
+    assert bits(a.c) == bits(complex(0.25, -0.0))
+    seen = []
+
+    def spy(xs, ys, lattice, original=th._invert_lifts):
+        seen.append(bits(*xs, *ys))
+        return original(xs, ys, lattice)
+
+    monkeypatch.setattr(th, "_invert_lifts", spy)
+    assert ell.morphism_rep([G2Twist(p.lift, O)], [p], [a])[0].row == "G2:good"
+    assert seen == [bits(a.a, a.c)]
 
 
 @pytest.mark.parametrize("tau", REF_TAUS)
@@ -1636,10 +1745,11 @@ def test_embed_check_elliptic_draws_in_per_draw_order(monkeypatch, seed):
 
 def ref_embedding_draws(ref, lat, n_seq, reject):
     """The draws of embed-check's ``elliptic-embedding-stable`` section from
-    a per-draw loop that redraws a pair until its sequence is a member,
-    after replaying the earlier sections' draws; the first pair of draw
-    ``reject`` counts as a non-member.  Returns (points, base coordinate,
-    accepted pair, rejected pairs) per draw."""
+    a per-draw loop, after replaying the earlier sections' draws; then the
+    pairs of the non-members are drawn again, in draw order, until every
+    sequence is a member.  The first pair of draw ``reject`` counts as a
+    non-member.  Returns (points, base coordinate, accepted pair, rejected
+    pairs) per draw."""
     for k in range(n_seq):  # the rational terminal section
         n = int(ref.integers(2, 5))
         [random_point(ref) for _ in range(n - (n // 2 + 1) + 1 if k % 2 else n)]
@@ -1652,15 +1762,20 @@ def ref_embedding_draws(ref, lat, n_seq, reject):
     for k in range(10):
         pts = ref_torus_points(ref, lat, 3)
         tau0 = ref_cover_draw(ref, lat)
-        base = ell.base_from_coordinate([tau0], pts[:1])
-        rejected = []
-        while True:
-            pair = [ref_cover_draw(ref, lat) for _ in range(2)]
-            seq = ell.sequence_from_coordinates(base, [pts[1:]], [pair])
-            if ell.membership_Hp(seq)[0] and not (k == reject and not rejected):
-                break
-            rejected.append(pair)
-        draws.append((pts, tau0, pair, rejected))
+        draws.append([pts, tau0, [ref_cover_draw(ref, lat) for _ in range(2)], []])
+    todo = range(10)
+    while todo:
+        missing = []
+        for k in todo:
+            pts, tau0, pair, rejected = draws[k]
+            seq = ell.sequence_from_coordinates(ell.base_from_coordinate([tau0], pts[:1]),
+                                                [pts[1:]], [pair])
+            if not ell.membership_Hp(seq)[0] or (k == reject and not rejected):
+                rejected.append(pair)
+                missing.append(k)
+        for k in missing:
+            draws[k][2] = [ref_cover_draw(ref, lat) for _ in range(2)]
+        todo = missing
     return draws
 
 
@@ -1685,16 +1800,17 @@ def test_embedding_stable_draws_in_per_draw_order(monkeypatch, seed, reject):
     assert rng.bit_generator.state == ref.bit_generator.state
     passes = list(zip(calls["base_from_coordinate"][1:], calls["sequence_from_coordinates"][1:]))
     assert len(passes) == (1 if reject is None else 2)
-    # Each pass keeps the draws before its first rejection.
+    # The first pass holds every draw; a second holds the redrawn pair.
     got = []
-    for (((tau0, qs), _), ((_, points, pairs), _)), keep in zip(passes, [reject, None]):
-        got += [(q, *pts, t, pair) for q, pts, t, pair in zip(qs, points, tau0, pairs)][:keep]
-    assert len(got) == 10
-    for (q, p1, p2, tau0, pair), (pts, t0, want, _) in zip(got, draws):
-        assert same_points([q, p1, p2], pts) and same_targets([tau0, *pair], [t0, *want])
+    for ((tau0, qs), _), ((_, points, pairs), _) in passes:
+        got.append([(q, *pts, t, pair) for q, pts, t, pair in zip(qs, points, tau0, pairs)])
+    assert len(got[0]) == 10
     if reject is not None:
-        (tau0, qs), _ = passes[0][0]
-        (_, points, pairs), _ = passes[0][1]
+        assert len(got[1]) == 1
+        q, p1, p2, tau0, pair = got[0][reject]
         pts, t0, _, rejected = draws[reject]
-        assert rejected and same_points([qs[reject], *points[reject]], pts)
-        assert same_targets([tau0[reject], *pairs[reject]], [t0, *rejected[0]])
+        assert len(rejected) == 1 and same_points([q, p1, p2], pts)
+        assert same_targets([tau0, *pair], [t0, *rejected[0]])
+        got[0][reject] = got[1][0]
+    for (q, p1, p2, tau0, pair), (pts, t0, want, _) in zip(got[0], draws):
+        assert same_points([q, p1, p2], pts) and same_targets([tau0, *pair], [t0, *want])
