@@ -24,7 +24,6 @@ class RunConfig:
     tau: complex = DEFAULT_TAU
     seed: int = 7
     samples: int | None = None
-    tol: float | None = None
     extra: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -32,8 +31,6 @@ class RunConfig:
             raise ConfigError(f"tau must be finite, got {self.tau}")
         if complex(self.tau).imag <= 0:
             raise ConfigError("Im tau must be positive")
-        if self.tol is not None and not np.isfinite(self.tol):
-            raise ConfigError(f"tol must be finite, got {self.tol}")
         if self.samples is not None and self.samples < 1:
             raise ConfigError("samples must be >= 1")
 
@@ -150,8 +147,6 @@ def _replay_key(command: str, config: RunConfig) -> str:
              "--tau", f"{tau.real!r},{tau.imag!r}", "--seed", str(config.seed)]
     if config.samples is not None:
         parts += ["--samples", str(config.samples)]
-    if config.tol is not None:
-        parts += ["--tol", repr(config.tol)]
     return " ".join(parts)
 
 
@@ -165,15 +160,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--tau", type=_parse_tau, default=DEFAULT_TAU, metavar="RE,IM")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--samples", type=int, default=None)
-    parser.add_argument("--tol", type=float, default=None)
     parser.add_argument("--out", type=str, default=None)
     ns = parser.parse_args(argv)
 
     try:
-        config = RunConfig(
-            tau=ns.tau, seed=ns.seed, samples=ns.samples, tol=ns.tol,
-            extra=tuple(ns.args),
-        )
+        config = RunConfig(tau=ns.tau, seed=ns.seed, samples=ns.samples, extra=tuple(ns.args))
         report = run(ns.command, config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -21,7 +21,7 @@ from .projective import (
     rank_one_column_space,
     rank_one_column_spaces,
 )
-from .pseries import UNIT_TOL, NonUnit, SeriesMat2, bruhat_companion, series_product
+from .pseries import UNIT_TOL, NonUnit, SeriesMat2, bruhat_companion
 
 
 class NotInCell(ValueError):
@@ -114,15 +114,14 @@ def eta_invariance_checks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Every A and B must be a unit; the contract is a residual below 1e-9,
     witnessing that eta only depends on the right-coset of A Z.  eta reads
-    only the constant terms, so only those are formed: the same bits as
-    the constant terms of the full-order products.
+    only the constant terms, so only those are formed: A(0) diag(1, 0) as
+    a column mask, then its product with B(0).
     """
     for unit in (a, b):
         if (np.abs(np.linalg.det(unit[..., 0])) <= UNIT_TOL).any():
             raise NonUnit("operand constant term is singular")
-    left = series_product(a, SeriesMat2.z_shift(0).c, 1)
-    right = series_product(left, b, 1)
-    return chordal_vecs(eta_vecs(left[..., 0]), eta_vecs(right[..., 0]))
+    left = a[..., 0] * [1, 0]
+    return chordal_vecs(eta_vecs(left), eta_vecs(np.einsum("...ij,...jl->...il", left, b[..., 0])))
 
 
 def constant_representatives(vecs: np.ndarray) -> np.ndarray:

@@ -6,14 +6,17 @@ These loops make the same generator calls in the order those docstrings
 state, with ``ProjPoint``, ``single_hecke`` and Python's complex
 arithmetic, so the tests can require equal bits and equal generator state.
 ``reference_row_fixtures`` is the elliptic table's fixtures as they were
-written before one drawer per bundle kind and per direction kind.
+written before one drawer per bundle kind and per direction kind, and
+``reference_double_sample`` the double table's draw with one branch per
+kind of draw, as it was before each bundle family was drawn once.
 """
 
 from heckelab import elliptic as ell
 from heckelab import theta as th
-from heckelab.projective import ProjPoint
+from heckelab.projective import ProjPoint, random_point
 from heckelab.rational import RationalBundle, single_hecke
-from heckelab.suites import _curve_point, _far_point
+from heckelab.suites import _curve_point, _far_point, _torus_points
+from heckelab.torus import halve_sum, torsion_point
 
 
 def reference_minimal_directions(count, n, rng, zero_dir_rate=0.25) -> list[list[ProjPoint]]:
@@ -127,3 +130,47 @@ def _g2(rng, lat, mode):
     else:
         a = ProjPoint(rng.normal() + 1j * rng.normal(), rng.normal() + 1j * rng.normal())
     return bundle, p, a
+
+
+def reference_double_sample(lat, rng, k):
+    O = ell.trivial_line(lat)
+    p1, p2 = _torus_points(rng, lat, 2)
+    kind = k % 8
+    if kind == 0:
+        bundle = ell.Decomposable(O, O)
+        d1, d2 = random_point(rng), random_point(rng)
+    elif kind == 1:
+        bundle = ell.F2Twist(ell.torsion_line(lat, int(rng.integers(1, 5))))
+        d1, d2 = ProjPoint(1, 0), random_point(rng)
+    elif kind == 2:
+        bundle = ell.F2Twist(ell.torsion_line(lat, int(rng.integers(1, 5))))
+        d1, d2 = ProjPoint(rng.normal() + 1j * rng.normal(), 1), random_point(rng)
+    elif kind == 3:
+        delta = _curve_point(rng, lat)
+        bundle = ell.dual_pair(delta.lift, lat)
+        d1 = (ProjPoint(0, 1), ProjPoint(1, 0))[k % 2]
+        d2 = random_point(rng)
+    elif kind == 4:
+        delta = _curve_point(rng, lat)
+        bundle = ell.dual_pair(delta.lift, lat)
+        d1, d2 = random_point(rng), random_point(rng)
+    elif kind == 5:
+        # 2-torsion subcase at the first point.
+        j = int(rng.integers(2, 5))
+        p = p1 + torsion_point(lat, j)
+        delta = p - halve_sum(p1, p2)
+        bundle = ell.dual_pair(delta.lift, lat)
+        d1 = ProjPoint(0, 1)
+        d2 = (random_point(rng), ProjPoint(1, 0), ProjPoint(0, 1))[k % 3]
+    elif kind == 6:
+        # 2-torsion subcase at the second point.
+        j = int(rng.integers(2, 5))
+        p = p2 + torsion_point(lat, j)
+        delta = p - halve_sum(p1, p2)
+        bundle = ell.dual_pair(delta.lift, lat)
+        d1 = ProjPoint(1, 0)
+        d2 = (random_point(rng), ProjPoint(1, 0), ProjPoint(0, 1))[k % 3]
+    else:
+        bundle = ell.F2Twist(ell.torsion_line(lat, int(rng.integers(1, 5))))
+        d1, d2 = ProjPoint(1, 0), ProjPoint(1, 0)
+    return bundle, p1, p2, d1, d2

@@ -15,6 +15,12 @@ a setting tests would have to cover.  It compares source text, not
 values: ``rank_one_column_spaces(m, rank_tol=RANK_TOL)`` against a
 ``PROJ_TOL`` default passed the same 1e-8 under another name, which the
 census cannot see; those ``rank_tol`` parameters were removed by hand.
+
+The flag census (``declared_flags``) does for the command line what the
+options census does for parameters.  The options census cannot see flags,
+since it allowlists ``cli.main(argv)``: argv comes from outside the
+program.  So every flag ``cli.main`` declares must occur in a ``hecke-lab``
+command of CI's console step, except ``--out``, a path and not a setting.
 """
 
 import ast
@@ -24,6 +30,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "heckelab"
 TRACER = ROOT / "bench" / "tracer.py"
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 
 DEFS = (ast.FunctionDef, ast.ClassDef)
 
@@ -269,3 +276,29 @@ def test_every_option_is_set_somewhere_in_src():
     unset, _ = unset_options(package_sources())
     missing = sorted(unset - OPTIONS_ALLOWED)
     assert not missing, f"defaulted parameters that no call in src/ sets: {missing}"
+
+
+# --- Flag census ----------------------------------------------------------
+
+
+def declared_flags() -> set[str]:
+    """The ``--`` flags that ``cli.main`` adds to its parser, read from its source."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    main = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main")
+    return {arg.value for node in ast.walk(main)
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument"
+            for arg in node.args if isinstance(arg, ast.Constant) and arg.value.startswith("--")}
+
+
+def console_flags() -> set[str]:
+    """The flags used by the ``hecke-lab`` commands of CI's workflow."""
+    return {word for line in WORKFLOW.read_text().splitlines()
+            if line.strip().startswith("hecke-lab ")
+            for word in line.split() if word.startswith("--")}
+
+
+def test_every_cli_flag_is_used_in_ci():
+    declared = declared_flags()
+    assert {"--tau", "--seed", "--samples", "--out"} <= declared
+    unused = sorted(declared - console_flags() - {"--out"})
+    assert not unused, f"flags that no command of CI's console step uses: {unused}"

@@ -152,14 +152,16 @@ def test_out_of_range_counts_are_config_errors(capsys):
         assert "Traceback" not in err
 
 
-def test_non_finite_tau_and_tol_are_config_errors(capsys):
-    for args, bound in [(["verify-theta", "--tau", "nan,1.3"], "tau must be finite"),
-                        (["verify-theta", "--tau", "0.2,inf"], "tau must be finite"),
-                        (["verify-eta", "--tol", "nan"], "tol must be finite")]:
+def test_non_finite_tau_is_a_config_error(capsys):
+    for args in (["verify-theta", "--tau", "nan,1.3"], ["verify-theta", "--tau", "0.2,inf"]):
         assert cli.main(args) == 2, args
         err = capsys.readouterr().err
-        assert err.startswith("config error: ") and bound in err, (args, err)
+        assert err.startswith("config error: ") and "tau must be finite" in err, (args, err)
         assert "Traceback" not in err
+    # Each record's bound is fixed: no flag overrides it.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify-theta", "--tol", "1e-9"])
+    assert exc.value.code == 2
 
 
 def test_numerical_failure_is_not_a_config_error(capsys):
@@ -192,10 +194,17 @@ def test_custom_tau_flows_through():
 
 
 def test_failure_sets_exit_code(tmp_path, monkeypatch):
-    # An absurd tolerance override must flip asserted records to FAIL.
-    code = cli.main(["verify-theta", "--samples", "10", "--tol", "1e-30",
-                     "--out", str(tmp_path / "r.txt")])
-    assert code == 1
+    # One failing record after a passing suite fails the run.
+    suite = cli.COMMANDS["verify-theta"]
+
+    def failing(report, config, rng):
+        suite(report, config, rng)
+        report.add("forced-failure", "a residual above its bound", 1.0, 1e-9)
+
+    monkeypatch.setitem(cli.COMMANDS, "verify-theta", failing)
+    out = tmp_path / "r.txt"
+    assert cli.main(["verify-theta", "--samples", "10", "--out", str(out)]) == 1
+    assert out.read_text().endswith("result: FAIL\n")
 
 
 def nan_first(f):

@@ -7,6 +7,7 @@ import pytest
 
 from heckelab import cli
 from heckelab import elliptic as ell
+from heckelab import parabolic as par
 from heckelab import suites
 from heckelab import theta as th
 from heckelab.elliptic import (
@@ -26,7 +27,7 @@ from heckelab.projective import ProjPoint, chordal, random_point, transport_dire
 from heckelab.torus import CurvePoint, Lattice, halve_sum
 
 from chain_refs import chain_directions, evaluator, raw_directions
-from draw_refs import reference_minimal_directions, reference_row_fixtures
+from draw_refs import reference_double_sample, reference_minimal_directions, reference_row_fixtures
 
 LAT = Lattice()
 RNG = np.random.default_rng(77)
@@ -474,8 +475,6 @@ class TestSequenceFromLines:
                 ell.sequence_from_lines([base], [pts], [[random_point(RNG) for _ in pts]])[0]
 
     def test_consumers_never_rebuild_the_chain(self, monkeypatch):
-        from heckelab import parabolic as par
-
         rng = np.random.default_rng(43)
         q, p1, p2 = rpt(rng), rpt(rng), rpt(rng)
         base = ell.base_from_coordinate([th.pi_cover(rpt(rng))], [q])[0]
@@ -1602,6 +1601,34 @@ def test_double_table_counts_match_a_per_draw_loop(seed):
     assert record.passed == (agree == 200)
 
 
+def exact(x):
+    """``x`` as nested tuples that compare equal only for equal bits: bundles
+    and points by type and fields (the lattice left out), projective points
+    by their coordinates, complex numbers by the hex of both parts."""
+    if dataclasses.is_dataclass(x):
+        return (type(x).__name__, *(exact(getattr(x, f.name)) for f in dataclasses.fields(x)
+                                    if f.name != "lattice"))
+    if isinstance(x, ProjPoint):
+        return exact((x.a, x.c))
+    if isinstance(x, tuple):
+        return tuple(map(exact, x))
+    if isinstance(x, (complex, float)):
+        return complex(x).real.hex(), complex(x).imag.hex()
+    return x
+
+
+@pytest.mark.parametrize("tau", REF_TAUS)
+@pytest.mark.parametrize("seed", [7, 11, 12345])
+def test_double_sample_draws_as_the_reference(tau, seed):
+    # Every kind six times: bundles, point lifts and directions bit for bit,
+    # and the generator state after each draw.
+    lat = Lattice(tau)
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for k in range(48):
+        assert exact(suites._double_sample(lat, rng, k)) == exact(reference_double_sample(lat, ref, k)), k
+        assert rng.bit_generator.state == ref.bit_generator.state, k
+
+
 def test_stacked_builders_reject_coincident_points():
     q = rpt()
     p = rpt_away(q)
@@ -1743,13 +1770,10 @@ def test_embed_check_elliptic_draws_in_per_draw_order(monkeypatch, seed):
     assert same_targets([t for pair in taus for t in pair], [t for d in draws for t in d[2]])
 
 
-def ref_embedding_draws(ref, lat, n_seq, reject):
+def ref_embedding_draws(ref, lat, n_seq):
     """The draws of embed-check's ``elliptic-embedding-stable`` section from
-    a per-draw loop, after replaying the earlier sections' draws; then the
-    pairs of the non-members are drawn again, in draw order, until every
-    sequence is a member.  The first pair of draw ``reject`` counts as a
-    non-member.  Returns (points, base coordinate, accepted pair, rejected
-    pairs) per draw."""
+    a per-draw loop, after replaying the earlier sections' draws: (points,
+    base coordinate, pair) per draw."""
     for k in range(n_seq):  # the rational terminal section
         n = int(ref.integers(2, 5))
         [random_point(ref) for _ in range(n - (n // 2 + 1) + 1 if k % 2 else n)]
@@ -1758,59 +1782,48 @@ def ref_embedding_draws(ref, lat, n_seq, reject):
         [ref_curve_point(ref, lat) for _ in range(1 if k % 2 else 3)]
     for n in (2, 4):  # the rational embedding section
         reference_minimal_directions(5, n, ref)
-    draws = []
-    for k in range(10):
-        pts = ref_torus_points(ref, lat, 3)
-        tau0 = ref_cover_draw(ref, lat)
-        draws.append([pts, tau0, [ref_cover_draw(ref, lat) for _ in range(2)], []])
-    todo = range(10)
-    while todo:
-        missing = []
-        for k in todo:
-            pts, tau0, pair, rejected = draws[k]
-            seq = ell.sequence_from_coordinates(ell.base_from_coordinate([tau0], pts[:1]),
-                                                [pts[1:]], [pair])
-            if not ell.membership_Hp(seq)[0] or (k == reject and not rejected):
-                rejected.append(pair)
-                missing.append(k)
-        for k in missing:
-            draws[k][2] = [ref_cover_draw(ref, lat) for _ in range(2)]
-        todo = missing
-    return draws
+    return [(ref_torus_points(ref, lat, 3), ref_cover_draw(ref, lat),
+             [ref_cover_draw(ref, lat) for _ in range(2)]) for _ in range(10)]
 
 
 @pytest.mark.parametrize("seed, reject", [(7, None), (11, None), (12345, None), (11, 3)])
 def test_embedding_stable_draws_in_per_draw_order(monkeypatch, seed, reject):
     lat, n_seq = Lattice(), 4
     ref = np.random.default_rng(seed)
-    draws = ref_embedding_draws(ref, lat, n_seq, reject)
-    member = ell.membership_Hp
-    first = []
+    draws = ref_embedding_draws(ref, lat, n_seq)
+    member, embed = ell.membership_Hp, par.hecke_embeddings_elliptic
+    decided, embedded = [], []
 
     def rejecting(seqs):
         out = member(seqs)
-        if reject is not None and not first:
-            first.append(seqs)
-            out[reject] = False
+        if not decided:  # the section's one membership pass
+            decided.append(seqs)
+            if reject is not None:
+                out[reject] = False
         return out
 
+    def embedding(seqs):
+        embedded.append(seqs)
+        return embed(seqs)
+
     monkeypatch.setattr(ell, "membership_Hp", rejecting)
+    monkeypatch.setattr(par, "hecke_embeddings_elliptic", embedding)
     rng = np.random.default_rng(seed)
     calls = spy_suite(monkeypatch, rng, None, "embed-check", n_seq)
     assert rng.bit_generator.state == ref.bit_generator.state
+    # One pass holds every draw, and only its members are embedded.
     passes = list(zip(calls["base_from_coordinate"][1:], calls["sequence_from_coordinates"][1:]))
-    assert len(passes) == (1 if reject is None else 2)
-    # The first pass holds every draw; a second holds the redrawn pair.
-    got = []
-    for ((tau0, qs), _), ((_, points, pairs), _) in passes:
-        got.append([(q, *pts, t, pair) for q, pts, t, pair in zip(qs, points, tau0, pairs)])
-    assert len(got[0]) == 10
-    if reject is not None:
-        assert len(got[1]) == 1
-        q, p1, p2, tau0, pair = got[0][reject]
-        pts, t0, _, rejected = draws[reject]
-        assert len(rejected) == 1 and same_points([q, p1, p2], pts)
-        assert same_targets([tau0, *pair], [t0, *rejected[0]])
-        got[0][reject] = got[1][0]
-    for (q, p1, p2, tau0, pair), (pts, t0, want, _) in zip(got[0], draws):
-        assert same_points([q, p1, p2], pts) and same_targets([tau0, *pair], [t0, *want])
+    assert len(passes) == 1 and len(decided[0]) == 10
+    assert embedded == [[s for k, s in enumerate(decided[0]) if k != reject]]
+    [(((tau0, qs), _), ((_, points, pairs), _))] = passes
+    for q, pts, t, pair, (want_pts, t0, want) in zip(qs, points, tau0, pairs, draws, strict=True):
+        assert same_points([q, *pts], want_pts) and same_targets([t, *pair], [t0, *want])
+
+
+def test_embedding_stable_fails_without_members(monkeypatch):
+    # With no member among the ten draws there is nothing to embed: the
+    # record fails rather than passing over an empty stack.
+    monkeypatch.setattr(ell, "membership_Hp", lambda seqs: [False] * len(seqs))
+    report = cli.run("embed-check", cli.RunConfig(samples=4))
+    assert [(r.name, r.passed) for r in report.records[-1:]] == [("elliptic-embedding-stable", False)]
+    assert all(r.passed for r in report.records[:-1]) and not report.ok
