@@ -57,7 +57,7 @@ print(f"  O(p)+O at p toward [0:1]  ->  {split}  (trivial type:"
 print(f"  F2 in a good direction    ->  {f2}")
 print(f"  G2(p) toward {a}  ->  {out}")
 print(f"    cover image of the summand matches the direction:"
-      f" {chordal(th.pi_cover(out.l1.twist_point()), a):.2e}")
+      f" {chordal(th.pi_cover(CurvePoint(out.l1.lift, lat)), a):.2e}")
 
 print("\ntwo-step classification, both routes:")
 p1, p2 = pt(), pt()
@@ -71,7 +71,7 @@ a1 = eta_at(at_p1, p1.lift)
 local = eta_at(ell.evaluate_stack([rep2.terms], [p2.lift], lat)[0], p2.lift)
 v = at_p2 @ local.vec
 b = ProjPoint(v[0], v[1])
-table = ell.double_hecke(bundle, p1, p2, a1, b)
+table = ell.double_hecke([bundle], [p1], [p2], [a1], [b])[0]
 chain = rep2.result.tensor(ell.LineBundleClass(1, e.lift, lat))
 print(f"  composite keys  (a, b) = {a1}, {b}")
 print(f"  table class     {table}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .projective import PROJ_TOL, ProjPoint, chordal, transport_directions
+from .projective import ProjPoint, transport_directions
 from .grassmannian import chain_direction_vecs
 from .torus import CurvePoint, Lattice, halve_sum
 from . import theta as th
@@ -71,9 +71,6 @@ class LineBundleClass:
 
     def is_trivial(self) -> bool:
         return self.degree == 0 and self.lattice.distance(self.lift, 0.0) < CLASS_TOL
-
-    def twist_point(self) -> CurvePoint:
-        return CurvePoint(self.lift, self.lattice)
 
     def reduced(self) -> complex:
         return self.lattice.reduce(self.lift)
@@ -627,7 +624,7 @@ def mss_coordinate(es) -> list[ProjPoint]:
             raise NotSemistable(f"{e} is not semistable with trivial determinant")
     if not es:
         return []
-    lifts = [(e.l1 if isinstance(e, Decomposable) else e.l).twist_point().lift for e in es]
+    lifts = [(e.l1 if isinstance(e, Decomposable) else e.l).reduced() for e in es]
     return th._cover_points(lifts, es[0].lattice)
 
 
@@ -662,79 +659,51 @@ def _stable_first_class(reps1, points, avals, dirs) -> list[list[EllipticBundle]
     return out
 
 
-def double_hecke(
-    e: EllipticBundle,
-    p1: CurvePoint,
-    p2: CurvePoint,
-    a: ProjPoint,
-    b: ProjPoint,
-) -> EllipticBundle | None:
-    """Classify a two-step modification of a semistable trivial-determinant
-    bundle by its composite direction pair in the trivialization of ``e``.
+def double_hecke(es, p1s, p2s, as_, bs) -> list[EllipticBundle | None]:
+    """Classify two-step modifications of semistable trivial-determinant
+    bundles ``es[i]``, at ``p1s[i]`` then ``p2s[i]``, by their composite
+    direction pairs (``as_[i]``, ``bs[i]``) in the trivialization of es[i],
+    over stacks of one length.
 
-    Returns the class of E2 tensor O(e) for e with 2e = p1 + p2 (the
-    canonical-lift average), or None when E2 is unstable.  The dispatch
-    includes the 2-torsion subcases where the twist point collides with a
-    half-lattice translate of p1 or p2.
+    Each result is the class of E2 tensor O(e) for e with 2e = p1 + p2 (the
+    canonical-lift average), or None when E2 is unstable.  A bad first
+    direction a is the fiber of a maximal-slope subbundle M, named by its
+    witness ``bad_group_key(e, a)``: E2 is unstable when b has the same
+    witness, and otherwise E2 tensor O(e) is L + L^-1 with L = M(e - p2).
+    When L is 2-torsion, that is L + L if b is the other bad line of e and
+    F2 tensor L if not.  The draws with a good first direction are one
+    ``morphism_rep``, one ``evaluate_stack`` and one ``_stable_first_class``
+    call for the stack.
     """
-    lat = e.lattice
-    if not is_even_semistable(e) or not has_trivial_det(e):
-        raise NotSemistable(f"{e} is not semistable with trivial determinant")
-    if p1 == p2:
-        raise ValueError("modification points must be distinct")
-    ept = halve_sum(p1, p2)
-    e1 = LineBundleClass(1, ept.lift, lat)
-
-    def split_class(li: LineBundleClass) -> Decomposable:
-        """O(e - p1) L_i + O(e - p2) L_i."""
-        return Decomposable(e1.tensor(point_line(p1).inverse()).tensor(li),
-                            e1.tensor(point_line(p2).inverse()).tensor(li))
-
-    def stable_class() -> EllipticBundle:
-        rep1 = morphism_rep([e], [p1], [a])[0]
-        vals = evaluate_stack([rep1.terms], [[p2.lift]], lat)
-        return _stable_first_class([rep1], [[p2]], vals, [[b]])[0][0]
-
-    if isinstance(e, F2Twist):
-        if a.is_zero_dir():
-            # Bad first direction: unstable intermediate.
-            return None if b.is_zero_dir() else split_class(e.l)
-        return stable_class()
-
-    delta = e.l1  # degree 0 with l2 the inverse class, by the precondition
-    ti = delta.twist_point().torsion_index()
-    if ti is not None:
-        # (O + O) tensor L_i: every direction is bad; a = b is terminal-unstable.
-        return None if chordal(a, b) < PROJ_TOL else split_class(torsion_line(lat, ti))
-
-    # O(p - e') + O(e' - p) block with p = e' + delta.
-    p = ept + delta.twist_point()
-    j = (p - p1).torsion_index()
-    k = (p - p2).torsion_index()
-
-    if a.is_infinity_dir():
-        if j is not None:
-            if b.is_infinity_dir():
-                return None
-            if b.is_zero_dir():
-                lj = torsion_line(lat, j)
-                return Decomposable(lj, lj)
-            return F2Twist(torsion_line(lat, j))
-        if b.is_infinity_dir():
-            return None
-        return dual_pair((p - p1).lift, lat)
-    if a.is_zero_dir():
-        if k is not None:
-            if b.is_zero_dir():
-                return None
-            if b.is_infinity_dir():
-                lk = torsion_line(lat, k)
-                return Decomposable(lk, lk)
-            return F2Twist(torsion_line(lat, k))
-        if b.is_zero_dir():
-            return None
-        return dual_pair((p - p2).lift, lat)
-    return stable_class()
+    out, good = [], []
+    for i, (e, p1, p2, a, b) in enumerate(zip(es, p1s, p2s, as_, bs)):
+        if not is_even_semistable(e) or not has_trivial_det(e):
+            raise NotSemistable(f"{e} is not semistable with trivial determinant")
+        if p1 == p2:
+            raise ValueError("modification points must be distinct")
+        key, other = bad_group_key(e, a), bad_group_key(e, b)
+        if key is None:
+            good.append(i)
+            out.append(None)
+            continue
+        if other == key:
+            out.append(None)
+            continue
+        m = e.l if isinstance(e, F2Twist) else e.l2 if key.is_infinity_dir() else e.l1
+        x = CurvePoint(m.lift + halve_sum(p1, p2).lift - p2.lift, e.lattice)
+        ti = x.torsion_index()
+        if ti is None:
+            out.append(dual_pair(x.lift, e.lattice))
+        else:
+            lx = torsion_line(e.lattice, ti)
+            out.append(F2Twist(lx) if other is None else Decomposable(lx, lx))
+    if good:
+        reps = morphism_rep([es[i] for i in good], [p1s[i] for i in good], [as_[i] for i in good])
+        vals = evaluate_stack([r.terms for r in reps], [[p2s[i].lift] for i in good], es[0].lattice)
+        rows = _stable_first_class(reps, [[p2s[i]] for i in good], vals, [[bs[i]] for i in good])
+        for i, (c,) in zip(good, rows):
+            out[i] = c
+    return out
 
 
 @dataclass(frozen=True)
@@ -849,9 +818,9 @@ def h_total(seqs) -> list[list[ProjPoint]]:
     """
     live = [s for s in seqs if s.reps]
     # Reinterpreted two-step sequences: the mark modification first, in a
-    # good direction (``double_hecke``'s stable branch).  Composite
-    # coordinates (mark line, d_i): line data is order-independent under
-    # the canonical parabolic correspondence.
+    # good direction, classified as ``double_hecke`` classifies a good first
+    # direction.  Composite coordinates (mark line, d_i): line data is
+    # order-independent under the canonical parabolic correspondence.
     classes = _stable_first_class([s.mark for s in live], [s.points for s in live],
                                   [s.mark_values for s in live],
                                   factor_lines([s.factors for s in live])) if live else []

@@ -89,10 +89,6 @@ class _Mat2:
     def constant_term(self) -> np.ndarray:
         return self.c[..., 0]
 
-    def coeffs(self) -> np.ndarray:
-        """Ascending coefficients, a (2, 2, max_degree + 1) array."""
-        return self.c
-
     def max_degree(self) -> int:
         return self.c.shape[-1] - 1
 

@@ -295,7 +295,7 @@ def min_column_degree(p: PolyMat2) -> int:
     P of n modification matrices, whose splitting type is (-d1, -(n - d1))
     with d1 this minimum.  g of degree <= d suffices (adjugate bound)."""
     n = p.det().size - 1
-    coeffs = p.coeffs() / np.abs(p.coeffs()).max()
+    coeffs = p.c / np.abs(p.c).max()
     for d in range((n + 1) // 2 + 1):
         a = above_degree_matrix(coeffs, d)
         if a.shape[-2] < a.shape[-1]:

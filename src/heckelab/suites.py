@@ -371,18 +371,15 @@ def verify_double_table(report, config, rng):
                     f"composed-evaluator keys vs chained classes, {samples} samples",
                     agree == samples, inputs=f"agree={agree}")
 
-    # Spot checks of three printed rows.
+    # Spot checks of three printed rows, classified in one call.
     O = ell.trivial_line(lat)
     p1, p2 = _torus_points(rng, lat, 2)
     ept = halve_sum(p1, p2)
     a, b = random_point(rng), random_point(rng)
-    got = ell.double_hecke(ell.Decomposable(O, O), p1, p2, a, b)
     want = ell.Decomposable(
         ell.LineBundleClass(1, ept.lift, lat).tensor(ell.point_line(p1).inverse()),
         ell.LineBundleClass(1, ept.lift, lat).tensor(ell.point_line(p2).inverse()),
     )
-    ok = got is not None and ell.s_equivalent(got, want)
-    ok &= ell.double_hecke(ell.Decomposable(O, O), p1, p2, a, a) is None
     delta = _curve_point(rng, lat)
     eg = ell.dual_pair(delta.lift, lat)
     rep1 = ell.morphism_rep([eg], [p1], [a])[0]
@@ -391,16 +388,20 @@ def verify_double_table(report, config, rng):
     # coordinate: the composite key is its image under the first step.
     delta2 = ell.second_direction_for_class([rep1.result], [p1], [p2], [bi])[0]
     rep2 = ell.morphism_rep([rep1.result], [p2], [delta2])[0]
-    _, b = ell.chain_lines([[rep1, rep2]])[0]
-    got = ell.double_hecke(eg, p1, p2, a, b)
-    ok &= got is not None and isinstance(got, ell.F2Twist)
+    _, b2 = ell.chain_lines([[rep1, rep2]])[0]
+    split, diagonal, torsion = ell.double_hecke(
+        [ell.Decomposable(O, O)] * 2 + [eg], [p1] * 3, [p2] * 3, [a] * 3, [b, a, b2])
+    ok = split is not None and ell.s_equivalent(split, want)
+    ok &= diagonal is None and isinstance(torsion, ell.F2Twist)
     report.add_flag("printed-rows", "split-trivial, diagonal, and torsion outcomes", ok)
 
 
 def _double_sample(lat, rng, k):
     """Draw k of the double table: two points, then a bundle and two
     directions by kind k % 8 (O + O, F2 twists, dual pairs, and the
-    2-torsion subcases at the first and at the second point)."""
+    2-torsion subcases at the first and at the second point).  Kind 3
+    starts at [0:1] and at [1:0] in turn, so that both bad lines of a dual
+    pair come first."""
     p1, p2 = _torus_points(rng, lat, 2)
     kind = k % 8
     if kind in (1, 2, 7):
@@ -409,13 +410,13 @@ def _double_sample(lat, rng, k):
         d2 = ProjPoint(1, 0) if kind == 7 else random_point(rng)
     elif kind in (3, 4):
         bundle = ell.dual_pair(_curve_point(rng, lat).lift, lat)
-        d1 = ProjPoint(1, 0) if kind == 3 else random_point(rng)
+        d1 = (ProjPoint(0, 1), ProjPoint(1, 0))[k // 8 % 2] if kind == 3 else random_point(rng)
         d2 = random_point(rng)
     elif kind in (5, 6):
         p = (p1 if kind == 5 else p2) + torsion_point(lat, int(rng.integers(2, 5)))
         bundle = ell.dual_pair((p - halve_sum(p1, p2)).lift, lat)
         d1 = ProjPoint(0, 1) if kind == 5 else ProjPoint(1, 0)
-        d2 = (random_point(rng), ProjPoint(1, 0), ProjPoint(0, 1))[k % 3]
+        d2 = (ProjPoint(1, 0), ProjPoint(0, 1))[k % 3 - 1] if k % 3 else random_point(rng)
     else:
         bundle = ell.Decomposable(ell.trivial_line(lat), ell.trivial_line(lat))
         d1, d2 = random_point(rng), random_point(rng)
@@ -426,14 +427,13 @@ def _two_route_agreement(draws, lat) -> list[bool]:
     """Per ``_double_sample`` draw: does ``double_hecke`` on the composite
     direction pair give the class the chained modifications reach?  Each
     step of the stack is one ``morphism_rep`` call, the pairs one
-    ``chain_lines`` call."""
+    ``chain_lines`` call and their classes one ``double_hecke`` call."""
     bundles, p1s, p2s, d1s, d2s = zip(*draws)
     reps1 = ell.morphism_rep(bundles, p1s, d1s)
     reps2 = ell.morphism_rep([r.result for r in reps1], p2s, d2s)
+    tables = ell.double_hecke(bundles, p1s, p2s, *zip(*ell.chain_lines(list(zip(reps1, reps2)))))
     out = []
-    for bundle, p1, p2, rep2, (a, b) in zip(bundles, p1s, p2s, reps2,
-                                            ell.chain_lines(list(zip(reps1, reps2)))):
-        table = ell.double_hecke(bundle, p1, p2, a, b)
+    for p1, p2, rep2, table in zip(p1s, p2s, reps2, tables):
         chained = rep2.result.tensor(ell.LineBundleClass(1, halve_sum(p1, p2).lift, lat))
         if table is None:
             out.append(not ell.is_even_semistable(chained))

@@ -8,7 +8,7 @@ arithmetic, so the tests can require equal bits and equal generator state.
 ``reference_row_fixtures`` is the elliptic table's fixtures as they were
 written before one drawer per bundle kind and per direction kind, and
 ``reference_double_sample`` the double table's draw with one branch per
-kind of draw, as it was before each bundle family was drawn once.
+kind of draw.
 """
 
 from heckelab import elliptic as ell
@@ -148,7 +148,8 @@ def reference_double_sample(lat, rng, k):
     elif kind == 3:
         delta = _curve_point(rng, lat)
         bundle = ell.dual_pair(delta.lift, lat)
-        d1 = (ProjPoint(0, 1), ProjPoint(1, 0))[k % 2]
+        # Both bad lines first in turn: [0:1] at k = 3, [1:0] at k = 11.
+        d1 = (ProjPoint(0, 1), ProjPoint(1, 0))[k // 8 % 2]
         d2 = random_point(rng)
     elif kind == 4:
         delta = _curve_point(rng, lat)
@@ -161,7 +162,7 @@ def reference_double_sample(lat, rng, k):
         delta = p - halve_sum(p1, p2)
         bundle = ell.dual_pair(delta.lift, lat)
         d1 = ProjPoint(0, 1)
-        d2 = (random_point(rng), ProjPoint(1, 0), ProjPoint(0, 1))[k % 3]
+        d2 = (None, ProjPoint(1, 0), ProjPoint(0, 1))[k % 3] or random_point(rng)
     elif kind == 6:
         # 2-torsion subcase at the second point.
         j = int(rng.integers(2, 5))
@@ -169,7 +170,7 @@ def reference_double_sample(lat, rng, k):
         delta = p - halve_sum(p1, p2)
         bundle = ell.dual_pair(delta.lift, lat)
         d1 = ProjPoint(1, 0)
-        d2 = (random_point(rng), ProjPoint(1, 0), ProjPoint(0, 1))[k % 3]
+        d2 = (None, ProjPoint(1, 0), ProjPoint(0, 1))[k % 3] or random_point(rng)
     else:
         bundle = ell.F2Twist(ell.torsion_line(lat, int(rng.integers(1, 5))))
         d1, d2 = ProjPoint(1, 0), ProjPoint(1, 0)

@@ -24,9 +24,10 @@ from heckelab.elliptic import (
 )
 from heckelab.grassmannian import eta_at
 from heckelab.projective import ProjPoint, chordal, random_point, transport_direction
-from heckelab.torus import CurvePoint, Lattice, halve_sum
+from heckelab.torus import CurvePoint, Lattice, halve_sum, torsion_point
 
 from chain_refs import chain_directions, evaluator, raw_directions
+from double_refs import exact, reference_double_hecke
 from draw_refs import reference_double_sample, reference_minimal_directions, reference_row_fixtures
 
 LAT = Lattice()
@@ -239,7 +240,7 @@ class TestSingleHecke:
         a = th.pi_cover(rpt())
         out = ell.morphism_rep([G2Twist(p.lift, O)], [p], [a])[0].result
         assert isinstance(out, Decomposable)
-        assert chordal(th.pi_cover(out.l1.twist_point()), a) < 1e-7
+        assert chordal(th.pi_cover(CurvePoint(out.l1.lift, LAT)), a) < 1e-7
         # The pair is inverse-symmetric: independent of the root choice.
         assert out.l1.tensor(out.l2).is_trivial()
 
@@ -285,13 +286,13 @@ class TestDoubleHecke:
         p1, p2 = rpt(), rpt_away(rpt())
         e = halve_sum(p1, p2)
         a, b = random_point(RNG), random_point(RNG)
-        out = ell.double_hecke(Decomposable(O, O), p1, p2, a, b)
+        out, diagonal = ell.double_hecke([Decomposable(O, O)] * 2, [p1] * 2, [p2] * 2, [a] * 2, [b, a])
         want = Decomposable(
             LineBundleClass(1, e.lift, LAT).tensor(point_line(p1).inverse()),
             LineBundleClass(1, e.lift, LAT).tensor(point_line(p2).inverse()),
         )
         assert out is not None and ell.s_equivalent(out, want)
-        assert ell.double_hecke(Decomposable(O, O), p1, p2, a, a) is None
+        assert diagonal is None
 
     def test_two_route_consistency(self):
         rng = np.random.default_rng(10)
@@ -301,8 +302,8 @@ class TestDoubleHecke:
     def test_rejects_nontrivial_det(self):
         p1, p2 = rpt(), rpt()
         with pytest.raises(NotSemistable):
-            ell.double_hecke(Decomposable(point_line(p1), O), p1, p2,
-                             random_point(RNG), random_point(RNG))
+            ell.double_hecke([Decomposable(point_line(p1), O)], [p1], [p2],
+                             [random_point(RNG)], [random_point(RNG)])
 
 
 class TestHTotal:
@@ -1591,7 +1592,8 @@ def test_double_table_counts_match_a_per_draw_loop(seed):
         bundle, p1, p2, d1, d2 = suites._double_sample(LAT, rng, k)
         rep1 = ell.morphism_rep([bundle], [p1], [d1])[0]
         rep2 = ell.morphism_rep([rep1.result], [p2], [d2])[0]
-        table = ell.double_hecke(bundle, p1, p2, *raw_directions([rep1, rep2]))
+        a, b = raw_directions([rep1, rep2])
+        table = ell.double_hecke([bundle], [p1], [p2], [a], [b])[0]
         chained = rep2.result.tensor(LineBundleClass(1, halve_sum(p1, p2).lift, LAT))
         if table is None:
             agree += not ell.is_even_semistable(chained)
@@ -1601,20 +1603,80 @@ def test_double_table_counts_match_a_per_draw_loop(seed):
     assert record.passed == (agree == 200)
 
 
-def exact(x):
-    """``x`` as nested tuples that compare equal only for equal bits: bundles
-    and points by type and fields (the lattice left out), projective points
-    by their coordinates, complex numbers by the hex of both parts."""
-    if dataclasses.is_dataclass(x):
-        return (type(x).__name__, *(exact(getattr(x, f.name)) for f in dataclasses.fields(x)
-                                    if f.name != "lattice"))
-    if isinstance(x, ProjPoint):
-        return exact((x.a, x.c))
-    if isinstance(x, tuple):
-        return tuple(map(exact, x))
-    if isinstance(x, (complex, float)):
-        return complex(x).real.hex(), complex(x).imag.hex()
-    return x
+def double_table_inputs(lat, rng, count):
+    """The first ``count`` draws of verify-double-table's two-route record
+    as a ``double_hecke`` stack (bundles, p1s, p2s, as_, bs): each draw's
+    composite direction pair, read off its chained steps."""
+    bundles, p1s, p2s, d1s, d2s = zip(*(suites._double_sample(lat, rng, k) for k in range(count)))
+    reps1 = ell.morphism_rep(bundles, p1s, d1s)
+    reps2 = ell.morphism_rep([r.result for r in reps1], p2s, d2s)
+    return (bundles, p1s, p2s, *zip(*ell.chain_lines(list(zip(reps1, reps2)))))
+
+
+def forced_dual_pairs(lat, rng):
+    """A ``double_hecke`` stack of dual pairs in a bad first direction:
+    generic, and with 2-torsion at p1 and at p2 (each torsion point once),
+    with a in {[1:0], [0:1]} and b in {[1:0], [0:1], random}."""
+    draws = []
+    for j in range(1, 5):
+        p1, p2 = suites._torus_points(rng, lat, 2)
+        e = halve_sum(p1, p2)
+        t = torsion_point(lat, j)
+        for delta in (suites._curve_point(rng, lat), p1 + t - e, p2 + t - e):
+            for a in (ProjPoint(1, 0), ProjPoint(0, 1)):
+                for b in (ProjPoint(1, 0), ProjPoint(0, 1), random_point(rng)):
+                    draws.append((ell.dual_pair(delta.lift, lat), p1, p2, a, b))
+    return tuple(zip(*draws))
+
+
+@pytest.mark.parametrize("tau", REF_TAUS)
+def test_double_hecke_matches_the_per_draw_reference(tau):
+    # Every _double_sample kind at three seeds, then forced dual pairs: the
+    # same S-equivalence class (or None), bit for bit on a good first direction.
+    lat = Lattice(tau)
+    stacks = [double_table_inputs(lat, np.random.default_rng(seed), 48) for seed in (7, 11, 12345)]
+    stacks.append(forced_dual_pairs(lat, np.random.default_rng(33)))
+    for stack in stacks:
+        for draw, got in zip(zip(*stack), ell.double_hecke(*stack), strict=True):
+            want = reference_double_hecke(*draw)
+            assert (got is None) == (want is None), draw
+            if want is not None:
+                assert type(got) is type(want) and ell.s_equivalent(got, want), draw
+            if ell.bad_group_key(draw[0], draw[3]) is None:
+                assert exact(got) == exact(want), draw
+
+
+def rule_branch(e, a, table) -> str:
+    """The branch of ``double_hecke``'s rule that gives ``table`` for a draw
+    of bundle ``e`` with first composite direction ``a``."""
+    key = ell.bad_group_key(e, a)
+    if key is None:
+        return "good"
+    if table is None:
+        return "same witness"
+    if isinstance(table, F2Twist):
+        return "2-torsion F2"
+    if table.l1.same_class(table.l2):
+        return "2-torsion L + L"
+    if isinstance(e, F2Twist):
+        return "dual pair, F2 witness"
+    if e.l1.same_class(e.l2):
+        return "dual pair, (O + O) x L witness"
+    return f"dual pair, {'[1:0]' if key.is_zero_dir() else '[0:1]'} witness"
+
+
+@pytest.mark.parametrize("tau", REF_TAUS)
+def test_default_double_table_reaches_every_branch(tau):
+    # The 200 draws of a default run at seed 7: a draw stream that drops a
+    # branch would leave a table row unchecked.
+    config = cli.RunConfig(tau=tau, seed=7)
+    stack = double_table_inputs(Lattice(tau), cli.suite_rng(config, "verify-double-table"), 200)
+    tables = ell.double_hecke(*stack)
+    assert {rule_branch(e, a, t) for e, a, t in zip(stack[0], stack[3], tables)} == {
+        "good", "same witness", "2-torsion F2", "2-torsion L + L",
+        "dual pair, F2 witness", "dual pair, (O + O) x L witness",
+        "dual pair, [1:0] witness", "dual pair, [0:1] witness",
+    }
 
 
 @pytest.mark.parametrize("tau", REF_TAUS)

@@ -332,7 +332,7 @@ def reference_min_column_degree(p, tol=1e-9):
     """The loop-based min_column_degree: one row at a time, one SVD per d."""
     n = p.det().size - 1
     scale = p.coeff_scale()
-    entries = p.coeffs() / scale
+    entries = p.c / scale
     for d in range((n + 1) // 2 + 1):
         unknowns = 2 * (d + 1)
         maxdeg = p.max_degree() + d

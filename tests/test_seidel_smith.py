@@ -114,7 +114,7 @@ def _ref_kamnitzer(seq):
     for mat in mats:
         p = p * mat
     deg = 2 * m
-    _, s, vh = np.linalg.svd(above_degree_matrix(p.coeffs() / p.coeff_scale(), deg))
+    _, s, vh = np.linalg.svd(above_degree_matrix(p.c / p.coeff_scale(), deg))
     null = vh.conj().T[:, np.sum(s > 1e-9 * max(s[0], 1.0)):]
     if null.shape[1] < 2 * m + 2:
         raise ReductionFailure("deficient rank")
