@@ -639,11 +639,9 @@ def _stable_first_class(reps1, points, avals, dirs) -> list[list[EllipticBundle]
     and intrinsic coordinates differ by the Moebius action of the
     first-step matrix at p2 (they agree only along unstable intermediates,
     where repeated subbundle modifications keep the coordinate constant).
-    The stack's transports and second steps are one call each.
+    The stack's transports and second steps are one call each.  The second
+    points differ from the first; both callers check that before the call.
     """
-    for rep1, p2s in zip(reps1, points):
-        if any(rep1.point == p2 for p2 in p2s):
-            raise ValueError("modification points must be distinct")
     ups = [rep1.result for rep1, p2s in zip(reps1, points) for _ in p2s]
     pts = [p2 for p2s in points for p2 in p2s]
     vecs = transport_directions(np.concatenate(avals), np.array([b.vec for d in dirs for b in d]))
@@ -875,8 +873,8 @@ def distance_to_curve(triples, qs, p1s, p2s) -> np.ndarray:
     lat = qs[0].lattice
     roots = th._invert_lifts(ta.ravel(), tc.ravel(), lat)[0].reshape(ta.shape)
     z = np.concatenate([shifts + roots, shifts - roots], axis=1)
-    cross = th._cover_cross(z[:, :, None] - shifts[:, None], ta[:, None], tc[:, None], lat)
-    return np.abs(cross).max(axis=2).min(axis=1)
+    dist = th._cover_chordal(z[:, :, None] - shifts[:, None], ta[:, None], tc[:, None], lat)
+    return dist.max(axis=2).min(axis=1)
 
 
 def membership_Hp(seqs) -> list[bool]:

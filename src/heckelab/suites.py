@@ -1,8 +1,8 @@
 """Verification suites behind the command-line front-end.
 
-Every suite draws from the generator it is handed (one stream per suite),
-with one exception: the certificate points of ``verify-elliptic-tables``,
-drawn per draw from its own seed 1..draws.  Suites append records to the
+Every suite draws from the generator it is handed (one stream per suite);
+the elliptic suites draw torus points and moduli coordinates through
+``_torus_points`` and ``_coordinate_draws``.  Suites append records to the
 report; record order is fixed so reruns with one seed are byte-identical.
 """
 
@@ -70,21 +70,27 @@ def _curve_point(rng, lat) -> CurvePoint:
 POINT_GAP = 0.05
 
 
-def _far_point(rng, lat, *others) -> CurvePoint:
-    """The first ``_curve_point`` draw more than POINT_GAP from every point of ``others``."""
-    while True:
-        q = _curve_point(rng, lat)
-        if all(lat.distance(q.lift, o.lift) > POINT_GAP for o in others):
-            return q
-
-
-def _torus_points(rng, lat, count) -> list[CurvePoint]:
+def _torus_points(rng, lat, count, *avoid) -> list[CurvePoint]:
+    """``count`` points: each ``_curve_point`` draw is kept when it is at
+    least POINT_GAP from every point of ``avoid`` and every point kept."""
     pts: list[CurvePoint] = []
     while len(pts) < count:
         z = _curve_point(rng, lat)
-        if all(lat.distance(z.lift, w.lift) >= POINT_GAP for w in pts):
+        if all(lat.distance(z.lift, w.lift) >= POINT_GAP for w in (*avoid, *pts)):
             pts.append(z)
     return pts
+
+
+def _coordinate_draws(rng, lat, shapes) -> tuple[list[list[CurvePoint]], list[list[ProjPoint]]]:
+    """Per draw (k, m) of ``shapes``, in draw order: k ``_torus_points``,
+    then m ``_curve_points``.  Returns each draw's k points and the cover
+    coordinates of its m curve points, all from one ``th._cover_points`` call."""
+    points, lifts = [], []
+    for k, m in shapes:
+        points.append(_torus_points(rng, lat, k))
+        lifts += [p.lift for p in _curve_points(rng, lat, m)]
+    covers = iter(th._cover_points(lifts, lat))
+    return points, [[next(covers) for _ in range(m)] for _, m in shapes]
 
 
 def _rel(diff, scale) -> float:
@@ -148,7 +154,7 @@ def verify_theta(report, config, rng):
     bp = th.branch_points(lat)
     mind = np.min([chordal(bp[i], bp[j]) for i in range(4) for j in range(i + 1, 4)])
     report.add_flag("branch-points-distinct", "four distinct branch images", mind > 1e-3)
-    lifts = lat.reduce([rng.random() + rng.random() * tau for _ in range(20)])
+    lifts = np.array([p.lift for p in _curve_points(rng, lat, 20)])
     roots = th._invert_lifts(*th._cover_homogeneous(lifts, lat), lat)[0]
     worst = np.max([min(lat.distance(r, p), lat.distance(-r, p)) for r, p in zip(roots, lifts)])
     report.add("cover-roundtrip", "preimage pairs {p, -p} of the double cover", worst, 1e-7)
@@ -282,14 +288,13 @@ def verify_rational_tables(report, config, rng):
 def verify_elliptic_tables(report, config, rng):
     lat = Lattice(config.tau)
     draws = _n(config, 20)
-    # The certificate points: 20 in a doubled box per draw, each draw's from
-    # its own seed 1..draws, not from the suite's generator.
-    boxes = np.array([_box(np.random.default_rng(seed), lat, 20) for seed in range(1, draws + 1)])
+    # Every row's draws first, in per-draw order, then the certificate points,
+    # 20 in a doubled box per draw; then one stacked pass per row.
+    rows = [list(zip(*[make(rng) for _ in range(draws)])) for _, make in _elliptic_row_fixtures(lat)]
+    boxes = _box(rng, lat, 20 * draws).reshape(draws, 20)
     certs, roundtrip = [], []
     length_ok = True
-    # One stacked pass per row, over its draws made first in per-draw order.
-    for _, make in _elliptic_row_fixtures(lat):
-        bundles, points, dirs = zip(*[make(rng) for _ in range(draws)])
+    for bundles, points, dirs in rows:
         reps = ell.morphism_rep(bundles, points, dirs)
         certs.append(ell.certify_rows(reps, boxes))
         at_p = np.array(ell.evaluate_stack([r.terms for r in reps], [p.lift for p in points], lat))
@@ -314,7 +319,7 @@ def _elliptic_row_fixtures(lat):
     O = ell.trivial_line(lat)
 
     def far_line(rng, p):
-        return ell.point_line(_far_point(rng, lat, p))
+        return ell.point_line(_torus_points(rng, lat, 1, p)[0])
 
     def moved_g2(rng, p):
         q = _curve_point(rng, lat)
@@ -504,20 +509,13 @@ def _compute_space_t2(report, config, rng, n):
         report.add("coordinate-span", "16-point grid of base classes", worst, 1e-8)
         return
     if n == 1:
-        # Every draw first, in the order of a per-draw loop; then stacked passes.
+        # Every draw (q, p1 and two coordinates) first; then stacked passes.
         draws = _n(config, 100)
-        qs, p1s, lifts = [], [], []
-        for _ in range(draws):
-            q, p1 = _torus_points(rng, lat, 2)
-            qs.append(q)
-            p1s.append([p1])
-            lifts += [p.lift for p in _curve_points(rng, lat, 2)]
-        covers = th._cover_points(lifts, lat)
-        tau0, tau1 = covers[0::2], covers[1::2]
-        seqs = ell.sequence_from_coordinates(ell.base_from_coordinate(tau0, qs), p1s,
-                                             [[t] for t in tau1])
+        pts, coords = _coordinate_draws(rng, lat, [(2, 2)] * draws)
+        bases = ell.base_from_coordinate([c[0] for c in coords], [p[0] for p in pts])
+        seqs = ell.sequence_from_coordinates(bases, [p[1:] for p in pts], [c[1:] for c in coords])
         worst = np.max([(chordal(h[0], a), chordal(h[1], b))
-                        for h, a, b in zip(ell.h_total(seqs), tau0, tau1)])
+                        for h, (a, b) in zip(ell.h_total(seqs), coords)])
         if not all(ell.membership_Hp(seqs)):
             worst = 1.0
         report.add("bijectivity-roundtrip", f"{draws} coordinate pairs", worst, 1e-7)
@@ -640,23 +638,16 @@ def embed_check(report, config, rng):
     report.add_flag("unstable-marks-unstable-terminal-rational",
                     f"{n_seq} seeded sequences, lengths 2..4", ok)
 
-    # Every draw first, in the order of a per-draw loop; then stacked passes.
-    pts, lifts = [], []
-    for k in range(n_seq):
-        pts.append(_torus_points(rng, lat, 3))
-        lifts += [p.lift for p in _curve_points(rng, lat, 1 if k % 2 else 3)]
-    covers = iter(th._cover_points(lifts, lat))
-    tau0, taus = [], []
-    for k in range(n_seq):
-        tau0.append(next(covers))
-        if not k % 2:
-            taus.append([next(covers), next(covers)])
-    bases = ell.base_from_coordinate(tau0, [q for q, _, _ in pts])
+    # Every draw first: (q, p1, p2) and a base coordinate, and on even draws
+    # two coordinates more; then stacked passes.
+    pts, coords = _coordinate_draws(rng, lat, [(3, 1 if k % 2 else 3) for k in range(n_seq)])
+    bases = ell.base_from_coordinate([c[0] for c in coords], [p[0] for p in pts])
     # Odd draws force both marks bad in the same direction.
     bad = ProjPoint(1, 0)
     seqs = ell.sequence_from_lines(bases[1::2], [p[1:] for p in pts[1::2]],
                                    [[bad, bad]] * (n_seq // 2))
-    seqs += ell.sequence_from_coordinates(bases[0::2], [p[1:] for p in pts[0::2]], taus)
+    seqs += ell.sequence_from_coordinates(bases[0::2], [p[1:] for p in pts[0::2]],
+                                          [c[1:] for c in coords[0::2]])
     verdicts = par.stabilities([par.ParabolicBundle(s.base.bundle, tuple(map(par.Mark, s.points, lines)))
                                 for s, lines in zip(seqs, ell.factor_lines([s.factors for s in seqs]))])
     ok = not any(v.verdict is V.UNSTABLE and ell.is_semistable(s.terminal)
@@ -673,14 +664,9 @@ def embed_check(report, config, rng):
     # Ten draws of (q, p1, p2) and three coordinates, in per-draw order; one
     # stacked pass decides them all, and the members are embedded.  A
     # non-member is a measure-zero event; with no member the record fails.
-    pts, lifts = [], []
-    for _ in range(10):
-        pts.append(_torus_points(rng, lat, 3))
-        lifts += [p.lift for p in _curve_points(rng, lat, 3)]
-    covers = th._cover_points(lifts, lat)
-    seqs = ell.sequence_from_coordinates(ell.base_from_coordinate(covers[0::3], [p[0] for p in pts]),
-                                         [p[1:] for p in pts],
-                                         [covers[3 * k + 1:3 * k + 3] for k in range(10)])
+    pts, coords = _coordinate_draws(rng, lat, [(3, 3)] * 10)
+    bases = ell.base_from_coordinate([c[0] for c in coords], [p[0] for p in pts])
+    seqs = ell.sequence_from_coordinates(bases, [p[1:] for p in pts], [c[1:] for c in coords])
     members = [s for s, member in zip(seqs, ell.membership_Hp(seqs)) if member]
     ok = bool(members) and all(v.verdict is V.STABLE
                                for v in par.stabilities(par.hecke_embeddings_elliptic(members)))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .projective import ProjPoint, chordal_vecs
+from .projective import ProjPoint, _chordal, chordal_vecs
 from .torus import CurvePoint, Lattice
 
 TWO_PI_I = 2j * np.pi
@@ -176,22 +176,10 @@ def pi_cover(p: CurvePoint) -> ProjPoint:
     return _cover_points([p.lift], p.lattice)[0]
 
 
-def _cover_cross(z, a, c, lattice: Lattice):
-    """Signed chordal cross product of pi([z]) with [a : c], elementwise.
-
-    The pair (den, num) is first divided by its larger-modulus coordinate,
-    as ``ProjPoint`` does, so the value matches the scalar
-    ``(p.a * c - p.c * a) / (|p| |[a : c]|)`` with ``p = pi_cover(z)`` in
-    phase as well as in modulus; the modulus is the chordal distance.
-    ``z``, ``a`` and ``c`` broadcast against each other.
-    """
-    den, num = _cover_homogeneous(z, lattice)
-    first = np.abs(den) >= np.abs(num)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pa = np.where(first, 1.0, den / num)
-        pc = np.where(first, num / den, 1.0)
-    norms = np.hypot(np.abs(pa), np.abs(pc)) * np.hypot(np.abs(a), np.abs(c))
-    return (pa * c - pc * a) / norms
+def _cover_chordal(z, a, c, lattice: Lattice):
+    """Chordal distance of pi([z]) from [a : c], elementwise, straight from
+    the homogeneous pair; ``z``, ``a`` and ``c`` broadcast against each other."""
+    return _chordal(*_cover_homogeneous(z, lattice), a, c)
 
 
 def branch_points(lattice: Lattice) -> tuple[ProjPoint, ...]:
@@ -275,7 +263,7 @@ def _invert_lifts(a, c, lattice: Lattice) -> tuple[np.ndarray, np.ndarray]:
         a, c = a[free], c[free]
         w = e[0] + k * (a * b2.c - c * b2.a) / (a * b1.c - c * b1.a)
         z = _carlson_rf(w - e[0], w - e[1], w - e[2])
-        miss = ~(np.abs(_cover_cross(z, a, c, lattice)) < 1e-8)
+        miss = ~(_cover_chordal(z, a, c, lattice) < 1e-8)
         if miss.any():
             raise NoConvergence(f"no preimage found for [{a[miss][0]} : {c[miss][0]}]")
         out[free] = lattice.reduce(z)

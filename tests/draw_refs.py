@@ -8,14 +8,15 @@ arithmetic, so the tests can require equal bits and equal generator state.
 ``reference_row_fixtures`` is the elliptic table's fixtures as they were
 written before one drawer per bundle kind and per direction kind, and
 ``reference_double_sample`` the double table's draw with one branch per
-kind of draw.
+kind of draw, and ``reference_far_point`` the one-point rejection loop the
+row fixtures drew with before ``_torus_points`` took points to avoid.
 """
 
 from heckelab import elliptic as ell
 from heckelab import theta as th
 from heckelab.projective import ProjPoint, random_point
 from heckelab.rational import RationalBundle, single_hecke
-from heckelab.suites import _curve_point, _far_point, _torus_points
+from heckelab.suites import POINT_GAP, _curve_point, _torus_points
 from heckelab.torus import halve_sum, torsion_point
 
 
@@ -53,6 +54,14 @@ def reference_separated_points(count, n, rng, gap=0.3) -> list[list[complex]]:
     return pts
 
 
+def reference_far_point(rng, lat, *others):
+    """The first ``_curve_point`` draw more than POINT_GAP from every point of ``others``."""
+    while True:
+        q = _curve_point(rng, lat)
+        if all(lat.distance(q.lift, o.lift) > POINT_GAP for o in others):
+            return q
+
+
 def reference_row_fixtures(lat):
     """The elliptic table rows as (name, make) with one helper per bundle
     family, each drawing its point, then the rest of its bundle, then its
@@ -64,7 +73,7 @@ def reference_row_fixtures(lat):
 
     def dec_q(rng):
         p = _curve_point(rng, lat)
-        return ell.Decomposable(ell.point_line(_far_point(rng, lat, p)), O), p
+        return ell.Decomposable(ell.point_line(reference_far_point(rng, lat, p)), O), p
 
     return [
         ("Oq-pivot", lambda r: (*dec_q(r), ProjPoint(1, 0))),
@@ -110,7 +119,7 @@ def _op(rng, lat, a):
 def _ss(rng, lat, a):
     O = ell.trivial_line(lat)
     p = _curve_point(rng, lat)
-    q = _far_point(rng, lat, p)
+    q = reference_far_point(rng, lat, p)
     bundle = ell.Decomposable(ell.point_line(p).tensor(ell.point_line(q).inverse()), O)
     if a is None:
         a = ProjPoint(rng.normal() + 1j * rng.normal(), rng.normal() + 1j * rng.normal())

@@ -165,14 +165,15 @@ def test_non_finite_tau_is_a_config_error(capsys):
 
 
 def test_numerical_failure_is_not_a_config_error(capsys):
-    # Im tau = 4 lies outside the range where the elliptic suites pass;
-    # the direction reader raises NotInCell (a ValueError) inside the suite.
-    code = cli.main(["verify-double-table", "--tau", "0.2,4", "--samples", "100"])
+    # Im tau = 0.08 lies outside the range where the cover inverts: the
+    # image check raises NoConvergence inside the suite at every seed tried,
+    # so the failure does not hang on one draw of the stream.
+    code = cli.main(["verify-theta", "--tau", "0,0.08", "--samples", "12"])
     err = capsys.readouterr().err
     assert code == 1
     assert "config error" not in err
-    assert "error: NotInCell: " in err
-    assert "replay: hecke-lab verify-double-table --tau 0.2,4.0 --seed 7 --samples 100" in err
+    assert "error: NoConvergence: " in err
+    assert "replay: hecke-lab verify-theta --tau 0.0,0.08 --seed 7 --samples 12" in err
 
 
 def test_suite_exception_names_class_and_replay_key(capsys, monkeypatch):

@@ -1,7 +1,7 @@
 """Every record's decision over a fixed matrix of suite runs.
 
 Report bytes depend on the CPU and the BLAS build, because residuals do;
-decisions do not.  For 12 suite configurations, seeds 7, 11 and 12345 and
+decisions do not.  For 15 suite configurations, seeds 7, 11 and 12345 and
 both default lattices, ``decision_census.json`` pins each record's name,
 provenance, tolerance, status and inputs, and the observed value of each
 flag record (``Report.add_flag``: tolerance 0.5, observed 0 or 1).  Residual
@@ -28,8 +28,11 @@ CONFIGS = [
     ("verify-eta", (), None),
     ("compute-space", ("T2", "2"), 8),
     ("compute-space", ("T2", "2"), None),
+    ("compute-space", ("T2", "0"), None),
     ("compute-space", ("T2", "1"), 30),
+    ("compute-space", ("T2", "1"), None),
     ("embed-check", (), 10),
+    ("embed-check", (), None),
     ("verify-elliptic-tables", (), None),
     ("verify-double-table", (), None),
     ("verify-rational-tables", (), None),

@@ -28,15 +28,16 @@ from heckelab.torus import CurvePoint, Lattice, halve_sum, torsion_point
 
 from chain_refs import chain_directions, evaluator, raw_directions
 from double_refs import exact, reference_double_hecke
-from draw_refs import reference_double_sample, reference_minimal_directions, reference_row_fixtures
+from draw_refs import (reference_double_sample, reference_far_point, reference_minimal_directions,
+                       reference_row_fixtures)
 
 LAT = Lattice()
 RNG = np.random.default_rng(77)
 
 
 def boxes(lat, seeds) -> np.ndarray:
-    """20 points in a doubled fundamental box per seed (real parts drawn
-    first): the certificate points of verify-elliptic-tables, (B, 20)."""
+    """20 points in a doubled fundamental box per seed, real parts drawn
+    first, (B, 20): certificate points as verify-elliptic-tables draws them."""
     out = []
     for seed in seeds:
         rng = np.random.default_rng(seed)
@@ -298,6 +299,17 @@ class TestDoubleHecke:
         rng = np.random.default_rng(10)
         draws = [suites._double_sample(LAT, rng, k) for k in range(40)]
         assert all(suites._two_route_agreement(draws, LAT))
+
+    def test_rejects_coincident_points(self):
+        # A lattice translate of p1 is p1: in a good and in a bad first
+        # direction of F2, and in the middle of a stack.
+        p1 = rpt()
+        p2 = rpt_away(p1)
+        for same in (p1, CurvePoint(p1.lift + LAT.tau, LAT)):
+            for a in (random_point(RNG), ProjPoint(1, 0)):
+                with pytest.raises(ValueError, match="distinct"):
+                    ell.double_hecke([F2Twist(O)] * 3, [p1] * 3, [p2, same, p2], [a] * 3,
+                                     [random_point(RNG)] * 3)
 
     def test_rejects_nontrivial_det(self):
         p1, p2 = rpt(), rpt()
@@ -831,8 +843,8 @@ def ring_zero_count(alpha, centre, lat, size=1.0) -> tuple[float, float]:
 
 
 def det_identity(reps, draws) -> np.ndarray:
-    """The suite's det-zero record of each representative, at the
-    certificate points of the seeds 1..draws."""
+    """The suite's det-zero residual of each representative, at 20 box
+    points from each of the seeds 1..draws."""
     return ell.certify_rows(reps, boxes(reps[0].upstream.lattice, range(1, draws + 1)))[1]
 
 
@@ -861,17 +873,32 @@ def test_every_row_counts_one_resolved_zero(tau):
 def test_det_record_is_the_identity_over_every_draw(tau):
     # The suite reads both certificates off one certify_rows call per row:
     # each record is the largest residual over every draw of every row,
-    # bit for bit.
+    # bit for bit.  The certificate points come from the suite's generator
+    # after every row's draws: 20 per draw, real parts drawn first.
     config = cli.RunConfig(tau=tau, seed=7, samples=4)
     rng = cli.suite_rng(config, "verify-elliptic-tables")
     lat = Lattice(tau)
-    certs = [ell.certify_rows(ell.morphism_rep(*zip(*[make(rng) for _ in range(4)])),
-                              boxes(lat, range(1, 5)))
-             for _, make in suites._elliptic_row_fixtures(lat)]
+    reps = [ell.morphism_rep(*zip(*[make(rng) for _ in range(4)]))
+            for _, make in suites._elliptic_row_fixtures(lat)]
+    zs = ((2 * rng.random(80) - 0.5) + (2 * rng.random(80) - 0.5) * lat.tau).reshape(4, 20)
+    certs = [ell.certify_rows(r, zs) for r in reps]
     want = {"equivariance": max(eq.max() for eq, _ in certs),
             "det-zero-at-point": max(det.max() for _, det in certs)}
     records = cli.run("verify-elliptic-tables", config).records
     assert {r.name: r.observed for r in records if r.name in want} == want
+
+
+def test_certificate_points_change_with_the_seed(monkeypatch):
+    # One set of points per run, shared by every row's certify_rows call,
+    # and drawn from the suite's own generator: seeds 7 and 8 differ.
+    seen, certify = [], ell.certify_rows
+    monkeypatch.setattr(ell, "certify_rows", lambda reps, zs: seen.append(zs) or certify(reps, zs))
+    for seed in (7, 8):
+        cli.run("verify-elliptic-tables", cli.RunConfig(seed=seed, samples=2))
+    assert len(seen) == 2 * 17 and seen[0].shape == (2, 20)
+    assert all(np.array_equal(zs, seen[0]) for zs in seen[:17])
+    assert all(np.array_equal(zs, seen[17]) for zs in seen[17:])
+    assert not np.isin(seen[0], seen[17]).any()
 
 
 @pytest.mark.parametrize("tau", REF_TAUS)
@@ -940,6 +967,22 @@ def test_row_fixtures_draw_as_the_reference(tau):
             assert bundle == ref_bundle, name
             assert bits(p.lift, a.a, a.c) == bits(ref_p.lift, ref_a.a, ref_a.c), name
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("tau", REF_TAUS)
+@pytest.mark.parametrize("avoid", [1, 40])
+def test_one_point_to_avoid_draws_as_the_reference(tau, avoid):
+    # _torus_points(rng, lat, 1, *others) is the old one-point rejection
+    # loop: equal bits and equal generator state.  Forty points to avoid
+    # reject the first draw at 33 (default tau) and 95 of the 200 seeds.
+    lat = Lattice(tau)
+    for seed in range(200):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        others = suites._curve_points(rng, lat, avoid)
+        ref_others = suites._curve_points(ref, lat, avoid)
+        [got] = suites._torus_points(rng, lat, 1, *others)
+        assert bits(got.lift) == bits(reference_far_point(ref, lat, *ref_others).lift), seed
+        assert rng.bit_generator.state == ref.bit_generator.state, seed
 
 
 def reference_equivariance(rep, samples=20, seed=5):

@@ -418,7 +418,25 @@ def test_moebius_chart_self_check(tau):
     rng = np.random.default_rng(9)
     den, num = th._cover_homogeneous(rng.random(64) + rng.random(64) * tau, lat)
     lifts, _ = th._invert_lifts(den, num, lat)
-    assert np.abs(th._cover_cross(lifts, den, num, lat)).max() <= 1e-12
+    assert th._cover_chordal(lifts, den, num, lat).max() <= 1e-12
+
+
+@pytest.mark.parametrize("tau", REF_TAUS)
+def test_cover_chordal_is_the_chordal_distance(tau):
+    # Near the poles (1/4, 3/4) and zeros (1/4 + tau/2, 3/4 + tau/2) of h,
+    # where one homogeneous coordinate vanishes, and at the 2-torsion points,
+    # against the poles, the branch points and random targets.
+    lat = Lattice(tau)
+    centres = [0.25, 0.75, 0.25 + tau / 2, 0.75 + tau / 2, *lat.torsion_lifts()]
+    offsets = [0] + [r * np.exp(1j * t) for r in (1e-9, 1e-6, 1e-3) for t in (0.3, 2.1, 4.4)]
+    z = np.add.outer(centres, offsets).ravel()
+    rng = np.random.default_rng(3)
+    targets = [ProjPoint(1, 0), ProjPoint(0, 1), *th.branch_points(lat),
+               *(ProjPoint(*(rng.normal(size=2) + 1j * rng.normal(size=2))) for _ in range(4))]
+    got = th._cover_chordal(z[:, None], np.array([t.a for t in targets]),
+                            np.array([t.c for t in targets]), lat)
+    want = [[chordal(th.pi_cover(CurvePoint(v, lat)), t) for t in targets] for v in z]
+    assert np.abs(got - want).max() <= 1e-14
 
 
 @pytest.mark.parametrize("tau", REF_TAUS)
