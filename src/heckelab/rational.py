@@ -241,32 +241,42 @@ def terminal_hecke_lengths(points, vecs) -> np.ndarray:
     and one contains the other.  The terminal type is (-d1, -(n - d1)) with
     d1 the least degree of a nonzero s in N, the least d at which the
     n x 2(d + 1) matrix of the conditions on the coefficients of s drops
-    rank: at d = 0 by the Cauchy-Binet closed form ``two_column_ratio``, at
-    each d >= 1 by one stacked SVD of the tuples still open; beyond
-    d = n // 2 - 1 there are more unknowns than conditions.
+    rank (row i: the unit perpendicular of a_i times mu_i^k in column
+    (j, k)), at each d >= 1 by one stacked SVD of the tuples still open;
+    beyond d = n // 2 - 1 there are more unknowns than conditions.
 
     Coincidence is decided first, by the rule of ``ProjPoint`` equality: a
-    direction within PROJ_TOL (chordal) of its predecessor is replaced by
-    that predecessor, so the rank test only tells exact repeats from
-    offsets of PROJ_TOL or more.
+    direction within PROJ_TOL (chordal) of its predecessor counts as that
+    predecessor, and a run as its first, so the rank test only tells exact
+    repeats from offsets of PROJ_TOL or more.  At d = 0 the 2 x 2 minors
+    have the moduli of the chordal distances of the run starts, so by
+    Cauchy-Binet s_min s_max = sqrt(D), D their sum of squares, and
+    s_min^2 + s_max^2 = n: s_min / s_max = r gives D = r^2 n^2 / (1 + r^2)^2,
+    increasing in r, and in floats (RANK_DROP_TOL n)^2 at RANK_DROP_TOL.
     """
     n = vecs.shape[1]
-    near = chordal_vecs(vecs[:, :-1], vecs[:, 1:]) < PROJ_TOL
-    vecs = vecs.copy()
-    for i in np.flatnonzero(near.any(axis=0)):  # in order, so runs take their first
-        vecs[near[:, i], i + 1] = vecs[near[:, i], i]
-    # Row i: the perpendicular (y_i, -x_i) / |a_i| of a_i = [x_i : y_i].
-    perp = np.stack([vecs[..., 1], -vecs[..., 0]], axis=-1) / np.linalg.norm(vecs, axis=-1, keepdims=True)
-    powers = np.asarray(points, dtype=complex)[:n, None] ** np.arange(n // 2)
-    out = np.where(two_column_ratio(perp) < RANK_DROP_TOL, n, n % 2)
+    i, j = upper_pairs(n)
+    pair = np.zeros((n, n), dtype=int)  # pair[a, b]: the column of chordal(a_a, a_b), a < b
+    pair[i, j] = np.arange(len(i))
+    norm = np.hypot(abs(vecs[..., 0]), abs(vecs[..., 1]))  # as ``chordal_vecs``, once per direction
+    chord = abs(vecs[:, i, 0] * vecs[:, j, 1] - vecs[:, i, 1] * vecs[:, j, 0]) / (norm[:, i] * norm[:, j])
+    start = np.zeros(vecs.shape[:2], dtype=int)
+    for k in range(1, n):  # in order, so runs take their first
+        start[:, k] = np.where(chord[:, pair[k - 1, k]] < PROJ_TOL, start[:, k - 1], k)
+    si, sj = start[:, i], start[:, j]
+    minors = (np.where(si < sj, chord[np.arange(len(vecs))[:, None], pair[si, sj]], 0) ** 2).sum(axis=1)
+    out = np.where(minors < (RANK_DROP_TOL * n) ** 2, n, n % 2)
     open_ = np.flatnonzero(out != n)
+    if n >= 4:
+        v = vecs[open_[:, None], start[open_]]
+        perp = np.stack([v[..., 1], -v[..., 0]], axis=-1) / np.linalg.norm(v, axis=-1, keepdims=True)
+        powers = np.asarray(points, dtype=complex)[:n, None] ** np.arange(n // 2)
     for d in range(1, n // 2):
-        # Column (j, k): component j of the perpendicular times mu_i^k.
-        a = perp[open_, :, :, None] * powers[:, None, : d + 1]
+        a = perp[:, :, :, None] * powers[:, None, : d + 1]
         s = np.linalg.svd(a.reshape(len(open_), n, 2 * (d + 1)), compute_uv=False)
         done = s[:, -1] < RANK_DROP_TOL * s[:, 0]
         out[open_[done]] = n - 2 * d
-        open_ = open_[~done]
+        open_, perp = open_[~done], perp[~done]
     return out
 
 

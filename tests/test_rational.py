@@ -4,7 +4,7 @@ import pytest
 from heckelab import rational as rat
 from heckelab import suites
 from heckelab.grassmannian import eta_at
-from heckelab.projective import PROJ_TOL, ProjPoint, chordal, random_point, sphere_grid
+from heckelab.projective import PROJ_TOL, ProjPoint, chordal, chordal_vecs, random_point, sphere_grid
 from heckelab.rational import (
     NotGlobal,
     PolyMat2,
@@ -14,6 +14,7 @@ from heckelab.rational import (
 
 from chain_refs import chain_directions
 from draw_refs import reference_minimal_directions
+from rank_refs import near_repeat_tuples, perpendiculars, reference_terminal_hecke_lengths, replaced_vecs
 
 
 def sequence(points, dirs):
@@ -563,12 +564,6 @@ class TestAdjugateSolve:
 # The d = 0 rank test without an SVD, and the stacked S2 draws.
 
 
-def perpendiculars(vecs):
-    """The d = 0 condition matrices (B, n, 2) of ``terminal_hecke_lengths``:
-    row i is the unit perpendicular of direction i."""
-    return np.stack([vecs[..., 1], -vecs[..., 0]], axis=-1) / np.linalg.norm(vecs, axis=-1, keepdims=True)
-
-
 def near_repeats(n, offsets, phases=(0.7,)):
     """Repeated grid directions with one moved off by each chordal offset."""
     tuples = []
@@ -621,6 +616,43 @@ class TestTwoColumnRatio:
             exact = np.array([float(min(s) / max(s)) for s in
                               (mp.svd_c(mp.matrix(m.tolist()), compute_uv=False) for m in a)])
         assert (np.abs(rat.two_column_ratio(a) - exact) <= 1e-6 * exact + 1e-16).all()
+
+
+def rank_inputs(n):
+    """Near-repeat tuples of n directions, and for n = 3 the full grid of
+    ``compute-space S2 3``."""
+    vecs = near_repeat_tuples(np.random.default_rng(50 + n), n, 400)
+    if n == 3:
+        grid = rat.direction_vecs([sphere_grid(20)])[0]
+        vecs = np.concatenate([grid[np.indices((20,) * 3).reshape(3, -1).T], vecs])
+    return vecs
+
+
+class TestChordalRankTest:
+    """The d = 0 step of ``terminal_hecke_lengths`` reads pairwise chordal
+    distances; ``rank_refs`` keeps the form on unit perpendicular rows."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_decides_as_the_perpendicular_rows(self, n):
+        vecs, pts = rank_inputs(n), rat.default_points(n)
+        got = rat.terminal_hecke_lengths(pts, vecs)
+        assert np.array_equal(got, reference_terminal_hecke_lengths(pts, vecs))
+        assert (got == n).any() and (got == n % 2).any()
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_closed_form_ratio_is_the_two_column_ratio(self, n):
+        # s_min / s_max of the unit rows of the run starts, from their
+        # pairwise chordal distances: 2 sqrt(D) / (n + sqrt(n^2 - 4D)).
+        starts = replaced_vecs(rank_inputs(n))
+        i, j = rat.upper_pairs(n)
+        d = (chordal_vecs(starts[:, i], starts[:, j]) ** 2).sum(axis=1)
+        closed = 2 * np.sqrt(d) / (n + np.sqrt(np.maximum(n * n - 4 * d, 0)))
+        ratio = rat.two_column_ratio(perpendiculars(starts))
+        wide = ratio > 1e-6
+        assert wide.any() and not wide.all()
+        assert (np.abs(closed - ratio)[wide] <= 1e-12 * ratio[wide]).all()
+        # The library's threshold on D is the ratio's threshold.
+        assert ((d < (rat.RANK_DROP_TOL * n) ** 2) == (closed < rat.RANK_DROP_TOL)).all()
 
 
 @pytest.mark.parametrize("seed", [7, 11, 12345])

@@ -10,8 +10,9 @@ stacks of 0 to 5 elements:
 - an empty stack gives an empty result.
 
 Cores: ``grassmannian.chain_direction_vecs``,
-``grassmannian.eta_invariance_checks`` and ``elliptic.double_hecke``, whose
-bundles compare by the bits of ``double_refs.exact``.  The chain reader is
+``grassmannian.eta_invariance_checks``, ``rational.terminal_hecke_lengths``
+and ``elliptic.double_hecke``, whose bundles compare by the bits of
+``double_refs.exact``.  The chain reader is
 also held to the identity-prefixed loop of ``chain_refs``, which an
 element-consistent slip (a prefix read one point off) would not break
 otherwise.
@@ -20,16 +21,19 @@ otherwise.
 from collections import Counter
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heckelab import elliptic as ell
+from heckelab import rational as rat
 from heckelab.grassmannian import chain_direction_vecs, eta_invariance_checks, random_units
 from heckelab.suites import _double_sample
 from heckelab.torus import Lattice
 
 from chain_refs import identity_prefixed_vecs, random_factors
 from double_refs import exact
+from rank_refs import near_repeat_tuples
 
 STACKS = settings(derandomize=True, max_examples=150, deadline=None)
 
@@ -50,6 +54,14 @@ def unit_pairs(draw):
     size, order = draw(SIZES), draw(st.sampled_from([0, 1, 2, 8]))
     units = random_units(np.random.default_rng(draw(SEEDS)), 2 * size, order).c
     return units[0::2], units[1::2]
+
+
+@st.composite
+def direction_tuples(draw):
+    """Direction tuples (size, n, 2) with exact repeats, runs and offsets of
+    0.5 and 2 PROJ_TOL, for ``terminal_hecke_lengths``."""
+    size, n = draw(SIZES), draw(st.integers(0, 8))
+    return near_repeat_tuples(np.random.default_rng(draw(SEEDS)), n, size)
 
 
 @st.composite
@@ -87,6 +99,21 @@ def test_eta_invariance_checks_stack_elementwise(pair):
     out = eta_invariance_checks(*pair)
     assert out.shape == (len(pair[0]),)
     assert_stacks_elementwise(eta_invariance_checks, pair, out)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@STACKS
+@given(direction_tuples())
+@example(np.zeros((3, 0, 2), complex))
+@example(np.ones((2, 1, 2), complex))
+def test_terminal_hecke_lengths_stack_elementwise(vecs):
+    n = vecs.shape[1]
+    pts = rat.default_points(n)
+    out = rat.terminal_hecke_lengths(pts, vecs)
+    assert out.shape == (len(vecs),)
+    assert_stacks_elementwise(lambda v: rat.terminal_hecke_lengths(pts, v), (vecs,), out)
+    if n < 2:
+        assert (out == n).all()
 
 
 @STACKS
