@@ -23,8 +23,7 @@ q, p1, p2 = pt(), pt(), pt()
 tau0, tau1, tau2 = (th.pi_cover(pt()) for _ in range(3))
 
 print("prescribe coordinates, build the sequence, read them back:")
-base = ell.base_from_coordinate([tau0], [q])[0]
-seq = ell.sequence_from_coordinates([base], [[p1, p2]], [[tau1, tau2]])[0]
+seq = ell.sequence_from_coordinates([q], [[p1, p2]], [[tau0, tau1, tau2]])[0]
 h = ell.h_total([seq])[0]
 for i, (got, want) in enumerate(zip(h, [tau0, tau1, tau2])):
     print(f"  h_{i} = {got}   (residual {chordal(got, want):.2e})")
@@ -32,8 +31,7 @@ for i, (got, want) in enumerate(zip(h, [tau0, tau1, tau2])):
 print("\nlength-two membership distinguishes the embedded curve:")
 p = pt()
 tri = ell.f_embedding([p], q, p1, p2)[0]
-on_base = ell.base_from_coordinate([tri[0]], [q])[0]
-on_seq = ell.sequence_from_coordinates([on_base], [[p1, p2]], [[tri[1], tri[2]]])[0]
+on_seq = ell.sequence_from_coordinates([q], [[p1, p2]], [tri])[0]
 print(f"  f(p) tuple:      member = {ell.membership_Hp([on_seq])[0]}"
       f"   (distance to curve {ell.distance_to_curve([tri], [q], [p1], [p2])[0]:.1e})")
 d = ell.distance_to_curve([[tau0, tau1, tau2]], [q], [p1], [p2])[0]

@@ -143,8 +143,10 @@ def _parse_tau(text: str) -> complex:
 
 def _replay_key(command: str, config: RunConfig) -> str:
     tau = complex(config.tau)
-    parts = ["hecke-lab", command, *config.extra,
-             "--tau", f"{tau.real!r},{tau.imag!r}", "--seed", str(config.seed)]
+    value = f"{tau.real!r},{tau.imag!r}"
+    # argparse reads a word that starts with "-" (Re tau < 0, or -0.0) as a flag.
+    tau_args = [f"--tau={value}"] if value.startswith("-") else ["--tau", value]
+    parts = ["hecke-lab", command, *config.extra, *tau_args, "--seed", str(config.seed)]
     if config.samples is not None:
         parts += ["--samples", str(config.samples)]
     return " ".join(parts)

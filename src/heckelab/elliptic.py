@@ -644,7 +644,7 @@ def _stable_first_class(reps1, points, avals, dirs) -> list[list[EllipticBundle]
     """
     ups = [rep1.result for rep1, p2s in zip(reps1, points) for _ in p2s]
     pts = [p2 for p2s in points for p2 in p2s]
-    vecs = transport_directions(np.concatenate(avals), np.array([b.vec for d in dirs for b in d]))
+    vecs = transport_directions(np.concatenate(avals), np.array([(b.a, b.c) for d in dirs for b in d]))
     second = iter(morphism_rep(ups, pts, [ProjPoint(a, c) for a, c in vecs.tolist()]))
     out = []
     for rep1, p2s in zip(reps1, points):
@@ -868,7 +868,7 @@ def distance_to_curve(triples, qs, p1s, p2s) -> np.ndarray:
         e2 = halve_sum(q, p2)
         shifts.append((e1.lift, p1.lift, p2.lift - e2.lift + e1.lift))
     shifts = np.array(shifts, dtype=complex).reshape(-1, 3)
-    t = np.array([[x.vec for x in tri] for tri in triples], dtype=complex).reshape(-1, 3, 2)
+    t = np.array([[(x.a, x.c) for x in tri] for tri in triples], dtype=complex).reshape(-1, 3, 2)
     ta, tc = t[..., 0], t[..., 1]
     lat = qs[0].lattice
     roots = th._invert_lifts(ta.ravel(), tc.ravel(), lat)[0].reshape(ta.shape)
@@ -896,16 +896,19 @@ def membership_Hp(seqs) -> list[bool]:
 
 def base_from_coordinate(taus, qs) -> list[MarkedBundle]:
     """Marked bundles at ``qs[i]`` whose moduli coordinates are ``taus[i]``,
-    with one branch test and one inversion for the stack.
-
-    Branch-point coordinates give the F2 twist by the matching torsion
-    bundle (the split form L_i + L_i carries no good line); otherwise the
-    dual pair of cover preimages.  The mark is the line [1:1].
-    """
+    from one inversion for the stack."""
     if not qs:
         return []
     lat = qs[0].lattice
-    lifts, idx = th._invert_lifts([t.a for t in taus], [t.c for t in taus], lat)
+    return _bases(*th._invert_lifts([t.a for t in taus], [t.c for t in taus], lat), qs, lat)
+
+
+def _bases(lifts, idx, qs, lat) -> list[MarkedBundle]:
+    """Marked bundles at ``qs`` from the fibers ``(lifts, idx)`` of their
+    coordinates.  Branch-point coordinates give the F2 twist by the matching
+    torsion bundle (the split form L_i + L_i carries no good line);
+    otherwise the dual pair of cover preimages.  The mark is the line [1:1].
+    """
     out = []
     for q, z, i in zip(qs, lifts.tolist(), idx.tolist()):
         # Centered lift: the strictly semistable rows see the doubled
@@ -918,18 +921,21 @@ def base_from_coordinate(taus, qs) -> list[MarkedBundle]:
 def second_direction_for_class(h1s, qs, ps, taus) -> list[ProjPoint]:
     """Directions (in the stored frame of ``h1s[i]``) whose modification at
     ``ps[i]`` lands on the moduli coordinate ``taus[i]`` after the O(e)
-    twist, from one inversion and one cover call.
-
-    Inverts the good-direction row: the class pair is {w, -w} + kappa with
-    kappa the combined twist of the point-moving normalization and the
-    e-twist, so w is the cover preimage of tau shifted by kappa.
-    """
+    twist, from one inversion and one cover call."""
     if not qs:
         return []
     lat = qs[0].lattice
     roots, _ = th._invert_lifts([t.a for t in taus], [t.c for t in taus], lat)
+    return _second_directions(h1s, qs, ps, roots.tolist(), lat)
+
+
+def _second_directions(h1s, qs, ps, roots, lat) -> list[ProjPoint]:
+    """``second_direction_for_class`` from the cover preimages ``roots``.
+    Inverts the good-direction row: the class pair is {w, -w} + kappa with
+    kappa the combined twist of the point-moving normalization and the
+    e-twist, so w is the cover preimage of tau shifted by kappa."""
     ws, d2s = [], []
-    for h1, q, p, root in zip(h1s, qs, ps, roots.tolist()):
+    for h1, q, p, root in zip(h1s, qs, ps, roots):
         t_m = h1.l.lift + (h1.point_lift - p.lift) / 2
         kappa = t_m + (q.lift + p.lift) / 2
         ws.append(CurvePoint(root - kappa, lat).lift)
@@ -937,20 +943,25 @@ def second_direction_for_class(h1s, qs, ps, taus) -> list[ProjPoint]:
     return [ProjPoint(d.a, d2 * d.c) for d, d2 in zip(th._cover_points(ws, lat), d2s)]
 
 
-def sequence_from_coordinates(bases, points, taus) -> list[EllipticSequence]:
-    """The sequences realizing prescribed moduli coordinates
-    (taus[i][0] .. taus[i][n-1]) at ``points[i]`` on ``bases[i]``.
-
-    For each point the reinterpreted two-step sequence through the mark
-    pins the parabolic line at that point.  The mark steps and their values
-    at the points (``_marks``, which the sequences keep) and the second
-    directions (one ``second_direction_for_class`` call) give the lines.
+def sequence_from_coordinates(qs, points, coords) -> list[EllipticSequence]:
+    """The inverse of ``h_total``: the sequences at ``points[i]`` on a base
+    marked at ``qs[i]`` whose n + 1 moduli coordinates are ``coords[i]``,
+    the base class first.  One inversion of the stack's coordinates gives
+    the bases and the second directions.  For each point the reinterpreted
+    two-step sequence through the mark pins the parabolic line at that
+    point: the mark steps and their values at the points (``_marks``, which
+    the sequences keep) carry the second directions to the lines.
     """
+    if not qs:
+        return []
+    lat = qs[0].lattice
+    flat = [cs[0] for cs in coords] + [t for cs in coords for t in cs[1:]]
+    lifts, idx = th._invert_lifts([t.a for t in flat], [t.c for t in flat], lat)
+    bases = _bases(lifts[:len(qs)], idx[:len(qs)], qs, lat)
     rep_q, vals = _marks(bases, points)
-    flat = [(r.result, b.q, p, t) for r, b, pts, ts in zip(rep_q, bases, points, taus)
-            for p, t in zip(pts, ts)]
+    steps = [(r.result, q, p) for r, q, pts in zip(rep_q, qs, points) for p in pts]
     # The second step's direction at its point is delta by construction.
-    deltas = iter(second_direction_for_class(*zip(*flat)) if flat else ())
+    deltas = iter(_second_directions(*zip(*steps), lifts[len(qs):].tolist(), lat) if steps else ())
     lines = [[ProjPoint(*(v @ next(deltas).vec)) for v in vs] for vs in vals]
     return _sequences(bases, points, lines, rep_q, vals)
 
@@ -993,7 +1004,7 @@ def _sequences(bases, points, lines, marks, mark_values) -> list[EllipticSequenc
     for i in range(max(map(len, points), default=0)):
         live = [k for k, pts in enumerate(points) if i < len(pts)]
         vecs = transport_directions(np.array([prefix[k][i] for k in live]),
-                                    np.array([lines[k][i].vec for k in live]))
+                                    np.array([(d.a, d.c) for d in (lines[k][i] for k in live)]))
         step = morphism_rep([reps[k][-1].result if reps[k] else bases[k].bundle for k in live],
                             [points[k][i] for k in live],
                             [ProjPoint(a, c) for a, c in vecs.tolist()])

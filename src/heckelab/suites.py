@@ -512,8 +512,7 @@ def _compute_space_t2(report, config, rng, n):
         # Every draw (q, p1 and two coordinates) first; then stacked passes.
         draws = _n(config, 100)
         pts, coords = _coordinate_draws(rng, lat, [(2, 2)] * draws)
-        bases = ell.base_from_coordinate([c[0] for c in coords], [p[0] for p in pts])
-        seqs = ell.sequence_from_coordinates(bases, [p[1:] for p in pts], [c[1:] for c in coords])
+        seqs = ell.sequence_from_coordinates([p[0] for p in pts], [p[1:] for p in pts], coords)
         worst = np.max([(chordal(h[0], a), chordal(h[1], b))
                         for h, (a, b) in zip(ell.h_total(seqs), coords)])
         if not all(ell.membership_Hp(seqs)):
@@ -528,8 +527,8 @@ def _compute_space_t2(report, config, rng, n):
                 for i in range(46)]
         trials = max(2, _n(config, 20) // 4)
         curve = ell.f_embedding(grid + _curve_points(rng, lat, trials), q, p1, p2)
-        vecs = np.array([[t.vec for t in tri] for tri in curve[:46]])
-        i, j = np.array(list(itertools.combinations(range(46), 2))[:1000]).T
+        vecs = np.array([[(t.a, t.c) for t in tri] for tri in curve[:46]])
+        i, j = (k[:1000] for k in rat.upper_pairs(46))
         mind = float(chordal_vecs(vecs[i], vecs[j]).max(axis=1).min())
         report.add("embedding-injectivity", "1000 sampled pairs, min separation",
                    -mind, -1e-6, inputs=f"min-distance={mind:.6f}")
@@ -545,9 +544,8 @@ def _compute_space_t2(report, config, rng, n):
             dist = ell.distance_to_curve(tris, [q] * len(tris), [p1] * len(tris), [p2] * len(tris))
             far += [t for t, d in zip(tris, dist) if d > 0.1]
         tris = curve[46:] + far[:trials_far]
-        bases = ell.base_from_coordinate([t[0] for t in tris], [q] * len(tris))
-        member = ell.membership_Hp(ell.sequence_from_coordinates(bases, [[p1, p2]] * len(tris),
-                                                                 [t[1:] for t in tris]))
+        seqs = ell.sequence_from_coordinates([q] * len(tris), [[p1, p2]] * len(tris), tris)
+        member = ell.membership_Hp(seqs)
         report.add_flag("curve-excluded", f"{trials} unstable-terminal tuples", not any(member[:trials]))
         report.add_flag("far-tuples-included", f"{trials_far} tuples beyond 0.1", all(member[trials:]))
         return
@@ -641,13 +639,12 @@ def embed_check(report, config, rng):
     # Every draw first: (q, p1, p2) and a base coordinate, and on even draws
     # two coordinates more; then stacked passes.
     pts, coords = _coordinate_draws(rng, lat, [(3, 1 if k % 2 else 3) for k in range(n_seq)])
-    bases = ell.base_from_coordinate([c[0] for c in coords], [p[0] for p in pts])
     # Odd draws force both marks bad in the same direction.
     bad = ProjPoint(1, 0)
-    seqs = ell.sequence_from_lines(bases[1::2], [p[1:] for p in pts[1::2]],
-                                   [[bad, bad]] * (n_seq // 2))
-    seqs += ell.sequence_from_coordinates(bases[0::2], [p[1:] for p in pts[0::2]],
-                                          [c[1:] for c in coords[0::2]])
+    bases = ell.base_from_coordinate([c[0] for c in coords[1::2]], [p[0] for p in pts[1::2]])
+    seqs = ell.sequence_from_lines(bases, [p[1:] for p in pts[1::2]], [[bad, bad]] * (n_seq // 2))
+    seqs += ell.sequence_from_coordinates([p[0] for p in pts[0::2]], [p[1:] for p in pts[0::2]],
+                                          coords[0::2])
     verdicts = par.stabilities([par.ParabolicBundle(s.base.bundle, tuple(map(par.Mark, s.points, lines)))
                                 for s, lines in zip(seqs, ell.factor_lines([s.factors for s in seqs]))])
     ok = not any(v.verdict is V.UNSTABLE and ell.is_semistable(s.terminal)
@@ -665,8 +662,7 @@ def embed_check(report, config, rng):
     # stacked pass decides them all, and the members are embedded.  A
     # non-member is a measure-zero event; with no member the record fails.
     pts, coords = _coordinate_draws(rng, lat, [(3, 3)] * 10)
-    bases = ell.base_from_coordinate([c[0] for c in coords], [p[0] for p in pts])
-    seqs = ell.sequence_from_coordinates(bases, [p[1:] for p in pts], [c[1:] for c in coords])
+    seqs = ell.sequence_from_coordinates([p[0] for p in pts], [p[1:] for p in pts], coords)
     members = [s for s, member in zip(seqs, ell.membership_Hp(seqs)) if member]
     ok = bool(members) and all(v.verdict is V.STABLE
                                for v in par.stabilities(par.hecke_embeddings_elliptic(members)))

@@ -188,6 +188,25 @@ def test_suite_exception_names_class_and_replay_key(capsys, monkeypatch):
     assert err[-1] == "replay: hecke-lab compute-space T2 2 --tau 0.3,0.45 --seed 3"
 
 
+
+@pytest.mark.parametrize("tau", ["-0.2,2.5", "-0.0,1.3", "0.3,0.45"])
+def test_replay_line_replays(capsys, monkeypatch, tau):
+    # The printed replay line, fed back to the CLI, fails the same way (exit
+    # 1); argparse would reject "--tau -0.2,2.5" with exit 2.
+    def crash(report, config, rng):
+        raise DegeneratePoint("[0j:0j] is not a projective point")
+
+    monkeypatch.setitem(cli.COMMANDS, "verify-double-table", crash)
+    assert cli.main(["verify-double-table", f"--tau={tau}", "--seed", "7"]) == 1
+    replay = capsys.readouterr().err.splitlines()[-1]
+    assert replay.startswith("replay: hecke-lab verify-double-table ")
+    try:
+        code = cli.main(replay.split()[2:])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 1
+    assert capsys.readouterr().err.splitlines()[-1] == replay
+
 def test_custom_tau_flows_through():
     report = run_text("verify-theta", tau=0.1 + 0.9j, samples=15)
     assert report.ok

@@ -334,8 +334,7 @@ class TestHTotal:
                 pts = [rpt(rng) for _ in range(n)]
                 taus = [th.pi_cover(rpt(rng)) for _ in range(n)]
                 tau0 = th.pi_cover(rpt(rng))
-                base = ell.base_from_coordinate([tau0], [q])[0]
-                h = ell.h_total([ell.sequence_from_coordinates([base], [pts], [taus])[0]])[0]
+                h = ell.h_total([ell.sequence_from_coordinates([q], [pts], [[tau0, *taus]])[0]])[0]
                 assert chordal(h[0], tau0) < 1e-9
                 assert max(chordal(x, y) for x, y in zip(h[1:], taus)) < 1e-8
 
@@ -343,10 +342,8 @@ class TestHTotal:
         rng = np.random.default_rng(15)
         q = rpt(rng)
         tau0 = th.pi_cover(rpt(rng))
-        base = ell.base_from_coordinate([tau0], [q])[0]
         for _ in range(3):
-            seq = ell.sequence_from_coordinates(
-                [base], [[rpt(rng)]], [[th.pi_cover(rpt(rng))]])[0]
+            seq = ell.sequence_from_coordinates([q], [[rpt(rng)]], [[tau0, th.pi_cover(rpt(rng))]])[0]
             assert chordal(ell.h_total([seq])[0][0], tau0) < 1e-9
 
     def test_bad_mark_rejected(self):
@@ -360,18 +357,18 @@ class TestHTotal:
 
 class TestMembership:
     def test_low_n_always_member(self):
-        q = rpt()
-        base = ell.base_from_coordinate([th.pi_cover(rpt())], [q])[0]
+        q, tau0 = rpt(), th.pi_cover(rpt())
+        base = ell.base_from_coordinate([tau0], [q])[0]
         assert ell.membership_Hp(ell.sequence_from_lines([base], [[]], [[]]))[0]
-        seq = ell.sequence_from_coordinates([base], [[rpt()]], [[th.pi_cover(rpt())]])[0]
+        seq = ell.sequence_from_coordinates([q], [[rpt()]], [[tau0, th.pi_cover(rpt())]])[0]
         assert ell.membership_Hp([seq])[0]
 
     def test_unsupported_above_two(self):
         q = rpt()
-        base = ell.base_from_coordinate([th.pi_cover(rpt())], [q])[0]
+        tau0 = th.pi_cover(rpt())
         pts = [rpt(), rpt(), rpt()]
         taus = [th.pi_cover(rpt()) for _ in range(3)]
-        seq = ell.sequence_from_coordinates([base], [pts], [taus])[0]
+        seq = ell.sequence_from_coordinates([q], [pts], [[tau0, *taus]])[0]
         with pytest.raises(Unsupported):
             ell.membership_Hp([seq])[0]
 
@@ -380,15 +377,13 @@ class TestMembership:
         q, p1, p2 = rpt(rng), rpt(rng), rpt(rng)
         p = rpt(rng)
         tri = ell.f_embedding([p], q, p1, p2)[0]
-        base = ell.base_from_coordinate([tri[0]], [q])[0]
-        seq = ell.sequence_from_coordinates([base], [[p1, p2]], [[tri[1], tri[2]]])[0]
+        seq = ell.sequence_from_coordinates([q], [[p1, p2]], [tri])[0]
         assert not ell.membership_Hp([seq])[0]
         while True:
             taus = [th.pi_cover(rpt(rng)) for _ in range(3)]
             if ell.distance_to_curve([taus], [q], [p1], [p2])[0] > 0.1:
                 break
-        base = ell.base_from_coordinate([taus[0]], [q])[0]
-        seq = ell.sequence_from_coordinates([base], [[p1, p2]], [[taus[1], taus[2]]])[0]
+        seq = ell.sequence_from_coordinates([q], [[p1, p2]], [taus])[0]
         assert ell.membership_Hp([seq])[0]
 
 
@@ -490,10 +485,10 @@ class TestSequenceFromLines:
     def test_consumers_never_rebuild_the_chain(self, monkeypatch):
         rng = np.random.default_rng(43)
         q, p1, p2 = rpt(rng), rpt(rng), rpt(rng)
-        base = ell.base_from_coordinate([th.pi_cover(rpt(rng))], [q])[0]
+        tau0 = th.pi_cover(rpt(rng))
         while True:
-            seq = ell.sequence_from_coordinates([base], [[p1, p2]],
-                                                [[th.pi_cover(rpt(rng)) for _ in range(2)]])[0]
+            seq = ell.sequence_from_coordinates([q], [[p1, p2]],
+                                                [[tau0, *(th.pi_cover(rpt(rng)) for _ in range(2))]])[0]
             if ell.membership_Hp([seq])[0]:
                 break
         calls, tables = [], []
@@ -756,8 +751,7 @@ def test_membership_decides_curve_offsets(tau):
         tri = ell.f_embedding([p], q, p1, p2)[0]
         for d, member in ((1e-8, False), (1e-7, False), (1e-5, True), (1e-4, True)):
             off = offset_triple(tri, d, rng)
-            base = ell.base_from_coordinate([off[0]], [q])[0]
-            seq = ell.sequence_from_coordinates([base], [[p1, p2]], [off[1:]])[0]
+            seq = ell.sequence_from_coordinates([q], [[p1, p2]], [off])[0]
             assert ell.membership_Hp([seq])[0] == member, (p, d)
 
 
@@ -782,8 +776,7 @@ def test_stacked_membership_near_curve(tau):
     tris = on_curve + moved + far
 
     def sequences(tris):
-        bases = ell.base_from_coordinate([t[0] for t in tris], [q] * len(tris))
-        return ell.sequence_from_coordinates(bases, [[p1, p2]] * len(tris), [t[1:] for t in tris])
+        return ell.sequence_from_coordinates([q] * len(tris), [[p1, p2]] * len(tris), tris)
 
     member = ell.membership_Hp(sequences(tris))
     assert member == [ell.membership_Hp(sequences([t]))[0] for t in tris]
@@ -1445,17 +1438,17 @@ def test_stacked_stages_match_batches_of_one(tau):
     taus = [[th.pi_cover(CurvePoint(rng.random() + rng.random() * lat.tau, lat))
              for _ in range(2)] for _ in bases]
     taus[0] = [th.branch_points(lat)[1], ProjPoint(1, 0)]
-    by_coords = ell.sequence_from_coordinates(bases, [[p1, p2]] * n, taus)
+    by_coords = ell.sequence_from_coordinates([q] * n, [[p1, p2]] * n,
+                                              [[c, *t] for c, t in zip(coords, taus)])
     for i in range(n):
         alone = ell.sequence_from_lines([bases[i]], [[p1, p2]], [lines[i]])[0]
         assert same_sequence(by_lines[i], alone)
-        alone = ell.sequence_from_coordinates([bases[i]], [[p1, p2]], [taus[i]])[0]
+        alone = ell.sequence_from_coordinates([q], [[p1, p2]], [[coords[i], *taus[i]]])[0]
         assert same_sequence(by_coords[i], alone)
 
     # Ragged lengths 0, 1 and 2 in one stack, with an on-curve tuple.
     on = ell.f_embedding([CurvePoint(0.37 + 0.61 * lat.tau, lat)], q, p1, p2)[0]
-    on_seq = ell.sequence_from_coordinates(ell.base_from_coordinate([on[0]], [q]), [[p1, p2]],
-                                           [on[1:]])[0]
+    on_seq = ell.sequence_from_coordinates([q], [[p1, p2]], [on])[0]
     seqs = [*ell.sequence_from_lines(bases[:1], [[]], [[]]), *by_coords[:4], on_seq,
             ell.sequence_from_lines(bases[5:6], [[p2]], [lines[5][:1]])[0], *by_lines]
     stacked_h = ell.h_total(seqs)
@@ -1571,7 +1564,7 @@ def test_chain_lines_match_the_scalar_readers(tau):
 def ragged_sequences(lat, seed):
     """Sequences of lengths 0-3 from both builders on the bases of
     ``stacked_inputs``, each builder's in one ragged stack."""
-    rng, q, p1, p2, _, bases, lines = stacked_inputs(lat, seed)
+    rng, q, p1, p2, coords, bases, lines = stacked_inputs(lat, seed)
     pts = [p1, p2, CurvePoint(0.27 + 0.09 * lat.tau, lat)]
     n = [k % 4 for k in range(len(bases))]
     lines = [(ls + [random_point(rng)])[:k] for ls, k in zip(lines, n)]
@@ -1579,7 +1572,8 @@ def ragged_sequences(lat, seed):
             for k in n]
     taus[1][0] = th.branch_points(lat)[2]
     return (ell.sequence_from_lines(bases, [pts[:k] for k in n], lines)
-            + ell.sequence_from_coordinates(bases, [pts[:k] for k in n], taus))
+            + ell.sequence_from_coordinates([q] * len(bases), [pts[:k] for k in n],
+                                            [[c, *t] for c, t in zip(coords, taus)]))
 
 
 @pytest.mark.parametrize("tau", REF_TAUS)
@@ -1596,6 +1590,47 @@ def test_sequences_keep_what_their_builders_evaluated(tau):
         assert seq.mark_values.shape == (len(seq.reps), 2, 2)
         assert np.array_equal(seq.mark_values, at_points)
 
+
+@pytest.mark.parametrize("tau", REF_TAUS)
+def test_sequence_from_coordinates_inverts_h_total(tau):
+    # One ragged stack, n = 0..3, on the coordinates of ``stacked_inputs``
+    # (branch values among them give F2 bases), with a branch value as a
+    # line coordinate: h_total returns the coordinates, and each element
+    # is its batch of one bit for bit.
+    lat = Lattice(tau)
+    rng, q, p1, p2, base_coords, _, _ = stacked_inputs(lat, seed=65)
+    pts = [p1, p2, CurvePoint(0.27 + 0.09 * lat.tau, lat)]
+    n = [k % 4 for k in range(len(base_coords))]
+    coords = [[c] + [th.pi_cover(CurvePoint(rng.random() + rng.random() * lat.tau, lat)) for _ in range(k)]
+              for c, k in zip(base_coords, n)]
+    coords[1][1] = th.branch_points(lat)[3]
+    seqs = ell.sequence_from_coordinates([q] * len(n), [pts[:k] for k in n], coords)
+    assert [type(s.base.bundle) for s in seqs[4:7]] == [F2Twist] * 3
+    stacked = ell.h_total(seqs)
+    for seq, h, c, k in zip(seqs, stacked, coords, n):
+        assert len(h) == k + 1 and max(chordal(x, y) for x, y in zip(h, c)) < 1e-7
+        [alone] = ell.sequence_from_coordinates([q], [pts[:k]], [c])
+        assert seq.factors.tobytes() == alone.factors.tobytes()
+        assert seq.mark_values.tobytes() == alone.mark_values.tobytes()
+        assert [(x.a, x.c) for x in h] == [(x.a, x.c) for x in ell.h_total([alone])[0]]
+
+
+@pytest.mark.parametrize("tau", REF_TAUS)
+def test_sequence_from_coordinates_inverts_the_stack_once(monkeypatch, tau):
+    # n = 1: every step starts on a base, never a G2 twist, so morphism_rep
+    # inverts nothing and the one call is the stack's coordinates.
+    lat = Lattice(tau)
+    rng, q, p1, _, coords, _, _ = stacked_inputs(lat, seed=66)
+    sizes, original = [], th._invert_lifts
+
+    def spy(a, c, lattice):
+        sizes.append(len(a))
+        return original(a, c, lattice)
+
+    monkeypatch.setattr(th, "_invert_lifts", spy)
+    ell.sequence_from_coordinates([q] * len(coords), [[p1]] * len(coords),
+                                  [[c, random_point(rng)] for c in coords])
+    assert sizes == [2 * len(coords)]
 
 def reference_h_total(seqs):
     """h_total that rebuilds each mark step: one ``morphism_rep`` call for
@@ -1737,7 +1772,8 @@ def test_double_sample_draws_as_the_reference(tau, seed):
 def test_stacked_builders_reject_coincident_points():
     q = rpt()
     p = rpt_away(q)
-    bases = ell.base_from_coordinate([th.pi_cover(rpt()), th.pi_cover(rpt())], [q, q])
+    coords = [th.pi_cover(rpt()), th.pi_cover(rpt())]
+    bases = ell.base_from_coordinate(coords, [q, q])
     lines = [[random_point(RNG), random_point(RNG)]] * 2
     good = [p, rpt_away(q, p)]
     for bad, match in (([p, CurvePoint(p.lift + LAT.tau, LAT)], "distinct"),
@@ -1745,7 +1781,8 @@ def test_stacked_builders_reject_coincident_points():
         with pytest.raises(ValueError, match=match):
             ell.sequence_from_lines(bases, [good, bad], lines)
         with pytest.raises(ValueError, match=match):
-            ell.sequence_from_coordinates(bases, [good, bad], [[th.pi_cover(rpt())] * 2] * 2)
+            tau = th.pi_cover(rpt())
+            ell.sequence_from_coordinates([q, q], [good, bad], [[c, tau, tau] for c in coords])
 
 
 # Reference copies of the suites' per-draw loops, from before the draws
@@ -1810,13 +1847,12 @@ def test_t2_1_draws_in_per_draw_order(monkeypatch, seed):
     ref = np.random.default_rng(seed)
     draws = [(*ref_torus_points(ref, lat, 2), ref_cover_draw(ref, lat), ref_cover_draw(ref, lat))
              for _ in range(30)]
-    (tau0, qs), state = calls["base_from_coordinate"][0]
-    _, p1s, tau1 = calls["sequence_from_coordinates"][0][0]
+    (qs, p1s, coords), state = calls["sequence_from_coordinates"][0]
     assert state == ref.bit_generator.state
     assert same_points(qs, [d[0] for d in draws])
     assert same_points([p for (p,) in p1s], [d[1] for d in draws])
-    assert same_targets(tau0, [d[2] for d in draws])
-    assert same_targets([t for (t,) in tau1], [d[3] for d in draws])
+    assert same_targets([t for t, _ in coords], [d[2] for d in draws])
+    assert same_targets([t for _, t in coords], [d[3] for d in draws])
 
 
 @pytest.mark.parametrize("seed", [7, 11, 12345])
@@ -1841,10 +1877,10 @@ def test_t2_2_draws_in_per_draw_order(monkeypatch, seed):
         far.append(taus)
     # One membership pass: the on-curve triples, then the far tuples.
     tris = ell.f_embedding(on_curve, q, p1, p2) + far
-    [((tau0, qs), _)] = calls["base_from_coordinate"]
-    [((_, points, pairs), _)] = calls["sequence_from_coordinates"]
-    assert same_targets(tau0, [t[0] for t in tris]) and same_points(qs, [q] * 6)
-    assert same_targets([t for pair in pairs for t in pair], [t for f in tris for t in f[1:]])
+    assert "base_from_coordinate" not in calls
+    [((qs, points, coords), _)] = calls["sequence_from_coordinates"]
+    assert same_targets([c[0] for c in coords], [t[0] for t in tris]) and same_points(qs, [q] * 6)
+    assert same_targets([t for c in coords for t in c[1:]], [t for f in tris for t in f[1:]])
     assert len(points) == 6 and all(same_points(pts, [p1, p2]) for pts in points)
 
 
@@ -1863,16 +1899,20 @@ def test_embed_check_elliptic_draws_in_per_draw_order(monkeypatch, seed):
         pts = ref_torus_points(ref, lat, 3)
         tau0 = ref_cover_draw(ref, lat)
         draws.append((pts, tau0, [] if k % 2 else [ref_cover_draw(ref, lat) for _ in range(2)]))
-    (tau0, qs), state = calls["base_from_coordinate"][0]
-    assert state == ref.bit_generator.state
-    assert same_points(qs, [d[0][0] for d in draws])
-    assert same_targets(tau0, [d[1] for d in draws])
+    # Odd draws: bases from their coordinates, then forced lines; even
+    # draws: all three coordinates.
+    (tau0, bad_qs), state = calls["base_from_coordinate"][0]
+    (qs, points, coords), even_state = calls["sequence_from_coordinates"][0]
+    assert state == even_state == ref.bit_generator.state
+    assert same_points(bad_qs, [d[0][0] for d in draws[1::2]])
+    assert same_points(qs, [d[0][0] for d in draws[0::2]])
+    assert same_targets(tau0, [d[1] for d in draws[1::2]])
+    assert same_targets([c[0] for c in coords], [d[1] for d in draws[0::2]])
     (_, bad_points, bad_lines), _ = calls["sequence_from_lines"][0]
-    (_, points, taus), _ = calls["sequence_from_coordinates"][0]
     assert [same_points(p, d[0][1:]) for p, d in zip(bad_points, draws[1::2])] == [True] * 6
     assert all(line == [ProjPoint(1, 0)] * 2 for line in bad_lines)
     assert [same_points(p, d[0][1:]) for p, d in zip(points, draws[0::2])] == [True] * 6
-    assert same_targets([t for pair in taus for t in pair], [t for d in draws for t in d[2]])
+    assert same_targets([t for c in coords for t in c[1:]], [t for d in draws for t in d[2]])
 
 
 def ref_embedding_draws(ref, lat, n_seq):
@@ -1917,12 +1957,13 @@ def test_embedding_stable_draws_in_per_draw_order(monkeypatch, seed, reject):
     calls = spy_suite(monkeypatch, rng, None, "embed-check", n_seq)
     assert rng.bit_generator.state == ref.bit_generator.state
     # One pass holds every draw, and only its members are embedded.
-    passes = list(zip(calls["base_from_coordinate"][1:], calls["sequence_from_coordinates"][1:]))
+    passes = calls["sequence_from_coordinates"][1:]
+    assert len(calls["base_from_coordinate"]) == 1
     assert len(passes) == 1 and len(decided[0]) == 10
     assert embedded == [[s for k, s in enumerate(decided[0]) if k != reject]]
-    [(((tau0, qs), _), ((_, points, pairs), _))] = passes
-    for q, pts, t, pair, (want_pts, t0, want) in zip(qs, points, tau0, pairs, draws, strict=True):
-        assert same_points([q, *pts], want_pts) and same_targets([t, *pair], [t0, *want])
+    [((qs, points, coords), _)] = passes
+    for q, pts, c, (want_pts, t0, want) in zip(qs, points, coords, draws, strict=True):
+        assert same_points([q, *pts], want_pts) and same_targets(c, [t0, *want])
 
 
 def test_embedding_stable_fails_without_members(monkeypatch):

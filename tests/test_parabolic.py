@@ -441,10 +441,10 @@ class TestEmbedding:
     def test_elliptic_members_embed_stably(self):
         rng = np.random.default_rng(6)
         q, p1, p2 = (rpt(rng) for _ in range(3))
-        base = ell.base_from_coordinate([th.pi_cover(rpt(rng))], [q])[0]
+        tau0 = th.pi_cover(rpt(rng))
         while True:
             taus = [th.pi_cover(rpt(rng)) for _ in range(2)]
-            seq = ell.sequence_from_coordinates([base], [[p1, p2]], [taus])[0]
+            seq = ell.sequence_from_coordinates([q], [[p1, p2]], [[tau0, *taus]])[0]
             if ell.membership_Hp([seq])[0]:
                 break
         pb = hecke_embeddings_elliptic([seq])[0]
