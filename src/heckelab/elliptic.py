@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,7 +154,7 @@ def evaluate_stack(tables, zs, lattice: Lattice) -> list[np.ndarray]:
         idx.append(i)
         points.append(z.ravel())
         rows.append(row)
-    args, data = {}, {}
+    args, zero, data = {}, [], {}
     for shape, (idx, points, rows) in groups.items():
         w = np.array(rows, dtype=complex)
         if idx[1:]:  # each point takes its table's row; a lone table's row broadcasts
@@ -164,11 +165,15 @@ def evaluate_stack(tables, zs, lattice: Lattice) -> list[np.ndarray]:
         for kind, cs in layout[1]:
             arg = TWO_PI_I * w[:, cs] * z if kind == EXP else z - 0.5 * (1 + taus[kind]) - w[:, cs]
             args.setdefault(kind, []).append(arg)
+            if kind == TH:  # theta_w vanishes on w + Lambda: exactly 0 at its own point
+                zero.append((z == w[:, cs]).ravel())
     vals = {}
     for kind, parts in args.items():
         flat = np.concatenate([x.ravel() for x in parts])
         kernel = th.theta_raw_deriv if kind in (DTH, DTT) else th.theta_raw
         flat = np.exp(flat) if kind == EXP else kernel(flat, taus[kind])
+        if kind == TH:
+            flat[np.concatenate(zero)] = 0
         ends = itertools.accumulate(x.size for x in parts)
         vals[kind] = iter([flat[e - x.size:e].reshape(x.shape) for x, e in zip(parts, ends)])
     for shape, (idx, points, _) in groups.items():
@@ -436,7 +441,10 @@ def morphism_rep(es, ps, dirs) -> list[MorphismRep]:
         shift, scale, swap = forms[-1][-1]
         if (shift, scale, swap) != (0, 1.0, False):
             x, y = (a_t[i].c, a_t[i].a) if swap else (a_t[i].a, a_t[i].c)
-            a_t[i] = ProjPoint(x / np.exp(TWO_PI_I * shift * p.lift) if shift else x, y / scale)
+            xy = (x / np.exp(TWO_PI_I * shift * p.lift) if shift else x, y / scale)
+            # Rescaled by an exact power of two: the same bits, and never below NORM_TOL.
+            k = -math.frexp(max(map(abs, xy)))[1]
+            a_t[i] = ProjPoint(*(complex(math.ldexp(v.real, k), math.ldexp(v.imag, k)) for v in xy))
     # pre[i]: theta~_{1/2 - tau} at q - p and p - q for a strictly
     # semistable split form; (branch index, fiber lift) for a G2 row.
     pre = [None] * len(es)
@@ -918,22 +926,13 @@ def _bases(lifts, idx, qs, lat) -> list[MarkedBundle]:
     return out
 
 
-def second_direction_for_class(h1s, qs, ps, taus) -> list[ProjPoint]:
-    """Directions (in the stored frame of ``h1s[i]``) whose modification at
-    ``ps[i]`` lands on the moduli coordinate ``taus[i]`` after the O(e)
-    twist, from one inversion and one cover call."""
-    if not qs:
-        return []
-    lat = qs[0].lattice
-    roots, _ = th._invert_lifts([t.a for t in taus], [t.c for t in taus], lat)
-    return _second_directions(h1s, qs, ps, roots.tolist(), lat)
-
-
 def _second_directions(h1s, qs, ps, roots, lat) -> list[ProjPoint]:
-    """``second_direction_for_class`` from the cover preimages ``roots``.
-    Inverts the good-direction row: the class pair is {w, -w} + kappa with
-    kappa the combined twist of the point-moving normalization and the
-    e-twist, so w is the cover preimage of tau shifted by kappa."""
+    """Directions (in the stored frame of ``h1s[i]``) whose modification at
+    ``ps[i]`` lands, after the O(e) twist, on the moduli coordinate with
+    cover preimage ``roots[i]``.  Inverts the good-direction row: the class
+    pair is {w, -w} + kappa with kappa the combined twist of the
+    point-moving normalization and the e-twist, so w is the cover preimage
+    of tau shifted by kappa."""
     ws, d2s = [], []
     for h1, q, p, root in zip(h1s, qs, ps, roots):
         t_m = h1.l.lift + (h1.point_lift - p.lift) / 2

@@ -18,7 +18,7 @@ from functools import cache
 
 import numpy as np
 
-from .projective import PROJ_TOL, ProjPoint, chordal_vecs, complex_abs, complex_div, normalized_vecs
+from .projective import PROJ_TOL, ProjPoint, complex_abs, complex_div, normalized_vecs
 from .grassmannian import chain_direction_vecs
 from .pseries import PolyMat2
 
@@ -76,6 +76,11 @@ def default_points(n: int) -> list[complex]:
     return [(k + 1) / (n + 1) + 0.1j * (k + 1) for k in range(n)]
 
 
+def _zero_dirs(vecs: np.ndarray) -> np.ndarray:
+    """Which normalized directions (..., 2) are [1:0], as ``ProjPoint.is_zero_dir`` decides."""
+    return complex_abs(vecs[..., 1]) < PROJ_TOL * complex_abs(vecs[..., 0])
+
+
 @dataclass(frozen=True)
 class RationalSequence:
     """Sequences of Hecke modifications of the trivial bundle O + O, one or a
@@ -100,14 +105,10 @@ class RationalSequence:
     def __len__(self) -> int:
         return self.points.shape[-1]
 
-    def _zero_dirs(self) -> np.ndarray:
-        """Steps toward [1:0] (..., n), as ``ProjPoint.is_zero_dir`` decides."""
-        return complex_abs(self.vecs[..., 1]) < PROJ_TOL * complex_abs(self.vecs[..., 0])
-
     def hecke_lengths(self) -> np.ndarray:
         """Hecke lengths (..., n + 1) of E_0 = O + O, E_1, ..., E_n: from
         length 0, or toward [1:0], a step adds one; otherwise it subtracts one."""
-        zero = self._zero_dirs()
+        zero = _zero_dirs(self.vecs)
         out = np.zeros(zero.shape[:-1] + (len(self) + 1,), dtype=int)
         for i in range(len(self)):
             out[..., i + 1] = out[..., i] + np.where((out[..., i] == 0) | zero[..., i], 1, -1)
@@ -115,7 +116,7 @@ class RationalSequence:
 
     def coeffs(self) -> np.ndarray:
         """Table-matrix coefficients (..., n, 2, 2, 2) of the steps."""
-        zero = self._zero_dirs()
+        zero = _zero_dirs(self.vecs)
         # Outside ``zero`` the divisor c is nonzero; inside, 1.0 stands in for it.
         lam = np.where(zero, 0j, complex_div(self.vecs[..., 0], np.where(zero, 1.0, self.vecs[..., 1])))
         return table_coeffs(self.points, lam, zero, self.hecke_lengths()[..., :-1] == 0)
@@ -280,16 +281,6 @@ def terminal_hecke_lengths(points, vecs) -> np.ndarray:
     return out
 
 
-def two_column_ratio(a: np.ndarray) -> np.ndarray:
-    """s_min / s_max of (..., n, 2) matrices (0 for zero ones) by Cauchy-Binet,
-    s_min s_max = sqrt(D) for D the sum of |2 x 2 minors|^2, and
-    s_max^2 = (F + sqrt(F^2 - 4D)) / 2 for F the squared Frobenius norm."""
-    i, j = upper_pairs(a.shape[-2])
-    d = (np.abs(a[..., i, 0] * a[..., j, 1] - a[..., i, 1] * a[..., j, 0]) ** 2).sum(axis=-1)
-    f = (np.abs(a) ** 2).sum(axis=(-2, -1))
-    return 2 * np.sqrt(d) / np.maximum(f + np.sqrt(np.maximum(f * f - 4 * d, 0)), np.finfo(float).tiny)
-
-
 @cache
 def upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     """``np.triu_indices(n, 1)``, the index pairs i < j, made once per n and
@@ -337,7 +328,9 @@ def membership_H_closed_forms(vecs: np.ndarray) -> np.ndarray:
     n = vecs.shape[1]
     if n > 3:
         raise ValueError("closed forms cover n <= 3 only")
-    near = chordal_vecs(vecs[:, :-1], vecs[:, 1:]) < PROJ_TOL
+    norm = np.hypot(abs(vecs[..., 0]), abs(vecs[..., 1]))  # as ``chordal_vecs``, once per direction
+    cross = abs(vecs[:, :-1, 0] * vecs[:, 1:, 1] - vecs[:, :-1, 1] * vecs[:, 1:, 0])
+    near = cross / (norm[:, :-1] * norm[:, 1:]) < PROJ_TOL
     return ~near.all(axis=1) | (n < 2)
 
 
@@ -361,6 +354,5 @@ def minimal_direction_vecs(count: int, n: int, rng: np.random.Generator) -> np.n
     length = np.zeros(count, dtype=int)
     for i in range(n):
         vecs[(length == 0) & (u[:, i] < 0.25), i] = (1.0, 0.0)
-        # ProjPoint.is_zero_dir: the first coordinate is 1 whenever the second is below 1.
-        length += np.where((length == 0) | (complex_abs(vecs[:, i, 1]) < PROJ_TOL), 1, -1)
+        length += np.where((length == 0) | _zero_dirs(vecs[:, i]), 1, -1)
     return vecs

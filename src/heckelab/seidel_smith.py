@@ -20,7 +20,6 @@ from .rational import (
     composites,
     h_vecs,
     minimal_direction_vecs,
-    two_column_ratio,
     upper_pairs,
 )
 
@@ -76,7 +75,8 @@ def slice_matrices(coeffs: np.ndarray, terminal: np.ndarray) -> np.ndarray:
     # Coefficients P_t (B, m + 1, 2, 2) of the generators.
     q = np.moveaxis(p[..., : m + 1], -1, 1)
     lead = q[:, m]
-    if (two_column_ratio(lead) < RANK_DROP_TOL).any():
+    _, s1, s2, _ = rank_one_column_spaces(lead)
+    if ((s2 < RANK_DROP_TOL * s1) | (s1 == 0)).any():
         raise ReductionFailure("leading coefficient of the degree-m generators is singular")
     # C_t = P_t L^{-1}, from L^T C_t^T = P_t^T.
     c = np.swapaxes(np.linalg.solve(np.swapaxes(lead, 1, 2)[:, None],

@@ -386,16 +386,13 @@ def verify_double_table(report, config, rng):
         ell.LineBundleClass(1, ept.lift, lat).tensor(ell.point_line(p2).inverse()),
     )
     delta = _curve_point(rng, lat)
-    eg = ell.dual_pair(delta.lift, lat)
-    rep1 = ell.morphism_rep([eg], [p1], [a])[0]
-    bi = th.branch_points(lat)[1]
-    # A second direction landing on a branch point of the intrinsic
-    # coordinate: the composite key is its image under the first step.
-    delta2 = ell.second_direction_for_class([rep1.result], [p1], [p2], [bi])[0]
-    rep2 = ell.morphism_rep([rep1.result], [p2], [delta2])[0]
-    _, b2 = ell.chain_lines([[rep1, rep2]])[0]
-    split, diagonal, torsion = ell.double_hecke(
-        [ell.Decomposable(O, O)] * 2 + [eg], [p1] * 3, [p2] * 3, [a] * 3, [b, a, b2])
+    # The two-step sequence through the mark of the dual pair of delta at p1
+    # whose second coordinate is a branch point of the intrinsic coordinate.
+    [seq] = ell.sequence_from_coordinates(
+        [p1], [[p2]], [th._cover_points([delta.lift], lat) + [th.branch_points(lat)[1]]])
+    [b2] = ell.factor_lines([seq.factors])[0]
+    split, diagonal, torsion = ell.double_hecke([ell.Decomposable(O, O)] * 2 + [seq.base.bundle],
+                                                [p1] * 3, [p2] * 3, [a, a, seq.base.line], [b, a, b2])
     ok = split is not None and ell.s_equivalent(split, want)
     ok &= diagonal is None and isinstance(torsion, ell.F2Twist)
     report.add_flag("printed-rows", "split-trivial, diagonal, and torsion outcomes", ok)

@@ -8,12 +8,24 @@ by that predecessor, forms the unit perpendicular rows and decides d = 0 by
 decide every tuple as it does.  ``replaced_vecs`` and ``perpendiculars``
 are its first two steps on their own, for tests of the d = 0 identity, and
 ``near_repeat_tuples`` draws tuples on both sides of the coincidence rule.
+``two_column_ratio`` is the general n x 2 ratio that the library's d = 0
+step and slice test once read.
 """
 
 import numpy as np
 
 from heckelab.projective import PROJ_TOL, chordal_vecs, normalized_vecs
-from heckelab.rational import RANK_DROP_TOL, two_column_ratio
+from heckelab.rational import RANK_DROP_TOL, upper_pairs
+
+
+def two_column_ratio(a: np.ndarray) -> np.ndarray:
+    """s_min / s_max of (..., n, 2) matrices (0 for zero ones) by Cauchy-Binet,
+    s_min s_max = sqrt(D) for D the sum of |2 x 2 minors|^2, and
+    s_max^2 = (F + sqrt(F^2 - 4D)) / 2 for F the squared Frobenius norm."""
+    i, j = upper_pairs(a.shape[-2])
+    d = (np.abs(a[..., i, 0] * a[..., j, 1] - a[..., i, 1] * a[..., j, 0]) ** 2).sum(axis=-1)
+    f = (np.abs(a) ** 2).sum(axis=(-2, -1))
+    return 2 * np.sqrt(d) / np.maximum(f + np.sqrt(np.maximum(f * f - 4 * d, 0)), np.finfo(float).tiny)
 
 
 def reference_terminal_hecke_lengths(points, vecs) -> np.ndarray:

@@ -120,6 +120,16 @@ def test_verify_theta_with_its_one_sample_near_w(tau, seed):
     assert report.ok and len(g) == 3 and max(r.observed for r in g) < 1e-14
 
 
+@pytest.mark.parametrize("tau, seed", [("0.21,1.5", 10), ("0.21,1.6", 2), ("0,2.0", 0),
+                                       ("0.21,2.5", 0), ("0.21,2.5", 5)])
+def test_double_table_runs_above_the_default_im_tau(capsys, tau, seed):
+    # Each run once raised NotInCell from a counter row's rounded theta zero
+    # scaled by its frame, or, at seed 5 and Im tau 2.5, DegeneratePoint
+    # from the frame map.
+    assert cli.main(["verify-double-table", "--tau", tau, "--seed", str(seed)]) == 0
+    assert "result: ok" in capsys.readouterr().out
+
+
 def test_main_writes_file_and_exit_code(tmp_path):
     out = tmp_path / "report.txt"
     code = cli.main(["verify-theta", "--samples", "10", "--out", str(out)])

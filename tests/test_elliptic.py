@@ -1087,6 +1087,12 @@ def _ref_const(v):
 _REF_ZERO, _REF_ONE = _ref_const(0.0), _ref_const(1.0)
 
 
+def _ref_theta_w(z, w, lat):
+    """theta_w, exactly 0 at z = w: its value on w + Lambda, as the term
+    tables define it."""
+    return np.where(z == w, 0, th.theta_w(z, w, lat))
+
+
 def _ref_compose(left, right):
     if left is None or right is None:
         return right if left is None else left
@@ -1095,13 +1101,14 @@ def _ref_compose(left, right):
 
 def reference_evaluator(e, p, a):
     """(row, evaluator) of the modification of ``e`` at ``p`` toward ``a``,
-    built as closures the way ``morphism_rep`` built them before."""
+    built as closures the way ``morphism_rep`` built them before, with
+    theta_w exactly 0 at its own point."""
     lat, pt = e.lattice, p.lift
     i_pi = 1j / np.pi
     if isinstance(e, F2Twist):
         if a.is_zero_dir():
             return "F2:[1:0]", _ref_matfn(_REF_ONE, lambda z: th.g_theta_w(z, pt, lat), _REF_ZERO,
-                                          lambda z: th.theta_w(z, pt, lat))
+                                          lambda z: _ref_theta_w(z, pt, lat))
         lam_p = a.a / a.c - 2 * complex(th.g_tilde_w(0.0, 0.5, lat))
         c = pt - 0.5
         ct = c - lat.tau
@@ -1155,7 +1162,7 @@ def reference_evaluator(e, p, a):
     a_t = a if phi is None else transport_direction(phi(np.asarray(pt)), a)
 
     def theta_p(z):
-        return th.theta_w(z, pt, lat)
+        return _ref_theta_w(z, pt, lat)
 
     pivot = _ref_matfn(_REF_ONE, _REF_ZERO, _REF_ZERO, theta_p)
     counter = _ref_matfn(theta_p, _REF_ZERO, _REF_ZERO, _REF_ONE)
@@ -1199,9 +1206,9 @@ def reference_evaluator(e, p, a):
     lam = (a_t.a / a_t.c) / denom
 
     def theta_product(z):
-        acc = th.theta_w(z, t, lat)
+        acc = _ref_theta_w(z, t, lat)
         if k > 1:
-            acc = acc * th.theta_w(z, 0.0, lat) ** (k - 1)
+            acc = acc * _ref_theta_w(z, 0.0, lat) ** (k - 1)
         return lam * acc
 
     return finish(f"{name}:[lam:1]", _ref_matfn(theta_p, theta_product, _REF_ZERO, _REF_ONE))
@@ -1226,6 +1233,24 @@ def test_term_tables_match_closure_reference(tau):
             want = ref(z)
             err = np.abs(evaluator(rep)(z) - want).max(axis=(-2, -1))
             assert (err / np.abs(want).max(axis=(-2, -1))).max() <= 1e-14, name
+
+
+@pytest.mark.parametrize("tau", REF_TAUS + (0.21 + 2.5j,))
+def test_counter_row_in_a_shifted_frame_vanishes_exactly_at_its_point(tau):
+    # theta_p is 0 at z = p by definition, so the counter row's theta_p
+    # entry there is exactly 0, not its rounding times the frame's
+    # exp(2 pi i shift p), whose modulus grows like exp(2 pi |shift| Im p).
+    lat = Lattice(tau)
+    seen = []
+    for name, bundle, p, a in all_row_fixtures(lat):
+        rep = ell.morphism_rep([bundle], [p], [a])[0]
+        if rep.row == "Op:[0:1]" and "shift" in name:
+            [entry] = [e for e, _, factors in rep.terms if (ell.TH, p.lift) in factors]
+            value = ell.evaluate_stack([rep.terms], [p.lift], lat)[0]
+            assert value.flat[entry] == 0 and np.abs(value).max() == 1, name
+            seen.append(name)
+    assert seen == ["shift-Op+tau:[0:1]", "shift-Op-2tau:[0:1]",
+                    "swap-shift-Op+tau:[1:0]", "swap-shift-Op-2tau:[1:0]"]
 
 
 @pytest.mark.parametrize("tau", REF_TAUS)
@@ -1366,7 +1391,6 @@ EMPTY_STACKS = {
     "f_embedding": lambda q: ell.f_embedding([], q, q + q, q + q + q),
     "distance_to_curve": lambda q: ell.distance_to_curve([], [], [], []),
     "base_from_coordinate": lambda q: ell.base_from_coordinate([], []),
-    "second_direction_for_class": lambda q: ell.second_direction_for_class([], [], [], []),
     "sequence_from_coordinates": lambda q: ell.sequence_from_coordinates([], [], []),
     "sequence_from_lines": lambda q: ell.sequence_from_lines([], [], []),
 }

@@ -14,7 +14,13 @@ from heckelab.rational import (
 
 from chain_refs import chain_directions
 from draw_refs import reference_minimal_directions
-from rank_refs import near_repeat_tuples, perpendiculars, reference_terminal_hecke_lengths, replaced_vecs
+from rank_refs import (
+    near_repeat_tuples,
+    perpendiculars,
+    reference_terminal_hecke_lengths,
+    replaced_vecs,
+    two_column_ratio,
+)
 
 
 def sequence(points, dirs):
@@ -596,7 +602,7 @@ class TestTwoColumnRatio:
         vecs = np.concatenate([rat.direction_vecs(tuples),
                                random_tuples_with_blocks(np.random.default_rng(40 + n), n, 400)])
         a = perpendiculars(vecs)
-        ratio = rat.two_column_ratio(a)
+        ratio = two_column_ratio(a)
         s = np.linalg.svd(a, compute_uv=False)
         assert ((ratio < rat.RANK_DROP_TOL) == (s[:, -1] < rat.RANK_DROP_TOL * s[:, 0])).all()
         # The SVD's s_min carries an absolute roundoff of about 1e-16 s_max
@@ -615,7 +621,7 @@ class TestTwoColumnRatio:
         with mp.workdps(40):
             exact = np.array([float(min(s) / max(s)) for s in
                               (mp.svd_c(mp.matrix(m.tolist()), compute_uv=False) for m in a)])
-        assert (np.abs(rat.two_column_ratio(a) - exact) <= 1e-6 * exact + 1e-16).all()
+        assert (np.abs(two_column_ratio(a) - exact) <= 1e-6 * exact + 1e-16).all()
 
 
 def rank_inputs(n):
@@ -647,7 +653,7 @@ class TestChordalRankTest:
         i, j = rat.upper_pairs(n)
         d = (chordal_vecs(starts[:, i], starts[:, j]) ** 2).sum(axis=1)
         closed = 2 * np.sqrt(d) / (n + np.sqrt(np.maximum(n * n - 4 * d, 0)))
-        ratio = rat.two_column_ratio(perpendiculars(starts))
+        ratio = two_column_ratio(perpendiculars(starts))
         wide = ratio > 1e-6
         assert wide.any() and not wide.all()
         assert (np.abs(closed - ratio)[wide] <= 1e-12 * ratio[wide]).all()
