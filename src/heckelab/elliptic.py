@@ -405,9 +405,12 @@ def certify_rows(reps, zs) -> tuple[np.ndarray, np.ndarray]:
     return equivariance, np.maximum(fit, dist)
 
 
-def _theta_const(lattice: Lattice) -> complex:
-    """-(i/2pi) theta'^{(0)}(0): the direction constant of the F2 row."""
-    return complex(-th.g_theta_w(0.0, 0.0, lattice))
+def _row_constants(lattice: Lattice) -> tuple[complex, complex]:
+    """-(i/2pi) theta'^{(0)}(0) of row Op:[x:y] and 2 g~_{1/2}(0) of row F2:[lam:1], cached."""
+    if "row_constants" not in lattice._cache:
+        lattice._cache["row_constants"] = (complex(-th.g_theta_w(0.0, 0.0, lattice)),
+                                           2 * complex(th.g_tilde_w(0.0, 0.5, lattice)))
+    return lattice._cache["row_constants"]
 
 
 def morphism_rep(es, ps, dirs) -> list[MorphismRep]:
@@ -420,10 +423,10 @@ def morphism_rep(es, ps, dirs) -> list[MorphismRep]:
     the identity, dresses the table row.  The frame is monomial, so the
     direction reaches the table frame in closed form: swapped if P swaps,
     then divided by the diagonal's value at p.  A direction whose frame is
-    the identity is used as given.  Before any row is built, the theta~
-    constants of the stack's strictly semistable split forms are one kernel
-    call, and the fibers over its G2 rows' directions one branch test and
-    inversion (``theta._invert_lifts``).
+    the identity is used as given.  Before any row is built, the theta
+    values of its split forms are one kernel call per theta (theta~ for the
+    strictly semistable forms, theta for Oq and OD), and the fibers over its
+    G2 rows' directions one branch test and inversion (``_invert_lifts``).
     """
     lat = es[0].lattice if es else None
     forms, a_t = [], list(dirs)
@@ -445,16 +448,22 @@ def morphism_rep(es, ps, dirs) -> list[MorphismRep]:
             # Rescaled by an exact power of two: the same bits, and never below NORM_TOL.
             k = -math.frexp(max(map(abs, xy)))[1]
             a_t[i] = ProjPoint(*(complex(math.ldexp(v.real, k), math.ldexp(v.imag, k)) for v in xy))
-    # pre[i]: theta~_{1/2 - tau} at q - p and p - q for a strictly
-    # semistable split form; (branch index, fiber lift) for a G2 row.
+    # pre[i]: theta~_{1/2 - tau} at q - p and p - q (strictly semistable), the
+    # theta product theta_t(p) theta_0(p)^(k-1) (Oq, OD), or (branch index, fiber lift) (G2).
     pre = [None] * len(es)
-    ss = [i for i, e in enumerate(es)
-          if isinstance(e, Decomposable) and forms[i][2].degree == 0 and not forms[i][3]]
+    dec = [i for i, e in enumerate(es) if isinstance(e, Decomposable)]
+    ss = [i for i in dec if forms[i][2].degree == 0 and not forms[i][3]]
     if ss:
         z = np.array([(ps[i].lift - forms[i][2].lift) - ps[i].lift for i in ss])
         vals = th.theta_tilde_w(np.concatenate([z, -z]), 0.5 - lat.tau, lat).tolist()
         for i, minus, plus in zip(ss, vals, vals[len(ss):]):
             pre[i] = minus, plus
+    od = [i for i in dec if forms[i][2].degree > 0 and not forms[i][4]]
+    if od:
+        vals = th.theta_w(np.array([ps[i].lift for i in od] * 2),
+                          np.array([forms[i][2].lift for i in od] + [0.0] * len(od)), lat).tolist()
+        for i, t_p, o_p, k in zip(od, vals, vals[len(od):], (forms[i][2].degree for i in od)):
+            pre[i] = t_p * o_p ** (k - 1) if k > 1 else t_p
     g2 = [i for i, e in enumerate(es) if isinstance(e, G2Twist)]
     if g2:
         lifts, idx = th._invert_lifts([a_t[i].a for i in g2], [a_t[i].c for i in g2], lat)
@@ -492,8 +501,8 @@ def _split_form(e: Decomposable, p: CurvePoint):
 
 def _morphism_dec(e: Decomposable, p: CurvePoint, a_t: ProjPoint, form, thetas):
     """(row, terms, target) of a split bundle for the direction ``a_t`` in
-    the table frame, given its ``_split_form`` and, for a strictly
-    semistable form, ``thetas``: theta~_{1/2 - tau} at q - p and at p - q."""
+    the table frame, given its ``_split_form`` and ``thetas``: theta~_{1/2 -
+    tau} at q - p and p - q (strictly semistable), or its theta product at p."""
     lat = e.lattice
     pt = p.lift
     u1, m, lp, trivial, own, _ = form
@@ -537,7 +546,7 @@ def _morphism_dec(e: Decomposable, p: CurvePoint, a_t: ProjPoint, form, thetas):
             return "Op:[1:0]", pivot, target
         if a_t.is_infinity_dir():
             return "Op:[0:1]", counter, Decomposable(trivial_line(lat).tensor(m), m)
-        scale = a_t.c * _theta_const(lat) / a_t.a
+        scale = a_t.c * _row_constants(lat)[0] / a_t.a
         terms = ((0, 1.0, theta_p), (1, -1j / (2 * np.pi), ((DTH, pt),)), (3, scale, ()))
         return "Op:[x:y]", terms, F2Twist(m)
 
@@ -549,10 +558,7 @@ def _morphism_dec(e: Decomposable, p: CurvePoint, a_t: ProjPoint, form, thetas):
     # The table family is lambda * (theta product); its direction at p is
     # [lambda * product(p) : 1], so hitting the requested direction means
     # dividing out the product's value at p.
-    denom = complex(th.theta_w(pt, t, lat))
-    if k > 1:
-        denom *= complex(th.theta_w(pt, 0.0, lat)) ** (k - 1)
-    lam = (a_t.a / a_t.c) / denom
+    lam = (a_t.a / a_t.c) / thetas
     terms = ((0, 1.0, theta_p), (1, lam, ((TH, t),) + ((TH, 0.0),) * (k - 1)), (3, 1.0, ()))
     target = Decomposable(LineBundleClass(k - 1, t - pt, lat).tensor(m), m)
     return f"{name}:[lam:1]", terms, target
@@ -567,7 +573,7 @@ def _morphism_f2(e: F2Twist, p: CurvePoint, a: ProjPoint):
         target = Decomposable(m, LineBundleClass(-1, -pt, lat).tensor(m))
         return "F2:[1:0]", terms, target
     lam = a.a / a.c
-    lam_p = lam - 2 * complex(th.g_tilde_w(0.0, 0.5, lat))
+    lam_p = lam - _row_constants(lat)[1]
     c = pt - 0.5
     ct = c - lat.tau
     i_pi = 1j / np.pi
@@ -620,6 +626,14 @@ def _morphism_g2(e: G2Twist, p: CurvePoint, m: LineBundleClass, idx: int, root: 
 # Two-step classification, moduli coordinates, and the total direction map.
 
 
+def _class_lifts(es) -> list[complex]:
+    """Reduced lifts of the twists whose cover images are ``mss_coordinate(es)``."""
+    for e in es:
+        if not is_even_semistable(e) or not has_trivial_det(e):
+            raise NotSemistable(f"{e} is not semistable with trivial determinant")
+    return [(e.l1 if isinstance(e, Decomposable) else e.l).reduced() for e in es]
+
+
 def mss_coordinate(es) -> list[ProjPoint]:
     """Coordinates of the S-equivalence classes ``es`` in the semistable
     moduli line, from one cover call.
@@ -627,13 +641,7 @@ def mss_coordinate(es) -> list[ProjPoint]:
     [L + L^{-1}] maps to the cover image of the twist of L; an F2 twist
     maps like its S-equivalent L + L.
     """
-    for e in es:
-        if not is_even_semistable(e) or not has_trivial_det(e):
-            raise NotSemistable(f"{e} is not semistable with trivial determinant")
-    if not es:
-        return []
-    lifts = [(e.l1 if isinstance(e, Decomposable) else e.l).reduced() for e in es]
-    return th._cover_points(lifts, es[0].lattice)
+    return th._cover_points(_class_lifts(es), es[0].lattice) if es else []
 
 
 def _stable_first_class(reps1, points, avals, dirs) -> list[list[EllipticBundle]]:
@@ -812,16 +820,20 @@ class EllipticSequence:
 
 
 def h_total(seqs) -> list[list[ProjPoint]]:
-    """The n+1 moduli coordinates of each sequence on a marked bundle.
+    """The n+1 moduli coordinates of each sequence on a marked bundle:
+    the cover images of its ``_h_lifts``, from one cover call."""
+    lifts = _h_lifts(seqs)
+    coords = iter(th._cover_points([z for row in lifts for z in row], seqs[0].base.q.lattice) if seqs else ())
+    return [[next(coords) for _ in row] for row in lifts]
 
-    Coordinate 0 is the class of the base bundle; coordinate i >= 1 is the
-    class (twisted back to trivial determinant) of the two-step
-    modification of the base at (q, p_i) in the directions read off the
-    mark and the composed sequence.  Each sequence carries its mark step,
-    its values and the chain's factors; for the whole stack, the second
-    steps are one ``morphism_rep`` call, the lines one ``factor_lines``
-    read, and all coordinates one cover call.
-    """
+
+def _h_lifts(seqs) -> list[list[complex]]:
+    """The ``_class_lifts`` of each sequence's n+1 moduli classes: the base
+    bundle, then per point p_i the class (twisted back to trivial
+    determinant) of the two-step modification of the base at (q, p_i) in
+    the directions read off the mark and the composed sequence.  For the
+    whole stack, the second steps are one ``morphism_rep`` call and the
+    lines one ``factor_lines`` read of the sequences' factors."""
     live = [s for s in seqs if s.reps]
     # Reinterpreted two-step sequences: the mark modification first, in a
     # good direction, classified as ``double_hecke`` classifies a good first
@@ -830,11 +842,9 @@ def h_total(seqs) -> list[list[ProjPoint]]:
     classes = _stable_first_class([s.mark for s in live], [s.points for s in live],
                                   [s.mark_values for s in live],
                                   factor_lines([s.factors for s in live])) if live else []
-    coords = iter(mss_coordinate([s.base.bundle for s in seqs] + [c for row in classes for c in row]))
-    out = [[next(coords)] for _ in seqs]
-    for h, s in zip(out, seqs):
-        h += [next(coords) for _ in s.reps]
-    return out
+    lifts = _class_lifts([s.base.bundle for s in seqs] + [c for row in classes for c in row])
+    rest = iter(lifts[len(seqs):])
+    return [[base] + [next(rest) for _ in s.reps] for base, s in zip(lifts, seqs)]
 
 
 def f_embedding(ps, q: CurvePoint, p1: CurvePoint, p2: CurvePoint) -> list[tuple]:
@@ -855,31 +865,34 @@ def f_embedding(ps, q: CurvePoint, p1: CurvePoint, p2: CurvePoint) -> list[tuple
 
 def distance_to_curve(triples, qs, p1s, p2s) -> np.ndarray:
     """Max-chordal distance from each (CP^1)^3 point ``triples[i]`` to the
-    embedded curve of ``(qs[i], p1s[i], p2s[i])``, as a (B,) array.
-
-    Component j of f is pi(p - s_j), so the curve points where it meets
-    its target t_j are the cover fiber s_j +- r_j, {r_j, -r_j} =
-    pi^{-1}(t_j): the (B, 3) targets go through one batched inversion.  The
-    value is the least max-chordal residual over those six curve points
-    per triple, with all (B, 6, 3) residuals from one batched cover call.
-    Like any residual it is attained at real curve points; it is about
-    1e-15 on the curve, and near the curve within about 2x of the true
-    minimum: for distinct q, p1, p2 at most one component can sit at a
-    branch point, so a well-conditioned fiber is always among the
-    candidates.
-    """
+    embedded curve of ``(qs[i], p1s[i], p2s[i])``, as a (B,) array: one
+    batched inversion of the (B, 3) targets, then ``_fiber_distance``."""
     if not qs:
         return np.zeros(0)
-    shifts = []
-    for q, p1, p2 in zip(qs, p1s, p2s):
-        e1 = halve_sum(q, p1)
-        e2 = halve_sum(q, p2)
-        shifts.append((e1.lift, p1.lift, p2.lift - e2.lift + e1.lift))
-    shifts = np.array(shifts, dtype=complex).reshape(-1, 3)
     t = np.array([[(x.a, x.c) for x in tri] for tri in triples], dtype=complex).reshape(-1, 3, 2)
-    ta, tc = t[..., 0], t[..., 1]
+    roots = th._invert_lifts(t[..., 0].ravel(), t[..., 1].ravel(), qs[0].lattice)[0].reshape(-1, 3)
+    return _fiber_distance(roots, qs, p1s, p2s, (t[..., 0], t[..., 1]))
+
+
+def _fiber_distance(roots, qs, p1s, p2s, targets=None) -> np.ndarray:
+    """``distance_to_curve`` of the targets (ta, tc), each (B, 3), given
+    their cover fibers {r_j, -r_j} as ``roots``; without ``targets``, of the
+    roots' cover images.
+
+    Component j of f is pi(p - s_j), so the curve points where it meets
+    its target t_j are s_j +- r_j.  The value is the least max-chordal
+    residual over those six curve points per triple, with all (B, 6, 3)
+    residuals from one batched cover call.  Like any residual it is
+    attained at real curve points; it is about 1e-15 on the curve, and
+    near the curve within about 2x of the true minimum: for distinct q,
+    p1, p2 at most one component can sit at a branch point, so a
+    well-conditioned fiber is always among the candidates.
+    """
     lat = qs[0].lattice
-    roots = th._invert_lifts(ta.ravel(), tc.ravel(), lat)[0].reshape(ta.shape)
+    ta, tc = th._cover_homogeneous(roots, lat) if targets is None else targets
+    e1s = [halve_sum(q, p1).lift for q, p1 in zip(qs, p1s)]
+    shifts = np.array([(e1, p1.lift, p2.lift - halve_sum(q, p2).lift + e1)
+                       for q, p1, p2, e1 in zip(qs, p1s, p2s, e1s)], dtype=complex).reshape(-1, 3)
     z = np.concatenate([shifts + roots, shifts - roots], axis=1)
     dist = th._cover_chordal(z[:, :, None] - shifts[:, None], ta[:, None], tc[:, None], lat)
     return dist.max(axis=2).min(axis=1)
@@ -888,13 +901,13 @@ def distance_to_curve(triples, qs, p1s, p2s) -> np.ndarray:
 def membership_Hp(seqs) -> list[bool]:
     """Exact membership of each sequence for n <= 2: n <= 1 is all of the
     total space; for n = 2 the complement is the embedded curve, decided
-    by one stacked ``distance_to_curve``."""
+    by one stacked ``_fiber_distance`` of the ``_h_lifts``."""
     if any(len(s.reps) > 2 for s in seqs):
         raise Unsupported("exact membership is computed for n <= 2 only")
     two = [s for s in seqs if len(s.reps) == 2]
-    dist = iter(distance_to_curve(h_total(two), [s.base.q for s in two],
-                                  [s.points[0] for s in two],
-                                  [s.points[1] for s in two]).tolist() if two else ())
+    dist = iter(_fiber_distance(np.array(_h_lifts(two)), [s.base.q for s in two],
+                                [s.points[0] for s in two],
+                                [s.points[1] for s in two]).tolist() if two else ())
     return [next(dist) >= CURVE_TOL if len(s.reps) == 2 else True for s in seqs]
 
 

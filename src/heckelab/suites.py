@@ -535,11 +535,11 @@ def _compute_space_t2(report, config, rng, n):
         trials_far = max(4, _n(config, 100) // 2)
         far: list = []
         while len(far) < trials_far:
-            lifts = [p.lift for p in _curve_points(rng, lat, 6 * (trials_far - len(far)))]
-            taus = th._cover_points(lifts, lat)
-            tris = [taus[k:k + 3] for k in range(0, len(taus), 3)]
-            dist = ell.distance_to_curve(tris, [q] * len(tris), [p1] * len(tris), [p2] * len(tris))
-            far += [t for t, d in zip(tris, dist) if d > 0.1]
+            # The drawn lifts are the fibers of their own cover images.
+            lifts = np.reshape([p.lift for p in _curve_points(rng, lat, 6 * (trials_far - len(far)))], (-1, 3))
+            dist = ell._fiber_distance(lifts, [q] * len(lifts), [p1] * len(lifts), [p2] * len(lifts))
+            taus = th._cover_points(lifts[dist > 0.1], lat)
+            far += [taus[k:k + 3] for k in range(0, len(taus), 3)]
         tris = curve[46:] + far[:trials_far]
         seqs = ell.sequence_from_coordinates([q] * len(tris), [[p1, p2]] * len(tris), tris)
         member = ell.membership_Hp(seqs)

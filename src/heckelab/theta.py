@@ -9,6 +9,9 @@ truncation bound from the Gaussian decay of the series.
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 
 from .projective import ProjPoint, _chordal, chordal_vecs
@@ -28,52 +31,51 @@ class NoConvergence(RuntimeError):
     """An inverted cover point maps 1e-8 (chordal) or farther from its target."""
 
 
-def _terms_needed(tau_eff: complex, max_abs_im: float) -> int:
-    # Last retained term < 1e-15 relative for arguments within two
-    # fundamental domains, from exp(-pi n^2 Im tau + 2 pi n |Im z|).
-    base = np.ceil(np.sqrt(36.0 / (np.pi * tau_eff.imag)))
-    return int(base + max_abs_im / tau_eff.imag + 4)
-
-
-def _reduce(z: np.ndarray, tau: complex):
-    """Split z = z0 + k + m*tau with z0 in a centered fundamental strip."""
-    y = z.imag / tau.imag
-    m = np.rint(y)
-    z1 = z - m * tau
-    k = np.rint(z1.real)
-    z0 = z1 - k
-    return z0, m
+@functools.lru_cache(maxsize=64)
+def _series_ratios(tau: complex) -> tuple[np.ndarray, np.ndarray]:
+    """Ratios e^{i pi tau (2k - 1)} of consecutive series terms over x^{+-1}
+    and derivative weights +-2 pi i k, k = 1..N, cached per tau.  Term N + 1,
+    exp(-pi (N+1)^2 Im tau + 2 pi (N+1) |Im z0|) with |Im z0| <= Im tau / 2,
+    is < 1e-15 relative."""
+    k = np.arange(1, math.ceil(math.sqrt(36.0 / (math.pi * tau.imag))) + 5)
+    return np.exp(1j * np.pi * tau * (2 * k - 1)), TWO_PI_I * k * np.array([[1], [-1]])
 
 
 def _theta_series(z, tau: complex):
-    """The range-reduced series of theta at z = z0 + k + m tau:
-    ``(terms, n, m, factor)``, with the terms exp(pi i (n^2 tau + 2 n z0)),
-    |n| <= N, on a last axis, and the quasi-periodic factor that carries
-    the series at z0 back to z."""
-    z0, m = _reduce(np.asarray(z, dtype=complex), tau)
-    n_terms = _terms_needed(tau, float(np.abs(z0.imag).max(initial=0.0)))
-    n = np.arange(-n_terms, n_terms + 1)
-    terms = np.exp(1j * np.pi * (n * n * tau) + TWO_PI_I * np.multiply.outer(z0, n))
-    factor = np.exp(-1j * np.pi * m * m * tau - TWO_PI_I * m * z0)
-    return terms, n, m, factor
+    """The range-reduced series of theta at z = z0 + k + m tau, z0 in a
+    centered strip: ``(terms, weights, m, factor, value)``.  ``terms[..., j,
+    k-1]`` is t_k = e^{i pi k^2 tau} x^{+-k}, x = e^{2 pi i z0} (one
+    exponential per point), each term the one before times x^{+-1}
+    e^{i pi tau (2k-1)}, so no intermediate exceeds the largest term.
+    ``factor`` carries ``value`` back to z.  A lone point is a batch of one."""
+    z = np.asarray(z, dtype=complex).reshape(np.shape(z) or (1,))
+    m = np.rint(z.imag / tau.imag)
+    z1 = z - m * tau
+    z0 = z1 - np.rint(z1.real)
+    ratios, weights = _series_ratios(tau)
+    x = np.exp(TWO_PI_I * z0)[..., None]
+    terms = np.empty(z0.shape + (2, ratios.size), dtype=complex)
+    np.multiply(x, ratios, out=terms[..., 0, :])
+    np.divide(ratios, x, out=terms[..., 1, :])
+    np.multiply.accumulate(terms, axis=-1, out=terms)
+    factor = np.exp(-1j * np.pi * m * (m * tau + 2 * z0))
+    return terms, weights, m, factor, terms.sum(axis=(-2, -1)) + 1
 
 
 def theta_raw(z, tau: complex):
     """Jacobi theta  sum_n exp(pi i (n^2 tau + 2 n z))  for Im tau > 0."""
-    terms, _, _, factor = _theta_series(z, tau)
+    *_, factor, val = _theta_series(z, tau)
     # A named operand: numpy would turn factor * <temporary> into an
     # in-place <temporary> *= factor from 16,384 points up, and its SIMD
     # complex multiply is not bitwise commutative.
-    val = terms.sum(axis=-1)
-    return factor * val
+    return (factor * val).reshape(np.shape(z))[()]
 
 
 def theta_raw_deriv(z, tau: complex):
     """d/dz of theta_raw, via termwise differentiation and range reduction."""
-    terms, n, m, factor = _theta_series(z, tau)  # one exponential array for both sums
-    val = terms.sum(axis=-1)
-    dval = (terms * (TWO_PI_I * n)).sum(axis=-1) - TWO_PI_I * m * val
-    return factor * dval  # a named operand, as in theta_raw
+    terms, weights, m, factor, val = _theta_series(z, tau)  # one term array for both sums
+    dval = (terms * weights).sum(axis=(-2, -1)) - TWO_PI_I * m * val
+    return (factor * dval).reshape(np.shape(z))[()]  # a named operand, as in theta_raw
 
 
 def theta_w(z, w: complex, lattice: Lattice):

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import itertools
 from collections import Counter
 
@@ -781,6 +782,39 @@ def test_stacked_membership_near_curve(tau):
     member = ell.membership_Hp(sequences(tris))
     assert member == [ell.membership_Hp(sequences([t]))[0] for t in tris]
     assert member == [False] * 6 + [True] * 12
+
+
+@pytest.mark.parametrize("tau", REF_TAUS)
+def test_membership_decides_as_the_distance_of_h_total(tau):
+    # membership_Hp reads the class lifts without inverting h_total's
+    # coordinates; it decides as the inverting route does, on curve and
+    # 1e-4 chordal off it.
+    lat, rng, q, p1, p2, _ = curve_setup(tau, seed=56)
+    on_curve = ell.f_embedding([CurvePoint(rng.random() + rng.random() * tau, lat)
+                                for _ in range(6)], q, p1, p2)
+    moved = [list(t) for t in on_curve]
+    for k, tri in enumerate(moved):
+        tri[k % 3] = at_chordal_offset(tri[k % 3], 1e-4, rng.uniform(0, 2 * np.pi))
+    tris = on_curve + moved
+    seqs = ell.sequence_from_coordinates([q] * 12, [[p1, p2]] * 12, tris)
+    dist = ell.distance_to_curve(ell.h_total(seqs), [q] * 12, [p1] * 12, [p2] * 12)
+    assert ell.membership_Hp(seqs) == (dist >= ell.CURVE_TOL).tolist() == [False] * 6 + [True] * 6
+
+
+def test_curve_membership_inverts_no_coordinate_it_made(monkeypatch):
+    # compute-space T2 2 inverts the coordinates of its sequences and the
+    # directions of its G2 rows, but neither its far-tuple rejection nor
+    # membership_Hp inverts the cover images of lifts it holds.
+    callers, original = [], th._invert_lifts
+
+    def spy(a, c, lattice):
+        callers.append({f.function for f in inspect.stack(0)[1:]})
+        return original(a, c, lattice)
+
+    monkeypatch.setattr(th, "_invert_lifts", spy)
+    assert cli.run("compute-space", cli.RunConfig(seed=7, samples=8, extra=("T2", "2"))).ok
+    assert len(callers) == 3
+    assert not any("distance_to_curve" in names for names in callers)
 
 
 @pytest.mark.parametrize("tau", REF_TAUS)

@@ -377,6 +377,37 @@ def test_kernel_matches_mpmath_jtheta(im):
     assert worst <= 1e-12
 
 
+@pytest.mark.parametrize("im", (30, 60, 120))
+def test_kernel_is_finite_at_large_im_tau(im):
+    # In the doubled box |x| = |e^{2 pi i z0}| reaches e^{pi Im t}, so a
+    # series that formed x^k before weighting it would overflow to
+    # inf * 0 = nan at Im t = 120.  Points whose value itself leaves the
+    # double range (|theta| ~ e^{pi y^2 Im t} for lattice coordinate y)
+    # are not compared.  jtheta drops terms below its working precision
+    # relative to the constant term 1, and the derivative can lie e^{-pi Im t}
+    # (1e-164) below it, so the reference needs 200 digits.
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(im)
+    t = complex(0.21, im)
+    uv = rng.uniform(-0.5, 1.5, (40, 2))
+    zs = uv[:, 0] + uv[:, 1] * t
+    with np.errstate(over="ignore", invalid="ignore"):
+        val, dval = th.theta_raw(zs, t), th.theta_raw_deriv(zs, t)
+    checked = 0
+    with mpmath.workdps(200):
+        nome = mpmath.exp(1j * mpmath.pi * mpmath.mpc(t.real, t.imag))
+        for z, v, dv in zip(zs, val, dval):
+            w = mpmath.pi * mpmath.mpc(z.real, z.imag)
+            ref = complex(mpmath.jtheta(3, w, nome))
+            dref = complex(mpmath.pi * mpmath.jtheta(3, w, nome, 1))
+            if not np.isfinite([ref, dref]).all() or max(abs(ref), abs(dref)) > 1e300:
+                continue
+            checked += 1
+            assert abs(v - ref) <= 1e-12 * abs(ref), z
+            assert abs(dv - dref) <= 1e-12 * abs(dref), z
+    assert checked >= 30
+
+
 # ---------------------------------------------------------------------------
 # The closed-form inversion: Carlson's R_F, the Moebius chart, batching.
 
