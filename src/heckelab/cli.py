@@ -31,6 +31,8 @@ class RunConfig:
             raise ConfigError(f"tau must be finite, got {self.tau}")
         if complex(self.tau).imag <= 0:
             raise ConfigError("Im tau must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.samples is not None and self.samples < 1:
             raise ConfigError("samples must be >= 1")
 

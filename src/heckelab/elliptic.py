@@ -405,12 +405,10 @@ def certify_rows(reps, zs) -> tuple[np.ndarray, np.ndarray]:
     return equivariance, np.maximum(fit, dist)
 
 
+@functools.lru_cache(maxsize=64)
 def _row_constants(lattice: Lattice) -> tuple[complex, complex]:
-    """-(i/2pi) theta'^{(0)}(0) of row Op:[x:y] and 2 g~_{1/2}(0) of row F2:[lam:1], cached."""
-    if "row_constants" not in lattice._cache:
-        lattice._cache["row_constants"] = (complex(-th.g_theta_w(0.0, 0.0, lattice)),
-                                           2 * complex(th.g_tilde_w(0.0, 0.5, lattice)))
-    return lattice._cache["row_constants"]
+    """-(i/2pi) theta'^{(0)}(0) of row Op:[x:y] and 2 g~_{1/2}(0) of row F2:[lam:1], cached per tau."""
+    return complex(-th.g_theta_w(0.0, 0.0, lattice)), 2 * complex(th.g_tilde_w(0.0, 0.5, lattice))
 
 
 def morphism_rep(es, ps, dirs) -> list[MorphismRep]:
@@ -784,11 +782,6 @@ def factor_lines(factors) -> list[list[ProjPoint]]:
         for i, vecs in zip(idx, chain_direction_vecs(np.array([factors[i] for i in idx])).tolist()):
             out[i] = [ProjPoint(a, c) for a, c in vecs]
     return out
-
-
-def chain_lines(chains) -> list[list[ProjPoint]]:
-    """``factor_lines`` of each chain's ``chain_factors``."""
-    return factor_lines(chain_factors(chains))
 
 
 @dataclass(frozen=True, eq=False)

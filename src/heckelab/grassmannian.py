@@ -9,8 +9,6 @@ morphisms, and ``in_bruhat_cell`` decides membership for local series data.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from .projective import (
@@ -28,24 +26,15 @@ class NotInCell(ValueError):
     """Evaluation point is not a simple-degeneracy point of the matrix."""
 
 
-MatrixFunction = Callable[[complex], np.ndarray]
-
-
-def _evaluate(m, z: complex) -> np.ndarray:
-    if callable(m):
-        return np.asarray(m(z), dtype=complex)
-    return np.asarray(m, dtype=complex)
-
-
-def eta_at(m: MatrixFunction, mu: complex) -> ProjPoint:
-    """Direction in CP^1 of an analytic 2x2 matrix at the point ``mu``.
+def eta_at(m, mu: complex) -> ProjPoint:
+    """Direction in CP^1 of an analytic 2x2 matrix ``m`` (a function of z,
+    or its value) at the point ``mu``.
 
     ``m(mu)`` must have numerical rank exactly 1; the result is its column
     space.  For m = A(z - mu) diag(1, z - mu) with A a unit this is the
     class of the first column of A(0).
     """
-    val = _evaluate(m, mu)
-    point, s1, s2 = rank_one_column_space(val)
+    point, s1, s2 = rank_one_column_space(np.asarray(m(mu) if callable(m) else m, dtype=complex))
     if point is None:
         raise NotInCell(
             f"matrix at {mu} has singular values ({s1:.3e}, {s2:.3e}); not rank 1"

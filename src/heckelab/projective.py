@@ -41,9 +41,6 @@ class ProjPoint:
     def __eq__(self, other) -> bool:
         return isinstance(other, ProjPoint) and chordal(self, other) < PROJ_TOL
 
-    def __hash__(self):  # pragma: no cover - equality is tolerance based
-        raise TypeError("ProjPoint is not hashable")
-
     @property
     def vec(self) -> np.ndarray:
         return np.array([self.a, self.c], dtype=complex)

@@ -429,11 +429,13 @@ def _two_route_agreement(draws, lat) -> list[bool]:
     """Per ``_double_sample`` draw: does ``double_hecke`` on the composite
     direction pair give the class the chained modifications reach?  Each
     step of the stack is one ``morphism_rep`` call, the pairs one
-    ``chain_lines`` call and their classes one ``double_hecke`` call."""
+    ``chain_factors`` and ``factor_lines`` pass, their classes one
+    ``double_hecke`` call."""
     bundles, p1s, p2s, d1s, d2s = zip(*draws)
     reps1 = ell.morphism_rep(bundles, p1s, d1s)
     reps2 = ell.morphism_rep([r.result for r in reps1], p2s, d2s)
-    tables = ell.double_hecke(bundles, p1s, p2s, *zip(*ell.chain_lines(list(zip(reps1, reps2)))))
+    lines = ell.factor_lines(ell.chain_factors(list(zip(reps1, reps2))))
+    tables = ell.double_hecke(bundles, p1s, p2s, *zip(*lines))
     out = []
     for p1, p2, rep2, table in zip(p1s, p2s, reps2, tables):
         chained = rep2.result.tensor(ell.LineBundleClass(1, halve_sum(p1, p2).lift, lat))

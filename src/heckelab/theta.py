@@ -148,9 +148,8 @@ def _cover_homogeneous(z, lattice: Lattice):
     """Homogeneous pair (den, num) with pi([z]) = [den : num] = [1 : h(z)];
     both theta~ factors, at 2z, come from one kernel call."""
     z = np.asarray(z, dtype=complex)
-    tau = lattice.tau
-    shifts = np.array([0.5, 0.5 - tau]).reshape((2,) + (1,) * z.ndim)
-    den, t = theta_raw(2 * z - 0.5 * (1 + 2 * tau) - shifts, 2 * tau)
+    shifts = np.array([0.5, 0.5 - lattice.tau]).reshape((2,) + (1,) * z.ndim)
+    den, t = theta_tilde_w(2 * z, shifts, lattice)
     return den, np.exp(TWO_PI_I * z) * t
 
 
@@ -184,18 +183,16 @@ def _cover_chordal(z, a, c, lattice: Lattice):
     return _chordal(*_cover_homogeneous(z, lattice), a, c)
 
 
+@functools.lru_cache(maxsize=64)
 def branch_points(lattice: Lattice) -> tuple[ProjPoint, ...]:
     """Images of the four 2-torsion points, from one cover call on their
-    canonical lifts; cached per lattice."""
-    cached = lattice._cache.get("branch_points")
-    if cached is None:
-        lifts = [lattice.reduce(t) for t in lattice.torsion_lifts()]
-        cached = lattice._cache["branch_points"] = tuple(_cover_points(lifts, lattice))
-    return cached
+    canonical lifts; cached per tau."""
+    return tuple(_cover_points([lattice.reduce(t) for t in lattice.torsion_lifts()], lattice))
 
 
+@functools.lru_cache(maxsize=64)
 def _cover_moebius(lattice: Lattice):
-    """Constants (k, e) of w = M^-1(t) = e1 + k [t, b2] / [t, b1]; cached.
+    """Constants (k, e) of w = M^-1(t) = e1 + k [t, b2] / [t, b1]; cached per tau.
 
     h is even of order 2 and branched at the 2-torsion points, so h = M(wp)
     for a Moebius map M.  ``e`` holds e1, e3, e2 = wp(1/2), wp(tau/2),
@@ -203,16 +200,12 @@ def _cover_moebius(lattice: Lattice):
     constants (DLMF 23.6.2-4, omega1 = 1/2).  [s, t] is the determinant of
     two homogeneous pairs; M^-1 sends b1, b2, b4 to infinity, e1, e2, and
     b3 is left as a check."""
-    cached = lattice._cache.get("cover_moebius")
-    if cached is None:
-        tau = lattice.tau
-        th4, th2 = theta_raw(np.array([0.5, tau / 2]), tau)
-        t2, t4 = (np.exp(0.25j * np.pi * tau) * th2) ** 4, th4**4
-        e = (np.pi**2 / 3) * np.array([t2 + 2 * t4, -(2 * t2 + t4), t2 - t4])
-        b1, b2, _, b4 = branch_points(lattice)
-        k = (e[2] - e[0]) * (b4.a * b1.c - b4.c * b1.a) / (b4.a * b2.c - b4.c * b2.a)
-        cached = lattice._cache["cover_moebius"] = (k, e)
-    return cached
+    tau = lattice.tau
+    th4, th2 = theta_raw(np.array([0.5, tau / 2]), tau)
+    t2, t4 = (np.exp(0.25j * np.pi * tau) * th2) ** 4, th4**4
+    e = (np.pi**2 / 3) * np.array([t2 + 2 * t4, -(2 * t2 + t4), t2 - t4])
+    b1, b2, _, b4 = branch_points(lattice)
+    return (e[2] - e[0]) * (b4.a * b1.c - b4.c * b1.a) / (b4.a * b2.c - b4.c * b2.a), e
 
 
 def _carlson_rf(x, y, z):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -14,31 +15,17 @@ DEFAULT_TAU = 0.21 + 1.3j
 POINT_TOL = 1e-8
 
 
+@dataclass(frozen=True, slots=True)
 class Lattice:
-    """The lattice Z + Z*tau with Im tau > 0.
+    """The lattice Z + Z*tau with Im tau > 0, a value of tau."""
 
-    Carries a write-once cache used for per-lattice derived data (the
-    reduced basis, branch points of the double cover); instances are
-    otherwise immutable.
-    """
+    tau: complex = DEFAULT_TAU
 
-    __slots__ = ("tau", "_cache")
-
-    def __init__(self, tau: complex = DEFAULT_TAU):
-        tau = complex(tau)
+    def __post_init__(self):
+        tau = complex(self.tau)
         if tau.imag <= 0:
             raise ValueError(f"Im tau must be positive, got {tau}")
-        self.tau = tau
-        self._cache = {}
-
-    def __repr__(self) -> str:
-        return f"Lattice(tau={self.tau})"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Lattice) and self.tau == other.tau
-
-    def __hash__(self) -> int:
-        return hash(("Lattice", self.tau))
+        object.__setattr__(self, "tau", tau)
 
     def coords(self, z: complex) -> tuple[float, float]:
         """Real coordinates (x, y) with z = x + y*tau."""
@@ -68,19 +55,16 @@ class Lattice:
         x, y = self.coords(complex(z))
         return ((x + 0.5) % 1.0 - 0.5) + ((y + 0.5) % 1.0 - 0.5) * self.tau
 
+    @functools.lru_cache(maxsize=64)
     def _reduced_basis(self) -> tuple[complex, complex]:
         """Lagrange-reduced basis (b1, b2): |b1| <= |b2| and
-        |Re(b2 conj(b1))| <= |b1|^2 / 2, cached per lattice."""
-        basis = self._cache.get("reduced_basis")
-        if basis is None:
-            b1, b2 = (1.0 + 0.0j, self.tau) if abs(self.tau) >= 1 else (self.tau, 1.0 + 0.0j)
-            while True:
-                b2 -= round((b2 * b1.conjugate()).real / abs(b1) ** 2) * b1
-                if abs(b2) >= abs(b1):
-                    break
-                b1, b2 = b2, b1
-            basis = self._cache["reduced_basis"] = (b1, b2)
-        return basis
+        |Re(b2 conj(b1))| <= |b1|^2 / 2, cached per tau."""
+        b1, b2 = (1.0 + 0.0j, self.tau) if abs(self.tau) >= 1 else (self.tau, 1.0 + 0.0j)
+        while True:
+            b2 -= round((b2 * b1.conjugate()).real / abs(b1) ** 2) * b1
+            if abs(b2) >= abs(b1):
+                return b1, b2
+            b1, b2 = b2, b1
 
     def distance(self, z1: complex, z2: complex) -> float:
         """Distance |z1 - z2| minimized over lattice translates.
@@ -100,7 +84,7 @@ class Lattice:
         return (0.0 + 0.0j, 0.5 + 0.0j, self.tau / 2, (1.0 + self.tau) / 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CurvePoint:
     """A point of C/Lambda with its canonical fundamental-domain lift."""
 
@@ -125,9 +109,6 @@ class CurvePoint:
             and self.lattice == other.lattice
             and self.lattice.distance(self.lift, other.lift) < POINT_TOL
         )
-
-    def __hash__(self):  # pragma: no cover - equality is tolerance based
-        raise TypeError("CurvePoint is not hashable")
 
     def torsion_index(self) -> int | None:
         """Index 1..4 among the 2-torsion points, or None."""

@@ -1,7 +1,7 @@
 """Scalar reference readers of direction chains, one step at a time.
 
 The library reads chains only in stacks (``grassmannian.chain_direction_vecs``
-and ``elliptic.chain_lines``); the tests compare those against these loops.
+and ``elliptic.factor_lines``); the tests compare those against these loops.
 """
 
 import numpy as np

@@ -155,7 +155,8 @@ def test_out_of_range_counts_are_config_errors(capsys):
     for args, bound in [(["check-conjecture", "0"], "m must be >= 1"),
                         (["check-conjecture", "-1"], "m must be >= 1"),
                         (["compute-space", "S2", "-1"], "n must be >= 0"),
-                        (["compute-space", "T2", "-1"], "n must be >= 0")]:
+                        (["compute-space", "T2", "-1"], "n must be >= 0"),
+                        (["verify-theta", "--seed", "-1"], "seed must be >= 0")]:
         assert cli.main(args) == 2, args
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and bound in err, (args, err)

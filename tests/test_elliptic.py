@@ -460,13 +460,13 @@ class TestSequenceFromLines:
                     lines[-1] = (ProjPoint(0, 1), ProjPoint(1, 0))[trial % 2]
                 seq = ell.sequence_from_lines([base], [pts[:n]], [lines])[0]
                 assert len(seq.reps) == n and seq.points == pts[:n]
-                assert max(chordal(x, y) for x, y in zip(ell.chain_lines([seq.reps])[0], lines)) < 1e-10
+                assert max(chordal(x, y) for x, y in zip(ell.factor_lines(ell.chain_factors([seq.reps]))[0], lines)) < 1e-10
                 assert seq.terminal == seq.reps[-1].result
 
     def test_empty_sequence_terminal_is_base(self):
         base, _ = self.sample(np.random.default_rng(42))
         seq = ell.sequence_from_lines([base], [[]], [[]])[0]
-        assert seq.reps == () and ell.chain_lines([seq.reps]) == [[]] and seq.terminal == base.bundle
+        assert seq.reps == () and ell.factor_lines(ell.chain_factors([seq.reps])) == [[]] and seq.terminal == base.bundle
 
     def test_rejects_coincident_points(self):
         q = rpt()
@@ -1419,7 +1419,7 @@ EMPTY_STACKS = {
     "evaluate_stack": lambda q: ell.evaluate_stack([], [], None),
     "morphism_rep": lambda q: ell.morphism_rep([], [], []),
     "mss_coordinate": lambda q: ell.mss_coordinate([]),
-    "chain_lines": lambda q: ell.chain_lines([]),
+    "chain_lines": lambda q: ell.factor_lines(ell.chain_factors([])),
     "h_total": lambda q: ell.h_total([]),
     "membership_Hp": lambda q: ell.membership_Hp([]),
     "f_embedding": lambda q: ell.f_embedding([], q, q + q, q + q + q),
@@ -1437,6 +1437,35 @@ def test_stacked_builders_accept_an_empty_stack(name):
         assert isinstance(got, np.ndarray) and got.shape == (0,)
     else:
         assert got == []
+
+
+LATTICE_CONSTANTS = (th.branch_points, th._cover_moebius, ell._row_constants, Lattice._reduced_basis)
+
+
+def constant_bits(value) -> bytes:
+    """The exact bits of a per-lattice constant: its complex numbers in order."""
+    def flat(v):
+        if isinstance(v, ProjPoint):
+            return [v.a, v.c]
+        if isinstance(v, tuple):
+            return [x for u in v for x in flat(u)]
+        return np.ravel(v).tolist()
+    return np.array(flat(value), dtype=complex).tobytes()
+
+
+def test_per_lattice_constants_are_one_cache_entry_per_tau():
+    # Equal lattices, built apart, share one entry of each cache.
+    for constant in LATTICE_CONSTANTS:
+        assert constant(Lattice(REF_TAUS[0])) is constant(Lattice(REF_TAUS[0]))
+    # An entry of one tau does not leak into another: tau1, tau2 and tau1
+    # again read what a cleared cache computes afresh.
+    order = (REF_TAUS[0], REF_TAUS[1], REF_TAUS[0])
+    cached = [[constant_bits(c(Lattice(t))) for c in LATTICE_CONSTANTS] for t in order]
+    for constant in LATTICE_CONSTANTS:
+        constant.cache_clear()
+    fresh = {t: [constant_bits(c(Lattice(t))) for c in LATTICE_CONSTANTS] for t in REF_TAUS}
+    assert cached == [fresh[t] for t in order]
+    assert fresh[REF_TAUS[0]] != fresh[REF_TAUS[1]]
 
 
 # ---------------------------------------------------------------------------
@@ -1457,7 +1486,7 @@ def close(x, y, tol=1e-12):
 def same_sequence(s, t):
     return (close(s.base, t.base) and [r.row for r in s.reps] == [r.row for r in t.reps]
             and all(close(r.result, u.result) for r, u in zip(s.reps, t.reps))
-            and all(chordal(x, y) < 1e-12 for x, y in zip(*ell.chain_lines([s.reps, t.reps]))))
+            and all(chordal(x, y) < 1e-12 for x, y in zip(*ell.factor_lines(ell.chain_factors([s.reps, t.reps])))))
 
 
 def stacked_inputs(lat, seed):
@@ -1609,14 +1638,14 @@ def test_chain_lines_match_the_scalar_readers(tau):
     chains = [()] + [s.reps for trio in zip(three, one, two) for s in trio] + [()]
     rows = {r.row.split(":")[0] for reps in chains for r in reps}
     assert {"F2", "G2", "ss"} <= rows
-    stacked = ell.chain_lines(chains)
+    stacked = ell.factor_lines(ell.chain_factors(chains))
     assert [len(x) for x in stacked] == [len(c) for c in chains]
     for reps, got in zip(chains, stacked):
         evaluators = [evaluator(r) for r in reps]
         for want in (raw_directions(reps), chain_directions(evaluators, [r.point.lift for r in reps])):
             assert all(chordal(x, y) <= 1e-12 for x, y in zip(got, want))
         # A stack reads each member as a batch of one does.
-        assert all(chordal(x, y) <= 1e-14 for x, y in zip(got, ell.chain_lines([reps])[0]))
+        assert all(chordal(x, y) <= 1e-14 for x, y in zip(got, ell.factor_lines(ell.chain_factors([reps]))[0]))
 
 
 def ragged_sequences(lat, seed):
@@ -1693,7 +1722,8 @@ def test_sequence_from_coordinates_inverts_the_stack_once(monkeypatch, tau):
 def reference_h_total(seqs):
     """h_total that rebuilds each mark step: one ``morphism_rep`` call for
     the marks and one ``evaluate_stack`` call at the points, the chains
-    evaluated again by ``chain_lines``, and one cover call per kind."""
+    evaluated again by ``chain_factors`` and read by ``factor_lines``, and
+    one cover call per kind."""
     out = [[c] for c in ell.mss_coordinate([s.base.bundle for s in seqs])]
     live = [i for i, s in enumerate(seqs) if s.reps]
     if live:
@@ -1704,7 +1734,7 @@ def reference_h_total(seqs):
         avals = ell.evaluate_stack([r.terms for r in rep_q], [[p.lift for p in pts] for pts in points],
                                    bases[0].q.lattice)
         classes = ell._stable_first_class(rep_q, points, avals,
-                                          ell.chain_lines([seqs[i].reps for i in live]))
+                                          ell.factor_lines(ell.chain_factors([seqs[i].reps for i in live])))
         coords = iter(ell.mss_coordinate([c for row in classes for c in row]))
         for i, row in zip(live, classes):
             out[i] += [next(coords) for _ in row]
@@ -1746,7 +1776,7 @@ def double_table_inputs(lat, rng, count):
     bundles, p1s, p2s, d1s, d2s = zip(*(suites._double_sample(lat, rng, k) for k in range(count)))
     reps1 = ell.morphism_rep(bundles, p1s, d1s)
     reps2 = ell.morphism_rep([r.result for r in reps1], p2s, d2s)
-    return (bundles, p1s, p2s, *zip(*ell.chain_lines(list(zip(reps1, reps2)))))
+    return (bundles, p1s, p2s, *zip(*ell.factor_lines(ell.chain_factors(list(zip(reps1, reps2))))))
 
 
 def forced_dual_pairs(lat, rng):

@@ -338,7 +338,7 @@ class TestLemmaDirection:
                 v = np.linalg.solve(val, bad.vec)
                 reps.append(ell.morphism_rep([current], [pnt], [ProjPoint(v[0], v[1])])[0])
                 current = reps[-1].result
-            marks = [Mark(p, d) for p, d in zip((p1, p2), ell.chain_lines([reps])[0])]
+            marks = [Mark(p, d) for p, d in zip((p1, p2), ell.factor_lines(ell.chain_factors([reps]))[0])]
             pb = ParabolicBundle(base.bundle, tuple(marks))
             assert stability(pb).verdict is Verdict.UNSTABLE
             assert not ell.is_semistable(current)

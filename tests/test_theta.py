@@ -130,6 +130,7 @@ def test_branch_points_are_one_cover_call(tau, monkeypatch):
         sizes.append(np.size(z))
         return original(z, lattice)
 
+    th.branch_points.cache_clear()
     monkeypatch.setattr(th, "_cover_homogeneous", spy)
     got = th.branch_points(lat)
     assert sizes == [4]
