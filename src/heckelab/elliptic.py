@@ -15,6 +15,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -415,119 +416,158 @@ def morphism_rep(es, ps, dirs) -> list[MorphismRep]:
     """Table representatives of the modifications of ``es[i]`` at ``ps[i]``
     toward ``dirs[i]``, over stacks (sequences) of one length.
 
-    Each bundle is rewritten as (table form) tensor M; matrices are
-    twist-invariant, so only the frame change between the stored and table
-    presentations, P diag(exp(2 pi i shift z), scale) with P a row swap or
-    the identity, dresses the table row.  The frame is monomial, so the
-    direction reaches the table frame in closed form: swapped if P swaps,
-    then divided by the diagonal's value at p.  A direction whose frame is
-    the identity is used as given.  Before any row is built, the theta
-    values of its split forms are one kernel call per theta (theta~ for the
-    strictly semistable forms, theta for Oq and OD), and the fibers over its
-    G2 rows' directions one branch test and inversion (``_invert_lifts``).
+    Each bundle is rewritten as (table form) tensor M (``_table_form``);
+    matrices are twist-invariant, so only the frame change between the
+    stored and table presentations, P diag(exp(2 pi i shift z), scale) with
+    P a row swap or the identity, dresses the table row (``_table_row``).
+    The frame is monomial, so the direction reaches the table frame in
+    closed form: swapped if P swaps, then divided by the diagonal's value
+    at p.  A direction whose frame is the identity is used as given.
+    Before any row is built, the theta values of its split forms are one
+    kernel call per theta (theta~ for ss, theta for Oq and OD), and the
+    fibers over its G2 rows' directions one branch test and inversion
+    (``_invert_lifts``).
     """
     lat = es[0].lattice if es else None
-    forms, a_t = [], list(dirs)
-    for i, (e, p) in enumerate(zip(es, ps)):
-        if isinstance(e, Decomposable):
-            forms.append(_split_form(e, p))
-        elif isinstance(e, G2Twist):
-            # G2(p') tensor N as G2(p) tensor M: the exact half-difference
-            # lift makes the frame change a constant diagonal.
-            d = e.point_lift - p.lift
-            frame = (0, np.exp(1j * np.pi * d) if abs(d) > 1e-14 else 1.0, False)
-            forms.append((LineBundleClass(e.l.degree, e.l.lift + d / 2, e.lattice), frame))
-        else:
-            forms.append((e.l, (0, 1.0, False)))
-        shift, scale, swap = forms[-1][-1]
-        if (shift, scale, swap) != (0, 1.0, False):
+    forms, a_t = [_table_form(e, p) for e, p in zip(es, ps)], list(dirs)
+    for i, (p, form) in enumerate(zip(ps, forms)):
+        shift, scale, swap = form.frame
+        if form.frame != (0, 1.0, False):
             x, y = (a_t[i].c, a_t[i].a) if swap else (a_t[i].a, a_t[i].c)
             xy = (x / np.exp(TWO_PI_I * shift * p.lift) if shift else x, y / scale)
             # Rescaled by an exact power of two: the same bits, and never below NORM_TOL.
             k = -math.frexp(max(map(abs, xy)))[1]
             a_t[i] = ProjPoint(*(complex(math.ldexp(v.real, k), math.ldexp(v.imag, k)) for v in xy))
-    # pre[i]: theta~_{1/2 - tau} at q - p and p - q (strictly semistable), the
-    # theta product theta_t(p) theta_0(p)^(k-1) (Oq, OD), or (branch index, fiber lift) (G2).
+    # pre[i]: theta~_{1/2 - tau} at q - p and p - q (ss), the theta product
+    # theta_t(p) theta_0(p)^(k-1) (Oq, OD), or (branch index, fiber lift) (G2).
     pre = [None] * len(es)
-    dec = [i for i, e in enumerate(es) if isinstance(e, Decomposable)]
-    ss = [i for i in dec if forms[i][2].degree == 0 and not forms[i][3]]
+    ss, od, g2 = ([i for i, f in enumerate(forms) if f.family in fams]
+                  for fams in (("ss",), ("Oq", "OD"), ("G2",)))
     if ss:
-        z = np.array([(ps[i].lift - forms[i][2].lift) - ps[i].lift for i in ss])
+        z = np.array([(ps[i].lift - forms[i].lp.lift) - ps[i].lift for i in ss])
         vals = th.theta_tilde_w(np.concatenate([z, -z]), 0.5 - lat.tau, lat).tolist()
         for i, minus, plus in zip(ss, vals, vals[len(ss):]):
             pre[i] = minus, plus
-    od = [i for i in dec if forms[i][2].degree > 0 and not forms[i][4]]
     if od:
         vals = th.theta_w(np.array([ps[i].lift for i in od] * 2),
-                          np.array([forms[i][2].lift for i in od] + [0.0] * len(od)), lat).tolist()
-        for i, t_p, o_p, k in zip(od, vals, vals[len(od):], (forms[i][2].degree for i in od)):
+                          np.array([forms[i].lp.lift for i in od] + [0.0] * len(od)), lat).tolist()
+        for i, t_p, o_p, k in zip(od, vals, vals[len(od):], (forms[i].lp.degree for i in od)):
             pre[i] = t_p * o_p ** (k - 1) if k > 1 else t_p
-    g2 = [i for i, e in enumerate(es) if isinstance(e, G2Twist)]
     if g2:
         lifts, idx = th._invert_lifts([a_t[i].a for i in g2], [a_t[i].c for i in g2], lat)
         for i, k, w in zip(g2, idx.tolist(), lifts.tolist()):
             pre[i] = k, w
-    out = []
-    for e, p, a, form, values in zip(es, ps, a_t, forms, pre):
-        if isinstance(e, Decomposable):
-            row, terms, target = _morphism_dec(e, p, a, form, values)
-        elif isinstance(e, F2Twist):
-            row, terms, target = _morphism_f2(e, p, a)
-        else:
-            row, terms, target = _morphism_g2(e, p, form[0], *values)
-        out.append(MorphismRep(_framed(terms, *form[-1]), row, e, target, p))
-    return out
+    return [MorphismRep(_framed(terms, *form.frame), row, e, target, p)
+            for e, p, form, (row, terms, target) in zip(es, ps, forms, map(_table_row, ps, a_t, forms, pre))]
 
 
-def _split_form(e: Decomposable, p: CurvePoint):
-    """(u1, m, lp, trivial, own, frame) of a split bundle at ``p``: its
-    summands in table order, lp = u1 tensor m^-1 of degree k >= 0, whether
-    the bundle is O + O or O(p) + O (up to the twist m), and the frame
-    (shift, scale, swap) from the table presentation to the stored one."""
-    lat = e.lattice
+class _TableForm(NamedTuple):
+    """A bundle at a point as (table form) tensor m: its table ``family``
+    (OO, ss, Op, Oq, OD, F2 or G2); for a split bundle lp = u1 tensor m^-1,
+    of degree k >= 0, and its first summand u1 in table order, with the
+    lift the frame fixes; and the ``frame`` (shift, scale, swap) from the
+    table presentation to the stored one."""
+
+    family: str
+    u1: LineBundleClass | None
+    m: LineBundleClass
+    lp: LineBundleClass | None
+    frame: tuple
+
+
+def _table_form(e: EllipticBundle, p: CurvePoint) -> _TableForm:
+    """The ``_TableForm`` of ``e`` at ``p``."""
+    if isinstance(e, F2Twist):
+        return _TableForm("F2", None, e.l, None, (0, 1.0, False))
+    if isinstance(e, G2Twist):
+        # G2(p') tensor N as G2(p) tensor M: the exact half-difference
+        # lift makes the frame change a constant diagonal.
+        d = e.point_lift - p.lift
+        m = LineBundleClass(e.l.degree, e.l.lift + d / 2, e.lattice)
+        scale = np.exp(1j * np.pi * d) if abs(d) > 1e-14 else 1.0
+        return _TableForm("G2", None, m, None, (0, scale, False))
     swap = e.l1.degree < e.l2.degree
     u1, m = (e.l2, e.l1) if swap else (e.l1, e.l2)
     lp = u1.tensor(m.inverse())  # degree k >= 0, exact lift
     k, t = lp.degree, lp.lift
-    trivial = k == 0 and lat.distance(t, 0.0) < CLASS_TOL  # O + O
-    own = k == 1 and lat.distance(t, p.lift) < CLASS_TOL  # O(p) + O at its own point
-    # Frame change table -> stored: a scalar-exponential lift fix on the
-    # first summand (O + O and O(p) + O), then the order swap, as needed.
-    shift = round((t - p.lift if own else t).imag / lat.tau.imag) if trivial or own else 0
-    return u1, m, lp, trivial, own, (shift, 1.0, swap)
+    # O + O, O(p - q) + O, O(p) + O at its own point, O(q) + O, O(D) + O.
+    family = ("OO" if lp.is_trivial() else "ss" if k == 0 else "Op" if lp.same_class(point_line(p))
+              else "Oq" if k == 1 else "OD")
+    # Frame change table -> stored: a scalar-exponential fix of the first
+    # summand's lift to 0 (O + O) or p (O(p) + O), then the order swap.
+    fixed, shift = {"OO": 0.0, "Op": p.lift}.get(family), 0
+    if fixed is not None:
+        shift = round((t - fixed).imag / e.lattice.tau.imag)
+        u1 = LineBundleClass(k, fixed, e.lattice).tensor(m)
+    return _TableForm(family, u1, m, lp, (shift, 1.0, swap))
 
 
-def _morphism_dec(e: Decomposable, p: CurvePoint, a_t: ProjPoint, form, thetas):
-    """(row, terms, target) of a split bundle for the direction ``a_t`` in
-    the table frame, given its ``_split_form`` and ``thetas``: theta~_{1/2 -
-    tau} at q - p and p - q (strictly semistable), or its theta product at p."""
-    lat = e.lattice
-    pt = p.lift
-    u1, m, lp, trivial, own, _ = form
-    k, t = lp.degree, lp.lift
-
+def _table_row(p: CurvePoint, a_t: ProjPoint, form: _TableForm, values):
+    """(row, terms, target) of ``form`` at ``p`` for the direction ``a_t``
+    in the table frame, given its ``morphism_rep`` precompute ``values``."""
+    family, u1, m, lp, _ = form
+    lat, pt = m.lattice, p.lift
     theta_p = ((TH, pt),)
-    pivot = ((0, 1.0, ()), (3, 1.0, theta_p))  # toward [1:0]
-    counter = ((0, 1.0, theta_p), (3, 1.0, ()))  # toward [0:1]
+    i_pi = 1j / np.pi
+
+    if family == "G2":
+        idx, root = values  # branch index (0 off the branch points), fiber lift
+        if idx:
+            zi = lat.torsion_lifts()[idx - 1]
+            c = pt - 2 * zi + 0.5
+            ct = c - lat.tau
+            ei = np.exp(TWO_PI_I * zi)
+            terms = (
+                (0, 1.0, ((TT, c),)),
+                (1, -i_pi, ((DTT, c),)),
+                (2, ei, ((TT, ct),)),
+                (3, ei, ((TT, ct),)), (3, -ei * i_pi, ((DTT, ct),)),
+            )
+            return f"G2:a{idx}", terms, F2Twist(torsion_line(lat, idx).tensor(m))
+        # Any exact lift of the root works if used consistently in the
+        # characters, the exponentials, and the target twists; the centered
+        # lift keeps the doubled arguments +-2w numerically balanced.
+        w = lat.reduce_centered(root)
+        e2w = np.exp(TWO_PI_I * w)
+        terms = (
+            (0, 1.0, ((TT, pt - 2 * w + 0.5),)),
+            (1, 1.0, ((TT, pt + 2 * w + 0.5),)),
+            (2, e2w, ((TT, pt - 2 * w + 0.5 - lat.tau),)),
+            (3, 1 / e2w, ((TT, pt + 2 * w + 0.5 - lat.tau),)),
+        )
+        return "G2:good", terms, dual_pair(w, lat).tensor(m)
+
     low = LineBundleClass(-1, -pt, lat).tensor(m)
-
-    if trivial:
-        # O + O: every direction is bad; two matrix shapes.
-        target = Decomposable(trivial_line(lat).tensor(m), low)
+    if family == "F2":
         if a_t.is_zero_dir():
-            return "OO:[1:0]", pivot, target
+            terms = ((0, 1.0, ()), (1, 1j / (2 * np.pi), ((DTH, pt),)), (3, 1.0, theta_p))
+            return "F2:[1:0]", terms, Decomposable(m, low)
+        lam_p = a_t.a / a_t.c - _row_constants(lat)[1]
+        c = pt - 0.5
+        ct = c - lat.tau
+        terms = (
+            (0, 1 - lam_p, ((TT, ct),)), (0, -i_pi, ((DTT, ct),)),
+            (1, lam_p, ((TT, c),)), (1, i_pi, ((DTT, c),)),
+            (2, -1.0, ((TT, ct),)),
+            (3, 1.0, ((TT, c),)),
+        )
+        return "F2:[lam:1]", terms, G2Twist(pt, low)
+
+    # A split family.
+    k, t = lp.degree, lp.lift
+    if a_t.is_zero_dir():
+        return f"{family}:[1:0]", ((0, 1.0, ()), (3, 1.0, theta_p)), Decomposable(u1, low)
+    down = LineBundleClass(k - 1, 0.0 if family == "Op" else t - pt, lat).tensor(m)  # u1(-p)
+    if family in ("ss", "Op") and a_t.is_infinity_dir():
+        return f"{family}:[0:1]", ((0, 1.0, theta_p), (3, 1.0, ())), Decomposable(down, m)
+
+    if family == "OO":  # every direction is bad
         terms = ((0, a_t.a / a_t.c, ()), (1, 1.0, theta_p), (2, 1.0, ()))
-        return "OO:[lam:1]", terms, target
+        return "OO:[lam:1]", terms, Decomposable(u1, low)
 
-    if k == 0:
+    if family == "ss":
         # O(p - q) + O with q = p - t; strictly semistable, t nontrivial.
-        q_lift = pt - t
-        if a_t.is_zero_dir():
-            return "ss:[1:0]", pivot, Decomposable(u1, low)
-        if a_t.is_infinity_dir():
-            target = Decomposable(LineBundleClass(-1, -q_lift, lat).tensor(m), m)
-            return "ss:[0:1]", counter, target
-        sa, sb = a_t.a / thetas[0], a_t.c / thetas[1]
+        sa, sb = a_t.a / values[0], a_t.c / values[1]
         e2t = np.exp(TWO_PI_I * t)
         terms = (
             (0, sa, ((TT, pt + t + 0.5 - lat.tau),)),
@@ -535,89 +575,21 @@ def _morphism_dec(e: Decomposable, p: CurvePoint, a_t: ProjPoint, form, thetas):
             (2, sb, ((TT, pt - t + 0.5 - lat.tau),)),
             (3, -sb, ((TT, pt - t + 0.5),)),
         )
-        target = G2Twist(q_lift, LineBundleClass(-1, -q_lift, lat).tensor(m))
-        return "ss:[x:y]", terms, target
+        return "ss:[x:y]", terms, G2Twist(pt - t, down)
 
-    if own:
-        if a_t.is_zero_dir():
-            target = Decomposable(LineBundleClass(1, pt, lat).tensor(m), low)
-            return "Op:[1:0]", pivot, target
-        if a_t.is_infinity_dir():
-            return "Op:[0:1]", counter, Decomposable(trivial_line(lat).tensor(m), m)
+    if family == "Op":
         scale = a_t.c * _row_constants(lat)[0] / a_t.a
         terms = ((0, 1.0, theta_p), (1, -1j / (2 * np.pi), ((DTH, pt),)), (3, scale, ()))
         return "Op:[x:y]", terms, F2Twist(m)
 
     # O(D) + O for deg D = k >= 1 with D's point distinct from p (k = 1)
     # or arbitrary (k >= 2; the theta product uses (k-1) [0] + the twist).
-    name = "OD" if k > 1 else "Oq"
-    if a_t.is_zero_dir():
-        return f"{name}:[1:0]", pivot, Decomposable(u1, low)
     # The table family is lambda * (theta product); its direction at p is
     # [lambda * product(p) : 1], so hitting the requested direction means
     # dividing out the product's value at p.
-    lam = (a_t.a / a_t.c) / thetas
+    lam = (a_t.a / a_t.c) / values
     terms = ((0, 1.0, theta_p), (1, lam, ((TH, t),) + ((TH, 0.0),) * (k - 1)), (3, 1.0, ()))
-    target = Decomposable(LineBundleClass(k - 1, t - pt, lat).tensor(m), m)
-    return f"{name}:[lam:1]", terms, target
-
-
-def _morphism_f2(e: F2Twist, p: CurvePoint, a: ProjPoint):
-    lat = e.lattice
-    pt = p.lift
-    m = e.l
-    if a.is_zero_dir():
-        terms = ((0, 1.0, ()), (1, 1j / (2 * np.pi), ((DTH, pt),)), (3, 1.0, ((TH, pt),)))
-        target = Decomposable(m, LineBundleClass(-1, -pt, lat).tensor(m))
-        return "F2:[1:0]", terms, target
-    lam = a.a / a.c
-    lam_p = lam - _row_constants(lat)[1]
-    c = pt - 0.5
-    ct = c - lat.tau
-    i_pi = 1j / np.pi
-    terms = (
-        (0, 1 - lam_p, ((TT, ct),)), (0, -i_pi, ((DTT, ct),)),
-        (1, lam_p, ((TT, c),)), (1, i_pi, ((DTT, c),)),
-        (2, -1.0, ((TT, ct),)),
-        (3, 1.0, ((TT, c),)),
-    )
-    target = G2Twist(pt, LineBundleClass(-1, -pt, lat).tensor(m))
-    return "F2:[lam:1]", terms, target
-
-
-def _morphism_g2(e: G2Twist, p: CurvePoint, m: LineBundleClass, idx: int, root: complex):
-    """(row, terms, target) of G2(p) tensor ``m`` for the direction in the
-    table frame with branch index ``idx`` (0 off the branch points) and
-    fiber lift ``root``."""
-    lat = e.lattice
-    pt = p.lift
-    if idx:
-        zi = lat.torsion_lifts()[idx - 1]
-        c = pt - 2 * zi + 0.5
-        ct = c - lat.tau
-        ei = np.exp(TWO_PI_I * zi)
-        i_pi = 1j / np.pi
-        terms = (
-            (0, 1.0, ((TT, c),)),
-            (1, -i_pi, ((DTT, c),)),
-            (2, ei, ((TT, ct),)),
-            (3, ei, ((TT, ct),)), (3, -ei * i_pi, ((DTT, ct),)),
-        )
-        target = F2Twist(torsion_line(lat, idx).tensor(m))
-        return f"G2:a{idx}", terms, target
-
-    # Any exact lift of the root works if used consistently in the
-    # characters, the exponentials, and the target twists; the centered
-    # lift keeps the doubled arguments +-2w numerically balanced.
-    w = lat.reduce_centered(root)
-    e2w = np.exp(TWO_PI_I * w)
-    terms = (
-        (0, 1.0, ((TT, pt - 2 * w + 0.5),)),
-        (1, 1.0, ((TT, pt + 2 * w + 0.5),)),
-        (2, e2w, ((TT, pt - 2 * w + 0.5 - lat.tau),)),
-        (3, 1 / e2w, ((TT, pt + 2 * w + 0.5 - lat.tau),)),
-    )
-    return "G2:good", terms, dual_pair(w, lat).tensor(m)
+    return f"{family}:[lam:1]", terms, Decomposable(down, m)
 
 
 # ---------------------------------------------------------------------------
@@ -936,16 +908,13 @@ def _second_directions(h1s, qs, ps, roots, lat) -> list[ProjPoint]:
     """Directions (in the stored frame of ``h1s[i]``) whose modification at
     ``ps[i]`` lands, after the O(e) twist, on the moduli coordinate with
     cover preimage ``roots[i]``.  Inverts the good-direction row: the class
-    pair is {w, -w} + kappa with kappa the combined twist of the
-    point-moving normalization and the e-twist, so w is the cover preimage
-    of tau shifted by kappa."""
-    ws, d2s = [], []
-    for h1, q, p, root in zip(h1s, qs, ps, roots):
-        t_m = h1.l.lift + (h1.point_lift - p.lift) / 2
-        kappa = t_m + (q.lift + p.lift) / 2
-        ws.append(CurvePoint(root - kappa, lat).lift)
-        d2s.append(np.exp(1j * np.pi * (h1.point_lift - p.lift)))
-    return [ProjPoint(d.a, d2 * d.c) for d, d2 in zip(th._cover_points(ws, lat), d2s)]
+    pair is {w, -w} + kappa with kappa the twist of h1's ``_table_form`` at
+    p plus the e-twist, so w is the cover preimage of tau shifted by kappa;
+    the direction takes the form's frame scale."""
+    forms = [_table_form(h1, p) for h1, p in zip(h1s, ps)]
+    ws = [CurvePoint(root - (f.m.lift + (q.lift + p.lift) / 2), lat).lift
+          for f, q, p, root in zip(forms, qs, ps, roots)]
+    return [ProjPoint(d.a, f.frame[1] * d.c) for d, f in zip(th._cover_points(ws, lat), forms)]
 
 
 def sequence_from_coordinates(qs, points, coords) -> list[EllipticSequence]:

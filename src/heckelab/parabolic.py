@@ -3,8 +3,8 @@
 A parabolic bundle is an underlying bundle plus one line per marked
 point; a line is *bad* when it is the fiber of a maximal-slope line
 subbundle, and marks are bad in the same direction when one subbundle
-witnesses them all.  In the small-weight regime the stability verdict
-only depends on the largest such group.
+witnesses them all.  In the small-weight regime (weights below 1/(2n)
+for n marks) the stability verdict only depends on the largest such group.
 """
 
 from __future__ import annotations
@@ -22,10 +22,6 @@ from .elliptic import (
     factor_lines,
     is_semistable as elliptic_semistable,
 )
-
-#: Default parabolic weight; inside mu < 1/(2n) for all n <= 16.
-DEFAULT_WEIGHT = 1e-3
-
 
 class TerminalNotMinimal(ValueError):
     """Sequence terminal bundle does not have minimal Hecke length."""
@@ -53,13 +49,9 @@ class Mark:
 class ParabolicBundle:
     underlying: RationalBundle | EllipticBundle
     marks: tuple[Mark, ...]
-    weight: float = DEFAULT_WEIGHT
 
     def __post_init__(self):
         object.__setattr__(self, "marks", tuple(self.marks))
-        n = len(self.marks)
-        if n and self.weight >= 1 / (2 * n):
-            raise ValueError(f"weight {self.weight} outside the small regime for n={n}")
 
 
 def _underlying_semistable(u) -> bool:

@@ -1,7 +1,10 @@
 """No code that nothing calls, and no option that no caller sets.
 
 The name census parses every module of ``src/heckelab`` with ``ast``.  A public
-function, class or method (a name without a leading underscore) counts as
+module-level function or class ``M.f`` (a name without a leading underscore)
+counts as called through a reference that resolves to it: a bare ``f`` in M
+outside its own definition, ``alias.f`` in a module that does ``from . import
+M [as alias]``, or a ``from .M import f [as g]``.  A public method counts as
 called when its identifier occurs in src/, as a name, an attribute or an
 imported name, anywhere outside its own definition.  Tests, demos and the
 benchmark do not count as callers, except that the names the benchmark's
@@ -60,14 +63,48 @@ def public_definitions(module: str, tree: ast.Module):
                     yield f"{module}.{node.name}.{sub.name}", sub
 
 
+def resolved(trees: dict[str, ast.Module]) -> set[tuple[str, str]]:
+    """(module, name) of each module-level name that a relative import
+    reaches: ``from .M import f [as g]``, or ``alias.f`` after ``from .
+    import M [as alias]``."""
+    out = set()
+    for tree in trees.values():
+        aliases = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for a in node.names:
+                    if node.module is None:
+                        aliases[a.asname or a.name] = a.name
+                    else:
+                        out.add((node.module, a.name))
+        out |= {(aliases[node.value.id], node.attr) for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases}
+    return out
+
+
+def bare_names(node) -> Counter:
+    return Counter(sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name))
+
+
 def uncalled(sources: dict[str, str]) -> set[str]:
-    """Qualified public names of ``sources`` (module -> text) whose identifier
-    occurs nowhere in the sources outside the name's own definition."""
+    """Qualified public names of ``sources`` (module -> text) that nothing
+    calls: a module-level name with no bare use in its module outside its
+    own definition and no ``resolved`` reference, and a method whose
+    identifier occurs nowhere in the sources outside its own definition."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
     total = sum((references(tree) for tree in trees.values()), Counter())
-    return {qual for module, tree in trees.items()
-            for qual, node in public_definitions(module, tree)
-            if total[node.name] == references(node)[node.name]}
+    reached = resolved(trees)
+    out = set()
+    for module, tree in trees.items():
+        names = bare_names(tree)
+        for qual, node in public_definitions(module, tree):
+            if node not in tree.body:
+                if total[node.name] == references(node)[node.name]:
+                    out.add(qual)
+            elif names[node.name] == bare_names(node)[node.name] and (module, node.name) not in reached:
+                out.add(qual)
+    return out
 
 
 def tracer_names() -> set[str]:
@@ -92,13 +129,17 @@ def test_census_rule():
         "a": "def used():\n    pass\n\n"
              "def recursive(n):\n    return recursive(n - 1)\n\n"
              "def _private():\n    pass\n\n"
+             "def f():\n    pass\n\n"
              "class Shape:\n"
              "    def area(self):\n        return self.side\n"
              "    def side(self):\n        return 1\n"
-             "    def __len__(self):\n        return 0\n",
-        "b": "from .a import used\n\nused()\nx = Shape\n",
+             "    def __len__(self):\n        return 0\n\n"
+             "shape = Shape\n",
+        "b": "from .a import used\n\nused()\n\ndef f():\n    pass\n",
+        "c": "from . import b as mod\n\nmod.f()\n",
     }
-    assert uncalled(sources) == {"a.recursive", "a.Shape.area"}
+    # c calls only b.f; the identifier alone would count a.f as called too.
+    assert uncalled(sources) == {"a.recursive", "a.f", "a.Shape.area"}
 
 
 def test_tracer_names_are_read_from_the_tracer():

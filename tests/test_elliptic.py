@@ -1096,6 +1096,27 @@ def test_evaluate_stack_is_batch_independent_at_kernel_scale(tau, monkeypatch):
         assert np.array_equal(got.view(np.uint64), evaluator(rep)(z).view(np.uint64)), rep.row
 
 
+@pytest.mark.parametrize("tau", REF_TAUS)
+@pytest.mark.parametrize("draws", [1, 5])
+def test_morphism_rep_kernel_calls_do_not_grow_with_the_stack(tau, draws, monkeypatch):
+    # Three kernel calls for a stack of any size: theta~ of the ss forms (3
+    # rows, at q - p and p - q), theta of the Oq and OD forms (4 rows, theta_t
+    # and theta_0), and the image check of _invert_lifts (the 2 G2 rows off
+    # the branch points, two values each).  A call per row would keep every bit.
+    lat = Lattice(tau)
+    rng = np.random.default_rng(3)
+    cases = [make(rng) for _, make in suites._elliptic_row_fixtures(lat) for _ in range(draws)]
+    ell.morphism_rep(*zip(*cases))  # warm-up: the per-lattice constants
+    sizes = []
+    for name in ("theta_raw", "theta_raw_deriv"):
+        def spy(z, t, original=getattr(th, name)):
+            sizes.append(np.size(z))
+            return original(z, t)
+        monkeypatch.setattr(th, name, spy)
+    ell.morphism_rep(*zip(*cases))
+    assert sizes == [6 * draws, 8 * draws, 4 * draws]
+
+
 # ---------------------------------------------------------------------------
 # Reference: the closure evaluators that the term tables replaced, one
 # lambda per matrix entry and the frame multiplied in pointwise.

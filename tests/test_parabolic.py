@@ -248,8 +248,8 @@ class TestStabilities:
 
         monkeypatch.setattr(par, "stabilities", record)
         assert cli.run("embed-check", cli.RunConfig(seed=seed)).ok
-        # 8 split fixtures, 2 x 200 seeded sequences, 10 + 10 embeddings.
-        assert len(seen) == 428
+        # 4 split fixtures, 2 x 200 seeded sequences, 10 + 10 embeddings.
+        assert len(seen) == 424
         assert batched(seen) == [reference_stability(pb) for pb in seen]
 
 
@@ -262,12 +262,6 @@ class TestStability:
     ])
     def test_split_fixtures(self, marks, want):
         assert stability(ParabolicBundle(O00, marks)).verdict is want
-
-    def test_weight_independent(self):
-        marks = (Mark(0.1, A), Mark(0.2, B), Mark(0.3, C), Mark(0.4, C))
-        verdicts = {stability(ParabolicBundle(O00, marks, w)).verdict
-                    for w in (1e-3, 1e-4)}
-        assert len(verdicts) == 1
 
     def test_unstable_underlying(self):
         v = stability(ParabolicBundle(RationalBundle(2, 0), (Mark(0.1, A),)))
@@ -406,7 +400,7 @@ class TestEmbedding:
                 one = hecke_embeddings_rational(rat.RationalSequence(pts, v), self.AUX)[0]
                 assert ([(m.point, m.line.a, m.line.c) for m in pb.marks]
                         == [(m.point, m.line.a, m.line.c) for m in one.marks])
-                assert pb.underlying == one.underlying and pb.weight == one.weight
+                assert pb.underlying == one.underlying
             assert all(v.verdict is Verdict.STABLE for v in stabilities(stack))
 
     def test_stack_rejections(self):
