@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .projective import ProjPoint, transport_directions
+from .projective import ProjPoint, mat2_det, mat2_mul, transport_directions
 from .grassmannian import chain_direction_vecs
 from .torus import CurvePoint, Lattice, halve_sum
 from . import theta as th
@@ -390,14 +390,14 @@ def certify_rows(reps, zs) -> tuple[np.ndarray, np.ndarray]:
     zs = np.asarray(zs, dtype=complex)
     vals = evaluate_stack([r.terms for r in reps], [(z, z + lat.tau, z + 1.0) for z in zs], lat)
     a_z, a_tau, a_one = np.moveaxis(np.array(vals), 1, 0)
-    lhs = a_tau @ automorphy_factors([r.result for r in reps], zs)
-    rhs = automorphy_factors([r.upstream for r in reps], zs) @ a_z
+    lhs = mat2_mul(a_tau, automorphy_factors([r.result for r in reps], zs))
+    rhs = mat2_mul(automorphy_factors([r.upstream for r in reps], zs), a_z)
     # The largest entry modulus per representative.
     err, scale, peak, drift = (np.abs(m).max(axis=(1, 2, 3)) for m in (lhs - rhs, rhs, a_z, a_one - a_z))
     floor = np.maximum(peak, 1e-30)
     equivariance = np.maximum(err / np.maximum(scale, floor), drift / floor)
     dcs = [r.upstream.det_class().tensor(r.result.det_class().inverse()) for r in reps]
-    det = np.linalg.det(a_z)
+    det = mat2_det(a_z)
     theta = th.theta_w(zs, np.array([dc.lift for dc in dcs])[:, None], lat)
     c = (theta.conj() * det).sum(1) / (theta.conj() * theta).sum(1)
     fit = np.abs(det - c[:, None] * theta).max(1) / np.abs(det).max(1)
@@ -936,7 +936,7 @@ def sequence_from_coordinates(qs, points, coords) -> list[EllipticSequence]:
     steps = [(r.result, q, p) for r, q, pts in zip(rep_q, qs, points) for p in pts]
     # The second step's direction at its point is delta by construction.
     deltas = iter(_second_directions(*zip(*steps), lifts[len(qs):].tolist(), lat) if steps else ())
-    lines = [[ProjPoint(*(v @ next(deltas).vec)) for v in vs] for vs in vals]
+    lines = [[ProjPoint(*mat2_mul(v, next(deltas).vec)) for v in vs] for vs in vals]
     return _sequences(bases, points, lines, rep_q, vals)
 
 
@@ -986,5 +986,5 @@ def _sequences(bases, points, lines, marks, mark_values) -> list[EllipticSequenc
                 [r.terms for r in step], [zs[k][i:] for k in live], bases[0].q.lattice)):
             reps[k].append(rep)
             factors[k][i, i:] = v
-            prefix[k][i + 1:] = prefix[k][i + 1:] @ v[1:]
+            prefix[k][i + 1:] = mat2_mul(prefix[k][i + 1:], v[1:])
     return [EllipticSequence(*x) for x in zip(bases, map(tuple, reps), factors, marks, mark_values)]

@@ -11,14 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .projective import (
-    ProjPoint,
-    chordal_vecs,
-    complex_abs,
-    complex_mul,
-    rank_one_column_space,
-    rank_one_column_spaces,
-)
+from .projective import (ProjPoint, chordal_vecs, complex_abs, mat2_det, mat2_mul, rank_one_column_space,
+                         rank_one_column_spaces)
 from .pseries import UNIT_TOL, NonUnit, SeriesMat2, bruhat_companion
 
 
@@ -75,8 +69,8 @@ def chain_direction_vecs(factors: np.ndarray) -> np.ndarray:
     for k in range(1, n):
         # factors 0 .. k - 1 multiplied out at points k and later
         prefix = (factors[..., 0, 1:, :, :] if k == 1
-                  else prefix[..., 1:, :, :] @ factors[..., k - 1, k:, :, :])
-        out[..., k, :] = np.einsum("...ij,...j->...i", prefix[..., 0, :, :], eta[..., k, :])
+                  else mat2_mul(prefix[..., 1:, :, :], factors[..., k - 1, k:, :, :]))
+        out[..., k, :] = mat2_mul(prefix[..., 0, :, :], eta[..., k, :])
     return out
 
 
@@ -107,10 +101,10 @@ def eta_invariance_checks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a column mask, then its product with B(0).
     """
     for unit in (a, b):
-        if (np.abs(np.linalg.det(unit[..., 0])) <= UNIT_TOL).any():
+        if (np.abs(mat2_det(unit[..., 0])) <= UNIT_TOL).any():
             raise NonUnit("operand constant term is singular")
     left = a[..., 0] * [1, 0]
-    return chordal_vecs(eta_vecs(left), eta_vecs(np.einsum("...ij,...jl->...il", left, b[..., 0])))
+    return chordal_vecs(eta_vecs(left), eta_vecs(mat2_mul(left, b[..., 0])))
 
 
 def constant_representatives(vecs: np.ndarray) -> np.ndarray:
@@ -134,8 +128,7 @@ def random_units(rng: np.random.Generator, count: int, order: int) -> SeriesMat2
     decay = 0.4 ** np.arange(order + 1)
     draws = rng.normal(size=(count, 2, 2, 2, order + 1))
     coeffs = (draws[:, 0] + 1j * draws[:, 1]) * decay
-    (a, b), (c, d) = np.moveaxis(coeffs[..., 0], 0, -1)
-    units = coeffs[complex_abs(complex_mul(a, d) - complex_mul(b, c)) > 0.3]
+    units = coeffs[complex_abs(mat2_det(coeffs[..., 0])) > 0.3]
     if len(units) < count:  # redraw the rejected ones after the block
         units = np.concatenate([units, random_units(rng, count - len(units), order).c])
     return SeriesMat2(units)

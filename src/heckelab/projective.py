@@ -76,6 +76,22 @@ def complex_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _complex(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
 
 
+def mat2_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a b for stacked 2x2 matrices a (..., 2, 2) and matrices b (..., 2, k), or vectors b
+    (..., 2) with fewer axes than a: one einsum, with no BLAS kernel to vary by CPU."""
+    return np.einsum("...ij,...j->...i" if np.ndim(b) < np.ndim(a) else "...ij,...jk->...ik", a, b)
+
+
+def mat2_det(m: np.ndarray) -> np.ndarray:
+    """Determinants (...) of stacked 2x2 matrices (..., 2, 2), in ``complex_mul``'s rounding."""
+    return complex_mul(m[..., 0, 0], m[..., 1, 1]) - complex_mul(m[..., 0, 1], m[..., 1, 0])
+
+
+def mat2_adj(m: np.ndarray) -> np.ndarray:
+    """Adjugates [[d, -b], [-c, a]] = det(M) M^{-1} of stacked 2x2 matrices M = [[a, b], [c, d]]."""
+    return np.stack([m[..., 1, 1], -m[..., 0, 1], -m[..., 1, 0], m[..., 0, 0]], axis=-1).reshape(m.shape)
+
+
 def complex_div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a / b elementwise for finite operands, rounded as Python's complex
     division: Smith's method, scaled by whichever part of b is larger in
@@ -177,8 +193,8 @@ def rank_one_column_spaces(m: np.ndarray):
     m = np.asarray(m, dtype=complex)
     top = np.abs(m).max(axis=(-2, -1))
     nonzero = top >= NORM_TOL
-    t = np.where(nonzero, top, 1.0)[..., None, None]
-    (a, b), (c, d) = np.moveaxis(m / t, (-2, -1), (0, 1))
+    m = m / np.where(nonzero, top, 1.0)[..., None, None]
+    (a, b), (c, d) = np.moveaxis(m, (-2, -1), (0, 1))
     p = (a * a.conjugate() + b * b.conjugate()).real
     q = (c * c.conjugate() + d * d.conjugate()).real
     r = a * c.conjugate() + b * d.conjugate()
@@ -187,7 +203,7 @@ def rank_one_column_spaces(m: np.ndarray):
     # conditioning.
     lam1 = 0.5 * (p + q) + (0.25 * (p - q) ** 2 + abs(r) ** 2) ** 0.5
     s1 = lam1 ** 0.5
-    s2 = abs(a * d - b * c) / np.where(s1 > 0, s1, 1.0)
+    s2 = abs(mat2_det(m)) / np.where(s1 > 0, s1, 1.0)
     first = abs(lam1 - p) >= abs(lam1 - q)
     x = np.where(first, r, lam1 - q)
     y = np.where(first, lam1 - p, r.conjugate())
@@ -207,16 +223,16 @@ def rank_one_column_space(m: np.ndarray):
 
 
 def transport_directions(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Preimages (..., 2) of directions ``vecs`` (..., 2) under invertible
-    2x2 matrices ``mats`` (..., 2, 2): one batched solve, with row/column
-    equilibration so exponential frame anisotropy does not destroy the
-    projective answer."""
+    """Preimages (..., 2) of directions ``vecs`` (..., 2) under invertible 2x2 matrices
+    ``mats`` (..., 2, 2): adj(M) w, scaled by a power of two to a largest part in [1/2, 1).
+    Forward stable (Cramer's rule) and exact under row and column scaling, so no
+    equilibration.  Raises ZeroDivisionError if a matrix is exactly singular."""
     m = np.asarray(mats, dtype=complex)
-    r = np.abs(m).max(axis=-1)
-    m1 = m / r[..., :, None]
-    c = np.abs(m1).max(axis=-2)
-    m2 = m1 / c[..., None, :]
-    return np.linalg.solve(m2, (vecs / r)[..., None])[..., 0] / c
+    if (mat2_det(m) == 0).any():
+        raise ZeroDivisionError("singular matrix")
+    u = mat2_mul(mat2_adj(m), vecs)
+    k = -np.frexp(np.maximum(abs(u.real), abs(u.imag)).max(axis=-1, keepdims=True))[1]
+    return _complex(np.ldexp(u.real, k), np.ldexp(u.imag, k))
 
 
 def transport_direction(mat: np.ndarray, point: ProjPoint) -> ProjPoint:

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .projective import complex_div, mat2_adj, mat2_det, mat2_mul
+
 #: Default truncation order for all Grassmannian work.
 DEFAULT_ORDER = 8
 
@@ -160,10 +162,12 @@ def bruhat_companion(a: SeriesMat2) -> SeriesMat2:
     """
     n = a.order
     a0 = a.constant_term()
-    if (abs(np.linalg.det(a0)) <= UNIT_TOL).any():
+    det = mat2_det(a0)
+    if (abs(det) <= UNIT_TOL).any():
         raise NonUnit("A(0) is not invertible")
-    # M = A(0)^{-1} A_1 with A_1 = (A - A(0)) / z, honest order n - 1.
-    m = np.einsum("...il,...ljk->...ijk", np.linalg.inv(a0), a.c[..., 1:])
+    # M = adj A(0) A_1 / det A(0) with A_1 = (A - A(0)) / z, honest order n - 1, as 2 x 2n.
+    m = mat2_mul(mat2_adj(a0), a.c[..., 1:].reshape(a0.shape[:-1] + (-1,))).reshape(a.c.shape[:-1] + (n,))
+    m = complex_div(m, det[..., None, None, None])
     b = np.zeros(a.c.shape[:-1] + (n,), dtype=complex)
     b[..., 0, 0, 1:] = m[..., 0, 0, : n - 1]
     b[..., 0, 1, 2:] = m[..., 0, 1, : n - 2]

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .projective import chordal_vecs, complex_abs, rank_one_column_spaces
+from .projective import (chordal_vecs, complex_abs, complex_div, mat2_adj, mat2_det, mat2_mul,
+                         rank_one_column_spaces)
 from .rational import (
     RANK_DROP_TOL,
     RationalSequence,
@@ -78,10 +79,9 @@ def slice_matrices(coeffs: np.ndarray, terminal: np.ndarray) -> np.ndarray:
     _, s1, s2, _ = rank_one_column_spaces(lead)
     if ((s2 < RANK_DROP_TOL * s1) | (s1 == 0)).any():
         raise ReductionFailure("leading coefficient of the degree-m generators is singular")
-    # C_t = P_t L^{-1}, from L^T C_t^T = P_t^T.
-    c = np.swapaxes(np.linalg.solve(np.swapaxes(lead, 1, 2)[:, None],
-                                    np.swapaxes(q[:, :m], 2, 3)), 2, 3)
-    if np.abs(c @ lead[:, None] - q[:, :m]).max() > 1e-8 * np.abs(q).max():
+    # C_t = P_t L^{-1} = P_t adj L / det L.
+    c = complex_div(mat2_mul(q[:, :m], mat2_adj(lead)[:, None]), mat2_det(lead)[:, None, None, None])
+    if np.abs(mat2_mul(c, lead[:, None]) - q[:, :m]).max(initial=0) > 1e-8 * np.abs(q).max(initial=0):
         raise ReductionFailure("monic generator residual too large")
     a = np.zeros((batch, n, n), dtype=complex)
     a[:, : n - 2, 2:] = np.eye(n - 2)

@@ -14,16 +14,8 @@ import numpy as np
 
 from .cli_errors import ConfigError
 from . import theta as th
-from .projective import (
-    ProjPoint,
-    chordal,
-    chordal_vecs,
-    complex_div,
-    complex_mul,
-    normalized_vecs,
-    random_point,
-    sphere_grid,
-)
+from .projective import (ProjPoint, chordal, chordal_vecs, complex_div, complex_mul, mat2_mul,
+                         normalized_vecs, random_point, sphere_grid)
 from .pseries import SeriesMat2, DEFAULT_ORDER
 from .grassmannian import (
     companion_residual,
@@ -222,8 +214,7 @@ def _left_equivariance(c):
     of [c0:c1] and C = [[c2, 1], [1, 0]], per row of c (B, 4)."""
     az = constant_representatives(c[:, :2]) * [1, 0]  # A(0) diag(1, 0)
     cm = np.stack([c[:, 2], np.ones(len(c)), np.ones(len(c)), np.zeros(len(c))], -1).reshape(-1, 2, 2)
-    return (np.einsum("bij,bj->bi", cm, eta_vecs(az)),
-            eta_vecs(np.einsum("...ij,...jl->...il", cm, az)))
+    return mat2_mul(cm, eta_vecs(az)), eta_vecs(mat2_mul(cm, az))
 
 
 def verify_rational_tables(report, config, rng):
@@ -582,7 +573,10 @@ def check_conjecture(report, config, rng):
 
         got = np.stack([slices(lam, False), slices(lam, True), slices(0 * lam, True)], axis=1)
         worst_mat = float(np.abs(got - np.array(expect)).max())
-        ev = np.sort_complex(np.linalg.eigvals(got[:, 0]))
+        # The eigenvalues (a + d)/2 +- root of each [[a, b], [c, d]], in closed form.
+        (a, b), (c, d) = np.moveaxis(got[:, 0], (-2, -1), (0, 1))
+        root = np.sqrt(complex_mul(0.5 * (a - d), 0.5 * (a - d)) + complex_mul(b, c))
+        ev = np.sort_complex(np.stack([0.5 * (a + d) + root, 0.5 * (a + d) - root], axis=-1))
         worst_chi = float(np.abs(ev - np.sort_complex(mus)).max())
         report.add("slice-matrix-closed-forms", "both two-step shapes, 100 draws",
                    worst_mat, 1e-10)

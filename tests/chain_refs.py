@@ -50,17 +50,35 @@ def raw_directions(reps) -> list[ProjPoint]:
     return out
 
 
+def scalar_mat2_mul(a, b) -> np.ndarray:
+    """``projective.mat2_mul`` entry by entry in Python's complex arithmetic:
+    a (..., 2, 2) times matrices b (..., 2, k), or times vectors b (..., 2)
+    with fewer axes than a.  Each entry is x0 y0 + x1 y1, so ``mat2_mul``
+    must equal it bit for bit, signed zeros aside."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    vector = b.ndim < a.ndim
+    b = b[..., None] if vector else b
+    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    a, b = np.broadcast_to(a, lead + (2, 2)), np.broadcast_to(b, lead + b.shape[-2:])
+    out = np.empty(lead + (2, b.shape[-1]), dtype=complex)
+    for i in np.ndindex(*lead):
+        x, y = a[i].tolist(), b[i].tolist()
+        out[i] = [[row[0] * y[0][k] + row[1] * y[1][k] for k in range(len(y[0]))] for row in x]
+    return out[..., 0] if vector else out
+
+
 def identity_prefixed_vecs(factors: np.ndarray) -> np.ndarray:
     """``chain_direction_vecs`` read from the identity: every prefix,
-    the identity included, multiplied out at every point of the chain."""
+    the identity included, multiplied out at every point of the chain, in
+    Python's complex arithmetic (``scalar_mat2_mul``)."""
     n = factors.shape[-3]
     diag = np.arange(n)
     eta = eta_vecs(factors[..., diag, diag, :, :])
     out = np.empty_like(eta)
     prefix = np.broadcast_to(np.eye(2, dtype=complex), factors.shape[:-4] + (n, 2, 2))
     for k in range(n):
-        out[..., k, :] = np.einsum("...ij,...j->...i", prefix[..., k, :, :], eta[..., k, :])
-        prefix = prefix @ factors[..., k, :, :, :]
+        out[..., k, :] = scalar_mat2_mul(prefix[..., k, :, :], eta[..., k, :])
+        prefix = scalar_mat2_mul(prefix, factors[..., k, :, :, :])
     return out
 
 

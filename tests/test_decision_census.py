@@ -1,11 +1,13 @@
 """Every record's decision over a fixed matrix of suite runs.
 
-Report bytes depend on the CPU and the BLAS build, because residuals do;
-decisions do not.  For 15 suite configurations, seeds 7, 11 and 12345 and
-both default lattices, ``decision_census.json`` pins each record's name,
-provenance, tolerance, status and inputs, and the observed value of each
-flag record (``Report.add_flag``: tolerance 0.5, observed 0 or 1).  Residual
-values are not pinned.  A change that moves an entry on purpose writes the
+Report bytes depend on the CPU's SIMD dispatch (which of numpy's compiled
+loops the CPU runs), because residuals do; decisions do not.  They do not
+depend on the BLAS kernel OpenBLAS picks for the CPU (``test_blas_kernels``).
+For 16 suite configurations, seeds 7, 11 and 12345 and both default
+lattices, ``decision_census.json`` pins each record's name, provenance,
+tolerance, status and inputs, and the observed value of each flag record
+(``Report.add_flag``: tolerance 0.5, observed 0 or 1).  Residual values are
+not pinned.  A change that moves an entry on purpose writes the
 file again with ``PYTHONPATH=src python tests/test_decision_census.py`` and
 says why.
 """
@@ -23,6 +25,7 @@ CENSUS = Path(__file__).with_name("decision_census.json")
 #: (command, arguments, samples) of each configuration.
 CONFIGS = [
     ("compute-space", ("S2", "3"), None),
+    ("check-conjecture", ("1",), None),
     ("check-conjecture", ("2",), None),
     ("check-conjecture", ("3",), None),
     ("verify-eta", (), None),

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -156,13 +158,14 @@ def test_chordal_vecs_matches_points():
 
 
 def _ref_transport(m, vec):
-    """Reference copy of the one-matrix equilibrated solve the stacked form
-    replaced: the preimage's homogeneous vector."""
-    r = np.abs(m).max(axis=1)
-    m1 = m / r[:, None]
-    c = np.abs(m1).max(axis=0)
-    u = np.linalg.solve(m1 / c[None, :], vec / r)
-    return np.array([u[0] / c[0], u[1] / c[1]])
+    """The preimage's homogeneous vector adj(M) w of one matrix, in Python's
+    complex arithmetic, rescaled by the exact power of two that brings its
+    largest part into [1/2, 1)."""
+    (a, b), (c, d) = m.tolist()
+    x, y = complex(vec[0]), complex(vec[1])
+    u = (d * x + -b * y, -c * x + a * y)
+    k = -math.frexp(max(max(abs(v.real), abs(v.imag)) for v in u))[1]
+    return np.array([complex(math.ldexp(v.real, k), math.ldexp(v.imag, k)) for v in u])
 
 
 def test_stacked_transport_is_bit_identical_per_element():

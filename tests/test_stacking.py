@@ -9,13 +9,17 @@ stacks of 0 to 5 elements:
 - reversing the stack reverses the output;
 - an empty stack gives an empty result.
 
-Cores: ``grassmannian.chain_direction_vecs``,
-``grassmannian.eta_invariance_checks``, ``rational.terminal_hecke_lengths``
-and ``elliptic.double_hecke``, whose bundles compare by the bits of
+Cores: the 2x2 helpers ``mat2_mul``, ``mat2_det`` and ``mat2_adj`` and
+``transport_directions`` of ``projective``,
+``grassmannian.chain_direction_vecs``,
+``grassmannian.eta_invariance_checks``, ``rational.terminal_hecke_lengths``,
+``elliptic.certify_rows``, ``seidel_smith.slice_matrices`` and
+``elliptic.double_hecke``, whose bundles compare by the bits of
 ``double_refs.exact``.  The chain reader is
 also held to the identity-prefixed loop of ``chain_refs``, which an
 element-consistent slip (a prefix read one point off) would not break
-otherwise.
+otherwise.  The helpers are held to Python's scalar complex arithmetic,
+and ``transport_directions`` to the equilibrated solve it replaced.
 """
 
 from collections import Counter
@@ -27,11 +31,13 @@ from hypothesis import strategies as st
 
 from heckelab import elliptic as ell
 from heckelab import rational as rat
+from heckelab import seidel_smith as ss
 from heckelab.grassmannian import chain_direction_vecs, eta_invariance_checks, random_units
-from heckelab.suites import _double_sample
+from heckelab.projective import chordal_vecs, mat2_adj, mat2_det, mat2_mul, transport_directions
+from heckelab.suites import _double_sample, _elliptic_row_fixtures
 from heckelab.torus import Lattice
 
-from chain_refs import identity_prefixed_vecs, random_factors
+from chain_refs import identity_prefixed_vecs, random_factors, scalar_mat2_mul
 from double_refs import exact
 from rank_refs import near_repeat_tuples
 
@@ -74,6 +80,50 @@ def double_draws(draw):
     return [list(x) for x in zip(*(_double_sample(lat, rng, k) for k in kinds))] or [[]] * 5
 
 
+@st.composite
+def mat2_stacks(draw):
+    """Complex 2x2 matrices A, B (size, 2, 2) and vectors v (size, 2), with
+    about a fifth of their entries exactly zero and the rows and columns of
+    A scaled by e^s, s uniform in [-30, 30]."""
+    size, rng = draw(SIZES), np.random.default_rng(draw(SEEDS))
+    g = rng.normal(size=(size, 10, 2))
+    z = np.where(rng.random((size, 10)) < 0.2, 0, g[..., 0] + 1j * g[..., 1])
+    scale = np.exp(rng.uniform(-30, 30, (size, 2, 1)) + rng.uniform(-30, 30, (size, 1, 2)))
+    a = z[:, :4].reshape(size, 2, 2) * scale
+    return a, z[:, 4:8].reshape(size, 2, 2), z[:, 8:]
+
+
+@st.composite
+def certify_stacks(draw):
+    """``certify_rows`` arguments: representatives of elliptic table rows
+    of any kinds, on one of both default lattices, each with 4 points in a
+    doubled fundamental box."""
+    size, tau = draw(SIZES), draw(st.sampled_from([0.21 + 1.3j, 0.3 + 0.45j]))
+    rows = draw(st.lists(st.integers(0, 16), min_size=size, max_size=size))
+    rng, lat = np.random.default_rng(draw(SEEDS)), Lattice(tau)
+    makes = [make for _, make in _elliptic_row_fixtures(lat)]
+    cases = [makes[r](rng) for r in rows]
+    reps = ell.morphism_rep(*([list(x) for x in zip(*cases)] or [[]] * 3))
+    return reps, (2 * rng.random((size, 4)) - 0.5) + (2 * rng.random((size, 4)) - 0.5) * lat.tau
+
+
+@st.composite
+def slice_stacks(draw):
+    """``slice_matrices`` arguments (coefficients, terminal lengths) of
+    ``conjecture_draws`` stacks of length 2m, m from 1 to 3."""
+    seq = ss.conjecture_draws(draw(st.integers(1, 3)), draw(SIZES), np.random.default_rng(draw(SEEDS)))
+    return seq.coeffs(), seq.hecke_lengths()[:, -1]
+
+
+def equilibrated_transport(mats, vecs):
+    """The row- and column-equilibrated batched solve M^{-1} w that
+    ``transport_directions`` replaced."""
+    r = np.abs(mats).max(axis=-1)
+    m1 = mats / r[..., :, None]
+    c = np.abs(m1).max(axis=-2)
+    return np.linalg.solve(m1 / c[..., None, :], (vecs / r)[..., None])[..., 0] / c
+
+
 def assert_stacks_elementwise(core, args, out):
     """``out = core(*args)`` over a stack of ``len(out)`` elements."""
     for i in range(len(out)):
@@ -91,6 +141,58 @@ def test_chain_direction_vecs_stack_elementwise(factors):
     assert out.shape == factors.shape[:2] + (2,)
     assert_stacks_elementwise(chain_direction_vecs, (factors,), out)
     assert np.array_equal(out, identity_prefixed_vecs(factors))
+
+
+@STACKS
+@given(mat2_stacks())
+def test_mat2_helpers_stack_elementwise(stack):
+    a, b, v = stack
+    for core, args in ((mat2_mul, (a, b)), (mat2_mul, (a, v)), (mat2_det, (a,)), (mat2_adj, (a,))):
+        assert_stacks_elementwise(core, args, core(*args))
+    assert np.array_equal(mat2_mul(a, b), scalar_mat2_mul(a, b))
+    assert np.array_equal(mat2_mul(a, v), scalar_mat2_mul(a, v))
+    entries = [m[0] + m[1] for m in a.tolist()]
+    assert np.array_equal(mat2_det(a), np.array([p * s - q * r for p, q, r, s in entries], complex))
+    adj = np.array([(s, -q, -r, p) for p, q, r, s in entries], complex).reshape(a.shape)
+    assert np.array_equal(mat2_adj(a), adj)
+
+
+@STACKS
+@given(mat2_stacks())
+def test_transport_directions_stack_elementwise(stack):
+    mats, _, vecs = stack
+    vecs = np.where((vecs == 0).all(axis=-1, keepdims=True), 1, vecs)  # a zero w has no direction
+    keep = mat2_det(mats) != 0
+    mats, vecs = mats[keep], vecs[keep]
+    out = transport_directions(mats, vecs)
+    assert_stacks_elementwise(transport_directions, (mats, vecs), out)
+    assert (chordal_vecs(out, equilibrated_transport(mats, vecs)) <= 1e-14).all()
+
+
+def test_transport_directions_raise_on_a_singular_matrix():
+    mats = np.array([np.eye(2), [[1, 2], [2, 4]]], dtype=complex)
+    with pytest.raises(ZeroDivisionError):
+        transport_directions(mats, np.ones((2, 2)))
+
+
+@STACKS
+@given(certify_stacks())
+def test_certify_rows_stack_elementwise(stack):
+    reps, zs = stack
+    core = lambda reps, zs: np.stack(ell.certify_rows(reps, zs), axis=-1)
+    out = core(reps, zs)
+    assert out.shape == (len(reps), 2)
+    assert_stacks_elementwise(core, (reps, zs), out)
+
+
+@STACKS
+@given(slice_stacks())
+def test_slice_matrices_stack_elementwise(stack):
+    coeffs, terminal = stack
+    out = ss.slice_matrices(coeffs, terminal)
+    n = coeffs.shape[1]
+    assert out.shape == (len(coeffs), n, n)
+    assert_stacks_elementwise(ss.slice_matrices, stack, out)
 
 
 @STACKS
