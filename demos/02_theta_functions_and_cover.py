@@ -21,10 +21,10 @@ w = 0.27 + 0.33j
 print(f"lattice parameter tau = {tau}")
 print(f"theta_w vanishes at w: |theta| = {abs(th.theta_w(w, w, lat)):.2e}")
 
-f = th.automorphy_factor(w)
+f = th.automorphy_factor(z, w, 1)  # the standard factor of O(w), degree 1
 t0, t1 = th.theta_w(z, w, lat), th.theta_w(z + tau, w, lat)
 print("translation law theta(z + tau) = f(z) theta(z):",
-      f"{np.max(np.abs(t1 - f(z) * t0) / np.abs(t1)):.2e}")
+      f"{np.max(np.abs(t1 - f * t0) / np.abs(t1)):.2e}")
 
 g0 = th.g_w(z, w, lat)
 print("log-derivative steps by one across tau:",

@@ -133,6 +133,8 @@ def run(command: str, config: RunConfig) -> Report:
     """Run one suite; deterministic for a fixed (command, config)."""
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
+    if config.extra and command not in ("compute-space", "check-conjecture"):
+        raise ConfigError(f"{command} takes no arguments, got {' '.join(config.extra)!r}")
     report = Report(suite=" ".join([command, *config.extra]), config=config)
     COMMANDS[command](report, config, suite_rng(config, command))
     return report
@@ -169,6 +171,11 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         config = RunConfig(tau=ns.tau, seed=ns.seed, samples=ns.samples, extra=tuple(ns.args))
+        if ns.out:  # checked before the suite runs, not after it
+            try:
+                open(ns.out, "a").close()
+            except OSError as exc:
+                raise ConfigError(f"cannot write {ns.out}: {exc.strerror}") from None
         report = run(ns.command, config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -96,8 +96,8 @@ def torsion_line(lattice: Lattice, i: int) -> LineBundleClass:
 # 2x2 matrices of z: morphism term tables.
 
 
-#: Factor kinds of a term: theta_w, theta_w', theta~_w and theta~_w' at z
-#: for w = param, and EXP, exp(2 pi i param z).
+#: Factor kinds of a term: theta_w, theta_w', theta~_w and theta~_w' at z for
+#: w = param (theta~ is theta on Lattice(2 tau)), and EXP, exp(2 pi i param z).
 TH, DTH, TT, DTT, EXP = "TH", "DTH", "TT", "DTT", "EXP"
 
 
@@ -291,7 +291,7 @@ def automorphy_factors(bundles, zs) -> np.ndarray:
     """The automorphy factors (B, k, 2, 2) of each bundle ``bundles[i]`` at
     its own points ``zs[i]`` (zs: (B, k)): diag(f1, f2) for L1 + L2,
     [[f, f], [0, f]] for F2 tensor L and [[0, f], [f g, 0]] for G2(p)
-    tensor L.  Each f is the standard factor exp(-2 pi i (d z - t - d/2))
+    tensor L.  Each f is the standard factor ``theta.automorphy_factor``
     of a line bundle of degree d and lift t, g that of O(p + 1/2); the
     stack's factors are one exponential."""
     zs = np.asarray(zs, dtype=complex)
@@ -299,7 +299,7 @@ def automorphy_factors(bundles, zs) -> np.ndarray:
              else (b.l, LineBundleClass(1, b.point_lift + 0.5, b.lattice)) for b in bundles]
     d = np.array([[l.degree for l in pair] for pair in lines], dtype=int).reshape(-1, 2).T[..., None]
     t = np.array([[l.lift for l in pair] for pair in lines], dtype=complex).reshape(-1, 2).T[..., None]
-    f, g = np.exp(-TWO_PI_I * (d * zs - t - d / 2))
+    f, g = th.automorphy_factor(zs, t, d)
     split, g2 = (np.array([isinstance(b, kind) for b in bundles])[:, None]
                  for kind in (Decomposable, G2Twist))
     out = np.stack([np.where(g2, 0, f), np.where(split, 0, f), np.where(g2, f * g, 0),
@@ -409,7 +409,8 @@ def certify_rows(reps, zs) -> tuple[np.ndarray, np.ndarray]:
 @functools.lru_cache(maxsize=64)
 def _row_constants(lattice: Lattice) -> tuple[complex, complex]:
     """-(i/2pi) theta'^{(0)}(0) of row Op:[x:y] and 2 g~_{1/2}(0) of row F2:[lam:1], cached per tau."""
-    return complex(-th.g_theta_w(0.0, 0.0, lattice)), 2 * complex(th.g_tilde_w(0.0, 0.5, lattice))
+    return (-complex((1j / (2 * np.pi)) * th.theta_w_deriv(0.0, 0.0, lattice)),
+            2 * complex(th.g_w(0.0, 0.5, Lattice(2 * lattice.tau))))
 
 
 def morphism_rep(es, ps, dirs) -> list[MorphismRep]:
@@ -445,7 +446,7 @@ def morphism_rep(es, ps, dirs) -> list[MorphismRep]:
                   for fams in (("ss",), ("Oq", "OD"), ("G2",)))
     if ss:
         z = np.array([(ps[i].lift - forms[i].lp.lift) - ps[i].lift for i in ss])
-        vals = th.theta_tilde_w(np.concatenate([z, -z]), 0.5 - lat.tau, lat).tolist()
+        vals = th.theta_w(np.concatenate([z, -z]), 0.5 - lat.tau, Lattice(2 * lat.tau)).tolist()
         for i, minus, plus in zip(ss, vals, vals[len(ss):]):
             pre[i] = minus, plus
     if od:
@@ -853,6 +854,8 @@ def _fiber_distance(roots, qs, p1s, p2s, targets=None) -> np.ndarray:
     p1, p2 at most one component can sit at a branch point, so a
     well-conditioned fiber is always among the candidates.
     """
+    if not qs:
+        return np.zeros(0)
     lat = qs[0].lattice
     ta, tc = th._cover_homogeneous(roots, lat) if targets is None else targets
     e1s = [halve_sum(q, p1).lift for q, p1 in zip(qs, p1s)]
@@ -872,7 +875,7 @@ def membership_Hp(seqs) -> list[bool]:
     two = [s for s in seqs if len(s.reps) == 2]
     dist = iter(_fiber_distance(np.array(_h_lifts(two)), [s.base.q for s in two],
                                 [s.points[0] for s in two],
-                                [s.points[1] for s in two]).tolist() if two else ())
+                                [s.points[1] for s in two]).tolist())
     return [next(dist) >= CURVE_TOL if len(s.reps) == 2 else True for s in seqs]
 
 

@@ -89,55 +89,20 @@ def theta_w_deriv(z, w: complex, lattice: Lattice):
     return theta_raw_deriv(np.asarray(z, dtype=complex) - 0.5 * (1 + tau) - w, tau)
 
 
-def theta_tilde_w(z, w: complex, lattice: Lattice):
-    """Translated theta for the doubled lattice Z + Z(2 tau)."""
-    tau = lattice.tau
-    return theta_raw(np.asarray(z, dtype=complex) - 0.5 * (1 + 2 * tau) - w, 2 * tau)
-
-
-def theta_tilde_w_deriv(z, w: complex, lattice: Lattice):
-    tau = lattice.tau
-    return theta_raw_deriv(np.asarray(z, dtype=complex) - 0.5 * (1 + 2 * tau) - w, 2 * tau)
-
-
-def g_theta_w(z, w: complex, lattice: Lattice):
-    """The entire product g_w * theta_w = (i / 2 pi) * theta_w'."""
-    return (1j / (2 * np.pi)) * theta_w_deriv(z, w, lattice)
-
-
-def g_tilde_theta_w(z, w: complex, lattice: Lattice):
-    """The entire product g~_w * theta~_w = (i / 2 pi) * theta~_w'."""
-    return (1j / (2 * np.pi)) * theta_tilde_w_deriv(z, w, lattice)
-
-
-def _guard_pole(z, w: complex, lattice: Lattice, doubled: bool):
+def g_w(z, w: complex, lattice: Lattice):
+    """The log-derivative (i / 2 pi) theta_w' / theta_w; simple poles on w + Lambda."""
     zs = np.asarray(z, dtype=complex).ravel()
-    lat = Lattice(2 * lattice.tau) if doubled else lattice
-    d = lat.reduce(zs - w)[:, None] + np.array([0, -1, -lat.tau, -1 - lat.tau])
+    d = lattice.reduce(zs - w)[:, None] + np.array([0, -1, -lattice.tau, -1 - lattice.tau])
     near = np.abs(d).min(axis=1) < POLE_GUARD
     if near.any():
         raise NearPole(f"{zs[near.argmax()]} is within {POLE_GUARD} of a pole at {w} + lattice")
+    return (1j / (2 * np.pi)) * theta_w_deriv(z, w, lattice) / theta_w(z, w, lattice)
 
 
-def g_w(z, w: complex, lattice: Lattice):
-    """The log-derivative (i / 2 pi) theta_w' / theta_w; simple poles on w + Lambda."""
-    _guard_pole(z, w, lattice, doubled=False)
-    return g_theta_w(z, w, lattice) / theta_w(z, w, lattice)
-
-
-def g_tilde_w(z, w: complex, lattice: Lattice):
-    """Doubled-lattice analogue of g_w; poles on w + Z + Z(2 tau)."""
-    _guard_pole(z, w, lattice, doubled=True)
-    return g_tilde_theta_w(z, w, lattice) / theta_tilde_w(z, w, lattice)
-
-
-def automorphy_factor(w: complex):
-    """The standard scalar factor f_w(z) = exp(-2 pi i (z - w - 1/2))."""
-
-    def f(z):
-        return np.exp(-TWO_PI_I * (np.asarray(z, dtype=complex) - w - 0.5))
-
-    return f
+def automorphy_factor(z, t, d):
+    """The standard factor exp(-2 pi i (d z - t - d/2)) of the degree-d line
+    bundle with lift t, elementwise over broadcast arrays."""
+    return np.exp(-TWO_PI_I * (d * np.asarray(z, dtype=complex) - t - d / 2))
 
 
 # ---------------------------------------------------------------------------
@@ -146,10 +111,10 @@ def automorphy_factor(w: complex):
 
 def _cover_homogeneous(z, lattice: Lattice):
     """Homogeneous pair (den, num) with pi([z]) = [den : num] = [1 : h(z)];
-    both theta~ factors, at 2z, come from one kernel call."""
+    both theta~ factors at 2z, theta_w on Lattice(2 tau), are one kernel call."""
     z = np.asarray(z, dtype=complex)
     shifts = np.array([0.5, 0.5 - lattice.tau]).reshape((2,) + (1,) * z.ndim)
-    den, t = theta_tilde_w(2 * z, shifts, lattice)
+    den, t = theta_w(2 * z, shifts, Lattice(2 * lattice.tau))
     return den, np.exp(TWO_PI_I * z) * t
 
 

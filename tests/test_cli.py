@@ -151,6 +151,26 @@ def test_main_rejects_bad_config(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_arguments_to_a_command_that_takes_none_are_config_errors(capsys):
+    for args in (["verify-theta", "foo"], ["embed-check", "S2", "2"], ["verify-eta", "1"]):
+        assert cli.main(args) == 2, args
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"{args[0]} takes no arguments" in err, err
+    with pytest.raises(cli.ConfigError, match="takes no arguments"):
+        cli.run("verify-double-table", cli.RunConfig(extra=("7",)))
+
+
+def test_unwritable_out_path_is_a_config_error(capsys, tmp_path):
+    # Checked before the suite runs: no report, no traceback, no replay line.
+    for out in (tmp_path / "missing" / "r.txt", tmp_path):
+        code = cli.main(["verify-theta", "--samples", "2", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2 and not captured.out
+        assert captured.err.startswith(f"config error: cannot write {out}: "), captured.err
+        assert "Traceback" not in captured.err and "replay:" not in captured.err
+    assert not (tmp_path / "missing").exists()
+
+
 def test_out_of_range_counts_are_config_errors(capsys):
     for args, bound in [(["check-conjecture", "0"], "m must be >= 1"),
                         (["check-conjecture", "-1"], "m must be >= 1"),

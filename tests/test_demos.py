@@ -1,9 +1,9 @@
-"""Every script in demos/ runs to completion; the elliptic demos print the
-decisions they claim.
+"""Every script in demos/ runs to completion; the theta and elliptic demos
+print the decisions they claim.
 
-Printed residuals depend on the CPU and the BLAS build, so the elliptic
-demos are checked by parsing their output against each residual's bound,
-not by pinning bytes.
+Printed residuals depend on the CPU and the BLAS build, so these demos are
+checked by parsing their output against each residual's bound, not by
+pinning bytes.
 """
 
 import os
@@ -33,6 +33,17 @@ def values(pattern: str, text: str) -> list[float]:
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)
 def test_demo_exits_cleanly(demo):
     run_demo(demo)
+
+
+def test_theta_demo_decisions():
+    out = run_demo(ROOT / "demos" / "02_theta_functions_and_cover.py")
+    [zero] = values(rf"^theta_w vanishes at w: \|theta\| = {SCI}$", out)
+    [law] = values(rf"^translation law theta\(z \+ tau\) = f\(z\) theta\(z\): {SCI}$", out)
+    [step] = values(rf"^log-derivative steps by one across tau: {SCI}$", out)
+    [even] = values(rf"^  \|h\(-z\) - h\(z\)\|: {SCI}$", out)
+    assert max(zero, law, step, even) < 1e-10
+    assert "sums to the origin: True" in out
+    assert "(= tau/2: True)" in out
 
 
 def test_elliptic_tables_demo_decisions():

@@ -31,6 +31,7 @@ from chain_refs import chain_directions, evaluator, raw_directions, scalar_mat2_
 from double_refs import exact, reference_double_hecke
 from draw_refs import (reference_double_sample, reference_far_point, reference_minimal_directions,
                        reference_row_fixtures)
+from theta_refs import g_theta_w, g_tilde_w, theta_tilde_w, theta_tilde_w_deriv
 
 LAT = Lattice()
 RNG = np.random.default_rng(77)
@@ -82,7 +83,7 @@ def reference_factor(bundle, z) -> np.ndarray:
     fl = line(bundle.l)
     if isinstance(bundle, F2Twist):
         return mat2(fl, fl, 0, fl)
-    return mat2(0, fl, fl * th.automorphy_factor(bundle.point_lift + 0.5)(z), 0)
+    return mat2(0, fl, fl * th.automorphy_factor(z, bundle.point_lift + 0.5, 1), 0)
 
 
 class TestLineBundles:
@@ -100,9 +101,9 @@ class TestLineBundles:
     def test_factor_matches_shifted_exponential(self):
         # The line factor of O(p) is the first diagonal entry of O(p) + O's.
         p = rpt()
-        g = th.automorphy_factor(p.lift)
         z = 0.3 - 0.8j
-        assert abs(factor(Decomposable(point_line(p), O), z)[0, 0] - g(z)) < 1e-12
+        g = th.automorphy_factor(z, p.lift, 1)
+        assert abs(factor(Decomposable(point_line(p), O), z)[0, 0] - g) < 1e-12
 
 
 class TestAutomorphy:
@@ -116,7 +117,7 @@ class TestAutomorphy:
     def test_g2_det_is_point_factor(self):
         p = rpt()
         z = 0.7 + 0.2j
-        want = th.automorphy_factor(p.lift)(z)
+        want = th.automorphy_factor(z, p.lift, 1)
         assert abs(np.linalg.det(factor(G2Twist(p.lift, O), z)) - want) < 1e-12
 
     def test_cocycle_consistency(self):
@@ -1163,17 +1164,17 @@ def reference_evaluator(e, p, a):
     i_pi = 1j / np.pi
     if isinstance(e, F2Twist):
         if a.is_zero_dir():
-            return "F2:[1:0]", _ref_matfn(_REF_ONE, lambda z: th.g_theta_w(z, pt, lat), _REF_ZERO,
+            return "F2:[1:0]", _ref_matfn(_REF_ONE, lambda z: g_theta_w(z, pt, lat), _REF_ZERO,
                                           lambda z: _ref_theta_w(z, pt, lat))
-        lam_p = a.a / a.c - 2 * complex(th.g_tilde_w(0.0, 0.5, lat))
+        lam_p = a.a / a.c - 2 * complex(g_tilde_w(0.0, 0.5, lat))
         c = pt - 0.5
         ct = c - lat.tau
         return "F2:[lam:1]", _ref_matfn(
-            lambda z: (1 - lam_p) * th.theta_tilde_w(z, ct, lat)
-            - i_pi * th.theta_tilde_w_deriv(z, ct, lat),
-            lambda z: lam_p * th.theta_tilde_w(z, c, lat) + i_pi * th.theta_tilde_w_deriv(z, c, lat),
-            lambda z: -th.theta_tilde_w(z, ct, lat),
-            lambda z: th.theta_tilde_w(z, c, lat),
+            lambda z: (1 - lam_p) * theta_tilde_w(z, ct, lat)
+            - i_pi * theta_tilde_w_deriv(z, ct, lat),
+            lambda z: lam_p * theta_tilde_w(z, c, lat) + i_pi * theta_tilde_w_deriv(z, c, lat),
+            lambda z: -theta_tilde_w(z, ct, lat),
+            lambda z: theta_tilde_w(z, c, lat),
         )
     if isinstance(e, G2Twist):
         phi = None
@@ -1189,18 +1190,18 @@ def reference_evaluator(e, p, a):
             ct = c - lat.tau
             ei = np.exp(2j * np.pi * zi)
             return f"G2:a{idx}", _ref_compose(phi, _ref_matfn(
-                lambda z: th.theta_tilde_w(z, c, lat),
-                lambda z: -i_pi * th.theta_tilde_w_deriv(z, c, lat),
-                lambda z: ei * th.theta_tilde_w(z, ct, lat),
-                lambda z: ei * (th.theta_tilde_w(z, ct, lat) - i_pi * th.theta_tilde_w_deriv(z, ct, lat)),
+                lambda z: theta_tilde_w(z, c, lat),
+                lambda z: -i_pi * theta_tilde_w_deriv(z, c, lat),
+                lambda z: ei * theta_tilde_w(z, ct, lat),
+                lambda z: ei * (theta_tilde_w(z, ct, lat) - i_pi * theta_tilde_w_deriv(z, ct, lat)),
             ))
         w = lat.reduce_centered(th.invert_cover(a_t, lat)[0].lift)
         e2w = np.exp(2j * np.pi * w)
         return "G2:good", _ref_compose(phi, _ref_matfn(
-            lambda z: th.theta_tilde_w(z, pt - 2 * w + 0.5, lat),
-            lambda z: th.theta_tilde_w(z, pt + 2 * w + 0.5, lat),
-            lambda z: e2w * th.theta_tilde_w(z, pt - 2 * w + 0.5 - lat.tau, lat),
-            lambda z: th.theta_tilde_w(z, pt + 2 * w + 0.5 - lat.tau, lat) / e2w,
+            lambda z: theta_tilde_w(z, pt - 2 * w + 0.5, lat),
+            lambda z: theta_tilde_w(z, pt + 2 * w + 0.5, lat),
+            lambda z: e2w * theta_tilde_w(z, pt - 2 * w + 0.5 - lat.tau, lat),
+            lambda z: theta_tilde_w(z, pt + 2 * w + 0.5 - lat.tau, lat) / e2w,
         ))
     swap = e.l1.degree < e.l2.degree
     u1, m = (e.l2, e.l1) if swap else (e.l1, e.l2)
@@ -1236,22 +1237,22 @@ def reference_evaluator(e, p, a):
             return finish("ss:[1:0]", pivot)
         if a_t.is_infinity_dir():
             return finish("ss:[0:1]", counter)
-        sa = a_t.a / complex(th.theta_tilde_w(q_lift - pt, 0.5 - lat.tau, lat))
-        sb = a_t.c / complex(th.theta_tilde_w(pt - q_lift, 0.5 - lat.tau, lat))
+        sa = a_t.a / complex(theta_tilde_w(q_lift - pt, 0.5 - lat.tau, lat))
+        sb = a_t.c / complex(theta_tilde_w(pt - q_lift, 0.5 - lat.tau, lat))
         e2t = np.exp(2j * np.pi * t)
         return finish("ss:[x:y]", _ref_matfn(
-            lambda z: sa * th.theta_tilde_w(z, pt + t + 0.5 - lat.tau, lat),
-            lambda z: -sa * e2t * th.theta_tilde_w(z, pt + t + 0.5, lat),
-            lambda z: sb * th.theta_tilde_w(z, pt - t + 0.5 - lat.tau, lat),
-            lambda z: -sb * th.theta_tilde_w(z, pt - t + 0.5, lat),
+            lambda z: sa * theta_tilde_w(z, pt + t + 0.5 - lat.tau, lat),
+            lambda z: -sa * e2t * theta_tilde_w(z, pt + t + 0.5, lat),
+            lambda z: sb * theta_tilde_w(z, pt - t + 0.5 - lat.tau, lat),
+            lambda z: -sb * theta_tilde_w(z, pt - t + 0.5, lat),
         ))
     if own:
         if a_t.is_zero_dir():
             return finish("Op:[1:0]", pivot)
         if a_t.is_infinity_dir():
             return finish("Op:[0:1]", counter)
-        scale = a_t.c * complex(-th.g_theta_w(0.0, 0.0, lat)) / a_t.a
-        return finish("Op:[x:y]", _ref_matfn(theta_p, lambda z: -th.g_theta_w(z, pt, lat),
+        scale = a_t.c * complex(-g_theta_w(0.0, 0.0, lat)) / a_t.a
+        return finish("Op:[x:y]", _ref_matfn(theta_p, lambda z: -g_theta_w(z, pt, lat),
                                              _REF_ZERO, _ref_const(scale)))
     name = "OD" if k > 1 else "Oq"
     if a_t.is_zero_dir():

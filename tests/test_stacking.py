@@ -14,8 +14,10 @@ Cores: the 2x2 helpers ``mat2_mul``, ``mat2_det`` and ``mat2_adj`` and
 ``grassmannian.chain_direction_vecs``,
 ``grassmannian.eta_invariance_checks``, ``rational.terminal_hecke_lengths``,
 ``elliptic.certify_rows``, ``seidel_smith.slice_matrices`` and
-``elliptic.double_hecke``, whose bundles compare by the bits of
-``double_refs.exact``.  The chain reader is
+``elliptic.double_hecke``, ``elliptic.morphism_rep`` and
+``theta._cover_points``, whose bundles, representatives and points
+compare by the bits of ``double_refs.exact``, and
+``elliptic._fiber_distance``.  The chain reader is
 also held to the identity-prefixed loop of ``chain_refs``, which an
 element-consistent slip (a prefix read one point off) would not break
 otherwise.  The helpers are held to Python's scalar complex arithmetic,
@@ -32,10 +34,11 @@ from hypothesis import strategies as st
 from heckelab import elliptic as ell
 from heckelab import rational as rat
 from heckelab import seidel_smith as ss
+from heckelab import theta as th
 from heckelab.grassmannian import chain_direction_vecs, eta_invariance_checks, random_units
 from heckelab.projective import chordal_vecs, mat2_adj, mat2_det, mat2_mul, transport_directions
 from heckelab.suites import _double_sample, _elliptic_row_fixtures
-from heckelab.torus import Lattice
+from heckelab.torus import CurvePoint, Lattice
 
 from chain_refs import identity_prefixed_vecs, random_factors, scalar_mat2_mul
 from double_refs import exact
@@ -105,6 +108,43 @@ def certify_stacks(draw):
     cases = [makes[r](rng) for r in rows]
     reps = ell.morphism_rep(*([list(x) for x in zip(*cases)] or [[]] * 3))
     return reps, (2 * rng.random((size, 4)) - 0.5) + (2 * rng.random((size, 4)) - 0.5) * lat.tau
+
+
+@st.composite
+def row_draws(draw):
+    """``morphism_rep`` arguments (bundles, points, directions): draws of
+    elliptic table rows of any kinds, on one of both default lattices."""
+    size, tau = draw(SIZES), draw(st.sampled_from([0.21 + 1.3j, 0.3 + 0.45j]))
+    rows = draw(st.lists(st.integers(0, 16), min_size=size, max_size=size))
+    rng, lat = np.random.default_rng(draw(SEEDS)), Lattice(tau)
+    makes = [make for _, make in _elliptic_row_fixtures(lat)]
+    return [list(x) for x in zip(*(makes[r](rng) for r in rows))] or [[]] * 3
+
+
+def torsion_near(rng, lat, shape) -> np.ndarray:
+    """2-torsion lifts plus offsets of modulus 1e-9 to 1e-5, in random directions."""
+    t = np.array(lat.torsion_lifts())[rng.integers(4, size=shape)]
+    return t + 10 ** rng.uniform(-9, -5, shape) * np.exp(2j * np.pi * rng.random(shape))
+
+
+@st.composite
+def cover_stacks(draw):
+    """``_cover_points`` arguments: lifts in a doubled fundamental box,
+    about a third of them near the 2-torsion points, and the lattice."""
+    size, tau = draw(SIZES), draw(st.sampled_from([0.21 + 1.3j, 0.3 + 0.45j]))
+    rng, lat = np.random.default_rng(draw(SEEDS)), Lattice(tau)
+    z = (2 * rng.random(size) - 0.5) + (2 * rng.random(size) - 0.5) * tau
+    return np.where(rng.random(size) < 1 / 3, torsion_near(rng, lat, size), z), lat
+
+
+@st.composite
+def fiber_stacks(draw):
+    """``_fiber_distance`` arguments (roots, qs, p1s, p2s) with every root
+    within 1e-9 to 1e-5 of a 2-torsion point."""
+    size, tau = draw(SIZES), draw(st.sampled_from([0.21 + 1.3j, 0.3 + 0.45j]))
+    rng, lat = np.random.default_rng(draw(SEEDS)), Lattice(tau)
+    pts = [[CurvePoint(complex(x + y * tau), lat) for x, y in rng.random((size, 2))] for _ in range(3)]
+    return torsion_near(rng, lat, (size, 3)), *pts
 
 
 @st.composite
@@ -183,6 +223,37 @@ def test_certify_rows_stack_elementwise(stack):
     out = core(reps, zs)
     assert out.shape == (len(reps), 2)
     assert_stacks_elementwise(core, (reps, zs), out)
+
+
+@STACKS
+@given(row_draws())
+def test_morphism_rep_stack_elementwise(stack):
+    out = exact(ell.morphism_rep(*stack))
+    assert len(out) == len(stack[0])
+    for i in range(len(out)):
+        assert exact(ell.morphism_rep(*(x[i : i + 1] for x in stack))) == out[i : i + 1]
+    assert exact(ell.morphism_rep(*(x[::-1] for x in stack))) == out[::-1]
+    assert ell.morphism_rep([], [], []) == []
+
+
+@STACKS
+@given(cover_stacks())
+def test_cover_points_stack_elementwise(stack):
+    z, lat = stack
+    out = exact(th._cover_points(z, lat))
+    assert len(out) == len(z)
+    for i in range(len(z)):
+        assert exact(th._cover_points(z[i : i + 1], lat)) == out[i : i + 1]
+    assert exact(th._cover_points(z[::-1], lat)) == out[::-1]
+    assert th._cover_points(z[:0], lat) == []
+
+
+@STACKS
+@given(fiber_stacks())
+def test_fiber_distance_stack_elementwise(stack):
+    out = ell._fiber_distance(*stack)
+    assert out.shape == (len(stack[0]),)
+    assert_stacks_elementwise(ell._fiber_distance, stack, out)
 
 
 @STACKS

@@ -7,8 +7,11 @@ from heckelab import theta as th
 from heckelab.projective import ProjPoint, chordal
 from heckelab.torus import CurvePoint, Lattice, halve_sum, torsion_point
 
+from theta_refs import g_tilde_w, theta_tilde_w, theta_tilde_w_deriv
+
 LAT = Lattice()
 TAU = LAT.tau
+LAT2 = Lattice(2 * TAU)  # the doubled lattice Z + 2 tau Z of theta~
 RNG = np.random.default_rng(11)
 Z = RNG.normal(size=100) * 0.8 + 1j * RNG.normal(size=100) * 0.8
 W = 0.31 + 0.22j
@@ -26,8 +29,8 @@ def test_theta_periodicity():
 
 def test_theta_quasi_periodicity():
     t0 = th.theta_w(Z, W, LAT)
-    f = th.automorphy_factor(W)
-    assert rel(th.theta_w(Z + TAU, W, LAT) - f(Z) * t0, t0) < 1e-10
+    f = th.automorphy_factor(Z, W, 1)
+    assert rel(th.theta_w(Z + TAU, W, LAT) - f * t0, t0) < 1e-10
 
 
 def test_theta_evenness():
@@ -47,11 +50,25 @@ def test_theta_w_zero_at_w():
 
 
 def test_theta_tilde_laws():
-    tt = th.theta_tilde_w(Z, W, LAT)
-    f = th.automorphy_factor(W)
-    assert rel(th.theta_tilde_w(Z + 2 * TAU, W, LAT) - f(Z) * tt, tt) < 1e-10
-    ttn = th.theta_tilde_w(-Z, W, LAT)
-    assert rel(ttn - th.theta_tilde_w(Z, -W - 2 * TAU, LAT), ttn) < 1e-10
+    tt = th.theta_w(Z, W, LAT2)
+    f = th.automorphy_factor(Z, W, 1)
+    assert rel(th.theta_w(Z + 2 * TAU, W, LAT2) - f * tt, tt) < 1e-10
+    ttn = th.theta_w(-Z, W, LAT2)
+    assert rel(ttn - th.theta_w(Z, -W - 2 * TAU, LAT2), ttn) < 1e-10
+
+
+@pytest.mark.parametrize("tau", [0.21 + 1.3j, 0.3 + 0.45j, 0.21 + 60j])
+def test_doubled_lattice_is_the_removed_theta_tilde_family(tau):
+    # theta~ is theta_w on Lattice(2 tau): the library's calls give the
+    # bits of the separate theta~ functions they replaced.
+    lat = Lattice(tau)
+    rng = np.random.default_rng(43)
+    z = (2 * rng.random(2000) - 0.5) + (2 * rng.random(2000) - 0.5) * tau
+    w = complex(rng.random() + rng.random() * tau)
+    doubled = Lattice(2 * lat.tau)
+    for got, want in ((th.theta_w, theta_tilde_w), (th.theta_w_deriv, theta_tilde_w_deriv),
+                      (th.g_w, g_tilde_w)):
+        assert got(z, w, doubled).tobytes() == want(z, w, lat).tobytes(), want.__name__
 
 
 def test_g_transformation():
@@ -68,16 +85,16 @@ def test_g_pole_guard():
 
 def test_pole_guard_names_the_one_near_point_of_an_array():
     far = Z[np.array([LAT.distance(v, W) > 1e-2 for v in Z])].reshape(2, -1)
-    # A translate of W by tau is a pole of g_w but not of the doubled-lattice g_tilde_w.
+    # A translate of W by tau is a pole of g_w but not of g_w on the doubled lattice.
     mid = far.copy()
     mid[1, 3] = W + TAU
-    th.g_tilde_w(mid, W, LAT)
-    for fn, pole in ((th.g_w, W + TAU - 1), (th.g_tilde_w, W + 2 * TAU + 1)):
+    th.g_w(mid, W, LAT2)
+    for lat, pole in ((LAT, W + TAU - 1), (LAT2, W + 2 * TAU + 1)):
         bad = far.copy()
         bad[1, 3] = pole + 0.9 * th.POLE_GUARD * np.exp(0.7j)
-        fn(far, W, LAT)
+        th.g_w(far, W, lat)
         with pytest.raises(th.NearPole, match=re.escape(str(bad[1, 3]))):
-            fn(bad, W, LAT)
+            th.g_w(bad, W, lat)
 
 
 def test_derivative_matches_finite_difference():
@@ -184,9 +201,8 @@ def test_torsion_indices():
 
 
 def test_automorphy_factor_periodicity():
-    f = th.automorphy_factor(W)
     z = 0.4 + 0.3j
-    assert abs(f(z + 1) - f(z)) < 1e-12
+    assert abs(th.automorphy_factor(z + 1, W, 1) - th.automorphy_factor(z, W, 1)) < 1e-12
 
 
 def test_g2_determinant_factor():
@@ -194,9 +210,9 @@ def test_g2_determinant_factor():
     # which equals the unshifted one.
     p = 0.41 + 0.2j
     z = 0.13 - 0.7j
-    f_shift = th.automorphy_factor(p + 0.5)
-    f_plain = th.automorphy_factor(p)
-    assert abs(-f_shift(z) - f_plain(z)) < 1e-12
+    f_shift = th.automorphy_factor(z, p + 0.5, 1)
+    f_plain = th.automorphy_factor(z, p, 1)
+    assert abs(-f_shift - f_plain) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -232,16 +248,16 @@ def invert_cover_reference(a, lattice):
     x, y = a.a, a.c
 
     def func(z):
-        den = th.theta_tilde_w(2 * z, 0.5, lattice)
-        num = np.exp(2j * np.pi * z) * th.theta_tilde_w(2 * z, 0.5 - tau, lattice)
+        den = theta_tilde_w(2 * z, 0.5, lattice)
+        num = np.exp(2j * np.pi * z) * theta_tilde_w(2 * z, 0.5 - tau, lattice)
         return y * den - x * num
 
     def dfunc(z):
-        ddet = 2 * th.theta_tilde_w_deriv(2 * z, 0.5, lattice)
+        ddet = 2 * theta_tilde_w_deriv(2 * z, 0.5, lattice)
         e = np.exp(2j * np.pi * z)
         dnum = e * (
-            2j * np.pi * th.theta_tilde_w(2 * z, 0.5 - tau, lattice)
-            + 2 * th.theta_tilde_w_deriv(2 * z, 0.5 - tau, lattice)
+            2j * np.pi * theta_tilde_w(2 * z, 0.5 - tau, lattice)
+            + 2 * theta_tilde_w_deriv(2 * z, 0.5 - tau, lattice)
         )
         return y * ddet - x * dnum
 
