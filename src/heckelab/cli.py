@@ -9,6 +9,7 @@ suite's index, so any failing record can be replayed from the header.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -171,11 +172,11 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         config = RunConfig(tau=ns.tau, seed=ns.seed, samples=ns.samples, extra=tuple(ns.args))
-        if ns.out:  # checked before the suite runs, not after it
-            try:
-                open(ns.out, "a").close()
-            except OSError as exc:
-                raise ConfigError(f"cannot write {ns.out}: {exc.strerror}") from None
+        if ns.out:  # checked before the suite runs, and without creating the file
+            parent = os.path.dirname(os.path.abspath(ns.out))
+            target = ns.out if os.path.exists(ns.out) else parent
+            if os.path.isdir(ns.out) or not os.path.isdir(parent) or not os.access(target, os.W_OK):
+                raise ConfigError(f"cannot write {ns.out}")
         report = run(ns.command, config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

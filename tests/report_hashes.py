@@ -18,8 +18,7 @@ extensions: report bytes depend on which SIMD loops numpy runs, so two
 files are comparable when they come from one machine.
 
 ``--compare old.json`` lists each command whose exit code or bytes differ
-from ``old.json``, with a unified diff, and exits 1 if any do.  ``-k TEXT``
-keeps only the commands that contain TEXT.
+from ``old.json``, with a unified diff, and exits 1 if any do.
 """
 
 from __future__ import annotations
@@ -39,18 +38,16 @@ from pathlib import Path
 import numpy as np
 
 from heckelab import cli
+from test_api_census import console_lines
 from test_decision_census import CONFIGS, runs
 
-WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
 KEPT_STDERR = ("config error:", "error:", "replay:", "hecke-lab: error:")
 
 
 def commands() -> list[str]:
     """CI's console commands, then the census configurations not among them."""
-    console = [line.strip() for line in WORKFLOW.read_text().splitlines()
-               if line.strip().startswith("hecke-lab ")]
     census = [key for config in CONFIGS for key, _ in runs(*config)]
-    return list(dict.fromkeys(console + census))
+    return list(dict.fromkeys(console_lines() + census))
 
 
 def run(command: str) -> list:
@@ -106,10 +103,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", help="write the reports to this JSON file")
     parser.add_argument("--compare", metavar="OLD_JSON", help="list the commands that differ from OLD_JSON")
-    parser.add_argument("-k", dest="match", default="", metavar="TEXT",
-                        help="run only the commands that contain TEXT")
     ns = parser.parse_args(argv)
-    reports = {command: run(command) for command in commands() if ns.match in command}
+    reports = {command: run(command) for command in commands()}
     new = {"env": environment(), "reports": reports}
     if ns.out:
         Path(ns.out).write_text(json.dumps(new, indent=1) + "\n")
@@ -120,7 +115,7 @@ def main(argv: list[str] | None = None) -> int:
     old = json.loads(Path(ns.compare).read_text())
     if old["env"] != new["env"]:
         print("note: the two files come from different environments", file=sys.stderr)
-    diffs = differences({c: r for c, r in old["reports"].items() if ns.match in c}, reports)
+    diffs = differences(old["reports"], reports)
     print("".join(diffs), end="")
     print(f"{len(diffs)} of {len(reports)} commands differ")
     return 1 if diffs else 0

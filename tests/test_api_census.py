@@ -331,11 +331,15 @@ def declared_flags() -> set[str]:
             for arg in node.args if isinstance(arg, ast.Constant) and arg.value.startswith("--")}
 
 
+def console_lines() -> list[str]:
+    """The ``hecke-lab`` command lines of CI's workflow, in order."""
+    return [line.strip() for line in WORKFLOW.read_text().splitlines()
+            if line.strip().startswith("hecke-lab ")]
+
+
 def console_flags() -> set[str]:
     """The flags used by the ``hecke-lab`` commands of CI's workflow."""
-    return {word for line in WORKFLOW.read_text().splitlines()
-            if line.strip().startswith("hecke-lab ")
-            for word in line.split() if word.startswith("--")}
+    return {word for line in console_lines() for word in line.split() if word.startswith("--")}
 
 
 def test_every_cli_flag_is_used_in_ci():
