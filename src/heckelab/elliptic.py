@@ -761,9 +761,9 @@ def factor_lines(factors) -> list[list[ProjPoint]]:
 class EllipticSequence:
     """A point of H(T^2, n): modifications of a marked bundle, held as the
     chain of morphism representatives, each built once, with what its
-    builder evaluated: the chain's ``factors`` (see ``chain_factors``), and
-    the ``mark`` step (the base's modification at q toward its line) with
-    its ``mark_values`` (n, 2, 2) at the points.
+    builder evaluated: its ``factors`` (see ``chain_factors``), its ``lines``
+    in the base's trivialization, and the ``mark`` step (the modification at
+    q toward the base's line) with its ``mark_values`` (n, 2, 2) at the points.
 
     Each step's direction is in the standard trivialization of the bundle
     it modifies; the stored-frame convention makes consecutive representatives
@@ -775,6 +775,7 @@ class EllipticSequence:
     factors: np.ndarray
     mark: MorphismRep
     mark_values: np.ndarray
+    lines: list[ProjPoint]
 
     @property
     def points(self) -> list[CurvePoint]:
@@ -797,17 +798,15 @@ def _h_lifts(seqs) -> list[list[complex]]:
     """The ``_class_lifts`` of each sequence's n+1 moduli classes: the base
     bundle, then per point p_i the class (twisted back to trivial
     determinant) of the two-step modification of the base at (q, p_i) in
-    the directions read off the mark and the composed sequence.  For the
-    whole stack, the second steps are one ``morphism_rep`` call and the
-    lines one ``factor_lines`` read of the sequences' factors."""
+    the directions read off the mark and the sequence's lines.  For the
+    whole stack, the second steps are one ``morphism_rep`` call."""
     live = [s for s in seqs if s.reps]
     # Reinterpreted two-step sequences: the mark modification first, in a
     # good direction, classified as ``double_hecke`` classifies a good first
     # direction.  Composite coordinates (mark line, d_i): line data is
     # order-independent under the canonical parabolic correspondence.
     classes = _stable_first_class([s.mark for s in live], [s.points for s in live],
-                                  [s.mark_values for s in live],
-                                  factor_lines([s.factors for s in live])) if live else []
+                                  [s.mark_values for s in live], [s.lines for s in live]) if live else []
     lifts = _class_lifts([s.base.bundle for s in seqs] + [c for row in classes for c in row])
     rest = iter(lifts[len(seqs):])
     return [[base] + [next(rest) for _ in s.reps] for base, s in zip(lifts, seqs)]
@@ -923,71 +922,73 @@ def _second_directions(h1s, qs, ps, roots, lat) -> list[ProjPoint]:
 def sequence_from_coordinates(qs, points, coords) -> list[EllipticSequence]:
     """The inverse of ``h_total``: the sequences at ``points[i]`` on a base
     marked at ``qs[i]`` whose n + 1 moduli coordinates are ``coords[i]``,
-    the base class first.  One inversion of the stack's coordinates gives
-    the bases and the second directions.  For each point the reinterpreted
-    two-step sequence through the mark pins the parabolic line at that
-    point: the mark steps and their values at the points (``_marks``, which
-    the sequences keep) carry the second directions to the lines.
-    """
-    if not qs:
-        return []
-    lat = qs[0].lattice
-    flat = [cs[0] for cs in coords] + [t for cs in coords for t in cs[1:]]
-    lifts, idx = th._invert_lifts([t.a for t in flat], [t.c for t in flat], lat)
-    bases = _bases(lifts[:len(qs)], idx[:len(qs)], qs, lat)
-    rep_q, vals = _marks(bases, points)
-    steps = [(r.result, q, p) for r, q, pts in zip(rep_q, qs, points) for p in pts]
-    # The second step's direction at its point is delta by construction.
-    deltas = iter(_second_directions(*zip(*steps), lifts[len(qs):].tolist(), lat) if steps else ())
-    lines = [[ProjPoint(*mat2_mul(v, next(deltas).vec)) for v in vs] for vs in vals]
-    return _sequences(bases, points, lines, rep_q, vals)
+    the base class first; a stack of ``_sequences``."""
+    return _sequences(qs, points, coords)
 
 
-def sequence_from_lines(bases, points, lines) -> list[EllipticSequence]:
-    """The sequences at ``points[i]`` whose lines, in the trivialization of
-    ``bases[i]``, are ``lines[i]``: each line is transported back through
-    the composite of the steps before it to the direction its step takes.
+def _sequences(heads, points, given) -> list[EllipticSequence]:
+    """The one builder of elliptic sequences, at ``points[i]``.  A
+    ``MarkedBundle`` head ``heads[i]`` is the base, and ``given[i]`` its
+    lines in the base's trivialization; a point head is the marked point q,
+    and ``given[i]`` the n + 1 moduli coordinates, base class first, as
+    ``h_total`` returns them.
+
+    One inversion of all the coordinates gives the bases and the second
+    directions, and one mark pass (``morphism_rep``, ``evaluate_stack``) the
+    mark steps and their values at the points, which carry the second
+    directions to the lines.  Step i is one ``transport_directions``,
+    ``morphism_rep`` and ``evaluate_stack`` call for the stack: each line is
+    transported back through the steps before it.  The kept lines are one
+    ``factor_lines`` read.
 
     Raises ValueError unless each sequence's points are pairwise distinct
     and away from its mark.
     """
-    return _sequences(bases, points, lines, *_marks(bases, points))
-
-
-def _marks(bases, points):
-    """Each base's mark step and its values at ``points[i]``: one
-    ``morphism_rep`` and one ``evaluate_stack`` call."""
-    marks = morphism_rep([b.bundle for b in bases], [b.q for b in bases], [b.line for b in bases])
-    return marks, evaluate_stack([r.terms for r in marks], [[p.lift for p in pts] for pts in points],
-                                 bases[0].q.lattice if bases else None)
-
-
-def _sequences(bases, points, lines, marks, mark_values) -> list[EllipticSequence]:
-    """``sequence_from_lines`` given the marks.  Step j of the stack is one
-    ``transport_directions``, one ``morphism_rep`` and one ``evaluate_stack``
-    call, at its own point and later ones: its factors and prefix products."""
-    points = [list(pts) for pts in points]
-    for base, pts in zip(bases, points):
+    if not heads:
+        return []
+    qs = [h.q if isinstance(h, MarkedBundle) else h for h in heads]
+    for q, pts in zip(qs, points):
         for i, pnt in enumerate(pts):
-            if pnt == base.q:
+            if pnt == q:
                 raise ValueError("modification points must avoid the marked point")
             if any(pnt == other for other in pts[i + 1:]):
                 raise ValueError("modification points must be pairwise distinct")
-    # prefix[k][i]: the product of sequence k's steps built so far, at its point i.
+    lat = qs[0].lattice
+    by_coords = [k for k, h in enumerate(heads) if not isinstance(h, MarkedBundle)]
+    flat = [given[k][0] for k in by_coords] + [t for k in by_coords for t in given[k][1:]]
+    lifts, idx = th._invert_lifts([t.a for t in flat], [t.c for t in flat], lat)
+    bases, lines, m = list(heads), list(given), len(by_coords)
+    for k, base in zip(by_coords, _bases(lifts[:m], idx[:m], [qs[k] for k in by_coords], lat)):
+        bases[k] = base
+    marks = morphism_rep([b.bundle for b in bases], qs, [b.line for b in bases])
     zs = [np.array([pnt.lift for pnt in pts]) for pts in points]
-    prefix = [np.tile(np.eye(2, dtype=complex), (len(pts), 1, 1)) for pts in points]
-    factors = [np.zeros((len(pts), len(pts), 2, 2), dtype=complex) for pts in points]
-    reps: list[list[MorphismRep]] = [[] for _ in bases]
-    for i in range(max(map(len, points), default=0)):
-        live = [k for k, pts in enumerate(points) if i < len(pts)]
-        vecs = transport_directions(np.array([prefix[k][i] for k in live]),
-                                    np.array([(d.a, d.c) for d in (lines[k][i] for k in live)]))
+    mark_values = evaluate_stack([r.terms for r in marks], zs, lat)
+    steps = [(marks[k].result, qs[k], pnt) for k in by_coords for pnt in points[k]]
+    if steps:
+        # The second step's direction at its point is delta by construction.
+        deltas = _second_directions(*zip(*steps), lifts[m:].tolist(), lat)
+        vecs = iter(mat2_mul(np.concatenate([mark_values[k] for k in by_coords]),
+                             np.array([(d.a, d.c) for d in deltas])).tolist())
+        for k in by_coords:
+            lines[k] = [ProjPoint(*next(vecs)) for _ in points[k]]
+    # Flat over the points of the stack: pos[r] is the index of point r in
+    # its sequence, and prefix[r] the product of the steps built so far there.
+    lens = [len(pts) for pts in points]
+    pos = np.arange(sum(lens)) - np.repeat(np.cumsum([0] + lens[:-1]), lens)
+    prefix = np.tile(np.eye(2, dtype=complex), (len(pos), 1, 1))
+    factors = [np.zeros((n, n, 2, 2), dtype=complex) for n in lens]
+    reps: list[list[MorphismRep]] = [[] for _ in heads]
+    for i in range(max(lens)):
+        live = [k for k, n in enumerate(lens) if i < n]
+        vecs = transport_directions(prefix[pos == i], np.array([(lines[k][i].a, lines[k][i].c) for k in live]))
         step = morphism_rep([reps[k][-1].result if reps[k] else bases[k].bundle for k in live],
                             [points[k][i] for k in live],
                             [ProjPoint(a, c) for a, c in vecs.tolist()])
-        for k, rep, v in zip(live, step, evaluate_stack(
-                [r.terms for r in step], [zs[k][i:] for k in live], bases[0].q.lattice)):
+        values = evaluate_stack([r.terms for r in step], [zs[k][i:] for k in live], lat)
+        for k, rep, v in zip(live, step, values):
             reps[k].append(rep)
             factors[k][i, i:] = v
-            prefix[k][i + 1:] = mat2_mul(prefix[k][i + 1:], v[1:])
-    return [EllipticSequence(*x) for x in zip(bases, map(tuple, reps), factors, marks, mark_values)]
+        later = pos > i
+        prefix[later] = mat2_mul(prefix[later], np.concatenate([v[1:] for v in values]))
+    return [EllipticSequence(*x) for x in zip(bases, map(tuple, reps), factors, marks, mark_values,
+                                              factor_lines(factors))]

@@ -19,7 +19,6 @@ from .rational import RationalBundle, RationalSequence
 from .elliptic import (
     EllipticBundle,
     bad_group_key,
-    factor_lines,
     is_semistable as elliptic_semistable,
 )
 
@@ -118,15 +117,14 @@ def hecke_embeddings_rational(seq: RationalSequence, aux: list[Mark]) -> list[Pa
 
 
 def hecke_embeddings_elliptic(seqs) -> list[ParabolicBundle]:
-    """Embed even minimal sequences on marked bundles, adding each good
-    mark itself as the auxiliary line; the lines of the whole stack are
-    one ``factor_lines`` read of the sequences' factors."""
+    """Embed even minimal sequences on marked bundles, at the lines they
+    keep, adding each good mark itself as the auxiliary line."""
     for seq in seqs:
         if len(seq.reps) % 2:
             raise ValueError("the embedding is defined for even-length sequences")
         if not elliptic_semistable(seq.terminal):
             raise TerminalNotMinimal(f"terminal bundle {seq.terminal} is unstable")
     return [ParabolicBundle(s.base.bundle,
-                            tuple(map(Mark, s.points + [s.base.q], lines + [s.base.line])))
-            for s, lines in zip(seqs, factor_lines([s.factors for s in seqs]))]
+                            tuple(map(Mark, s.points + [s.base.q], s.lines + [s.base.line])))
+            for s in seqs]
 

@@ -111,8 +111,8 @@ def verify_theta(report, config, rng):
     t_tau = th.theta_w(z + tau, w, lat)
     report.add("theta-quasi-tau", "translation by tau against the standard factor",
                _rel(t_tau - f * t0, t_tau), tol)
-    report.add("theta-even", "evenness of the base series",
-               _rel(th.theta_raw(-z, tau) - th.theta_raw(z, tau), th.theta_raw(z, tau)), tol)
+    raw = th.theta_raw(z, tau)
+    report.add("theta-even", "evenness of the base series", _rel(th.theta_raw(-z, tau) - raw, raw), tol)
     scale = float(np.abs(t0).max())
     report.add("theta-zero-at-w", "simple zero on the translated lattice",
                abs(complex(th.theta_w(w, w, lat))) / scale, 1e-10)
@@ -382,7 +382,7 @@ def verify_double_table(report, config, rng):
     # whose second coordinate is a branch point of the intrinsic coordinate.
     [seq] = ell.sequence_from_coordinates(
         [p1], [[p2]], [th._cover_points([delta.lift], lat) + [th.branch_points(lat)[1]]])
-    [b2] = ell.factor_lines([seq.factors])[0]
+    [b2] = seq.lines
     split, diagonal, torsion = ell.double_hecke([ell.Decomposable(O, O)] * 2 + [seq.base.bundle],
                                                 [p1] * 3, [p2] * 3, [a, a, seq.base.line], [b, a, b2])
     ok = split is not None and ell.s_equivalent(split, want)
@@ -629,34 +629,35 @@ def embed_check(report, config, rng):
     report.add_flag("unstable-marks-unstable-terminal-rational",
                     f"{n_seq} seeded sequences, lengths 2..4", ok)
 
-    # Every draw first: (q, p1, p2) and a base coordinate, and on even draws
-    # two coordinates more; then stacked passes.
+    # Every draw first, in per-draw order: (q, p1, p2) and a base coordinate,
+    # two coordinates more on even draws; the rational embedding draws; ten
+    # draws of (q, p1, p2) and three coordinates.  Then one builder pass.
     pts, coords = _coordinate_draws(rng, lat, [(3, 1 if k % 2 else 3) for k in range(n_seq)])
+    rational = _rational_embedding_draws(rng)
+    embed_pts, embed_coords = _coordinate_draws(rng, lat, [(3, 3)] * 10)
     # Odd draws force both marks bad in the same direction.
     bad = ProjPoint(1, 0)
-    bases = ell.base_from_coordinate([c[0] for c in coords[1::2]], [p[0] for p in pts[1::2]])
-    seqs = ell.sequence_from_lines(bases, [p[1:] for p in pts[1::2]], [[bad, bad]] * (n_seq // 2))
-    seqs += ell.sequence_from_coordinates([p[0] for p in pts[0::2]], [p[1:] for p in pts[0::2]],
-                                          coords[0::2])
-    verdicts = par.stabilities([par.ParabolicBundle(s.base.bundle, tuple(map(par.Mark, s.points, lines)))
-                                for s, lines in zip(seqs, ell.factor_lines([s.factors for s in seqs]))])
+    bases = iter(ell.base_from_coordinate([c[0] for c in coords[1::2]], [p[0] for p in pts[1::2]]))
+    heads = [next(bases) if k % 2 else p[0] for k, p in enumerate(pts)] + [p[0] for p in embed_pts]
+    given = [[bad, bad] if k % 2 else c for k, c in enumerate(coords)] + embed_coords
+    seqs = ell._sequences(heads, [p[1:] for p in pts + embed_pts], given)
+    terminal, drawn = seqs[:n_seq], seqs[n_seq:]
+    verdicts = par.stabilities([par.ParabolicBundle(s.base.bundle, tuple(map(par.Mark, s.points, s.lines)))
+                                for s in terminal])
     ok = not any(v.verdict is V.UNSTABLE and ell.is_semistable(s.terminal)
-                 for v, s in zip(verdicts, seqs))
+                 for v, s in zip(verdicts, terminal))
     report.add_flag("unstable-marks-unstable-terminal-elliptic",
                     f"{n_seq} seeded two-step sequences", ok)
 
     aux = [par.Mark(10.0 + 1j, A), par.Mark(11.0 + 1j, B), par.Mark(12.0 + 1j, C)]
-    pbs = [pb for seq in _rational_embedding_draws(rng).values()
-           for pb in par.hecke_embeddings_rational(seq, aux)]
+    pbs = [pb for seq in rational.values() for pb in par.hecke_embeddings_rational(seq, aux)]
     ok = all(v.verdict is V.STABLE for v in par.stabilities(pbs))
     report.add_flag("rational-embedding-stable", "even-length fixtures, three marks added", ok)
 
-    # Ten draws of (q, p1, p2) and three coordinates, in per-draw order; one
-    # stacked pass decides them all, and the members are embedded.  A
-    # non-member is a measure-zero event; with no member the record fails.
-    pts, coords = _coordinate_draws(rng, lat, [(3, 3)] * 10)
-    seqs = ell.sequence_from_coordinates([p[0] for p in pts], [p[1:] for p in pts], coords)
-    members = [s for s, member in zip(seqs, ell.membership_Hp(seqs)) if member]
+    # One membership pass decides the ten drawn sequences, and the members
+    # are embedded.  A non-member is a measure-zero event; with no member
+    # the record fails.
+    members = [s for s, member in zip(drawn, ell.membership_Hp(drawn)) if member]
     ok = bool(members) and all(v.verdict is V.STABLE
                                for v in par.stabilities(par.hecke_embeddings_elliptic(members)))
     report.add_flag("elliptic-embedding-stable", "members of the length-two space", ok)

@@ -5,11 +5,14 @@ Usage, from the repository root:
 
     PYTHONPATH=src python tests/report_hashes.py --out old.json    # on the parent
     PYTHONPATH=src python tests/report_hashes.py --compare old.json
+    PYTHONPATH=src python tests/report_hashes.py --seeds 0-29 --out old.json
 
 In one process it runs every ``hecke-lab`` command of CI's console step,
 read from the workflow as the flag census reads it, and every
 configuration of the decision census (``test_decision_census.CONFIGS`` at
-its seeds and lattices, by replay key).  It writes ``{"env": ...,
+its seeds and lattices, by replay key).  ``--seeds A-B`` adds every
+elliptic console line of CI (the commands in ``ELLIPTIC``) rerun at each
+seed from A to B.  It writes ``{"env": ...,
 "reports": {command: [exit code, sha256, text]}}``, where the text is the
 command's stdout followed by its ``config error:``, ``error:`` and
 ``replay:`` lines (a traceback names files by path and is left out), and
@@ -31,6 +34,7 @@ import io
 import json
 import os
 import platform
+import re
 import shlex
 import sys
 from pathlib import Path
@@ -43,11 +47,27 @@ from test_decision_census import CONFIGS, runs
 
 KEPT_STDERR = ("config error:", "error:", "replay:", "hecke-lab: error:")
 
+#: The commands ``--seeds`` reruns: those that compute on the torus.
+ELLIPTIC = ("verify-theta", "verify-elliptic-tables", "verify-double-table", "embed-check",
+            "compute-space T2")
+
 
 def commands() -> list[str]:
     """CI's console commands, then the census configurations not among them."""
     census = [key for config in CONFIGS for key, _ in runs(*config)]
     return list(dict.fromkeys(console_lines() + census))
+
+
+def reseeded(seeds: range) -> list[str]:
+    """CI's elliptic console commands, all of them at each seed of ``seeds`` in turn."""
+    elliptic = [line for line in console_lines() if line.split(" ", 1)[1].startswith(ELLIPTIC)]
+    return list(dict.fromkeys(re.sub(r"--seed \d+", f"--seed {s}", line) for s in seeds for line in elliptic))
+
+
+def seed_range(text: str) -> range:
+    """The seeds A..B of ``--seeds A-B``, both included."""
+    first, last = text.split("-")
+    return range(int(first), int(last) + 1)
 
 
 def run(command: str) -> list:
@@ -103,8 +123,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", help="write the reports to this JSON file")
     parser.add_argument("--compare", metavar="OLD_JSON", help="list the commands that differ from OLD_JSON")
+    parser.add_argument("--seeds", metavar="A-B", type=seed_range, default=range(0),
+                        help="also rerun CI's elliptic console lines at each seed from A to B")
     ns = parser.parse_args(argv)
-    reports = {command: run(command) for command in commands()}
+    reports = {command: run(command) for command in dict.fromkeys(commands() + reseeded(ns.seeds))}
     new = {"env": environment(), "reports": reports}
     if ns.out:
         Path(ns.out).write_text(json.dumps(new, indent=1) + "\n")

@@ -325,7 +325,7 @@ class TestHTotal:
         q = rpt()
         tau0 = th.pi_cover(rpt())
         base = ell.base_from_coordinate([tau0], [q])[0]
-        h = ell.h_total(ell.sequence_from_lines([base], [[]], [[]]))[0]
+        h = ell.h_total(ell._sequences([base], [[]], [[]]))[0]
         assert len(h) == 1 and chordal(h[0], tau0) < 1e-9
 
     def test_roundtrip_n1_n2(self):
@@ -361,7 +361,7 @@ class TestMembership:
     def test_low_n_always_member(self):
         q, tau0 = rpt(), th.pi_cover(rpt())
         base = ell.base_from_coordinate([tau0], [q])[0]
-        assert ell.membership_Hp(ell.sequence_from_lines([base], [[]], [[]]))[0]
+        assert ell.membership_Hp(ell._sequences([base], [[]], [[]]))[0]
         seq = ell.sequence_from_coordinates([q], [[rpt()]], [[tau0, th.pi_cover(rpt())]])[0]
         assert ell.membership_Hp([seq])[0]
 
@@ -441,8 +441,9 @@ def test_g2_twist_identification():
 
 
 class TestSequenceFromLines:
-    """The one builder of elliptic sequences: each step's morphism
-    representative is built once, from lines in the base trivialization."""
+    """Sequences given by lines in the base trivialization, through the one
+    builder ``_sequences``: each step's morphism representative is built
+    once."""
 
     def sample(self, rng):
         q = rpt(rng)
@@ -459,14 +460,14 @@ class TestSequenceFromLines:
                 lines[0] = (ProjPoint(1, 0), ProjPoint(0, 1))[trial % 2]
                 if n > 1:
                     lines[-1] = (ProjPoint(0, 1), ProjPoint(1, 0))[trial % 2]
-                seq = ell.sequence_from_lines([base], [pts[:n]], [lines])[0]
+                seq = ell._sequences([base], [pts[:n]], [lines])[0]
                 assert len(seq.reps) == n and seq.points == pts[:n]
                 assert max(chordal(x, y) for x, y in zip(ell.factor_lines(ell.chain_factors([seq.reps]))[0], lines)) < 1e-10
                 assert seq.terminal == seq.reps[-1].result
 
     def test_empty_sequence_terminal_is_base(self):
         base, _ = self.sample(np.random.default_rng(42))
-        seq = ell.sequence_from_lines([base], [[]], [[]])[0]
+        seq = ell._sequences([base], [[]], [[]])[0]
         assert seq.reps == () and ell.factor_lines(ell.chain_factors([seq.reps])) == [[]] and seq.terminal == base.bundle
 
     def test_rejects_coincident_points(self):
@@ -474,15 +475,15 @@ class TestSequenceFromLines:
         base = ell.base_from_coordinate([th.pi_cover(rpt())], [q])[0]
         p = rpt_away(q)
         with pytest.raises(ValueError, match="distinct"):
-            ell.sequence_from_lines([base], [[p, CurvePoint(p.lift + 1 + LAT.tau, LAT)]],
-                                    [[random_point(RNG), random_point(RNG)]])[0]
+            ell._sequences([base], [[p, CurvePoint(p.lift + 1 + LAT.tau, LAT)]],
+                           [[random_point(RNG), random_point(RNG)]])[0]
 
     def test_rejects_point_at_mark(self):
         q = rpt()
         base = ell.base_from_coordinate([th.pi_cover(rpt())], [q])[0]
         for pts in ([q], [rpt_away(q), CurvePoint(q.lift - LAT.tau, LAT)]):
             with pytest.raises(ValueError, match="marked point"):
-                ell.sequence_from_lines([base], [pts], [[random_point(RNG) for _ in pts]])[0]
+                ell._sequences([base], [pts], [[random_point(RNG) for _ in pts]])[0]
 
     def test_consumers_never_rebuild_the_chain(self, monkeypatch):
         rng = np.random.default_rng(43)
@@ -544,7 +545,7 @@ class TestUnstableBranchImage:
             # First modification toward [0:1] (bad): coordinate
             # cover(p - p1); toward [1:0] (bad): coordinate cover(p - q).
             for d1, shift in ((ProjPoint(0, 1), p - p1), (ProjPoint(1, 0), p - q)):
-                seq = ell.sequence_from_lines([base], [[p1]], [[d1]])[0]
+                seq = ell._sequences([base], [[p1]], [[d1]])[0]
                 assert seq.reps[0].row == ell.morphism_rep([bundle], [p1], [d1])[0].row
                 h = ell.h_total([seq])[0]
                 assert chordal(h[0], th.pi_cover(p - e)) < 1e-8
@@ -1449,7 +1450,6 @@ EMPTY_STACKS = {
     "distance_to_curve": lambda q: ell.distance_to_curve([], [], [], []),
     "base_from_coordinate": lambda q: ell.base_from_coordinate([], []),
     "sequence_from_coordinates": lambda q: ell.sequence_from_coordinates([], [], []),
-    "sequence_from_lines": lambda q: ell.sequence_from_lines([], [], []),
 }
 
 
@@ -1542,7 +1542,7 @@ def test_stacked_stages_match_batches_of_one(tau):
         assert close(base, ell.base_from_coordinate([tau0], [q])[0])
 
     n = len(bases)
-    by_lines = ell.sequence_from_lines(bases, [[p1, p2]] * n, lines)
+    by_lines = ell._sequences(bases, [[p1, p2]] * n, lines)
     assert by_lines[3].reps[1].row == "G2:a4"
     assert {s.reps[0].row for s in by_lines[1:3]} == {"ss:[1:0]", "ss:[0:1]"}
     taus = [[th.pi_cover(CurvePoint(rng.random() + rng.random() * lat.tau, lat))
@@ -1551,7 +1551,7 @@ def test_stacked_stages_match_batches_of_one(tau):
     by_coords = ell.sequence_from_coordinates([q] * n, [[p1, p2]] * n,
                                               [[c, *t] for c, t in zip(coords, taus)])
     for i in range(n):
-        alone = ell.sequence_from_lines([bases[i]], [[p1, p2]], [lines[i]])[0]
+        alone = ell._sequences([bases[i]], [[p1, p2]], [lines[i]])[0]
         assert same_sequence(by_lines[i], alone)
         alone = ell.sequence_from_coordinates([q], [[p1, p2]], [[coords[i], *taus[i]]])[0]
         assert same_sequence(by_coords[i], alone)
@@ -1559,8 +1559,8 @@ def test_stacked_stages_match_batches_of_one(tau):
     # Ragged lengths 0, 1 and 2 in one stack, with an on-curve tuple.
     on = ell.f_embedding([CurvePoint(0.37 + 0.61 * lat.tau, lat)], q, p1, p2)[0]
     on_seq = ell.sequence_from_coordinates([q], [[p1, p2]], [on])[0]
-    seqs = [*ell.sequence_from_lines(bases[:1], [[]], [[]]), *by_coords[:4], on_seq,
-            ell.sequence_from_lines(bases[5:6], [[p2]], [lines[5][:1]])[0], *by_lines]
+    seqs = [*ell._sequences(bases[:1], [[]], [[]]), *by_coords[:4], on_seq,
+            ell._sequences(bases[5:6], [[p2]], [lines[5][:1]])[0], *by_lines]
     stacked_h = ell.h_total(seqs)
     member = ell.membership_Hp(seqs)
     assert not member[5] and member[0] and member[6]
@@ -1653,10 +1653,9 @@ def test_chain_lines_match_the_scalar_readers(tau):
     rng, q, p1, p2, _, bases, lines = stacked_inputs(lat, seed=62)
     p3 = CurvePoint(0.27 + 0.09 * lat.tau, lat)
     n = len(bases)
-    two = ell.sequence_from_lines(bases, [[p1, p2]] * n, lines)
-    three = ell.sequence_from_lines(bases, [[p1, p2, p3]] * n,
-                                    [ls + [random_point(rng)] for ls in lines])
-    one = ell.sequence_from_lines(bases, [[p2]] * n, [ls[:1] for ls in lines])
+    two = ell._sequences(bases, [[p1, p2]] * n, lines)
+    three = ell._sequences(bases, [[p1, p2, p3]] * n, [ls + [random_point(rng)] for ls in lines])
+    one = ell._sequences(bases, [[p2]] * n, [ls[:1] for ls in lines])
     # Lengths 0-3 interleaved in one stack.
     chains = [()] + [s.reps for trio in zip(three, one, two) for s in trio] + [()]
     rows = {r.row.split(":")[0] for reps in chains for r in reps}
@@ -1681,7 +1680,7 @@ def ragged_sequences(lat, seed):
     taus = [[th.pi_cover(CurvePoint(rng.random() + rng.random() * lat.tau, lat)) for _ in range(k)]
             for k in n]
     taus[1][0] = th.branch_points(lat)[2]
-    return (ell.sequence_from_lines(bases, [pts[:k] for k in n], lines)
+    return (ell._sequences(bases, [pts[:k] for k in n], lines)
             + ell.sequence_from_coordinates([q] * len(bases), [pts[:k] for k in n],
                                             [[c, *t] for c, t in zip(coords, taus)]))
 
@@ -1890,7 +1889,7 @@ def test_stacked_builders_reject_coincident_points():
     for bad, match in (([p, CurvePoint(p.lift + LAT.tau, LAT)], "distinct"),
                        ([p, CurvePoint(q.lift - 1, LAT)], "marked point")):
         with pytest.raises(ValueError, match=match):
-            ell.sequence_from_lines(bases, [good, bad], lines)
+            ell._sequences(bases, [good, bad], lines)
         with pytest.raises(ValueError, match=match):
             tau = th.pi_cover(rpt())
             ell.sequence_from_coordinates([q, q], [good, bad], [[c, tau, tau] for c in coords])
@@ -1925,8 +1924,7 @@ def spy_suite(monkeypatch, rng, stop, command, samples, *extra):
     stacked builders as (args, generator state); the run ends at the first
     call of ``stop``."""
     calls = {}
-    for name in ("base_from_coordinate", "sequence_from_coordinates", "sequence_from_lines",
-                 "f_embedding"):
+    for name in ("base_from_coordinate", "sequence_from_coordinates", "_sequences", "f_embedding"):
         def spy(*args, name=name, original=getattr(ell, name)):
             calls.setdefault(name, []).append((args, rng.bit_generator.state))
             if name == stop:
@@ -1998,8 +1996,7 @@ def test_t2_2_draws_in_per_draw_order(monkeypatch, seed):
 @pytest.mark.parametrize("seed", [7, 11, 12345])
 def test_embed_check_elliptic_draws_in_per_draw_order(monkeypatch, seed):
     lat, n_seq = Lattice(), 12
-    calls = spy_suite(monkeypatch, np.random.default_rng(seed), "sequence_from_coordinates",
-                      "embed-check", n_seq)
+    calls = spy_suite(monkeypatch, np.random.default_rng(seed), "_sequences", "embed-check", n_seq)
     ref = np.random.default_rng(seed)
     for k in range(n_seq):  # the rational section's draws
         n = int(ref.integers(2, 5))
@@ -2010,20 +2007,44 @@ def test_embed_check_elliptic_draws_in_per_draw_order(monkeypatch, seed):
         pts = ref_torus_points(ref, lat, 3)
         tau0 = ref_cover_draw(ref, lat)
         draws.append((pts, tau0, [] if k % 2 else [ref_cover_draw(ref, lat) for _ in range(2)]))
-    # Odd draws: bases from their coordinates, then forced lines; even
-    # draws: all three coordinates.
+    for n in (2, 4):  # the rational embedding section
+        reference_minimal_directions(5, n, ref)
+    embedding = [(ref_torus_points(ref, lat, 3), ref_cover_draw(ref, lat),
+                  [ref_cover_draw(ref, lat) for _ in range(2)]) for _ in range(10)]
+    # Every draw first; then odd draws' bases from their coordinates, and
+    # one builder call: the terminal draws in draw order, odd ones by their
+    # forced lines and even ones by all three coordinates, then the ten
+    # embedding draws.
     (tau0, bad_qs), state = calls["base_from_coordinate"][0]
-    (qs, points, coords), even_state = calls["sequence_from_coordinates"][0]
-    assert state == even_state == ref.bit_generator.state
+    [((heads, points, given), build_state)] = calls["_sequences"]
+    assert state == build_state == ref.bit_generator.state
+    assert len(heads) == len(points) == len(given) == n_seq + 10
     assert same_points(bad_qs, [d[0][0] for d in draws[1::2]])
-    assert same_points(qs, [d[0][0] for d in draws[0::2]])
+    assert heads[1:n_seq:2] == ell.base_from_coordinate(tau0, bad_qs)
+    assert same_points(heads[0:n_seq:2], [d[0][0] for d in draws[0::2]])
     assert same_targets(tau0, [d[1] for d in draws[1::2]])
-    assert same_targets([c[0] for c in coords], [d[1] for d in draws[0::2]])
-    (_, bad_points, bad_lines), _ = calls["sequence_from_lines"][0]
-    assert [same_points(p, d[0][1:]) for p, d in zip(bad_points, draws[1::2])] == [True] * 6
-    assert all(line == [ProjPoint(1, 0)] * 2 for line in bad_lines)
-    assert [same_points(p, d[0][1:]) for p, d in zip(points, draws[0::2])] == [True] * 6
-    assert same_targets([t for c in coords for t in c[1:]], [t for d in draws for t in d[2]])
+    assert same_targets([c[0] for c in given[0:n_seq:2]], [d[1] for d in draws[0::2]])
+    assert [same_points(p, d[0][1:]) for p, d in zip(points[1:n_seq:2], draws[1::2])] == [True] * 6
+    assert all(line == [ProjPoint(1, 0)] * 2 for line in given[1:n_seq:2])
+    assert [same_points(p, d[0][1:]) for p, d in zip(points[0:n_seq:2], draws[0::2])] == [True] * 6
+    assert same_targets([t for c in given[0:n_seq:2] for t in c[1:]], [t for d in draws for t in d[2]])
+    for q, pts, c, (want_pts, t0, want) in zip(heads[n_seq:], points[n_seq:], given[n_seq:], embedding):
+        assert same_points([q, *pts], want_pts) and same_targets(c, [t0, *want])
+
+
+def test_embed_check_builds_its_sequences_in_one_pass(monkeypatch):
+    # One builder call for all twenty sequences, and four morphism_rep
+    # calls: the marks, the two steps, and the membership pass's second
+    # steps.  Each extra builder pass would add three.
+    calls = Counter()
+    for name in ("_sequences", "sequence_from_coordinates", "morphism_rep"):
+        def counted(*args, name=name, original=getattr(ell, name)):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(ell, name, counted)
+    report = cli.run("embed-check", cli.RunConfig(tau=0.3 + 0.45j, samples=10))
+    assert report.ok and calls == {"_sequences": 1, "morphism_rep": 4}
 
 
 def ref_embedding_draws(ref, lat, n_seq):
@@ -2067,13 +2088,15 @@ def test_embedding_stable_draws_in_per_draw_order(monkeypatch, seed, reject):
     rng = np.random.default_rng(seed)
     calls = spy_suite(monkeypatch, rng, None, "embed-check", n_seq)
     assert rng.bit_generator.state == ref.bit_generator.state
-    # One pass holds every draw, and only its members are embedded.
-    passes = calls["sequence_from_coordinates"][1:]
-    assert len(calls["base_from_coordinate"]) == 1
-    assert len(passes) == 1 and len(decided[0]) == 10
+    # One builder pass holds every draw, the section's ten last; one
+    # membership pass decides those ten, and only its members are embedded.
+    [((heads, points, given), _)] = calls["_sequences"]
+    assert len(calls["base_from_coordinate"]) == 1 and "sequence_from_coordinates" not in calls
+    assert len(decided) == 1 and len(decided[0]) == 10
+    assert same_points([s.base.q for s in decided[0]], [d[0][0] for d in draws])
     assert embedded == [[s for k, s in enumerate(decided[0]) if k != reject]]
-    [((qs, points, coords), _)] = passes
-    for q, pts, c, (want_pts, t0, want) in zip(qs, points, coords, draws, strict=True):
+    for q, pts, c, (want_pts, t0, want) in zip(heads[n_seq:], points[n_seq:], given[n_seq:], draws,
+                                               strict=True):
         assert same_points([q, *pts], want_pts) and same_targets(c, [t0, *want])
 
 

@@ -1,5 +1,6 @@
-"""Smoke test of ``report_hashes``: a run compares equal to itself, and a
-changed report is listed with its diff."""
+"""Smoke test of ``report_hashes``: a run compares equal to itself, a
+changed report is listed with its diff, and ``--seeds`` reseeds CI's
+elliptic console lines."""
 
 import hashlib
 import json
@@ -33,3 +34,13 @@ def test_a_two_command_run_compares_equal_to_itself(tmp_path, capsys, monkeypatc
     out = capsys.readouterr().out
     assert out.startswith(command + "\n") and "-result: FAIL\n+result: ok\n" in out
     assert out.endswith("1 of 2 commands differ\n")
+
+
+def test_seeds_rerun_the_elliptic_console_lines():
+    lines = report_hashes.reseeded(report_hashes.seed_range("3-4"))
+    elliptic = [line for line in console_lines() if line.split()[1] in
+                ("verify-theta", "verify-elliptic-tables", "verify-double-table", "embed-check")
+                or line.startswith("hecke-lab compute-space T2 ")]
+    assert all(line.split()[-2] == "--seed" for line in elliptic)
+    assert lines == list(dict.fromkeys(f"{line.rpartition(' ')[0]} {s}" for s in (3, 4) for line in elliptic))
+    assert len(lines) > 40 and not any("S2" in line or "conjecture" in line for line in lines)

@@ -16,11 +16,12 @@ Cores: the 2x2 helpers ``mat2_mul``, ``mat2_det`` and ``mat2_adj`` and
 ``elliptic.certify_rows``, ``seidel_smith.slice_matrices`` and
 ``elliptic.double_hecke``, ``elliptic.morphism_rep`` and
 ``theta._cover_points``, whose bundles, representatives and points
-compare by the bits of ``double_refs.exact``, and
-``elliptic._fiber_distance``.  The chain reader is
-also held to the identity-prefixed loop of ``chain_refs``, which an
-element-consistent slip (a prefix read one point off) would not break
-otherwise.  The helpers are held to Python's scalar complex arithmetic,
+compare by the bits of ``double_refs.exact``, ``elliptic._fiber_distance``,
+and ``elliptic._sequences``, the one builder of elliptic sequences, on
+stacks that mix sequences given by lines and by moduli coordinates.  The
+chain reader is also held to the identity-prefixed loop of ``chain_refs``,
+which an element-consistent slip (a prefix read one point off) would not
+break otherwise.  The helpers are held to Python's scalar complex arithmetic,
 and ``transport_directions`` to the equilibrated solve it replaced.
 """
 
@@ -36,7 +37,8 @@ from heckelab import rational as rat
 from heckelab import seidel_smith as ss
 from heckelab import theta as th
 from heckelab.grassmannian import chain_direction_vecs, eta_invariance_checks, random_units
-from heckelab.projective import chordal_vecs, mat2_adj, mat2_det, mat2_mul, transport_directions
+from heckelab.projective import (ProjPoint, chordal_vecs, mat2_adj, mat2_det, mat2_mul, random_point,
+                                 transport_directions)
 from heckelab.suites import _double_sample, _elliptic_row_fixtures
 from heckelab.torus import CurvePoint, Lattice
 
@@ -148,6 +150,48 @@ def fiber_stacks(draw):
 
 
 @st.composite
+def sequence_stacks(draw):
+    """``elliptic._sequences`` arguments (heads, points, given): a stack of
+    sequences of lengths 0 to 3 on one of both default lattices, each given
+    by lines on a base from a coordinate or by its n + 1 coordinates.  About
+    a third of the modification points, and of the points whose cover
+    images are the coordinates, lie within 1e-9 to 1e-6 of a 2-torsion
+    point (so some bases are F2 twists), one sequence's at distinct ones;
+    the others lie anywhere.  About a fifth of the lines are the bad lines
+    [1:0] and [0:1] of a split base."""
+    size, tau = draw(SIZES), draw(st.sampled_from([0.21 + 1.3j, 0.3 + 0.45j]))
+    shapes = draw(st.lists(st.tuples(st.booleans(), st.integers(0, 3)), min_size=size, max_size=size))
+    rng, lat = np.random.default_rng(draw(SEEDS)), Lattice(tau)
+    q = CurvePoint(0.13 + 0.71 * tau, lat)
+
+    def lifts(corners):
+        count = len(corners)
+        near = np.array(lat.torsion_lifts())[corners] + 10 ** rng.uniform(-9, -6, count) * np.exp(
+            2j * np.pi * rng.random(count))
+        return np.where(rng.random(count) < 1 / 3, near, rng.random(count) + rng.random(count) * tau)
+
+    heads, points, given = [], [], []
+    for by_lines, n in shapes:
+        points.append([CurvePoint(complex(z), lat) for z in lifts(rng.permutation(4)[:n])])
+        coords = th._cover_points(lifts(rng.integers(4, size=1 if by_lines else n + 1)), lat)
+        if by_lines:
+            heads += ell.base_from_coordinate(coords, [q])
+            given.append([(ProjPoint(1, 0), ProjPoint(0, 1))[rng.integers(2)] if rng.random() < 0.2
+                          else random_point(rng) for _ in range(n)])
+        else:
+            heads.append(q)
+            given.append(coords)
+    return heads, points, given
+
+
+def sequence_bits(seqs):
+    """Per sequence: the rows and terms of its representatives, its factors,
+    mark values, lines and terminal bundle, compared by their bits."""
+    return [(exact([(r.row, r.terms) for r in s.reps]), s.factors.tobytes(), s.mark_values.tobytes(),
+             exact(s.lines), exact(s.terminal)) for s in seqs]
+
+
+@st.composite
 def slice_stacks(draw):
     """``slice_matrices`` arguments (coefficients, terminal lengths) of
     ``conjecture_draws`` stacks of length 2m, m from 1 to 3."""
@@ -254,6 +298,17 @@ def test_fiber_distance_stack_elementwise(stack):
     out = ell._fiber_distance(*stack)
     assert out.shape == (len(stack[0]),)
     assert_stacks_elementwise(ell._fiber_distance, stack, out)
+
+
+@STACKS
+@given(sequence_stacks())
+def test_sequences_stack_elementwise(stack):
+    out = sequence_bits(ell._sequences(*stack))
+    assert len(out) == len(stack[0])
+    for i in range(len(out)):
+        assert sequence_bits(ell._sequences(*(x[i : i + 1] for x in stack))) == out[i : i + 1]
+    assert sequence_bits(ell._sequences(*(x[::-1] for x in stack))) == out[::-1]
+    assert ell._sequences([], [], []) == []
 
 
 @STACKS
