@@ -45,7 +45,7 @@ class Unsupported(ValueError):
 # Line bundle classes with pinned trivializations.
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LineBundleClass:
     """Degree-d line bundle O((d-1)[0] + [t]) with an exact lift of t.
 
@@ -210,7 +210,7 @@ def _framed(terms, shift: int, scale: complex, swap: bool):
 # Rank-2 bundles.
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Decomposable:
     """L1 + L2 in the stored order (the order is part of the frame)."""
 
@@ -235,7 +235,7 @@ class Decomposable:
         return f"O[{self.l1.degree},{self.l1.reduced():.4f}]+O[{self.l2.degree},{self.l2.reduced():.4f}]"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class F2Twist:
     """F2 tensor L: the nontrivial self-extension of O, twisted."""
 
@@ -257,7 +257,7 @@ class F2Twist:
         return f"F2x[{self.l.degree},{self.l.reduced():.4f}]"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class G2Twist:
     """G2(p) tensor L: the degree-1 extension of O(p) by O, twisted.
 
@@ -353,7 +353,7 @@ def s_equivalent(b1: EllipticBundle, b2: EllipticBundle) -> bool:
 # Morphism representatives.
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MorphismRep:
     """Matrix representative alpha: F -> E of a Hecke modification, as its
     table row: each term (entry, coef, factors) adds coef times the product
@@ -489,17 +489,17 @@ def _table_form(e: EllipticBundle, p: CurvePoint) -> _TableForm:
         return _TableForm("G2", None, m, None, (0, scale, False))
     swap = e.l1.degree < e.l2.degree
     u1, m = (e.l2, e.l1) if swap else (e.l1, e.l2)
-    lp = u1.tensor(m.inverse())  # degree k >= 0, exact lift
+    lp = LineBundleClass(u1.degree - m.degree, u1.lift + -m.lift, e.lattice)  # u1 tensor m^-1, k >= 0
     k, t = lp.degree, lp.lift
     # O + O, O(p - q) + O, O(p) + O at its own point, O(q) + O, O(D) + O.
-    family = ("OO" if lp.is_trivial() else "ss" if k == 0 else "Op" if lp.same_class(point_line(p))
-              else "Oq" if k == 1 else "OD")
+    family = ("OO" if k == 0 and e.lattice.distance(t, 0.0) < CLASS_TOL else "ss" if k == 0
+              else "Op" if k == 1 and e.lattice.distance(t, p.lift) < CLASS_TOL else "Oq" if k == 1 else "OD")
     # Frame change table -> stored: a scalar-exponential fix of the first
     # summand's lift to 0 (O + O) or p (O(p) + O), then the order swap.
     fixed, shift = {"OO": 0.0, "Op": p.lift}.get(family), 0
     if fixed is not None:
         shift = round((t - fixed).imag / e.lattice.tau.imag)
-        u1 = LineBundleClass(k, fixed, e.lattice).tensor(m)
+        u1 = LineBundleClass(k + m.degree, fixed + m.lift, e.lattice)  # O(k fixed) tensor m
     return _TableForm(family, u1, m, lp, (shift, 1.0, swap))
 
 
@@ -538,8 +538,8 @@ def _table_row(p: CurvePoint, a_t: ProjPoint, form: _TableForm, values):
         )
         return "G2:good", terms, dual_pair(w, lat).tensor(m)
 
-    low = LineBundleClass(-1, -pt, lat).tensor(m)
     if family == "F2":
+        low = LineBundleClass(-1 + m.degree, -pt + m.lift, lat)  # O(-p) tensor m
         if a_t.is_zero_dir():
             terms = ((0, 1.0, ()), (1, 1j / (2 * np.pi), ((DTH, pt),)), (3, 1.0, theta_p))
             return "F2:[1:0]", terms, Decomposable(m, low)
@@ -556,15 +556,14 @@ def _table_row(p: CurvePoint, a_t: ProjPoint, form: _TableForm, values):
 
     # A split family.
     k, t = lp.degree, lp.lift
-    if a_t.is_zero_dir():
-        return f"{family}:[1:0]", ((0, 1.0, ()), (3, 1.0, theta_p)), Decomposable(u1, low)
-    down = LineBundleClass(k - 1, 0.0 if family == "Op" else t - pt, lat).tensor(m)  # u1(-p)
+    if a_t.is_zero_dir() or family == "OO":  # OO: every direction is bad
+        target = Decomposable(u1, LineBundleClass(-1 + m.degree, -pt + m.lift, lat))  # u1 + O(-p) tensor m
+        if a_t.is_zero_dir():
+            return f"{family}:[1:0]", ((0, 1.0, ()), (3, 1.0, theta_p)), target
+        return "OO:[lam:1]", ((0, a_t.a / a_t.c, ()), (1, 1.0, theta_p), (2, 1.0, ())), target
+    down = LineBundleClass(k - 1 + m.degree, (0.0 if family == "Op" else t - pt) + m.lift, lat)  # u1(-p)
     if family in ("ss", "Op") and a_t.is_infinity_dir():
         return f"{family}:[0:1]", ((0, 1.0, theta_p), (3, 1.0, ())), Decomposable(down, m)
-
-    if family == "OO":  # every direction is bad
-        terms = ((0, a_t.a / a_t.c, ()), (1, 1.0, theta_p), (2, 1.0, ()))
-        return "OO:[lam:1]", terms, Decomposable(u1, low)
 
     if family == "ss":
         # O(p - q) + O with q = p - t; strictly semistable, t nontrivial.
@@ -691,7 +690,7 @@ def double_hecke(es, p1s, p2s, as_, bs) -> list[EllipticBundle | None]:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MarkedBundle:
     """A parabolically stable pair (E, line at q), trivial determinant."""
 
@@ -757,7 +756,7 @@ def factor_lines(factors) -> list[list[ProjPoint]]:
     return out
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(slots=True, eq=False)
 class EllipticSequence:
     """A point of H(T^2, n): modifications of a marked bundle, held as the
     chain of morphism representatives, each built once, with what its

@@ -32,25 +32,25 @@ class Verdict(Enum):
     UNSTABLE = "unstable"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StabilityVerdict:
     verdict: Verdict
     witness: int  # max count of marks bad in one direction
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Mark:
     point: object  # chart coordinate (rational) or CurvePoint (elliptic)
     line: ProjPoint
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ParabolicBundle:
     underlying: RationalBundle | EllipticBundle
     marks: tuple[Mark, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "marks", tuple(self.marks))
+        self.marks = tuple(self.marks)
 
 
 def _underlying_semistable(u) -> bool:

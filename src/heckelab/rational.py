@@ -37,7 +37,7 @@ class NotGlobal(ValueError):
 # Bundles and transitions.
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RationalBundle:
     """The split bundle O(n) + O(m), stored with n >= m."""
 
@@ -46,8 +46,7 @@ class RationalBundle:
 
     def __post_init__(self):
         if self.n < self.m:
-            object.__setattr__(self, "n", self.m)
-            object.__setattr__(self, "m", self.n)
+            self.n, self.m = self.m, self.n
 
     @property
     def hecke_length(self) -> int:
@@ -81,7 +80,7 @@ def _zero_dirs(vecs: np.ndarray) -> np.ndarray:
     return complex_abs(vecs[..., 1]) < PROJ_TOL * complex_abs(vecs[..., 0])
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RationalSequence:
     """Sequences of Hecke modifications of the trivial bundle O + O, one or a
     stack of one length n: the chart coordinates ``points`` (..., n) of the
@@ -95,8 +94,8 @@ class RationalSequence:
 
     def __post_init__(self):
         points = np.asarray(self.points, dtype=complex)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "vecs", np.asarray(self.vecs, dtype=complex).reshape(points.shape + (2,)))
+        self.points = points
+        self.vecs = np.asarray(self.vecs, dtype=complex).reshape(points.shape + (2,))
         gaps = np.abs(points[..., :, None] - points[..., None, :])
         # Every point is within MIN_POINT_SEP of itself; any other pair fails.
         if np.count_nonzero(gaps < MIN_POINT_SEP) > points.size:

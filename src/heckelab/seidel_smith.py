@@ -27,7 +27,8 @@ from .rational import (
 #: Eigenvalues closer than this are treated as a degenerate spectrum.
 SPECTRUM_GAP = 1e-8
 
-#: Sequences per stacked pass of ``conjecture_check``.
+#: Sequences per stacked pass of ``conjecture_check``.  It fixes the draw
+#: stream, so changing it changes every ``check-conjecture`` report.
 CONJECTURE_CHUNK = 100
 
 
@@ -177,8 +178,9 @@ def conjecture_check(m: int, samples: int, rng: np.random.Generator) -> float:
     """Max residual over ``samples`` random sequences of length 2m.
 
     Sequences are drawn CONJECTURE_CHUNK at a time by ``conjecture_draws``
-    and decided in one pass; the chunk bounds the arrays alive at once, and
-    past 100 a larger one saves no time.
+    and decided in one pass.  The chunk bounds the arrays alive at once and
+    also fixes the draw stream: each chunk draws its points, then its
+    directions, so another chunk draws other sequences.
     """
     worst = []
     for start in range(0, samples, CONJECTURE_CHUNK):

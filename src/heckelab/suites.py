@@ -529,10 +529,13 @@ def _compute_space_t2(report, config, rng, n):
         trials_far = max(4, _n(config, 100) // 2)
         far: list = []
         while len(far) < trials_far:
-            # The drawn lifts are the fibers of their own cover images.
+            # The drawn lifts are the fibers of their own cover images, one cover call.
             lifts = np.reshape([p.lift for p in _curve_points(rng, lat, 6 * (trials_far - len(far)))], (-1, 3))
-            dist = ell._fiber_distance(lifts, [q] * len(lifts), [p1] * len(lifts), [p2] * len(lifts))
-            taus = th._cover_points(lifts[dist > 0.1], lat)
+            ta, tc = th._cover_homogeneous(lifts, lat)
+            dist = ell._fiber_distance(lifts, [q] * len(lifts), [p1] * len(lifts), [p2] * len(lifts),
+                                       (ta, tc))
+            keep = dist > 0.1
+            taus = [ProjPoint(a, c) for a, c in zip(ta[keep].ravel().tolist(), tc[keep].ravel().tolist())]
             far += [taus[k:k + 3] for k in range(0, len(taus), 3)]
         tris = curve[46:] + far[:trials_far]
         seqs = ell.sequence_from_coordinates([q] * len(tris), [[p1, p2]] * len(tris), tris)

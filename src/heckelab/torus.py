@@ -84,7 +84,7 @@ class Lattice:
         return (0.0 + 0.0j, 0.5 + 0.0j, self.tau / 2, (1.0 + self.tau) / 2)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(slots=True, eq=False)
 class CurvePoint:
     """A point of C/Lambda with its canonical fundamental-domain lift."""
 
@@ -92,7 +92,7 @@ class CurvePoint:
     lattice: Lattice = field(default_factory=Lattice)
 
     def __post_init__(self):
-        object.__setattr__(self, "lift", self.lattice.reduce(self.lift))
+        self.lift = self.lattice.reduce(self.lift)
 
     def __add__(self, other: "CurvePoint") -> "CurvePoint":
         return CurvePoint(self.lift + other.lift, self.lattice)

@@ -6,6 +6,7 @@ Usage, from the repository root:
     PYTHONPATH=src python tests/report_hashes.py --out old.json    # on the parent
     PYTHONPATH=src python tests/report_hashes.py --compare old.json
     PYTHONPATH=src python tests/report_hashes.py --seeds 0-29 --out old.json
+    PYTHONPATH=src python tests/report_hashes.py --kernels
 
 In one process it runs every ``hecke-lab`` command of CI's console step,
 read from the workflow as the flag census reads it, and every
@@ -21,7 +22,13 @@ extensions: report bytes depend on which SIMD loops numpy runs, so two
 files are comparable when they come from one machine.
 
 ``--compare old.json`` lists each command whose exit code or bytes differ
-from ``old.json``, with a unified diff, and exits 1 if any do.
+from ``old.json``, with a unified diff.  ``--kernels`` reruns the same
+commands in one child interpreter per setting of ``KERNELS``, each with
+one BLAS thread and the setting in its environment only, and lists the
+commands whose reports differ from this process's, with a diff, then
+``N of M commands differ under <setting>``.  The children read the
+command list on stdin and run while this process runs its own.  Either
+comparison exits 1 if a command differs.
 """
 
 from __future__ import annotations
@@ -36,7 +43,9 @@ import os
 import platform
 import re
 import shlex
+import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +59,16 @@ KEPT_STDERR = ("config error:", "error:", "replay:", "hecke-lab: error:")
 #: The commands ``--seeds`` reruns: those that compute on the torus.
 ELLIPTIC = ("verify-theta", "verify-elliptic-tables", "verify-double-table", "embed-check",
             "compute-space T2")
+
+
+#: The kernel choices ``--kernels`` reruns the commands under: OpenBLAS's
+#: SSE-only kernel, and numpy's ufunc loops without their AVX2 and AVX-512
+#: dispatch.  Report bytes may move under either (ROADMAP item 16).
+KERNELS = ({"OPENBLAS_CORETYPE": "Nehalem"}, {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL X86_V3"})
+
+#: Runs the JSON list of commands on stdin and writes their reports as JSON.
+CHILD = ("import json, sys, report_hashes\n"
+         "json.dump({c: report_hashes.run(c) for c in json.load(sys.stdin)}, sys.stdout)\n")
 
 
 def commands() -> list[str]:
@@ -81,6 +100,20 @@ def run(command: str) -> list:
     text = out.getvalue() + "".join(line for line in err.getvalue().splitlines(keepends=True)
                                     if line.startswith(KEPT_STDERR))
     return [code, hashlib.sha256(text.encode()).hexdigest(), text]
+
+
+def rerun(listing: list[str], setting: dict[str, str]) -> dict:
+    """The reports of ``listing`` from a child interpreter with one BLAS
+    thread and ``setting`` added to its environment, whose other ``KERNELS``
+    variables are cleared."""
+    env = {key: value for key, value in os.environ.items() if not any(key in s for s in KERNELS)}
+    path = [str(Path(cli.__file__).parents[1]), str(Path(__file__).parent), os.environ.get("PYTHONPATH")]
+    env.update(OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(filter(None, path)), **setting)
+    child = subprocess.run([sys.executable, "-c", CHILD], input=json.dumps(listing), env=env,
+                           capture_output=True, text=True)
+    if child.returncode:
+        raise RuntimeError(f"the child under {setting} failed:\n{child.stderr}")
+    return json.loads(child.stdout)
 
 
 def environment() -> dict:
@@ -125,22 +158,34 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--compare", metavar="OLD_JSON", help="list the commands that differ from OLD_JSON")
     parser.add_argument("--seeds", metavar="A-B", type=seed_range, default=range(0),
                         help="also rerun CI's elliptic console lines at each seed from A to B")
+    parser.add_argument("--kernels", action="store_true",
+                        help="rerun the commands under each kernel setting and list those that differ")
     ns = parser.parse_args(argv)
-    reports = {command: run(command) for command in dict.fromkeys(commands() + reseeded(ns.seeds))}
+    listing = list(dict.fromkeys(commands() + reseeded(ns.seeds)))
+    with ThreadPoolExecutor(len(KERNELS)) as pool:
+        children = [pool.submit(rerun, listing, setting) for setting in KERNELS] if ns.kernels else []
+        reports = {command: run(command) for command in listing}
+        kernel_reports = [child.result() for child in children]
     new = {"env": environment(), "reports": reports}
     if ns.out:
         Path(ns.out).write_text(json.dumps(new, indent=1) + "\n")
-    if not ns.compare:
+    if not ns.compare and not ns.kernels:
         for command, (code, digest, _) in reports.items():
             print(f"{digest[:16]}  exit {code}  {command}")
         return 0
-    old = json.loads(Path(ns.compare).read_text())
-    if old["env"] != new["env"]:
-        print("note: the two files come from different environments", file=sys.stderr)
-    diffs = differences(old["reports"], reports)
-    print("".join(diffs), end="")
-    print(f"{len(diffs)} of {len(reports)} commands differ")
-    return 1 if diffs else 0
+    counts = []
+    if ns.compare:
+        old = json.loads(Path(ns.compare).read_text())
+        if old["env"] != new["env"]:
+            print("note: the two files come from different environments", file=sys.stderr)
+        counts.append((differences(old["reports"], reports), ""))
+    for setting, other in zip(KERNELS, kernel_reports):
+        label = " ".join(f"{key}={shlex.quote(value)}" for key, value in setting.items())
+        counts.append((differences(reports, other), f" under {label}"))
+    for diffs, where in counts:
+        print("".join(diffs), end="")
+        print(f"{len(diffs)} of {len(reports)} commands differ{where}")
+    return 1 if any(diffs for diffs, _ in counts) else 0
 
 
 if __name__ == "__main__":

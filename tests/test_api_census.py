@@ -24,11 +24,29 @@ options census does for parameters.  The options census cannot see flags,
 since it allowlists ``cli.main(argv)``: argv comes from outside the
 program.  So every flag ``cli.main`` declares must occur in a ``hecke-lab``
 command of CI's console step, except ``--out``, a path and not a setting.
+
+The record census (``field_stores``) holds the rule for the per-element
+records of ``RECORDS``, which suites build by the thousand.  They are
+slotted dataclasses and not frozen, since ``frozen`` costs an
+``object.__setattr__`` per field and per instance; those compared by field
+are unhashable.  What ``frozen`` checked at run time is checked here from
+the source: nothing in src/ stores to a record field name except
+``self.<field> = ...`` in the ``__post_init__`` of a record that declares
+the field.  ``torus.Lattice`` stays frozen and hashable, since it keys the
+per-tau caches, and ``cli.RunConfig`` stays frozen; it is built once per run.
 """
 
 import ast
+import dataclasses
 from collections import Counter, namedtuple
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+from heckelab import cli, elliptic as ell, parabolic as par, rational as rat
+from heckelab.projective import ProjPoint
+from heckelab.torus import CurvePoint, Lattice
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "heckelab"
@@ -347,3 +365,121 @@ def test_every_cli_flag_is_used_in_ci():
     assert {"--tau", "--seed", "--samples", "--out"} <= declared
     unused = sorted(declared - console_flags() - {"--out"})
     assert not unused, f"flags that no command of CI's console step uses: {unused}"
+
+
+# --- Record census --------------------------------------------------------
+
+#: The per-element records, by module.
+RECORDS = {
+    "elliptic": ("LineBundleClass", "Decomposable", "F2Twist", "G2Twist", "MorphismRep", "MarkedBundle",
+                 "EllipticSequence"),
+    "torus": ("CurvePoint",),
+    "parabolic": ("StabilityVerdict", "Mark", "ParabolicBundle"),
+    "rational": ("RationalBundle", "RationalSequence"),
+}
+
+#: The other dataclasses of src/: the two frozen ones, and a report with its records.
+OTHER_DATACLASSES = {"torus.Lattice", "cli.RunConfig", "cli.Record", "cli.Report"}
+
+
+def field_stores(sources: dict[str, str], records: dict[str, tuple[str, ...]]) -> list[str]:
+    """The stores to a field name of ``records`` in ``sources`` (module ->
+    text), as ``module:line: target``, except ``self.<field> = ...`` in the
+    ``__post_init__`` of a record that declares the field.  A store is an
+    attribute target of an assignment, augmented assignment or ``del``, or a
+    ``setattr`` or ``object.__setattr__`` call that names the field."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    owners: dict[str, set[str]] = {}  # field name -> the records that declare it
+    for module, names in records.items():
+        for node in trees[module].body:
+            if isinstance(node, ast.ClassDef) and node.name in names:
+                for sub in node.body:
+                    if isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name):
+                        owners.setdefault(sub.target.id, set()).add(node.name)
+    out = []
+
+    def walk(node, module, cls, method):
+        # cls: the class whose body holds node; method: (class, name) of the method around it.
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                walk(child, module, child.name, None)
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                walk(child, module, None, (cls, child.name) if cls else None)
+                continue
+            name, allowed = None, False
+            if isinstance(child, ast.Attribute) and not isinstance(child.ctx, ast.Load):
+                name = child.attr
+                allowed = (method is not None and method[1] == "__post_init__"
+                           and method[0] in owners.get(name, ()) and ast.unparse(child.value) == "self")
+            elif (isinstance(child, ast.Call) and ast.unparse(child.func) in ("setattr", "object.__setattr__")
+                  and len(child.args) > 1 and isinstance(child.args[1], ast.Constant)):
+                name = child.args[1].value
+            if name in owners and not allowed:
+                out.append(f"{module}:{child.lineno}: {ast.unparse(child)}")
+            walk(child, module, cls, method)
+
+    for module, tree in trees.items():
+        walk(tree, module, None, None)
+    return out
+
+
+def test_field_store_rule():
+    sources = {
+        "a": "from dataclasses import dataclass\n\n"
+             "@dataclass(slots=True)\nclass Rec:\n    n: int\n    m: int\n\n"
+             "    def __post_init__(self):\n        self.n, self.m = self.m, self.n\n"
+             "        object.__setattr__(self, 'm', 0)\n\n"
+             "    def grow(self):\n        self.n += 1\n\n"
+             "class Other:\n    def __post_init__(self):\n        self.n = 0\n        self.k = 0\n\n"
+             "def f(r):\n    r.m = 2\n    setattr(r, 'n', 3)\n    del r.n\n    r.k = 4\n",
+    }
+    assert field_stores(sources, {"a": ("Rec",)}) == [
+        "a:10: object.__setattr__(self, 'm', 0)", "a:13: self.n", "a:17: self.n",
+        "a:21: r.m", "a:22: setattr(r, 'n', 3)", "a:23: r.n"]
+
+
+def test_record_fields_are_assigned_only_in_their_post_init():
+    stores = field_stores(package_sources(), RECORDS)
+    assert not stores, f"stores to record fields outside their own __post_init__: {stores}"
+
+
+def record_samples() -> list:
+    """One instance of each record of ``RECORDS``."""
+    lat = Lattice()
+    line, q, good = ell.LineBundleClass(0, 0.1 + 0.2j, lat), CurvePoint(0.3 + 0.1j, lat), ProjPoint(1.0, 1.0)
+    bundle = ell.dual_pair(0.1 + 0.2j, lat)
+    rep = ell.morphism_rep([bundle], [q], [good])[0]
+    base, mark = ell.MarkedBundle(bundle, q, good), par.Mark(q, good)
+    seq = ell.EllipticSequence(base, (rep,), np.zeros((1, 1, 2, 2)), rep, np.zeros((1, 2, 2)), [good])
+    return [line, bundle, ell.F2Twist(line), ell.G2Twist(0.5, line), rep, base, seq, q,
+            par.StabilityVerdict(par.Verdict.STABLE, 0), mark, par.ParabolicBundle(bundle, [mark]),
+            rat.RationalBundle(0, 0), rat.RationalSequence([0.5], [[1.0, 0.0]])]
+
+
+def test_records_are_slotted_and_unhashable_when_compared_by_value():
+    declared = {f"{module}.{node.name}" for module, text in package_sources().items()
+                for node in ast.parse(text).body if isinstance(node, ast.ClassDef) and _is_dataclass(node)}
+    listed = {f"{module}.{name}" for module, names in RECORDS.items() for name in names}
+    assert declared == listed | OTHER_DATACLASSES
+    samples = record_samples()
+    assert {f"{type(x).__module__.rpartition('.')[2]}.{type(x).__name__}" for x in samples} == listed
+    by_identity = []
+    for x in samples:
+        assert dataclasses.is_dataclass(x) and not type(x).__dataclass_params__.frozen
+        assert not hasattr(x, "__dict__"), type(x).__name__
+        if type(x).__eq__ is object.__eq__:
+            by_identity.append(type(x).__name__)
+            continue
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(x)
+    # CurvePoint keeps its own __eq__, by distance, and is unhashable too.
+    assert by_identity == ["EllipticSequence"]
+
+
+def test_lattice_and_run_config_stay_frozen():
+    lat = Lattice(0.3 + 0.45j)
+    assert hash(lat) == hash(Lattice(0.3 + 0.45j)) and not hasattr(lat, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        lat.tau = 1j
+    assert cli.RunConfig.__dataclass_params__.frozen

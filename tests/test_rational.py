@@ -35,6 +35,11 @@ def branch_transition(b, direction):
     return "unstable:[1:0]" if direction.is_zero_dir() else "unstable:[lambda:1]"
 
 
+def test_bundle_stores_the_larger_degree_first():
+    assert RationalBundle(1, 3) == RationalBundle(3, 1)
+    assert str(RationalBundle(-1, 0)) == "O(0)+O(-1)"
+
+
 class TestSingleHecke:
     def test_unstable_pivot(self):
         assert rat.single_hecke(RationalBundle(3, 0), ProjPoint(1, 0)) == RationalBundle(3, -1)

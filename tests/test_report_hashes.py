@@ -1,9 +1,11 @@
 """Smoke test of ``report_hashes``: a run compares equal to itself, a
-changed report is listed with its diff, and ``--seeds`` reseeds CI's
-elliptic console lines."""
+changed report is listed with its diff, ``--seeds`` reseeds CI's
+elliptic console lines, and ``--kernels`` reruns the listed commands in
+two child interpreters."""
 
 import hashlib
 import json
+import os
 
 import report_hashes
 from test_api_census import console_lines
@@ -44,3 +46,17 @@ def test_seeds_rerun_the_elliptic_console_lines():
     assert all(line.split()[-2] == "--seed" for line in elliptic)
     assert lines == list(dict.fromkeys(f"{line.rpartition(' ')[0]} {s}" for s in (3, 4) for line in elliptic))
     assert len(lines) > 40 and not any("S2" in line or "conjecture" in line for line in lines)
+
+
+def test_kernels_rerun_the_listed_commands_in_two_children(capsys, monkeypatch):
+    two = [line for line in console_lines() if line.startswith(TWO)]
+    monkeypatch.setattr(report_hashes, "commands", lambda: two)
+    environ = dict(os.environ)
+    code = report_hashes.main(["--kernels"])
+    counts = [line.split(" of 2 commands differ under ") for line in capsys.readouterr().out.splitlines()
+              if " commands differ" in line]
+    assert [where for _, where in counts] == [
+        "OPENBLAS_CORETYPE=Nehalem", "NPY_DISABLE_CPU_FEATURES='X86_V4 AVX512_ICL X86_V3'"]
+    # Each child ran the two listed commands, which it read on stdin.
+    assert all(n in ("0", "1", "2") for n, _ in counts) and code == any(n != "0" for n, _ in counts)
+    assert dict(os.environ) == environ  # the settings reach the children only
