@@ -71,9 +71,6 @@ class LineBundleClass:
             and self.lattice.distance(self.lift, other.lift) < CLASS_TOL
         )
 
-    def is_trivial(self) -> bool:
-        return self.degree == 0 and self.lattice.distance(self.lift, 0.0) < CLASS_TOL
-
     def reduced(self) -> complex:
         return self.lattice.reduce(self.lift)
 
@@ -225,9 +222,6 @@ class Decomposable:
     def hecke_length(self) -> int:
         return abs(self.l1.degree - self.l2.degree)
 
-    def det_class(self) -> LineBundleClass:
-        return self.l1.tensor(self.l2)
-
     def tensor(self, l: LineBundleClass) -> "Decomposable":
         return Decomposable(self.l1.tensor(l), self.l2.tensor(l))
 
@@ -246,9 +240,6 @@ class F2Twist:
         return self.l.lattice
 
     hecke_length = 0
-
-    def det_class(self) -> LineBundleClass:
-        return self.l.tensor(self.l)
 
     def tensor(self, l: LineBundleClass) -> "F2Twist":
         return F2Twist(self.l.tensor(l))
@@ -273,10 +264,6 @@ class G2Twist:
 
     hecke_length = 1
 
-    def det_class(self) -> LineBundleClass:
-        base = LineBundleClass(1, self.point_lift, self.lattice)
-        return base.tensor(self.l).tensor(self.l)
-
     def tensor(self, l: LineBundleClass) -> "G2Twist":
         return G2Twist(self.point_lift, self.l.tensor(l))
 
@@ -295,10 +282,11 @@ def automorphy_factors(bundles, zs) -> np.ndarray:
     of a line bundle of degree d and lift t, g that of O(p + 1/2); the
     stack's factors are one exponential."""
     zs = np.asarray(zs, dtype=complex)
-    lines = [(b.l1, b.l2) if isinstance(b, Decomposable) else (b.l, b.l) if isinstance(b, F2Twist)
-             else (b.l, LineBundleClass(1, b.point_lift + 0.5, b.lattice)) for b in bundles]
-    d = np.array([[l.degree for l in pair] for pair in lines], dtype=int).reshape(-1, 2).T[..., None]
-    t = np.array([[l.lift for l in pair] for pair in lines], dtype=complex).reshape(-1, 2).T[..., None]
+    rows = [(b.l1.degree, b.l2.degree, b.l1.lift, b.l2.lift) if isinstance(b, Decomposable)
+            else (b.l.degree, b.l.degree, b.l.lift, b.l.lift) if isinstance(b, F2Twist)
+            else (b.l.degree, 1, b.l.lift, b.point_lift + 0.5) for b in bundles]
+    d = np.array([r[:2] for r in rows], dtype=int).reshape(-1, 2).T[..., None]
+    t = np.array([r[2:] for r in rows], dtype=complex).reshape(-1, 2).T[..., None]
     f, g = th.automorphy_factor(zs, t, d)
     split, g2 = (np.array([isinstance(b, kind) for b in bundles])[:, None]
                  for kind in (Decomposable, G2Twist))
@@ -326,27 +314,32 @@ def is_even_semistable(b: EllipticBundle) -> bool:
     return b.hecke_length == 0
 
 
-def has_trivial_det(b: EllipticBundle) -> bool:
-    return b.det_class().is_trivial()
-
-
-def s_class(b: EllipticBundle):
-    """S-equivalence data of a semistable bundle: the pair of graded
-    line-bundle classes, in either order."""
+def det_lift(b: EllipticBundle) -> tuple[int, complex]:
+    """(degree, lift) of det b in its stored trivialization: that of L1 L2
+    for L1 + L2, of L^2 for F2 tensor L and of O(p) L^2 for G2(p) tensor L."""
     if isinstance(b, Decomposable):
-        if b.l1.degree != b.l2.degree:
-            raise NotSemistable(f"{b} is unstable")
-        return b.l1, b.l2
+        return b.l1.degree + b.l2.degree, b.l1.lift + b.l2.lift
     if isinstance(b, F2Twist):
-        return b.l, b.l
-    raise NotSemistable("G2 twists are stable, not strictly semistable")
+        return 2 * b.l.degree, b.l.lift + b.l.lift
+    return 1 + 2 * b.l.degree, (b.point_lift + b.l.lift) + b.l.lift
+
+
+def has_trivial_det(b: EllipticBundle) -> bool:
+    degree, lift = det_lift(b)
+    return degree == 0 and b.lattice.distance(lift, 0.0) < CLASS_TOL
 
 
 def s_equivalent(b1: EllipticBundle, b2: EllipticBundle) -> bool:
-    p1, p2 = s_class(b1), s_class(b2)
-    direct = p1[0].same_class(p2[0]) and p1[1].same_class(p2[1])
-    crossed = p1[0].same_class(p2[1]) and p1[1].same_class(p2[0])
-    return direct or crossed
+    """Semistable bundles with equal graded pairs of line-bundle classes, in either order."""
+    pairs = []
+    for b in (b1, b2):
+        if isinstance(b, G2Twist):
+            raise NotSemistable("G2 twists are stable, not strictly semistable")
+        if not is_semistable(b):
+            raise NotSemistable(f"{b} is unstable")
+        pairs.append((b.l1, b.l2) if isinstance(b, Decomposable) else (b.l, b.l))
+    (a1, a2), (c1, c2) = pairs
+    return (a1.same_class(c1) and a2.same_class(c2)) or (a1.same_class(c2) and a2.same_class(c1))
 
 
 # ---------------------------------------------------------------------------
@@ -396,13 +389,13 @@ def certify_rows(reps, zs) -> tuple[np.ndarray, np.ndarray]:
     err, scale, peak, drift = (np.abs(m).max(axis=(1, 2, 3)) for m in (lhs - rhs, rhs, a_z, a_one - a_z))
     floor = np.maximum(peak, 1e-30)
     equivariance = np.maximum(err / np.maximum(scale, floor), drift / floor)
-    dcs = [r.upstream.det_class().tensor(r.result.det_class().inverse()) for r in reps]
+    dets = [(det_lift(r.upstream), det_lift(r.result)) for r in reps]
+    dcs = [(du - df, tu + -tf) for (du, tu), (df, tf) in dets]  # det E tensor (det F)^-1
     det = mat2_det(a_z)
-    theta = th.theta_w(zs, np.array([dc.lift for dc in dcs])[:, None], lat)
+    theta = th.theta_w(zs, np.array([t for _, t in dcs])[:, None], lat)
     c = (theta.conj() * det).sum(1) / (theta.conj() * theta).sum(1)
     fit = np.abs(det - c[:, None] * theta).max(1) / np.abs(det).max(1)
-    dist = [lat.distance(dc.lift, r.point.lift) if dc.degree == 1 else np.inf
-            for dc, r in zip(dcs, reps)]
+    dist = [lat.distance(t, r.point.lift) if d == 1 else np.inf for (d, t), r in zip(dcs, reps)]
     return equivariance, np.maximum(fit, dist)
 
 
@@ -445,14 +438,14 @@ def morphism_rep(es, ps, dirs) -> list[MorphismRep]:
     ss, od, g2 = ([i for i, f in enumerate(forms) if f.family in fams]
                   for fams in (("ss",), ("Oq", "OD"), ("G2",)))
     if ss:
-        z = np.array([(ps[i].lift - forms[i].lp.lift) - ps[i].lift for i in ss])
+        z = np.array([(ps[i].lift - forms[i].lp[1]) - ps[i].lift for i in ss])
         vals = th.theta_w(np.concatenate([z, -z]), 0.5 - lat.tau, Lattice(2 * lat.tau)).tolist()
         for i, minus, plus in zip(ss, vals, vals[len(ss):]):
             pre[i] = minus, plus
     if od:
         vals = th.theta_w(np.array([ps[i].lift for i in od] * 2),
-                          np.array([forms[i].lp.lift for i in od] + [0.0] * len(od)), lat).tolist()
-        for i, t_p, o_p, k in zip(od, vals, vals[len(od):], (forms[i].lp.degree for i in od)):
+                          np.array([forms[i].lp[1] for i in od] + [0.0] * len(od)), lat).tolist()
+        for i, t_p, o_p, k in zip(od, vals, vals[len(od):], (forms[i].lp[0] for i in od)):
             pre[i] = t_p * o_p ** (k - 1) if k > 1 else t_p
     if g2:
         lifts, idx = th._invert_lifts([a_t[i].a for i in g2], [a_t[i].c for i in g2], lat)
@@ -464,15 +457,15 @@ def morphism_rep(es, ps, dirs) -> list[MorphismRep]:
 
 class _TableForm(NamedTuple):
     """A bundle at a point as (table form) tensor m: its table ``family``
-    (OO, ss, Op, Oq, OD, F2 or G2); for a split bundle lp = u1 tensor m^-1,
-    of degree k >= 0, and its first summand u1 in table order, with the
+    (OO, ss, Op, Oq, OD, F2 or G2); for a split bundle lp, the (degree k >= 0,
+    lift) of u1 tensor m^-1, and its first summand u1 in table order, with the
     lift the frame fixes; and the ``frame`` (shift, scale, swap) from the
     table presentation to the stored one."""
 
     family: str
     u1: LineBundleClass | None
     m: LineBundleClass
-    lp: LineBundleClass | None
+    lp: tuple[int, complex] | None
     frame: tuple
 
 
@@ -489,8 +482,7 @@ def _table_form(e: EllipticBundle, p: CurvePoint) -> _TableForm:
         return _TableForm("G2", None, m, None, (0, scale, False))
     swap = e.l1.degree < e.l2.degree
     u1, m = (e.l2, e.l1) if swap else (e.l1, e.l2)
-    lp = LineBundleClass(u1.degree - m.degree, u1.lift + -m.lift, e.lattice)  # u1 tensor m^-1, k >= 0
-    k, t = lp.degree, lp.lift
+    k, t = u1.degree - m.degree, u1.lift + -m.lift  # u1 tensor m^-1, k >= 0
     # O + O, O(p - q) + O, O(p) + O at its own point, O(q) + O, O(D) + O.
     family = ("OO" if k == 0 and e.lattice.distance(t, 0.0) < CLASS_TOL else "ss" if k == 0
               else "Op" if k == 1 and e.lattice.distance(t, p.lift) < CLASS_TOL else "Oq" if k == 1 else "OD")
@@ -500,7 +492,7 @@ def _table_form(e: EllipticBundle, p: CurvePoint) -> _TableForm:
     if fixed is not None:
         shift = round((t - fixed).imag / e.lattice.tau.imag)
         u1 = LineBundleClass(k + m.degree, fixed + m.lift, e.lattice)  # O(k fixed) tensor m
-    return _TableForm(family, u1, m, lp, (shift, 1.0, swap))
+    return _TableForm(family, u1, m, (k, t), (shift, 1.0, swap))
 
 
 def _table_row(p: CurvePoint, a_t: ProjPoint, form: _TableForm, values):
@@ -524,7 +516,7 @@ def _table_row(p: CurvePoint, a_t: ProjPoint, form: _TableForm, values):
                 (2, ei, ((TT, ct),)),
                 (3, ei, ((TT, ct),)), (3, -ei * i_pi, ((DTT, ct),)),
             )
-            return f"G2:a{idx}", terms, F2Twist(torsion_line(lat, idx).tensor(m))
+            return f"G2:a{idx}", terms, F2Twist(LineBundleClass(m.degree, zi + m.lift, lat))
         # Any exact lift of the root works if used consistently in the
         # characters, the exponentials, and the target twists; the centered
         # lift keeps the doubled arguments +-2w numerically balanced.
@@ -536,7 +528,7 @@ def _table_row(p: CurvePoint, a_t: ProjPoint, form: _TableForm, values):
             (2, e2w, ((TT, pt - 2 * w + 0.5 - lat.tau),)),
             (3, 1 / e2w, ((TT, pt + 2 * w + 0.5 - lat.tau),)),
         )
-        return "G2:good", terms, dual_pair(w, lat).tensor(m)
+        return "G2:good", terms, Decomposable(*(LineBundleClass(m.degree, x + m.lift, lat) for x in (w, -w)))
 
     if family == "F2":
         low = LineBundleClass(-1 + m.degree, -pt + m.lift, lat)  # O(-p) tensor m
@@ -555,7 +547,7 @@ def _table_row(p: CurvePoint, a_t: ProjPoint, form: _TableForm, values):
         return "F2:[lam:1]", terms, G2Twist(pt, low)
 
     # A split family.
-    k, t = lp.degree, lp.lift
+    k, t = lp
     if a_t.is_zero_dir() or family == "OO":  # OO: every direction is bad
         target = Decomposable(u1, LineBundleClass(-1 + m.degree, -pt + m.lift, lat))  # u1 + O(-p) tensor m
         if a_t.is_zero_dir():

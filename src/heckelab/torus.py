@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass, field
@@ -17,12 +18,14 @@ POINT_TOL = 1e-8
 
 @dataclass(frozen=True, slots=True)
 class Lattice:
-    """The lattice Z + Z*tau with Im tau > 0, a value of tau."""
+    """The lattice Z + Z*tau with tau finite and Im tau > 0, a value of tau."""
 
     tau: complex = DEFAULT_TAU
 
     def __post_init__(self):
         tau = complex(self.tau)
+        if not cmath.isfinite(tau):
+            raise ValueError(f"tau must be finite, got {tau}")
         if tau.imag <= 0:
             raise ValueError(f"Im tau must be positive, got {tau}")
         object.__setattr__(self, "tau", tau)
@@ -121,7 +124,11 @@ class CurvePoint:
 def halve_sum(p: CurvePoint, q: CurvePoint) -> CurvePoint:
     """The canonical e with 2e = p + q: the average of the canonical lifts.
 
-    The other three solutions differ by the 2-torsion points.
+    The other three solutions differ by the 2-torsion points.  Canonical
+    lifts follow the lattice basis, so the half picked does too: under an
+    SL2(Z) change of basis it can move by a 2-torsion point, and so can a
+    moduli coordinate of p_i built from it.  Under tau -> tau + 1 only
+    the two ``f_embedding`` components that use it move.
     """
     return CurvePoint((p.lift + q.lift) / 2, p.lattice)
 

@@ -34,7 +34,12 @@ from draw_refs import (reference_double_sample, reference_far_point, reference_m
 from theta_refs import g_theta_w, g_tilde_w, theta_tilde_w, theta_tilde_w_deriv
 
 LAT = Lattice()
+REF_TAUS = (0.21 + 1.3j, 0.3 + 0.45j)
 RNG = np.random.default_rng(77)
+
+
+def det_line(b) -> LineBundleClass:
+    return LineBundleClass(*ell.det_lift(b), b.lattice)
 
 
 def boxes(lat, seeds) -> np.ndarray:
@@ -96,7 +101,7 @@ class TestLineBundles:
     def test_torsion_squares_trivial(self):
         for i in range(1, 5):
             li = torsion_line(LAT, i)
-            assert li.tensor(li).is_trivial()
+            assert li.tensor(li).same_class(trivial_line(LAT))
 
     def test_factor_matches_shifted_exponential(self):
         # The line factor of O(p) is the first diagonal entry of O(p) + O's.
@@ -236,7 +241,7 @@ class TestSingleHecke:
         p = rpt()
         out = ell.morphism_rep([F2Twist(O)], [p], [ProjPoint(0.3 - 0.2j, 1)])[0].result
         assert isinstance(out, G2Twist)
-        assert out.det_class().same_class(point_line(p).inverse())
+        assert det_line(out).same_class(point_line(p).inverse())
 
     def test_g2_good_pair_consistent_with_cover(self):
         p = rpt()
@@ -245,7 +250,7 @@ class TestSingleHecke:
         assert isinstance(out, Decomposable)
         assert chordal(th.pi_cover(CurvePoint(out.l1.lift, LAT)), a) < 1e-7
         # The pair is inverse-symmetric: independent of the root choice.
-        assert out.l1.tensor(out.l2).is_trivial()
+        assert out.l1.tensor(out.l2).same_class(trivial_line(LAT))
 
     def test_length_pm_one_sampled(self):
         rng = np.random.default_rng(8)
@@ -433,11 +438,70 @@ def test_g2_twist_identification():
     p = rpt()
     g = G2Twist(p.lift, O)
     for i in range(1, 5):
-        assert g.det_class().same_class(g.tensor(torsion_line(LAT, i)).det_class())
+        assert det_line(g).same_class(det_line(g.tensor(torsion_line(LAT, i))))
     d = rpt()
     generic = LineBundleClass(0, d.lift, LAT)
     if d.torsion_index() is None:
-        assert not g.det_class().same_class(g.tensor(generic).det_class())
+        assert not det_line(g).same_class(det_line(g.tensor(generic)))
+
+
+def reference_det(b) -> LineBundleClass:
+    """det b by line-bundle record algebra: L1 L2, L^2 or O(p) L^2."""
+    if isinstance(b, Decomposable):
+        return b.l1.tensor(b.l2)
+    if isinstance(b, F2Twist):
+        return b.l.tensor(b.l)
+    return LineBundleClass(1, b.point_lift, b.lattice).tensor(b.l).tensor(b.l)
+
+
+def bits(z) -> tuple[str, str]:
+    return float(z.real).hex(), float(z.imag).hex()
+
+
+def seeded_bundles(rng, lat) -> list:
+    """Bundles of all three kinds with unreduced lifts, and some with a
+    trivial determinant: dual pairs moved by lattice vectors, torsion F2s."""
+    def lift():
+        return complex(*rng.normal(0, 3, 2))
+
+    def line():
+        return LineBundleClass(int(rng.integers(-3, 4)), lift(), lat)
+
+    out = []
+    for _ in range(10):
+        d, (j, k) = lift(), rng.integers(-2, 3, 2)
+        out += [Decomposable(line(), line()), F2Twist(line()), G2Twist(lift(), line()),
+                Decomposable(LineBundleClass(0, d, lat), LineBundleClass(0, -d + j + k * lat.tau, lat)),
+                F2Twist(torsion_line(lat, int(rng.integers(1, 5))))]
+    return out
+
+
+@pytest.mark.parametrize("tau", REF_TAUS)
+def test_det_lift_is_the_record_algebra_bit_for_bit(tau, monkeypatch):
+    lat, rng = Lattice(tau), np.random.default_rng(46)
+    for b in seeded_bundles(rng, lat):
+        (degree, lift), want = ell.det_lift(b), reference_det(b)
+        assert degree == want.degree and bits(lift) == bits(want.lift), b
+        assert ell.has_trivial_det(b) == want.same_class(trivial_line(lat)), b
+    # certify_rows reads det E tensor (det F)^-1: its theta zero at the lift,
+    # its distance to the point only at degree 1.
+    reps = [rep for _, make in suites._elliptic_row_fixtures(lat)
+            for rep in ell.morphism_rep(*zip(*[make(rng) for _ in range(2)]))]
+    seen, theta_w = [], th.theta_w
+    monkeypatch.setattr(th, "theta_w", lambda z, w, lattice: seen.append(w) or theta_w(z, w, lattice))
+    _, det = ell.certify_rows(reps, boxes(lat, range(1, len(reps) + 1)))
+    (w,) = seen
+    for rep, t, d in zip(reps, w[:, 0], det):
+        want = reference_det(rep.upstream).tensor(reference_det(rep.result).inverse())
+        assert bits(t) == bits(want.lift) and np.isfinite(d) == (want.degree == 1), rep.row
+
+
+def test_has_trivial_det_builds_no_line_bundle(monkeypatch):
+    bundles = seeded_bundles(np.random.default_rng(46), LAT)
+    built, init = [], LineBundleClass.__init__
+    monkeypatch.setattr(LineBundleClass, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+    trivial = [ell.has_trivial_det(b) for b in bundles]
+    assert not built and 10 <= sum(trivial) < len(bundles)
 
 
 class TestSequenceFromLines:
@@ -595,8 +659,6 @@ class TestOrderIndependence:
 
 # ---------------------------------------------------------------------------
 # The exact distance_to_curve against scalar references.
-
-REF_TAUS = (0.21 + 1.3j, 0.3 + 0.45j)
 
 
 def residual_reference(u, v, triple, q, p1, p2):

@@ -17,6 +17,15 @@ def brute_distance(lat, z):
     return float(np.abs(z - (m[:, None] + m[None, :] * lat.tau)).min())
 
 
+@pytest.mark.parametrize("tau", [0.2 + 0j, 0.3 - 1j, complex(0.2, math.nan), complex(math.inf, 1),
+                                 complex(math.nan, 1), complex(0, math.inf)])
+def test_lattice_rejects_a_tau_off_the_upper_half_plane(tau):
+    # A NaN imaginary part passes the test Im tau <= 0, and would give every
+    # reduced lift nan+nanj.
+    with pytest.raises(ValueError):
+        Lattice(tau)
+
+
 @pytest.mark.parametrize("tau", TAUS)
 def test_distance_matches_brute_force(tau):
     lat = Lattice(tau)
