@@ -24,10 +24,8 @@ class Lattice:
 
     def __post_init__(self):
         tau = complex(self.tau)
-        if not cmath.isfinite(tau):
-            raise ValueError(f"tau must be finite, got {tau}")
-        if tau.imag <= 0:
-            raise ValueError(f"Im tau must be positive, got {tau}")
+        if not (cmath.isfinite(tau) and tau.imag > 0):
+            raise ValueError(f"tau must be finite with Im tau > 0, got {tau}")
         object.__setattr__(self, "tau", tau)
 
     def coords(self, z: complex) -> tuple[float, float]:

@@ -66,6 +66,10 @@ ELLIPTIC = ("verify-theta", "verify-elliptic-tables", "verify-double-table", "em
 #: dispatch.  Report bytes may move under either (ROADMAP item 16).
 KERNELS = ({"OPENBLAS_CORETYPE": "Nehalem"}, {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL X86_V3"})
 
+#: A child interpreter's time budget per command, in seconds: ``rerun``
+#: raises ``subprocess.TimeoutExpired`` if its child runs longer in all.
+COMMAND_BUDGET_S = 12
+
 #: Runs the JSON list of commands on stdin and writes their reports as JSON.
 CHILD = ("import json, sys, report_hashes\n"
          "json.dump({c: report_hashes.run(c) for c in json.load(sys.stdin)}, sys.stdout)\n")
@@ -105,12 +109,12 @@ def run(command: str) -> list:
 def rerun(listing: list[str], setting: dict[str, str]) -> dict:
     """The reports of ``listing`` from a child interpreter with one BLAS
     thread and ``setting`` added to its environment, whose other ``KERNELS``
-    variables are cleared."""
+    variables are cleared, within ``COMMAND_BUDGET_S`` per command."""
     env = {key: value for key, value in os.environ.items() if not any(key in s for s in KERNELS)}
     path = [str(Path(cli.__file__).parents[1]), str(Path(__file__).parent), os.environ.get("PYTHONPATH")]
     env.update(OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(filter(None, path)), **setting)
     child = subprocess.run([sys.executable, "-c", CHILD], input=json.dumps(listing), env=env,
-                           capture_output=True, text=True)
+                           capture_output=True, text=True, timeout=COMMAND_BUDGET_S * len(listing))
     if child.returncode:
         raise RuntimeError(f"the child under {setting} failed:\n{child.stderr}")
     return json.loads(child.stdout)
